@@ -1,6 +1,7 @@
 // Streaming-service benchmark: sustained events/sec and assignment-latency
-// percentiles of svc::StreamEngine over synthetic Poisson arrival streams,
-// per scale point and online algorithm.
+// percentiles of svc::ShardedStreamEngine (through svc::ReplayEventLog)
+// over synthetic Poisson arrival streams, per scale point, shard count and
+// online algorithm.
 //
 //   ./build/bench/bench_stream_throughput --reps=3 --threads=4
 //       --shards=1,4 --json=stream.json
@@ -34,6 +35,7 @@
 #include "geo/road_graph.h"
 #include "io/workload_io.h"
 #include "model/accuracy.h"
+#include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 
 namespace ltc {

@@ -1,7 +1,7 @@
 // The long-running LTC service binary. Three modes (DESIGN.md §8, §11):
 //
 //   Replay: an ltc-events v1 log (or a synthetic Poisson arrival stream)
-//   through svc::StreamEngine, emitting a deterministic assignment log.
+//   through svc::ShardedStreamEngine, emitting a deterministic assignment log.
 //     ./build/examples/ltc_serve --synthetic --tasks=500 --workers=20000
 //         --algo=LAF --deadline=0.5 --threads=4
 //         --out=assignments.log --metrics_json=metrics.json

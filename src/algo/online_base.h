@@ -29,7 +29,7 @@ class OnlineSchedulerBase : public OnlineScheduler {
                    std::vector<model::TaskId>* assigned) override;
 
   /// Streaming protocol: the candidate enumeration of step 2 moves to the
-  /// caller (svc::StreamEngine queries its incremental index); everything
+  /// caller (svc::StreamPipeline queries its incremental index); everything
   /// else — filtering, SelectTasks, commitment — is shared with OnArrival.
   Status InitStreaming(const model::ProblemInstance& instance) override;
   Status OnTaskAdded(model::TaskId task) override;

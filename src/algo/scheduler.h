@@ -99,7 +99,7 @@ class OnlineScheduler {
   /// The arrangement built so far.
   virtual const model::Arrangement& arrangement() const = 0;
 
-  // --- Streaming protocol (svc::StreamEngine; DESIGN.md §8-§9) ---
+  // --- Streaming protocol (svc::StreamPipeline; DESIGN.md §8-§9) ---
   //
   // A streaming run has no complete instance up front: the engine appends
   // tasks and workers to one growing ProblemInstance as arrival events come

@@ -10,7 +10,7 @@
 //   cache-friendly form every batch experiment uses.
 // * Dynamic mode (BuildDynamic): per-cell sorted buckets over a fixed grid
 //   geometry, supporting Insert/Remove/Relocate so a long-running service
-//   (svc::StreamEngine) can maintain the open-task set incrementally instead
+//   (svc::StreamPipeline) can maintain the open-task set incrementally instead
 //   of rebuilding per batch. Invariants: ids are caller-assigned and unique;
 //   bucket contents stay ascending by id, so query results match an index
 //   rebuilt from scratch over the same live set (DESIGN.md §8, asserted by

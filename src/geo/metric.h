@@ -3,8 +3,8 @@
 // ||l_w - l_t||, but the latency objective is really about *travel time*:
 // a deployment measures reach over a road network, not a straight line.
 // Every consumer — model::AccuracyFunction, model::EligibilityIndex, the
-// schedulers, svc::StreamEngine — talks to this interface; the Euclidean
-// plane is just the default backend.
+// schedulers, svc::ShardedStreamEngine — talks to this interface; the
+// Euclidean plane is just the default backend.
 //
 // Contract every Metric must honour (and RoadGraph::Build enforces):
 //

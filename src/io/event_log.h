@@ -1,5 +1,6 @@
 // Line-oriented arrival-event logs ("ltc-events v1"): the input format of
-// the streaming service layer (svc::StreamEngine, the ltc_serve binary).
+// the streaming service layer (svc::ShardedStreamEngine, the ltc_serve
+// binary).
 // Where a workload file (workload_io.h) is a closed-world snapshot, an event
 // log is an *open* stream — tasks and workers materialise at their arrival
 // times, which is what the batching deadline of micro-batch admission is

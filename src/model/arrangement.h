@@ -39,7 +39,7 @@ class Arrangement {
   void Add(WorkerIndex worker, TaskId task, double acc_star);
 
   /// Appends one more task (id num_tasks(), accumulated Acc* 0) — the
-  /// streaming path (svc::StreamEngine) grows the arrangement as task
+  /// streaming path (svc::StreamPipeline) grows the arrangement as task
   /// arrival events come in. Returns the new task's id.
   TaskId AddTask();
 

@@ -28,17 +28,17 @@ namespace model {
 /// worker's radius is bounded by it), floored at 1 so radius queries stay
 /// within a 3x3 cell block even for degenerate radii. nullopt when the
 /// model has no distance structure (callers fall back to scans). Shared by
-/// EligibilityIndex::Build and svc::StreamEngine so the batch and
+/// EligibilityIndex::Build and svc::ShardedStreamEngine so the batch and
 /// streaming grids always agree on geometry.
 std::optional<double> SpatialPruningCellSize(const AccuracyFunction& accuracy,
                                              double acc_min);
 
 /// The streaming grids' cell size — SpatialPruningCellSize resolved with
 /// the non-distance-model fallback the service uses: one cell per shard
-/// stripe across a world of width `world_width`, floored at 1. Both
-/// svc::StreamEngine and svc::ShardedStreamEngine derive their dynamic
-/// grid and shard-map geometry through this one helper, so batch and
-/// streaming (and single- and multi-shard) grids cannot disagree.
+/// stripe across a world of width `world_width`, floored at 1.
+/// svc::ShardedStreamEngine derives its shard-map geometry through this
+/// one helper at every shard count, so batch and streaming (and single-
+/// and multi-shard) grids cannot disagree.
 double StreamingCellSize(const AccuracyFunction& accuracy, double acc_min,
                          double world_width, int shards);
 

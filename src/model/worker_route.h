@@ -6,7 +6,7 @@
 // list grown by cheapest insertion — re-optimized exactly (Held-Karp over
 // the unvisited suffix) while the suffix stays below kExactLimit stops —
 // with travel costs measured by a geo::Metric from the route's insertion
-// point, and unit-speed progress that svc::StreamEngine turns into
+// point, and unit-speed progress that svc::StreamPipeline turns into
 // deterministic worker `move` events.
 //
 // Determinism: stop order, leg costs, and reach times are pure functions

@@ -43,9 +43,10 @@ struct RunMetrics {
   std::uint64_t peak_memory_bytes = 0;
   /// Copied from the scheduler's ScheduleStats.
   algo::ScheduleStats stats;
-  /// Streaming runs only (svc::StreamEngine): distribution of per-assignment
-  /// latency — commit time minus the assigned task's arrival time, in stream
-  /// time units. All-zero for batch (RunOnline/RunOffline) runs.
+  /// Streaming runs only (svc::ShardedStreamEngine): distribution of
+  /// per-assignment latency — commit time minus the assigned task's arrival
+  /// time, in stream time units. All-zero for batch (RunOnline/RunOffline)
+  /// runs.
   LatencySummary assignment_latency;
 };
 

@@ -14,6 +14,7 @@
 #include "geo/road_graph.h"
 #include "io/workload_io.h"
 #include "model/accuracy.h"
+#include "svc/sharded_engine.h"
 
 namespace ltc {
 namespace svc {
@@ -189,23 +190,6 @@ std::string MetricLabel(const model::AccuracyFunction& accuracy) {
   return name;
 }
 
-/// Fills the sim::RunMetrics view of a durable run from the engine.
-void FillRunMetrics(const StreamOptions& options,
-                    const RecoverableService& service, double runtime_seconds,
-                    ServeReport* report) {
-  const ShardedStreamEngine& engine = service.engine();
-  report->run.algorithm = options.algorithm;
-  report->run.latency = engine.max_assigned_worker();
-  report->run.completed =
-      report->metrics.tasks_completed == report->metrics.task_events;
-  report->run.runtime_seconds = runtime_seconds;
-  report->run.assignment_latency = report->metrics.assignment_latency;
-  report->run.stats.workers_seen = report->metrics.worker_events;
-  report->run.stats.assignments = report->metrics.assignments;
-  report->run.stats.total_acc_star = engine.total_acc_star();
-  report->run.stats.workers_used = engine.workers_used();
-}
-
 }  // namespace
 
 std::string RenderAssignmentLog(
@@ -301,7 +285,7 @@ StatusOr<ServeReport> RunDurableService(const io::EventLog& log,
   report.durable = true;
   report.recovery = service->recovery();
   LTC_ASSIGN_OR_RETURN(report.metrics, service->Finish());
-  FillRunMetrics(options, *service, watch.ElapsedSeconds(), &report);
+  report.run = service->engine().RunMetricsView(watch.ElapsedSeconds());
   report.assignment_log = RenderAssignmentLog(
       options, service->assignments(), report.metrics,
       &service->engine().worker_moves(),
@@ -490,7 +474,8 @@ int RunSocketServer(const StreamOptions& options,
     return FailRuntime(metrics.status().WithContext("graceful drain"));
   }
   report.metrics = std::move(metrics).value();
-  FillRunMetrics(options, *service.value(), watch.ElapsedSeconds(), &report);
+  report.run =
+      service.value()->engine().RunMetricsView(watch.ElapsedSeconds());
   report.assignment_log = RenderAssignmentLog(
       options, service.value()->assignments(), report.metrics,
       &service.value()->engine().worker_moves(),

@@ -69,7 +69,7 @@ std::string RenderAssignmentLog(
     const std::vector<WorkerMove>* moves = nullptr,
     const std::string& metric_label = "");
 
-/// Replays `log` through a StreamEngine under `options` and renders the
+/// Replays `log` in memory (ReplayEventLog) under `options` and renders the
 /// assignment log.
 StatusOr<ServeReport> RunService(const io::EventLog& log,
                                  const StreamOptions& options);

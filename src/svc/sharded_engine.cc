@@ -6,6 +6,7 @@
 
 #include "common/container_util.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "geo/metric.h"
 #include "geo/point.h"
 #include "model/eligibility.h"
@@ -70,7 +71,7 @@ Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
   // Stripe edges align with the incremental grids' cell columns. Models
   // without distance structure have no natural cell; the shared helper
   // resolves the fallback (equal stripe-wide columns) so this geometry can
-  // never drift from the single-pipeline engine's.
+  // never drift from the batch index's.
   const double map_cell = model::StreamingCellSize(
       *header.accuracy, header.acc_min, options.world.Width(),
       options.shards);
@@ -258,8 +259,11 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &worker));
     LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &shard));
     LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &remaining));
+    // A live entry still awaits at least one offer, and a worker is offered
+    // to each shard at most once; entries retire at 0, so a 0 never
+    // appears in a snapshot SerializeTo wrote.
     if (worker < 1 || shard < -1 || shard >= options.shards ||
-        remaining < 0) {
+        remaining < 1 || remaining > options.shards) {
       return Status::OutOfRange("snapshot: claim record out of range");
     }
     engine->claims_.emplace(
@@ -373,42 +377,16 @@ Status ShardedStreamEngine::HandleWorkerArrival(const io::Event& event) {
 
   // Route set: every stripe the eligibility disk intersects, plus the
   // owner shard of any displaced open task within reach. No distance
-  // structure means no disk — the worker is offered everywhere.
-  std::fill(route_flags_.begin(), route_flags_.end(), 0);
-  model::Worker probe;
-  probe.location = event.location;
-  probe.historical_accuracy = event.accuracy;
-  const auto radius = accuracy_->EligibleRadius(probe, acc_min_);
-  if (!radius.has_value()) {
-    std::fill(route_flags_.begin(), route_flags_.end(), 1);
+  // structure means no disk — the worker is offered everywhere. A single
+  // stripe owns every task and displaces none: its route set is {0}.
+  if (num_shards() == 1) {
+    route_flags_[0] = 1;
   } else {
-    const double r = std::max(0.0, *radius);
-    int lo = 0;
-    int hi = 0;
-    map_.ShardRange(event.location, r, &lo, &hi);
-    for (int s = lo; s <= hi; ++s) {
-      route_flags_[static_cast<std::size_t>(s)] = 1;
-    }
-    const geo::Metric& metric = *accuracy_->DistanceMetric();
-    const double r2 = r * r;
-    for (const auto& [task, displaced] : displaced_) {
-      if (!task_open_[static_cast<std::size_t>(task)]) continue;
-      if (route_flags_[static_cast<std::size_t>(displaced.owner)]) continue;
-      // The radius is in metric units; reachability of a displaced task is
-      // a metric-ball test (the Euclidean fast path avoids the sqrt and
-      // any virtual hop on the default backend).
-      const bool in_reach =
-          metric.euclidean()
-              ? geo::SquaredDistance(displaced.location, event.location) <= r2
-              : metric.Distance(event.location, displaced.location) <= r;
-      if (in_reach) {
-        route_flags_[static_cast<std::size_t>(displaced.owner)] = 1;
-      }
-    }
+    RouteWorker(event);
   }
 
   int route_count = 0;
-  std::vector<DueFlush> due;
+  due_.clear();
   for (int s = 0; s < num_shards(); ++s) {
     if (!route_flags_[static_cast<std::size_t>(s)]) continue;
     ++route_count;
@@ -416,14 +394,48 @@ Status ShardedStreamEngine::HandleWorkerArrival(const io::Event& event) {
     LTC_RETURN_IF_ERROR(pipelines_[static_cast<std::size_t>(s)]->BufferWorker(
         global_index, event.location, event.accuracy, event.time,
         &flush_now));
-    if (flush_now) due.push_back(DueFlush{event.time, s});
+    if (flush_now) due_.emplace_back(event.time, s);
   }
   if (route_count > 1) {
     claims_.emplace(global_index, Claim{-1, route_count});
     ++metrics_.boundary_workers;
   }
-  if (!due.empty()) return RunRound(std::move(due));
-  return Status::OK();
+  return RunRound();
+}
+
+void ShardedStreamEngine::RouteWorker(const io::Event& event) {
+  std::fill(route_flags_.begin(), route_flags_.end(), 0);
+  model::Worker probe;
+  probe.location = event.location;
+  probe.historical_accuracy = event.accuracy;
+  const auto radius = accuracy_->EligibleRadius(probe, acc_min_);
+  if (!radius.has_value()) {
+    std::fill(route_flags_.begin(), route_flags_.end(), 1);
+    return;
+  }
+  const double r = std::max(0.0, *radius);
+  int lo = 0;
+  int hi = 0;
+  map_.ShardRange(event.location, r, &lo, &hi);
+  for (int s = lo; s <= hi; ++s) {
+    route_flags_[static_cast<std::size_t>(s)] = 1;
+  }
+  const geo::Metric& metric = *accuracy_->DistanceMetric();
+  const double r2 = r * r;
+  for (const auto& [task, displaced] : displaced_) {
+    if (!task_open_[static_cast<std::size_t>(task)]) continue;
+    if (route_flags_[static_cast<std::size_t>(displaced.owner)]) continue;
+    // The radius is in metric units; reachability of a displaced task is a
+    // metric-ball test (the Euclidean fast path avoids the sqrt and any
+    // virtual hop on the default backend).
+    const bool in_reach =
+        metric.euclidean()
+            ? geo::SquaredDistance(displaced.location, event.location) <= r2
+            : metric.Distance(event.location, displaced.location) <= r;
+    if (in_reach) {
+      route_flags_[static_cast<std::size_t>(displaced.owner)] = 1;
+    }
+  }
 }
 
 Status ShardedStreamEngine::HandleTaskMove(const io::Event& event) {
@@ -450,26 +462,30 @@ Status ShardedStreamEngine::HandleTaskMove(const io::Event& event) {
 }
 
 Status ShardedStreamEngine::FlushExpired(double now) {
-  std::vector<DueFlush> due;
+  due_.clear();
   for (int s = 0; s < num_shards(); ++s) {
     const StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
     if (!p.has_open_batch()) continue;
     // Commit at the instant the batch fell due, not at whichever event
-    // happened to arrive next (same rule as the single-pipeline engine).
-    // The pipeline owns its flush instant — fixed deadline or the
-    // forecast-positioned adaptive one.
+    // happened to arrive next: the service would have flushed the moment
+    // the deadline ran out. The pipeline owns its flush instant — fixed
+    // deadline or the forecast-positioned adaptive one.
     const double flush_time = p.batch_flush_time();
-    if (now >= flush_time) due.push_back(DueFlush{flush_time, s});
+    if (now >= flush_time) due_.emplace_back(flush_time, s);
   }
-  if (due.empty()) return Status::OK();
-  return RunRound(std::move(due));
+  return RunRound();
 }
 
-Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
-  if (due.empty()) return Status::OK();
+Status ShardedStreamEngine::RunRound() {
+  if (due_.empty()) return Status::OK();
+  std::vector<DueFlush>& due = due_;
   std::sort(due.begin(), due.end(), [](const DueFlush& a, const DueFlush& b) {
     return DueOrder(a.time, a.shard, b.time, b.shard);
   });
+  // Claim entries exist only for in-flight multi-shard workers, and none
+  // is added during a round; with none (always so at one shard) both claim
+  // passes below are skipped.
+  const bool claims_live = !claims_.empty();
 
   // Phase 1 — gather, all due shards at once: commits of one shard never
   // touch another shard's open tasks and no event separates the due flush
@@ -481,15 +497,18 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
     p.PrepareGather();
     total_slots += p.batch_size();
   }
-  const auto gather_span = [this](StreamPipeline* p, std::size_t begin,
-                                  std::size_t end) {
+  const auto gather_span = [this, claims_live](StreamPipeline* p,
+                                               std::size_t begin,
+                                               std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto it = claims_.find(p->batch_global_worker(i));
-      if (it != claims_.end() && it->second.shard != -1) {
-        p->ClearSlot(i);  // lost in an earlier round; resolution counts it
-      } else {
-        p->GatherSlot(i);
+      if (claims_live) {
+        const auto it = claims_.find(p->batch_global_worker(i));
+        if (it != claims_.end() && it->second.shard != -1) {
+          p->ClearSlot(i);  // lost in an earlier round; resolution counts it
+          continue;
+        }
       }
+      p->GatherSlot(i);
     }
   };
   if (pool_ != nullptr && total_slots > 1) {
@@ -517,21 +536,23 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
   // offering a non-empty candidate set claims the worker; later offers are
   // dropped before commit. Deterministic: a pure function of the gathered
   // slots and the table state left by earlier rounds.
-  for (const DueFlush& f : due) {
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
-    for (std::size_t i = 0; i < p.batch_size(); ++i) {
-      const auto it = claims_.find(p.batch_global_worker(i));
-      if (it == claims_.end()) continue;  // single-shard worker
-      Claim& claim = it->second;
-      if (claim.shard == -1) {
-        if (!p.SlotEmpty(i)) claim.shard = f.shard;
-      } else if (claim.shard != f.shard) {
-        p.ClearSlot(i);
-        ++metrics_.handoff_skips;
+  if (claims_live) {
+    for (const DueFlush& f : due) {
+      StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
+      for (std::size_t i = 0; i < p.batch_size(); ++i) {
+        const auto it = claims_.find(p.batch_global_worker(i));
+        if (it == claims_.end()) continue;  // single-shard worker
+        Claim& claim = it->second;
+        if (claim.shard == -1) {
+          if (!p.SlotEmpty(i)) claim.shard = f.shard;
+        } else if (claim.shard != f.shard) {
+          p.ClearSlot(i);
+          ++metrics_.handoff_skips;
+        }
+        // This was the worker's one offer from shard f; once every offered
+        // shard has flushed it the decision is final and the entry retires.
+        if (--claim.remaining == 0) claims_.erase(it);
       }
-      // This was the worker's one offer from shard f; once every offered
-      // shard has flushed it the decision is final and the entry retires.
-      if (--claim.remaining == 0) claims_.erase(it);
     }
   }
 
@@ -565,58 +586,48 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
   // Phase 4 — merge, sequential in the same key order: one deterministic
   // global log, closure bookkeeping for the router.
   for (const DueFlush& f : due) {
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
-    for (const StreamAssignment& a : p.pending_assignments()) {
-      assignments_.push_back(a);
-      max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
-      ++metrics_.assignments;
-    }
-    p.pending_assignments().clear();
-    for (const model::TaskId task : p.pending_closed()) {
-      task_open_[static_cast<std::size_t>(task)] = 0;
-      displaced_.erase(task);
-    }
-    p.pending_closed().clear();
-    for (const WorkerMove& m : p.pending_moves()) moves_.push_back(m);
-    p.pending_moves().clear();
+    MergePending(pipelines_[static_cast<std::size_t>(f.shard)].get());
   }
   return Status::OK();
+}
+
+void ShardedStreamEngine::MergePending(StreamPipeline* p) {
+  for (const StreamAssignment& a : p->pending_assignments()) {
+    assignments_.push_back(a);
+    max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
+    ++metrics_.assignments;
+  }
+  p->pending_assignments().clear();
+  for (const model::TaskId task : p->pending_closed()) {
+    task_open_[static_cast<std::size_t>(task)] = 0;
+    displaced_.erase(task);
+  }
+  p->pending_closed().clear();
+  for (const WorkerMove& m : p->pending_moves()) moves_.push_back(m);
+  p->pending_moves().clear();
 }
 
 StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   if (finished_) {
     return Status::FailedPrecondition("Finish called twice");
   }
-  std::vector<DueFlush> due;
+  due_.clear();
   double end_time = last_event_time_;
   for (int s = 0; s < num_shards(); ++s) {
     const StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
     if (!p.has_open_batch()) continue;
     // The service waits out the deadline for the final stragglers.
-    due.push_back(DueFlush{p.batch_flush_time(), s});
-    end_time = std::max(end_time, due.back().time);
+    due_.emplace_back(p.batch_flush_time(), s);
+    end_time = std::max(end_time, due_.back().time);
   }
-  LTC_RETURN_IF_ERROR(RunRound(std::move(due)));
+  LTC_RETURN_IF_ERROR(RunRound());
 
   // Batch schedulers may still hold a partial Theorem-2 batch per shard;
   // drain them sequentially in shard order — one deterministic tail for the
   // global log, merged exactly like a round's phase 4.
-  for (int s = 0; s < num_shards(); ++s) {
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
-    LTC_RETURN_IF_ERROR(p.CommitStreamEnd(end_time));
-    for (const StreamAssignment& a : p.pending_assignments()) {
-      assignments_.push_back(a);
-      max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
-      ++metrics_.assignments;
-    }
-    p.pending_assignments().clear();
-    for (const model::TaskId task : p.pending_closed()) {
-      task_open_[static_cast<std::size_t>(task)] = 0;
-      displaced_.erase(task);
-    }
-    p.pending_closed().clear();
-    for (const WorkerMove& m : p.pending_moves()) moves_.push_back(m);
-    p.pending_moves().clear();
+  for (const auto& pipeline : pipelines_) {
+    LTC_RETURN_IF_ERROR(pipeline->CommitStreamEnd(end_time));
+    MergePending(pipeline.get());
   }
   finished_ = true;
 
@@ -676,6 +687,49 @@ std::int64_t ShardedStreamEngine::workers_used() const {
     used += pipeline->workers_used();
   }
   return used;
+}
+
+sim::RunMetrics ShardedStreamEngine::RunMetricsView(
+    double runtime_seconds) const {
+  sim::RunMetrics run;
+  run.algorithm = options_.algorithm;
+  run.latency = max_assigned_worker_;
+  run.completed = metrics_.tasks_completed == metrics_.task_events;
+  run.runtime_seconds = runtime_seconds;
+  run.assignment_latency = metrics_.assignment_latency;
+  run.stats.workers_seen = metrics_.worker_events;
+  run.stats.assignments = metrics_.assignments;
+  run.stats.total_acc_star = total_acc_star();
+  run.stats.workers_used = workers_used();
+  return run;
+}
+
+StatusOr<ReplayResult> ReplayEventLog(
+    const io::EventLog& log, const StreamOptions& options,
+    std::vector<StreamAssignment>* assignments_out,
+    std::vector<WorkerMove>* moves_out) {
+  LTC_RETURN_IF_ERROR(log.Validate());
+  StreamOptions resolved = options;
+  // The replay knows the whole log, so fix the grid geometry to cover every
+  // location it will ever see (union with the configured world).
+  for (const io::Event& e : log.events) {
+    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
+    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
+    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
+    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
+  }
+
+  Stopwatch watch;
+  LTC_ASSIGN_OR_RETURN(auto engine, ShardedStreamEngine::Create(log, resolved));
+  for (const io::Event& e : log.events) {
+    LTC_RETURN_IF_ERROR(engine->OnEvent(e));
+  }
+  ReplayResult result;
+  LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
+  result.run = engine->RunMetricsView(watch.ElapsedSeconds());
+  if (assignments_out != nullptr) *assignments_out = engine->assignments();
+  if (moves_out != nullptr) *moves_out = engine->worker_moves();
+  return result;
 }
 
 }  // namespace svc

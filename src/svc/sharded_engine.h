@@ -1,7 +1,8 @@
-// The spatially partitioned streaming service (DESIGN.md §9): K independent
+// The streaming service engine (DESIGN.md §8–§9): K independent
 // StreamPipeline instances over grid-aligned stripes of the world, one
 // event router, and a boundary-handoff protocol that keeps assignment
-// quality at stripe edges on par with the single-pipeline engine.
+// quality at stripe edges on par with a single pipeline. K = 1 is the
+// unsharded service: one pipeline, no routing and no claims.
 //
 // Routing. Task arrivals go to exactly one shard — the stripe owning their
 // location (geo::ShardMap, whose stripe edges are GridIndex cell
@@ -43,15 +44,19 @@
 #include "common/thread_pool.h"
 #include "geo/shard_map.h"
 #include "io/event_log.h"
+#include "sim/metrics.h"
 #include "svc/stream_engine.h"
 
 namespace ltc {
 namespace svc {
 
-/// \brief The K-shard event router and flush coordinator. Same OnEvent /
-/// Finish surface as StreamEngine; Create accepts options.shards >= 1
-/// (shards == 1 degenerates to a single pipeline and reproduces the classic
-/// engine's assignment sequence exactly — pinned by tests/svc_shard_test).
+/// \brief The event-driven micro-batch admission engine: a K-shard event
+/// router and flush coordinator. Create accepts options.shards >= 1; at
+/// shards == 1 every worker goes to the one pipeline and the claim table
+/// stays empty (tests/svc_shard_test pins that run's logs as golden bytes).
+///
+/// Not movable once created: each pipeline's scheduler holds a pointer into
+/// that pipeline's growing instance, so Create hands out a unique_ptr.
 ///
 /// Engine-thread-only, including the cross-shard claim tables: workers fan
 /// out through the pool only inside phases where the engine thread blocks
@@ -110,6 +115,11 @@ class ShardedStreamEngine {
   /// Distinct workers holding at least one assignment (the claim table
   /// guarantees a worker commits in at most one shard).
   std::int64_t workers_used() const;
+  /// The sim::RunMetrics view of the finished run (call after Finish):
+  /// latency = max assigned worker index, completed = every arrived task
+  /// reached delta, the per-assignment latency summary and schedule stats,
+  /// and `runtime_seconds` as measured by the caller.
+  sim::RunMetrics RunMetricsView(double runtime_seconds) const;
 
   int num_shards() const { return static_cast<int>(pipelines_.size()); }
   /// The stream clock: time of the latest applied event (0 before any).
@@ -121,9 +131,15 @@ class ShardedStreamEngine {
 
  private:
   /// One due shard flush; rounds process these sorted by (time, shard).
+  /// Built in place (due_.emplace_back): copying a braced temporary into
+  /// the vector moves it as one 16-byte block, and RunRound's narrower
+  /// reads of that fresh block defeat store forwarding — on an x86 Xeon
+  /// that cost ~10% of K = 1 events/sec at deadline 0.
   struct DueFlush {
-    double time = 0.0;
-    int shard = 0;
+    DueFlush(double flush_time, int flush_shard)
+        : time(flush_time), shard(flush_shard) {}
+    double time;
+    int shard;
   };
   /// Claim-table entry of a multi-shard worker. `remaining` counts the
   /// offered shards that have not flushed the worker yet; when it hits 0
@@ -156,15 +172,20 @@ class ShardedStreamEngine {
 
   Status HandleTaskArrival(const io::Event& event);
   Status HandleWorkerArrival(const io::Event& event);
+  /// Multi-shard routing: sets route_flags_ to the worker's route set.
+  void RouteWorker(const io::Event& event);
   Status HandleTaskMove(const io::Event& event);
 
   /// Collects every shard whose batch deadline expired at or before `now`
   /// and runs them as one round.
   Status FlushExpired(double now);
-  /// One flush round over `due` (must be key-sorted): parallel gather,
-  /// sequential claim resolution, parallel per-shard commit, sequential
-  /// merge.
-  Status RunRound(std::vector<DueFlush> due);
+  /// One flush round over due_ (sorted here into key order): parallel
+  /// gather, sequential claim resolution, parallel per-shard commit,
+  /// sequential merge.
+  Status RunRound();
+  /// Folds `p`'s pending records into the merged logs and the router's
+  /// open/displaced bookkeeping, then clears them.
+  void MergePending(StreamPipeline* p);
 
   StreamOptions options_;
   geo::ShardMap map_;
@@ -180,6 +201,7 @@ class ShardedStreamEngine {
   std::unordered_map<model::TaskId, Displaced> displaced_;
   std::unordered_map<model::WorkerIndex, Claim> claims_;
   std::vector<char> route_flags_;      // scratch: shard membership per event
+  std::vector<DueFlush> due_;          // scratch: the next round's flushes
 
   std::vector<StreamAssignment> assignments_;
   std::vector<WorkerMove> moves_;
@@ -192,6 +214,25 @@ class ShardedStreamEngine {
   // router state above die); every round also consumes all its futures.
   std::unique_ptr<ThreadPool> pool_;  // fan-out (threads > 1 only)
 };
+
+/// What ReplayEventLog reports.
+struct ReplayResult {
+  StreamMetrics stream;
+  /// The sim::RunMetrics view (ShardedStreamEngine::RunMetricsView); its
+  /// runtime covers engine creation, every event and Finish.
+  sim::RunMetrics run;
+};
+
+/// Replays a whole event log through a fresh ShardedStreamEngine with
+/// options.shards shards, and finishes it. The grid geometry is fixed to
+/// the smallest rectangle holding both options.world and every location
+/// the log contains. When `assignments_out` is non-null it receives the
+/// deterministic assignment record; `moves_out` likewise receives the
+/// worker-move log (empty unless options.route_workers).
+StatusOr<ReplayResult> ReplayEventLog(
+    const io::EventLog& log, const StreamOptions& options,
+    std::vector<StreamAssignment>* assignments_out = nullptr,
+    std::vector<WorkerMove>* moves_out = nullptr);
 
 }  // namespace svc
 }  // namespace ltc

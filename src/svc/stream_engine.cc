@@ -7,9 +7,6 @@
 #include "algo/mcf_stream.h"
 #include "algo/registry.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "model/eligibility.h"
-#include "svc/sharded_engine.h"
 
 namespace ltc {
 namespace svc {
@@ -701,280 +698,6 @@ std::int64_t StreamPipeline::workers_used() const {
     if (arr.Load(w) > 0) ++used;
   }
   return used;
-}
-
-// --- StreamEngine ---------------------------------------------------------
-
-StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
-    const io::EventLog& header, const StreamOptions& options) {
-  if (options.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
-  }
-  if (options.shards != 1) {
-    return Status::InvalidArgument(
-        "StreamEngine is the single-pipeline engine; shards > 1 runs go "
-        "through ShardedStreamEngine (or ReplayEventLog, which dispatches)");
-  }
-
-  std::unique_ptr<StreamEngine> engine(new StreamEngine(options));
-  StreamPipeline::Config config;
-  config.algorithm = options.algorithm;
-  config.batch_deadline = options.batch_deadline;
-  config.deadline_policy = options.deadline_policy;
-  config.forecast_horizon = options.forecast_horizon;
-  config.max_batch = options.max_batch;
-  config.seed = options.seed;
-  config.world = options.world;
-  config.mcf_warm_start = options.mcf_warm_start;
-  config.mcf_drift_check_every = options.mcf_drift_check_every;
-  config.route_workers = options.route_workers;
-  // Same grid geometry rule as EligibilityIndex::Build (the shared
-  // model::SpatialPruningCellSize / model::StreamingCellSize helpers —
-  // model/eligibility.h); models without distance structure fall back to
-  // scanning the open set.
-  config.cell_size =
-      model::SpatialPruningCellSize(*header.accuracy, header.acc_min);
-  LTC_ASSIGN_OR_RETURN(engine->pipeline_,
-                       StreamPipeline::Create(header, config));
-
-  int threads = options.threads;
-  if (threads == 0) threads = ThreadPool::DefaultThreads();
-  if (threads > 1) {
-    engine->pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return engine;
-}
-
-Status StreamEngine::OnEvent(const io::Event& event) {
-  if (finished_) {
-    return Status::FailedPrecondition("OnEvent after Finish");
-  }
-  if (event.time < last_event_time_) {
-    return Status::InvalidArgument(
-        StrFormat("event time %g precedes the stream clock %g", event.time,
-                  last_event_time_));
-  }
-  LTC_RETURN_IF_ERROR(FlushExpired(event.time));
-  last_event_time_ = event.time;
-  ++metrics_.events;
-  switch (event.kind) {
-    case io::Event::Kind::kTaskArrival:
-      return HandleTaskArrival(event);
-    case io::Event::Kind::kWorkerArrival:
-      return HandleWorkerArrival(event);
-    case io::Event::Kind::kTaskMove:
-      return HandleTaskMove(event);
-  }
-  return Status::InvalidArgument("unknown event kind");
-}
-
-Status StreamEngine::HandleTaskArrival(const io::Event& event) {
-  const auto id = static_cast<model::TaskId>(instance().num_tasks());
-  ++metrics_.task_events;
-  return pipeline_->AddTask(id, event.time, event.location).status();
-}
-
-Status StreamEngine::HandleWorkerArrival(const io::Event& event) {
-  ++metrics_.worker_events;
-  bool flush_now = false;
-  LTC_RETURN_IF_ERROR(pipeline_->BufferWorker(
-      static_cast<model::WorkerIndex>(instance().num_workers() + 1),
-      event.location, event.accuracy, event.time, &flush_now));
-  if (flush_now) return FlushBatch(event.time);
-  return Status::OK();
-}
-
-Status StreamEngine::HandleTaskMove(const io::Event& event) {
-  if (event.task < 0 ||
-      static_cast<std::int64_t>(event.task) >= instance().num_tasks()) {
-    return Status::InvalidArgument(
-        StrFormat("move event references unknown task %d", event.task));
-  }
-  // Single pipeline: global and local task ids coincide.
-  LTC_RETURN_IF_ERROR(pipeline_->MoveTask(event.task, event.location));
-  ++metrics_.move_events;
-  return Status::OK();
-}
-
-Status StreamEngine::FlushExpired(double now) {
-  if (!pipeline_->has_open_batch()) return Status::OK();
-  // The service would have flushed the moment the deadline ran out, not
-  // when the next event happened to arrive — commit at that instant. The
-  // pipeline owns the instant: open time + the fixed deadline, or the
-  // forecast-positioned time under the adaptive policy.
-  const double flush_time = pipeline_->batch_flush_time();
-  if (now >= flush_time) return FlushBatch(flush_time);
-  return Status::OK();
-}
-
-Status StreamEngine::FlushBatch(double flush_time) {
-  if (!pipeline_->has_open_batch()) return Status::OK();
-  const std::size_t n = pipeline_->batch_size();
-  pipeline_->PrepareGather();
-
-  // Phase 1 — gather: each buffered worker's eligible open tasks as of the
-  // flush instant. Pure reads of pipeline state into index-addressed slots,
-  // so the fan-out is deterministic at any pool size.
-  if (pool_ != nullptr && n > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool_->Submit([this, i] { pipeline_->GatherSlot(i); }));
-    }
-    LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "gather"));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) pipeline_->GatherSlot(i);
-  }
-
-  // Phase 2 — commit, then fold the pipeline's pending records into the
-  // engine-wide log.
-  LTC_RETURN_IF_ERROR(pipeline_->CommitBatch(flush_time));
-  for (const StreamAssignment& a : pipeline_->pending_assignments()) {
-    assignments_.push_back(a);
-    ++metrics_.assignments;
-  }
-  pipeline_->pending_assignments().clear();
-  pipeline_->pending_closed().clear();
-  for (const WorkerMove& m : pipeline_->pending_moves()) {
-    moves_.push_back(m);
-  }
-  pipeline_->pending_moves().clear();
-  return Status::OK();
-}
-
-StatusOr<StreamMetrics> StreamEngine::Finish() {
-  if (finished_) {
-    return Status::FailedPrecondition("Finish called twice");
-  }
-  double end_time = last_event_time_;
-  if (pipeline_->has_open_batch()) {
-    // The service waits out the deadline for the final stragglers.
-    const double final_flush = pipeline_->batch_flush_time();
-    end_time = std::max(end_time, final_flush);
-    LTC_RETURN_IF_ERROR(FlushBatch(final_flush));
-  }
-  // Batch schedulers may still hold a partial Theorem-2 batch; drain it at
-  // the stream's end instant and fold the commitments into the log.
-  LTC_RETURN_IF_ERROR(pipeline_->CommitStreamEnd(end_time));
-  for (const StreamAssignment& a : pipeline_->pending_assignments()) {
-    assignments_.push_back(a);
-    ++metrics_.assignments;
-  }
-  pipeline_->pending_assignments().clear();
-  pipeline_->pending_closed().clear();
-  for (const WorkerMove& m : pipeline_->pending_moves()) {
-    moves_.push_back(m);
-  }
-  pipeline_->pending_moves().clear();
-  // One deterministic global move order; stable so equal (time, worker)
-  // keys — zero-length legs — keep their route order.
-  std::stable_sort(moves_.begin(), moves_.end(),
-                   [](const WorkerMove& a, const WorkerMove& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.worker < b.worker;
-                   });
-  finished_ = true;
-  metrics_.worker_moves = static_cast<std::int64_t>(moves_.size());
-  metrics_.routed_workers = pipeline_->routed_workers();
-  metrics_.route_travel_time = pipeline_->route_travel_time();
-  metrics_.last_event_time = last_event_time_;
-  metrics_.batches = pipeline_->batches();
-  metrics_.max_batch_size = pipeline_->max_batch_size();
-  metrics_.tasks_completed = pipeline_->tasks_completed();
-  metrics_.open_tasks = pipeline_->open_tasks();
-  metrics_.quiet_flushes = pipeline_->quiet_flushes();
-  metrics_.deadline_extensions = pipeline_->deadline_extensions();
-  metrics_.shards = 1;
-  metrics_.assignment_latency =
-      sim::SummarizeLatencies(pipeline_->mutable_assignment_latency_samples());
-  metrics_.completion_latency =
-      sim::SummarizeLatencies(pipeline_->mutable_completion_latency_samples());
-
-  if (options_.validate && metrics_.move_events == 0 &&
-      instance().num_tasks() > 0) {
-    LTC_RETURN_IF_ERROR(pipeline_->Validate());
-    metrics_.validated = true;
-  }
-  return metrics_;
-}
-
-// --- ReplayEventLog -------------------------------------------------------
-
-StatusOr<ReplayResult> ReplayEventLog(
-    const io::EventLog& log, const StreamOptions& options,
-    std::vector<StreamAssignment>* assignments_out,
-    std::vector<WorkerMove>* moves_out) {
-  LTC_RETURN_IF_ERROR(log.Validate());
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  StreamOptions resolved = options;
-  // The replay knows the whole log, so fix the grid geometry to cover every
-  // location it will ever see (union with the configured world).
-  for (const io::Event& e : log.events) {
-    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
-    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
-    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
-    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
-  }
-
-  if (resolved.shards > 1) {
-    Stopwatch watch;
-    LTC_ASSIGN_OR_RETURN(auto engine,
-                         ShardedStreamEngine::Create(log, resolved));
-    for (const io::Event& e : log.events) {
-      LTC_RETURN_IF_ERROR(engine->OnEvent(e));
-    }
-    ReplayResult result;
-    LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
-    result.run.algorithm = resolved.algorithm;
-    result.run.latency = engine->max_assigned_worker();
-    result.run.completed =
-        result.stream.tasks_completed == result.stream.task_events;
-    result.run.runtime_seconds = watch.ElapsedSeconds();
-    result.run.assignment_latency = result.stream.assignment_latency;
-    result.run.stats.workers_seen = result.stream.worker_events;
-    result.run.stats.assignments = result.stream.assignments;
-    result.run.stats.total_acc_star = engine->total_acc_star();
-    result.run.stats.workers_used = engine->workers_used();
-    if (assignments_out != nullptr) {
-      *assignments_out = engine->assignments();
-    }
-    if (moves_out != nullptr) {
-      *moves_out = engine->worker_moves();
-    }
-    return result;
-  }
-
-  Stopwatch watch;
-  LTC_ASSIGN_OR_RETURN(auto engine, StreamEngine::Create(log, resolved));
-  for (const io::Event& e : log.events) {
-    LTC_RETURN_IF_ERROR(engine->OnEvent(e));
-  }
-  ReplayResult result;
-  LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
-
-  const model::Arrangement& arr = engine->arrangement();
-  result.run.algorithm = resolved.algorithm;
-  result.run.latency = arr.MaxWorkerIndex();
-  result.run.completed = arr.AllCompleted();
-  result.run.runtime_seconds = watch.ElapsedSeconds();
-  result.run.assignment_latency = result.stream.assignment_latency;
-  result.run.stats.workers_seen = result.stream.worker_events;
-  result.run.stats.assignments = arr.size();
-  for (const model::Assignment& a : arr.assignments()) {
-    result.run.stats.total_acc_star += a.acc_star;
-  }
-  for (model::WorkerIndex w = 1; w <= arr.MaxWorkerIndex(); ++w) {
-    if (arr.Load(w) > 0) ++result.run.stats.workers_used;
-  }
-  if (assignments_out != nullptr) {
-    *assignments_out = engine->assignments();
-  }
-  if (moves_out != nullptr) {
-    *moves_out = engine->worker_moves();
-  }
-  return result;
 }
 
 }  // namespace svc

@@ -1,16 +1,17 @@
-// The streaming service layer: an event-driven engine that turns the repo's
-// closed-world batch replay into a long-running, arrival-driven service
-// (DESIGN.md §8), and — since PR 5 — the per-shard pipeline core the
-// spatially partitioned service (sharded_engine.h, DESIGN.md §9) fans out
-// over.
+// The streaming service core (DESIGN.md §8): the options, records and
+// metrics of an arrival-driven run, and StreamPipeline — one growing
+// instance, one streaming scheduler, one incremental open-task index and
+// one micro-batch buffer. ShardedStreamEngine (sharded_engine.h, DESIGN.md
+// §9) routes events to one pipeline per spatial shard; at one shard it is
+// the whole single-pipeline service.
 //
-// Where sim::RunOnline replays a fully materialised ProblemInstance,
-// StreamEngine consumes worker/task *arrival events* (io::Event) one at a
-// time, grows one ProblemInstance in place, maintains an **incremental**
-// spatial index over the open tasks (geo::GridIndex dynamic mode — tasks
-// are Inserted on arrival, Removed on completion, Relocated on "m" events;
-// never rebuilt), and admits workers in micro-batches closed by a
-// configurable batching deadline. The admitted workers are driven through
+// Where sim::RunOnline replays a fully materialised ProblemInstance, the
+// service consumes worker/task *arrival events* (io::Event) one at a time,
+// grows each pipeline's ProblemInstance in place, maintains an
+// **incremental** spatial index over the open tasks (geo::GridIndex dynamic
+// mode — tasks are Inserted on arrival, Removed on completion, Relocated on
+// "m" events; never rebuilt), and admits workers in micro-batches closed by
+// a configurable batching deadline. The admitted workers are driven through
 // the existing online schedulers via the streaming protocol of
 // algo/scheduler.h; per-assignment latency (commit time minus the assigned
 // task's arrival time) feeds sim::RunMetrics.
@@ -36,7 +37,6 @@
 
 #include "algo/scheduler.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "fcst/arrival_forecast.h"
 #include "geo/grid_index.h"
 #include "geo/metric.h"
@@ -92,9 +92,9 @@ struct StreamOptions {
   /// Candidate-gathering threads (0 = hardware concurrency). Output is
   /// bit-identical for every value.
   int threads = 1;
-  /// Spatial shards (grid-aligned stripes; DESIGN.md §9). 1 = the classic
-  /// single-pipeline engine; K > 1 replays through ShardedStreamEngine.
-  /// The assignment log is pinned per K and byte-identical across threads.
+  /// Spatial shards (grid-aligned stripes; DESIGN.md §9); 1 serves the
+  /// whole world from one pipeline. The assignment log is pinned per K and
+  /// byte-identical across threads.
   int shards = 1;
   /// World rectangle fixing the incremental grid's geometry for the
   /// engine's lifetime (arrivals outside it clamp into boundary cells,
@@ -200,8 +200,7 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 /// \brief The per-pipeline core: one growing instance, one streaming
 /// scheduler, one incremental open-task index, one micro-batch buffer.
 ///
-/// This is the piece PR 4's StreamEngine was built around, extracted so the
-/// sharded service can run K of them side by side. The driving engine owns
+/// ShardedStreamEngine runs one per shard, side by side. The engine owns
 /// event routing, flush scheduling and the thread pool; the pipeline owns
 /// every id-translated, shard-local piece of state. Not movable once
 /// created (the scheduler holds a pointer into the growing instance).
@@ -448,95 +447,6 @@ class StreamPipeline {
   std::int64_t max_batch_size_ = 0;
   std::int64_t tasks_completed_ = 0;
 };
-
-/// \brief The event-driven micro-batch admission engine (single pipeline).
-///
-/// Not movable once created: the scheduler holds a pointer to the engine's
-/// growing instance, so Create hands out a unique_ptr.
-class StreamEngine {
- public:
-  /// Creates an engine for a stream with `header`'s instance parameters
-  /// (epsilon, capacity, acc_min, accuracy model; `header.events` is not
-  /// consumed — feed events through OnEvent). options.shards must be 1;
-  /// sharded service runs go through ShardedStreamEngine.
-  static StatusOr<std::unique_ptr<StreamEngine>> Create(
-      const io::EventLog& header, const StreamOptions& options);
-
-  StreamEngine(const StreamEngine&) = delete;
-  StreamEngine& operator=(const StreamEngine&) = delete;
-
-  /// Consumes one event. Times must be non-decreasing across calls; expired
-  /// batch deadlines are flushed before the event takes effect.
-  Status OnEvent(const io::Event& event);
-
-  /// Ends the stream: flushes the open batch at its deadline, summarises
-  /// the latency distributions, and (when configured) validates the
-  /// arrangement. Call once, after the last OnEvent.
-  StatusOr<StreamMetrics> Finish();
-
-  /// The world materialised so far (grows per event).
-  const model::ProblemInstance& instance() const {
-    return pipeline_->instance();
-  }
-  /// The arrangement committed so far.
-  const model::Arrangement& arrangement() const {
-    return pipeline_->arrangement();
-  }
-  /// Every committed assignment in commit order.
-  const std::vector<StreamAssignment>& assignments() const {
-    return assignments_;
-  }
-  /// route_workers mode: every emitted move, sorted (time, worker) after
-  /// Finish. Empty when routing is off.
-  const std::vector<WorkerMove>& worker_moves() const { return moves_; }
-  /// True while the incremental grid is in use (distance-structured
-  /// accuracy model); false on the scan fallback.
-  bool spatial() const { return pipeline_->spatial(); }
-
- private:
-  explicit StreamEngine(const StreamOptions& options) : options_(options) {}
-
-  Status HandleTaskArrival(const io::Event& event);
-  Status HandleWorkerArrival(const io::Event& event);
-  Status HandleTaskMove(const io::Event& event);
-
-  /// Flushes the batch if its deadline expired at or before `now`.
-  Status FlushExpired(double now);
-  /// Runs one gather + commit flush of the open batch at `flush_time`.
-  Status FlushBatch(double flush_time);
-
-  StreamOptions options_;
-  std::unique_ptr<StreamPipeline> pipeline_;
-  std::vector<StreamAssignment> assignments_;
-  std::vector<WorkerMove> moves_;
-  StreamMetrics metrics_;
-  double last_event_time_ = 0.0;
-  bool finished_ = false;
-
-  // Declared last so it is destroyed first: the pool's destructor drains
-  // the queue, and any stray gather task must still find the members above
-  // alive. (FlushBatch also consumes every future before returning.)
-  std::unique_ptr<ThreadPool> pool_;  // gather fan-out (threads > 1 only)
-};
-
-/// Replays a whole event log through a fresh engine: derives the world
-/// rectangle from the log's locations (unless `options.world` is already
-/// non-degenerate... the log's bounding box always wins when it is larger),
-/// feeds every event, and finishes. options.shards selects the engine:
-/// 1 replays through StreamEngine, K > 1 through ShardedStreamEngine.
-/// When `assignments_out` is non-null it receives the deterministic
-/// assignment record; `moves_out` likewise receives the worker-move log
-/// (empty unless options.route_workers).
-struct ReplayResult {
-  StreamMetrics stream;
-  /// The sim::RunMetrics view: latency = max worker index, completed,
-  /// per-assignment latency summary, runtime of the replay itself.
-  sim::RunMetrics run;
-};
-StatusOr<ReplayResult> ReplayEventLog(
-    const io::EventLog& log, const StreamOptions& options,
-    std::vector<StreamAssignment>* assignments_out = nullptr,
-    std::vector<WorkerMove>* moves_out = nullptr);
 
 }  // namespace svc
 }  // namespace ltc

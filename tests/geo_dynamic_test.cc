@@ -1,7 +1,7 @@
 // Property tests for geo::GridIndex dynamic mode: random
 // Insert/Remove/Relocate sequences must leave the index answering radius
 // and k-NN queries identically to an index rebuilt from scratch over the
-// same live point set — the invariant svc::StreamEngine's incremental
+// same live point set — the invariant svc::StreamPipeline's incremental
 // open-task index rests on (DESIGN.md §8).
 
 #include <algorithm>

@@ -533,6 +533,40 @@ TEST(DurableServeTest, TopologyMismatchIsRejected) {
   EXPECT_NE(restored.status().ToString().find("topology"), std::string::npos);
 }
 
+// A claim entry lives while 1..K offers of its boundary worker are still
+// outstanding; it retires at 0, so SerializeTo never writes a 0. Restore
+// must refuse a record outside that range — a restored 0 would decrement
+// past zero and never retire.
+TEST(SnapshotRoundTripTest, ClaimRecordsOutOfRangeAreRejected) {
+  const io::EventLog log = MakeLog(50, 1000, 11);
+  const StreamOptions options = BaseOptions("LAF", 4);
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  // Stop at the first event that leaves a boundary worker in flight.
+  std::string state;
+  std::size_t claim = std::string::npos;
+  for (const io::Event& e : log.events) {
+    engine.value()->OnEvent(e).CheckOK();
+    state.clear();
+    engine.value()->SerializeTo(&state).CheckOK();
+    claim = state.find("\nc ");
+    if (claim != std::string::npos) break;
+  }
+  ASSERT_NE(claim, std::string::npos) << "no boundary worker in flight";
+  ASSERT_TRUE(ShardedStreamEngine::Restore(log, options, state).ok());
+
+  // Rewrite the record's last field, `remaining`.
+  const std::size_t line_end = state.find('\n', claim + 1);
+  const std::size_t field = state.rfind(' ', line_end) + 1;
+  for (const char* remaining : {"0", "5", "-1"}) {
+    std::string edited = state;
+    edited.replace(field, line_end - field, remaining);
+    const auto restored = ShardedStreamEngine::Restore(log, options, edited);
+    EXPECT_TRUE(restored.status().IsOutOfRange())
+        << "remaining " << remaining << ": " << restored.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace svc
 }  // namespace ltc

@@ -1,17 +1,21 @@
 // Tests of the sharded streaming service (DESIGN.md §9): the geo::ShardMap
-// stripe partition, single-shard parity with the classic engine, the
+// stripe partition, single-shard golden logs of the classic engine, the
 // boundary-handoff/claim protocol, the shards=K determinism contract
 // (byte-identical serve logs for --threads 1 vs 4), and the completion-rate
 // property that sharding must not degrade the served task set beyond a
 // small boundary epsilon.
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/string_util.h"
 #include "gen/stream.h"
 #include "geo/shard_map.h"
 #include "io/event_log.h"
@@ -103,47 +107,122 @@ TEST(ShardMapTest, MoreShardsThanColumnsLeavesTrailingShardsEmpty) {
   EXPECT_EQ(owners.size(), 2u);
 }
 
-// shards=1 through the sharded router must reproduce the classic engine's
-// committed assignment sequence exactly — the refactor extracted the
-// pipeline, it must not have changed it.
+// Golden single-shard serve logs. Each digest pins the CRC-32 and length of
+// the rendered ltc-serve v1 log plus the sim::RunMetrics view of one
+// ReplayEventLog run at shards=1. They were captured from the classic
+// single-pipeline engine before it was folded into ShardedStreamEngine, so
+// the one engine must reproduce the classic assignment sequence exactly —
+// for every online scheduler, deadline policy and stream feature, at any
+// thread count.
+struct GoldenCell {
+  const char* algorithm;
+  const char* deadline;  // "0", "0.4", or "adaptive" (cap 0.5)
+  const char* stream;    // "plain", "moves" (move_fraction 0.1), "routes"
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+constexpr GoldenCell kSingleShardGolden[] = {
+    {"LAF", "0", "plain", 0x953c9006u, 13232},
+    {"LAF", "0.4", "plain", 0xb8711162u, 13325},
+    {"LAF", "adaptive", "plain", 0xbfc58b64u, 13260},
+    {"AAM", "0", "plain", 0x77315efbu, 13232},
+    {"AAM", "0.4", "plain", 0xc38d371du, 13325},
+    {"AAM", "adaptive", "plain", 0xe158d693u, 13260},
+    {"Random", "0", "plain", 0x1becab1fu, 13235},
+    {"Random", "0.4", "plain", 0x21f60f6du, 13328},
+    {"Random", "adaptive", "plain", 0x310c24d8u, 13263},
+    {"MCF", "0", "plain", 0x34d7488cu, 13230},
+    {"MCF", "0.4", "plain", 0xbe416cb9u, 13328},
+    {"MCF", "adaptive", "plain", 0xe3e26f8fu, 13258},
+    {"LAF", "0", "moves", 0xe8fa2bb7u, 13573},
+    {"LAF", "0.4", "moves", 0x32c2ab6du, 13754},
+    {"LAF", "adaptive", "moves", 0x957bf71eu, 13601},
+    {"AAM", "0", "moves", 0xc37ee561u, 13573},
+    {"AAM", "0.4", "moves", 0x831a29b1u, 13754},
+    {"AAM", "adaptive", "moves", 0x4eb8090fu, 13601},
+    {"Random", "0", "moves", 0xc37d7e20u, 13576},
+    {"Random", "0.4", "moves", 0xe3c60a8bu, 13757},
+    {"Random", "adaptive", "moves", 0xe6fae75cu, 13604},
+    {"MCF", "0", "moves", 0x48e79745u, 13576},
+    {"MCF", "0.4", "moves", 0xeac2d10eu, 13754},
+    {"MCF", "adaptive", "moves", 0xa6649e8au, 13604},
+    {"LAF", "0", "routes", 0xb0fece2au, 14586},
+    {"LAF", "0.4", "routes", 0xdf6d5ee9u, 14722},
+    {"LAF", "adaptive", "routes", 0x50a27defu, 14614},
+    {"AAM", "0", "routes", 0xc5f18ff2u, 14586},
+    {"AAM", "0.4", "routes", 0x7abdb9f6u, 14722},
+    {"AAM", "adaptive", "routes", 0x5752f081u, 14614},
+    {"Random", "0", "routes", 0xa91df856u, 14589},
+    {"Random", "0.4", "routes", 0x48e036dfu, 14725},
+    {"Random", "adaptive", "routes", 0xbe5d2b6au, 14617},
+    {"MCF", "0", "routes", 0x9ca03cb9u, 14585},
+    {"MCF", "0.4", "routes", 0xfaeb205au, 14681},
+    {"MCF", "adaptive", "routes", 0xba7bc573u, 14613},
+};
+
+std::string ReplayDigestText(const io::EventLog& log,
+                             const StreamOptions& options) {
+  std::vector<StreamAssignment> assignments;
+  std::vector<WorkerMove> moves;
+  auto replay = ReplayEventLog(log, options, &assignments, &moves);
+  if (!replay.ok()) {
+    ADD_FAILURE() << replay.status().ToString();
+    return "";
+  }
+  const ReplayResult& r = replay.value();
+  EXPECT_EQ(r.stream.shards, 1);
+  EXPECT_EQ(r.stream.boundary_workers, 0);
+  EXPECT_EQ(r.stream.handoff_skips, 0);
+  return RenderAssignmentLog(options, assignments, r.stream, &moves) +
+         StrFormat("run %lld %d %lld %lld %lld %.17g\n",
+                   static_cast<long long>(r.run.latency),
+                   r.run.completed ? 1 : 0,
+                   static_cast<long long>(r.run.stats.workers_seen),
+                   static_cast<long long>(r.run.stats.assignments),
+                   static_cast<long long>(r.run.stats.workers_used),
+                   r.run.stats.total_acc_star);
+}
+
 TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
-  auto log = gen::GenerateStreamEvents(SmallStream(41));
-  ASSERT_TRUE(log.ok());
-
-  StreamOptions options;
-  options.algorithm = "LAF";
-  options.batch_deadline = 0.4;
-  std::vector<StreamAssignment> classic;
-  auto classic_replay = ReplayEventLog(log.value(), options, &classic);
-  ASSERT_TRUE(classic_replay.ok()) << classic_replay.status().ToString();
-
-  options.shards = 1;
-  StreamOptions resolved = options;
-  for (const io::Event& e : log.value().events) {
-    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
-    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
-    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
-    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
+  std::map<std::string, const GoldenCell*> golden;
+  for (const GoldenCell& cell : kSingleShardGolden) {
+    golden[StrFormat("%s/%s/%s", cell.algorithm, cell.deadline,
+                     cell.stream)] = &cell;
   }
-  auto sharded = ShardedStreamEngine::Create(log.value(), resolved);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  for (const io::Event& e : log.value().events) {
-    ASSERT_TRUE(sharded.value()->OnEvent(e).ok());
+  for (const char* stream : {"plain", "moves", "routes"}) {
+    gen::StreamConfig cfg = SmallStream(41);
+    if (std::string(stream) == "moves") cfg.move_fraction = 0.1;
+    auto log = gen::GenerateStreamEvents(cfg);
+    ASSERT_TRUE(log.ok());
+    for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
+      for (const char* deadline : {"0", "0.4", "adaptive"}) {
+        StreamOptions options;
+        options.algorithm = algo;
+        options.seed = 123;
+        options.route_workers = std::string(stream) == "routes";
+        if (std::string(deadline) == "adaptive") {
+          options.deadline_policy = DeadlinePolicy::kAdaptive;
+          options.batch_deadline = 0.5;
+        } else {
+          options.batch_deadline = std::stod(deadline);
+        }
+        const std::string key = StrFormat("%s/%s/%s", algo, deadline, stream);
+        for (int threads : {1, 4}) {
+          options.threads = threads;
+          const std::string text = ReplayDigestText(log.value(), options);
+          const std::uint32_t crc = Crc32(text);
+          const auto it = golden.find(key);
+          const bool match = it != golden.end() && it->second->crc == crc &&
+                             it->second->bytes == text.size();
+          EXPECT_TRUE(match)
+              << key << " threads " << threads << ": got {\"" << algo
+              << "\", \"" << deadline << "\", \"" << stream << "\", "
+              << StrFormat("0x%08x", crc) << "u, " << text.size() << "},";
+        }
+      }
+    }
   }
-  auto metrics = sharded.value()->Finish();
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-
-  const std::vector<StreamAssignment>& merged = sharded.value()->assignments();
-  ASSERT_EQ(merged.size(), classic.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].worker, classic[i].worker) << i;
-    EXPECT_EQ(merged[i].task, classic[i].task) << i;
-    EXPECT_DOUBLE_EQ(merged[i].time, classic[i].time) << i;
-  }
-  EXPECT_EQ(metrics.value().boundary_workers, 0);
-  EXPECT_EQ(metrics.value().handoff_skips, 0);
-  EXPECT_EQ(metrics.value().tasks_completed,
-            classic_replay.value().stream.tasks_completed);
 }
 
 // The tentpole acceptance contract: a K-shard serve log is byte-identical
@@ -210,7 +289,7 @@ TEST(ShardedEngineTest, ClaimTableKeepsWorkersSingleShard) {
 
 // The shard-boundary quality property: for random Poisson instances, a
 // K-shard run completes (nearly) the same share of the task set as the
-// unsharded engine. Handoff can only lose a worker to an unlucky claim, so
+// unsharded run. Handoff can only lose a worker to an unlucky claim, so
 // a small epsilon bounds the gap.
 TEST(ShardedEngineTest, CompletionRateWithinEpsilonOfUnsharded) {
   constexpr double kEpsilon = 0.05;

@@ -1,5 +1,5 @@
 // Tests of the streaming service layer: the ltc-events v1 codec, the
-// Poisson stream generator, StreamEngine's micro-batch admission, the
+// Poisson stream generator, the engine's micro-batch admission, the
 // RunOnline-equivalence of deadline-0 admission, and the ltc_serve replay
 // determinism contract (byte-identical assignment logs for any --threads).
 
@@ -14,6 +14,7 @@
 #include "sim/engine.h"
 #include "sim/metrics.h"
 #include "svc/serve_main.h"
+#include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 #include "gtest/gtest.h"
 
@@ -267,12 +268,18 @@ TEST(StreamEngineTest, RejectsOfflineSchedulersAndBadEvents) {
 
   StreamOptions offline;
   offline.algorithm = "MCF-LTC";
-  EXPECT_TRUE(StreamEngine::Create(log.value(), offline)
+  EXPECT_TRUE(ShardedStreamEngine::Create(log.value(), offline)
                   .status()
                   .IsInvalidArgument());
 
   StreamOptions options;
-  auto engine = StreamEngine::Create(log.value(), options);
+  io::EventLog no_model = log.value();
+  no_model.accuracy = nullptr;
+  EXPECT_TRUE(ShardedStreamEngine::Create(no_model, options)
+                  .status()
+                  .IsInvalidArgument());
+
+  auto engine = ShardedStreamEngine::Create(log.value(), options);
   ASSERT_TRUE(engine.ok());
   io::Event e;
   e.kind = io::Event::Kind::kWorkerArrival;
