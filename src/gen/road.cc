@@ -74,7 +74,7 @@ StatusOr<geo::RoadGraph> GenerateGridRoadGraph(const RoadConfig& cfg) {
     }
   }
 
-  auto graph = geo::RoadGraph::Build(std::move(nodes), edges, cfg.graph);
+  auto graph = geo::RoadGraph::Build(std::move(nodes), edges);
   if (!graph.ok()) {
     return graph.status().WithContext("GenerateGridRoadGraph");
   }

@@ -37,8 +37,6 @@ struct RoadConfig {
   /// 0 = free flow, travel time equals street length.
   double congestion = 0.5;
   std::uint64_t seed = 1;
-  /// Forwarded to RoadGraph::Build (ALT landmark count).
-  geo::RoadGraphOptions graph;
 };
 
 /// Generates the street-grid road network. Deterministic for a given

@@ -48,8 +48,8 @@ class Metric {
   virtual double Distance(const Point& a, const Point& b) const = 0;
 
   /// A cheap lower bound on Distance(a, b), for pruning. The default is the
-  /// Euclidean distance, valid for every conforming metric; RoadMetric
-  /// tightens it with ALT landmark bounds.
+  /// Euclidean distance, valid for every conforming metric; a backend may
+  /// override it with a tighter bound.
   virtual double LowerBound(const Point& a, const Point& b) const {
     return geo::Distance(a, b);
   }

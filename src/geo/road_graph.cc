@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -25,8 +26,7 @@ constexpr double kWeightSlack = 1e-9;
 }  // namespace
 
 StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
-                                     const std::vector<Edge>& edges,
-                                     const Options& options) {
+                                     const std::vector<Edge>& edges) {
   if (nodes.empty()) {
     return Status::InvalidArgument("road graph needs at least one node");
   }
@@ -98,63 +98,45 @@ StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
   const double cell = std::max(extent / side, 1.0);
   LTC_ASSIGN_OR_RETURN(auto snap, GridIndex::Build(g.nodes_, cell));
   g.snap_index_.emplace(std::move(snap));
-
-  g.BuildLandmarks(options.num_landmarks);
   return g;
-}
-
-void RoadGraph::BuildLandmarks(int requested) {
-  const int n = num_nodes();
-  const int count = std::max(0, std::min(requested, n));
-  landmark_nodes_.clear();
-  landmark_dist_.clear();
-  if (count == 0) return;
-  landmark_dist_.reserve(static_cast<std::size_t>(count) *
-                         static_cast<std::size_t>(n));
-  // Farthest-point selection seeded at node 0. min_dist tracks each node's
-  // distance to the chosen set; unreachable (other-component) nodes rank as
-  // farthest, so every component receives landmarks before any is doubled
-  // up. Ties prefer the smaller id — deterministic.
-  std::vector<double> min_dist(static_cast<std::size_t>(n), kUnreachable);
-  Workspace ws;
-  std::int32_t next = 0;
-  for (int l = 0; l < count; ++l) {
-    landmark_nodes_.push_back(next);
-    ws.source = -1;  // force a solve even for a repeated seed
-    ShortestPaths(next, &ws);
-    landmark_dist_.insert(landmark_dist_.end(), ws.dist.begin(),
-                          ws.dist.end());
-    std::int32_t farthest = 0;
-    double best = -1.0;
-    for (std::int32_t v = 0; v < n; ++v) {
-      auto& m = min_dist[static_cast<std::size_t>(v)];
-      m = std::min(m, ws.dist[static_cast<std::size_t>(v)]);
-      const double score = std::isfinite(m) ? m : kUnreachable;
-      if (score > best) {
-        best = score;
-        farthest = v;
-      }
-    }
-    next = farthest;
-  }
 }
 
 std::int32_t RoadGraph::Snap(const Point& p) const {
   return static_cast<std::int32_t>(snap_index_->Nearest(p));
 }
 
-void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
+void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
   if (ws->graph_id == id_ && ws->source == source) return;
-  const auto n = static_cast<std::size_t>(num_nodes());
-  ws->graph_id = id_;
+  if (ws->graph_id != id_) {
+    const auto n = static_cast<std::size_t>(num_nodes());
+    ws->graph_id = id_;
+    ws->dist.assign(n, kUnreachable);
+    ws->frontier.Reset(n);
+  } else {
+    // Same graph, new source: undo only what the last search wrote.
+    for (const std::int32_t v : ws->touched) {
+      ws->dist[static_cast<std::size_t>(v)] = kUnreachable;
+    }
+    ws->frontier.Clear();
+  }
+  ws->touched.clear();
   ws->source = source;
-  ws->dist.assign(n, kUnreachable);
   ws->dist[static_cast<std::size_t>(source)] = 0.0;
-  IndexedMinHeap<double> heap(n);
-  heap.PushOrDecrease(source, 0.0);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.PopMin();
-    if (d > ws->dist[static_cast<std::size_t>(u)]) continue;
+  ws->touched.push_back(source);
+  ws->frontier.PushOrDecrease(source, 0.0);
+}
+
+void RoadGraph::Settle(std::int32_t target, Workspace* ws) const {
+  auto& dist = ws->dist;
+  auto& frontier = ws->frontier;
+  while (!frontier.empty()) {
+    // Every weight is positive, so once the smallest frontier key reaches
+    // dist[target], no later pop can lower it.
+    if (target >= 0 &&
+        frontier.PeekMin().first >= dist[static_cast<std::size_t>(target)]) {
+      return;
+    }
+    const auto [d, u] = frontier.PopMin();
     const auto begin = static_cast<std::size_t>(
         offsets_[static_cast<std::size_t>(u)]);
     const auto end = static_cast<std::size_t>(
@@ -162,24 +144,26 @@ void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
     for (std::size_t k = begin; k < end; ++k) {
       const std::int32_t v = targets_[k];
       const double nd = d + weights_[k];
-      if (nd < ws->dist[static_cast<std::size_t>(v)]) {
-        ws->dist[static_cast<std::size_t>(v)] = nd;
-        heap.PushOrDecrease(v, nd);
+      double& dv = dist[static_cast<std::size_t>(v)];
+      if (nd < dv) {
+        if (dv == kUnreachable) ws->touched.push_back(v);
+        dv = nd;
+        frontier.PushOrDecrease(v, nd);
       }
     }
   }
 }
 
-double RoadGraph::LandmarkLowerBound(std::int32_t u, std::int32_t v) const {
-  const auto n = static_cast<std::size_t>(num_nodes());
-  double best = 0.0;
-  for (std::size_t l = 0; l < landmark_nodes_.size(); ++l) {
-    const double du = landmark_dist_[l * n + static_cast<std::size_t>(u)];
-    const double dv = landmark_dist_[l * n + static_cast<std::size_t>(v)];
-    if (!std::isfinite(du) || !std::isfinite(dv)) continue;
-    best = std::max(best, std::abs(du - dv));
-  }
-  return best;
+void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
+  StartSearch(source, ws);
+  Settle(/*target=*/-1, ws);
+}
+
+double RoadGraph::NodeDistance(std::int32_t u, std::int32_t v,
+                               Workspace* ws) const {
+  StartSearch(u, ws);
+  Settle(v, ws);
+  return ws->dist[static_cast<std::size_t>(v)];
 }
 
 std::string RoadGraph::Serialize() const {
@@ -206,8 +190,7 @@ Status RoadGraph::Save(const std::string& path) const {
   return Status::OK();
 }
 
-StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text,
-                                     const Options& options) {
+StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text) {
   std::istringstream in(text);
   std::string token;
   auto next_token = [&](std::string* out) -> bool {
@@ -237,11 +220,13 @@ StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text,
 
   LTC_RETURN_IF_ERROR(expect_keyword("nodes"));
   std::int64_t n = 0;
-  if (!next_int(&n) || n <= 0) {
+  if (!next_int(&n) || n <= 0 ||
+      n > std::numeric_limits<std::int32_t>::max()) {
     return Status::InvalidArgument("ltc-road: bad node count");
   }
+  // The counts are untrusted: no reserve from them, so a huge count over
+  // short text fails as truncated input instead of exhausting memory.
   std::vector<Point> nodes;
-  nodes.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     Point p;
     if (!next_double(&p.x) || !next_double(&p.y)) {
@@ -256,12 +241,16 @@ StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text,
     return Status::InvalidArgument("ltc-road: bad edge count");
   }
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     Edge e;
     std::int64_t u = 0, v = 0;
     if (!next_int(&u) || !next_int(&v) || !next_double(&e.weight)) {
       return Status::InvalidArgument("ltc-road: bad or truncated edge list");
+    }
+    // Range-check before narrowing: 2^32 must not wrap onto node 0.
+    if (u < 0 || u >= n || v < 0 || v >= n) {
+      return Status::InvalidArgument("ltc-road: edge " + std::to_string(i) +
+                                     " endpoint out of range");
     }
     e.u = static_cast<std::int32_t>(u);
     e.v = static_cast<std::int32_t>(v);
@@ -271,16 +260,15 @@ StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text,
     return Status::InvalidArgument("ltc-road: trailing content '" + token +
                                    "'");
   }
-  return Build(std::move(nodes), edges, options);
+  return Build(std::move(nodes), edges);
 }
 
-StatusOr<RoadGraph> RoadGraph::Load(const std::string& path,
-                                    const Options& options) {
+StatusOr<RoadGraph> RoadGraph::Load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open road graph " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return Parse(buf.str(), options);
+  return Parse(buf.str());
 }
 
 double RoadMetric::Distance(const Point& a, const Point& b) const {
@@ -292,15 +280,6 @@ double RoadMetric::Distance(const Point& a, const Point& b) const {
   return approach + graph_->NodeDistance(u, v, &LocalWorkspace()) + depart;
 }
 
-double RoadMetric::LowerBound(const Point& a, const Point& b) const {
-  const std::int32_t u = graph_->Snap(a);
-  const std::int32_t v = graph_->Snap(b);
-  const double legs =
-      geo::Distance(a, graph_->node(u)) + geo::Distance(graph_->node(v), b);
-  const double alt = u == v ? 0.0 : graph_->LandmarkLowerBound(u, v);
-  return std::max(geo::Distance(a, b), legs + alt);
-}
-
 std::string RoadMetric::Name() const {
   return "road(nodes=" + std::to_string(graph_->num_nodes()) +
          ",edges=" + std::to_string(graph_->num_edges()) + ")";
@@ -308,7 +287,7 @@ std::string RoadMetric::Name() const {
 
 RoadGraph::Workspace& RoadMetric::LocalWorkspace() const {
   // One workspace per thread, shared across RoadMetric instances; the
-  // graph-id key inside ShortestPaths invalidates it when graphs alternate.
+  // graph-id key inside StartSearch resets it when graphs alternate.
   thread_local RoadGraph::Workspace ws;
   return ws;
 }

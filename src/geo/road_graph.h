@@ -1,6 +1,6 @@
 // Road-network travel times behind the geo::Metric interface (DESIGN.md
-// §12): a CSR adjacency over plane-embedded nodes, full-Dijkstra shortest
-// paths with a reusable workspace, ALT-style landmark lower bounds, and a
+// §12): a CSR adjacency over plane-embedded nodes, a resumable Dijkstra
+// that settles only as far as each distance query needs, and a
 // snap-to-nearest-node bridge for off-graph points.
 //
 // The CSR layout mirrors the flow layer's (flow/network.h): one offsets
@@ -40,20 +40,12 @@
 namespace ltc {
 namespace geo {
 
-struct RoadGraphOptions {
-  /// ALT landmarks precomputed at Build (clamped to the node count;
-  /// 0 disables landmark bounds and LandmarkLowerBound degrades to 0).
-  int num_landmarks = 8;
-};
-
 /// \brief An immutable undirected road network with travel-time weights.
 ///
 /// Thread-compatible: all queries are const; callers own the (mutable)
 /// Dijkstra Workspace, one per thread.
 class RoadGraph {
  public:
-  using Options = RoadGraphOptions;
-
   /// An undirected edge u—v with travel time `weight` (>= the Euclidean
   /// distance between the endpoints; Build rejects violations).
   struct Edge {
@@ -62,13 +54,21 @@ class RoadGraph {
     double weight = 0.0;
   };
 
-  /// Reusable single-source shortest-path scratch. A workspace caches the
-  /// last solved source, so repeated distance queries from one origin (the
-  /// gather pattern: one worker against many tasks) cost one Dijkstra.
+  /// Reusable single-source shortest-path scratch: one paused Dijkstra.
+  /// It keeps the search from the last source — tentative distances, the
+  /// frontier and the nodes touched so far — so repeated queries from one
+  /// origin (the gather pattern: one worker against many tasks) share one
+  /// search that settles only as far as the farthest target asked for. A
+  /// new source resets only the touched entries.
+  ///
+  /// dist[v] is final once v is settled; it holds final values for every
+  /// node only after ShortestPaths.
   struct Workspace {
     std::vector<double> dist;
+    IndexedMinHeap<double> frontier{0};
+    std::vector<std::int32_t> touched;  // nodes with a finite dist entry
     std::int32_t source = -1;
-    std::uint64_t graph_id = 0;  // invalidates the cache across graphs
+    std::uint64_t graph_id = 0;  // invalidates the search across graphs
   };
 
   static constexpr double kUnreachable =
@@ -78,16 +78,13 @@ class RoadGraph {
   /// sets, out-of-range endpoints, self loops, non-positive weights, and
   /// weights below the edge's Euclidean length.
   static StatusOr<RoadGraph> Build(std::vector<Point> nodes,
-                                   const std::vector<Edge>& edges,
-                                   const Options& options = RoadGraphOptions());
+                                   const std::vector<Edge>& edges);
 
   /// Parses the "ltc-road v1" text format.
-  static StatusOr<RoadGraph> Parse(const std::string& text,
-                                   const Options& options = RoadGraphOptions());
+  static StatusOr<RoadGraph> Parse(const std::string& text);
 
   /// Reads an "ltc-road v1" file.
-  static StatusOr<RoadGraph> Load(const std::string& path,
-                                  const Options& options = RoadGraphOptions());
+  static StatusOr<RoadGraph> Load(const std::string& path);
 
   /// The "ltc-road v1" text for this graph (round-trips through Parse).
   std::string Serialize() const;
@@ -105,28 +102,20 @@ class RoadGraph {
   const Point& node(std::int32_t id) const {
     return nodes_[static_cast<std::size_t>(id)];
   }
-  int num_landmarks() const {
-    return static_cast<int>(landmark_nodes_.size());
-  }
 
   /// The node nearest to `p` (ties prefer the smaller id — deterministic).
   std::int32_t Snap(const Point& p) const;
 
   /// Solves single-source shortest paths from `source` into ws->dist
-  /// (kUnreachable where disconnected). No-op when the workspace already
-  /// holds this (graph, source) solution.
+  /// (kUnreachable where disconnected): the workspace's search from
+  /// `source`, started or resumed, run until the frontier is empty.
   void ShortestPaths(std::int32_t source, Workspace* ws) const;
 
-  /// Shortest-path distance u -> v through the workspace cache.
-  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const {
-    ShortestPaths(u, ws);
-    return ws->dist[static_cast<std::size_t>(v)];
-  }
-
-  /// ALT lower bound on NodeDistance(u, v): max over landmarks l of
-  /// |d(l,u) - d(l,v)| (triangle inequality on the undirected metric).
-  /// 0 when no landmark separates the pair (always admissible).
-  double LandmarkLowerBound(std::int32_t u, std::int32_t v) const;
+  /// Shortest-path distance u -> v. Starts or resumes the workspace's
+  /// search from u and stops once no frontier key is below the tentative
+  /// dist[v] (positive weights make it final then). The heap operations are
+  /// a prefix of ShortestPaths(u)'s, so the result is bit-identical to it.
+  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const;
 
   /// Process-unique graph identity (workspace cache invalidation).
   std::uint64_t id() const { return id_; }
@@ -134,7 +123,13 @@ class RoadGraph {
  private:
   RoadGraph() = default;
 
-  void BuildLandmarks(int requested);
+  /// Points the workspace at a search from `source`: keeps it when it
+  /// already holds one for this (graph, source), else resets it.
+  void StartSearch(std::int32_t source, Workspace* ws) const;
+
+  /// Settles frontier nodes until the frontier is empty or, with
+  /// `target` >= 0, until no frontier key is below ws->dist[target].
+  void Settle(std::int32_t target, Workspace* ws) const;
 
   std::uint64_t id_ = 0;
   std::vector<Point> nodes_;
@@ -146,9 +141,6 @@ class RoadGraph {
   // Kept in Build input order for Serialize round-trips.
   std::vector<Edge> edges_;
   std::optional<GridIndex> snap_index_;  // static index over nodes_
-  std::vector<std::int32_t> landmark_nodes_;
-  // landmark_dist_[l * num_nodes() + v] = d(landmark l, v).
-  std::vector<double> landmark_dist_;
 };
 
 /// \brief geo::Metric backed by a RoadGraph: travel time = approach leg to
@@ -158,17 +150,17 @@ class RoadGraph {
 /// Distance(a, b) = ||a - snap(a)|| + d_G(snap(a), snap(b)) + ||snap(b) - b||
 ///
 /// which dominates ||a - b|| by the triangle inequality plus the per-edge
-/// weight >= length invariant, satisfying the Metric contract. The Dijkstra
-/// workspace lives in thread-local storage keyed by graph id, so concurrent
-/// gathers (svc GatherSlot fan-out) are safe and a worker's many Acc
-/// evaluations amortise to one Dijkstra per thread.
+/// weight >= length invariant, satisfying the Metric contract; LowerBound
+/// is the inherited Euclidean distance. The Dijkstra workspace lives in
+/// thread-local storage keyed by graph id, so concurrent gathers (svc
+/// GatherSlot fan-out) are safe and a worker's many Acc evaluations share
+/// one search per thread, settled out to the farthest task asked about.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)
       : graph_(std::move(graph)) {}
 
   double Distance(const Point& a, const Point& b) const override;
-  double LowerBound(const Point& a, const Point& b) const override;
   std::string Name() const override;
 
   const RoadGraph& graph() const { return *graph_; }

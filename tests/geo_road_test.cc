@@ -1,12 +1,14 @@
 // Road-network tests: Dijkstra cross-checked against brute-force
-// Bellman-Ford on random graphs, snap determinism, ALT lower-bound
-// admissibility, the "ltc-road v1" round-trip, the Metric-contract
+// Bellman-Ford on random graphs, the resumable NodeDistance search
+// bit-identical to full solves, snap determinism, the "ltc-road v1"
+// round-trip and its malformed-input rejections, the Metric-contract
 // validation in Build, and the gen/road street-grid synthesizer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,25 +105,56 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
   }
 }
 
-TEST(RoadGraphTest, LandmarkLowerBoundIsAdmissible) {
-  Rng rng(11);
-  RandomGraph g = MakeRandomGraph(&rng, 60, 200);
-  auto built = RoadGraph::Build(g.nodes, g.edges);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const RoadGraph& graph = built.value();
-  EXPECT_GT(graph.num_landmarks(), 0);
+TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
+  // NodeDistance settles only as far as each target needs and resumes the
+  // paused search on the next query from the same source; a new source or
+  // graph resets it. Every answer must equal the full solve's bit for bit,
+  // including kUnreachable across components, whatever the query order.
+  Rng rng(23);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<RoadGraph> graphs;
+    std::vector<std::vector<std::vector<double>>> full;  // [graph][source]
+    for (int k = 0; k < 2; ++k) {
+      const auto num_nodes =
+          static_cast<std::int32_t>(rng.UniformInt(2, 60));
+      // Sparse draws leave some graphs disconnected.
+      const auto num_edges =
+          static_cast<std::int32_t>(rng.UniformInt(1, 3 * num_nodes));
+      RandomGraph g = MakeRandomGraph(&rng, num_nodes, num_edges);
+      auto built = RoadGraph::Build(g.nodes, g.edges);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      graphs.push_back(std::move(built).value());
+      std::vector<std::vector<double>> solved;
+      for (std::int32_t s = 0; s < num_nodes; ++s) {
+        RoadGraph::Workspace fresh;
+        graphs.back().ShortestPaths(s, &fresh);
+        solved.push_back(fresh.dist);
+      }
+      full.push_back(std::move(solved));
+    }
 
-  RoadGraph::Workspace ws;
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto u = static_cast<std::int32_t>(
-        rng.UniformInt(0, graph.num_nodes() - 1));
-    const auto v = static_cast<std::int32_t>(
-        rng.UniformInt(0, graph.num_nodes() - 1));
-    const double exact = graph.NodeDistance(u, v, &ws);
-    const double bound = graph.LandmarkLowerBound(u, v);
-    EXPECT_GE(bound, 0.0);
-    if (!std::isinf(exact)) {
-      EXPECT_LE(bound, exact + 1e-9) << "u=" << u << " v=" << v;
+    // One workspace serves both graphs, alternating between them, with
+    // sources that repeat (resume) and change (sparse reset) at random.
+    RoadGraph::Workspace ws;
+    std::int32_t source[2] = {0, 0};
+    for (int q = 0; q < 400; ++q) {
+      const auto k = static_cast<std::size_t>(rng.UniformInt(0, 1));
+      const RoadGraph& graph = graphs[k];
+      const std::int32_t n = graph.num_nodes();
+      if (source[k] >= n || rng.Uniform(0.0, 1.0) < 0.3) {
+        source[k] = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      }
+      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      const double got = graph.NodeDistance(source[k], v, &ws);
+      const double want = full[k][static_cast<std::size_t>(source[k])]
+                              [static_cast<std::size_t>(v)];
+      EXPECT_EQ(got, want) << "trial " << trial << " graph " << k << " u="
+                           << source[k] << " v=" << v;
+      if (q % 50 == 49) {
+        // A full solve mid-stream resumes the paused search to exhaustion.
+        graph.ShortestPaths(source[k], &ws);
+        EXPECT_EQ(ws.dist, full[k][static_cast<std::size_t>(source[k])]);
+      }
     }
   }
 }
@@ -163,6 +196,25 @@ TEST(RoadGraphTest, BuildRejectsContractViolations) {
   EXPECT_TRUE(RoadGraph::Build(nodes, {{0, 1, 5.0}}).ok());
 }
 
+TEST(RoadGraphTest, ParseRejectsMalformedCounts) {
+  const std::string header = "# ltc-road v1\nnodes 2\n0 0\n3 4\nedges 1\n";
+  ASSERT_TRUE(RoadGraph::Parse(header + "0 1 5\n").ok());
+  // An endpoint of 2^32 must not wrap onto node 0 by narrowing.
+  auto wrapped = RoadGraph::Parse(header + "4294967296 1 5\n");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_TRUE(wrapped.status().IsInvalidArgument())
+      << wrapped.status().ToString();
+  EXPECT_FALSE(RoadGraph::Parse(header + "-1 1 5\n").ok());
+  // Huge counts over short text fail as truncated input, not bad_alloc.
+  auto nodes = RoadGraph::Parse("nodes 100000000000\n0 0\n");
+  ASSERT_FALSE(nodes.ok());
+  EXPECT_TRUE(nodes.status().IsInvalidArgument()) << nodes.status().ToString();
+  auto edges = RoadGraph::Parse(
+      "nodes 2\n0 0\n3 4\nedges 100000000000\n0 1 5\n");
+  ASSERT_FALSE(edges.ok());
+  EXPECT_TRUE(edges.status().IsInvalidArgument()) << edges.status().ToString();
+}
+
 TEST(RoadMetricTest, DistanceDominatesEuclidean) {
   Rng rng(19);
   gen::RoadConfig cfg;
@@ -178,7 +230,7 @@ TEST(RoadMetricTest, DistanceDominatesEuclidean) {
     const Point b{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
     const double road = metric.Distance(a, b);
     EXPECT_GE(road, Distance(a, b) - 1e-9);
-    // The ALT-assisted lower bound must never exceed the true distance.
+    // The lower bound must never exceed the true distance.
     EXPECT_LE(metric.LowerBound(a, b), road + 1e-9);
     // Symmetric (undirected network).
     EXPECT_NEAR(metric.Distance(b, a), road, 1e-9);

@@ -5,20 +5,30 @@
 // "ltc-serve v1" assignment logs across every scheduler and shard count.
 // Since the default path's bytes are pinned by the PR-6/PR-7 determinism
 // tests, equality here extends that pin across the Metric API boundary.
+// Road-mode serve logs are pinned to golden digests the same way, so a
+// change to how RoadGraph computes distances must keep every one bit-equal.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/string_util.h"
+#include "gen/road.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "geo/metric.h"
+#include "geo/road_graph.h"
 #include "io/event_log.h"
 #include "model/accuracy.h"
 #include "model/eligibility.h"
 #include "svc/serve_main.h"
+#include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 
 namespace ltc {
@@ -141,6 +151,108 @@ TEST(MetricEquivalenceTest, RouteModeStaysDeterministicAcrossThreads) {
       first = text;
     } else {
       EXPECT_EQ(text, first);
+    }
+  }
+}
+
+// Golden road-mode serve logs: CRC-32 and length of the rendered
+// ltc-serve v1 log (moves included) of one ReplayEventLog run under a
+// RoadMetric, plus the run's summed Acc* and route travel time at full
+// precision. Route legs and multi-shard displaced-task checks interleave
+// Distance queries from many sources on one thread's workspace, so these
+// digests pin the road distances the engine reads, bit for bit, across
+// changes to how RoadGraph answers them.
+struct RoadGoldenCell {
+  const char* algorithm;
+  int shards;
+  bool routes;
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+constexpr RoadGoldenCell kRoadGolden[] = {
+    {"LAF", 1, false, 0x9a707439u, 13538},
+    {"LAF", 1, true, 0xeb98a2efu, 25000},
+    {"LAF", 3, false, 0x28af06e6u, 13539},
+    {"LAF", 3, true, 0x163317dbu, 25001},
+    {"AAM", 1, false, 0x766dc5aeu, 13538},
+    {"AAM", 1, true, 0x6e0a1187u, 25000},
+    {"AAM", 3, false, 0x46281db0u, 13539},
+    {"AAM", 3, true, 0x55df6c02u, 25001},
+    {"Random", 1, false, 0x10dc69dau, 13541},
+    {"Random", 1, true, 0x6a21d8bbu, 25003},
+    {"Random", 3, false, 0x11261939u, 13542},
+    {"Random", 3, true, 0x7ab43b4cu, 25004},
+    {"MCF", 1, false, 0x2f482f19u, 13436},
+    {"MCF", 1, true, 0xae1bbd91u, 24573},
+    {"MCF", 3, false, 0x2cf241beu, 13437},
+    {"MCF", 3, true, 0xf7e2b2cau, 24574},
+};
+
+TEST(MetricEquivalenceTest, RoadStreamLogsMatchGoldenDigests) {
+  gen::RoadConfig road;
+  road.rows = 24;
+  road.cols = 24;
+  road.world_side = 300.0;
+  auto graph = gen::GenerateGridRoadGraph(road);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto metric = std::make_shared<geo::RoadMetric>(
+      std::make_shared<geo::RoadGraph>(std::move(graph).value()));
+
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 100;
+  cfg.num_workers = 3000;
+  cfg.task_rate = 2.0;  // long stream: route travel times fit inside it
+  cfg.worker_rate = 60.0;
+  cfg.move_fraction = 0.1;
+  cfg.grid_side = 300.0;
+  cfg.seed = 57;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  io::EventLog log = std::move(generated).value();
+  auto rebound = model::RebindMetric(*log.accuracy, metric);
+  ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
+  log.accuracy = std::move(rebound).value();
+
+  std::map<std::string, const RoadGoldenCell*> golden;
+  for (const RoadGoldenCell& cell : kRoadGolden) {
+    golden[StrFormat("%s/%d/%d", cell.algorithm, cell.shards,
+                     cell.routes ? 1 : 0)] = &cell;
+  }
+  for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
+    for (const int shards : {1, 3}) {
+      for (const bool routes : {false, true}) {
+        const std::string key =
+            StrFormat("%s/%d/%d", algo, shards, routes ? 1 : 0);
+        for (const int threads : {1, 4}) {
+          StreamOptions options;
+          options.algorithm = algo;
+          options.seed = cfg.seed;
+          options.shards = shards;
+          options.threads = threads;
+          options.route_workers = routes;
+          options.batch_deadline = 0.5;
+          std::vector<StreamAssignment> assignments;
+          std::vector<WorkerMove> moves;
+          auto replay = ReplayEventLog(log, options, &assignments, &moves);
+          ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+          ASSERT_FALSE(assignments.empty()) << key;
+          const ReplayResult& r = replay.value();
+          const std::string text =
+              RenderAssignmentLog(options, assignments, r.stream, &moves) +
+              StrFormat("run %.17g %.17g\n", r.run.stats.total_acc_star,
+                        r.stream.route_travel_time);
+          const std::uint32_t crc = Crc32(text);
+          const auto it = golden.find(key);
+          const bool match = it != golden.end() && it->second->crc == crc &&
+                             it->second->bytes == text.size();
+          EXPECT_TRUE(match)
+              << key << " threads " << threads << ": got {\"" << algo
+              << "\", " << shards << ", " << (routes ? "true" : "false")
+              << ", " << StrFormat("0x%08x", crc) << "u, " << text.size()
+              << "},";
+        }
+      }
     }
   }
 }
