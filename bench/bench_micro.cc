@@ -1,5 +1,5 @@
 // google-benchmark micro suite for the performance-critical substrates:
-// the min-cost-flow solver, the spatial indexes, eligibility queries, and a
+// the min-cost-flow solver, the grid spatial index, eligibility queries, and a
 // single online-arrival step of LAF/AAM.
 //
 // Run:  ./build/bench/bench_micro [--benchmark_filter=...]
@@ -13,11 +13,9 @@
 #include "algo/laf.h"
 #include "common/random.h"
 #include "flow/graph.h"
-#include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
 #include "gen/synthetic.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "model/eligibility.h"
 
 namespace {
@@ -68,19 +66,6 @@ void BM_SspMinCostMaxFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_SspMinCostMaxFlow)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_DinicMaxFlow(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto net = BuildBipartite(workers, workers / 2, 8, 42);
-    state.ResumeTiming();
-    auto result = ltc::flow::DinicMaxFlow(&net, 0, 1);
-    result.status().CheckOK();
-    benchmark::DoNotOptimize(result.value());
-  }
-}
-BENCHMARK(BM_DinicMaxFlow)->Arg(256)->Arg(1024);
-
 std::vector<ltc::geo::Point> RandomPoints(int n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<ltc::geo::Point> points;
@@ -114,18 +99,6 @@ void BM_GridIndexQueryRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQueryRadius)->Arg(10000)->Arg(100000);
-
-void BM_KdTreeQueryRadius(benchmark::State& state) {
-  const auto points = RandomPoints(static_cast<int>(state.range(0)), 7);
-  ltc::geo::KdTree tree(points);
-  Rng rng(13);
-  std::vector<std::int64_t> out;
-  for (auto _ : state) {
-    tree.QueryRadius({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 30.0, &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_KdTreeQueryRadius)->Arg(10000)->Arg(100000);
 
 struct OnlineFixture {
   ltc::model::ProblemInstance instance;

@@ -8,8 +8,7 @@
 //
 // Schedule-dependent outputs (latency, completion, solver stats, their
 // means) are bit-identical for every --threads value; only the measured
-// runtime/memory fields move. The per-figure bench_* binaries are thin
-// wrappers over this driver with a fixed --figure.
+// runtime/memory fields move.
 
 #include "exp/suite_main.h"
 

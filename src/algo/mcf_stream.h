@@ -1,5 +1,5 @@
 // MCF — the streaming form of MCF-LTC (paper Algorithm 1), served by the
-// svc layer behind `ltc_serve --scheduler=mcf`.
+// svc layer behind `ltc_serve --algo=MCF`.
 //
 // The offline algorithm consumes the worker stream in Theorem-2 batches
 // (m = |T| * ceil(delta) / K, first batch 1.5x) and matches each batch

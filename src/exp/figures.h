@@ -33,8 +33,8 @@ gen::SyntheticConfig BaseSyntheticConfig(bool paper_scale);
 
 /// One runnable experiment, addressable as `bench_suite --figure=<label>`.
 struct SuiteDef {
-  /// Registry key, output file stem, and the bench wrapper's suffix
-  /// (bench_fig3_tasks <-> "fig3_tasks").
+  /// Registry key and output file stem (sim::FigureSpec::suite_label for
+  /// the paper figures).
   std::string label;
   /// Paper panel ids ("3a/3e/3i"); empty for ablation/extension suites.
   std::string paper_figures;

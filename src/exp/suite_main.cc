@@ -1,6 +1,8 @@
 #include "exp/suite_main.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/flags.h"
@@ -62,8 +64,7 @@ void PrintSuiteList() {
 
 }  // namespace
 
-int SuiteMain(int argc, char** argv,
-              const std::vector<std::string>& fixed_labels) {
+int SuiteMain(int argc, char** argv) {
   const Status parsed = ParseCommandLine(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
@@ -74,26 +75,16 @@ int SuiteMain(int argc, char** argv,
     return 0;
   }
 
-  std::vector<std::string> labels = fixed_labels;
-  if (!labels.empty() && !FLAG_figure.Get().empty()) {
-    std::fprintf(stderr,
-                 "this binary is pinned to --figure=%s; use bench_suite to "
-                 "run other labels\n",
-                 Join(labels, ",").c_str());
-    return 1;
+  std::vector<std::string> labels = SplitTrimmed(FLAG_figure.Get());
+  if (labels.size() == 1 && labels.front() == "all") {
+    labels = SuiteLabels();
   }
   if (labels.empty()) {
-    labels = SplitTrimmed(FLAG_figure.Get());
-    if (labels.size() == 1 && labels.front() == "all") {
-      labels = SuiteLabels();
-    }
-    if (labels.empty()) {
-      std::fprintf(stderr,
-                   "bench_suite: pass --figure=LABEL[,LABEL...] or "
-                   "--figure=all\n\n");
-      PrintSuiteList();
-      return 1;
-    }
+    std::fprintf(stderr,
+                 "bench_suite: pass --figure=LABEL[,LABEL...] or "
+                 "--figure=all\n\n");
+    PrintSuiteList();
+    return 1;
   }
   std::vector<const SuiteDef*> suites;
   for (const std::string& label : labels) {

@@ -1,5 +1,4 @@
-// The shared main() behind the one bench_suite driver and the thin
-// per-figure bench wrappers. Parses the common experiment flags
+// The main() behind the bench_suite driver. Parses the experiment flags
 // (--figure/--threads/--reps/--seed/--paper/--skip/--cases/--out_dir/--json/
 // --trials/--list), resolves suite labels through the exp registry, runs
 // them, and assembles the JSON summary file.
@@ -7,17 +6,12 @@
 #ifndef LTC_EXP_SUITE_MAIN_H_
 #define LTC_EXP_SUITE_MAIN_H_
 
-#include <string>
-#include <vector>
-
 namespace ltc {
 namespace exp {
 
-/// Runs the suites named by `fixed_labels`, or — when empty (bench_suite) —
-/// those named by --figure (comma-separated labels, or "all"). Returns the
-/// process exit code.
-int SuiteMain(int argc, char** argv,
-              const std::vector<std::string>& fixed_labels = {});
+/// Runs the suites named by --figure (comma-separated labels, or "all").
+/// Returns the process exit code.
+int SuiteMain(int argc, char** argv);
 
 }  // namespace exp
 }  // namespace ltc

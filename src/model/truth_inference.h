@@ -3,7 +3,7 @@
 // The paper aggregates answers by accuracy-weighted majority voting
 // (Definition 4) and cites truth inference [18] as the standard alternative
 // for quality control (Sec. VI-A). This module implements the full ladder so
-// the two can be compared empirically (bench_truth):
+// the two can be compared empirically (`bench_suite --figure=truth`):
 //
 //   * MajorityVote      — unweighted sign of the answer sum;
 //   * WeightedVote      — the paper's 2·Acc-1 weighting (known accuracies);

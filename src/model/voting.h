@@ -3,8 +3,8 @@
 // Given a completed arrangement, simulate worker answers — worker w answers
 // task t correctly with probability Acc(w,t) — and aggregate with weights
 // 2 Acc - 1. The Hoeffding bound behind delta = 2 ln(1/eps) promises a
-// per-task error probability below eps; bench_error_rate uses this module to
-// verify that promise empirically.
+// per-task error probability below eps; `bench_suite --figure=error_rate`
+// uses this module to verify that promise empirically.
 
 #ifndef LTC_MODEL_VOTING_H_
 #define LTC_MODEL_VOTING_H_

@@ -65,31 +65,31 @@ std::vector<FigureSpec> PaperFigureIndex() {
       "3a/3e/3i", "|T|",
       Render(std::vector<long long>(task_levels.begin(), task_levels.end()),
              "%lld"),
-      "bench_fig3_tasks"});
+      "fig3_tasks"});
   index.push_back(FigureSpec{
       "3b/3f/3j", "K",
-      Render(TableFourCapacityLevels(), "%d"), "bench_fig3_capacity"});
+      Render(TableFourCapacityLevels(), "%d"), "fig3_capacity"});
   index.push_back(FigureSpec{"3c/3g/3k", "mu",
                              Render(TableFourAccuracyMeanLevels(), "%.2f"),
-                             "bench_fig3_accuracy_normal"});
+                             "fig3_accuracy_normal"});
   index.push_back(FigureSpec{"3d/3h/3l", "mean",
                              Render(TableFourAccuracyMeanLevels(), "%.2f"),
-                             "bench_fig3_accuracy_uniform"});
+                             "fig3_accuracy_uniform"});
   index.push_back(FigureSpec{"4a/4e/4i", "eps",
                              Render(TableFourEpsilonLevels(), "%.2f"),
-                             "bench_fig4_epsilon"});
+                             "fig4_epsilon"});
   index.push_back(FigureSpec{
       "4b/4f/4j", "|T|",
       Render(std::vector<long long>(scalability_tasks.begin(),
                                     scalability_tasks.end()),
              "%lld"),
-      "bench_fig4_scalability"});
+      "fig4_scalability"});
   index.push_back(FigureSpec{"4c/4g/4k", "eps",
                              Render(TableFourEpsilonLevels(), "%.2f"),
-                             "bench_fig4_newyork"});
+                             "fig4_newyork"});
   index.push_back(FigureSpec{"4d/4h/4l", "eps",
                              Render(TableFourEpsilonLevels(), "%.2f"),
-                             "bench_fig4_tokyo"});
+                             "fig4_tokyo"});
   return index;
 }
 

@@ -39,10 +39,10 @@ struct FigureSpec {
   std::string paper_figures;
   /// The varied factor ("\|T\|", "K", "mu", "mean", "eps").
   std::string factor;
-  /// Factor levels rendered as the bench binaries print them.
+  /// Factor levels rendered as bench_suite prints them.
   std::vector<std::string> levels;
-  /// The bench binary that regenerates it.
-  std::string bench_binary;
+  /// The suite that regenerates it: `bench_suite --figure=<suite_label>`.
+  std::string suite_label;
 };
 
 /// The complete per-experiment index (DESIGN.md §4), in paper order.

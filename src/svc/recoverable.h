@@ -56,7 +56,7 @@ class RecoverableService {
     /// Snapshot every N applied events (0 = only the final Finish-time
     /// snapshot).
     std::int64_t snapshot_every = 0;
-    /// Snapshots kept on disk (see SnapshotStore::Write).
+    /// Snapshots kept on disk, at least 1 (see SnapshotStore::Write).
     int snapshot_retain = 2;
     /// Non-null: rebind the header's accuracy model onto this distance
     /// metric (model::RebindMetric) before building the engine. The WAL

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -53,16 +54,12 @@ Flag<double> FLAG_hotspot_stddev(
 Flag<std::string> FLAG_algo("algo", "LAF",
                             "online scheduler to serve with (LAF, AAM, "
                             "Random, MCF)");
-Flag<std::string> FLAG_scheduler(
-    "scheduler", "",
-    "lowercase alias for --algo (laf, aam, random, mcf); overrides "
-    "--algo when set");
 Flag<bool> FLAG_mcf_warm_start("mcf_warm_start", true,
-                               "--scheduler=mcf: reuse flow and potentials "
+                               "--algo=MCF: reuse flow and potentials "
                                "across batch solves (DESIGN.md section 10)");
 Flag<std::int64_t> FLAG_mcf_drift_check_every(
     "mcf_drift_check_every", 0,
-    "--scheduler=mcf: re-solve from scratch every Nth warm solve and "
+    "--algo=MCF: re-solve from scratch every Nth warm solve and "
     "CHECK-fail on divergence (0 = off)");
 Flag<std::string> FLAG_deadline(
     "deadline", "0",
@@ -126,7 +123,7 @@ Flag<std::int64_t> FLAG_snapshot_every(
     "snapshot the engine state every N applied events (0 = only the final "
     "shutdown snapshot)");
 Flag<std::int64_t> FLAG_snapshot_retain("snapshot_retain", 2,
-                                        "snapshots kept on disk");
+                                        "snapshots kept on disk (>= 1)");
 Flag<std::int64_t> FLAG_wal_group_commit(
     "wal_group_commit", 64,
     "WAL group-commit window: flush (and fsync) every N appended events");
@@ -143,7 +140,7 @@ Flag<std::string> FLAG_listen(
     "tcp:PORT) instead of replaying a log; requires --state_dir");
 Flag<std::int64_t> FLAG_queue_capacity(
     "queue_capacity", 4096,
-    "--listen: ingest queue capacity in events (the backpressure "
+    "--listen: ingest queue capacity in events, >= 1 (the backpressure "
     "high-water mark; full-queue frames are rejected, not buffered)");
 Flag<std::string> FLAG_header_from(
     "header_from", "",
@@ -563,6 +560,12 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
           "--listen takes its events from the socket; drop "
           "--events/--synthetic"));
     }
+    // A capacity of 0 would reject every frame; a negative one would wrap
+    // to an unbounded queue and void the backpressure contract.
+    if (FLAG_queue_capacity.Get() < 1) {
+      return FailConfig(
+          Status::InvalidArgument("--queue_capacity must be >= 1"));
+    }
   } else if (FLAG_events.Get().empty() == !FLAG_synthetic.Get()) {
     return FailConfig(Status::InvalidArgument(
         "pass exactly one of --events=FILE, --synthetic, or --listen=ADDR"));
@@ -570,23 +573,6 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
 
   StreamOptions options;
   options.algorithm = FLAG_algo.Get();
-  if (!FLAG_scheduler.Get().empty()) {
-    const std::string& s = FLAG_scheduler.Get();
-    if (s == "laf") {
-      options.algorithm = "LAF";
-    } else if (s == "aam") {
-      options.algorithm = "AAM";
-    } else if (s == "random") {
-      options.algorithm = "Random";
-    } else if (s == "mcf") {
-      options.algorithm = "MCF";
-    } else {
-      return FailConfig(Status::InvalidArgument(
-          StrFormat("unknown --scheduler '%s' (expected laf, aam, random, "
-                    "or mcf)",
-                    s.c_str())));
-    }
-  }
   if (FLAG_deadline.Get() == "adaptive") {
     options.deadline_policy = DeadlinePolicy::kAdaptive;
     options.batch_deadline = FLAG_deadline_cap.Get();
@@ -647,6 +633,12 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
           Status::InvalidArgument("--world_side must be positive"));
     }
     options.world = geo::Rect{0.0, 0.0, side, side};
+    const std::int64_t retain = FLAG_snapshot_retain.Get();
+    if (retain < 1 || retain > std::numeric_limits<int>::max()) {
+      return FailConfig(Status::InvalidArgument(
+          StrFormat("--snapshot_retain must be in [1, %d]",
+                    std::numeric_limits<int>::max())));
+    }
   }
 
   if (socket_mode) return RunSocketServer(options, metric, socket_serve);

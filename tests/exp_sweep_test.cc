@@ -218,9 +218,7 @@ TEST(SuiteRegistryTest, LabelsAreUniqueAndFindable) {
 
 TEST(SuiteRegistryTest, CoversPaperFigureIndex) {
   for (const sim::FigureSpec& spec : sim::PaperFigureIndex()) {
-    // "bench_fig3_tasks" <-> registry label "fig3_tasks".
-    ASSERT_EQ(spec.bench_binary.rfind("bench_", 0), 0u) << spec.bench_binary;
-    const std::string label = spec.bench_binary.substr(6);
+    const std::string& label = spec.suite_label;
     const SuiteDef* def = FindSuite(label);
     ASSERT_NE(def, nullptr) << label;
     EXPECT_EQ(def->paper_figures, spec.paper_figures);

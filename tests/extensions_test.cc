@@ -12,9 +12,9 @@
 #include "gen/example_paper.h"
 #include "gen/foursquare.h"
 #include "gen/synthetic.h"
-#include "geo/convex_hull.h"
 #include "model/eligibility.h"
-#include "sim/arrangement_stats.h"
+#include "oracles/arrangement_stats.h"
+#include "oracles/convex_hull.h"
 #include "sim/engine.h"
 
 namespace ltc {

@@ -8,8 +8,8 @@
 
 #include "common/random.h"
 #include "flow/graph.h"
-#include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
+#include "oracles/max_flow.h"
 
 namespace ltc {
 namespace flow {

@@ -1,4 +1,4 @@
-// Tests for geometry primitives and both spatial indexes, including
+// Tests for geometry primitives and the grid spatial index, including
 // randomized cross-checks against brute force.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -91,6 +90,17 @@ TEST(GridIndexTest, SinglePoint) {
   EXPECT_EQ(index->Nearest({100, 100}), 0);
 }
 
+TEST(GridIndexTest, DuplicatePointsAllReturned) {
+  auto index = GridIndex::Build({{1, 1}, {1, 1}, {1, 1}}, 2.0);
+  ASSERT_TRUE(index.ok());
+  std::vector<std::int64_t> out;
+  index->QueryRadius({1, 1}, 0.0, &out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(index->CountRadius({1, 1}, 0.0), 3);
+  EXPECT_GE(index->Nearest({5, 5}), 0);
+}
+
 TEST(GridIndexTest, RadiusBoundaryInclusive) {
   auto index = GridIndex::Build({{0, 0}, {3, 4}}, 2.0);
   ASSERT_TRUE(index.ok());
@@ -105,8 +115,17 @@ TEST_P(SpatialIndexRandomTest, GridMatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const int n = static_cast<int>(rng.UniformInt(1, 300));
   std::vector<Point> pts;
+  // Odd seeds draw a Gaussian mixture: dense clusters put many points in
+  // one cell and leave most cells empty.
+  const bool clustered = GetParam() % 2 == 1;
   for (int i = 0; i < n; ++i) {
-    pts.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
+    if (clustered) {
+      const double cx = rng.UniformInt(0, 3) * 30.0;
+      const double cy = rng.UniformInt(0, 3) * 30.0;
+      pts.push_back({cx + rng.Gaussian(0, 5), cy + rng.Gaussian(0, 5)});
+    } else {
+      pts.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
+    }
   }
   auto index = GridIndex::Build(pts, rng.Uniform(0.5, 30.0));
   ASSERT_TRUE(index.ok());
@@ -131,72 +150,8 @@ TEST_P(SpatialIndexRandomTest, GridMatchesBruteForce) {
   }
 }
 
-TEST_P(SpatialIndexRandomTest, KdTreeMatchesBruteForce) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
-  const int n = static_cast<int>(rng.UniformInt(1, 300));
-  std::vector<Point> pts;
-  for (int i = 0; i < n; ++i) {
-    // Clustered points stress the kd-tree more than uniform ones.
-    const double cx = rng.UniformInt(0, 3) * 30.0;
-    const double cy = rng.UniformInt(0, 3) * 30.0;
-    pts.push_back({cx + rng.Gaussian(0, 5), cy + rng.Gaussian(0, 5)});
-  }
-  KdTree tree(pts);
-  EXPECT_EQ(tree.size(), pts.size());
-  for (int q = 0; q < 30; ++q) {
-    const Point c{rng.Uniform(-10, 110), rng.Uniform(-10, 110)};
-    const double r = rng.Uniform(0, 40);
-    std::vector<std::int64_t> got;
-    tree.QueryRadius(c, r, &got);
-    EXPECT_EQ(got, BruteRadius(pts, c, r));
-    const std::int64_t nearest = tree.Nearest(c);
-    ASSERT_GE(nearest, 0);
-    EXPECT_DOUBLE_EQ(
-        SquaredDistance(pts[static_cast<std::size_t>(nearest)], c),
-        SquaredDistance(pts[static_cast<std::size_t>(BruteNearest(pts, c))],
-                        c));
-  }
-}
-
-TEST_P(SpatialIndexRandomTest, GridAndKdTreeAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) + 2000);
-  const int n = static_cast<int>(rng.UniformInt(2, 200));
-  std::vector<Point> pts;
-  for (int i = 0; i < n; ++i) {
-    pts.push_back({rng.Uniform(0, 50), rng.Uniform(0, 50)});
-  }
-  auto grid = GridIndex::Build(pts, 7.0);
-  ASSERT_TRUE(grid.ok());
-  KdTree tree(pts);
-  for (int q = 0; q < 20; ++q) {
-    const Point c{rng.Uniform(0, 50), rng.Uniform(0, 50)};
-    const double r = rng.Uniform(0, 20);
-    std::vector<std::int64_t> a;
-    std::vector<std::int64_t> b;
-    grid->QueryRadius(c, r, &a);
-    tree.QueryRadius(c, r, &b);
-    std::sort(a.begin(), a.end());  // grid emits cell order
-    EXPECT_EQ(a, b);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexRandomTest,
                          ::testing::Range(0, 10));
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree({});
-  std::vector<std::int64_t> out;
-  tree.QueryRadius({0, 0}, 10, &out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(tree.Nearest({0, 0}), -1);
-}
-
-TEST(KdTreeTest, DuplicatePointsAllReturned) {
-  KdTree tree({{1, 1}, {1, 1}, {1, 1}});
-  std::vector<std::int64_t> out;
-  tree.QueryRadius({1, 1}, 0.0, &out);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 1, 2}));
-}
 
 }  // namespace
 }  // namespace geo

@@ -1,4 +1,4 @@
-#include "sim/arrangement_stats.h"
+#include "oracles/arrangement_stats.h"
 
 #include <algorithm>
 

@@ -1,12 +1,14 @@
-// Per-task completion statistics of an arrangement.
+// Test oracle: per-task completion statistics of an arrangement, computed by
+// an independent replay (tests check its max against
+// Arrangement::MaxWorkerIndex).
 //
 // The paper's objective is the *maximum* completion index (MinMax); an
 // obvious extension — and a natural future-work axis the paper gestures at —
 // is the distribution of per-task completion latencies (average/median/p95),
 // which this module computes for any completed or partial arrangement.
 
-#ifndef LTC_SIM_ARRANGEMENT_STATS_H_
-#define LTC_SIM_ARRANGEMENT_STATS_H_
+#ifndef LTC_ORACLES_ARRANGEMENT_STATS_H_
+#define LTC_ORACLES_ARRANGEMENT_STATS_H_
 
 #include <cstdint>
 #include <vector>
@@ -47,4 +49,4 @@ StatusOr<ArrangementStats> ComputeArrangementStats(
 }  // namespace sim
 }  // namespace ltc
 
-#endif  // LTC_SIM_ARRANGEMENT_STATS_H_
+#endif  // LTC_ORACLES_ARRANGEMENT_STATS_H_

@@ -1,4 +1,4 @@
-#include "geo/convex_hull.h"
+#include "oracles/convex_hull.h"
 
 #include <algorithm>
 

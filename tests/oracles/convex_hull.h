@@ -1,10 +1,11 @@
-// Convex hull (Andrew's monotone chain). The paper samples real-dataset task
-// locations "within the convex region of the workers"; the Foursquare-like
-// generator uses check-in anchoring instead (see DESIGN.md), and this module
-// lets callers verify the resulting tasks indeed lie in the workers' hull.
+// Test oracle: convex hull (Andrew's monotone chain). The paper samples
+// real-dataset task locations "within the convex region of the workers"; the
+// Foursquare-like generator uses check-in anchoring instead (see DESIGN.md),
+// and tests use this module to verify the resulting tasks indeed lie in the
+// workers' hull.
 
-#ifndef LTC_GEO_CONVEX_HULL_H_
-#define LTC_GEO_CONVEX_HULL_H_
+#ifndef LTC_ORACLES_CONVEX_HULL_H_
+#define LTC_ORACLES_CONVEX_HULL_H_
 
 #include <vector>
 
@@ -28,4 +29,4 @@ double Cross(const Point& a, const Point& b, const Point& c);
 }  // namespace geo
 }  // namespace ltc
 
-#endif  // LTC_GEO_CONVEX_HULL_H_
+#endif  // LTC_ORACLES_CONVEX_HULL_H_

@@ -1,4 +1,4 @@
-#include "flow/max_flow.h"
+#include "oracles/max_flow.h"
 
 #include <algorithm>
 #include <limits>

@@ -1,9 +1,9 @@
-// Dinic's maximum-flow algorithm. Used for feasibility checks (can the first
-// n workers possibly cover all task demand under unit assignment caps?) and
-// as an independent validator for the min-cost solvers' flow values.
+// Test oracle: Dinic's maximum-flow algorithm, an independent validator for
+// the min-cost solvers' flow values (and for feasibility: can the first n
+// workers possibly cover all task demand under unit assignment caps?).
 
-#ifndef LTC_FLOW_MAX_FLOW_H_
-#define LTC_FLOW_MAX_FLOW_H_
+#ifndef LTC_ORACLES_MAX_FLOW_H_
+#define LTC_ORACLES_MAX_FLOW_H_
 
 #include <cstdint>
 
@@ -21,4 +21,4 @@ StatusOr<std::int64_t> DinicMaxFlow(FlowNetwork* net, NodeId source,
 }  // namespace flow
 }  // namespace ltc
 
-#endif  // LTC_FLOW_MAX_FLOW_H_
+#endif  // LTC_ORACLES_MAX_FLOW_H_

@@ -56,21 +56,21 @@ TEST(PresetsTest, FigureIndexCoversAllTwentyFourPanels) {
   const auto index = PaperFigureIndex();
   ASSERT_EQ(index.size(), 8u);  // 8 sweeps x 3 metrics = 24 panels
   std::set<std::string> panels;
-  std::set<std::string> binaries;
+  std::set<std::string> labels;
   for (const auto& spec : index) {
     EXPECT_FALSE(spec.levels.empty()) << spec.paper_figures;
     EXPECT_FALSE(spec.factor.empty());
     panels.insert(spec.paper_figures);
-    binaries.insert(spec.bench_binary);
+    labels.insert(spec.suite_label);
     // Five levels everywhere except the six-point scalability sweep.
-    if (spec.bench_binary == "bench_fig4_scalability") {
+    if (spec.suite_label == "fig4_scalability") {
       EXPECT_EQ(spec.levels.size(), 6u);
     } else {
       EXPECT_EQ(spec.levels.size(), 5u);
     }
   }
   EXPECT_EQ(panels.size(), 8u);
-  EXPECT_EQ(binaries.size(), 8u);
+  EXPECT_EQ(labels.size(), 8u);
   // Figure 3 and Figure 4 are both covered, panels a-l each.
   EXPECT_TRUE(panels.count("3a/3e/3i"));
   EXPECT_TRUE(panels.count("3d/3h/3l"));

@@ -11,7 +11,7 @@
 #include "gen/synthetic.h"
 #include "model/eligibility.h"
 #include "model/quality.h"
-#include "sim/arrangement_stats.h"
+#include "oracles/arrangement_stats.h"
 #include "sim/engine.h"
 
 namespace ltc {

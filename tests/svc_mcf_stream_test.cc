@@ -1,4 +1,4 @@
-// Tests of `ltc_serve --scheduler=mcf`: the streaming MCF-LTC scheduler
+// Tests of `ltc_serve --algo=MCF`: the streaming MCF-LTC scheduler
 // behind the batch streaming protocol (algo/mcf_stream.h). Pins the two
 // contracts DESIGN.md section 10 states for the svc path:
 //

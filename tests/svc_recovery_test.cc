@@ -533,6 +533,86 @@ TEST(DurableServeTest, TopologyMismatchIsRejected) {
   EXPECT_NE(restored.status().ToString().find("topology"), std::string::npos);
 }
 
+// SnapshotStore::Write prunes only for a positive retention, so a count
+// below one would keep every snapshot ever written. Open refuses it before
+// touching the state dir, as it does a negative snapshot_every.
+TEST(DurableServeTest, NonPositiveSnapshotRetainIsRejected) {
+  const io::EventLog log = MakeLog(5, 50, 67);
+  const std::string dir = FreshDir("retain");
+  for (int retain : {0, -1}) {
+    RecoverableService::Options o =
+        ServiceOptions(dir, BaseOptions("LAF", 1), 10, 8);
+    o.snapshot_retain = retain;
+    const auto service = RecoverableService::Open(log, o);
+    EXPECT_TRUE(service.status().IsInvalidArgument())
+        << retain << ": " << service.status().ToString();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+// Runs ServeMain over `mode_flags` plus one flag under test, with a socket
+// transport that only records whether it was reached. Flags are
+// process-global, so every call restates the mode flags.
+int RunServeMain(const std::vector<std::string>& mode_flags,
+                 const std::string& flag, bool* served) {
+  std::vector<std::string> args = {"ltc_serve"};
+  args.insert(args.end(), mode_flags.begin(), mode_flags.end());
+  args.push_back(flag);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  *served = false;
+  return ServeMain(
+      static_cast<int>(argv.size()), argv.data(),
+      [served](RecoverableService*,
+               const SocketServeRequest&) -> StatusOr<SocketServeResult> {
+        *served = true;
+        return Status::Unavailable("test transport");
+      });
+}
+
+// --queue_capacity=0 would reject every frame and -1 would wrap to an
+// unbounded queue; both are configuration errors (exit 1) raised before the
+// state dir is opened.
+TEST(ServeMainTest, NonPositiveQueueCapacityIsAConfigError) {
+  const std::string dir = FreshDir("queue_capacity");
+  const std::vector<std::string> mode = {
+      "--listen=unix:" + dir + ".sock", "--state_dir=" + dir, "--events=",
+      "--synthetic=false", "--snapshot_retain=2"};
+  bool served = true;
+  for (const char* capacity : {"0", "-1"}) {
+    EXPECT_EQ(RunServeMain(mode, std::string("--queue_capacity=") + capacity,
+                           &served),
+              1)
+        << capacity;
+    EXPECT_FALSE(served) << capacity;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << capacity;
+  }
+  // The smallest valid capacity reaches the transport, whose error is a
+  // runtime abort (exit 2).
+  EXPECT_EQ(RunServeMain(mode, "--queue_capacity=1", &served), 2);
+  EXPECT_TRUE(served);
+}
+
+// --snapshot_retain is an int64 flag narrowed to int: values below 1 (keep
+// everything) and above INT_MAX (4294967298 would narrow to 2) are
+// configuration errors raised before the state dir is opened.
+TEST(ServeMainTest, OutOfRangeSnapshotRetainIsAConfigError) {
+  const std::string dir = FreshDir("retain_flag");
+  const std::vector<std::string> mode = {
+      "--listen=", "--events=", "--synthetic", "--tasks=5", "--workers=50",
+      "--state_dir=" + dir, "--wal_fsync=false"};
+  bool served = false;
+  for (const char* retain : {"0", "-3", "4294967298"}) {
+    EXPECT_EQ(
+        RunServeMain(mode, std::string("--snapshot_retain=") + retain, &served),
+        1)
+        << retain;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << retain;
+  }
+  EXPECT_EQ(RunServeMain(mode, "--snapshot_retain=1", &served), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir));
+}
+
 // A claim entry lives while 1..K offers of its boundary worker are still
 // outstanding; it retires at 0, so SerializeTo never writes a 0. Restore
 // must refuse a record outside that range — a restored 0 would decrement

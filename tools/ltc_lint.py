@@ -40,6 +40,10 @@ Rules (ids appear in findings and in suppression comments):
   nodiscard-status     common/status.h must keep class Status and StatusOr
                        declared [[nodiscard]] (the compile-time half of
                        unchecked-status).
+  test-only-module     A header under src/ that nothing but its own .cc and
+                       tests/ includes: src/ ships what the serving system,
+                       benches and examples use. Reference code that only
+                       tests compare against lives in tests/oracles/.
 
 Suppressions, each requiring a justification in the trailing text:
   // ltc-lint: allow(rule-id) <why>          — this line and the next
@@ -78,12 +82,19 @@ RULE_IDS = (
     "unchecked-status",
     "raw-std-mutex",
     "nodiscard-status",
+    "test-only-module",
 )
 
 # Function names whose bodies feed persisted, byte-compared artifacts
 # (snapshots, the WAL, serialized forecast/scheduler state).
 SENSITIVE_FN_RE = re.compile(
     r"^(Serialize\w*|\w*Snapshot\w*|FormatEventRecord|WriteManifest)$")
+
+# Directories whose includes make a src/ header shipped code (tests/ is
+# deliberately absent: a module only tests reach is the test-only-module
+# finding).
+SHIPPING_DIRS = ["src", "bench", "examples", "perfbench"]
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
 
 # Files allowed to touch ambient randomness / the wall clock.
 RANDOMNESS_ALLOWED = {
@@ -499,6 +510,39 @@ def check_nodiscard_status(root, findings):
                 "half of the unchecked-status rule)" % cls))
 
 
+def check_test_only_modules(root, findings):
+    """Flags src/ headers that no shipping file includes (a header's own
+    .cc does not count). Includes resolve against src/ and against the
+    including file's directory."""
+    src = os.path.join(root, "src")
+    reached = set()
+    for d in SHIPPING_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            for name in names:
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                own_header = os.path.splitext(path)[0] + ".h"
+                text = strip_comments_and_strings(read(path))
+                for inc in INCLUDE_RE.findall(text):
+                    for base in (src, dirpath):
+                        target = os.path.normpath(os.path.join(base, inc))
+                        if target != own_header:
+                            reached.add(target)
+    for dirpath, _, names in os.walk(src):
+        for name in sorted(names):
+            path = os.path.join(dirpath, name)
+            if not name.endswith(".h") or path in reached:
+                continue
+            _, file_allows = collect_allows(read(path))
+            if "test-only-module" not in file_allows:
+                findings.append(Finding(
+                    path, 1, "test-only-module",
+                    "no file in %s includes this header: delete it, or "
+                    "move it to tests/oracles/ if tests compare against it"
+                    % ", ".join(d + "/" for d in SHIPPING_DIRS)))
+
+
 # ---------------------------------------------------------------------------
 # Optional libclang verification for unchecked-status.
 
@@ -585,6 +629,7 @@ def run_checks(root, force_fallback=False):
     if use_libclang:
         libclang_unchecked_status(root, files, findings)
     check_nodiscard_status(root, findings)
+    check_test_only_modules(root, findings)
     mode = "libclang" if use_libclang else "regex/AST-lite fallback"
     return findings, mode
 
@@ -757,6 +802,31 @@ def selftest():
     f = _fixture_findings(dict(base), failures)
     expect(not any(x.rule == "nodiscard-status" for x in f),
            "[[nodiscard]] classes pass", failures)
+
+    print("selftest: test-only-module")
+    pos = dict(base)
+    pos["src/geo/kdtree.h"] = "class KdTree {};\n"
+    pos["src/geo/kdtree.cc"] = '#include "geo/kdtree.h"\n'
+    pos["tests/geo_test.cc"] = '#include "geo/kdtree.h"\n'
+    pos["src/algo/laf.cc"] = '// #include "geo/kdtree.h" (retired)\n'
+    f = _fixture_findings(pos, failures)
+    expect(any(x.rule == "test-only-module" and
+               x.path.endswith("kdtree.h") for x in f),
+           "header only its .cc, tests and a comment include flagged",
+           failures)
+    neg = dict(base)
+    neg["src/geo/grid_index.h"] = '#include "common/status.h"\n'
+    neg["src/algo/laf.cc"] = '#include "geo/grid_index.h"\n'
+    neg["src/svc/engine.h"] = "class Engine {};\n"
+    neg["perfbench/bench.h"] = '#include "svc/engine.h"\n'
+    neg["src/exp/main.h"] = "int Main();\n"
+    neg["bench/bench_suite.cc"] = '#include "exp/main.h"\n'
+    neg["src/net/adapter.h"] = "int Adapter();\n"
+    neg["examples/serve.cc"] = '#include "net/adapter.h"\n'
+    f = _fixture_findings(neg, failures)
+    expect(not any(x.rule == "test-only-module" for x in f),
+           "headers reached from src/, perfbench/, bench/, examples/ pass",
+           failures)
 
     print("selftest: suppression comments")
     sup = dict(base)
