@@ -35,6 +35,7 @@
 #include "geo/road_graph.h"
 #include "io/workload_io.h"
 #include "model/accuracy.h"
+#include "svc/serve_main.h"
 #include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 
@@ -93,8 +94,7 @@ struct CellResult {
 StatusOr<CellResult> RunCell(const StreamCase& scale, std::int64_t shards,
                              const std::string& algorithm,
                              const std::shared_ptr<const geo::Metric>& metric,
-                             svc::DeadlinePolicy deadline_policy,
-                             double batch_deadline) {
+                             const svc::StreamOptions& batching) {
   CellResult cell;
   cell.name = algorithm;
   const std::int64_t reps = FLAG_reps.Get();
@@ -111,10 +111,8 @@ StatusOr<CellResult> RunCell(const StreamCase& scale, std::int64_t shards,
                            model::RebindMetric(*log.accuracy, metric));
     }
 
-    svc::StreamOptions options;
+    svc::StreamOptions options = batching;
     options.algorithm = algorithm;
-    options.deadline_policy = deadline_policy;
-    options.batch_deadline = batch_deadline;
     options.seed = cfg.seed;
     options.threads = static_cast<int>(FLAG_threads.Get());
     options.shards = static_cast<int>(shards);
@@ -180,40 +178,36 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // The deadline policy and batch deadline every cell runs with.
+  svc::StreamOptions batching;
+  bool road = false;
+  const Status flag_values = svc::ParseMetricAndDeadline(
+      FLAG_metric.Get(), FLAG_deadline.Get(), FLAG_deadline_cap.Get(), &road,
+      &batching);
+  if (!flag_values.ok()) {
+    std::fprintf(stderr, "%s\n", flag_values.ToString().c_str());
+    return 1;
+  }
+
   // --metric=road: one street grid shared by every cell, matching the
   // stream generator's world side. Travel time >= Euclidean distance, so
   // eligibility shrinks and the per-gather Dijkstra cost shows up in
   // events/sec — which is exactly what BENCH_PR8.json gates.
   std::shared_ptr<const geo::Metric> metric;
-  if (FLAG_metric.Get() == "road") {
-    gen::RoadConfig road;
+  if (road) {
+    gen::RoadConfig road_config;
     // Dense enough that snap legs (≈ half the ~10.5-unit spacing) stay
     // small against dmax = 30; at the default 32x32 the spacing alone
     // exceeds the accuracy range and eligibility collapses.
-    road.rows = 96;
-    road.cols = 96;
-    auto built = gen::GenerateGridRoadGraph(road);
+    road_config.rows = 96;
+    road_config.cols = 96;
+    auto built = gen::GenerateGridRoadGraph(road_config);
     if (!built.ok()) {
       std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
       return 1;
     }
     metric = std::make_shared<geo::RoadMetric>(
         std::make_shared<geo::RoadGraph>(std::move(built).value()));
-  } else if (FLAG_metric.Get() != "euclid") {
-    std::fprintf(stderr, "unknown --metric '%s' (euclid|road)\n",
-                 FLAG_metric.Get().c_str());
-    return 1;
-  }
-
-  svc::DeadlinePolicy deadline_policy = svc::DeadlinePolicy::kFixed;
-  double batch_deadline = 0.0;
-  if (FLAG_deadline.Get() == "adaptive") {
-    deadline_policy = svc::DeadlinePolicy::kAdaptive;
-    batch_deadline = FLAG_deadline_cap.Get();
-  } else if (!ParseDouble(FLAG_deadline.Get(), &batch_deadline)) {
-    std::fprintf(stderr, "bad --deadline '%s' (number or 'adaptive')\n",
-                 FLAG_deadline.Get().c_str());
-    return 1;
   }
 
   std::vector<std::int64_t> shard_counts;
@@ -229,7 +223,7 @@ int Main(int argc, char** argv) {
   Stopwatch total;
   std::string figure = metric != nullptr ? "stream_throughput_road"
                                          : "stream_throughput";
-  if (deadline_policy == svc::DeadlinePolicy::kAdaptive) {
+  if (batching.deadline_policy == svc::DeadlinePolicy::kAdaptive) {
     figure += "_adaptive";
   }
   std::string json = StrFormat(
@@ -265,8 +259,7 @@ int Main(int argc, char** argv) {
     first_case = false;
     bool first_algo = true;
     for (const std::string& algorithm : algorithms) {
-      auto cell = RunCell(scale, shards, algorithm, metric, deadline_policy,
-                          batch_deadline);
+      auto cell = RunCell(scale, shards, algorithm, metric, batching);
       if (!cell.ok()) {
         std::fprintf(stderr, "%s\n", cell.status().ToString().c_str());
         return 1;

@@ -1,212 +1,47 @@
 #include "algo/mcf_ltc.h"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
-#include "common/heap.h"
-#include "common/math_util.h"
-#include "flow/min_cost_flow.h"
-#include "model/quality.h"
+#include "algo/mcf_stream.h"
 
 namespace ltc {
 namespace algo {
 
-namespace {
-
-/// Acc* values are scaled to parts-per-million before entering the integer
-/// cost domain of the flow solver.
-constexpr std::int64_t kCostScale = 1'000'000;
-
-}  // namespace
-
 StatusOr<ScheduleResult> McfLtc::Run(const model::ProblemInstance& instance,
                                      const model::EligibilityIndex& index) {
   LTC_RETURN_IF_ERROR(instance.Validate());
-  if (options_.batch_factor <= 0.0 || options_.first_batch_factor <= 0.0) {
-    return Status::InvalidArgument("MCF-LTC: batch factors must be positive");
-  }
-  const double delta = instance.Delta();
-  ScheduleResult result(instance.num_tasks(), delta);
-
-  // Line 1: m = |T| * ceil(delta) / K, the Theorem-2 style lower bound used
-  // as batch size.
-  const double m_real = static_cast<double>(instance.num_tasks()) *
-                        std::ceil(delta) /
-                        static_cast<double>(instance.capacity) *
-                        options_.batch_factor;
-  const auto batch_size = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::floor(m_real)));
-  const auto first_batch_size = std::max<std::int64_t>(
-      1,
-      static_cast<std::int64_t>(std::floor(m_real *
-                                           options_.first_batch_factor)));
-
-  // ---- Cross-batch solver state. ----
-  // The incremental solver is the persistence layer: task demand nodes,
-  // node potentials, and the patched CSR network all survive from batch to
-  // batch, so each solve only augments for the new workers' supply instead
-  // of re-pricing the whole bipartite problem. Workers are added as supply
-  // nodes per batch and retired with kFreeze right after extraction —
-  // their deliveries become permanent consumption and the solver provably
-  // stays warm (no flow-carrying lefts, no live inflow at any solve start).
-  flow::IncrementalMcmfOptions incr_options;
-  incr_options.warm_start = options_.warm_start;
-  incr_options.drift_check_every = options_.drift_check_every;
-  flow::IncrementalMcmf incr(incr_options);
-  std::vector<flow::NodeId> task_right(
-      static_cast<std::size_t>(instance.num_tasks()), -1);
-  std::vector<char> task_closed(
-      static_cast<std::size_t>(instance.num_tasks()), 0);
-  std::vector<flow::NodeId> batch_left;
-
-  // Flat per-pair arrays, recycled across batches (allocations only on the
-  // high-water mark): each batch stores one Acc* evaluation per eligible
-  // (worker, open task) pair and reuses it for arc costs, flow extraction,
-  // stats, and the greedy top-up. Worker p's pairs occupy
-  // [pair_begin[p], pair_begin[p+1]).
+  // Every task is known before the first worker, so the stream's batch
+  // targets are the offline m exactly (algo/mcf_stream.h).
+  McfStream stream(options_);
+  LTC_RETURN_IF_ERROR(stream.InitStreaming(instance));
+  ScheduleResult result(instance.num_tasks(), instance.Delta());
   std::vector<model::TaskId> eligible;
-  std::vector<std::size_t> pair_begin;
-  std::vector<model::TaskId> pair_task;
-  std::vector<double> pair_acc;
-  std::vector<flow::ArcId> pair_arc;
-  std::vector<char> pair_assigned;
-  std::vector<std::int32_t> batch_load;
-  BoundedTopK top_up(0);
-
-  std::int64_t pos = 0;  // next unconsumed worker (0-based)
-  bool first = true;
-
-  while (pos < instance.num_workers() && !result.arrangement.AllCompleted()) {
-    const std::int64_t want = first ? first_batch_size : batch_size;
-    first = false;
-    const std::int64_t take = std::min(want, instance.num_workers() - pos);
-    const auto batch_begin = static_cast<std::size_t>(pos);
-    const auto nb = static_cast<std::size_t>(take);
-    pos += take;
-    result.stats.workers_seen = pos;
-
-    // ---- Lines 5-6: refresh demands, then add the batch's workers. ----
-    // Demand cap = ceil(delta - S[t]) is re-asserted from the arrangement
-    // each batch (top-ups contribute quality outside the flow, so the
-    // solver's own frozen-consumption bookkeeping undershoots). A task that
-    // completed since its node was created gets its deficit zeroed exactly
-    // once and never reopens.
-    for (model::TaskId t = 0; t < instance.num_tasks(); ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      if (result.arrangement.TaskCompleted(t)) {
-        if (task_right[ti] >= 0 && !task_closed[ti]) {
-          LTC_RETURN_IF_ERROR(incr.SetDeficit(task_right[ti], 0));
-          task_closed[ti] = 1;
-        }
-        continue;
-      }
-      const double remaining = result.arrangement.Remaining(t);
-      const auto demand = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(
-                 std::ceil(remaining - model::kQualityTol)));
-      if (task_right[ti] < 0) {
-        task_right[ti] = incr.AddRight(demand);
-      } else {
-        LTC_RETURN_IF_ERROR(incr.SetDeficit(task_right[ti], demand));
-      }
-    }
-
-    // Worker arcs. Arc costs: -Acc* (scaled); optionally plus an arrival-
-    // position epsilon that is strictly smaller than one Acc* quantum, so it
-    // only breaks ties. Acc* is evaluated exactly once per eligible pair
-    // here; every later phase reads pair_acc. Workers with no open eligible
-    // task never enter the solver.
-    const std::int64_t tie_scale =
-        options_.index_tie_break ? static_cast<std::int64_t>(nb) + 1 : 1;
-    pair_begin.assign(nb + 1, 0);
-    pair_task.clear();
-    pair_acc.clear();
-    pair_arc.clear();
-    batch_left.assign(nb, -1);
-    for (std::size_t p = 0; p < nb; ++p) {
-      pair_begin[p] = pair_task.size();
-      const model::Worker& w = instance.workers[batch_begin + p];
-      index.EligibleTasksSorted(w, &eligible);
-      for (model::TaskId t : eligible) {
-        if (result.arrangement.TaskCompleted(t)) continue;
-        if (batch_left[p] < 0) batch_left[p] = incr.AddLeft(instance.capacity);
-        const double acc_star = instance.AccStar(w.index, t);
-        const auto scaled = static_cast<std::int64_t>(
-            std::llround(acc_star * kCostScale));
-        const std::int64_t cost =
-            -scaled * tie_scale +
-            (options_.index_tie_break ? static_cast<std::int64_t>(p) : 0);
-        LTC_ASSIGN_OR_RETURN(
-            const flow::ArcId arc,
-            incr.AddArc(batch_left[p],
-                        task_right[static_cast<std::size_t>(t)], 1, cost));
-        pair_task.push_back(t);
-        pair_acc.push_back(acc_star);
-        pair_arc.push_back(arc);
-      }
-    }
-    pair_begin[nb] = pair_task.size();
-
-    LTC_ASSIGN_OR_RETURN(const flow::McmfResult mcmf, incr.Solve());
-    ++result.stats.mcf_batches;
-    result.stats.mcf_augmentations += mcmf.iterations;
-
-    // ---- Line 7: extract M' and update S. ----
-    // The pair -> arc map renders the flow directly; no adjacency walk and
-    // no searches over batch task lists.
-    batch_load.assign(nb, 0);
-    pair_assigned.assign(pair_task.size(), 0);
-    for (std::size_t p = 0; p < nb; ++p) {
-      const model::Worker& w = instance.workers[batch_begin + p];
-      for (std::size_t k = pair_begin[p]; k < pair_begin[p + 1]; ++k) {
-        if (incr.ArcFlow(pair_arc[k]) <= 0) continue;
-        const model::TaskId t = pair_task[k];
-        result.arrangement.Add(w.index, t, pair_acc[k]);
-        result.stats.total_acc_star += pair_acc[k];
-        ++result.stats.assignments;
-        ++batch_load[p];
-        pair_assigned[k] = 1;
-      }
-    }
-
-    // ---- Lines 8-15: greedy top-up of spare capacity. ----
-    for (std::size_t p = 0; p < nb; ++p) {
-      const std::int32_t spare = instance.capacity - batch_load[p];
-      if (spare <= 0) continue;
-      if (result.arrangement.AllCompleted()) break;
-      const model::Worker& w = instance.workers[batch_begin + p];
-      top_up.Reset(static_cast<std::size_t>(spare));
-      for (std::size_t k = pair_begin[p]; k < pair_begin[p + 1]; ++k) {
-        if (pair_assigned[k]) continue;  // w already performs it
-        const model::TaskId t = pair_task[k];
-        if (result.arrangement.TaskCompleted(t)) continue;
-        top_up.Push(pair_acc[k], t);
-      }
-      for (const auto& item : top_up.TakeDescending()) {
-        const auto t = static_cast<model::TaskId>(item.id);
-        result.arrangement.Add(w.index, t, item.score);
-        result.stats.total_acc_star += item.score;
-        ++result.stats.assignments;
-      }
-    }
-
-    // The batch's workers leave the platform: retire their supply nodes with
-    // deliveries frozen. This is what keeps the next solve warm — no left
-    // carries flow across batches, so the feasibility scan always passes.
-    for (std::size_t p = 0; p < nb; ++p) {
-      if (batch_left[p] < 0) continue;
-      LTC_RETURN_IF_ERROR(incr.RetireLeft(
-          batch_left[p], flow::IncrementalMcmf::RetireMode::kFreeze));
-    }
-    // Line 17: loop exits once every task reached delta.
+  std::vector<model::WorkerIndex> worker(1);
+  const std::vector<const std::vector<model::TaskId>*> candidates{&eligible};
+  std::vector<OnlineScheduler::StreamCommit> commits;
+  for (const model::Worker& w : instance.workers) {
+    if (stream.Done()) break;  // Line 17: every task reached delta.
+    index.EligibleTasksSorted(w, &eligible);
+    worker[0] = w.index;
+    LTC_RETURN_IF_ERROR(
+        stream.OnBatchWithCandidates(worker, candidates, &commits));
+    commits.clear();  // the arrangement records every commitment
+    ++result.stats.workers_seen;
   }
+  LTC_RETURN_IF_ERROR(stream.OnStreamEnd(&commits));
+
+  result.arrangement = stream.ReleaseArrangement();
   result.completed = result.arrangement.AllCompleted();
   result.latency = result.arrangement.MaxWorkerIndex();
-  for (model::WorkerIndex w = 1;
-       w <= result.arrangement.MaxWorkerIndex(); ++w) {
+  result.stats.assignments = result.arrangement.size();
+  for (const model::Assignment& a : result.arrangement.assignments()) {
+    result.stats.total_acc_star += a.acc_star;
+  }
+  for (model::WorkerIndex w = 1; w <= result.latency; ++w) {
     if (result.arrangement.Load(w) > 0) ++result.stats.workers_used;
   }
+  result.stats.mcf_batches = stream.batches_solved();
+  result.stats.mcf_augmentations = stream.augmentations();
   return result;
 }
 

@@ -1,18 +1,13 @@
 // MCF-LTC (paper Algorithm 1): the minimum-cost-flow based offline scheduler
 // with approximation ratio 7.5 (paper Theorem 3).
 //
-// Workers are consumed in batches sized by the Theorem-2 lower bound
-// m = |T| * ceil(delta) / K (the first batch is 1.5x). Each batch is matched
-// against the still-open tasks by a min-cost max-flow:
-//
-//     st --(cap K, cost 0)--> w --(cap 1, cost -Acc*)--> t
-//        --(cap ceil(delta - S[t]), cost 0)--> ed
-//
-// solved to optimality per batch by flow::IncrementalMcmf: task demand
-// nodes, node potentials, and the flow network persist across batches
-// (warm starts), so each batch augments only for its own workers' supply.
-// Workers left with spare capacity then greedily top up the most reliable
-// open tasks (Algorithm 1 lines 8-15).
+// Workers are consumed in Theorem-2 batches (m = |T| * ceil(delta) / K, the
+// first batch 1.5x); each batch is matched against the still-open tasks by
+// one min-cost max-flow, then workers with spare capacity greedily top up
+// the most reliable open tasks. The batch loop itself lives in one place,
+// algo::McfStream (algo/mcf_stream.h), which also serves
+// `ltc_serve --algo=MCF`: Run feeds it every worker in arrival order, with
+// its eligible tasks from the index, until every task reached delta.
 
 #ifndef LTC_ALGO_MCF_LTC_H_
 #define LTC_ALGO_MCF_LTC_H_
@@ -44,7 +39,9 @@ struct McfLtcOptions {
   /// supply nodes, updates task demands in place, solves, then retires the
   /// workers with their deliveries frozen — so every batch solve starts from
   /// already-consistent prices and augments only for the new supply. False
-  /// forces an exact from-scratch restart per batch (the ablation baseline).
+  /// forces an exact from-scratch restart per batch (the ablation baseline
+  /// of fig4_warmstart and ablation_mcf_variants; the service always runs
+  /// warm).
   bool warm_start = true;
   /// Every Nth batch solve is cross-checked against an independent
   /// from-scratch reference solve and CHECK-fails on divergence (see

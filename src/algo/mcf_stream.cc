@@ -11,8 +11,8 @@ namespace algo {
 
 namespace {
 
-/// Same Acc* quantisation as McfLtc: parts-per-million into the integer
-/// cost domain. The two must agree for the deadline-0 parity contract.
+/// Acc* values are scaled to parts-per-million before entering the integer
+/// cost domain of the flow solver.
 constexpr std::int64_t kCostScale = 1'000'000;
 
 }  // namespace
@@ -60,6 +60,7 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance) {
   buf_cand_.clear();
   first_batch_ = true;
   batches_solved_ = 0;
+  augmentations_ = 0;
   AdoptShardContext();
   return Status::OK();
 }
@@ -130,11 +131,7 @@ Status McfStream::SerializeState(std::string* out) const {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
-  for (const model::Assignment& a : arrangement_->assignments()) {
-    out->append(StrFormat("a %lld %lld %.17g\n",
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task), a.acc_star));
-  }
+  SerializeAssignments(*arrangement_, out);
   // One line per buffered worker: "b <worker> [cand...]" in buffer order,
   // candidates exactly as gathered at admission.
   for (std::size_t p = 0; p < buf_worker_.size(); ++p) {
@@ -159,24 +156,13 @@ Status McfStream::RestoreState(const model::ProblemInstance& instance,
   for (const std::string& raw : Split(blob, '\n')) {
     const std::string line = Trim(raw);
     if (line.empty()) continue;
+    if (StartsWith(line, "a ")) {
+      LTC_RETURN_IF_ERROR(
+          RestoreAssignment(line, instance, &*arrangement_).status());
+      continue;
+    }
     const std::vector<std::string> f = Split(line, ' ');
-    if (f[0] == "a") {
-      std::int64_t w = 0;
-      std::int64_t t = 0;
-      double acc = 0.0;
-      if (f.size() != 4 || !ParseInt64(f[1], &w) || !ParseInt64(f[2], &t) ||
-          !ParseDouble(f[3], &acc)) {
-        return Status::InvalidArgument("snapshot: bad assignment line: " +
-                                       line);
-      }
-      if (w < 1 || w > static_cast<std::int64_t>(instance.workers.size()) ||
-          t < 0 || t >= arrangement_->num_tasks()) {
-        return Status::OutOfRange("snapshot: assignment out of range: " +
-                                  line);
-      }
-      arrangement_->Add(static_cast<model::WorkerIndex>(w),
-                        static_cast<model::TaskId>(t), acc);
-    } else if (f[0] == "b") {
+    if (f[0] == "b") {
       std::int64_t w = 0;
       if (f.size() < 2 || !ParseInt64(f[1], &w) || w < 1 ||
           w > static_cast<std::int64_t>(instance.workers.size())) {
@@ -221,7 +207,12 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     return Status::OK();
   }
 
-  // ---- Lines 5-6 of Algorithm 1 (see McfLtc::Run): refresh demands. ----
+  // ---- Lines 5-6 of Algorithm 1: refresh demands. ----
+  // Demand cap = ceil(delta - S[t]) is re-asserted from the arrangement
+  // each batch (top-ups contribute quality outside the flow, so the
+  // solver's own frozen-consumption bookkeeping undershoots). A task that
+  // completed since its node was created gets its deficit zeroed exactly
+  // once and never reopens.
   for (model::TaskId t = 0; t < arrangement_->num_tasks(); ++t) {
     const auto ti = static_cast<std::size_t>(t);
     if (arrangement_->TaskCompleted(t)) {
@@ -242,10 +233,14 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     }
   }
 
-  // ---- Worker supply and arcs, with the arrival-position tie-break. ----
-  // Candidates were gathered at admission; tasks completed by batches
-  // flushed since are re-filtered here, exactly like the offline arc
-  // builder skips completed tasks.
+  // ---- Worker supply and arcs. ----
+  // Arc costs: -Acc* (scaled); optionally plus an arrival-position epsilon
+  // that is strictly smaller than one Acc* quantum, so it only breaks ties
+  // (the MCF objective cannot see indices; McfLtcOptions::index_tie_break).
+  // Acc* is evaluated exactly once per eligible pair here; every later
+  // phase reads pair_acc_. Candidates were gathered at admission; tasks
+  // completed by batches flushed since are re-filtered here, and workers
+  // with no open candidate never enter the solver.
   const std::int64_t tie_scale =
       options_.index_tie_break ? static_cast<std::int64_t>(nb) + 1 : 1;
   pair_begin_.assign(nb + 1, 0);
@@ -280,10 +275,13 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   }
   pair_begin_[nb] = pair_task_.size();
 
-  LTC_RETURN_IF_ERROR(incr_->Solve().status());
+  LTC_ASSIGN_OR_RETURN(const flow::McmfResult mcmf, incr_->Solve());
   ++batches_solved_;
+  augmentations_ += mcmf.iterations;
 
   // ---- Line 7: extract M' and update S. ----
+  // The pair -> arc map renders the flow directly; no adjacency walk and
+  // no searches over batch task lists.
   batch_load_.assign(nb, 0);
   pair_assigned_.assign(pair_task_.size(), 0);
   for (std::size_t p = 0; p < nb; ++p) {
@@ -318,9 +316,9 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     }
   }
 
-  // Retire the batch's supply with deliveries frozen — the warm-start
-  // invariant (no flow-carrying lefts at solve start) carried over from
-  // McfLtc::Run.
+  // The batch's workers leave the platform: retire their supply nodes with
+  // deliveries frozen. This is what keeps the next solve warm — no left
+  // carries flow across batches, so the feasibility scan always passes.
   for (std::size_t p = 0; p < nb; ++p) {
     if (batch_left_[p] < 0) continue;
     LTC_RETURN_IF_ERROR(incr_->RetireLeft(

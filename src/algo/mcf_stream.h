@@ -1,26 +1,29 @@
-// MCF — the streaming form of MCF-LTC (paper Algorithm 1), served by the
-// svc layer behind `ltc_serve --algo=MCF`.
+// MCF — the MCF-LTC batch loop (paper Algorithm 1), the one implementation
+// behind both the offline scheduler (McfLtc::Run, algo/mcf_ltc.h) and
+// `ltc_serve --algo=MCF`.
 //
-// The offline algorithm consumes the worker stream in Theorem-2 batches
-// (m = |T| * ceil(delta) / K, first batch 1.5x) and matches each batch
-// against the still-open tasks by one min-cost max-flow. This scheduler
-// runs the same loop over a *live* stream: it implements the batch
-// streaming protocol of algo/scheduler.h (SchedulesWholeBatch), buffers
-// admitted workers with their flush-time candidate sets until a Theorem-2
-// batch is full, and then replays the exact McfLtc::Run batch body —
-// demand refresh, arc construction with the arrival-position tie-break,
-// one warm-started flow::IncrementalMcmf solve, flow extraction, greedy
-// top-up, supply retirement. The flow network, task demand nodes, and node
-// potentials persist across batches for the lifetime of the stream, so
-// every solve after the first starts from already-consistent prices.
+// It implements the batch streaming protocol of algo/scheduler.h
+// (SchedulesWholeBatch): admitted workers are buffered with their
+// candidate sets until a Theorem-2 batch is full (m = |T| * ceil(delta) /
+// K over the tasks seen so far, first batch 1.5x), and the batch is then
+// matched against the still-open tasks by one min-cost max-flow:
+//
+//     st --(cap K, cost 0)--> w --(cap 1, cost -Acc*)--> t
+//        --(cap ceil(delta - S[t]), cost 0)--> ed
+//
+// solved to optimality by flow::IncrementalMcmf, followed by flow
+// extraction, the greedy top-up of spare capacity (Algorithm 1 lines
+// 8-15) and supply retirement. The flow network, task demand nodes, and
+// node potentials persist across batches for the lifetime of the stream,
+// so every solve after the first starts from already-consistent prices.
 //
 // Determinism: commitments are a pure function of the admitted worker
 // sequence and their candidate sets, so the svc determinism contract
 // (byte-identical logs for any --threads, pinned per --shards) holds
-// unchanged. Over an EventLogFromInstance replay at batching deadline 0
-// the admitted sequence *is* the offline worker order against a fully
-// materialised task set, and the commitments reproduce McfLtc::Run batch
-// for batch (svc_mcf_stream_test pins this).
+// unchanged. McfLtc::Run is this scheduler fed a fully materialised task
+// set and the instance's worker order; an EventLogFromInstance replay at
+// batching deadline 0 admits exactly that sequence, so the served log
+// reproduces the offline run (svc_mcf_stream_test pins this).
 
 #ifndef LTC_ALGO_MCF_STREAM_H_
 #define LTC_ALGO_MCF_STREAM_H_
@@ -41,18 +44,19 @@ namespace algo {
 
 /// \brief The MCF-LTC batch loop as a streaming scheduler.
 ///
-/// Reuses McfLtcOptions: warm_start / drift_check_every configure the
-/// persistent incremental solver, index_tie_break and the batch factors
-/// shape each batch exactly as in the offline run.
+/// Configured by McfLtcOptions: warm_start / drift_check_every configure
+/// the persistent incremental solver, index_tie_break and the batch
+/// factors shape each batch.
 class McfStream : public OnlineScheduler {
  public:
   explicit McfStream(McfLtcOptions options = {}) : options_(options) {}
 
   std::string Name() const override { return "MCF"; }
 
-  // Batch-mode entry points are unsupported: MCF streams through the svc
-  // engine (sim::RunOnline's per-arrival contract cannot express a batch
-  // commitment for an earlier worker).
+  // Batch-mode entry points are unsupported: MCF is driven through the
+  // batch protocol, by the svc engine or by McfLtc::Run (sim::RunOnline's
+  // per-arrival contract cannot express a batch commitment for an earlier
+  // worker).
   Status Init(const model::ProblemInstance& instance,
               const model::EligibilityIndex& index) override;
   Status OnArrival(const model::Worker& worker,
@@ -91,8 +95,19 @@ class McfStream : public OnlineScheduler {
   }
 
   const McfLtcOptions& options() const { return options_; }
-  /// Batches solved so far (diagnostics; svc_mcf_stream_test).
+  /// Moves the arrangement out (McfLtc::Run's result, without a copy);
+  /// the scheduler needs InitStreaming again before any further call.
+  model::Arrangement ReleaseArrangement() {
+    model::Arrangement out = std::move(*arrangement_);
+    arrangement_.reset();
+    return out;
+  }
+  /// Batches solved so far (ScheduleStats::mcf_batches).
   std::int64_t batches_solved() const { return batches_solved_; }
+  /// Flow augmentations summed over this run's solves
+  /// (ScheduleStats::mcf_augmentations). Diagnostics only: not
+  /// snapshotted, so it restarts at 0 on RestoreState.
+  std::int64_t augmentations() const { return augmentations_; }
 
  private:
   /// The Theorem-2 target size of the batch currently buffering, from the
@@ -100,7 +115,7 @@ class McfStream : public OnlineScheduler {
   /// batch_factor)), 1.5x while the first batch is open.
   std::int64_t BatchTarget() const;
 
-  /// Solves the buffered batch (the offline loop body) and appends its
+  /// Solves the buffered batch (Algorithm 1's loop body) and appends its
   /// commitments. No-op on an empty buffer; drains the buffer unassigned
   /// once every task reached delta.
   Status FlushInternalBatch(std::vector<StreamCommit>* commits);
@@ -110,8 +125,7 @@ class McfStream : public OnlineScheduler {
   std::optional<model::Arrangement> arrangement_;
   double delta_ = 0.0;
 
-  // The persistent cross-batch solver state (exactly McfLtc::Run's, with
-  // stream lifetime instead of call lifetime).
+  // The persistent cross-batch solver state.
   std::unique_ptr<flow::IncrementalMcmf> incr_;
   std::vector<flow::NodeId> task_right_;  // task -> demand node (-1 = none)
   std::vector<char> task_closed_;         // deficit already zeroed
@@ -124,8 +138,11 @@ class McfStream : public OnlineScheduler {
   std::vector<model::TaskId> buf_cand_;
   bool first_batch_ = true;
   std::int64_t batches_solved_ = 0;
+  std::int64_t augmentations_ = 0;
 
-  // Per-flush scratch, recycled across batches (see McfLtc::Run).
+  // Per-flush scratch, recycled across batches (allocations only on the
+  // high-water mark). Worker p's eligible open pairs occupy
+  // [pair_begin_[p], pair_begin_[p + 1]).
   std::vector<flow::NodeId> batch_left_;
   std::vector<std::size_t> pair_begin_;
   std::vector<model::TaskId> pair_task_;

@@ -88,11 +88,7 @@ Status OnlineSchedulerBase::SerializeState(std::string* out) const {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
-  for (const model::Assignment& a : arrangement_->assignments()) {
-    out->append(StrFormat("a %lld %lld %.17g\n",
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task), a.acc_star));
-  }
+  SerializeAssignments(*arrangement_, out);
   SerializeExtras(out);
   return Status::OK();
 }
@@ -105,27 +101,10 @@ Status OnlineSchedulerBase::RestoreState(
     const std::string line = Trim(raw);
     if (line.empty()) continue;
     if (StartsWith(line, "a ")) {
-      const std::vector<std::string> f = Split(line, ' ');
-      std::int64_t w = 0;
-      std::int64_t t = 0;
-      double acc = 0.0;
-      if (f.size() != 4 || !ParseInt64(f[1], &w) || !ParseInt64(f[2], &t) ||
-          !ParseDouble(f[3], &acc)) {
-        return Status::InvalidArgument("snapshot: bad assignment line: " +
-                                       line);
-      }
-      if (w < 1 || w > static_cast<std::int64_t>(instance.workers.size())) {
-        return Status::OutOfRange("snapshot: worker index out of range: " +
-                                  line);
-      }
-      if (t < 0 || t >= arrangement_->num_tasks()) {
-        return Status::OutOfRange("snapshot: task id out of range: " + line);
-      }
-      const model::Worker& worker =
-          instance.workers[static_cast<std::size_t>(w) - 1];
-      arrangement_->Add(static_cast<model::WorkerIndex>(w),
-                        static_cast<model::TaskId>(t), acc);
-      OnAssigned(worker, static_cast<model::TaskId>(t));
+      LTC_ASSIGN_OR_RETURN(const model::Assignment a,
+                           RestoreAssignment(line, instance, &*arrangement_));
+      OnAssigned(instance.workers[static_cast<std::size_t>(a.worker) - 1],
+                 a.task);
     } else if (StartsWith(line, "x ")) {
       LTC_RETURN_IF_ERROR(RestoreExtra(line.substr(2)));
     } else {

@@ -289,6 +289,19 @@ class OnlineScheduler {
   const fcst::ArrivalForecast* arrival_forecast_ = nullptr;
 };
 
+/// Appends one snapshot "a <worker> <task> <acc_star>" line per
+/// arrangement Add, in commit order (the line vocabulary of
+/// OnlineScheduler's snapshot protocol).
+void SerializeAssignments(const model::Arrangement& arrangement,
+                          std::string* out);
+
+/// Parses one "a <worker> <task> <acc_star>" snapshot line, range-checks
+/// the worker against `instance` and the task against `arrangement`, and
+/// replays the Add. Returns the restored record.
+StatusOr<model::Assignment> RestoreAssignment(
+    const std::string& line, const model::ProblemInstance& instance,
+    model::Arrangement* arrangement);
+
 }  // namespace algo
 }  // namespace ltc
 

@@ -399,7 +399,7 @@ std::vector<SuiteDef> BuildRegistry() {
                   },
                   nullptr});
   defs.push_back({"ablation_mcf_variants", "",
-                  "MCF-LTC batch size / tie-break / early-exit variants",
+                  "MCF-LTC batch size / tie-break / cold-start variants",
                   nullptr, RunAblationMcfVariants});
   defs.push_back({"ablation_accuracy_fn", "",
                   "accuracy model: paper sigmoid vs step vs flat",

@@ -1,5 +1,6 @@
 #include "io/event_log.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/string_util.h"
@@ -211,10 +212,13 @@ StatusOr<EventLog> ParseEventLog(const std::string& text) {
       LTC_ASSIGN_OR_RETURN(log.accuracy, MakeAccuracy(fields[1], param));
     } else if (key == "events") {
       LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_events)) {
+      if (!ParseInt64(fields[1], &expected_events) || expected_events < 0) {
         return Status::InvalidArgument("bad event count");
       }
-      log.events.reserve(static_cast<std::size_t>(expected_events));
+      // The count is untrusted: each event takes a line, so reserve no
+      // more than the lines left.
+      log.events.reserve(std::min(static_cast<std::size_t>(expected_events),
+                                  lines.size() - i - 1));
     } else if (key == "t" || key == "w" || key == "m") {
       auto event = ParseEventRecord(line);
       if (!event.ok()) {

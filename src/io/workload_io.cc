@@ -1,5 +1,6 @@
 #include "io/workload_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -129,10 +130,12 @@ StatusOr<model::ProblemInstance> ParseInstance(const std::string& text) {
       LTC_ASSIGN_OR_RETURN(instance.accuracy, MakeAccuracy(fields[1], param));
     } else if (key == "tasks") {
       LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_tasks)) {
+      if (!ParseInt64(fields[1], &expected_tasks) || expected_tasks < 0) {
         return Status::InvalidArgument("bad task count");
       }
-      instance.tasks.reserve(static_cast<std::size_t>(expected_tasks));
+      // Untrusted: reserve no more than the lines left (one per task).
+      instance.tasks.reserve(std::min(static_cast<std::size_t>(expected_tasks),
+                                   lines.size() - i - 1));
     } else if (key == "t") {
       LTC_RETURN_IF_ERROR(need(4));
       model::Task t;
@@ -146,10 +149,12 @@ StatusOr<model::ProblemInstance> ParseInstance(const std::string& text) {
       instance.tasks.push_back(t);
     } else if (key == "workers") {
       LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_workers)) {
+      if (!ParseInt64(fields[1], &expected_workers) || expected_workers < 0) {
         return Status::InvalidArgument("bad worker count");
       }
-      instance.workers.reserve(static_cast<std::size_t>(expected_workers));
+      // Untrusted: reserve no more than the lines left (one per worker).
+      instance.workers.reserve(std::min(
+          static_cast<std::size_t>(expected_workers), lines.size() - i - 1));
     } else if (key == "w") {
       LTC_RETURN_IF_ERROR(need(6));
       model::Worker w;

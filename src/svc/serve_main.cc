@@ -54,9 +54,6 @@ Flag<double> FLAG_hotspot_stddev(
 Flag<std::string> FLAG_algo("algo", "LAF",
                             "online scheduler to serve with (LAF, AAM, "
                             "Random, MCF)");
-Flag<bool> FLAG_mcf_warm_start("mcf_warm_start", true,
-                               "--algo=MCF: reuse flow and potentials "
-                               "across batch solves (DESIGN.md section 10)");
 Flag<std::int64_t> FLAG_mcf_drift_check_every(
     "mcf_drift_check_every", 0,
     "--algo=MCF: re-solve from scratch every Nth warm solve and "
@@ -175,197 +172,6 @@ void PrintRecovery(const RecoverableService::RecoveryInfo& r) {
       static_cast<long long>(r.wal_truncated_bytes));
 }
 
-/// The header label of a non-Euclidean distance backend: the metric name
-/// with any parameter suffix stripped ("road(nodes=..,edges=..)" ->
-/// "road"). Empty — no header segment — on the Euclidean default.
-std::string MetricLabel(const model::AccuracyFunction& accuracy) {
-  const geo::Metric& metric = *accuracy.DistanceMetric();
-  if (metric.euclidean()) return "";
-  std::string name = metric.Name();
-  const auto paren = name.find('(');
-  if (paren != std::string::npos) name.resize(paren);
-  return name;
-}
-
-}  // namespace
-
-std::string RenderAssignmentLog(
-    const StreamOptions& options,
-    const std::vector<StreamAssignment>& assignments,
-    const StreamMetrics& metrics, const std::vector<WorkerMove>* moves,
-    const std::string& metric_label) {
-  std::string out = "# ltc-serve v1\n";
-  out += StrFormat(
-      "# algorithm %s deadline %.17g max_batch %lld seed %llu shards %d",
-      options.algorithm.c_str(), options.batch_deadline,
-      static_cast<long long>(options.max_batch),
-      static_cast<unsigned long long>(options.seed), options.shards);
-  // Non-default segments only — the default header bytes are unchanged.
-  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    out += StrFormat(" policy adaptive horizon %.17g",
-                     options.forecast_horizon);
-  }
-  if (!metric_label.empty()) {
-    out += StrFormat(" metric %s", metric_label.c_str());
-  }
-  if (options.route_workers) out += " routes 1";
-  out += '\n';
-  for (const StreamAssignment& a : assignments) {
-    out += StrFormat("a %.9g %d %d\n", a.time, a.worker, a.task);
-  }
-  if (options.route_workers && moves != nullptr) {
-    for (const WorkerMove& m : *moves) {
-      out += StrFormat("m %.9g %d %.9g %.9g %d\n", m.time, m.worker,
-                       m.location.x, m.location.y, m.task);
-    }
-  }
-  out += StrFormat(
-      "# events %lld batches %lld assignments %lld completed %lld/%lld\n",
-      static_cast<long long>(metrics.events),
-      static_cast<long long>(metrics.batches),
-      static_cast<long long>(metrics.assignments),
-      static_cast<long long>(metrics.tasks_completed),
-      static_cast<long long>(metrics.task_events));
-  return out;
-}
-
-StatusOr<ServeReport> RunService(const io::EventLog& log,
-                                 const StreamOptions& options) {
-  ServeReport report;
-  std::vector<StreamAssignment> assignments;
-  std::vector<WorkerMove> moves;
-  LTC_ASSIGN_OR_RETURN(ReplayResult replay,
-                       ReplayEventLog(log, options, &assignments, &moves));
-  report.metrics = replay.stream;
-  report.run = replay.run;
-  report.assignment_log = RenderAssignmentLog(
-      options, assignments, report.metrics, &moves,
-      log.accuracy != nullptr ? MetricLabel(*log.accuracy) : "");
-  return report;
-}
-
-StatusOr<ServeReport> RunDurableService(const io::EventLog& log,
-                                        const StreamOptions& options,
-                                        const DurableConfig& durable) {
-  LTC_RETURN_IF_ERROR(log.Validate());
-  if (durable.state_dir.empty()) {
-    return Status::InvalidArgument("durable replay requires a state_dir");
-  }
-  RecoverableService::Options sopts;
-  sopts.state_dir = durable.state_dir;
-  sopts.stream = options;
-  sopts.wal = durable.wal;
-  sopts.snapshot_every = durable.snapshot_every;
-  sopts.snapshot_retain = durable.snapshot_retain;
-  sopts.metric = durable.metric;
-
-  Stopwatch watch;
-  LTC_ASSIGN_OR_RETURN(auto service, RecoverableService::Open(log, sopts));
-  if (service->events_applied() > log.num_events()) {
-    return Status::FailedPrecondition(StrFormat(
-        "state dir '%s' already holds %lld event(s) but the log replays "
-        "only %lld — is this the right state dir for this stream?",
-        durable.state_dir.c_str(),
-        static_cast<long long>(service->events_applied()),
-        static_cast<long long>(log.num_events())));
-  }
-  // Recovery-aware feed: the recovered prefix is already applied; ingest
-  // only the suffix the service has not seen.
-  for (std::int64_t i = service->events_applied(); i < log.num_events();
-       ++i) {
-    LTC_RETURN_IF_ERROR(
-        service->Ingest(log.events[static_cast<std::size_t>(i)])
-            .WithContext(StrFormat("event %lld", static_cast<long long>(i))));
-  }
-
-  ServeReport report;
-  report.durable = true;
-  report.recovery = service->recovery();
-  LTC_ASSIGN_OR_RETURN(report.metrics, service->Finish());
-  report.run = service->engine().RunMetricsView(watch.ElapsedSeconds());
-  report.assignment_log = RenderAssignmentLog(
-      options, service->assignments(), report.metrics,
-      &service->engine().worker_moves(),
-      service->header().accuracy != nullptr
-          ? MetricLabel(*service->header().accuracy)
-          : "");
-  return report;
-}
-
-std::string ServeMetricsJson(const ServeReport& report,
-                             const std::string& extra_members) {
-  const StreamMetrics& m = report.metrics;
-  auto latency_json = [](const sim::LatencySummary& s) {
-    return StrFormat(
-        "{\"count\": %lld, \"mean\": %.6f, \"p50\": %.6f, \"p95\": %.6f, "
-        "\"p99\": %.6f, \"max\": %.6f}",
-        static_cast<long long>(s.count), s.mean, s.p50, s.p95, s.p99, s.max);
-  };
-  const double events_per_sec =
-      report.run.runtime_seconds > 0.0
-          ? static_cast<double>(m.events) / report.run.runtime_seconds
-          : 0.0;
-  std::string json = "{\n";
-  json += extra_members;
-  json += StrFormat("  \"algorithm\": \"%s\",\n",
-                    JsonEscape(report.run.algorithm).c_str());
-  json += StrFormat("  \"events\": %lld,\n", static_cast<long long>(m.events));
-  json += StrFormat("  \"events_per_sec\": %.1f,\n", events_per_sec);
-  json += StrFormat("  \"runtime_seconds\": %.6f,\n",
-                    report.run.runtime_seconds);
-  if (report.durable) {
-    const RecoverableService::RecoveryInfo& r = report.recovery;
-    json += StrFormat("  \"recovered\": %s,\n",
-                      r.recovered ? "true" : "false");
-    json += StrFormat("  \"recovery_wal_records\": %lld,\n",
-                      static_cast<long long>(r.wal_records));
-    json += StrFormat("  \"recovery_snapshot_events\": %lld,\n",
-                      static_cast<long long>(r.snapshot_events));
-    json += StrFormat("  \"recovery_replayed\": %lld,\n",
-                      static_cast<long long>(r.replayed));
-    json += StrFormat("  \"recovery_snapshots_discarded\": %d,\n",
-                      r.snapshots_discarded);
-    json += StrFormat("  \"recovery_wal_truncated_bytes\": %lld,\n",
-                      static_cast<long long>(r.wal_truncated_bytes));
-  }
-  json += StrFormat("  \"shards\": %lld,\n", static_cast<long long>(m.shards));
-  json += StrFormat("  \"boundary_workers\": %lld,\n",
-                    static_cast<long long>(m.boundary_workers));
-  json += StrFormat("  \"handoff_skips\": %lld,\n",
-                    static_cast<long long>(m.handoff_skips));
-  json += StrFormat("  \"batches\": %lld,\n",
-                    static_cast<long long>(m.batches));
-  json += StrFormat("  \"max_batch_size\": %lld,\n",
-                    static_cast<long long>(m.max_batch_size));
-  json += StrFormat("  \"quiet_flushes\": %lld,\n",
-                    static_cast<long long>(m.quiet_flushes));
-  json += StrFormat("  \"deadline_extensions\": %lld,\n",
-                    static_cast<long long>(m.deadline_extensions));
-  json += StrFormat("  \"assignments\": %lld,\n",
-                    static_cast<long long>(m.assignments));
-  json += StrFormat("  \"tasks_completed\": %lld,\n",
-                    static_cast<long long>(m.tasks_completed));
-  json += StrFormat("  \"open_tasks\": %lld,\n",
-                    static_cast<long long>(m.open_tasks));
-  json += StrFormat("  \"worker_moves\": %lld,\n",
-                    static_cast<long long>(m.worker_moves));
-  json += StrFormat("  \"routed_workers\": %lld,\n",
-                    static_cast<long long>(m.routed_workers));
-  json += StrFormat("  \"route_travel_time\": %.6f,\n",
-                    m.route_travel_time);
-  json += StrFormat("  \"max_worker_index\": %lld,\n",
-                    static_cast<long long>(report.run.latency));
-  json += StrFormat("  \"validated\": %s,\n", m.validated ? "true" : "false");
-  json += "  \"assignment_latency\": " + latency_json(m.assignment_latency) +
-          ",\n";
-  json += "  \"completion_latency\": " + latency_json(m.completion_latency) +
-          "\n";
-  json += "}\n";
-  return json;
-}
-
-namespace {
-
 /// Writes --out / --metrics_json and prints the human summary. Returns the
 /// process exit code (0 or 2).
 int EmitReport(const ServeReport& report, const StreamOptions& options,
@@ -476,9 +282,7 @@ int RunSocketServer(const StreamOptions& options,
   report.assignment_log = RenderAssignmentLog(
       options, service.value()->assignments(), report.metrics,
       &service.value()->engine().worker_moves(),
-      service.value()->header().accuracy != nullptr
-          ? MetricLabel(*service.value()->header().accuracy)
-          : "");
+      MetricLabel(service.value()->header()));
 
   const SocketServeResult& ing = served.value();
   std::string extra;
@@ -573,34 +377,23 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
 
   StreamOptions options;
   options.algorithm = FLAG_algo.Get();
-  if (FLAG_deadline.Get() == "adaptive") {
-    options.deadline_policy = DeadlinePolicy::kAdaptive;
-    options.batch_deadline = FLAG_deadline_cap.Get();
+  bool road = false;
+  const Status flag_values =
+      ParseMetricAndDeadline(FLAG_metric.Get(), FLAG_deadline.Get(),
+                             FLAG_deadline_cap.Get(), &road, &options);
+  if (!flag_values.ok()) return FailConfig(flag_values);
+  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
     options.forecast_horizon = FLAG_forecast_horizon.Get();
-    if (!(options.batch_deadline > 0.0)) {
-      return FailConfig(Status::InvalidArgument(
-          "--deadline=adaptive requires a positive --deadline_cap"));
-    }
     if (!(options.forecast_horizon > 0.0)) {
       return FailConfig(Status::InvalidArgument(
           "--deadline=adaptive requires a positive --forecast_horizon"));
     }
-  } else {
-    double deadline = 0.0;
-    if (!ParseDouble(FLAG_deadline.Get(), &deadline)) {
-      return FailConfig(Status::InvalidArgument(StrFormat(
-          "--deadline must be a number of stream time units or 'adaptive' "
-          "(got '%s')",
-          FLAG_deadline.Get().c_str())));
-    }
-    options.batch_deadline = deadline;
   }
   options.max_batch = FLAG_max_batch.Get();
   options.seed = static_cast<std::uint64_t>(FLAG_seed.Get());
   options.threads = static_cast<int>(FLAG_threads.Get());
   options.shards = static_cast<int>(FLAG_shards.Get());
   options.validate = FLAG_validate.Get();
-  options.mcf_warm_start = FLAG_mcf_warm_start.Get();
   options.mcf_drift_check_every =
       static_cast<int>(FLAG_mcf_drift_check_every.Get());
   options.route_workers = FLAG_route_workers.Get();
@@ -609,7 +402,7 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
   // whichever header the chosen mode resolves; durable modes also carry it
   // through RecoverableService::Options so recovery rebinds too.
   std::shared_ptr<const geo::Metric> metric;
-  if (FLAG_metric.Get() == "road") {
+  if (road) {
     if (FLAG_road_graph.Get().empty()) {
       return FailConfig(Status::InvalidArgument(
           "--metric=road requires --road_graph=FILE ('ltc-road v1')"));
@@ -620,10 +413,6 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
     }
     metric = std::make_shared<geo::RoadMetric>(
         std::make_shared<geo::RoadGraph>(std::move(graph).value()));
-  } else if (FLAG_metric.Get() != "euclid") {
-    return FailConfig(Status::InvalidArgument(StrFormat(
-        "unknown --metric '%s' (expected euclid or road)",
-        FLAG_metric.Get().c_str())));
   }
   if (durable) {
     // Durable runs fix their grid geometry up front (svc/recoverable.h).

@@ -1,5 +1,7 @@
-// The shared main() behind the ltc_serve binary, plus the testable service
-// drivers underneath it.
+// The shared main() behind the ltc_serve binary (serve_main.cc, which owns
+// every ltc_serve flag), plus the testable service drivers underneath it
+// (serve_drivers.cc, flag-free, so other binaries link them without
+// inheriting ltc_serve's flags).
 //
 // Three modes (DESIGN.md §8, §11):
 //   * Replay: --events/--synthetic → RunService. The assignment-log text is
@@ -54,6 +56,24 @@ struct ServeReport {
   bool durable = false;
   RecoverableService::RecoveryInfo recovery;
 };
+
+/// Parses the `--metric` / `--deadline` flag values that ltc_serve and
+/// bench_stream_throughput share. `metric` must be "euclid" or "road"
+/// (*road reports which). `deadline` is a number of stream time units
+/// (DeadlinePolicy::kFixed) or "adaptive" (DeadlinePolicy::kAdaptive, with
+/// `deadline_cap` — which must be positive — as options->batch_deadline).
+/// Sets options->deadline_policy and options->batch_deadline; errors are
+/// InvalidArgument (both binaries exit 1 on them).
+Status ParseMetricAndDeadline(const std::string& metric,
+                              const std::string& deadline,
+                              double deadline_cap, bool* road,
+                              StreamOptions* options);
+
+/// The assignment-log header label of `header`'s distance backend: the
+/// metric name with any parameter suffix stripped ("road(nodes=..,edges=..)"
+/// -> "road"). Empty — no header segment — on the Euclidean default or
+/// without an accuracy model.
+std::string MetricLabel(const io::EventLog& header);
 
 /// Renders the "ltc-serve v1" assignment-log text (shared by every mode, so
 /// the byte-identity contracts compare like with like). With the default

@@ -28,27 +28,6 @@ bool DueOrder(const double a_time, const int a_shard, const double b_time,
   return a_shard < b_shard;
 }
 
-/// Per-shard pipeline configuration (shared by Create and Restore — the
-/// restart determinism contract needs identically configured pipelines).
-StreamPipeline::Config ShardConfig(const StreamOptions& options, int shard,
-                                   std::optional<double> cell) {
-  StreamPipeline::Config config;
-  config.algorithm = options.algorithm;
-  config.batch_deadline = options.batch_deadline;
-  config.deadline_policy = options.deadline_policy;
-  config.forecast_horizon = options.forecast_horizon;
-  config.max_batch = options.max_batch;
-  config.seed = options.seed;
-  config.shard_id = shard;
-  config.num_shards = options.shards;
-  config.mcf_warm_start = options.mcf_warm_start;
-  config.mcf_drift_check_every = options.mcf_drift_check_every;
-  config.route_workers = options.route_workers;
-  config.world = options.world;
-  config.cell_size = cell;
-  return config;
-}
-
 }  // namespace
 
 Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
@@ -99,7 +78,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Create(
   for (int s = 0; s < options.shards; ++s) {
     LTC_ASSIGN_OR_RETURN(
         auto pipeline,
-        StreamPipeline::Create(header, ShardConfig(options, s, cell)));
+        StreamPipeline::Create(header,
+                               StreamPipeline::Config{options, s, cell}));
     engine->pipelines_.push_back(std::move(pipeline));
   }
   return engine;
@@ -207,12 +187,10 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
       snap::FieldI64(f, 5, &engine->metrics_.boundary_workers));
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &engine->metrics_.handoff_skips));
 
-  LTC_RETURN_IF_ERROR(reader.Read("tasks", 2, &f));
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nt));
-  if (nt < 0) return Status::InvalidArgument("snapshot: negative task count");
-  engine->task_route_.reserve(static_cast<std::size_t>(nt));
-  engine->task_open_.reserve(static_cast<std::size_t>(nt));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("tasks", &nt));
+  engine->task_route_.reserve(reader.ReserveHint(nt));
+  engine->task_open_.reserve(reader.ReserveHint(nt));
   for (std::int64_t t = 0; t < nt; ++t) {
     LTC_RETURN_IF_ERROR(reader.Read("r", 4, &f));
     std::int64_t shard = 0;
@@ -229,9 +207,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     engine->task_open_.push_back(open != 0 ? 1 : 0);
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("displaced", 2, &f));
   std::int64_t nd = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nd));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("displaced", &nd));
   for (std::int64_t i = 0; i < nd; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("d", 5, &f));
     std::int64_t task = 0;
@@ -248,9 +225,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     engine->displaced_[static_cast<model::TaskId>(task)] = d;
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("claims", 2, &f));
   std::int64_t nc = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nc));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("claims", &nc));
   for (std::int64_t i = 0; i < nc; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("c", 4, &f));
     std::int64_t worker = 0;
@@ -271,10 +247,9 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
         Claim{static_cast<int>(shard), static_cast<int>(remaining)});
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("log", 2, &f));
   std::int64_t na = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &na));
-  engine->assignments_.reserve(static_cast<std::size_t>(na));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("log", &na));
+  engine->assignments_.reserve(reader.ReserveHint(na));
   for (std::int64_t i = 0; i < na; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("A", 4, &f));
     StreamAssignment a;
@@ -293,10 +268,9 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
       static_cast<std::int64_t>(engine->assignments_.size());
 
   if (options.route_workers) {
-    LTC_RETURN_IF_ERROR(reader.Read("moves", 2, &f));
     std::int64_t nm = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nm));
-    engine->moves_.reserve(static_cast<std::size_t>(nm));
+    LTC_RETURN_IF_ERROR(reader.ReadCount("moves", &nm));
+    engine->moves_.reserve(reader.ReserveHint(nm));
     for (std::int64_t i = 0; i < nm; ++i) {
       LTC_RETURN_IF_ERROR(reader.Read("M", 6, &f));
       WorkerMove m;
@@ -323,8 +297,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     }
     LTC_ASSIGN_OR_RETURN(
         auto pipeline,
-        StreamPipeline::Restore(header, ShardConfig(options, s, cell),
-                                &reader));
+        StreamPipeline::Restore(
+            header, StreamPipeline::Config{options, s, cell}, &reader));
     engine->pipelines_.push_back(std::move(pipeline));
   }
   if (!reader.AtEnd()) {

@@ -43,6 +43,21 @@ Status Reader::Read(const char* key, std::size_t min_fields,
       StrFormat("snapshot: unexpected end of input (wanted '%s')", key));
 }
 
+Status Reader::ReadCount(const char* key, std::int64_t* count) {
+  std::vector<std::string> fields;
+  LTC_RETURN_IF_ERROR(Read(key, 2, &fields));
+  LTC_RETURN_IF_ERROR(FieldI64(fields, 1, count));
+  if (*count < 0) {
+    return Status::InvalidArgument(
+        StrFormat("snapshot: negative '%s' count", key));
+  }
+  return Status::OK();
+}
+
+std::size_t Reader::ReserveHint(std::int64_t count) const {
+  return std::min(static_cast<std::size_t>(count), lines_.size() - pos_);
+}
+
 Status Reader::ReadRaw(std::string* line) {
   if (pos_ >= lines_.size()) {
     return Status::InvalidArgument("snapshot: unexpected end of input");

@@ -44,6 +44,15 @@ class Reader {
   Status Read(const char* key, std::size_t min_fields,
               std::vector<std::string>* fields);
 
+  /// Consumes a "key <count>" record; errors unless the count is a
+  /// non-negative integer.
+  Status ReadCount(const char* key, std::int64_t* count);
+
+  /// What to reserve for `count` items that each take at least one line:
+  /// at most the lines left, so a forged count cannot force a huge
+  /// allocation.
+  std::size_t ReserveHint(std::int64_t count) const;
+
   /// Consumes the next line verbatim (embedded sub-blobs, e.g. scheduler
   /// state). Errors at end of input.
   Status ReadRaw(std::string* line);

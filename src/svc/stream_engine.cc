@@ -31,42 +31,42 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 
 namespace {
 
-/// Validates a pipeline Config and builds its scheduler (shared by Create
-/// and Restore, which must construct identically configured schedulers for
-/// the restart determinism contract to hold).
+/// Validates the pipeline's options and builds its scheduler (shared by
+/// Create and Restore, which must construct identically configured
+/// schedulers for the restart determinism contract to hold).
 StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
-    const StreamPipeline::Config& config) {
-  if (!(config.batch_deadline >= 0.0)) {
+    const StreamOptions& options) {
+  if (!(options.batch_deadline >= 0.0)) {
     return Status::InvalidArgument("batch_deadline must be >= 0");
   }
-  if (config.deadline_policy == DeadlinePolicy::kAdaptive) {
-    if (!(config.batch_deadline > 0.0)) {
+  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
+    if (!(options.batch_deadline > 0.0)) {
       return Status::InvalidArgument(
           "adaptive deadline policy needs a positive cap (batch_deadline)");
     }
-    if (!(config.forecast_horizon > 0.0)) {
+    if (!(options.forecast_horizon > 0.0)) {
       return Status::InvalidArgument("forecast_horizon must be > 0");
     }
   }
-  if (config.max_batch < 0) {
+  if (options.max_batch < 0) {
     return Status::InvalidArgument("max_batch must be >= 0");
   }
-  LTC_ASSIGN_OR_RETURN(bool online, algo::IsOnlineAlgorithm(config.algorithm));
+  LTC_ASSIGN_OR_RETURN(bool online,
+                       algo::IsOnlineAlgorithm(options.algorithm));
   if (!online) {
     return Status::InvalidArgument(
-        "streaming admission drives online schedulers; '" + config.algorithm +
-        "' is offline");
+        "streaming admission drives online schedulers; '" +
+        options.algorithm + "' is offline");
   }
-  if (config.algorithm == "MCF") {
+  if (options.algorithm == "MCF") {
     // The registry's default-constructed MCF cannot carry the service's
-    // warm-start knobs, so the pipeline builds its own.
+    // drift-check knob, so the pipeline builds its own.
     algo::McfLtcOptions mcf_options;
-    mcf_options.warm_start = config.mcf_warm_start;
-    mcf_options.drift_check_every = config.mcf_drift_check_every;
+    mcf_options.drift_check_every = options.mcf_drift_check_every;
     return std::unique_ptr<algo::OnlineScheduler>(
         std::make_unique<algo::McfStream>(mcf_options));
   }
-  return algo::MakeOnlineScheduler(config.algorithm, config.seed);
+  return algo::MakeOnlineScheduler(options.algorithm, options.seed);
 }
 
 }  // namespace
@@ -82,16 +82,17 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
   pipeline->instance_.acc_min = header.acc_min;
   pipeline->instance_.accuracy = header.accuracy;
 
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_, MakePipelineScheduler(config));
+  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
+                       MakePipelineScheduler(config.options));
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->InitStreamingSharded(
       pipeline->instance_,
       algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.num_shards}));
+                                                config.options.shards}));
 
   if (config.cell_size.has_value()) {
     LTC_ASSIGN_OR_RETURN(
-        auto grid, geo::GridIndex::BuildDynamic(config.world,
-                                                *config.cell_size));
+        auto grid,
+        geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
     pipeline->grid_.emplace(std::move(grid));
   }
   LTC_RETURN_IF_ERROR(pipeline->InitForecast());
@@ -99,16 +100,16 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
 }
 
 Status StreamPipeline::InitForecast() {
-  if (config_.deadline_policy != DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy != DeadlinePolicy::kAdaptive) {
     return Status::OK();
   }
   fcst::CellRateEstimator::Config fc;
   // Same cell decomposition as the incremental task index; models without
   // spatial structure fall back to one global rate cell.
   if (config_.cell_size.has_value()) {
-    fc.grid = geo::CellGrid(config_.world, *config_.cell_size);
+    fc.grid = geo::CellGrid(config_.options.world, *config_.cell_size);
   }
-  fc.horizon = config_.forecast_horizon;
+  fc.horizon = config_.options.forecast_horizon;
   LTC_ASSIGN_OR_RETURN(auto estimator, fcst::CellRateEstimator::Create(fc));
   forecast_.emplace(std::move(estimator));
   scheduler_->InstallForecast(&*forecast_);
@@ -168,7 +169,7 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   out->append(sched);
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
-  if (config_.route_workers) {
+  if (config_.options.route_workers) {
     out->append(StrFormat("proutes %lld\n",
                           static_cast<long long>(routes_.size())));
     for (const auto& [w, route] : routes_) {
@@ -189,7 +190,7 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   // the open batch's flush instant are schedule inputs: a restored service
   // must predict — and therefore flush — exactly as the uninterrupted one
   // would (DESIGN.md §13).
-  if (config_.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     std::string blob;
     LTC_RETURN_IF_ERROR(forecast_->SerializeTo(&blob));
     const auto blob_lines =
@@ -218,11 +219,9 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   std::vector<std::string> f;
 
   // Tasks: local ids are the serialization order.
-  LTC_RETURN_IF_ERROR(reader->Read("ptasks", 2, &f));
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nt));
-  if (nt < 0) return Status::InvalidArgument("snapshot: negative task count");
-  pipeline->instance_.tasks.reserve(static_cast<std::size_t>(nt));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("ptasks", &nt));
+  pipeline->instance_.tasks.reserve(reader->ReserveHint(nt));
   for (std::int64_t t = 0; t < nt; ++t) {
     LTC_RETURN_IF_ERROR(reader->Read("pt", 5, &f));
     std::int64_t global = 0;
@@ -239,13 +238,9 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   }
 
   // Workers: local arrival indices are the serialization order + 1.
-  LTC_RETURN_IF_ERROR(reader->Read("pworkers", 2, &f));
   std::int64_t nw = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nw));
-  if (nw < 0) {
-    return Status::InvalidArgument("snapshot: negative worker count");
-  }
-  pipeline->instance_.workers.reserve(static_cast<std::size_t>(nw));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("pworkers", &nw));
+  pipeline->instance_.workers.reserve(reader->ReserveHint(nw));
   for (std::int64_t i = 0; i < nw; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("pw", 5, &f));
     std::int64_t global = 0;
@@ -283,17 +278,15 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &pipeline->tasks_completed_));
 
   // Latency samples (metrics parity across restarts, not schedule inputs).
-  LTC_RETURN_IF_ERROR(reader->Read("plat_a", 2, &f));
   std::int64_t n_samples = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_samples));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_a", &n_samples));
   for (std::int64_t i = 0; i < n_samples; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
     double v = 0.0;
     LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
     pipeline->assignment_latency_samples_.push_back(v);
   }
-  LTC_RETURN_IF_ERROR(reader->Read("plat_c", 2, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_samples));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_c", &n_samples));
   for (std::int64_t i = 0; i < n_samples; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
     double v = 0.0;
@@ -302,9 +295,8 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   }
 
   // Scheduler blob: restore against the fully re-grown instance.
-  LTC_RETURN_IF_ERROR(reader->Read("sched", 2, &f));
   std::int64_t sched_lines = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &sched_lines));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("sched", &sched_lines));
   std::string blob;
   for (std::int64_t i = 0; i < sched_lines; ++i) {
     std::string line;
@@ -312,19 +304,19 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
     blob += line;
     blob += '\n';
   }
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_, MakePipelineScheduler(config));
+  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
+                       MakePipelineScheduler(config.options));
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->RestoreState(
       pipeline->instance_,
       algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.num_shards},
+                                                config.options.shards},
       blob));
 
-  if (config.route_workers) {
+  if (config.options.route_workers) {
     const geo::Metric& metric =
         *pipeline->instance_.accuracy->DistanceMetric();
-    LTC_RETURN_IF_ERROR(reader->Read("proutes", 2, &f));
     std::int64_t n_routes = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_routes));
+    LTC_RETURN_IF_ERROR(reader->ReadCount("proutes", &n_routes));
     for (std::int64_t r = 0; r < n_routes; ++r) {
       LTC_RETURN_IF_ERROR(reader->Read("pr", 7, &f));
       std::int64_t w = 0;
@@ -343,7 +335,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
         return Status::OutOfRange("snapshot: route record out of range");
       }
       std::vector<std::pair<model::TaskId, geo::Point>> stops;
-      stops.reserve(static_cast<std::size_t>(n_stops));
+      stops.reserve(reader->ReserveHint(n_stops));
       for (std::int64_t s = 0; s < n_stops; ++s) {
         LTC_RETURN_IF_ERROR(reader->Read("ps", 4, &f));
         std::int64_t task = 0;
@@ -361,7 +353,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
                                         static_cast<std::size_t>(visited)));
     }
   }
-  if (config.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     LTC_RETURN_IF_ERROR(pipeline->InitForecast());
     LTC_RETURN_IF_ERROR(reader->Read("pfcst", 2, &f));
     std::int64_t blob_lines = 0;
@@ -395,7 +387,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   if (config.cell_size.has_value()) {
     LTC_ASSIGN_OR_RETURN(
         auto grid,
-        geo::GridIndex::BuildDynamic(config.world, *config.cell_size));
+        geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
     pipeline->grid_.emplace(std::move(grid));
   }
   pipeline->open_.assign(static_cast<std::size_t>(nt), 0);
@@ -460,10 +452,10 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
   if (opened) batch_open_time_ = time;
   batch_.push_back(worker.index);
   const bool hit_max =
-      config_.max_batch > 0 &&
-      static_cast<std::int64_t>(batch_.size()) >= config_.max_batch;
+      config_.options.max_batch > 0 &&
+      static_cast<std::int64_t>(batch_.size()) >= config_.options.max_batch;
 
-  if (config_.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     // Record the arrival first: the prediction for the cell's *next*
     // arrival conditions on everything seen so far, this worker included.
     forecast_->OnWorkerArrival(location, time);
@@ -471,7 +463,7 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
       *flush_now = true;
       return Status::OK();
     }
-    const double cap_end = batch_open_time_ + config_.batch_deadline;
+    const double cap_end = batch_open_time_ + config_.options.batch_deadline;
     const double rate = forecast_->WorkerRate(location, time);
     // Expected wait to the next worker arrival in this cell (1/rate); a
     // prediction at or past the cap means holding buys nothing — flush at
@@ -493,7 +485,7 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
     return Status::OK();
   }
 
-  *flush_now = hit_max || config_.batch_deadline == 0.0;
+  *flush_now = hit_max || config_.options.batch_deadline == 0.0;
   return Status::OK();
 }
 
@@ -549,7 +541,7 @@ Status StreamPipeline::CommitBatch(double flush_time) {
   max_batch_size_ = std::max(max_batch_size_, static_cast<std::int64_t>(n));
   // Route progress up to this flush instant is emitted before this round's
   // commitments extend any route.
-  if (config_.route_workers) AdvanceRoutes(flush_time);
+  if (config_.options.route_workers) AdvanceRoutes(flush_time);
 
   if (scheduler_->SchedulesWholeBatch()) {
     // Batch protocol: the whole flushed batch in arrival order, one call.
@@ -583,7 +575,9 @@ Status StreamPipeline::CommitBatch(double flush_time) {
           task_global_[static_cast<std::size_t>(t)]});
       assignment_latency_samples_.push_back(
           flush_time - task_arrival_time_[static_cast<std::size_t>(t)]);
-      if (config_.route_workers) RouteAssignment(w.index, t, flush_time);
+      if (config_.options.route_workers) {
+        RouteAssignment(w.index, t, flush_time);
+      }
     }
     CloseCompleted(assigned_scratch_, flush_time);
   }
@@ -594,7 +588,7 @@ Status StreamPipeline::CommitBatch(double flush_time) {
 Status StreamPipeline::CommitStreamEnd(double end_time) {
   // Stream end also closes the move log: whatever route progress lands at
   // or before the end instant is emitted (stops beyond it stay in flight).
-  if (config_.route_workers) AdvanceRoutes(end_time);
+  if (config_.options.route_workers) AdvanceRoutes(end_time);
   if (!scheduler_->SchedulesWholeBatch()) return Status::OK();
   commits_scratch_.clear();
   LTC_RETURN_IF_ERROR(scheduler_->OnStreamEnd(&commits_scratch_));
@@ -603,7 +597,7 @@ Status StreamPipeline::CommitStreamEnd(double end_time) {
   RecordCommits(commits_scratch_, end_time);
   // Commitments made at the end instant can complete zero-length legs
   // (stop at the worker's own location) exactly at end_time.
-  if (config_.route_workers) AdvanceRoutes(end_time);
+  if (config_.options.route_workers) AdvanceRoutes(end_time);
   return Status::OK();
 }
 
@@ -618,7 +612,7 @@ void StreamPipeline::RecordCommits(
     assignment_latency_samples_.push_back(
         time - task_arrival_time_[static_cast<std::size_t>(commit.task)]);
     assigned_scratch_.push_back(commit.task);
-    if (config_.route_workers) {
+    if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }
   }

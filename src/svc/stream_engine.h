@@ -106,10 +106,6 @@ struct StreamOptions {
   /// validation recomputes Acc* from final locations, which legitimately
   /// disagrees with values committed before a move.
   bool validate = true;
-  /// "MCF" only: carry flow and node potentials across the scheduler's
-  /// internal Theorem-2 batches (false forces a from-scratch solve per
-  /// batch — the ablation baseline; the assignment log is identical).
-  bool mcf_warm_start = true;
   /// "MCF" only: cross-check every Nth warm batch solve against an
   /// independent from-scratch solve, CHECK-failing on divergence (see
   /// flow::IncrementalMcmfOptions::drift_check_every). 0 disables.
@@ -217,28 +213,16 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 class StreamPipeline {
  public:
   struct Config {
-    std::string algorithm = "LAF";
-    double batch_deadline = 0.0;
-    /// Deadline policy + forecast horizon (see StreamOptions). Under
-    /// kAdaptive the pipeline maintains a fcst::CellRateEstimator over the
-    /// grid geometry below and owns its batch's flush instant.
-    DeadlinePolicy deadline_policy = DeadlinePolicy::kFixed;
-    double forecast_horizon = 8.0;
-    std::int64_t max_batch = 0;
-    std::uint64_t seed = 42;
-    /// Shard identity forwarded to the scheduler ({0, 1} when unsharded).
+    /// The service options; the pipeline reads the scheduler, batching,
+    /// forecast, MCF, route and world settings. options.shards is the
+    /// shard count forwarded to the scheduler.
+    StreamOptions options;
+    /// Shard identity forwarded to the scheduler (0 when unsharded).
     int shard_id = 0;
-    int num_shards = 1;
-    /// Grid geometry for the incremental index (the full world rectangle —
-    /// shards own a stripe of *tasks*, not a cropped grid).
-    geo::Rect world{0.0, 0.0, 1000.0, 1000.0};
-    /// Cell size for the incremental grid; nullopt = scan fallback.
+    /// Cell size for the incremental grid over options.world (the full
+    /// world rectangle — shards own a stripe of *tasks*, not a cropped
+    /// grid); nullopt = scan fallback.
     std::optional<double> cell_size;
-    /// "MCF" warm-start knobs (see StreamOptions).
-    bool mcf_warm_start = true;
-    int mcf_drift_check_every = 0;
-    /// Route-aware workers (see StreamOptions::route_workers).
-    bool route_workers = false;
   };
 
   /// Creates a pipeline for a stream with `header`'s instance parameters.
@@ -274,7 +258,7 @@ class StreamPipeline {
   Status MoveTask(model::TaskId local_id, const geo::Point& location);
   /// Appends the worker (global arrival index `global_index`) and buffers
   /// it into the open batch. *flush_now reports that the batch must flush
-  /// at this arrival's instant: it reached config.max_batch, the fixed
+  /// at this arrival's instant: it reached options.max_batch, the fixed
   /// deadline is 0 (per-arrival admission), or — adaptive policy — the
   /// forecast predicts no useful arrival within the cap (quiet cell).
   Status BufferWorker(model::WorkerIndex global_index,
@@ -289,9 +273,9 @@ class StreamPipeline {
   /// deadline, or — adaptive policy — the forecast-positioned instant
   /// (open time + cap at most). Meaningful only while has_open_batch().
   double batch_flush_time() const {
-    return config_.deadline_policy == DeadlinePolicy::kAdaptive
+    return config_.options.deadline_policy == DeadlinePolicy::kAdaptive
                ? batch_flush_time_
-               : batch_open_time_ + config_.batch_deadline;
+               : batch_open_time_ + config_.options.batch_deadline;
   }
   std::size_t batch_size() const { return batch_.size(); }
   model::WorkerIndex batch_global_worker(std::size_t i) const {

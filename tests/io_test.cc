@@ -99,6 +99,17 @@ TEST(WorkloadIoTest, ParseRejectsCorruptInputs) {
   EXPECT_FALSE(ParseInstance(miscount).ok());
   // Unknown record type.
   EXPECT_FALSE(ParseInstance(std::string("# ltc-workload v1\nz 1\n")).ok());
+  // Declared counts are untrusted: a negative one is a parse error, and a
+  // huge one reserves no more than the input holds (both used to abort in
+  // std::vector::reserve).
+  for (const char* count : {"tasks -1", "workers -1",
+                            "tasks 4611686018427387904",
+                            "workers 4611686018427387904"}) {
+    const auto parsed =
+        ParseInstance(std::string("# ltc-workload v1\n") + count + "\n");
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << count << ": " << parsed.status().ToString();
+  }
 }
 
 TEST(WorkloadIoTest, MatrixAccuracyNotSerialisable) {
@@ -187,6 +198,16 @@ TEST(EventLogIoTest, CrlfTerminatedLogParsesTolerantly) {
   const auto round = SerializeEventLog(parsed.value());
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value(), text);
+}
+
+// The declared event count is untrusted, as in ParseInstance.
+TEST(EventLogIoTest, BadEventCountsAreParseErrors) {
+  for (const char* count : {"events -1", "events 4611686018427387904"}) {
+    const auto parsed =
+        ParseEventLog(std::string("# ltc-events v1\n") + count + "\n");
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << count << ": " << parsed.status().ToString();
+  }
 }
 
 // --------------------------------------------------------------------------

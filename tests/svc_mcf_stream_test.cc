@@ -1,14 +1,15 @@
-// Tests of `ltc_serve --algo=MCF`: the streaming MCF-LTC scheduler
-// behind the batch streaming protocol (algo/mcf_stream.h). Pins the two
-// contracts DESIGN.md section 10 states for the svc path:
+// Tests of `ltc_serve --algo=MCF`: the MCF-LTC batch loop behind the batch
+// streaming protocol (algo/mcf_stream.h). Pins the two contracts DESIGN.md
+// section 10 states for the svc path:
 //
 //  * determinism — the assignment log is byte-identical for any --threads
-//    and for warm starts on or off (warm starts are an optimisation, not a
-//    policy change), pinned per --shards;
+//    and with the drift check on, pinned per --shards;
 //  * offline parity — over an EventLogFromInstance replay at batching
 //    deadline 0 the admitted worker sequence is exactly the offline worker
 //    order against a fully materialised task set, so the streamed
-//    commitments reproduce McfLtc::Run batch for batch.
+//    commitments reproduce McfLtc::Run batch for batch, whether the
+//    offline run solves warm or cold (warm starts are an optimisation, not
+//    a policy change).
 
 #include <vector>
 
@@ -83,8 +84,9 @@ TEST(McfStreamParityTest, DeadlineZeroMatchesOfflineMcfLtc) {
 }
 
 // Warm starts carry flow and potentials across batch solves but must not
-// change a single commitment: parity holds with them disabled too.
-TEST(McfStreamParityTest, ColdSolvesMatchOfflineToo) {
+// change a single commitment: the (always warm) service log matches an
+// offline run that solves every batch from scratch.
+TEST(McfStreamParityTest, ColdOfflineSolvesMatchTheService) {
   gen::SyntheticConfig synth;
   synth.num_tasks = 40;
   synth.num_workers = 2000;
@@ -94,16 +96,16 @@ TEST(McfStreamParityTest, ColdSolvesMatchOfflineToo) {
   auto index = model::EligibilityIndex::Build(&instance.value());
   ASSERT_TRUE(index.ok());
 
-  algo::McfLtc mcf;
+  algo::McfLtcOptions cold;
+  cold.warm_start = false;
+  algo::McfLtc mcf(cold);
   auto offline = mcf.Run(instance.value(), index.value());
   ASSERT_TRUE(offline.ok()) << offline.status().ToString();
 
   auto log = io::EventLogFromInstance(instance.value());
   ASSERT_TRUE(log.ok());
-  StreamOptions options = McfOptions(0.0);
-  options.mcf_warm_start = false;
   std::vector<StreamAssignment> streamed;
-  auto replay = ReplayEventLog(log.value(), options, &streamed);
+  auto replay = ReplayEventLog(log.value(), McfOptions(0.0), &streamed);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
 
   const model::Arrangement& arr = offline.value().arrangement;
@@ -115,9 +117,9 @@ TEST(McfStreamParityTest, ColdSolvesMatchOfflineToo) {
 }
 
 // The service determinism contract, for the batch protocol: byte-identical
-// assignment logs for any --threads value, with warm starts on or off and
-// with the periodic drift check enabled.
-TEST(McfServeDeterminismTest, LogIdenticalAcrossThreadsWarmthAndDriftCheck) {
+// assignment logs for any --threads value and with the periodic drift check
+// enabled.
+TEST(McfServeDeterminismTest, LogIdenticalAcrossThreadsAndDriftCheck) {
   auto log = gen::GenerateStreamEvents(SmallStream(7));
   ASSERT_TRUE(log.ok());
 
@@ -133,12 +135,6 @@ TEST(McfServeDeterminismTest, LogIdenticalAcrossThreadsWarmthAndDriftCheck) {
   EXPECT_EQ(one.value().assignment_log, four.value().assignment_log);
 
   options.threads = 2;
-  options.mcf_warm_start = false;
-  auto cold = RunService(log.value(), options);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(one.value().assignment_log, cold.value().assignment_log);
-
-  options.mcf_warm_start = true;
   options.mcf_drift_check_every = 3;
   auto checked = RunService(log.value(), options);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();

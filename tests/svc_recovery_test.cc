@@ -647,6 +647,53 @@ TEST(SnapshotRoundTripTest, ClaimRecordsOutOfRangeAreRejected) {
   }
 }
 
+// Every record count in an engine snapshot is untrusted: a negative count
+// is a parse error, and a huge one reserves no more than the snapshot's
+// remaining lines (both used to abort in std::vector::reserve).
+TEST(SnapshotRoundTripTest, BadRecordCountsAreRejected) {
+  const io::EventLog log = MakeLog(50, 1000, 71);
+  StreamOptions options = BaseOptions("LAF", 2);
+  options.route_workers = true;
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  // Stop at the first event that leaves a worker route open, so the
+  // snapshot also carries "ps" stop records.
+  std::string state;
+  std::size_t route = std::string::npos;
+  for (const io::Event& e : log.events) {
+    engine.value()->OnEvent(e).CheckOK();
+    state.clear();
+    engine.value()->SerializeTo(&state).CheckOK();
+    route = state.find("\npr ");
+    if (route != std::string::npos) break;
+  }
+  ASSERT_NE(route, std::string::npos) << "no open route in any snapshot";
+  ASSERT_TRUE(ShardedStreamEngine::Restore(log, options, state).ok());
+
+  for (const char* key : {"tasks", "log", "moves", "ptasks", "pworkers"}) {
+    const std::string record = std::string("\n") + key + " ";
+    const std::size_t at = state.find(record);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t field = at + record.size();
+    const std::size_t line_end = state.find('\n', field);
+    for (const char* count : {"-1", "4611686018427387904"}) {
+      std::string edited = state;
+      edited.replace(field, line_end - field, count);
+      const auto restored = ShardedStreamEngine::Restore(log, options, edited);
+      EXPECT_TRUE(restored.status().IsInvalidArgument())
+          << key << " " << count << ": " << restored.status().ToString();
+    }
+  }
+  // A route record's last field counts the "ps" stop lines that follow.
+  const std::size_t line_end = state.find('\n', route + 1);
+  const std::size_t field = state.rfind(' ', line_end) + 1;
+  std::string edited = state;
+  edited.replace(field, line_end - field, "4611686018427387904");
+  const auto restored = ShardedStreamEngine::Restore(log, options, edited);
+  EXPECT_TRUE(restored.status().IsInvalidArgument())
+      << restored.status().ToString();
+}
+
 }  // namespace
 }  // namespace svc
 }  // namespace ltc
