@@ -55,11 +55,14 @@ ltc::flow::FlowNetwork BuildBipartite(int workers, int tasks, int degree,
 void BM_SspMinCostMaxFlow(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const int tasks = workers / 2;
+  // Worker->task costs lie in [-1e6, -1e5]; tasks start at 2 + workers.
+  const auto right_begin = static_cast<ltc::flow::NodeId>(2 + workers);
+  const ltc::flow::LayeredSeed seed{right_begin, -1000000};
   for (auto _ : state) {
     state.PauseTiming();
     auto net = BuildBipartite(workers, tasks, 8, 42);
     state.ResumeTiming();
-    auto result = ltc::flow::SspMinCostMaxFlow(&net, 0, 1);
+    auto result = ltc::flow::SspMinCostMaxFlow(&net, 0, 1, seed);
     result.status().CheckOK();
     benchmark::DoNotOptimize(result->cost);
   }

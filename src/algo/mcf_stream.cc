@@ -34,7 +34,8 @@ Status McfStream::OnArrival(const model::Worker& worker,
       "MCF schedules whole stream batches; run it through the svc engine");
 }
 
-Status McfStream::InitStreaming(const model::ProblemInstance& instance) {
+Status McfStream::InitStreaming(const model::ProblemInstance& instance,
+                                const StreamShardContext& shard) {
   if (instance.accuracy == nullptr) {
     return Status::InvalidArgument("streaming instance has no accuracy model");
   }
@@ -61,7 +62,7 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance) {
   first_batch_ = true;
   batches_solved_ = 0;
   augmentations_ = 0;
-  AdoptShardContext();
+  set_shard_context(shard);
   return Status::OK();
 }
 
@@ -152,7 +153,7 @@ Status McfStream::RestoreState(const model::ProblemInstance& instance,
                                const std::string& blob) {
   // Fresh solver, empty buffer, task_right_ all -1: the cold-restart
   // baseline the header documents.
-  LTC_RETURN_IF_ERROR(InitStreamingSharded(instance, shard));
+  LTC_RETURN_IF_ERROR(InitStreaming(instance, shard));
   for (const std::string& raw : Split(blob, '\n')) {
     const std::string line = Trim(raw);
     if (line.empty()) continue;
@@ -321,8 +322,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   // carries flow across batches, so the feasibility scan always passes.
   for (std::size_t p = 0; p < nb; ++p) {
     if (batch_left_[p] < 0) continue;
-    LTC_RETURN_IF_ERROR(incr_->RetireLeft(
-        batch_left_[p], flow::IncrementalMcmf::RetireMode::kFreeze));
+    LTC_RETURN_IF_ERROR(incr_->RetireLeft(batch_left_[p]));
   }
 
   buf_worker_.clear();

@@ -62,7 +62,8 @@ class McfStream : public OnlineScheduler {
   Status OnArrival(const model::Worker& worker,
                    std::vector<model::TaskId>* assigned) override;
 
-  Status InitStreaming(const model::ProblemInstance& instance) override;
+  Status InitStreaming(const model::ProblemInstance& instance,
+                       const StreamShardContext& shard = {}) override;
   Status OnTaskAdded(model::TaskId task) override;
 
   bool SchedulesWholeBatch() const override { return true; }

@@ -16,12 +16,12 @@ Status OnlineSchedulerBase::Init(const model::ProblemInstance& instance,
   index_ = &index;
   delta_ = instance.Delta();
   arrangement_.emplace(instance.num_tasks(), delta_);
-  ResetShardContext();
+  set_shard_context({});
   return OnInit();
 }
 
 Status OnlineSchedulerBase::InitStreaming(
-    const model::ProblemInstance& instance) {
+    const model::ProblemInstance& instance, const StreamShardContext& shard) {
   // No Validate() here: a stream starts empty (no tasks, no workers), which
   // the batch validator rejects. The structural invariants — dense task ids,
   // sequential worker indices — are maintained by the engine as it appends.
@@ -35,7 +35,7 @@ Status OnlineSchedulerBase::InitStreaming(
   index_ = nullptr;  // eligibility is the engine's job in streaming mode
   delta_ = instance.Delta();
   arrangement_.emplace(instance.num_tasks(), delta_);
-  AdoptShardContext();
+  set_shard_context(shard);
   return OnInit();
 }
 
@@ -96,7 +96,7 @@ Status OnlineSchedulerBase::SerializeState(std::string* out) const {
 Status OnlineSchedulerBase::RestoreState(
     const model::ProblemInstance& instance, const StreamShardContext& shard,
     const std::string& blob) {
-  LTC_RETURN_IF_ERROR(InitStreamingSharded(instance, shard));
+  LTC_RETURN_IF_ERROR(InitStreaming(instance, shard));
   for (const std::string& raw : Split(blob, '\n')) {
     const std::string line = Trim(raw);
     if (line.empty()) continue;

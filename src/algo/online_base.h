@@ -31,7 +31,8 @@ class OnlineSchedulerBase : public OnlineScheduler {
   /// Streaming protocol: the candidate enumeration of step 2 moves to the
   /// caller (svc::StreamPipeline queries its incremental index); everything
   /// else — filtering, SelectTasks, commitment — is shared with OnArrival.
-  Status InitStreaming(const model::ProblemInstance& instance) override;
+  Status InitStreaming(const model::ProblemInstance& instance,
+                       const StreamShardContext& shard = {}) override;
   Status OnTaskAdded(model::TaskId task) override;
   Status OnArrivalWithCandidates(const model::Worker& worker,
                                  const std::vector<model::TaskId>& candidates,

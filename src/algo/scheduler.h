@@ -71,6 +71,17 @@ class OfflineScheduler {
       const model::EligibilityIndex& index) = 0;
 };
 
+/// Shard-local identity of a streaming scheduler. The sharded service
+/// (svc::ShardedStreamEngine, DESIGN.md §9) runs one scheduler per spatial
+/// shard over that shard's own growing instance; the context tells seeded
+/// schedulers which shard they are so per-shard randomness decorrelates
+/// deterministically. The single-pipeline default {0, 1} is the identity:
+/// shard 0 behaves exactly like an unsharded scheduler.
+struct StreamShardContext {
+  int shard_id = 0;
+  int num_shards = 1;
+};
+
 /// \brief An algorithm that decides per arrival (LAF, AAM, Random).
 ///
 /// Protocol: Init once, then OnArrival for workers in stream order. The
@@ -108,31 +119,6 @@ class OnlineScheduler {
   // still base decisions only on the instance prefix seen so far. Defaults
   // return NotImplemented so purely batch schedulers need no changes.
 
-  /// Shard-local identity of a streaming scheduler. The sharded service
-  /// (svc::ShardedStreamEngine, DESIGN.md §9) runs one scheduler per
-  /// spatial shard over that shard's own growing instance; the context
-  /// tells seeded schedulers which shard they are so per-shard randomness
-  /// decorrelates deterministically. The single-pipeline default {0, 1} is
-  /// the identity: shard 0 behaves exactly like an unsharded scheduler.
-  struct StreamShardContext {
-    int shard_id = 0;
-    int num_shards = 1;
-  };
-
-  /// Streaming init with an explicit shard identity: arms the context
-  /// (visible to subclasses via shard_context()) and delegates to
-  /// InitStreaming. This is the entry point every svc pipeline uses. A
-  /// *plain* InitStreaming call — on a fresh scheduler or one previously
-  /// sharded — always resets to the identity context instead (see
-  /// AdoptShardContext), so reuse can never leak a stale shard id into an
-  /// unsharded run's seeding.
-  Status InitStreamingSharded(const model::ProblemInstance& instance,
-                              const StreamShardContext& shard) {
-    shard_context_ = shard;
-    shard_context_armed_ = true;
-    return InitStreaming(instance);
-  }
-
   /// The shard identity of the current streaming run ({0, 1} for batch and
   /// unsharded streaming runs).
   const StreamShardContext& shard_context() const { return shard_context_; }
@@ -157,8 +143,12 @@ class OnlineScheduler {
   /// Resets all state for a streaming run over `instance`, which the caller
   /// grows in place between calls (tasks via OnTaskAdded, workers before
   /// their OnArrivalWithCandidates). `instance` may still be empty here.
-  virtual Status InitStreaming(const model::ProblemInstance& instance) {
+  /// `shard` is the run's shard identity (shard_context()); every svc
+  /// pipeline passes its own, and the default is the unsharded identity.
+  virtual Status InitStreaming(const model::ProblemInstance& instance,
+                               const StreamShardContext& shard = {}) {
     (void)instance;
+    (void)shard;
     return Status::NotImplemented(Name() + " does not support streaming");
   }
 
@@ -267,25 +257,15 @@ class OnlineScheduler {
   }
 
  protected:
-  /// Batch Init paths call this so a reused scheduler object never carries
-  /// a stale shard identity into a non-sharded run.
-  void ResetShardContext() {
-    shard_context_ = StreamShardContext{};
-    shard_context_armed_ = false;
-  }
-
-  /// Streaming-init implementations call this before their OnInit-style
-  /// hooks: it consumes a context armed by InitStreamingSharded, or — when
-  /// the caller used plain InitStreaming — resets to the identity, closing
-  /// the stale-context hazard symmetrically with the batch path.
-  void AdoptShardContext() {
-    if (!shard_context_armed_) shard_context_ = StreamShardContext{};
-    shard_context_armed_ = false;
+  /// Records the identity of the run being initialised: streaming inits
+  /// pass their `shard`, batch Init passes {0, 1}, so a reused scheduler
+  /// never carries a stale shard id into the next run's seeding.
+  void set_shard_context(const StreamShardContext& shard) {
+    shard_context_ = shard;
   }
 
  private:
   StreamShardContext shard_context_{};
-  bool shard_context_armed_ = false;
   const fcst::ArrivalForecast* arrival_forecast_ = nullptr;
 };
 

@@ -58,15 +58,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking pop for drain loops. Returns false when currently empty.
-  bool TryPop(T* out) LTC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
   /// After Close(), pushes fail and Pop() returns false once drained.
   void Close() LTC_EXCLUDES(mu_) {
     {

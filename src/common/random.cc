@@ -117,6 +117,4 @@ std::int64_t Rng::Zipf(std::int64_t n, double s) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace ltc

@@ -59,9 +59,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for per-repetition streams).
-  Rng Fork();
-
   /// \brief Complete serializable generator state.
   ///
   /// Covers the four xoshiro words plus the Box-Muller cache; the Zipf CDF

@@ -58,19 +58,6 @@ StatusOr<ArcId> FlowNetworkBuilder::AddArc(NodeId from, NodeId to,
   return static_cast<ArcId>(to_.size() - 1);
 }
 
-Status FlowNetworkBuilder::SetArcCapacity(ArcId arc, std::int64_t capacity) {
-  if (arc < 0 || arc >= num_arcs()) {
-    return Status::InvalidArgument(
-        StrFormat("SetArcCapacity(%d): arc out of range [0, %d)", arc,
-                  num_arcs()));
-  }
-  if (capacity < 0) {
-    return Status::InvalidArgument("SetArcCapacity: negative capacity");
-  }
-  cap_[static_cast<std::size_t>(arc)] = capacity;
-  return Status::OK();
-}
-
 Status FlowNetworkBuilder::ApplyDelta(FlowNetwork* net,
                                       const std::vector<ArcSpec>& added,
                                       const std::vector<ArcId>& removed,
@@ -121,12 +108,6 @@ Status FlowNetworkBuilder::ApplyDelta(FlowNetwork* net,
     const auto i = static_cast<std::size_t>(a);
     if (drop_[i] != 0) continue;
     const std::int64_t flow = net->Flow(a);
-    if (flow > cap_[i]) {
-      return Status::FailedPrecondition(
-          StrFormat("ApplyDelta: arc %d carries flow %lld > capacity %lld",
-                    a, static_cast<long long>(flow),
-                    static_cast<long long>(cap_[i])));
-    }
     const auto j = static_cast<std::size_t>(next);
     from_[j] = from_[i];
     to_[j] = to_[i];

@@ -4,13 +4,13 @@
 // of a node occupy one contiguous slot range, so solver inner loops walk
 // sequential memory instead of chasing linked-list pointers. Networks are
 // assembled through FlowNetworkBuilder (two-pass counting sort); both the
-// builder and the network recycle their arrays across Reset()/Build()
-// cycles, which is what lets MCF-LTC solve thousands of batches without
-// reallocating (see DESIGN.md "Hot-path architecture").
+// builder and the network recycle their arrays across Build() and
+// ApplyDelta() cycles, which is what lets MCF-LTC solve thousands of
+// batches without reallocating (see DESIGN.md "Hot-path architecture").
 //
 // Capacities and costs are int64: the MCF-LTC algorithm scales its
 // real-valued Acc* costs to integers before building the network (see
-// algo/mcf_ltc.cc) so that shortest-path computations are exact.
+// algo/mcf_stream.cc) so that shortest-path computations are exact.
 
 #ifndef LTC_FLOW_GRAPH_H_
 #define LTC_FLOW_GRAPH_H_
@@ -136,11 +136,6 @@ class FlowNetworkBuilder {
   /// the forward arc id.
   StatusOr<ArcId> AddArc(NodeId from, NodeId to, std::int64_t capacity,
                          std::int64_t cost);
-
-  /// Rewrites the capacity of arc `arc`. Takes effect at the next Build /
-  /// ApplyDelta; the caller owns keeping any live flow <= the new capacity
-  /// (ApplyDelta refuses otherwise).
-  Status SetArcCapacity(ArcId arc, std::int64_t capacity);
 
   NodeId num_nodes() const { return num_nodes_; }
   ArcId num_arcs() const { return static_cast<ArcId>(to_.size()); }

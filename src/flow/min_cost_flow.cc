@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -12,51 +13,6 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 constexpr std::int64_t kNegInf = -kInf;
-
-/// SPFA (queue-based Bellman-Ford). Fills ws->dist (kInf = unreachable) and
-/// the predecessor slot of each reached node. Returns false if a negative
-/// cycle is detected.
-bool Spfa(const FlowNetwork& net, NodeId source, McmfWorkspace* ws) {
-  const auto n = static_cast<std::size_t>(net.num_nodes());
-  std::fill(ws->dist.begin(), ws->dist.end(), kInf);
-  std::fill(ws->pred_slot.begin(), ws->pred_slot.end(), -1);
-  std::fill(ws->in_queue.begin(), ws->in_queue.end(), 0);
-  std::fill(ws->relax_count.begin(), ws->relax_count.end(), 0);
-  ws->spfa_queue.clear();
-  ws->dist[static_cast<std::size_t>(source)] = 0;
-  ws->spfa_queue.push_back(source);
-  ws->in_queue[static_cast<std::size_t>(source)] = 1;
-  while (!ws->spfa_queue.empty()) {
-    const NodeId u = ws->spfa_queue.front();
-    ws->spfa_queue.pop_front();
-    ws->in_queue[static_cast<std::size_t>(u)] = 0;
-    const std::int64_t du = ws->dist[static_cast<std::size_t>(u)];
-    for (ArcIndex s = net.OutBegin(u); s < net.OutEnd(u); ++s) {
-      if (net.residual(s) <= 0) continue;
-      const NodeId v = net.head(s);
-      const std::int64_t nd = du + net.cost(s);
-      if (nd < ws->dist[static_cast<std::size_t>(v)]) {
-        ws->dist[static_cast<std::size_t>(v)] = nd;
-        ws->pred_slot[static_cast<std::size_t>(v)] = s;
-        if (!ws->in_queue[static_cast<std::size_t>(v)]) {
-          if (++ws->relax_count[static_cast<std::size_t>(v)] >
-              static_cast<std::int32_t>(n)) {
-            return false;  // negative cycle
-          }
-          // SLF heuristic: put promising nodes at the front.
-          if (!ws->spfa_queue.empty() &&
-              nd < ws->dist[static_cast<std::size_t>(ws->spfa_queue.front())]) {
-            ws->spfa_queue.push_front(v);
-          } else {
-            ws->spfa_queue.push_back(v);
-          }
-          ws->in_queue[static_cast<std::size_t>(v)] = 1;
-        }
-      }
-    }
-  }
-  return true;
-}
 
 /// Bottleneck residual along the predecessor path into `sink`.
 std::int64_t PathBottleneck(const FlowNetwork& net,
@@ -94,15 +50,13 @@ void McmfWorkspace::Prepare(NodeId num_nodes) {
   dist.resize(n);
   pred_slot.resize(n);
   finalized.resize(n);
-  in_queue.resize(n);
-  relax_count.resize(n);
   stamp.resize(n);  // new entries are 0 == never touched
   heap.Reset(n);
 }
 
 StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
-                                       NodeId sink,
-                                       const McmfOptions& options) {
+                                       NodeId sink, const LayeredSeed& seed,
+                                       McmfWorkspace* workspace) {
   if (source < 0 || source >= net->num_nodes() || sink < 0 ||
       sink >= net->num_nodes()) {
     return Status::InvalidArgument("SspMinCostMaxFlow: bad source/sink");
@@ -114,37 +68,20 @@ StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
   McmfResult result;
 
   McmfWorkspace local_ws;
-  McmfWorkspace& ws =
-      options.workspace != nullptr ? *options.workspace : local_ws;
+  McmfWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
   ws.Prepare(net->num_nodes());
   std::vector<std::int64_t>& potential = ws.potential;
 
-  if (options.layered_seed.has_value()) {
-    // Closed-form seed for layered DAGs (source -> left -> right -> sink):
-    // pi = 0 on the source and left layer, cost_offset on the right layer
-    // and the sink. Every left->right arc then has reduced cost
-    // c - cost_offset >= 0, and every zero-cost source->left / right->sink
-    // arc has reduced cost 0 — non-negative across the board, so the SPFA
-    // pass is unnecessary (DESIGN.md "Hot-path architecture").
-    const NodeId right_begin = options.layered_seed->right_begin;
-    const std::int64_t offset = options.layered_seed->cost_offset;
-    for (std::size_t v = 0; v < n; ++v) {
-      potential[v] =
-          (static_cast<NodeId>(v) == sink ||
-           static_cast<NodeId>(v) >= right_begin)
-              ? offset
-              : 0;
-    }
-  } else {
-    // Seed potentials with exact distances (handles the negative arc costs
-    // of the LTC network, where worker->task arcs carry cost -Acc*).
-    if (!Spfa(*net, source, &ws)) {
-      return Status::InvalidArgument(
-          "SspMinCostMaxFlow: negative-cost cycle in input network");
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      potential[v] = ws.dist[v] >= kInf ? kInf : ws.dist[v];
-    }
+  // Closed-form seed for layered DAGs (source -> left -> right -> sink):
+  // pi = 0 on the source and left layer, cost_offset on the right layer and
+  // the sink. Every left->right arc then has reduced cost c - cost_offset
+  // >= 0, and every zero-cost source->left / right->sink arc has reduced
+  // cost 0 — non-negative across the board (DESIGN.md "Hot-path
+  // architecture").
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto node = static_cast<NodeId>(v);
+    const bool right = node == sink || node >= seed.right_begin;
+    potential[v] = right ? seed.cost_offset : 0;
   }
 
   std::vector<std::int64_t>& dist = ws.dist;
@@ -152,8 +89,9 @@ StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
   std::vector<char>& finalized = ws.finalized;
   IndexedMinHeap<std::int64_t>& heap = ws.heap;
 
-  while (result.flow < options.flow_limit) {
-    // Dijkstra on reduced costs c(a) + pi(tail) - pi(head) >= 0.
+  while (true) {
+    // Dijkstra on reduced costs c(a) + pi(tail) - pi(head) >= 0, stopped as
+    // soon as the sink is finalised.
     std::fill(dist.begin(), dist.end(), kInf);
     std::fill(pred_slot.begin(), pred_slot.end(), -1);
     std::fill(finalized.begin(), finalized.end(), 0);
@@ -164,19 +102,11 @@ StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
       const auto [du, u64] = heap.PopMin();
       const NodeId u = static_cast<NodeId>(u64);
       finalized[static_cast<std::size_t>(u)] = 1;
-      if (options.early_exit && u == sink) break;
-      if (potential[static_cast<std::size_t>(u)] >= kInf) continue;
+      if (u == sink) break;
       for (ArcIndex s = net->OutBegin(u); s < net->OutEnd(u); ++s) {
         if (net->residual(s) <= 0) continue;
         const NodeId v = net->head(s);
         if (finalized[static_cast<std::size_t>(v)]) continue;
-        if (potential[static_cast<std::size_t>(v)] >= kInf) {
-          // Node was unreachable at seed time; its potential is stale, but
-          // reduced costs only matter for reachable nodes. Make it reachable
-          // by adopting a consistent potential lazily.
-          potential[static_cast<std::size_t>(v)] =
-              potential[static_cast<std::size_t>(u)] + net->cost(s);
-        }
         const std::int64_t reduced = net->cost(s) +
                                      potential[static_cast<std::size_t>(u)] -
                                      potential[static_cast<std::size_t>(v)];
@@ -194,40 +124,12 @@ StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
     // the sink distance, which preserves reduced-cost non-negativity.
     const std::int64_t dsink = dist[static_cast<std::size_t>(sink)];
     for (std::size_t v = 0; v < n; ++v) {
-      if (potential[v] >= kInf) continue;
       potential[v] += std::min(dist[v], dsink);
     }
 
-    std::int64_t amount = PathBottleneck(*net, pred_slot, source, sink);
-    amount = std::min(amount, options.flow_limit - result.flow);
+    const std::int64_t amount = PathBottleneck(*net, pred_slot, source, sink);
     const std::int64_t path_cost =
         PushPath(net, pred_slot, source, sink, amount);
-    result.flow += amount;
-    result.cost += amount * path_cost;
-    ++result.iterations;
-  }
-  return result;
-}
-
-StatusOr<McmfResult> BellmanFordMinCostMaxFlow(FlowNetwork* net, NodeId source,
-                                               NodeId sink) {
-  if (source < 0 || source >= net->num_nodes() || sink < 0 ||
-      sink >= net->num_nodes() || source == sink) {
-    return Status::InvalidArgument("BellmanFordMinCostMaxFlow: bad endpoints");
-  }
-  McmfResult result;
-  McmfWorkspace ws;
-  ws.Prepare(net->num_nodes());
-  while (true) {
-    if (!Spfa(*net, source, &ws)) {
-      return Status::InvalidArgument(
-          "BellmanFordMinCostMaxFlow: negative-cost cycle in input network");
-    }
-    if (ws.dist[static_cast<std::size_t>(sink)] >= kInf) break;
-    const std::int64_t amount =
-        PathBottleneck(*net, ws.pred_slot, source, sink);
-    const std::int64_t path_cost =
-        PushPath(net, ws.pred_slot, source, sink, amount);
     result.flow += amount;
     result.cost += amount * path_cost;
     ++result.iterations;
@@ -353,84 +255,6 @@ StatusOr<ArcId> IncrementalMcmf::AddArc(NodeId left, NodeId right,
   return id;
 }
 
-Status IncrementalMcmf::RemoveArc(ArcId arc) {
-  if (arc < 0 || arc >= static_cast<ArcId>(arc_alive_.size()) ||
-      !arc_alive_[static_cast<std::size_t>(arc)]) {
-    return Status::InvalidArgument("IncrementalMcmf::RemoveArc: bad arc id");
-  }
-  CancelArcFlow(arc, 0);
-  auto& arcs = arcs_of_left_[static_cast<std::size_t>(
-      arc_left_[static_cast<std::size_t>(arc)])];
-  arcs.erase(std::find(arcs.begin(), arcs.end(), arc));
-  DropArc(arc);
-  deltas_since_solve_ = true;
-  return Status::OK();
-}
-
-Status IncrementalMcmf::SetArcCapacity(ArcId arc, std::int64_t capacity) {
-  if (arc < 0 || arc >= static_cast<ArcId>(arc_alive_.size()) ||
-      !arc_alive_[static_cast<std::size_t>(arc)]) {
-    return Status::InvalidArgument(
-        "IncrementalMcmf::SetArcCapacity: bad arc id");
-  }
-  if (capacity < 0) {
-    return Status::InvalidArgument(
-        "IncrementalMcmf::SetArcCapacity: negative capacity");
-  }
-  const auto i = static_cast<std::size_t>(arc);
-  const std::int64_t old_cap = arc_cap_[i];
-  if (capacity == old_cap) return Status::OK();
-  const ArcId b = net_arc_of_[i];
-  if (b >= 0) {
-    const std::int64_t flow = net_.Flow(b);
-    if (capacity < flow) {
-      // Forced cancellation leaves forward residual on an arc whose reduced
-      // cost may be negative (it was carrying flow at equality or better) —
-      // the one capacity delta that invalidates the duals.
-      CancelArcFlow(arc, capacity);
-      cold_ = true;
-    } else if (capacity > old_cap && flow == old_cap &&
-               arc_cost_[i] +
-                       ws_.potential[static_cast<std::size_t>(arc_left_[i])] -
-                       ws_.potential[static_cast<std::size_t>(arc_right_[i])] <
-                   0) {
-      // Un-saturating a negative-reduced-cost arc re-opens a residual the
-      // duals cannot justify.
-      cold_ = true;
-    }
-    LTC_RETURN_IF_ERROR(builder_.SetArcCapacity(b, capacity));
-    caps_dirty_ = true;
-  }
-  arc_cap_[i] = capacity;
-  deltas_since_solve_ = true;
-  return Status::OK();
-}
-
-Status IncrementalMcmf::SetSupply(NodeId left, std::int64_t supply) {
-  if (left < 0 || left >= num_nodes_ ||
-      kind_[static_cast<std::size_t>(left)] != kLeft) {
-    return Status::InvalidArgument("IncrementalMcmf::SetSupply: bad left node");
-  }
-  if (supply < 0) {
-    return Status::InvalidArgument("IncrementalMcmf::SetSupply: negative");
-  }
-  const auto i = static_cast<std::size_t>(left);
-  if (supply < used_[i]) {
-    for (const ArcId a : arcs_of_left_[i]) {
-      if (used_[i] <= supply) break;
-      const ArcId b = net_arc_of_[static_cast<std::size_t>(a)];
-      if (b < 0) continue;
-      const std::int64_t flow = net_.Flow(b);
-      const std::int64_t cancel = std::min(flow, used_[i] - supply);
-      if (cancel > 0) CancelArcFlow(a, flow - cancel);
-    }
-    cold_ = true;  // cancellation re-opens residuals the duals may not cover
-  }
-  supply_[i] = supply;
-  deltas_since_solve_ = true;
-  return Status::OK();
-}
-
 Status IncrementalMcmf::SetDeficit(NodeId right, std::int64_t deficit) {
   if (right < 0 || right >= num_nodes_ ||
       kind_[static_cast<std::size_t>(right)] != kRight) {
@@ -450,7 +274,7 @@ Status IncrementalMcmf::SetDeficit(NodeId right, std::int64_t deficit) {
   return Status::OK();
 }
 
-Status IncrementalMcmf::RetireLeft(NodeId left, RetireMode mode) {
+Status IncrementalMcmf::RetireLeft(NodeId left) {
   if (left < 0 || left >= num_nodes_ ||
       kind_[static_cast<std::size_t>(left)] != kLeft) {
     return Status::InvalidArgument(
@@ -458,11 +282,7 @@ Status IncrementalMcmf::RetireLeft(NodeId left, RetireMode mode) {
   }
   const auto i = static_cast<std::size_t>(left);
   for (const ArcId a : arcs_of_left_[i]) {
-    if (mode == RetireMode::kFreeze) {
-      FreezeArcFlow(a);
-    } else {
-      CancelArcFlow(a, 0);
-    }
+    FreezeArcFlow(a);
     DropArc(a);
   }
   arcs_of_left_[i].clear();
@@ -474,24 +294,6 @@ Status IncrementalMcmf::RetireLeft(NodeId left, RetireMode mode) {
   free_nodes_.push_back(left);
   deltas_since_solve_ = true;
   return Status::OK();
-}
-
-void IncrementalMcmf::CancelArcFlow(ArcId arc, std::int64_t keep) {
-  const ArcId b = net_arc_of_[static_cast<std::size_t>(arc)];
-  if (b < 0) return;  // pending arcs carry no flow yet
-  const std::int64_t flow = net_.Flow(b);
-  if (flow <= keep) return;
-  const std::int64_t cancel = flow - keep;
-  net_.Push(net_.ArcSlot(b), -cancel);
-  used_[static_cast<std::size_t>(arc_left_[static_cast<std::size_t>(arc)])] -=
-      cancel;
-  const auto r =
-      static_cast<std::size_t>(arc_right_[static_cast<std::size_t>(arc)]);
-  inflow_[r] -= cancel;
-  // Reopening a deficit here may leave this right priced below the current
-  // sink floor; the solve-start feasibility scan decides whether that (or
-  // the left's reborn excess) forces a cold restart.
-  deficit_[r] += cancel;
 }
 
 void IncrementalMcmf::FreezeArcFlow(ArcId arc) {
@@ -513,7 +315,7 @@ void IncrementalMcmf::DropArc(ArcId arc) {
   arc_alive_[i] = 0;
   const ArcId b = net_arc_of_[i];
   if (b >= 0) {
-    pending_removed_.push_back(b);  // flow is zero by now (cancelled/frozen)
+    pending_removed_.push_back(b);  // flow is zero by now (frozen)
     net_arc_of_[i] = -1;
   } else {
     pending_arcs_.erase(
@@ -536,11 +338,10 @@ Status IncrementalMcmf::Materialize() {
     }
     builder_.Build(&net_);
     pending_arcs_.clear();
-    caps_dirty_ = false;
     net_built_ = true;
     return Status::OK();
   }
-  if (pending_arcs_.empty() && pending_removed_.empty() && !caps_dirty_ &&
+  if (pending_arcs_.empty() && pending_removed_.empty() &&
       net_.num_nodes() == num_nodes_) {
     return Status::OK();
   }
@@ -574,7 +375,6 @@ Status IncrementalMcmf::Materialize() {
   owner_of_net_arc_.swap(owner_scratch_);
   pending_arcs_.clear();
   pending_removed_.clear();
-  caps_dirty_ = false;
   return Status::OK();
 }
 
@@ -584,7 +384,7 @@ void IncrementalMcmf::ColdRestart() {
   for (std::size_t a = 0; a < arc_alive_.size(); ++a) {
     if (arc_alive_[a]) min_cost = std::min(min_cost, arc_cost_[a]);
   }
-  // Closed-form re-seed, same argument as McmfOptions::LayeredSeed: pi = 0 on
+  // Closed-form re-seed, same argument as LayeredSeed: pi = 0 on
   // lefts, min arc cost on rights keeps every forward reduced cost >= 0 (no
   // reverse residuals exist after ResetFlow). The sink floor drops to the
   // rights' price, so INV-ED holds with equality.
@@ -1118,10 +918,8 @@ void IncrementalMcmf::RunDriftCheck() {
     }
   }
   ref_builder_.Build(&ref_net_);
-  McmfOptions options;
-  options.workspace = &ref_ws_;
-  options.layered_seed = McmfOptions::LayeredSeed{right_begin, min_cost};
-  const auto ref = SspMinCostMaxFlow(&ref_net_, 0, ed, options);
+  const LayeredSeed seed{right_begin, min_cost};
+  const auto ref = SspMinCostMaxFlow(&ref_net_, 0, ed, seed, &ref_ws_);
   LTC_CHECK(ref.ok()) << "drift check reference solve failed: "
                       << ref.status().ToString();
   LTC_CHECK(ref->flow == TotalFlow())

@@ -1,30 +1,20 @@
 // Min-cost max-flow solvers.
 //
-// The primary solver is the Successive Shortest Path Algorithm (SSPA) with
-// node potentials — the algorithm the paper names for MCF-LTC ("we apply the
+// The solver is the Successive Shortest Path Algorithm (SSPA) with node
+// potentials — the algorithm the paper names for MCF-LTC ("we apply the
 // Successive Shortest Path Algorithm (SSPA) to calculate the minimum cost
 // flow ... suitable for large-scale data and many-to-many matching", Sec.
-// III). Negative arc costs are handled either by one Bellman-Ford (SPFA)
-// pass to seed the potentials, or — when the caller declares the network a
-// layered DAG, as MCF-LTC's batch networks are — by a closed-form seed from
-// a single cost offset (see McmfOptions::layered_seed and DESIGN.md
-// "Hot-path architecture"). Subsequent iterations run Dijkstra on reduced
-// costs with optional early exit at the sink.
-//
-// Callers on a hot path should pass a long-lived McmfWorkspace through
-// McmfOptions so the solver's scratch arrays (distances, predecessors, the
-// Dijkstra heap) are recycled instead of reallocated per solve.
-//
-// A Bellman-Ford-only variant (no potentials) is provided for cross-checking
-// in tests.
+// III). IncrementalMcmf runs it warm across MCF-LTC's batches;
+// SspMinCostMaxFlow is the from-scratch form its drift check compares
+// against. Both work on layered networks source -> left -> right -> sink,
+// whose negative arc costs a closed-form potential seed absorbs (see
+// LayeredSeed and DESIGN.md "Hot-path architecture"), so every augmentation
+// is one Dijkstra on reduced costs with early exit at the sink.
 
 #ifndef LTC_FLOW_MIN_COST_FLOW_H_
 #define LTC_FLOW_MIN_COST_FLOW_H_
 
 #include <cstdint>
-#include <deque>
-#include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -48,12 +38,12 @@ struct McmfResult {
 /// \brief Reusable scratch memory for the min-cost-flow solvers.
 ///
 /// All buffers are sized on demand by the solver (Prepare) and keep their
-/// capacity across solves, so a caller that runs many solves — MCF-LTC runs
-/// one per batch — allocates only on the high-water mark.
+/// capacity across solves, so a caller that runs many solves allocates only
+/// on the high-water mark.
 ///
-/// Since PR 6 the workspace also carries the *cross-solve* warm-start state
-/// of the incremental solver: `potential` persists between solves (it holds
-/// the learned dual prices), and the stamp machinery below lets each
+/// The workspace also carries the *cross-solve* warm-start state of the
+/// incremental solver: `potential` persists between solves (it holds the
+/// learned dual prices), and the stamp machinery below lets each
 /// augmentation initialise only the nodes it actually visits instead of
 /// O(num_nodes) fills — the dirty-node discipline of DESIGN.md §10.
 class McmfWorkspace {
@@ -98,9 +88,6 @@ class McmfWorkspace {
   std::vector<std::int64_t> dist;
   std::vector<ArcIndex> pred_slot;
   std::vector<char> finalized;
-  std::vector<char> in_queue;
-  std::vector<std::int32_t> relax_count;
-  std::deque<NodeId> spfa_queue;
   IndexedMinHeap<std::int64_t> heap{0};
   // Sparse-init episode state (incremental solver).
   std::vector<std::uint32_t> stamp;
@@ -108,54 +95,33 @@ class McmfWorkspace {
   std::vector<NodeId> touched;
 };
 
-/// Options for SspMinCostMaxFlow.
-struct McmfOptions {
-  /// Declares the network a layered DAG source -> left -> right -> sink in
-  /// which every negative-cost arc goes from the left layer to the right
-  /// layer and no arc costs less than `cost_offset` (<= 0). The potential
-  /// seed is then closed-form — 0 for the source and left layer,
-  /// `cost_offset` for the right layer and the sink — which keeps all
-  /// reduced costs non-negative without the Bellman-Ford pass (proof in
-  /// DESIGN.md "Hot-path architecture"). MCF-LTC's batch networks
-  /// (st -> workers -> tasks -> ed) qualify with cost_offset = the most
-  /// negative worker->task arc cost.
-  struct LayeredSeed {
-    /// Nodes in [right_begin, num_nodes) form the right layer.
-    NodeId right_begin = 0;
-    /// Lower bound (<= 0) on every arc cost in the network.
-    std::int64_t cost_offset = 0;
-  };
-
-  /// Stop Dijkstra as soon as the sink is finalised (correct with the
-  /// standard potential fix-up; big win on layered geometric graphs).
-  bool early_exit = true;
-  /// Upper bound on total flow to push (default: unlimited -> max flow).
-  std::int64_t flow_limit = std::numeric_limits<std::int64_t>::max();
-  /// Optional reusable scratch; the solver falls back to a local workspace
-  /// (one-off allocations) when null.
-  McmfWorkspace* workspace = nullptr;
-  /// When set, skips the SPFA potential seed (see LayeredSeed). The caller
-  /// is responsible for the structural guarantee; a violated guarantee
-  /// yields suboptimal (not invalid) flows.
-  std::optional<LayeredSeed> layered_seed;
+/// \brief Closed-form potential seed for a layered network.
+///
+/// Declares the network a layered DAG source -> left -> right -> sink in
+/// which every negative-cost arc goes from the left layer to the right layer
+/// and no arc costs less than `cost_offset` (<= 0). The seed is 0 for the
+/// source and left layer and `cost_offset` for the right layer and the sink,
+/// which keeps every reduced cost non-negative (proof in DESIGN.md "Hot-path
+/// architecture"). A network without negative costs qualifies for any
+/// `right_begin` with `cost_offset` = 0. The caller is responsible for the
+/// structural guarantee; a violated guarantee yields suboptimal (not
+/// invalid) flows.
+struct LayeredSeed {
+  /// Nodes in [right_begin, num_nodes), and the sink, get `cost_offset`.
+  NodeId right_begin = 0;
+  /// Lower bound (<= 0) on every arc cost in the network.
+  std::int64_t cost_offset = 0;
 };
 
 /// \brief Computes a minimum-cost maximum flow from `source` to `sink` using
-/// successive shortest paths with potentials.
+/// successive shortest paths, with potentials seeded by `seed`.
 ///
 /// The network is mutated in place (residual capacities carry the flow);
-/// read per-arc flow with FlowNetwork::Flow. Requires: no negative-cost
-/// directed cycle in the input (guaranteed for the bipartite LTC networks).
+/// read per-arc flow with FlowNetwork::Flow. `workspace` is optional
+/// reusable scratch; a null workspace means one-off allocations.
 StatusOr<McmfResult> SspMinCostMaxFlow(FlowNetwork* net, NodeId source,
-                                       NodeId sink,
-                                       const McmfOptions& options = {});
-
-/// \brief Reference implementation: repeated Bellman-Ford shortest paths,
-/// no potentials, 1-unit-per-path cost accounting via bottleneck pushes.
-///
-/// O(V * E) per augmentation — use only on small graphs (tests).
-StatusOr<McmfResult> BellmanFordMinCostMaxFlow(FlowNetwork* net, NodeId source,
-                                               NodeId sink);
+                                       NodeId sink, const LayeredSeed& seed,
+                                       McmfWorkspace* workspace = nullptr);
 
 /// Options for IncrementalMcmf.
 struct IncrementalMcmfOptions {
@@ -184,35 +150,26 @@ struct IncrementalMcmfOptions {
 /// local to the dirty region instead of re-deriving global prices (the cold
 /// solver's per-augmentation near-global searches are what this replaces).
 ///
-/// Deltas (AddLeft/AddRight/AddArc/RemoveArc/SetArcCapacity/SetDeficit/
-/// SetSupply/RetireLeft) may arrive in any order between solves; the CSR
-/// network is patched in place via FlowNetworkBuilder::ApplyDelta at the
-/// next Solve(). Deltas that provably preserve real-arc dual feasibility
-/// keep the warm state; the few that can break it (capacity or supply
-/// forced below live flow, a new arc with negative reduced cost between
-/// existing nodes) degrade that one Solve() to an exact from-scratch
-/// restart. Solve() additionally scans the four virtual-arc families (a
-/// super-source price must fit between every excess left and every
-/// flow-carrying left, a super-sink price between every inflow right and
-/// every open-deficit right) — if no such prices exist, the carried flow
-/// may be suboptimal for its value and that Solve() also restarts cold.
+/// Deltas (AddLeft/AddRight/AddArc/SetDeficit/RetireLeft) may arrive in any
+/// order between solves; the CSR network is patched in place via
+/// FlowNetworkBuilder::ApplyDelta at the next Solve(). Deltas that provably
+/// preserve real-arc dual feasibility keep the warm state; the one that can
+/// break it (a new arc with negative reduced cost between already-priced
+/// nodes) degrades that one Solve() to an exact from-scratch restart.
+/// Solve() additionally scans the four virtual-arc families (a super-source
+/// price must fit between every excess left and every flow-carrying left, a
+/// super-sink price between every inflow right and every open-deficit
+/// right) — if no such prices exist, the carried flow may be suboptimal for
+/// its value and that Solve() also restarts cold.
 /// Either way every Solve() returns an exact optimum — warm starts change
 /// runtime, never results (tie-equivalent optima aside; cost and flow value
 /// are invariant).
 ///
-/// Node and arc ids are recycled after RetireLeft / RemoveArc; callers must
-/// not hold ids across those calls. Deterministic: the full state after any
-/// call sequence is a function of that sequence alone.
+/// Node and arc ids are recycled after RetireLeft; callers must not hold a
+/// retired left's ids across that call. Deterministic: the full state after
+/// any call sequence is a function of that sequence alone.
 class IncrementalMcmf {
  public:
-  enum class RetireMode {
-    /// Delivered flow becomes permanent consumption at the rights (the
-    /// MCF-LTC batch handoff: assignments are committed, the worker leaves).
-    kFreeze,
-    /// Delivered flow is undone; the rights' deficits reopen.
-    kCancel,
-  };
-
   explicit IncrementalMcmf(IncrementalMcmfOptions options = {})
       : options_(options) {}
 
@@ -225,18 +182,12 @@ class IncrementalMcmf {
   /// Adds a left->right arc. Capacity >= 0, any cost sign.
   StatusOr<ArcId> AddArc(NodeId left, NodeId right, std::int64_t capacity,
                          std::int64_t cost);
-  /// Removes an arc; any live flow on it is cancelled (deficit reopens).
-  Status RemoveArc(ArcId arc);
-  /// Changes an arc's capacity; live flow above the new capacity is
-  /// cancelled (this is the one arc delta that forces a cold restart).
-  Status SetArcCapacity(ArcId arc, std::int64_t capacity);
-  /// Changes a left's supply; live flow above the new supply is cancelled.
-  Status SetSupply(NodeId left, std::int64_t supply);
   /// Sets a right's remaining deficit (absolute, not cumulative).
   Status SetDeficit(NodeId right, std::int64_t deficit);
-  /// Removes a left and all its arcs; `mode` decides what happens to the
-  /// flow it delivered. The node id is recycled.
-  Status RetireLeft(NodeId left, RetireMode mode);
+  /// Removes a left and all its arcs. The flow it delivered becomes
+  /// permanent consumption at the rights (the MCF-LTC batch handoff:
+  /// assignments are committed, the worker leaves). The node id is recycled.
+  Status RetireLeft(NodeId left);
 
   /// Augments to a minimum-cost maximum flow of the live network. The
   /// result holds the flow/cost/iterations of *this* call's pushes (can be
@@ -275,9 +226,7 @@ class IncrementalMcmf {
   /// bottleneck along the globally cheapest excess-to-deficit path. Returns
   /// false when no deficit is reachable from any excess left.
   bool Augment(McmfResult* result);
-  /// Cancels live flow on `arc` down to `keep`; updates all bookkeeping.
-  void CancelArcFlow(ArcId arc, std::int64_t keep);
-  /// Converts `arc`'s live flow into frozen consumption (RetireMode::kFreeze).
+  /// Converts `arc`'s live flow into frozen consumption.
   void FreezeArcFlow(ArcId arc);
   void DropArc(ArcId arc);
   void RunDriftCheck();
@@ -361,7 +310,6 @@ class IncrementalMcmf {
   std::vector<ArcId> remap_scratch_;
   std::vector<FlowNetworkBuilder::ArcSpec> added_scratch_;
   bool net_built_ = false;
-  bool caps_dirty_ = false;  // a materialized arc's capacity changed
 
   // Virtual super-sink potential, refreshed at every warm Solve() to the
   // minimum price over open-deficit rights. Invariant INV-ED: every live

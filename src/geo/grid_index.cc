@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/heap.h"
 #include "common/string_util.h"
 
 namespace ltc {
@@ -210,45 +209,6 @@ std::int64_t GridIndex::Nearest(const Point& center) const {
     }
   }
   return best;
-}
-
-void GridIndex::KNearest(const Point& center, std::size_t k,
-                         std::vector<std::int64_t>* out) const {
-  out->clear();
-  if (k == 0 || count_ == 0) return;
-  // Expanding ring search keeping the k best (smallest distance, then
-  // smallest id) seen so far. Scoring by -d2 makes BoundedTopK's retention
-  // rule (largest score, ties keep the smaller id) select exactly that set.
-  BoundedTopK heap(k);
-  std::int64_t ccx;
-  std::int64_t ccy;
-  CellOf(center, &ccx, &ccy);
-  const std::int64_t max_ring = std::max(cells_x_, cells_y_);
-  for (std::int64_t ring = 0; ring <= max_ring; ++ring) {
-    if (heap.size() == k) {
-      // The result cannot improve once the ring's closest possible point is
-      // farther than the worst retained candidate.
-      const double ring_min = (ring - 1) * cell_size_;
-      if (ring_min > 0 && ring_min * ring_min > -heap.PeekMin().score) break;
-    }
-    for (std::int64_t cy = ccy - ring; cy <= ccy + ring; ++cy) {
-      if (cy < 0 || cy >= cells_y_) continue;
-      for (std::int64_t cx = ccx - ring; cx <= ccx + ring; ++cx) {
-        if (cx < 0 || cx >= cells_x_) continue;
-        if (ring > 0 && std::abs(cx - ccx) != ring && std::abs(cy - ccy) != ring)
-          continue;
-        ForEachInCell(static_cast<std::size_t>(cy * cells_x_ + cx),
-                      [&](std::int64_t id) {
-                        const double d2 = SquaredDistance(
-                            points_[static_cast<std::size_t>(id)], center);
-                        heap.Push(-d2, id);
-                      });
-      }
-    }
-  }
-  for (const BoundedTopK::Item& item : heap.TakeDescending()) {
-    out->push_back(item.id);
-  }
 }
 
 }  // namespace geo

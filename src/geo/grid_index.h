@@ -128,13 +128,6 @@ class GridIndex {
   /// on distance prefer the smaller id.
   std::int64_t Nearest(const Point& center) const;
 
-  /// Fills *out (cleared first) with the ids of the up-to-`k` nearest
-  /// points, ordered by ascending (distance, id). The ordering depends only
-  /// on the live point set, never on the grid geometry, so dynamic and
-  /// rebuilt indices agree exactly.
-  void KNearest(const Point& center, std::size_t k,
-                std::vector<std::int64_t>* out) const;
-
   /// Number of live points.
   std::size_t size() const { return count_; }
   const Point& point(std::int64_t id) const {

@@ -150,12 +150,6 @@ double WorkerRoute::Insert(const geo::Metric& metric, TaskId task,
   return SuffixCost() - before;
 }
 
-double WorkerRoute::InsertionCost(const geo::Metric& metric,
-                                  const geo::Point& location) const {
-  WorkerRoute probe = *this;
-  return probe.Insert(metric, TaskId{-1}, location);
-}
-
 void WorkerRoute::AdvanceTo(double now,
                             const std::function<void(const Stop&)>& visit) {
   while (visited_ < stops_.size() && stops_[visited_].reach_time <= now) {

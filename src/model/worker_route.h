@@ -61,12 +61,6 @@ class WorkerRoute {
   double Insert(const geo::Metric& metric, TaskId task,
                 const geo::Point& location, int exact_limit = kExactLimit);
 
-  /// The marginal cost Insert would return, without mutating the route —
-  /// the "cost from the route's insertion point" the scheduler-facing
-  /// metrics report.
-  double InsertionCost(const geo::Metric& metric,
-                       const geo::Point& location) const;
-
   /// Advances route progress to absolute time `now`, invoking
   /// visit(stop) for every stop newly reached (reach_time <= now), in
   /// route order. Idempotent for non-increasing `now`.

@@ -84,10 +84,9 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
 
   LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
                        MakePipelineScheduler(config.options));
-  LTC_RETURN_IF_ERROR(pipeline->scheduler_->InitStreamingSharded(
+  LTC_RETURN_IF_ERROR(pipeline->scheduler_->InitStreaming(
       pipeline->instance_,
-      algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.options.shards}));
+      algo::StreamShardContext{config.shard_id, config.options.shards}));
 
   if (config.cell_size.has_value()) {
     LTC_ASSIGN_OR_RETURN(
@@ -308,8 +307,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
                        MakePipelineScheduler(config.options));
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->RestoreState(
       pipeline->instance_,
-      algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.options.shards},
+      algo::StreamShardContext{config.shard_id, config.options.shards},
       blob));
 
   if (config.options.route_workers) {

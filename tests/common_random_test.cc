@@ -155,18 +155,5 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng parent(41);
-  Rng child = parent.Fork();
-  // The fork must not replay the parent's stream.
-  Rng parent2(41);
-  parent2.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (child.NextU64() == parent.NextU64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 }  // namespace
 }  // namespace ltc

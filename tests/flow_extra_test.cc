@@ -9,10 +9,15 @@
 #include "flow/graph.h"
 #include "flow/min_cost_flow.h"
 #include "oracles/max_flow.h"
+#include "oracles/min_cost_flow.h"
 
 namespace ltc {
 namespace flow {
 namespace {
+
+// Networks without negative costs satisfy the layered seed's contract with
+// every potential at 0, whatever their shape.
+constexpr LayeredSeed kZeroSeed{};
 
 TEST(SspMcmfTest, LongChainManyAugmentations) {
   // st -> c1 -> c2 -> ... -> c50 -> ed with capacity 10 each: one path,
@@ -26,7 +31,7 @@ TEST(SspMcmfTest, LongChainManyAugmentations) {
   ASSERT_TRUE(b.AddArc(kChain + 1, 1, 10, 1).ok());
   FlowNetwork net;
   b.Build(&net);
-  auto r = SspMinCostMaxFlow(&net, 0, 1);
+  auto r = SspMinCostMaxFlow(&net, 0, 1, kZeroSeed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 10);
   EXPECT_EQ(r->cost, 10 * (kChain + 1));
@@ -34,15 +39,16 @@ TEST(SspMcmfTest, LongChainManyAugmentations) {
 }
 
 TEST(SspMcmfTest, ParallelArcsPickCheaperFirst) {
-  FlowNetworkBuilder b(2);
-  ASSERT_TRUE(b.AddArc(0, 1, 1, 5).ok());
-  ASSERT_TRUE(b.AddArc(0, 1, 1, 2).ok());
-  ASSERT_TRUE(b.AddArc(0, 1, 1, 9).ok());
+  // Three parallel unit arcs st -> 2 behind a capacity-2 arc 2 -> ed: the
+  // two cheapest carry the flow.
+  FlowNetworkBuilder b(3);
+  ASSERT_TRUE(b.AddArc(0, 2, 1, 5).ok());
+  ASSERT_TRUE(b.AddArc(0, 2, 1, 2).ok());
+  ASSERT_TRUE(b.AddArc(0, 2, 1, 9).ok());
+  ASSERT_TRUE(b.AddArc(2, 1, 2, 0).ok());
   FlowNetwork net;
   b.Build(&net);
-  McmfOptions options;
-  options.flow_limit = 2;
-  auto r = SspMinCostMaxFlow(&net, 0, 1, options);
+  auto r = SspMinCostMaxFlow(&net, 0, 1, kZeroSeed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 2);
   EXPECT_EQ(r->cost, 7);  // 2 + 5
@@ -55,7 +61,9 @@ TEST(SspMcmfTest, ZeroCapacityArcIgnored) {
   ASSERT_TRUE(b.AddArc(2, 1, 1, 1).ok());
   FlowNetwork net;
   b.Build(&net);
-  auto r = SspMinCostMaxFlow(&net, 0, 1);
+  // st=0, left {2}, ed=1: the -100 arc enters the sink, priced at -100.
+  const LayeredSeed seed{/*right_begin=*/3, /*cost_offset=*/-100};
+  auto r = SspMinCostMaxFlow(&net, 0, 1, seed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 1);
   EXPECT_EQ(r->cost, 2);
@@ -80,7 +88,7 @@ TEST(SspMcmfTest, ResidualReroutingRequired) {
   ASSERT_TRUE(b.AddArc(5, 1, 1, 0).ok());   // t2->ed
   FlowNetwork net;
   b.Build(&net);
-  auto r = SspMinCostMaxFlow(&net, 0, 1);
+  auto r = SspMinCostMaxFlow(&net, 0, 1, kZeroSeed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 2);
   EXPECT_EQ(r->cost, 12);  // b->t1 (2) + a->t2 (10)
@@ -102,7 +110,8 @@ TEST(SspMcmfTest, DemandShapedNetworkSaturatesDemands) {
   ASSERT_TRUE(b.AddArc(6, 1, 3, 0).ok());
   FlowNetwork net;
   b.Build(&net);
-  auto r = SspMinCostMaxFlow(&net, 0, 1);
+  const LayeredSeed seed{/*right_begin=*/5, /*cost_offset=*/-900};
+  auto r = SspMinCostMaxFlow(&net, 0, 1, seed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 4);
   EXPECT_EQ(r->cost, -3000);
@@ -172,7 +181,8 @@ TEST_P(BigRandomMcmfTest, SspMatchesBellmanFordOnLargerGraphs) {
   };
   FlowNetwork a = build(seed);
   FlowNetwork b = build(seed);
-  auto ra = SspMinCostMaxFlow(&a, 0, 1);
+  const LayeredSeed layered{static_cast<NodeId>(2 + workers), -100000};
+  auto ra = SspMinCostMaxFlow(&a, 0, 1, layered);
   auto rb = BellmanFordMinCostMaxFlow(&b, 0, 1);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
@@ -211,8 +221,8 @@ TEST(FlowBuilderTest, ReuseAfterResetMatchesFreshBuilder) {
   FlowNetwork from_fresh;
   reused.Build(&from_reused);
   fresh.Build(&from_fresh);
-  auto rr = SspMinCostMaxFlow(&from_reused, 0, 1);
-  auto rf = SspMinCostMaxFlow(&from_fresh, 0, 1);
+  auto rr = SspMinCostMaxFlow(&from_reused, 0, 1, kZeroSeed);
+  auto rf = SspMinCostMaxFlow(&from_fresh, 0, 1, kZeroSeed);
   ASSERT_TRUE(rr.ok());
   ASSERT_TRUE(rf.ok());
   EXPECT_EQ(rr->flow, rf->flow);
@@ -241,7 +251,8 @@ TEST(FlowBuilderTest, ApplyDeltaMatchesFreshBuild) {
   add(5, 1, 1, 0);
   FlowNetwork net;
   b.Build(&net);
-  ASSERT_TRUE(SspMinCostMaxFlow(&net, 0, 1).ok());
+  const LayeredSeed seed{/*right_begin=*/4, /*cost_offset=*/-50};
+  ASSERT_TRUE(SspMinCostMaxFlow(&net, 0, 1, seed).ok());
 
   // Cancel the doomed arcs along their full st->ed paths (ApplyDelta refuses
   // flow-carrying removals, and partial cancellation would break
@@ -265,7 +276,10 @@ TEST(FlowBuilderTest, ApplyDeltaMatchesFreshBuild) {
   // Surviving flow was re-installed on the compacted CSR.
   EXPECT_EQ(net.Flow(remap[static_cast<std::size_t>(arcs[2])]),
             static_cast<std::int64_t>(1));
-  auto patched = SspMinCostMaxFlow(&net, 0, 1);
+  // The surviving flow rides only the -50 arc, whose cost equals the
+  // seed's offset, so its reverse residual is priced at reduced cost 0 and
+  // the seed stays valid for the re-solve.
+  auto patched = SspMinCostMaxFlow(&net, 0, 1, seed);
   ASSERT_TRUE(patched.ok());
 
   FlowNetworkBuilder fb(6);
@@ -279,7 +293,7 @@ TEST(FlowBuilderTest, ApplyDeltaMatchesFreshBuild) {
   ASSERT_TRUE(fb.AddArc(3, 5, 1, -40).ok());
   ASSERT_TRUE(fb.AddArc(2, 4, 1, -20).ok());
   fb.Build(&fnet);
-  auto scratch = SspMinCostMaxFlow(&fnet, 0, 1);
+  auto scratch = SspMinCostMaxFlow(&fnet, 0, 1, seed);
   ASSERT_TRUE(scratch.ok());
   // The patched network resumes from the surviving flow, so its incremental
   // result plus what was already on the wire must equal the fresh optimum.

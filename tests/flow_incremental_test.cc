@@ -1,12 +1,14 @@
 // Differential harness for the warm-start incremental MCF solver.
 //
 // Every test drives an IncrementalMcmf (and, in the randomized sequences, a
-// second instance with warm starts disabled) through a delta sequence while a
-// plain mirror records the live problem: left supplies, right demand totals,
-// and the (left, right, capacity, cost) of every live arc. After each Solve
-// the mirror is compiled into the classic st/ed formulation and handed to the
-// from-scratch SSP solver — reference flow value, total cost, per-arc flows,
-// conservation, and capacity bounds must all match the incremental state.
+// second instance with warm starts disabled) through a sequence of the five
+// deltas MCF-LTC sends (AddLeft, AddRight, AddArc, SetDeficit, RetireLeft)
+// while a plain mirror records the live problem: left supplies, right demand
+// totals, and the (left, right, capacity, cost) of every live arc. After
+// each Solve the mirror is compiled into the classic st/ed formulation and
+// handed to the from-scratch SSP solver — reference flow value, total cost,
+// per-arc flows, conservation, and capacity bounds must all match the
+// incremental state.
 // Costs are drawn wide (|cost| up to 1e9) so optima are unique in practice
 // and per-arc comparison is meaningful; seeds are pinned, so a sequence that
 // passes once passes forever.
@@ -92,30 +94,6 @@ class Differential {
     return id;
   }
 
-  void RemoveArc(ArcId arc) {
-    for (auto& s : solvers_) {
-      const auto status = s.RemoveArc(arc);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-    arcs_[static_cast<std::size_t>(arc)].alive = false;
-  }
-
-  void SetArcCapacity(ArcId arc, std::int64_t capacity) {
-    for (auto& s : solvers_) {
-      const auto status = s.SetArcCapacity(arc, capacity);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-    arcs_[static_cast<std::size_t>(arc)].capacity = capacity;
-  }
-
-  void SetSupply(NodeId left, std::int64_t supply) {
-    for (auto& s : solvers_) {
-      const auto status = s.SetSupply(left, supply);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-    nodes_[static_cast<std::size_t>(left)].supply = supply;
-  }
-
   void SetDeficit(NodeId right, std::int64_t deficit) {
     // The live total becomes deficit + inflow; inflow is read off the
     // primary's per-arc flows, which the previous CheckAgainstReference
@@ -127,18 +105,16 @@ class Differential {
     }
   }
 
-  void RetireLeft(NodeId left, IncrementalMcmf::RetireMode mode) {
-    if (mode == IncrementalMcmf::RetireMode::kFreeze) {
-      // Frozen units leave the live problem for good: shrink the demand
-      // totals by what this left had delivered (verified optimal flows).
-      for (std::size_t a = 0; a < arcs_.size(); ++a) {
-        if (!arcs_[a].alive || arcs_[a].left != left) continue;
-        nodes_[static_cast<std::size_t>(arcs_[a].right)].demand -=
-            primary().ArcFlow(static_cast<ArcId>(a));
-      }
+  void RetireLeft(NodeId left) {
+    // Frozen units leave the live problem for good: shrink the demand
+    // totals by what this left had delivered (verified optimal flows).
+    for (std::size_t a = 0; a < arcs_.size(); ++a) {
+      if (!arcs_[a].alive || arcs_[a].left != left) continue;
+      nodes_[static_cast<std::size_t>(arcs_[a].right)].demand -=
+          primary().ArcFlow(static_cast<ArcId>(a));
     }
     for (auto& s : solvers_) {
-      const auto status = s.RetireLeft(left, mode);
+      const auto status = s.RetireLeft(left);
       EXPECT_TRUE(status.ok()) << status.ToString();
     }
     for (auto& arc : arcs_) {
@@ -158,19 +134,6 @@ class Differential {
 
   const std::vector<NodeId>& lefts() const { return lefts_; }
   const std::vector<NodeId>& rights() const { return rights_; }
-  std::vector<ArcId> AliveArcs() const {
-    std::vector<ArcId> out;
-    for (std::size_t a = 0; a < arcs_.size(); ++a) {
-      if (arcs_[a].alive) out.push_back(static_cast<ArcId>(a));
-    }
-    return out;
-  }
-  const MirrorArc& arc(ArcId a) const {
-    return arcs_[static_cast<std::size_t>(a)];
-  }
-  const MirrorNode& node(NodeId v) const {
-    return nodes_[static_cast<std::size_t>(v)];
-  }
 
  private:
   std::int64_t Inflow(NodeId right) const {
@@ -184,8 +147,9 @@ class Differential {
     return inflow;
   }
 
-  /// Compiles the mirror into st/ed form, solves from scratch (SPFA-seeded
-  /// SSP — a different code path from the incremental solver), and compares.
+  /// Compiles the mirror into layered st/lefts/rights/ed form, solves from
+  /// scratch (layered-seed SSP — a different code path from the incremental
+  /// solver), and compares.
   void CheckAgainstReference() {
     std::vector<NodeId> ref_of(nodes_.size(), -1);
     NodeId next = 1;  // 0 = st
@@ -195,6 +159,7 @@ class Differential {
         ref_of[static_cast<std::size_t>(r)] = next++;
       }
     }
+    const NodeId right_begin = 1 + static_cast<NodeId>(lefts_.size());
     const NodeId ed = next;
     FlowNetworkBuilder builder(ed + 1);
     for (const NodeId l : lefts_) {
@@ -206,8 +171,10 @@ class Differential {
       }
     }
     std::vector<ArcId> ref_arc_of(arcs_.size(), -1);
+    std::int64_t min_cost = 0;
     for (std::size_t a = 0; a < arcs_.size(); ++a) {
       if (!arcs_[a].alive) continue;
+      min_cost = std::min(min_cost, arcs_[a].cost);
       auto r = builder.AddArc(ref_of[static_cast<std::size_t>(arcs_[a].left)],
                               ref_of[static_cast<std::size_t>(arcs_[a].right)],
                               arcs_[a].capacity, arcs_[a].cost);
@@ -224,7 +191,8 @@ class Differential {
     }
     FlowNetwork net;
     builder.Build(&net);
-    const auto ref = SspMinCostMaxFlow(&net, 0, ed);
+    const LayeredSeed seed{right_begin, min_cost};
+    const auto ref = SspMinCostMaxFlow(&net, 0, ed, seed);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
     for (auto& s : solvers_) {
@@ -288,7 +256,7 @@ std::int64_t WideCost(Rng* rng) {
 }
 
 /// One randomized sequence: grow an instance batch by batch, interleaving
-/// inserts, removals, capacity changes, supply/deficit rewrites, and
+/// arrivals, new arcs between existing nodes, deficit rewrites, and
 /// retirements with Solve+check steps. `hotspot` skews arc targets.
 void RunSequence(std::uint64_t seed, bool hotspot) {
   SCOPED_TRACE(testing::Message() << "seed=" << seed
@@ -322,22 +290,8 @@ void RunSequence(std::uint64_t seed, bool hotspot) {
     // Departures / moves: mutate the solved state, then re-solve.
     const int mutations = static_cast<int>(rng.UniformInt(1, 5));
     for (int m = 0; m < mutations; ++m) {
-      const auto alive = d.AliveArcs();
-      switch (rng.UniformInt(0, 5)) {
-        case 0: {  // arc removal
-          if (alive.empty()) break;
-          d.RemoveArc(alive[static_cast<std::size_t>(rng.UniformInt(
-              0, static_cast<std::int64_t>(alive.size()) - 1))]);
-          break;
-        }
-        case 1: {  // capacity change (shrink-below-flow and growth alike)
-          if (alive.empty()) break;
-          const ArcId a = alive[static_cast<std::size_t>(rng.UniformInt(
-              0, static_cast<std::int64_t>(alive.size()) - 1))];
-          d.SetArcCapacity(a, rng.UniformInt(0, 4));
-          break;
-        }
-        case 2: {  // new arc between existing nodes (a "move")
+      switch (rng.UniformInt(0, 2)) {
+        case 0: {  // new arc between existing nodes (a "move")
           if (d.lefts().empty()) break;
           const NodeId l = d.lefts()[static_cast<std::size_t>(rng.UniformInt(
               0, static_cast<std::int64_t>(d.lefts().size()) - 1))];
@@ -347,14 +301,7 @@ void RunSequence(std::uint64_t seed, bool hotspot) {
           d.AddArc(l, r, rng.UniformInt(1, 3), WideCost(&rng));
           break;
         }
-        case 3: {  // supply rewrite (both directions)
-          if (d.lefts().empty()) break;
-          const NodeId l = d.lefts()[static_cast<std::size_t>(rng.UniformInt(
-              0, static_cast<std::int64_t>(d.lefts().size()) - 1))];
-          d.SetSupply(l, rng.UniformInt(0, 4));
-          break;
-        }
-        case 4: {  // deficit rewrite (task progress / reopening)
+        case 1: {  // deficit rewrite (task progress / reopening)
           const auto& rights = d.rights();
           const NodeId r = rights[static_cast<std::size_t>(rng.UniformInt(
               0, static_cast<std::int64_t>(rights.size()) - 1))];
@@ -365,9 +312,7 @@ void RunSequence(std::uint64_t seed, bool hotspot) {
           if (d.lefts().size() <= 1) break;
           const NodeId l = d.lefts()[static_cast<std::size_t>(rng.UniformInt(
               0, static_cast<std::int64_t>(d.lefts().size()) - 1))];
-          d.RetireLeft(l, rng.Bernoulli(0.5)
-                              ? IncrementalMcmf::RetireMode::kFreeze
-                              : IncrementalMcmf::RetireMode::kCancel);
+          d.RetireLeft(l);
           break;
         }
       }
@@ -406,31 +351,37 @@ TEST(FlowIncrementalTest, EmptyDeltaResolveIsWarmAndExact) {
   d.SolveAndCheck();  // and the cold twin still agrees
 }
 
-TEST(FlowIncrementalTest, AllRemovedThenRebuilt) {
+TEST(FlowIncrementalTest, AllRetiredThenRebuilt) {
   Differential d(WarmAndCold());
   const NodeId r0 = d.AddRight(3);
   const NodeId r1 = d.AddRight(2);
   const NodeId l0 = d.AddLeft(2);
   const NodeId l1 = d.AddLeft(2);
-  const ArcId a0 = d.AddArc(l0, r0, 2, -700);
-  const ArcId a1 = d.AddArc(l0, r1, 1, -200);
-  const ArcId a2 = d.AddArc(l1, r0, 1, -900);
+  d.AddArc(l0, r0, 2, -700);
+  d.AddArc(l0, r1, 1, -200);
+  d.AddArc(l1, r0, 1, -900);
   d.SolveAndCheck();
-  EXPECT_GT(d.primary().TotalFlow(), 0);
-  // Remove every arc: the network empties and all flow is cancelled.
-  d.RemoveArc(a0);
-  d.RemoveArc(a1);
-  d.RemoveArc(a2);
+  const std::int64_t delivered = d.primary().TotalFlow();
+  EXPECT_GT(delivered, 0);
+  // Retire every left: the live network empties and every delivered unit
+  // is frozen at its right, never reopened.
+  d.RetireLeft(l0);
+  d.RetireLeft(l1);
   d.SolveAndCheck();
-  EXPECT_EQ(d.primary().TotalFlow(), 0);
-  EXPECT_EQ(d.primary().TotalCost(), 0);
-  EXPECT_EQ(d.primary().Deficit(r0), 3);
-  EXPECT_EQ(d.primary().Deficit(r1), 2);
-  // Rebuild on the emptied instance; ids and warm state must still work.
-  d.AddArc(l0, r1, 2, -650);
-  d.AddArc(l1, r0, 2, -150);
+  auto& warm = d.primary();
+  EXPECT_EQ(warm.TotalFlow(), 0);
+  EXPECT_EQ(warm.TotalCost(), 0);
+  EXPECT_EQ(warm.Consumed(r0) + warm.Consumed(r1), delivered);
+  EXPECT_EQ(warm.Deficit(r0) + warm.Consumed(r0), 3);
+  EXPECT_EQ(warm.Deficit(r1) + warm.Consumed(r1), 2);
+  // Rebuild on the emptied instance (recycled node and arc ids); the warm
+  // state must still work.
+  const NodeId l2 = d.AddLeft(2);
+  const NodeId l3 = d.AddLeft(2);
+  d.AddArc(l2, r1, 2, -650);
+  d.AddArc(l3, r0, 2, -150);
   d.SolveAndCheck();
-  EXPECT_GT(d.primary().TotalFlow(), 0);
+  EXPECT_GT(warm.TotalFlow(), 0);
 }
 
 TEST(FlowIncrementalTest, FreezeRemovesDeliveredUnitsFromLiveProblem) {
@@ -441,7 +392,7 @@ TEST(FlowIncrementalTest, FreezeRemovesDeliveredUnitsFromLiveProblem) {
   ASSERT_TRUE(incr.Solve().ok());
   EXPECT_EQ(incr.TotalFlow(), 1);
   EXPECT_EQ(incr.Deficit(r), 1);
-  ASSERT_TRUE(incr.RetireLeft(l, IncrementalMcmf::RetireMode::kFreeze).ok());
+  ASSERT_TRUE(incr.RetireLeft(l).ok());
   EXPECT_EQ(incr.Consumed(r), 1);
   EXPECT_EQ(incr.Deficit(r), 1);  // the delivered unit does not reopen
   EXPECT_EQ(incr.TotalFlow(), 0);
@@ -459,8 +410,8 @@ TEST(FlowIncrementalTest, WarmSolvesAreActuallyWarm) {
   std::vector<NodeId> rights;
   for (int i = 0; i < 8; ++i) rights.push_back(incr.AddRight(3));
   // The batch-pipeline shape McfLtc uses: each round brings fresh lefts,
-  // solves, then retires them with kFreeze (deliveries become permanent,
-  // deficits shrink). No left ever carries flow into the next solve and no
+  // solves, then retires them (deliveries become permanent, deficits
+  // shrink). No left ever carries flow into the next solve and no
   // right keeps live inflow, so the feasibility scan always passes.
   for (int batch = 0; batch < 5; ++batch) {
     std::vector<NodeId> lefts;
@@ -476,7 +427,7 @@ TEST(FlowIncrementalTest, WarmSolvesAreActuallyWarm) {
     }
     ASSERT_TRUE(incr.Solve().ok());
     for (const NodeId l : lefts) {
-      ASSERT_TRUE(incr.RetireLeft(l, IncrementalMcmf::RetireMode::kFreeze).ok());
+      ASSERT_TRUE(incr.RetireLeft(l).ok());
     }
   }
   EXPECT_EQ(incr.num_solves(), 5);
@@ -497,6 +448,52 @@ TEST(FlowIncrementalTest, WarmStartOffForcesColdEverySolve) {
     EXPECT_TRUE(incr.last_solve_cold());
   }
   EXPECT_EQ(incr.num_cold_solves(), 3);
+}
+
+// --- The cold-restart triggers the delta API can reach ---
+
+TEST(FlowIncrementalTest, NegativeReducedCostArcBetweenPricedNodesRunsCold) {
+  Differential d(WarmAndCold());
+  const NodeId r0 = d.AddRight(1);
+  const NodeId r1 = d.AddRight(1);
+  const NodeId l0 = d.AddLeft(2);
+  d.AddArc(l0, r0, 1, -100);
+  d.SolveAndCheck();
+  const NodeId l1 = d.AddLeft(1);
+  d.AddArc(l1, r1, 1, -10);
+  d.SolveAndCheck();  // arcs from a pending left are priced at Solve: warm
+  auto& warm = d.primary();
+  EXPECT_FALSE(warm.last_solve_cold());
+  // An expensive arc between priced nodes has non-negative reduced cost:
+  // the duals still certify optimality, so the solve stays warm.
+  d.AddArc(l0, r1, 1, 5000);
+  d.SolveAndCheck();
+  EXPECT_FALSE(warm.last_solve_cold());
+  // A cheap one undercuts the learned duals: l0's spare unit should take r1
+  // from l1, which no local repair finds — the solve restarts cold.
+  d.AddArc(l0, r1, 1, -5000);
+  d.SolveAndCheck();
+  EXPECT_TRUE(warm.last_solve_cold());
+  EXPECT_EQ(warm.TotalCost(), -5100);
+}
+
+TEST(FlowIncrementalTest, FailedFeasibilityScanRunsCold) {
+  Differential d(WarmAndCold());
+  const NodeId r0 = d.AddRight(1);
+  const NodeId l0 = d.AddLeft(1);
+  d.AddArc(l0, r0, 1, -100);
+  d.SolveAndCheck();
+  auto& warm = d.primary();
+  ASSERT_EQ(warm.Excess(l0), 0);  // l0 carries its unit into the next solve
+  // A cheaper newcomer is priced above the flow-carrying l0, so no
+  // super-source price separates excess lefts from used ones: keeping l0's
+  // flow would lock in a suboptimal routing, and the solve restarts cold.
+  const NodeId l1 = d.AddLeft(1);
+  d.AddArc(l1, r0, 1, -1000);
+  d.SolveAndCheck();
+  EXPECT_TRUE(warm.last_solve_cold());
+  EXPECT_EQ(warm.TotalCost(), -1000);
+  EXPECT_EQ(warm.Excess(l0), 1);
 }
 
 TEST(FlowIncrementalDriftDeathTest, CorruptedFlowFailsTheDriftCheck) {

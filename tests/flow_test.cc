@@ -1,6 +1,7 @@
 // Tests for the flow substrate: CSR network representation and builder,
-// Dinic max-flow and both min-cost max-flow solvers, with randomized
-// cross-checks and builder/network reuse coverage.
+// the Dinic max-flow oracle and the layered-seed SSP min-cost max-flow
+// solver, with randomized cross-checks against the Bellman-Ford oracle and
+// builder/network reuse coverage.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "flow/graph.h"
 #include "flow/min_cost_flow.h"
 #include "oracles/max_flow.h"
+#include "oracles/min_cost_flow.h"
 
 namespace ltc {
 namespace flow {
@@ -117,30 +119,34 @@ TEST(DinicTest, RejectsBadEndpoints) {
   EXPECT_FALSE(DinicMaxFlow(&net, 0, 5).ok());
 }
 
+// Networks without negative costs satisfy the layered seed's contract with
+// every potential at 0, whatever their shape.
+constexpr LayeredSeed kZeroSeed{};
+
 TEST(SspMcmfTest, SimpleTwoPathChoice) {
-  // Two unit paths: costs 1 and 3; pushing 1 unit must pick cost 1;
-  // pushing 2 units costs 4.
-  FlowNetworkBuilder b(4);
+  // Two unit paths st -> {1, 2} -> 3 with costs 1 and 3: both units cost 4;
+  // behind a unit-capacity sink arc 3 -> 4 only the cost-1 path is taken.
+  FlowNetworkBuilder b(5);
   ASSERT_TRUE(b.AddArc(0, 1, 1, 1).ok());
   ASSERT_TRUE(b.AddArc(0, 2, 1, 3).ok());
   ASSERT_TRUE(b.AddArc(1, 3, 1, 0).ok());
   ASSERT_TRUE(b.AddArc(2, 3, 1, 0).ok());
+  ASSERT_TRUE(b.AddArc(3, 4, 1, 0).ok());
   FlowNetwork net = Built(&b);
-  McmfOptions options;
-  options.flow_limit = 1;
-  auto r1 = SspMinCostMaxFlow(&net, 0, 3, options);
+  auto r1 = SspMinCostMaxFlow(&net, 0, 4, kZeroSeed);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->flow, 1);
   EXPECT_EQ(r1->cost, 1);
   net.ResetFlow();
-  auto r2 = SspMinCostMaxFlow(&net, 0, 3);
+  auto r2 = SspMinCostMaxFlow(&net, 0, 3, kZeroSeed);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->flow, 2);
   EXPECT_EQ(r2->cost, 4);
 }
 
 TEST(SspMcmfTest, NegativeCostsHandled) {
-  // The LTC shape: negative worker->task costs.
+  // The LTC shape: st=0, worker 1, tasks {2, 3}, ed=4, with negative
+  // worker->task costs absorbed by the layered seed.
   FlowNetworkBuilder b(4);
   ASSERT_TRUE(b.AddArc(0, 1, 2, 0).ok());
   ASSERT_TRUE(b.AddArc(1, 2, 1, -10).ok());
@@ -149,7 +155,8 @@ TEST(SspMcmfTest, NegativeCostsHandled) {
   ASSERT_TRUE(b.AddArc(2, sink, 1, 0).ok());
   ASSERT_TRUE(b.AddArc(3, sink, 1, 0).ok());
   FlowNetwork net = Built(&b);
-  auto r = SspMinCostMaxFlow(&net, 0, sink);
+  const LayeredSeed seed{/*right_begin=*/2, /*cost_offset=*/-20};
+  auto r = SspMinCostMaxFlow(&net, 0, sink, seed);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->flow, 2);
   EXPECT_EQ(r->cost, -30);
@@ -158,54 +165,8 @@ TEST(SspMcmfTest, NegativeCostsHandled) {
 TEST(SspMcmfTest, RequiresDistinctEndpoints) {
   FlowNetworkBuilder b(2);
   FlowNetwork net = Built(&b);
-  EXPECT_FALSE(SspMinCostMaxFlow(&net, 1, 1).ok());
-  EXPECT_FALSE(SspMinCostMaxFlow(&net, 0, 9).ok());
-}
-
-TEST(SspMcmfTest, FlowLimitRespected) {
-  FlowNetworkBuilder b(2);
-  ASSERT_TRUE(b.AddArc(0, 1, 100, 1).ok());
-  FlowNetwork net = Built(&b);
-  McmfOptions options;
-  options.flow_limit = 7;
-  auto r = SspMinCostMaxFlow(&net, 0, 1, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->flow, 7);
-  EXPECT_EQ(r->cost, 7);
-}
-
-TEST(SspMcmfTest, LayeredSeedMatchesSpfaSeed) {
-  // The MCF-LTC shape: st=0, ed=1, workers {2,3}, tasks {4,5}; negative
-  // costs only on worker->task arcs. The closed-form layered seed must
-  // produce the same optimum as the SPFA-seeded default.
-  auto build = [] {
-    FlowNetworkBuilder b(6);
-    EXPECT_TRUE(b.AddArc(0, 2, 2, 0).ok());
-    EXPECT_TRUE(b.AddArc(0, 3, 2, 0).ok());
-    EXPECT_TRUE(b.AddArc(2, 4, 1, -500).ok());
-    EXPECT_TRUE(b.AddArc(2, 5, 1, -300).ok());
-    EXPECT_TRUE(b.AddArc(3, 4, 1, -400).ok());
-    EXPECT_TRUE(b.AddArc(3, 5, 1, -100).ok());
-    EXPECT_TRUE(b.AddArc(4, 1, 2, 0).ok());
-    EXPECT_TRUE(b.AddArc(5, 1, 1, 0).ok());
-    return b;
-  };
-  FlowNetworkBuilder ba = build();
-  FlowNetwork a = Built(&ba);
-  auto plain = SspMinCostMaxFlow(&a, 0, 1);
-  ASSERT_TRUE(plain.ok());
-
-  FlowNetworkBuilder bb = build();
-  FlowNetwork b2 = Built(&bb);
-  McmfOptions options;
-  options.layered_seed = McmfOptions::LayeredSeed{/*right_begin=*/4,
-                                                  /*cost_offset=*/-500};
-  McmfWorkspace workspace;
-  options.workspace = &workspace;
-  auto seeded = SspMinCostMaxFlow(&b2, 0, 1, options);
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(seeded->flow, plain->flow);
-  EXPECT_EQ(seeded->cost, plain->cost);
+  EXPECT_FALSE(SspMinCostMaxFlow(&net, 1, 1, kZeroSeed).ok());
+  EXPECT_FALSE(SspMinCostMaxFlow(&net, 0, 9, kZeroSeed).ok());
 }
 
 TEST(BellmanFordMcmfTest, MatchesSspOnTextbookInstance) {
@@ -223,7 +184,7 @@ TEST(BellmanFordMcmfTest, MatchesSspOnTextbookInstance) {
   };
   FlowNetwork a = build();
   FlowNetwork b = build();
-  auto ra = SspMinCostMaxFlow(&a, 0, 4);
+  auto ra = SspMinCostMaxFlow(&a, 0, 4, kZeroSeed);
   auto rb = BellmanFordMinCostMaxFlow(&b, 0, 4);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
@@ -237,8 +198,6 @@ TEST(FlowNetworkBuilderTest, ResetAndRebuildGivesIdenticalResults) {
   FlowNetworkBuilder builder;
   FlowNetwork net;
   McmfWorkspace workspace;
-  McmfOptions options;
-  options.workspace = &workspace;
 
   std::vector<std::int64_t> flows;
   std::vector<std::int64_t> costs;
@@ -250,7 +209,7 @@ TEST(FlowNetworkBuilderTest, ResetAndRebuildGivesIdenticalResults) {
     ASSERT_TRUE(builder.AddArc(1, 3, 1, 0).ok());
     ASSERT_TRUE(builder.AddArc(2, 3, 1, 0).ok());
     builder.Build(&net);
-    auto ra = SspMinCostMaxFlow(&net, 0, 3, options);
+    auto ra = SspMinCostMaxFlow(&net, 0, 3, kZeroSeed, &workspace);
     ASSERT_TRUE(ra.ok());
     flows.push_back(ra->flow);
     costs.push_back(ra->cost);
@@ -264,7 +223,8 @@ TEST(FlowNetworkBuilderTest, ResetAndRebuildGivesIdenticalResults) {
     ASSERT_TRUE(builder.AddArc(4, 1, 1, 0).ok());
     ASSERT_TRUE(builder.AddArc(5, 1, 1, 0).ok());
     builder.Build(&net);
-    auto rb = SspMinCostMaxFlow(&net, 0, 1, options);
+    const LayeredSeed seed{/*right_begin=*/4, /*cost_offset=*/-500};
+    auto rb = SspMinCostMaxFlow(&net, 0, 1, seed, &workspace);
     ASSERT_TRUE(rb.ok());
     flows.push_back(rb->flow);
     costs.push_back(rb->cost);
@@ -289,11 +249,11 @@ TEST(FlowNetworkTest, ResetFlowThenResolveIsIdentical) {
   ASSERT_TRUE(b.AddArc(2, 3, 4, 2).ok());
   ASSERT_TRUE(b.AddArc(3, 4, 5, 0).ok());
   FlowNetwork net = Built(&b);
-  auto r1 = SspMinCostMaxFlow(&net, 0, 4);
+  auto r1 = SspMinCostMaxFlow(&net, 0, 4, kZeroSeed);
   ASSERT_TRUE(r1.ok());
   net.ResetFlow();
   for (ArcId a = 0; a < net.num_arcs(); ++a) EXPECT_EQ(net.Flow(a), 0);
-  auto r2 = SspMinCostMaxFlow(&net, 0, 4);
+  auto r2 = SspMinCostMaxFlow(&net, 0, 4, kZeroSeed);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->flow, r2->flow);
   EXPECT_EQ(r1->cost, r2->cost);
@@ -355,36 +315,18 @@ TEST_P(McmfRandomTest, SspMatchesBellmanFordOnRandomBipartite) {
   const std::uint64_t arc_seed = rng.NextU64();
   FlowNetwork a = build(Rng(arc_seed));
   FlowNetwork b = build(Rng(arc_seed));
-  FlowNetwork c = build(Rng(arc_seed));
 
-  auto ra = SspMinCostMaxFlow(&a, 0, 1);
+  // The layered closed-form seed (valid for this st->worker->task->ed
+  // shape) must reach the oracle's optimum, workspace reused across seeds.
+  static McmfWorkspace shared_workspace;
+  const LayeredSeed seed{static_cast<NodeId>(2 + workers), -1000};
+  auto ra = SspMinCostMaxFlow(&a, 0, 1, seed, &shared_workspace);
   auto rb = BellmanFordMinCostMaxFlow(&b, 0, 1);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra->flow, rb->flow);
   EXPECT_EQ(ra->cost, rb->cost);
   CheckFlowValid(a, 0, 1, ra->flow);
-
-  // Early exit off must not change the optimum.
-  McmfOptions no_early;
-  no_early.early_exit = false;
-  auto rc = SspMinCostMaxFlow(&c, 0, 1, no_early);
-  ASSERT_TRUE(rc.ok());
-  EXPECT_EQ(rc->flow, ra->flow);
-  EXPECT_EQ(rc->cost, ra->cost);
-
-  // The layered closed-form seed (valid for this st->worker->task->ed
-  // shape) must also reach the optimum, workspace reused across seeds.
-  FlowNetwork d = build(Rng(arc_seed));
-  static McmfWorkspace shared_workspace;
-  McmfOptions layered;
-  layered.workspace = &shared_workspace;
-  layered.layered_seed =
-      McmfOptions::LayeredSeed{static_cast<NodeId>(2 + workers), -1000};
-  auto rd = SspMinCostMaxFlow(&d, 0, 1, layered);
-  ASSERT_TRUE(rd.ok());
-  EXPECT_EQ(rd->flow, ra->flow);
-  EXPECT_EQ(rd->cost, ra->cost);
 
   // Max-flow value agrees with Dinic.
   FlowNetwork e = build(Rng(arc_seed));

@@ -1,8 +1,8 @@
 // Property tests for geo::GridIndex dynamic mode: random
 // Insert/Remove/Relocate sequences must leave the index answering radius
-// and k-NN queries identically to an index rebuilt from scratch over the
-// same live point set — the invariant svc::StreamPipeline's incremental
-// open-task index rests on (DESIGN.md §8).
+// and nearest-point queries identically to an index rebuilt from scratch
+// over the same live point set — the invariant svc::StreamPipeline's
+// incremental open-task index rests on (DESIGN.md §8).
 
 #include <algorithm>
 #include <cmath>
@@ -29,19 +29,18 @@ std::vector<std::int64_t> BruteRadius(const PointMap& points,
   return out;
 }
 
-/// Brute-force k-NN answer: ascending (distance, id).
-std::vector<std::int64_t> BruteKNearest(const PointMap& points,
-                                        const Point& center, std::size_t k) {
-  std::vector<std::pair<double, std::int64_t>> scored;
-  for (const auto& [id, p] : points) {
-    scored.push_back({SquaredDistance(p, center), id});
+/// Brute-force nearest point: smallest (distance, id); -1 when empty.
+std::int64_t BruteNearest(const PointMap& points, const Point& center) {
+  std::int64_t best = -1;
+  double best_d2 = 0.0;
+  for (const auto& [id, p] : points) {  // ascending ids: ties keep the first
+    const double d2 = SquaredDistance(p, center);
+    if (best < 0 || d2 < best_d2) {
+      best = id;
+      best_d2 = d2;
+    }
   }
-  std::sort(scored.begin(), scored.end());
-  std::vector<std::int64_t> out;
-  for (std::size_t i = 0; i < std::min(k, scored.size()); ++i) {
-    out.push_back(scored[i].second);
-  }
-  return out;
+  return best;
 }
 
 /// Rebuilds a dynamic index from scratch (ascending-id insertion) over the
@@ -115,32 +114,20 @@ TEST(GridIndexDynamicTest, RandomSequencesMatchRebuiltIndex) {
       EXPECT_EQ(got, BruteRadius(reference, center, radius))
           << "sequence " << sequence;
 
-      // k-NN: ascending (distance, id) is layout-independent, so all three
-      // agree element-wise.
-      const auto k = static_cast<std::size_t>(rng.UniformInt(1, 12));
-      std::vector<std::int64_t> knn;
-      std::vector<std::int64_t> knn_fresh;
-      index.KNearest(center, k, &knn);
-      rebuilt.KNearest(center, k, &knn_fresh);
-      EXPECT_EQ(knn, knn_fresh) << "sequence " << sequence;
-      EXPECT_EQ(knn, BruteKNearest(reference, center, k))
-          << "sequence " << sequence;
-
-      // Nearest is k-NN with k = 1.
+      // Nearest: smallest (distance, id) is layout-independent, so all
+      // three agree.
       const std::int64_t nearest = index.Nearest(center);
-      if (reference.empty()) {
-        EXPECT_EQ(nearest, -1);
-      } else {
-        EXPECT_EQ(nearest, BruteKNearest(reference, center, 1).front());
-      }
+      EXPECT_EQ(nearest, rebuilt.Nearest(center)) << "sequence " << sequence;
+      EXPECT_EQ(nearest, BruteNearest(reference, center))
+          << "sequence " << sequence;
     }
   }
 }
 
 // Directed regression for the insert-side clamp: a Relocate (or Insert) to
 // a coordinate outside the built bounds must land in the clamped edge cell
-// — the same cell the query window clamps to — so radius and k-NN queries
-// keep finding the point. Exercises all four sides plus the corners at
+// — the same cell the query window clamps to — so radius and nearest-point
+// queries keep finding the point. Exercises all four sides plus the corners at
 // points less than one cell beyond the edge (where truncation-vs-floor
 // bugs hide) and far beyond it.
 TEST(GridIndexDynamicTest, RelocateOutsideBoundsStaysQueryable) {
@@ -166,9 +153,8 @@ TEST(GridIndexDynamicTest, RelocateOutsideBoundsStaysQueryable) {
           << "cell " << cell_size << " point (" << p.x << ", " << p.y << ")";
       index.QueryRadius({50.0, 50.0}, 200.0, &got);
       EXPECT_EQ(got, std::vector<std::int64_t>{0});
-      // k-NN from anywhere still surfaces the only live point.
-      index.KNearest({50.0, 50.0}, 1, &got);
-      EXPECT_EQ(got, std::vector<std::int64_t>{0});
+      // Nearest from anywhere still surfaces the only live point.
+      EXPECT_EQ(index.Nearest({50.0, 50.0}), 0);
       EXPECT_EQ(index.Nearest(p), 0);
       // A fresh insert at the same out-of-bounds location agrees with the
       // relocated index (insert-side and relocate-side clamp match).
@@ -207,7 +193,7 @@ TEST(GridIndexDynamicTest, StaticIndexRejectsMutation) {
   EXPECT_TRUE(index.Relocate(0, {3.0, 3.0}).IsFailedPrecondition());
 }
 
-TEST(GridIndexDynamicTest, StaticKNearestMatchesBruteForce) {
+TEST(GridIndexDynamicTest, StaticNearestMatchesBruteForce) {
   Rng rng(7);
   std::vector<Point> points;
   PointMap reference;
@@ -221,10 +207,7 @@ TEST(GridIndexDynamicTest, StaticKNearestMatchesBruteForce) {
   const GridIndex index = std::move(built).value();
   for (int query = 0; query < 20; ++query) {
     const Point center{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
-    const auto k = static_cast<std::size_t>(rng.UniformInt(1, 70));
-    std::vector<std::int64_t> knn;
-    index.KNearest(center, k, &knn);
-    EXPECT_EQ(knn, BruteKNearest(reference, center, k));
+    EXPECT_EQ(index.Nearest(center), BruteNearest(reference, center));
   }
 }
 

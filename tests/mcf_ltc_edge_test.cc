@@ -9,11 +9,11 @@
 
 #include "algo/mcf_ltc.h"
 #include "flow/graph.h"
-#include "flow/min_cost_flow.h"
 #include "gen/example_paper.h"
 #include "gen/synthetic.h"
 #include "model/eligibility.h"
 #include "model/quality.h"
+#include "oracles/min_cost_flow.h"
 
 namespace ltc {
 namespace algo {
