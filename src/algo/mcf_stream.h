@@ -2,10 +2,10 @@
 // behind both the offline scheduler (McfLtc::Run, algo/mcf_ltc.h) and
 // `ltc_serve --algo=MCF`.
 //
-// It implements the batch streaming protocol of algo/scheduler.h
-// (SchedulesWholeBatch): admitted workers are buffered with their
-// candidate sets until a Theorem-2 batch is full (m = |T| * ceil(delta) /
-// K over the tasks seen so far, first batch 1.5x), and the batch is then
+// It implements the streaming protocol of algo/scheduler.h by buffering:
+// each flushed micro-batch's workers are kept with their candidate sets
+// until a Theorem-2 batch is full (m = |T| * ceil(delta) / K over the
+// tasks seen so far, first batch 1.5x), and the batch is then
 // matched against the still-open tasks by one min-cost max-flow:
 //
 //     st --(cap K, cost 0)--> w --(cap 1, cost -Acc*)--> t
@@ -54,9 +54,9 @@ class McfStream : public OnlineScheduler {
   std::string Name() const override { return "MCF"; }
 
   // Batch-mode entry points are unsupported: MCF is driven through the
-  // batch protocol, by the svc engine or by McfLtc::Run (sim::RunOnline's
-  // per-arrival contract cannot express a batch commitment for an earlier
-  // worker).
+  // streaming protocol, by the svc engine or by McfLtc::Run
+  // (sim::RunOnline's per-arrival contract cannot express a batch
+  // commitment for an earlier worker).
   Status Init(const model::ProblemInstance& instance,
               const model::EligibilityIndex& index) override;
   Status OnArrival(const model::Worker& worker,
@@ -66,7 +66,6 @@ class McfStream : public OnlineScheduler {
                        const StreamShardContext& shard = {}) override;
   Status OnTaskAdded(model::TaskId task) override;
 
-  bool SchedulesWholeBatch() const override { return true; }
   Status OnBatchWithCandidates(
       const std::vector<model::WorkerIndex>& workers,
       const std::vector<const std::vector<model::TaskId>*>& candidates,

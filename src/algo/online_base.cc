@@ -66,22 +66,34 @@ Status OnlineSchedulerBase::OnArrival(const model::Worker& worker,
                          assigned);
 }
 
-Status OnlineSchedulerBase::OnArrivalWithCandidates(
-    const model::Worker& worker, const std::vector<model::TaskId>& candidates,
-    std::vector<model::TaskId>* assigned) {
-  assigned->clear();
+Status OnlineSchedulerBase::OnBatchWithCandidates(
+    const std::vector<model::WorkerIndex>& workers,
+    const std::vector<const std::vector<model::TaskId>*>& candidates,
+    std::vector<StreamCommit>* commits) {
   if (instance_ == nullptr) {
     return Status::FailedPrecondition(
-        "OnArrivalWithCandidates before InitStreaming");
+        "OnBatchWithCandidates before InitStreaming");
   }
-  if (arrangement_->AllCompleted()) return Status::OK();
-  // Unconditional re-filter in streaming mode: the caller gathered
-  // `candidates` at flush time, so an earlier worker of the same batch may
-  // have completed one since. A service never re-serves a finished task —
-  // even under Random, whose batch-mode FilterCompleted() is false
-  // (DESIGN.md §8).
-  return SelectAndCommit(worker, candidates, /*filter_completed=*/true,
-                         assigned);
+  if (workers.size() != candidates.size()) {
+    return Status::InvalidArgument("workers/candidates size mismatch");
+  }
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    if (arrangement_->AllCompleted()) break;
+    const model::Worker& worker =
+        instance_->workers[static_cast<std::size_t>(workers[i]) - 1];
+    // Unconditional re-filter in streaming mode: the caller gathered the
+    // candidates at flush time, so an earlier worker of the same batch may
+    // have completed one since. A service never re-serves a finished task —
+    // even under Random, whose batch-mode FilterCompleted() is false
+    // (DESIGN.md §8).
+    assigned_scratch_.clear();
+    LTC_RETURN_IF_ERROR(SelectAndCommit(
+        worker, *candidates[i], /*filter_completed=*/true, &assigned_scratch_));
+    for (model::TaskId t : assigned_scratch_) {
+      commits->push_back(StreamCommit{worker.index, t});
+    }
+  }
+  return Status::OK();
 }
 
 Status OnlineSchedulerBase::SerializeState(std::string* out) const {

@@ -31,12 +31,14 @@ class OnlineSchedulerBase : public OnlineScheduler {
   /// Streaming protocol: the candidate enumeration of step 2 moves to the
   /// caller (svc::StreamPipeline queries its incremental index); everything
   /// else — filtering, SelectTasks, commitment — is shared with OnArrival.
+  /// A flushed batch runs steps 1-4 worker by worker in arrival order.
   Status InitStreaming(const model::ProblemInstance& instance,
                        const StreamShardContext& shard = {}) override;
   Status OnTaskAdded(model::TaskId task) override;
-  Status OnArrivalWithCandidates(const model::Worker& worker,
-                                 const std::vector<model::TaskId>& candidates,
-                                 std::vector<model::TaskId>* assigned) override;
+  Status OnBatchWithCandidates(
+      const std::vector<model::WorkerIndex>& workers,
+      const std::vector<const std::vector<model::TaskId>*>& candidates,
+      std::vector<StreamCommit>* commits) override;
 
   /// Snapshot protocol (DESIGN.md §11): the generic serialization is the
   /// arrangement's Add sequence ("a" lines), which RestoreState replays
@@ -105,9 +107,9 @@ class OnlineSchedulerBase : public OnlineScheduler {
   const model::Arrangement& arr() const { return *arrangement_; }
 
  private:
-  /// Steps 2-4 shared by OnArrival and OnArrivalWithCandidates: drop
+  /// Steps 2-4 shared by OnArrival and OnBatchWithCandidates: drop
   /// completed tasks from `eligible` when `filter_completed`, select, and
-  /// commit.
+  /// commit, appending the choices to *assigned.
   Status SelectAndCommit(const model::Worker& worker,
                          const std::vector<model::TaskId>& eligible,
                          bool filter_completed,
@@ -119,6 +121,7 @@ class OnlineSchedulerBase : public OnlineScheduler {
   double delta_ = 0.0;
   std::vector<model::TaskId> eligible_scratch_;
   std::vector<model::TaskId> candidates_scratch_;
+  std::vector<model::TaskId> assigned_scratch_;
 };
 
 }  // namespace algo

@@ -5,6 +5,12 @@
 // engine (src/sim/engine.h) and must commit assignments immediately — the
 // temporal constraint of Definition 7. Both produce a ScheduleResult whose
 // arrangement is validated by the same model::ValidateArrangement code.
+//
+// Online schedulers also implement one streaming contract, shared by every
+// scheduler the service runs (LAF, AAM, Random and the streaming MCF-LTC):
+// InitStreaming, OnTaskAdded, one OnBatchWithCandidates per flushed
+// micro-batch, OnStreamEnd, and the SerializeState/RestoreState snapshot
+// pair. svc::StreamPipeline drives it, and so does McfLtc::Run.
 
 #ifndef LTC_ALGO_SCHEDULER_H_
 #define LTC_ALGO_SCHEDULER_H_
@@ -20,10 +26,6 @@
 #include "model/problem.h"
 
 namespace ltc {
-
-namespace fcst {
-class ArrivalForecast;
-}  // namespace fcst
 
 namespace algo {
 
@@ -82,12 +84,14 @@ struct StreamShardContext {
   int num_shards = 1;
 };
 
-/// \brief An algorithm that decides per arrival (LAF, AAM, Random).
+/// \brief An algorithm that commits as workers arrive (LAF, AAM, Random,
+/// and the streaming MCF).
 ///
-/// Protocol: Init once, then OnArrival for workers in stream order. The
-/// engine stops calling once Done() — all tasks completed — or the stream is
-/// exhausted. Implementations must base decisions only on the tasks, the
-/// instance parameters, and arrivals seen so far.
+/// Batch protocol: Init once, then OnArrival for workers in stream order.
+/// The engine stops calling once Done() — all tasks completed — or the
+/// stream is exhausted. Implementations must base decisions only on the
+/// tasks, the instance parameters, and arrivals seen so far. The streaming
+/// protocol below is the service's counterpart.
 class OnlineScheduler {
  public:
   virtual ~OnlineScheduler() = default;
@@ -110,80 +114,40 @@ class OnlineScheduler {
   /// The arrangement built so far.
   virtual const model::Arrangement& arrangement() const = 0;
 
-  // --- Streaming protocol (svc::StreamPipeline; DESIGN.md §8-§9) ---
+  // --- Streaming protocol (svc::StreamPipeline; DESIGN.md §8-§10) ---
   //
   // A streaming run has no complete instance up front: the engine appends
   // tasks and workers to one growing ProblemInstance as arrival events come
   // in, keeps an incremental spatial index over the open tasks, and hands
-  // each admitted worker its precomputed candidate set. Implementations must
-  // still base decisions only on the instance prefix seen so far. Defaults
-  // return NotImplemented so purely batch schedulers need no changes.
+  // each flushed micro-batch of admitted workers to the scheduler with
+  // their precomputed candidate sets. Implementations must still base
+  // decisions only on the instance prefix seen so far.
+  //
+  // One call commits one flushed batch, for every scheduler: the per-worker
+  // heuristics (LAF, AAM, Random) commit the batch's workers one by one in
+  // arrival order, while the streaming MCF may buffer workers until it has
+  // a whole Theorem-2 batch, so a flush can assign tasks to workers
+  // admitted by earlier flushes. Every commitment is therefore reported as
+  // an explicit (worker, task) pair.
 
   /// The shard identity of the current streaming run ({0, 1} for batch and
   /// unsharded streaming runs).
   const StreamShardContext& shard_context() const { return shard_context_; }
 
-  /// Gives this scheduler read access to the pipeline's online arrival
-  /// forecast (fcst/arrival_forecast.h; DESIGN.md §13) for the remainder of
-  /// the streaming run. The pointer is owned by the caller (the svc
-  /// pipeline), stays valid until the next Init*/Restore*, and may be null
-  /// (no forecast maintained — the fixed-deadline modes). Schedulers that
-  /// want predicted arrival rates read arrival_forecast(); the default
-  /// schedulers ignore it, so installing a forecast never changes their
-  /// commitments.
-  void InstallForecast(const fcst::ArrivalForecast* forecast) {
-    arrival_forecast_ = forecast;
-  }
-
-  /// The installed forecast, or null when none is maintained.
-  const fcst::ArrivalForecast* arrival_forecast() const {
-    return arrival_forecast_;
-  }
-
   /// Resets all state for a streaming run over `instance`, which the caller
   /// grows in place between calls (tasks via OnTaskAdded, workers before
-  /// their OnArrivalWithCandidates). `instance` may still be empty here.
-  /// `shard` is the run's shard identity (shard_context()); every svc
-  /// pipeline passes its own, and the default is the unsharded identity.
+  /// the OnBatchWithCandidates that admits them). `instance` may still be
+  /// empty here. `shard` is the run's shard identity (shard_context());
+  /// every svc pipeline passes its own, and the default is the unsharded
+  /// identity.
   virtual Status InitStreaming(const model::ProblemInstance& instance,
-                               const StreamShardContext& shard = {}) {
-    (void)instance;
-    (void)shard;
-    return Status::NotImplemented(Name() + " does not support streaming");
-  }
+                               const StreamShardContext& shard = {}) = 0;
 
   /// Notifies that instance.tasks grew by one; `task` is the new id and
   /// must equal the previous task count (dense arrival order).
-  virtual Status OnTaskAdded(model::TaskId task) {
-    (void)task;
-    return Status::NotImplemented(Name() + " does not support streaming");
-  }
+  virtual Status OnTaskAdded(model::TaskId task) = 0;
 
-  /// Like OnArrival, but with eligibility supplied by the caller:
-  /// `candidates` holds the worker's eligible open tasks in ascending id
-  /// order, as of the admitting batch's flush. Tasks completed by earlier
-  /// commits of the same batch are re-filtered internally.
-  virtual Status OnArrivalWithCandidates(
-      const model::Worker& worker,
-      const std::vector<model::TaskId>& candidates,
-      std::vector<model::TaskId>* assigned) {
-    (void)worker;
-    (void)candidates;
-    (void)assigned;
-    return Status::NotImplemented(Name() + " does not support streaming");
-  }
-
-  // --- Batch streaming protocol (svc::StreamPipeline; DESIGN.md §10) ---
-  //
-  // Per-worker commitment is the wrong shape for flow-based schedulers: the
-  // streaming MCF scheduler must buffer workers until it has a whole
-  // Theorem-2 batch, and a batch solve may assign tasks to *earlier*
-  // arrivals than the one whose event triggered the flush. Schedulers that
-  // return true from SchedulesWholeBatch() are driven through
-  // OnBatchWithCandidates / OnStreamEnd instead of OnArrivalWithCandidates,
-  // and report every commitment as an explicit (worker, task) pair.
-
-  /// One batch-protocol commitment. `worker` is the scheduler-local arrival
+  /// One streaming commitment. `worker` is the scheduler-local arrival
   /// index (instance.workers[worker - 1]) — the svc pipeline translates to
   /// global identity when it serialises the assignment log.
   struct StreamCommit {
@@ -191,24 +155,17 @@ class OnlineScheduler {
     model::TaskId task = 0;
   };
 
-  /// True for schedulers that assign per flushed micro-batch (MCF) rather
-  /// than per worker.
-  virtual bool SchedulesWholeBatch() const { return false; }
-
-  /// Batch-protocol flush: `workers[i]` (local arrival indices) was admitted
-  /// with eligible open tasks `*candidates[i]` (ascending ids, gathered at
-  /// flush time). Appends every commitment made — for these workers or ones
-  /// buffered from earlier flushes — to *commits in commit order, recording
-  /// each in the arrangement. May commit nothing (buffering).
+  /// Flush: `workers[i]` (local arrival indices, arrival order) was
+  /// admitted with eligible open tasks `*candidates[i]` (ascending ids,
+  /// gathered at flush time, so tasks completed by earlier commits of the
+  /// same flush must be re-filtered). Appends every commitment made — for
+  /// these workers or ones buffered from earlier flushes — to *commits in
+  /// commit order, recording each in the arrangement. May commit nothing
+  /// (buffering). Never commits to a task that already reached delta.
   virtual Status OnBatchWithCandidates(
       const std::vector<model::WorkerIndex>& workers,
       const std::vector<const std::vector<model::TaskId>*>& candidates,
-      std::vector<StreamCommit>* commits) {
-    (void)workers;
-    (void)candidates;
-    (void)commits;
-    return Status::NotImplemented(Name() + " does not schedule whole batches");
-  }
+      std::vector<StreamCommit>* commits) = 0;
 
   /// End of stream: flushes any internally buffered workers (the final
   /// partial batch) exactly like the offline algorithm's last iteration.
@@ -236,10 +193,7 @@ class OnlineScheduler {
   /// Appends this scheduler's streaming state to *out. Only meaningful
   /// after InitStreaming; implementations must emit every line their own
   /// RestoreState needs.
-  virtual Status SerializeState(std::string* out) const {
-    (void)out;
-    return Status::NotImplemented(Name() + " does not support snapshots");
-  }
+  virtual Status SerializeState(std::string* out) const = 0;
 
   /// Counterpart of SerializeState: re-initialises this scheduler for a
   /// streaming run over `instance` — which the caller has already re-grown
@@ -249,12 +203,7 @@ class OnlineScheduler {
   /// through the whole prefix.
   virtual Status RestoreState(const model::ProblemInstance& instance,
                               const StreamShardContext& shard,
-                              const std::string& blob) {
-    (void)instance;
-    (void)shard;
-    (void)blob;
-    return Status::NotImplemented(Name() + " does not support snapshots");
-  }
+                              const std::string& blob) = 0;
 
  protected:
   /// Records the identity of the run being initialised: streaming inits
@@ -266,7 +215,6 @@ class OnlineScheduler {
 
  private:
   StreamShardContext shard_context_{};
-  const fcst::ArrivalForecast* arrival_forecast_ = nullptr;
 };
 
 /// Appends one snapshot "a <worker> <task> <acc_star>" line per

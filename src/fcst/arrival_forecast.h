@@ -22,6 +22,12 @@
 // exp(-s/tau)/tau = lambda); tau — the forecast horizon — trades reaction
 // speed against variance. tests/fcst_test.cc pins convergence and decay.
 //
+// Its one consumer is the svc pipeline's adaptive deadline policy: each
+// svc::StreamPipeline owns a CellRateEstimator (horizon
+// svc::kForecastHorizon) and reads WorkerRate to position its flushes.
+// Schedulers never see the forecast, so it cannot change what a flush
+// commits, only when the flush happens.
+//
 // The same per-cell rates are the occupancy signal the planned 2-D shard
 // rebalancer consumes (ROADMAP: adaptive 2-D sharding): CellRates exposes
 // the full decayed rate surface.
@@ -40,26 +46,6 @@
 namespace ltc {
 namespace fcst {
 
-/// \brief Query interface of an arrival forecast.
-///
-/// The svc pipeline installs a pointer to its forecast into the scheduler
-/// protocol (algo::OnlineScheduler::InstallForecast), so schedulers can
-/// condition on predicted arrivals without the algo layer depending on the
-/// estimator implementation. Rates are events per stream-time unit; queries
-/// are const and safe concurrently with each other (not with updates).
-class ArrivalForecast {
- public:
-  virtual ~ArrivalForecast() = default;
-
-  /// Estimated worker-arrival rate in the cell containing `p`, decayed to
-  /// `now`. Never negative; 0 for a never-touched cell.
-  virtual double WorkerRate(const geo::Point& p, double now) const = 0;
-
-  /// Estimated task-arrival rate in the cell containing `p`, decayed to
-  /// `now`.
-  virtual double TaskRate(const geo::Point& p, double now) const = 0;
-};
-
 /// One cell's decayed rates (CellRateEstimator::CellRates).
 struct CellRate {
   std::int64_t cell = 0;
@@ -73,7 +59,7 @@ struct CellRate {
 /// engine thread owns them, exactly like the rest of the pipeline's
 /// mutable state. Updates never allocate: the cell table is sized at
 /// construction from the grid geometry.
-class CellRateEstimator final : public ArrivalForecast {
+class CellRateEstimator {
  public:
   struct Config {
     /// Cell decomposition; the default single-cell grid is the fallback for
@@ -93,8 +79,14 @@ class CellRateEstimator final : public ArrivalForecast {
   /// O(1): records one task arrival at `p`, time `t`.
   void OnTaskArrival(const geo::Point& p, double t);
 
-  double WorkerRate(const geo::Point& p, double now) const override;
-  double TaskRate(const geo::Point& p, double now) const override;
+  /// Estimated worker-arrival rate (events per stream-time unit) in the
+  /// cell containing `p`, decayed to `now`. Never negative; 0 for a
+  /// never-touched cell. Queries are const and safe concurrently with each
+  /// other (not with updates).
+  double WorkerRate(const geo::Point& p, double now) const;
+  /// Estimated task-arrival rate in the cell containing `p`, decayed to
+  /// `now`.
+  double TaskRate(const geo::Point& p, double now) const;
 
   /// The decayed rate surface at `now` — every cell that ever saw an
   /// arrival, ascending by cell index. The occupancy signal for the shard

@@ -45,6 +45,7 @@ StatusOr<std::unique_ptr<RecoverableService>> RecoverableService::Open(
   if (options.snapshot_retain < 1) {
     return Status::InvalidArgument("snapshot_retain must be >= 1");
   }
+  LTC_RETURN_IF_ERROR(ValidateStreamOptions(options.stream));
   LTC_RETURN_IF_ERROR(EnsureDir(options.state_dir));
 
   std::unique_ptr<RecoverableService> svc(new RecoverableService(options));

@@ -67,8 +67,7 @@ std::string RenderAssignmentLog(
       static_cast<unsigned long long>(options.seed), options.shards);
   // Non-default segments only — the default header bytes are unchanged.
   if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    out += StrFormat(" policy adaptive horizon %.17g",
-                     options.forecast_horizon);
+    out += StrFormat(" policy adaptive horizon %.17g", kForecastHorizon);
   }
   if (!metric_label.empty()) {
     out += StrFormat(" metric %s", metric_label.c_str());

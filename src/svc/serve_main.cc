@@ -68,10 +68,6 @@ Flag<double> FLAG_deadline_cap(
     "deadline_cap", 0.5,
     "--deadline=adaptive: hard upper bound on how long a batch may stay "
     "open (stream time units)");
-Flag<double> FLAG_forecast_horizon(
-    "forecast_horizon", 8.0,
-    "--deadline=adaptive: EWMA time constant tau of the per-cell arrival "
-    "forecast (stream time units)");
 Flag<std::int64_t> FLAG_max_batch("max_batch", 0,
                                   "flush early at this many buffered "
                                   "workers (0 = unbounded)");
@@ -382,13 +378,6 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
       ParseMetricAndDeadline(FLAG_metric.Get(), FLAG_deadline.Get(),
                              FLAG_deadline_cap.Get(), &road, &options);
   if (!flag_values.ok()) return FailConfig(flag_values);
-  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    options.forecast_horizon = FLAG_forecast_horizon.Get();
-    if (!(options.forecast_horizon > 0.0)) {
-      return FailConfig(Status::InvalidArgument(
-          "--deadline=adaptive requires a positive --forecast_horizon"));
-    }
-  }
   options.max_batch = FLAG_max_batch.Get();
   options.seed = static_cast<std::uint64_t>(FLAG_seed.Get());
   options.threads = static_cast<int>(FLAG_threads.Get());
@@ -397,6 +386,16 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
   options.mcf_drift_check_every =
       static_cast<int>(FLAG_mcf_drift_check_every.Get());
   options.route_workers = FLAG_route_workers.Get();
+  // These int options come from int64 flags: reject a value that wraps
+  // when narrowed (--shards=4294967299 would serve 3 shards).
+  if (options.threads != FLAG_threads.Get() ||
+      options.shards != FLAG_shards.Get() ||
+      options.mcf_drift_check_every != FLAG_mcf_drift_check_every.Get()) {
+    return FailConfig(Status::InvalidArgument(
+        "--threads, --shards and --mcf_drift_check_every must fit an int"));
+  }
+  const Status options_valid = ValidateStreamOptions(options);
+  if (!options_valid.ok()) return FailConfig(options_valid);
 
   // Distance backend. The metric object lives here and is (re)bound onto
   // whichever header the chosen mode resolves; durable modes also carry it

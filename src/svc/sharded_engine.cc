@@ -33,12 +33,7 @@ bool DueOrder(const double a_time, const int a_shard, const double b_time,
 Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
                                        const StreamOptions& options,
                                        std::optional<double>* cell_out) {
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (options.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
-  }
+  LTC_RETURN_IF_ERROR(ValidateStreamOptions(options));
   if (header.accuracy == nullptr) {
     return Status::InvalidArgument("event log header has no accuracy model");
   }

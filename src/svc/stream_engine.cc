@@ -29,27 +29,26 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 
 // --- StreamPipeline -------------------------------------------------------
 
-namespace {
-
-/// Validates the pipeline's options and builds its scheduler (shared by
-/// Create and Restore, which must construct identically configured
-/// schedulers for the restart determinism contract to hold).
-StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
-    const StreamOptions& options) {
+Status ValidateStreamOptions(const StreamOptions& options) {
   if (!(options.batch_deadline >= 0.0)) {
     return Status::InvalidArgument("batch_deadline must be >= 0");
   }
-  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    if (!(options.batch_deadline > 0.0)) {
-      return Status::InvalidArgument(
-          "adaptive deadline policy needs a positive cap (batch_deadline)");
-    }
-    if (!(options.forecast_horizon > 0.0)) {
-      return Status::InvalidArgument("forecast_horizon must be > 0");
-    }
+  if (options.deadline_policy == DeadlinePolicy::kAdaptive &&
+      !(options.batch_deadline > 0.0)) {
+    return Status::InvalidArgument(
+        "adaptive deadline policy needs a positive cap (batch_deadline)");
   }
   if (options.max_batch < 0) {
     return Status::InvalidArgument("max_batch must be >= 0");
+  }
+  if (options.shards < 1) {
+    return Status::InvalidArgument("shards must be >= 1");
+  }
+  if (options.threads < 0) {
+    return Status::InvalidArgument("threads must be >= 0");
+  }
+  if (options.mcf_drift_check_every < 0) {
+    return Status::InvalidArgument("mcf_drift_check_every must be >= 0");
   }
   LTC_ASSIGN_OR_RETURN(bool online,
                        algo::IsOnlineAlgorithm(options.algorithm));
@@ -58,6 +57,17 @@ StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
         "streaming admission drives online schedulers; '" +
         options.algorithm + "' is offline");
   }
+  return Status::OK();
+}
+
+namespace {
+
+/// Builds the pipeline's scheduler (shared by Create and Restore, which
+/// must construct identically configured schedulers for the restart
+/// determinism contract to hold). The options were validated by the
+/// engine (ValidateStreamOptions).
+StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
+    const StreamOptions& options) {
   if (options.algorithm == "MCF") {
     // The registry's default-constructed MCF cannot carry the service's
     // drift-check knob, so the pipeline builds its own.
@@ -108,10 +118,9 @@ Status StreamPipeline::InitForecast() {
   if (config_.cell_size.has_value()) {
     fc.grid = geo::CellGrid(config_.options.world, *config_.cell_size);
   }
-  fc.horizon = config_.options.forecast_horizon;
+  fc.horizon = kForecastHorizon;
   LTC_ASSIGN_OR_RETURN(auto estimator, fcst::CellRateEstimator::Create(fc));
   forecast_.emplace(std::move(estimator));
-  scheduler_->InstallForecast(&*forecast_);
   return Status::OK();
 }
 
@@ -374,7 +383,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   LTC_RETURN_IF_ERROR(reader->Read("endpipe", 1, &f));
 
   // Derived state. open_ follows from the restored arrangement (a task is
-  // closed exactly when it reached delta — CloseCompleted's invariant), and
+  // closed exactly when it reached delta — RecordCommits' invariant), and
   // the grid is rebuilt over the open set in ascending local-id order,
   // which matches incremental maintenance query-for-query (the sorted-
   // bucket invariant of geo/grid_index.h).
@@ -541,44 +550,19 @@ Status StreamPipeline::CommitBatch(double flush_time) {
   // commitments extend any route.
   if (config_.options.route_workers) AdvanceRoutes(flush_time);
 
-  if (scheduler_->SchedulesWholeBatch()) {
-    // Batch protocol: the whole flushed batch in arrival order, one call.
-    // The scheduler may buffer (commits can reference workers admitted in
-    // earlier flushes) — every commitment it does make lands at this
-    // flush's instant, which keeps the log a pure function of the admitted
-    // sequence.
-    candidate_ptrs_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      candidate_ptrs_.push_back(&gather_slots_[i]);
-    }
-    commits_scratch_.clear();
-    LTC_RETURN_IF_ERROR(scheduler_->OnBatchWithCandidates(
-        batch_, candidate_ptrs_, &commits_scratch_));
-    RecordCommits(commits_scratch_, flush_time);
-    batch_.clear();
-    return Status::OK();
-  }
-
-  // Strictly in arrival order. The scheduler re-filters tasks completed by
-  // earlier workers of this batch; the pipeline closes completed tasks
-  // immediately so the next batch's gather never sees them.
+  // The whole flushed batch in arrival order, one call. The scheduler
+  // re-filters tasks completed by earlier commits of the batch, and it may
+  // buffer (MCF commits can reference workers admitted in earlier
+  // flushes); every commitment it does make lands at this flush's instant,
+  // which keeps the log a pure function of the admitted sequence.
+  candidate_ptrs_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    const model::Worker& w =
-        instance_.workers[static_cast<std::size_t>(batch_[i]) - 1];
-    LTC_RETURN_IF_ERROR(scheduler_->OnArrivalWithCandidates(
-        w, gather_slots_[i], &assigned_scratch_));
-    for (model::TaskId t : assigned_scratch_) {
-      pending_assignments_.push_back(StreamAssignment{
-          flush_time, worker_global_[static_cast<std::size_t>(w.index) - 1],
-          task_global_[static_cast<std::size_t>(t)]});
-      assignment_latency_samples_.push_back(
-          flush_time - task_arrival_time_[static_cast<std::size_t>(t)]);
-      if (config_.options.route_workers) {
-        RouteAssignment(w.index, t, flush_time);
-      }
-    }
-    CloseCompleted(assigned_scratch_, flush_time);
+    candidate_ptrs_.push_back(&gather_slots_[i]);
   }
+  commits_scratch_.clear();
+  LTC_RETURN_IF_ERROR(scheduler_->OnBatchWithCandidates(
+      batch_, candidate_ptrs_, &commits_scratch_));
+  RecordCommits(commits_scratch_, flush_time);
   batch_.clear();
   return Status::OK();
 }
@@ -587,7 +571,6 @@ Status StreamPipeline::CommitStreamEnd(double end_time) {
   // Stream end also closes the move log: whatever route progress lands at
   // or before the end instant is emitted (stops beyond it stay in flight).
   if (config_.options.route_workers) AdvanceRoutes(end_time);
-  if (!scheduler_->SchedulesWholeBatch()) return Status::OK();
   commits_scratch_.clear();
   LTC_RETURN_IF_ERROR(scheduler_->OnStreamEnd(&commits_scratch_));
   if (commits_scratch_.empty()) return Status::OK();
@@ -602,19 +585,41 @@ Status StreamPipeline::CommitStreamEnd(double end_time) {
 void StreamPipeline::RecordCommits(
     const std::vector<algo::OnlineScheduler::StreamCommit>& commits,
     double time) {
-  assigned_scratch_.clear();
   for (const auto& commit : commits) {
     pending_assignments_.push_back(StreamAssignment{
         time, worker_global_[static_cast<std::size_t>(commit.worker) - 1],
         task_global_[static_cast<std::size_t>(commit.task)]});
     assignment_latency_samples_.push_back(
         time - task_arrival_time_[static_cast<std::size_t>(commit.task)]);
-    assigned_scratch_.push_back(commit.task);
     if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }
   }
-  CloseCompleted(assigned_scratch_, time);
+  // Close every task this round completed, so the next gather never sees
+  // it. A task closes at its last commit of the round — the commit that
+  // completed it, since schedulers never commit to a completed task: a
+  // backward scan finds those commits, and the closures are recorded in
+  // commit order.
+  const model::Arrangement& arrangement = scheduler_->arrangement();
+  closing_scratch_.clear();
+  for (auto it = commits.rbegin(); it != commits.rend(); ++it) {
+    const auto slot = static_cast<std::size_t>(it->task);
+    if (!open_[slot] || !arrangement.TaskCompleted(it->task)) continue;
+    open_[slot] = 0;
+    closing_scratch_.push_back(it->task);
+  }
+  for (auto it = closing_scratch_.rbegin(); it != closing_scratch_.rend();
+       ++it) {
+    const auto slot = static_cast<std::size_t>(*it);
+    if (grid_.has_value()) {
+      // The id is present: it was open until this round.
+      const Status removed = grid_->Remove(*it);
+      (void)removed;
+    }
+    completion_latency_samples_.push_back(time - task_arrival_time_[slot]);
+    pending_closed_.push_back(task_global_[slot]);
+    ++tasks_completed_;
+  }
 }
 
 void StreamPipeline::AdvanceRoutes(double now) {
@@ -650,25 +655,6 @@ double StreamPipeline::route_travel_time() const {
   double total = 0.0;
   for (const auto& [w, route] : routes_) total += route.total_cost();
   return total;
-}
-
-void StreamPipeline::CloseCompleted(
-    const std::vector<model::TaskId>& assigned, double flush_time) {
-  for (model::TaskId t : assigned) {
-    const auto slot = static_cast<std::size_t>(t);
-    if (!open_[slot]) continue;
-    if (!scheduler_->arrangement().TaskCompleted(t)) continue;
-    open_[slot] = 0;
-    if (grid_.has_value()) {
-      // The id is present by the open_ invariant.
-      const Status removed = grid_->Remove(t);
-      (void)removed;
-    }
-    completion_latency_samples_.push_back(flush_time -
-                                          task_arrival_time_[slot]);
-    pending_closed_.push_back(task_global_[slot]);
-    ++tasks_completed_;
-  }
 }
 
 Status StreamPipeline::Validate() const {

@@ -11,10 +11,12 @@
 // **incremental** spatial index over the open tasks (geo::GridIndex dynamic
 // mode — tasks are Inserted on arrival, Removed on completion, Relocated on
 // "m" events; never rebuilt), and admits workers in micro-batches closed by
-// a configurable batching deadline. The admitted workers are driven through
-// the existing online schedulers via the streaming protocol of
-// algo/scheduler.h; per-assignment latency (commit time minus the assigned
-// task's arrival time) feeds sim::RunMetrics.
+// a configurable batching deadline. Each flushed batch is committed through
+// the one streaming contract of algo/scheduler.h — one
+// OnBatchWithCandidates call per flush, whatever the scheduler — and one
+// function records the commitments and closes the tasks they completed;
+// per-assignment latency (commit time minus the assigned task's arrival
+// time) feeds sim::RunMetrics.
 //
 // Determinism contract: every schedule-dependent output — the assignment
 // log, per-assignment latencies, completion counts — is a function of
@@ -66,11 +68,15 @@ enum class DeadlinePolicy {
   kAdaptive,
 };
 
+/// DeadlinePolicy::kAdaptive's forecast horizon: the EWMA time constant
+/// of the per-cell arrival forecast, in stream time units
+/// (fcst::CellRateEstimator::Config::horizon).
+constexpr double kForecastHorizon = 8.0;
+
 /// Service configuration.
 struct StreamOptions {
-  /// Online scheduler driven per admitted worker ("LAF", "AAM", "Random"),
-  /// or the batch-protocol streaming MCF-LTC ("MCF", DESIGN.md §10),
-  /// driven per flushed micro-batch.
+  /// Online scheduler: "LAF", "AAM", "Random", or the streaming MCF-LTC
+  /// ("MCF", DESIGN.md §10).
   std::string algorithm = "LAF";
   /// A batch flushes once its oldest buffered worker has waited this long
   /// (stream time units). 0 admits every worker immediately — per-arrival
@@ -81,9 +87,6 @@ struct StreamOptions {
   /// Deadline policy (kAdaptive = forecast-driven flushes; --deadline=
   /// adaptive in ltc_serve).
   DeadlinePolicy deadline_policy = DeadlinePolicy::kFixed;
-  /// kAdaptive only: EWMA time constant of the arrival forecast, in stream
-  /// time units (fcst::CellRateEstimator::Config::horizon).
-  double forecast_horizon = 8.0;
   /// Flush early when this many workers are buffered (0 = unbounded).
   std::int64_t max_batch = 0;
   /// Seed forwarded to seeded algorithms (Random). Never derived from
@@ -118,6 +121,14 @@ struct StreamOptions {
   /// when false.
   bool route_workers = false;
 };
+
+/// Rejects out-of-range options: a negative or NaN batch_deadline, a
+/// non-positive adaptive cap, max_batch < 0, shards < 1, threads < 0,
+/// mcf_drift_check_every < 0, or an algorithm that is not an online
+/// scheduler. The engine checks this
+/// at Create and Restore; ltc_serve and RecoverableService::Open check it
+/// before they touch any state, so a bad option is a configuration error.
+Status ValidateStreamOptions(const StreamOptions& options);
 
 /// One committed assignment, in commit order — the deterministic record the
 /// ltc_serve assignment log serialises. Worker and task are *global*
@@ -295,18 +306,17 @@ class StreamPipeline {
   void ClearSlot(std::size_t i) { gather_slots_[i].clear(); }
   bool SlotEmpty(std::size_t i) const { return gather_slots_[i].empty(); }
 
-  /// Commits the batch at `flush_time`: drives the scheduler per buffered
-  /// worker in arrival order over the gathered slots (or hands the whole
-  /// batch to a SchedulesWholeBatch scheduler), records pending
-  /// assignments/closures, closes completed tasks. Safe to run
-  /// concurrently with other pipelines' CommitBatch.
+  /// Commits the batch at `flush_time`: hands the whole batch, in arrival
+  /// order with its gathered slots, to the scheduler's
+  /// OnBatchWithCandidates, then records the commitments (RecordCommits).
+  /// Safe to run concurrently with other pipelines' CommitBatch.
   Status CommitBatch(double flush_time);
 
   /// End of stream (engines call it once, after the final batch flush):
-  /// drains a batch scheduler's internally buffered workers — its final
-  /// partial Theorem-2 batch — committing at `end_time`. No-op for
-  /// per-worker schedulers. Safe to run concurrently with other pipelines'
-  /// CommitStreamEnd.
+  /// drains the scheduler's internally buffered workers (MCF's final
+  /// partial Theorem-2 batch; nothing for the per-worker schedulers),
+  /// committing at `end_time`. Safe to run concurrently with other
+  /// pipelines' CommitStreamEnd.
   Status CommitStreamEnd(double end_time);
 
   // --- Per-round outputs (engine merges after CommitBatch, then clears) ---
@@ -340,11 +350,6 @@ class StreamPipeline {
   /// Adaptive-deadline mode counters (0 under kFixed).
   std::int64_t quiet_flushes() const { return quiet_flushes_; }
   std::int64_t deadline_extensions() const { return deadline_extensions_; }
-  /// The pipeline's arrival forecast (null under kFixed). Also installed
-  /// into the scheduler via algo::OnlineScheduler::InstallForecast.
-  const fcst::ArrivalForecast* forecast() const {
-    return forecast_.has_value() ? &*forecast_ : nullptr;
-  }
   std::int64_t open_tasks() const;
   /// Distinct (local) workers holding at least one assignment.
   std::int64_t workers_used() const;
@@ -365,14 +370,9 @@ class StreamPipeline {
   explicit StreamPipeline(const Config& config) : config_(config) {}
 
   /// Adaptive policy only: builds the cell-rate estimator over the grid
-  /// geometry and installs it into the scheduler (no-op under kFixed).
-  /// Create and Restore both route through this so a restored pipeline
-  /// forecasts identically.
+  /// geometry (no-op under kFixed). Create and Restore both route through
+  /// this so a restored pipeline forecasts identically.
   Status InitForecast();
-
-  /// Marks completed-but-open tasks of `assigned` (local ids) closed.
-  void CloseCompleted(const std::vector<model::TaskId>& assigned,
-                      double flush_time);
 
   /// route_workers mode: advances every route to `now`, emitting a
   /// WorkerMove per newly reached stop into pending_moves_ (ascending
@@ -386,8 +386,9 @@ class StreamPipeline {
   /// marginal detour, not the from-origin distance.
   void RouteAssignment(model::WorkerIndex w, model::TaskId t, double time);
 
-  /// Folds one batch-protocol commitment list into the pending records at
-  /// `time` (assignment log, latency samples, closures).
+  /// Folds one round's commitment list into the pending records at `time`
+  /// (assignment log, latency samples, routes) and closes the tasks it
+  /// completed — the one place a task closes.
   void RecordCommits(const std::vector<algo::OnlineScheduler::StreamCommit>&
                          commits,
                      double time);
@@ -415,10 +416,9 @@ class StreamPipeline {
   std::int64_t deadline_extensions_ = 0;
 
   std::vector<std::vector<model::TaskId>> gather_slots_;
-  std::vector<model::TaskId> assigned_scratch_;
-  // Batch-protocol scratch (SchedulesWholeBatch schedulers only).
   std::vector<const std::vector<model::TaskId>*> candidate_ptrs_;
   std::vector<algo::OnlineScheduler::StreamCommit> commits_scratch_;
+  std::vector<model::TaskId> closing_scratch_;
   std::vector<StreamAssignment> pending_assignments_;
   std::vector<model::TaskId> pending_closed_;
   // Route state (route_workers only; empty otherwise). Ordered by local

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/fault_points.h"
+#include "common/string_util.h"
 #include "gen/stream.h"
 #include "io/event_log.h"
 #include "io/wal.h"
@@ -611,6 +612,59 @@ TEST(ServeMainTest, OutOfRangeSnapshotRetainIsAConfigError) {
   }
   EXPECT_EQ(RunServeMain(mode, "--snapshot_retain=1", &served), 0);
   EXPECT_TRUE(std::filesystem::exists(dir));
+}
+
+// Out-of-range stream options (ValidateStreamOptions, or an int64 flag
+// that would wrap when narrowed to int) are configuration errors (exit 1)
+// raised before the state dir is opened, in the replay and the socket mode
+// alike. Every call restates each option under test at its default before
+// the flag under test, so each call varies exactly one.
+TEST(ServeMainTest, OutOfRangeStreamOptionsAreConfigErrors) {
+  const std::string dir = FreshDir("stream_options");
+  std::vector<std::string> defaults = Split(
+      "--algo=LAF --deadline=0 --shards=1 --threads=1 --max_batch=0 "
+      "--mcf_drift_check_every=0 --snapshot_retain=2",
+      ' ');
+  defaults.push_back("--state_dir=" + dir);
+  std::vector<std::string> replay = Split(
+      "--listen= --events= --synthetic --tasks=5 --workers=50 "
+      "--wal_fsync=false",
+      ' ');
+  replay.insert(replay.end(), defaults.begin(), defaults.end());
+  std::vector<std::string> socket = {"--events=", "--synthetic=false"};
+  socket.push_back("--listen=unix:" + dir + ".sock");
+  socket.insert(socket.end(), defaults.begin(), defaults.end());
+  const std::vector<std::string> bad_flags = Split(
+      "--shards=0 --shards=4294967299 --deadline=-1 --deadline=nan "
+      "--threads=-2 --max_batch=-1 --mcf_drift_check_every=-1 "
+      "--algo=MCF-LTC --algo=Nope",
+      ' ');
+  bool served = false;
+  for (const std::string& flag : bad_flags) {
+    EXPECT_EQ(RunServeMain(replay, flag, &served), 1) << flag;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << flag;
+    EXPECT_EQ(RunServeMain(socket, flag, &served), 1) << "--listen " << flag;
+    EXPECT_FALSE(served) << flag;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << "--listen " << flag;
+  }
+  EXPECT_EQ(RunServeMain(replay, "--shards=1", &served), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir));
+}
+
+// RecoverableService::Open validates the stream options before it creates
+// the state dir, like its own durability knobs.
+TEST(DurableServeTest, OutOfRangeStreamOptionsAreRejectedBeforeTheStateDir) {
+  const io::EventLog log = MakeLog(5, 50, 67);
+  const std::string dir = FreshDir("open_stream_options");
+  StreamOptions shards = BaseOptions("LAF", 0);
+  StreamOptions deadline = BaseOptions("LAF", 1);
+  deadline.batch_deadline = -1.0;
+  StreamOptions offline = BaseOptions("MCF-LTC", 1);
+  for (const StreamOptions& stream : {shards, deadline, offline}) {
+    const RecoverableService::Options o = ServiceOptions(dir, stream, 10, 8);
+    EXPECT_FALSE(RecoverableService::Open(log, o).ok()) << stream.algorithm;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // A claim entry lives while 1..K offers of its boundary worker are still

@@ -1,9 +1,9 @@
 // Tests of the sharded streaming service (DESIGN.md §9): the geo::ShardMap
-// stripe partition, single-shard golden logs of the classic engine, the
-// boundary-handoff/claim protocol, the shards=K determinism contract
-// (byte-identical serve logs for --threads 1 vs 4), and the completion-rate
-// property that sharding must not degrade the served task set beyond a
-// small boundary epsilon.
+// stripe partition, single-shard golden logs of the classic engine, golden
+// engine-snapshot digests, the boundary-handoff/claim protocol, the
+// shards=K determinism contract (byte-identical serve logs for --threads 1
+// vs 4), and the completion-rate property that sharding must not degrade
+// the served task set beyond a small boundary epsilon.
 
 #include <cmath>
 #include <cstdint>
@@ -161,6 +161,22 @@ constexpr GoldenCell kSingleShardGolden[] = {
     {"MCF", "adaptive", "routes", 0xba7bc573u, 14613},
 };
 
+// The options of one golden cell: `deadline` is "0", "0.4", or "adaptive"
+// (cap 0.5).
+StreamOptions GoldenOptions(const char* algorithm,
+                            const std::string& deadline) {
+  StreamOptions options;
+  options.algorithm = algorithm;
+  options.seed = 123;
+  if (deadline == "adaptive") {
+    options.deadline_policy = DeadlinePolicy::kAdaptive;
+    options.batch_deadline = 0.5;
+  } else {
+    options.batch_deadline = std::stod(deadline);
+  }
+  return options;
+}
+
 std::string ReplayDigestText(const io::EventLog& log,
                              const StreamOptions& options) {
   std::vector<StreamAssignment> assignments;
@@ -197,16 +213,8 @@ TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
     ASSERT_TRUE(log.ok());
     for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
       for (const char* deadline : {"0", "0.4", "adaptive"}) {
-        StreamOptions options;
-        options.algorithm = algo;
-        options.seed = 123;
+        StreamOptions options = GoldenOptions(algo, deadline);
         options.route_workers = std::string(stream) == "routes";
-        if (std::string(deadline) == "adaptive") {
-          options.deadline_policy = DeadlinePolicy::kAdaptive;
-          options.batch_deadline = 0.5;
-        } else {
-          options.batch_deadline = std::stod(deadline);
-        }
         const std::string key = StrFormat("%s/%s/%s", algo, deadline, stream);
         for (int threads : {1, 4}) {
           options.threads = threads;
@@ -219,6 +227,88 @@ TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
               << key << " threads " << threads << ": got {\"" << algo
               << "\", \"" << deadline << "\", \"" << stream << "\", "
               << StrFormat("0x%08x", crc) << "u, " << text.size() << "},";
+        }
+      }
+    }
+  }
+}
+
+// Golden engine snapshots. Each digest pins the CRC-32 and length of
+// ShardedStreamEngine::SerializeTo after the last event of the golden
+// "moves" stream (before Finish), so the snapshot bytes — router tables,
+// the merged log, every pipeline block and scheduler blob — are pinned
+// like the assignment logs above, at shards 1 and 3 and any thread count.
+// Completion-latency ("plat_c") samples are in the order of the commits
+// that completed their tasks.
+struct SnapshotCell {
+  const char* algorithm;
+  const char* deadline;  // "0", "0.4", or "adaptive" (cap 0.5)
+  int shards;
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+constexpr SnapshotCell kSnapshotGolden[] = {
+    {"LAF", "0", 1, 0x1188f386u, 319922},
+    {"LAF", "0.4", 1, 0x66ed7d72u, 320380},
+    {"LAF", "adaptive", 1, 0x3b97405bu, 373560},
+    {"LAF", "0", 3, 0x96ec1817u, 351785},
+    {"LAF", "0.4", 3, 0x4c840824u, 352157},
+    {"LAF", "adaptive", 3, 0x7847cab0u, 412184},
+    {"AAM", "0", 1, 0xd2f26c20u, 319922},
+    {"AAM", "0.4", 1, 0x66ed7d72u, 320380},
+    {"AAM", "adaptive", 1, 0xb2acefa2u, 373560},
+    {"AAM", "0", 3, 0x4fe31102u, 351785},
+    {"AAM", "0.4", 3, 0x4c840824u, 352157},
+    {"AAM", "adaptive", 3, 0xc22936c8u, 412184},
+    {"Random", "0", 1, 0xb357f5d0u, 320016},
+    {"Random", "0.4", 1, 0x662d7b26u, 320474},
+    {"Random", "adaptive", 1, 0x0263bdd9u, 373654},
+    {"Random", "0", 3, 0xcd5413b2u, 352065},
+    {"Random", "0.4", 3, 0x2d8104b4u, 352437},
+    {"Random", "adaptive", 3, 0x15638b09u, 412464},
+    {"MCF", "0", 1, 0x11019519u, 319927},
+    {"MCF", "0.4", 1, 0xca7777e6u, 320491},
+    {"MCF", "adaptive", 1, 0x5b358913u, 373565},
+    {"MCF", "0", 3, 0x778ab323u, 351682},
+    {"MCF", "0.4", 3, 0xc411da24u, 352119},
+    {"MCF", "adaptive", 3, 0xc381d56bu, 412081},
+};
+
+TEST(ShardedEngineTest, FinalSnapshotBytesArePinned) {
+  std::map<std::string, const SnapshotCell*> golden;
+  for (const SnapshotCell& cell : kSnapshotGolden) {
+    golden[StrFormat("%s/%s/%d", cell.algorithm, cell.deadline,
+                     cell.shards)] = &cell;
+  }
+  gen::StreamConfig cfg = SmallStream(41);
+  cfg.move_fraction = 0.1;
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
+    for (const int shards : {1, 3}) {
+      for (const char* deadline : {"0", "0.4", "adaptive"}) {
+        StreamOptions options = GoldenOptions(algo, deadline);
+        options.shards = shards;
+        const std::string key = StrFormat("%s/%s/%d", algo, deadline, shards);
+        for (int threads : {1, 4}) {
+          options.threads = threads;
+          auto engine = ShardedStreamEngine::Create(log.value(), options);
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          for (const io::Event& e : log.value().events) {
+            ASSERT_TRUE(engine.value()->OnEvent(e).ok()) << key;
+          }
+          std::string snapshot;
+          ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
+          const std::uint32_t crc = Crc32(snapshot);
+          const auto it = golden.find(key);
+          const bool match = it != golden.end() && it->second->crc == crc &&
+                             it->second->bytes == snapshot.size();
+          EXPECT_TRUE(match)
+              << key << " threads " << threads << ": got {\"" << algo
+              << "\", \"" << deadline << "\", " << shards << ", "
+              << StrFormat("0x%08x", crc) << "u, " << snapshot.size()
+              << "},";
         }
       }
     }
