@@ -127,17 +127,11 @@ struct OnlineFixture {
 template <typename Scheduler>
 void RunOnlinePass(benchmark::State& state, std::int64_t tasks) {
   OnlineFixture f = OnlineFixture::Make(tasks, 4000);
-  std::vector<ltc::model::TaskId> assigned;
   for (auto _ : state) {
     Scheduler scheduler;
-    scheduler.Init(f.instance, *f.index).CheckOK();
-    std::int64_t arrivals = 0;
-    for (const auto& w : f.instance.workers) {
-      if (scheduler.Done()) break;
-      scheduler.OnArrival(w, &assigned).CheckOK();
-      ++arrivals;
-    }
-    benchmark::DoNotOptimize(arrivals);
+    auto arrivals = ltc::algo::DriveOnline(f.instance, *f.index, &scheduler);
+    arrivals.status().CheckOK();
+    benchmark::DoNotOptimize(*arrivals);
   }
   state.SetItemsProcessed(state.iterations() * 4000);
 }

@@ -62,24 +62,29 @@ int main(int argc, char** argv) {
   for (const char* name : {"Random", "LAF", "AAM"}) {
     auto scheduler = ltc::algo::MakeOnlineScheduler(name, 7);
     scheduler.status().CheckOK();
-    (*scheduler)->Init(*instance, *index).CheckOK();
+    const auto workers_seen =
+        ltc::algo::DriveOnline(*instance, *index, scheduler->get());
+    workers_seen.status().CheckOK();
+    const auto& assignments = (*scheduler)->arrangement().assignments();
     std::printf("%s burn-down (completed tasks over arrivals):\n", name);
-    std::vector<ltc::model::TaskId> assigned;
+    // Replays the commitments arrival by arrival to sample the backlog.
+    ltc::model::Arrangement replay(instance->num_tasks(), instance->Delta());
+    std::size_t next = 0;
     std::int64_t next_checkpoint = total / 10;
-    for (const auto& w : instance->workers) {
-      if (!(*scheduler)->Done()) {
-        (*scheduler)->OnArrival(w, &assigned).CheckOK();
+    for (ltc::model::WorkerIndex w = 1; w <= *workers_seen; ++w) {
+      for (; next < assignments.size() && assignments[next].worker <= w;
+           ++next) {
+        const auto& a = assignments[next];
+        replay.Add(a.worker, a.task, a.acc_star);
       }
-      if (w.index >= next_checkpoint) {
-        const auto& arr = (*scheduler)->arrangement();
+      if (w >= next_checkpoint) {
         const double fraction =
-            static_cast<double>(arr.completed_tasks()) /
+            static_cast<double>(replay.completed_tasks()) /
             static_cast<double>(instance->num_tasks());
-        std::printf("  %7d |%s| %5.1f%%\n", w.index, Bar(fraction).c_str(),
+        std::printf("  %7d |%s| %5.1f%%\n", w, Bar(fraction).c_str(),
                     fraction * 100.0);
         next_checkpoint += total / 10;
       }
-      if ((*scheduler)->Done()) break;
     }
     const auto& arr = (*scheduler)->arrangement();
     std::printf("  -> %s after %d workers\n\n",

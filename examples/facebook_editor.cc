@@ -94,15 +94,12 @@ int RealMain(int argc, char** argv) {
     auto scheduler_or = ltc::algo::MakeOnlineScheduler(name, /*seed=*/1);
     scheduler_or.status().CheckOK();
     auto& scheduler = *scheduler_or.value();
-    scheduler.Init(instance, index).CheckOK();
+    auto workers_seen = ltc::algo::DriveOnline(instance, index, &scheduler);
+    workers_seen.status().CheckOK();
     std::printf("%s arrangement:\n", name);
-    std::vector<ltc::model::TaskId> assigned;
-    for (const auto& w : instance.workers) {
-      if (scheduler.Done()) break;
-      scheduler.OnArrival(w, &assigned).CheckOK();
-      std::printf("  w%d -> %s\n", w.index,
-                  DescribeAssignments(scheduler.arrangement(), w.index)
-                      .c_str());
+    for (ltc::model::WorkerIndex w = 1; w <= *workers_seen; ++w) {
+      std::printf("  w%d -> %s\n", w,
+                  DescribeAssignments(scheduler.arrangement(), w).c_str());
     }
     std::printf("  latency: %d, S = [", scheduler.arrangement().MaxWorkerIndex());
     for (int t = 0; t < 3; ++t) {

@@ -136,12 +136,9 @@ int RealMain(int argc, char** argv) {
       auto scheduler =
           ltc::algo::MakeOnlineScheduler(FLAG_algo.Get(), options.seed);
       scheduler.status().CheckOK();
-      (*scheduler)->Init(*instance, *index).CheckOK();
-      std::vector<ltc::model::TaskId> assigned;
-      for (const auto& w : instance->workers) {
-        if ((*scheduler)->Done()) break;
-        (*scheduler)->OnArrival(w, &assigned).CheckOK();
-      }
+      ltc::algo::DriveOnline(*instance, *index, scheduler->get())
+          .status()
+          .CheckOK();
       arrangement = std::make_unique<ltc::model::Arrangement>(
           (*scheduler)->arrangement());
     } else {

@@ -145,13 +145,9 @@ StatusOr<ScheduleResult> Exhaustive::Run(
       ScheduleResult result(instance.num_tasks(), delta);
       for (const model::Assignment& a : search.best) {
         result.arrangement.Add(a.worker, a.task, a.acc_star);
-        result.stats.total_acc_star += a.acc_star;
       }
-      result.stats.assignments = result.arrangement.size();
       result.stats.workers_seen = n;
-      for (model::WorkerIndex w = 1; w <= instance.num_workers(); ++w) {
-        if (result.arrangement.Load(w) > 0) ++result.stats.workers_used;
-      }
+      FillArrangementStats(result.arrangement, &result.stats);
       result.completed = result.arrangement.AllCompleted();
       // Any solution over prefix n when prefix n-1 is infeasible must use
       // worker n, so the optimum latency is n itself.

@@ -6,8 +6,10 @@
 // one min-cost max-flow, then workers with spare capacity greedily top up
 // the most reliable open tasks. The batch loop itself lives in one place,
 // algo::McfStream (algo/mcf_stream.h), which also serves
-// `ltc_serve --algo=MCF`: Run feeds it every worker in arrival order, with
-// its eligible tasks from the index, until every task reached delta.
+// `ltc_serve --algo=MCF`: Run drives it with algo::DriveOnline, the online
+// driver every scheduler shares, which feeds it every worker in arrival
+// order, with its eligible tasks from the index, until every task reached
+// delta.
 
 #ifndef LTC_ALGO_MCF_LTC_H_
 #define LTC_ALGO_MCF_LTC_H_

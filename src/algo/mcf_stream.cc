@@ -17,23 +17,6 @@ constexpr std::int64_t kCostScale = 1'000'000;
 
 }  // namespace
 
-Status McfStream::Init(const model::ProblemInstance& instance,
-                       const model::EligibilityIndex& index) {
-  (void)instance;
-  (void)index;
-  return Status::NotImplemented(
-      "MCF schedules whole stream batches; run it through the svc engine "
-      "(offline instances go through MCF-LTC)");
-}
-
-Status McfStream::OnArrival(const model::Worker& worker,
-                            std::vector<model::TaskId>* assigned) {
-  (void)worker;
-  (void)assigned;
-  return Status::NotImplemented(
-      "MCF schedules whole stream batches; run it through the svc engine");
-}
-
 Status McfStream::InitStreaming(const model::ProblemInstance& instance,
                                 const StreamShardContext& shard) {
   if (instance.accuracy == nullptr) {

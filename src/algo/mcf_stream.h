@@ -1,12 +1,12 @@
 // MCF — the MCF-LTC batch loop (paper Algorithm 1), the one implementation
-// behind both the offline scheduler (McfLtc::Run, algo/mcf_ltc.h) and
-// `ltc_serve --algo=MCF`.
+// behind the offline scheduler (McfLtc::Run, algo/mcf_ltc.h),
+// `sim::RunAlgorithm("MCF", ...)` and `ltc_serve --algo=MCF`.
 //
-// It implements the streaming protocol of algo/scheduler.h by buffering:
-// each flushed micro-batch's workers are kept with their candidate sets
-// until a Theorem-2 batch is full (m = |T| * ceil(delta) / K over the
-// tasks seen so far, first batch 1.5x), and the batch is then
-// matched against the still-open tasks by one min-cost max-flow:
+// It implements the online protocol of algo/scheduler.h by buffering:
+// each call's workers are kept with their candidate sets until a Theorem-2
+// batch is full (m = |T| * ceil(delta) / K over the tasks seen so far,
+// first batch 1.5x), and the batch is then matched against the still-open
+// tasks by one min-cost max-flow:
 //
 //     st --(cap K, cost 0)--> w --(cap 1, cost -Acc*)--> t
 //        --(cap ceil(delta - S[t]), cost 0)--> ed
@@ -20,10 +20,11 @@
 // Determinism: commitments are a pure function of the admitted worker
 // sequence and their candidate sets, so the svc determinism contract
 // (byte-identical logs for any --threads, pinned per --shards) holds
-// unchanged. McfLtc::Run is this scheduler fed a fully materialised task
-// set and the instance's worker order; an EventLogFromInstance replay at
-// batching deadline 0 admits exactly that sequence, so the served log
-// reproduces the offline run (svc_mcf_stream_test pins this).
+// unchanged. McfLtc::Run (and sim::RunOnline for "MCF") is this scheduler
+// driven by algo::DriveOnline: a fully materialised task set and the
+// instance's worker order, one worker per call. An EventLogFromInstance
+// replay at batching deadline 0 admits exactly that sequence, so the served
+// log reproduces the offline run (svc_mcf_stream_test pins this).
 
 #ifndef LTC_ALGO_MCF_STREAM_H_
 #define LTC_ALGO_MCF_STREAM_H_
@@ -52,15 +53,6 @@ class McfStream : public OnlineScheduler {
   explicit McfStream(McfLtcOptions options = {}) : options_(options) {}
 
   std::string Name() const override { return "MCF"; }
-
-  // Batch-mode entry points are unsupported: MCF is driven through the
-  // streaming protocol, by the svc engine or by McfLtc::Run
-  // (sim::RunOnline's per-arrival contract cannot express a batch
-  // commitment for an earlier worker).
-  Status Init(const model::ProblemInstance& instance,
-              const model::EligibilityIndex& index) override;
-  Status OnArrival(const model::Worker& worker,
-                   std::vector<model::TaskId>* assigned) override;
 
   Status InitStreaming(const model::ProblemInstance& instance,
                        const StreamShardContext& shard = {}) override;

@@ -1,30 +1,18 @@
 #include "algo/online_base.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace ltc {
 namespace algo {
 
-Status OnlineSchedulerBase::Init(const model::ProblemInstance& instance,
-                                 const model::EligibilityIndex& index) {
-  LTC_RETURN_IF_ERROR(instance.Validate());
-  if (&index.instance() != &instance) {
-    return Status::InvalidArgument(
-        "eligibility index was built for a different instance");
-  }
-  instance_ = &instance;
-  index_ = &index;
-  delta_ = instance.Delta();
-  arrangement_.emplace(instance.num_tasks(), delta_);
-  set_shard_context({});
-  return OnInit();
-}
-
 Status OnlineSchedulerBase::InitStreaming(
     const model::ProblemInstance& instance, const StreamShardContext& shard) {
   // No Validate() here: a stream starts empty (no tasks, no workers), which
-  // the batch validator rejects. The structural invariants — dense task ids,
-  // sequential worker indices — are maintained by the engine as it appends.
+  // the instance validator rejects. The structural invariants — dense task
+  // ids, sequential worker indices — are maintained by the caller as it
+  // appends (DriveOnline validates its complete instance up front).
   if (instance.accuracy == nullptr) {
     return Status::InvalidArgument("streaming instance has no accuracy model");
   }
@@ -32,7 +20,6 @@ Status OnlineSchedulerBase::InitStreaming(
     return Status::InvalidArgument("streaming instance epsilon outside (0,1)");
   }
   instance_ = &instance;
-  index_ = nullptr;  // eligibility is the engine's job in streaming mode
   delta_ = instance.Delta();
   arrangement_.emplace(instance.num_tasks(), delta_);
   set_shard_context(shard);
@@ -51,21 +38,6 @@ Status OnlineSchedulerBase::OnTaskAdded(model::TaskId task) {
   return OnTaskAddedHook(task);
 }
 
-Status OnlineSchedulerBase::OnArrival(const model::Worker& worker,
-                                      std::vector<model::TaskId>* assigned) {
-  assigned->clear();
-  if (instance_ == nullptr || index_ == nullptr) {
-    return Status::FailedPrecondition("OnArrival before Init");
-  }
-  if (arrangement_->AllCompleted()) return Status::OK();
-
-  // Sorted: keeps arrival-time candidate order (and thus seeded Random's
-  // picks) independent of the spatial index's internal cell layout.
-  index_->EligibleTasksSorted(worker, &eligible_scratch_);
-  return SelectAndCommit(worker, eligible_scratch_, FilterCompleted(),
-                         assigned);
-}
-
 Status OnlineSchedulerBase::OnBatchWithCandidates(
     const std::vector<model::WorkerIndex>& workers,
     const std::vector<const std::vector<model::TaskId>*>& candidates,
@@ -77,20 +49,43 @@ Status OnlineSchedulerBase::OnBatchWithCandidates(
   if (workers.size() != candidates.size()) {
     return Status::InvalidArgument("workers/candidates size mismatch");
   }
+  // A task that an earlier commit of this call completed is never served
+  // again. The caller gathered the candidates before the call, so they can
+  // hold such tasks; any other completed candidate is one the caller chose
+  // to offer (DriveOnline offers every eligible task), and only
+  // FilterCompleted() schedulers drop those too (DESIGN.md §8).
+  const bool filter_completed = FilterCompleted();
+  closed_this_call_.clear();
   for (std::size_t i = 0; i < workers.size(); ++i) {
     if (arrangement_->AllCompleted()) break;
     const model::Worker& worker =
         instance_->workers[static_cast<std::size_t>(workers[i]) - 1];
-    // Unconditional re-filter in streaming mode: the caller gathered the
-    // candidates at flush time, so an earlier worker of the same batch may
-    // have completed one since. A service never re-serves a finished task —
-    // even under Random, whose batch-mode FilterCompleted() is false
-    // (DESIGN.md §8).
+    candidates_scratch_.clear();
+    for (model::TaskId t : *candidates[i]) {
+      if (arrangement_->TaskCompleted(t) &&
+          (filter_completed ||
+           std::find(closed_this_call_.begin(), closed_this_call_.end(),
+                     t) != closed_this_call_.end())) {
+        continue;
+      }
+      candidates_scratch_.push_back(t);
+    }
+    if (candidates_scratch_.empty()) continue;
+
     assigned_scratch_.clear();
-    LTC_RETURN_IF_ERROR(SelectAndCommit(
-        worker, *candidates[i], /*filter_completed=*/true, &assigned_scratch_));
+    SelectTasks(worker, candidates_scratch_, &assigned_scratch_);
+    if (static_cast<std::int64_t>(assigned_scratch_.size()) > capacity()) {
+      return Status::Internal(Name() + " selected more tasks than capacity K");
+    }
     for (model::TaskId t : assigned_scratch_) {
+      const bool was_open =
+          !filter_completed && !arrangement_->TaskCompleted(t);
+      arrangement_->Add(worker.index, t, instance_->AccStar(worker.index, t));
+      OnAssigned(worker, t);
       commits->push_back(StreamCommit{worker.index, t});
+      if (was_open && arrangement_->TaskCompleted(t)) {
+        closed_this_call_.push_back(t);
+      }
     }
   }
   return Status::OK();
@@ -123,28 +118,6 @@ Status OnlineSchedulerBase::RestoreState(
       return Status::InvalidArgument("snapshot: unknown scheduler line: " +
                                      line);
     }
-  }
-  return Status::OK();
-}
-
-Status OnlineSchedulerBase::SelectAndCommit(
-    const model::Worker& worker, const std::vector<model::TaskId>& eligible,
-    bool filter_completed, std::vector<model::TaskId>* assigned) {
-  candidates_scratch_.clear();
-  for (model::TaskId t : eligible) {
-    if (!filter_completed || !arrangement_->TaskCompleted(t)) {
-      candidates_scratch_.push_back(t);
-    }
-  }
-  if (candidates_scratch_.empty()) return Status::OK();
-
-  SelectTasks(worker, candidates_scratch_, assigned);
-  if (static_cast<std::int64_t>(assigned->size()) > capacity()) {
-    return Status::Internal(Name() + " selected more tasks than capacity K");
-  }
-  for (model::TaskId t : *assigned) {
-    arrangement_->Add(worker.index, t, instance_->AccStar(worker.index, t));
-    OnAssigned(worker, t);
   }
   return Status::OK();
 }

@@ -1,6 +1,6 @@
-// Shared machinery for the online schedulers (LAF, AAM, Random): eligibility
-// lookups, uncompleted-task filtering, arrangement bookkeeping. Subclasses
-// only implement the per-arrival selection rule.
+// Shared machinery for the per-worker online schedulers (LAF, AAM,
+// Random): candidate filtering, arrangement bookkeeping and the snapshot
+// pair. Subclasses only implement the per-worker selection rule.
 
 #ifndef LTC_ALGO_ONLINE_BASE_H_
 #define LTC_ALGO_ONLINE_BASE_H_
@@ -13,25 +13,19 @@
 namespace ltc {
 namespace algo {
 
-/// \brief Base class implementing the OnArrival skeleton common to all
-/// online LTC algorithms:
+/// \brief Base class implementing the commit loop common to all per-worker
+/// online LTC algorithms. For each worker of a batch, in arrival order:
 ///
-///   1. skip if all tasks are completed;
-///   2. compute the worker's eligible, uncompleted candidate tasks;
+///   1. stop if all tasks are completed;
+///   2. filter the worker's candidates (the rule of FilterCompleted());
 ///   3. delegate the choice of at most K of them to SelectTasks();
 ///   4. commit the choices to the arrangement and notify OnAssigned().
+///
+/// Candidate enumeration is the caller's: DriveOnline queries the
+/// instance's EligibilityIndex, svc::StreamPipeline its incremental index
+/// over the open tasks.
 class OnlineSchedulerBase : public OnlineScheduler {
  public:
-  Status Init(const model::ProblemInstance& instance,
-              const model::EligibilityIndex& index) override;
-
-  Status OnArrival(const model::Worker& worker,
-                   std::vector<model::TaskId>* assigned) override;
-
-  /// Streaming protocol: the candidate enumeration of step 2 moves to the
-  /// caller (svc::StreamPipeline queries its incremental index); everything
-  /// else — filtering, SelectTasks, commitment — is shared with OnArrival.
-  /// A flushed batch runs steps 1-4 worker by worker in arrival order.
   Status InitStreaming(const model::ProblemInstance& instance,
                        const StreamShardContext& shard = {}) override;
   Status OnTaskAdded(model::TaskId task) override;
@@ -50,7 +44,9 @@ class OnlineSchedulerBase : public OnlineScheduler {
                       const StreamShardContext& shard,
                       const std::string& blob) override;
 
-  bool Done() const override { return arrangement_->AllCompleted(); }
+  bool Done() const override {
+    return arrangement_.has_value() && arrangement_->AllCompleted();
+  }
 
   const model::Arrangement& arrangement() const override {
     return *arrangement_;
@@ -58,8 +54,8 @@ class OnlineSchedulerBase : public OnlineScheduler {
 
  protected:
   /// Chooses at most `capacity()` tasks from `candidates` (eligible,
-  /// ascending id; uncompleted unless FilterCompleted() is false) for
-  /// `worker`; appends choices to *out.
+  /// ascending id, filtered by the rule of FilterCompleted()) for `worker`;
+  /// appends choices to *out.
   virtual void SelectTasks(const model::Worker& worker,
                            const std::vector<model::TaskId>& candidates,
                            std::vector<model::TaskId>* out) = 0;
@@ -67,7 +63,9 @@ class OnlineSchedulerBase : public OnlineScheduler {
   /// Whether candidates are restricted to tasks that have not reached delta.
   /// LAF/AAM check "if T[i] has not reached delta" (Algorithms 2-3); the
   /// naive Random baseline does not look at the quality state at all and so
-  /// keeps answering nearby tasks that are already done.
+  /// keeps answering nearby tasks that are already done, except those that
+  /// an earlier commit of the same call completed — a rule every scheduler
+  /// keeps (DESIGN.md §8).
   virtual bool FilterCompleted() const { return true; }
 
   /// Hook invoked after each committed assignment (AAM maintains its
@@ -77,7 +75,7 @@ class OnlineSchedulerBase : public OnlineScheduler {
     (void)task;
   }
 
-  /// Hook invoked by Init after the base state is ready.
+  /// Hook invoked by InitStreaming after the base state is ready.
   virtual Status OnInit() { return Status::OK(); }
 
   /// Hook invoked after the arrangement grew by one task (streaming);
@@ -101,27 +99,20 @@ class OnlineSchedulerBase : public OnlineScheduler {
   }
 
   const model::ProblemInstance& instance() const { return *instance_; }
-  const model::EligibilityIndex& index() const { return *index_; }
   std::int32_t capacity() const { return instance_->capacity; }
   double delta() const { return delta_; }
   const model::Arrangement& arr() const { return *arrangement_; }
 
  private:
-  /// Steps 2-4 shared by OnArrival and OnBatchWithCandidates: drop
-  /// completed tasks from `eligible` when `filter_completed`, select, and
-  /// commit, appending the choices to *assigned.
-  Status SelectAndCommit(const model::Worker& worker,
-                         const std::vector<model::TaskId>& eligible,
-                         bool filter_completed,
-                         std::vector<model::TaskId>* assigned);
-
   const model::ProblemInstance* instance_ = nullptr;
-  const model::EligibilityIndex* index_ = nullptr;
   std::optional<model::Arrangement> arrangement_;
   double delta_ = 0.0;
-  std::vector<model::TaskId> eligible_scratch_;
   std::vector<model::TaskId> candidates_scratch_;
   std::vector<model::TaskId> assigned_scratch_;
+  /// Tasks an earlier commit of the current OnBatchWithCandidates call
+  /// completed; kept only when !FilterCompleted() (the other schedulers
+  /// drop every completed candidate anyway).
+  std::vector<model::TaskId> closed_this_call_;
 };
 
 }  // namespace algo

@@ -1,6 +1,8 @@
 #include "algo/random_assign.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -11,9 +13,14 @@ namespace algo {
 namespace {
 
 /// Full-string unsigned 64-bit parse (ParseInt64 would reject the upper
-/// half of the xoshiro word range).
+/// half of the xoshiro word range). Decimal digits only: strtoull alone
+/// would also take a sign ("-1" wraps to 2^64 - 1) or leading spaces.
 bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
+  if (s.empty() || !std::all_of(s.begin(), s.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      })) {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
@@ -60,11 +67,16 @@ Status RandomAssign::RestoreExtra(const std::string& payload) {
   if (f.size() != 7 || f[0] != "rng" || !ParseU64(f[1], &s.s[0]) ||
       !ParseU64(f[2], &s.s[1]) || !ParseU64(f[3], &s.s[2]) ||
       !ParseU64(f[4], &s.s[3]) || !ParseDouble(f[5], &s.cached_gaussian) ||
-      !ParseInt64(f[6], &has)) {
+      !ParseInt64(f[6], &has) || (has != 0 && has != 1) ||
+      !std::isfinite(s.cached_gaussian)) {
     return Status::InvalidArgument("Random: bad rng snapshot line: " +
                                    payload);
   }
-  s.has_cached_gaussian = has != 0;
+  // All-zero is xoshiro's fixed point: the generator would emit 0 forever.
+  if ((s.s[0] | s.s[1] | s.s[2] | s.s[3]) == 0) {
+    return Status::InvalidArgument("Random: all-zero rng state: " + payload);
+  }
+  s.has_cached_gaussian = has == 1;
   rng_.RestoreState(s);
   return Status::OK();
 }

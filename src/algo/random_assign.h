@@ -19,8 +19,11 @@ namespace algo {
 ///
 /// Faithful to the paper's description ("a naive online baseline algorithm
 /// where tasks nearby are assigned randomly"), Random never inspects the
-/// quality state: unlike LAF/AAM it keeps spending capacity on tasks that
-/// already reached delta, which is exactly why it trails them in Fig. 3/4.
+/// quality state: unlike LAF/AAM it keeps spending capacity on offered
+/// tasks that already reached delta, which is exactly why it trails them in
+/// Fig. 3/4. Only a task an earlier commit of the same call completed is
+/// skipped, so the service, which offers open tasks only, never re-serves
+/// a finished task (DESIGN.md §8).
 class RandomAssign : public OnlineSchedulerBase {
  public:
   explicit RandomAssign(std::uint64_t seed = 42) : seed_(seed), rng_(seed) {}
@@ -31,8 +34,8 @@ class RandomAssign : public OnlineSchedulerBase {
   Status OnInit() override {
     // Per-shard decorrelation (DESIGN.md §9): each spatial shard of the
     // sharded service draws an independent deterministic stream. Shard 0 —
-    // and therefore every batch or unsharded streaming run — mixes with 0,
-    // i.e. keeps the historical Rng(seed) stream bit for bit.
+    // and therefore every DriveOnline or unsharded streaming run — mixes
+    // with 0, i.e. keeps the historical Rng(seed) stream bit for bit.
     rng_ = Rng(seed_ ^ (0x9E3779B97F4A7C15ULL *
                         static_cast<std::uint64_t>(
                             shard_context().shard_id)));

@@ -56,7 +56,7 @@ StatusOr<std::unique_ptr<OnlineScheduler>> MakeOnlineScheduler(
     return std::unique_ptr<OnlineScheduler>(new RandomAssign(seed));
   }
   if (name == "MCF") {
-    // Streaming MCF-LTC (streaming protocol only). Callers that need
+    // Streaming MCF-LTC, the batch loop McfLtc::Run drives. Callers that need
     // non-default warm-start options construct McfStream directly.
     return std::unique_ptr<OnlineScheduler>(new McfStream());
   }

@@ -1,16 +1,15 @@
 // Scheduler interfaces for the LTC problem.
 //
 // Offline schedulers (paper Sec. III) see the whole instance. Online
-// schedulers (paper Sec. IV) are driven arrival-by-arrival by the simulation
-// engine (src/sim/engine.h) and must commit assignments immediately — the
-// temporal constraint of Definition 7. Both produce a ScheduleResult whose
-// arrangement is validated by the same model::ValidateArrangement code.
-//
-// Online schedulers also implement one streaming contract, shared by every
-// scheduler the service runs (LAF, AAM, Random and the streaming MCF-LTC):
-// InitStreaming, OnTaskAdded, one OnBatchWithCandidates per flushed
-// micro-batch, OnStreamEnd, and the SerializeState/RestoreState snapshot
-// pair. svc::StreamPipeline drives it, and so does McfLtc::Run.
+// schedulers (paper Sec. IV, and the streaming MCF-LTC) implement one
+// protocol: InitStreaming, OnTaskAdded, one OnBatchWithCandidates per
+// committed batch, OnStreamEnd, and the SerializeState/RestoreState
+// snapshot pair. svc::StreamPipeline drives it over a live event stream;
+// DriveOnline drives it over a fully materialised instance, one worker per
+// call in arrival order, which enforces the temporal constraint of
+// Definition 7 (each worker is committed before the next one is seen).
+// Every run's arrangement is validated by the same
+// model::ValidateArrangement code.
 
 #ifndef LTC_ALGO_SCHEDULER_H_
 #define LTC_ALGO_SCHEDULER_H_
@@ -87,26 +86,24 @@ struct StreamShardContext {
 /// \brief An algorithm that commits as workers arrive (LAF, AAM, Random,
 /// and the streaming MCF).
 ///
-/// Batch protocol: Init once, then OnArrival for workers in stream order.
-/// The engine stops calling once Done() — all tasks completed — or the
-/// stream is exhausted. Implementations must base decisions only on the
-/// tasks, the instance parameters, and arrivals seen so far. The streaming
-/// protocol below is the service's counterpart.
+/// A streaming driver appends tasks and workers to one growing
+/// ProblemInstance as arrival events come in (DriveOnline hands over a
+/// complete one), and gives each batch of admitted workers to the
+/// scheduler with their precomputed candidate sets. Implementations must
+/// base decisions only on the tasks, the instance parameters and the
+/// workers admitted so far.
+///
+/// One call commits one batch, for every scheduler: the per-worker
+/// heuristics (LAF, AAM, Random) commit the batch's workers one by one in
+/// arrival order, while the streaming MCF may buffer workers until it has
+/// a whole Theorem-2 batch, so a call can assign tasks to workers admitted
+/// by earlier calls. Every commitment is therefore reported as an explicit
+/// (worker, task) pair.
 class OnlineScheduler {
  public:
   virtual ~OnlineScheduler() = default;
 
   virtual std::string Name() const = 0;
-
-  /// Resets all state for a fresh run over `instance`.
-  virtual Status Init(const model::ProblemInstance& instance,
-                      const model::EligibilityIndex& index) = 0;
-
-  /// Decides the (at most K) tasks for the arriving worker; appends them to
-  /// *assigned (cleared first) and records them in the arrangement. The
-  /// commitment is irrevocable.
-  virtual Status OnArrival(const model::Worker& worker,
-                           std::vector<model::TaskId>* assigned) = 0;
 
   /// True once every task reached delta.
   virtual bool Done() const = 0;
@@ -114,29 +111,13 @@ class OnlineScheduler {
   /// The arrangement built so far.
   virtual const model::Arrangement& arrangement() const = 0;
 
-  // --- Streaming protocol (svc::StreamPipeline; DESIGN.md §8-§10) ---
-  //
-  // A streaming run has no complete instance up front: the engine appends
-  // tasks and workers to one growing ProblemInstance as arrival events come
-  // in, keeps an incremental spatial index over the open tasks, and hands
-  // each flushed micro-batch of admitted workers to the scheduler with
-  // their precomputed candidate sets. Implementations must still base
-  // decisions only on the instance prefix seen so far.
-  //
-  // One call commits one flushed batch, for every scheduler: the per-worker
-  // heuristics (LAF, AAM, Random) commit the batch's workers one by one in
-  // arrival order, while the streaming MCF may buffer workers until it has
-  // a whole Theorem-2 batch, so a flush can assign tasks to workers
-  // admitted by earlier flushes. Every commitment is therefore reported as
-  // an explicit (worker, task) pair.
-
-  /// The shard identity of the current streaming run ({0, 1} for batch and
+  /// The shard identity of the current run ({0, 1} for DriveOnline and
   /// unsharded streaming runs).
   const StreamShardContext& shard_context() const { return shard_context_; }
 
-  /// Resets all state for a streaming run over `instance`, which the caller
-  /// grows in place between calls (tasks via OnTaskAdded, workers before
-  /// the OnBatchWithCandidates that admits them). `instance` may still be
+  /// Resets all state for a run over `instance`, which the caller may grow
+  /// in place between calls (tasks via OnTaskAdded, workers before the
+  /// OnBatchWithCandidates that admits them). `instance` may still be
   /// empty here. `shard` is the run's shard identity (shard_context());
   /// every svc pipeline passes its own, and the default is the unsharded
   /// identity.
@@ -155,13 +136,14 @@ class OnlineScheduler {
     model::TaskId task = 0;
   };
 
-  /// Flush: `workers[i]` (local arrival indices, arrival order) was
-  /// admitted with eligible open tasks `*candidates[i]` (ascending ids,
-  /// gathered at flush time, so tasks completed by earlier commits of the
-  /// same flush must be re-filtered). Appends every commitment made — for
-  /// these workers or ones buffered from earlier flushes — to *commits in
-  /// commit order, recording each in the arrangement. May commit nothing
-  /// (buffering). Never commits to a task that already reached delta.
+  /// One batch: `workers[i]` (local arrival indices, arrival order) was
+  /// admitted with eligible tasks `*candidates[i]` (ascending ids,
+  /// gathered before the call). Appends every commitment made — for these
+  /// workers or ones buffered from earlier calls — to *commits in commit
+  /// order, recording each in the arrangement. May commit nothing
+  /// (buffering). Never commits to a task that an earlier commit of the
+  /// same call completed; LAF, AAM and MCF never commit to any task that
+  /// already reached delta (DESIGN.md §8).
   virtual Status OnBatchWithCandidates(
       const std::vector<model::WorkerIndex>& workers,
       const std::vector<const std::vector<model::TaskId>*>& candidates,
@@ -206,9 +188,8 @@ class OnlineScheduler {
                               const std::string& blob) = 0;
 
  protected:
-  /// Records the identity of the run being initialised: streaming inits
-  /// pass their `shard`, batch Init passes {0, 1}, so a reused scheduler
-  /// never carries a stale shard id into the next run's seeding.
+  /// Records the identity of the run being initialised, so a reused
+  /// scheduler never carries a stale shard id into the next run's seeding.
   void set_shard_context(const StreamShardContext& shard) {
     shard_context_ = shard;
   }
@@ -216,6 +197,22 @@ class OnlineScheduler {
  private:
   StreamShardContext shard_context_{};
 };
+
+/// Drives `scheduler` over the complete `instance` (paper Definition 7):
+/// validates the instance, rejects an `index` built on another instance,
+/// calls InitStreaming, then commits each worker in arrival order with one
+/// single-worker OnBatchWithCandidates — its candidates are every eligible
+/// task from `index` (EligibleTasksSorted), completed or not — until Done()
+/// or the stream runs out, and ends with OnStreamEnd. Returns the number of
+/// workers examined (ScheduleStats::workers_seen).
+StatusOr<std::int64_t> DriveOnline(const model::ProblemInstance& instance,
+                                   const model::EligibilityIndex& index,
+                                   OnlineScheduler* scheduler);
+
+/// Sets stats->assignments, workers_used and total_acc_star (summed in
+/// commit order) from `arrangement`; leaves the other fields alone.
+void FillArrangementStats(const model::Arrangement& arrangement,
+                          ScheduleStats* stats);
 
 /// Appends one snapshot "a <worker> <task> <acc_star>" line per
 /// arrangement Add, in commit order (the line vocabulary of

@@ -46,12 +46,8 @@ StatusOr<model::Arrangement> CompleteWithAam(
     const model::EligibilityIndex& index, std::uint64_t seed) {
   LTC_ASSIGN_OR_RETURN(auto scheduler,
                        algo::MakeOnlineScheduler("AAM", seed));
-  LTC_RETURN_IF_ERROR(scheduler->Init(instance, index));
-  std::vector<model::TaskId> assigned;
-  for (const model::Worker& w : instance.workers) {
-    if (scheduler->Done()) break;
-    LTC_RETURN_IF_ERROR(scheduler->OnArrival(w, &assigned));
-  }
+  LTC_RETURN_IF_ERROR(
+      algo::DriveOnline(instance, index, scheduler.get()).status());
   return scheduler->arrangement();
 }
 

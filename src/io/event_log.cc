@@ -1,6 +1,7 @@
 #include "io/event_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/string_util.h"
@@ -12,6 +13,13 @@ namespace io {
 namespace {
 
 constexpr char kHeader[] = "# ltc-events v1";
+
+/// strtod accepts "nan" and "inf"; no event time or coordinate may be
+/// either (a NaN time would poison every later clock comparison).
+bool Finite(const Event& e) {
+  return std::isfinite(e.time) && std::isfinite(e.location.x) &&
+         std::isfinite(e.location.y);
+}
 
 }  // namespace
 
@@ -47,7 +55,7 @@ Status EventLog::Validate() const {
         ++tasks_seen;
         break;
       case Event::Kind::kWorkerArrival:
-        if (e.accuracy < 0.0 || e.accuracy > 1.0) {
+        if (!(e.accuracy >= 0.0 && e.accuracy <= 1.0)) {  // rejects NaN
           return Status::InvalidArgument(
               StrFormat("event %zu: worker accuracy %g outside [0, 1]", i,
                         e.accuracy));
@@ -120,7 +128,7 @@ StatusOr<Event> ParseEventRecord(const std::string& line) {
     e.kind = Event::Kind::kTaskArrival;
     if (!ParseDouble(fields[1], &e.time) ||
         !ParseDouble(fields[2], &e.location.x) ||
-        !ParseDouble(fields[3], &e.location.y)) {
+        !ParseDouble(fields[3], &e.location.y) || !Finite(e)) {
       return Status::InvalidArgument("bad task event record: " + trimmed);
     }
     return e;
@@ -133,7 +141,8 @@ StatusOr<Event> ParseEventRecord(const std::string& line) {
     if (!ParseDouble(fields[1], &e.time) ||
         !ParseDouble(fields[2], &e.location.x) ||
         !ParseDouble(fields[3], &e.location.y) ||
-        !ParseDouble(fields[4], &e.accuracy)) {
+        !ParseDouble(fields[4], &e.accuracy) || !Finite(e) ||
+        !(e.accuracy >= 0.0 && e.accuracy <= 1.0)) {
       return Status::InvalidArgument("bad worker event record: " + trimmed);
     }
     return e;
@@ -146,7 +155,7 @@ StatusOr<Event> ParseEventRecord(const std::string& line) {
     std::int64_t task;
     if (!ParseDouble(fields[1], &e.time) || !ParseInt64(fields[2], &task) ||
         !ParseDouble(fields[3], &e.location.x) ||
-        !ParseDouble(fields[4], &e.location.y)) {
+        !ParseDouble(fields[4], &e.location.y) || !Finite(e)) {
       return Status::InvalidArgument("bad move event record: " + trimmed);
     }
     e.task = static_cast<model::TaskId>(task);

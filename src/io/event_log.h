@@ -94,6 +94,8 @@ std::string FormatEventRecord(const Event& e);
 /// Parses one v1 event record line ("t ...", "w ...", "m ...") — the
 /// inverse of FormatEventRecord. Shared with the wire codec (net/frame.h)
 /// so a socket payload is the same text a WAL or replay file holds.
+/// Rejects a non-finite time or coordinate and a worker accuracy outside
+/// [0, 1] (NaN included).
 StatusOr<Event> ParseEventRecord(const std::string& line);
 
 /// Parses the v1 text format back into a log (validated).

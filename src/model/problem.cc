@@ -46,7 +46,7 @@ Status ProblemInstance::Validate() const {
                     ".index = %d",
                     i, w.index));
     }
-    if (w.historical_accuracy < 0.0 || w.historical_accuracy > 1.0) {
+    if (!(w.historical_accuracy >= 0.0 && w.historical_accuracy <= 1.0)) {
       return Status::InvalidArgument(
           StrFormat("worker %d historical accuracy %g outside [0, 1]", w.index,
                     w.historical_accuracy));

@@ -74,7 +74,7 @@ void IngestServer::HandleEvents(const std::string& payload, Ack* ack) {
   // anyway, but catching it here keeps the bad frame out of the WAL.
   double clock = last_admitted_time_;
   for (const io::Event& e : events) {
-    if (e.time < clock) {
+    if (!(e.time >= clock)) {  // also rejects a NaN time
       reject_all(StatusCode::kInvalidArgument,
                  StrFormat("event time %g precedes the admitted stream "
                            "clock %g",

@@ -1,7 +1,5 @@
 #include "sim/engine.h"
 
-#include <vector>
-
 #include "common/memhook.h"
 #include "common/proc.h"
 #include "common/timer.h"
@@ -63,14 +61,8 @@ StatusOr<RunMetrics> RunOnline(const model::ProblemInstance& instance,
 
   MemoryProbe probe;
   Stopwatch watch;
-  LTC_RETURN_IF_ERROR(scheduler->Init(instance, index));
-  std::vector<model::TaskId> assigned;
-  std::int64_t workers_seen = 0;
-  for (const model::Worker& w : instance.workers) {
-    if (scheduler->Done()) break;
-    ++workers_seen;
-    LTC_RETURN_IF_ERROR(scheduler->OnArrival(w, &assigned));
-  }
+  LTC_ASSIGN_OR_RETURN(const std::int64_t workers_seen,
+                       algo::DriveOnline(instance, index, scheduler));
   metrics.runtime_seconds = watch.ElapsedSeconds();
   metrics.peak_memory_bytes = probe.PeakDelta();
 
@@ -78,13 +70,7 @@ StatusOr<RunMetrics> RunOnline(const model::ProblemInstance& instance,
   metrics.completed = arr.AllCompleted();
   metrics.latency = arr.MaxWorkerIndex();
   metrics.stats.workers_seen = workers_seen;
-  metrics.stats.assignments = arr.size();
-  for (const model::Assignment& a : arr.assignments()) {
-    metrics.stats.total_acc_star += a.acc_star;
-  }
-  for (model::WorkerIndex w = 1; w <= arr.MaxWorkerIndex(); ++w) {
-    if (arr.Load(w) > 0) ++metrics.stats.workers_used;
-  }
+  algo::FillArrangementStats(arr, &metrics.stats);
 
   if (options.validate) {
     LTC_RETURN_IF_ERROR(model::ValidateArrangement(

@@ -1,9 +1,11 @@
 // The simulation engine: drives schedulers over an instance and measures
 // latency / runtime / memory.
 //
-// For online schedulers it enforces the paper's temporal constraint
-// structurally — workers are revealed one arrival at a time, in stream
-// order, and each decision is committed before the next worker is shown.
+// Online schedulers run through algo::DriveOnline, which enforces the
+// paper's temporal constraint structurally — workers are revealed one
+// arrival at a time, in stream order, and each decision is committed before
+// the next worker is shown. Every online scheduler runs this way, the
+// streaming MCF ("MCF") included.
 
 #ifndef LTC_SIM_ENGINE_H_
 #define LTC_SIM_ENGINE_H_
@@ -32,8 +34,9 @@ struct EngineOptions {
   std::uint64_t seed = 42;
 };
 
-/// Drives an online scheduler over the arrival stream until all tasks
-/// complete or the stream is exhausted; returns measured metrics.
+/// Drives an online scheduler over the arrival stream (algo::DriveOnline)
+/// until all tasks complete or the stream is exhausted; returns measured
+/// metrics.
 StatusOr<RunMetrics> RunOnline(const model::ProblemInstance& instance,
                                const model::EligibilityIndex& index,
                                algo::OnlineScheduler* scheduler,

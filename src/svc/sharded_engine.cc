@@ -307,7 +307,7 @@ Status ShardedStreamEngine::OnEvent(const io::Event& event) {
   if (finished_) {
     return Status::FailedPrecondition("OnEvent after Finish");
   }
-  if (event.time < last_event_time_) {
+  if (!(event.time >= last_event_time_)) {  // also rejects a NaN time
     return Status::InvalidArgument(
         StrFormat("event time %g precedes the stream clock %g", event.time,
                   last_event_time_));

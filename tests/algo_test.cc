@@ -13,6 +13,7 @@
 #include "algo/mcf_ltc.h"
 #include "algo/random_assign.h"
 #include "algo/registry.h"
+#include "common/string_util.h"
 #include "gen/example_paper.h"
 #include "gen/synthetic.h"
 #include "model/eligibility.h"
@@ -43,16 +44,16 @@ Fixture PaperFixture(double epsilon = 0.2) {
   return f;
 }
 
-/// Runs an online scheduler over the stream, returning per-worker traces.
+/// Runs an online scheduler over the stream (DriveOnline), returning the
+/// tasks each examined worker received, in commit order.
 std::vector<std::vector<TaskId>> Drive(OnlineScheduler* s,
                                        const Fixture& f) {
-  s->Init(f.instance, *f.index).CheckOK();
-  std::vector<std::vector<TaskId>> trace;
-  std::vector<TaskId> assigned;
-  for (const auto& w : f.instance.workers) {
-    if (s->Done()) break;
-    s->OnArrival(w, &assigned).CheckOK();
-    trace.push_back(assigned);
+  auto workers_seen = DriveOnline(f.instance, *f.index, s);
+  workers_seen.status().CheckOK();
+  std::vector<std::vector<TaskId>> trace(
+      static_cast<std::size_t>(*workers_seen));
+  for (const model::Assignment& a : s->arrangement().assignments()) {
+    trace[static_cast<std::size_t>(a.worker) - 1].push_back(a.task);
   }
   return trace;
 }
@@ -113,9 +114,11 @@ TEST(AamTest, FollowsAlgorithmThreeOnPaperExample) {
 TEST(AamTest, StartsWithLgfWhenAverageDominates) {
   Fixture f = PaperFixture();
   Aam aam;
-  aam.Init(f.instance, *f.index).CheckOK();
-  std::vector<TaskId> assigned;
-  aam.OnArrival(f.instance.workers[0], &assigned).CheckOK();
+  aam.InitStreaming(f.instance).CheckOK();
+  std::vector<TaskId> eligible;
+  f.index->EligibleTasksSorted(f.instance.workers[0], &eligible);
+  std::vector<OnlineScheduler::StreamCommit> commits;
+  aam.OnBatchWithCandidates({1}, {&eligible}, &commits).CheckOK();
   // avg = 3 * 3.219 / 2 = 4.83 >= maxRemain = 3.219 -> LGF.
   EXPECT_EQ(aam.last_strategy(), Aam::Strategy::kLgf);
 }
@@ -280,6 +283,53 @@ TEST(RandomAssignTest, DeterministicPerSeedAndValid) {
   (void)trace_c;  // different seed may or may not differ; validity matters
   EXPECT_TRUE(
       model::ValidateArrangement(f.instance, c.arrangement(), true).ok());
+}
+
+// ---- Snapshot restore: hand-made blobs outside the serialized domain ----
+
+TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
+  Fixture f = PaperFixture();
+  RandomAssign rnd(7);
+  rnd.InitStreaming(f.instance).CheckOK();
+  std::string blob;
+  rnd.SerializeState(&blob).CheckOK();
+  ASSERT_TRUE(StartsWith(blob, "x rng ")) << blob;
+  ASSERT_TRUE(rnd.RestoreState(f.instance, {}, blob).ok());
+  // Fields of the valid line: "x", "rng", four words, gaussian, flag.
+  const std::vector<std::string> good = Split(Trim(blob), ' ');
+  ASSERT_EQ(good.size(), 8u);
+  auto with = [&good](std::size_t field, const std::string& value) {
+    std::vector<std::string> f = good;
+    f[field] = value;
+    return Join(f, " ") + "\n";
+  };
+  const std::string kBad[] = {
+      with(2, "-1"),            // strtoull would wrap to 2^64 - 1
+      with(3, "+7"),            // signed
+      with(4, "\t7"),           // leading whitespace
+      with(5, "18446744073709551616"),  // 2^64 overflows
+      "x rng 0 0 0 0 0 0\n",    // xoshiro's all-zero fixed point
+      with(7, "2"),             // the flag is 0 or 1
+      with(7, "-1"),
+      with(6, "nan"),           // the cached gaussian is finite
+      with(6, "inf"),
+  };
+  for (const std::string& bad : kBad) {
+    EXPECT_TRUE(rnd.RestoreState(f.instance, {}, bad).IsInvalidArgument())
+        << bad;
+  }
+}
+
+TEST(SnapshotRestoreTest, RejectsAccStarOutsideUnitInterval) {
+  Fixture f = PaperFixture();
+  Laf laf;
+  ASSERT_TRUE(laf.RestoreState(f.instance, {}, "a 1 0 0.25\n").ok());
+  EXPECT_EQ(laf.arrangement().size(), 1);
+  for (const char* acc : {"nan", "-nan", "inf", "-inf", "-0.5", "1.5"}) {
+    const std::string blob = std::string("a 1 0 ") + acc + "\n";
+    EXPECT_TRUE(laf.RestoreState(f.instance, {}, blob).IsInvalidArgument())
+        << blob;
+  }
 }
 
 // ---- Exhaustive ----

@@ -201,13 +201,17 @@ TEST(AamAblationTest, ForcedStrategyIsPinned) {
   lrf_options.force = algo::AamOptions::Force::kLrfOnly;
   algo::Aam lrf(lrf_options);
   EXPECT_EQ(lrf.Name(), "LRF-only");
-  lrf.Init(*instance, *index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  lrf.OnArrival(instance->workers[0], &assigned).CheckOK();
+  lrf.InitStreaming(*instance).CheckOK();
+  std::vector<model::TaskId> eligible;
+  index->EligibleTasksSorted(instance->workers[0], &eligible);
+  std::vector<algo::OnlineScheduler::StreamCommit> commits;
+  lrf.OnBatchWithCandidates({1}, {&eligible}, &commits).CheckOK();
   EXPECT_EQ(lrf.last_strategy(), algo::Aam::Strategy::kLrf);
   // LRF on w1 picks the two most-demanding tasks: all tie at delta, so the
   // lowest ids win.
-  EXPECT_EQ(assigned, (std::vector<model::TaskId>{0, 1}));
+  ASSERT_EQ(commits.size(), 2u);
+  EXPECT_EQ(commits[0].task, 0);
+  EXPECT_EQ(commits[1].task, 1);
 }
 
 // ---- Arrangement statistics ----
@@ -219,12 +223,7 @@ TEST(ArrangementStatsTest, PerTaskCompletionIndices) {
   ASSERT_TRUE(index.ok());
   auto scheduler = algo::MakeOnlineScheduler("LAF", 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(*instance, *index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : instance->workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(*instance, *index, scheduler->get()).status().CheckOK();
   auto stats =
       sim::ComputeArrangementStats(*instance, (*scheduler)->arrangement());
   ASSERT_TRUE(stats.ok());
@@ -244,12 +243,7 @@ TEST(ArrangementStatsTest, CountsWasteForNaiveRandom) {
   Built b = BuildSynthetic(21);
   auto scheduler = algo::MakeOnlineScheduler("Random", 5);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : b.instance.workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(b.instance, *b.index, scheduler->get()).status().CheckOK();
   auto stats =
       sim::ComputeArrangementStats(b.instance, (*scheduler)->arrangement());
   ASSERT_TRUE(stats.ok());
@@ -258,11 +252,7 @@ TEST(ArrangementStatsTest, CountsWasteForNaiveRandom) {
   // LAF, by contrast, never wastes.
   auto laf = algo::MakeOnlineScheduler("LAF", 5);
   ASSERT_TRUE(laf.ok());
-  (*laf)->Init(b.instance, *b.index).CheckOK();
-  for (const auto& w : b.instance.workers) {
-    if ((*laf)->Done()) break;
-    (*laf)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(b.instance, *b.index, laf->get()).status().CheckOK();
   auto laf_stats =
       sim::ComputeArrangementStats(b.instance, (*laf)->arrangement());
   ASSERT_TRUE(laf_stats.ok());

@@ -97,12 +97,7 @@ TEST_P(SyntheticSweepTest, CompletedTasksPassVotingSanity) {
   // Re-run AAM to obtain the arrangement (engine reports metrics only).
   auto scheduler = algo::MakeOnlineScheduler("AAM", 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : b.instance.workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(b.instance, *b.index, scheduler->get()).status().CheckOK();
   auto outcome = model::SimulateVoting(b.instance, (*scheduler)->arrangement(),
                                        400, 17);
   ASSERT_TRUE(outcome.ok());

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/string_util.h"
 #include "gen/example_paper.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
@@ -125,12 +129,7 @@ TEST(ArrangementIoTest, RoundTripPreservesAssignments) {
   ASSERT_TRUE(index.ok());
   auto scheduler = algo::MakeOnlineScheduler("LAF", 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(instance, *index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : instance.workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(instance, *index, scheduler->get()).status().CheckOK();
   const model::Arrangement& original = (*scheduler)->arrangement();
   const std::string text = SerializeArrangement(original);
   auto parsed = ParseArrangement(instance, text);
@@ -370,6 +369,63 @@ TEST(EventRecordCodecTest, ParseIsInverseOfFormat) {
   EXPECT_FALSE(ParseEventRecord("m 0 zero 1 2").ok());  // non-numeric id
   EXPECT_FALSE(ParseEventRecord("q 0 1 2").ok());     // unknown kind
   EXPECT_FALSE(ParseEventRecord("").ok());
+}
+
+// strtod accepts "nan" and "inf"; the record parser behind both event
+// files and the wire decoder must not. One row per numeric field.
+TEST(EventRecordCodecTest, NonFiniteFieldsAreRejected) {
+  ASSERT_TRUE(ParseEventRecord("t 1 2 3").ok());
+  ASSERT_TRUE(ParseEventRecord("w 1 2 3 0.8").ok());
+  ASSERT_TRUE(ParseEventRecord("m 1 0 2 3").ok());
+  for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
+    const std::string v = bad;
+    for (const std::string& record : {
+             "t " + v + " 2 3", "t 1 " + v + " 3", "t 1 2 " + v,
+             "w " + v + " 2 3 0.8", "w 1 " + v + " 3 0.8",
+             "w 1 2 " + v + " 0.8", "w 1 2 3 " + v,
+             "m " + v + " 0 2 3", "m 1 0 " + v + " 3", "m 1 0 2 " + v}) {
+      EXPECT_TRUE(ParseEventRecord(record).status().IsInvalidArgument())
+          << record;
+    }
+  }
+  // A worker accuracy outside [0, 1] is out of domain, finite or not.
+  EXPECT_FALSE(ParseEventRecord("w 1 2 3 1.5").ok());
+  EXPECT_FALSE(ParseEventRecord("w 1 2 3 -0.1").ok());
+}
+
+// The same records inside a file: ParseEventLog fails instead of handing
+// the engine a NaN (ltc_serve --events). Each row edits one field of the
+// first worker record and keeps the rest of the log valid.
+TEST(EventLogIoTest, NonFiniteRecordsFailTheLog) {
+  const std::string text = SmallEventLogText();
+  ASSERT_TRUE(ParseEventLog(text).ok());
+  const std::size_t begin = text.find("\nw ") + 1;
+  ASSERT_NE(begin, 0u);
+  const std::size_t end = text.find('\n', begin);
+  const std::vector<std::string> fields =
+      Split(text.substr(begin, end - begin), ' ');
+  ASSERT_EQ(fields.size(), 5u);
+  for (std::size_t field = 1; field < fields.size(); ++field) {
+    std::vector<std::string> edited = fields;
+    edited[field] = "nan";
+    const std::string record = Join(edited, " ");
+    const std::string log =
+        text.substr(0, begin) + record + text.substr(end);
+    EXPECT_TRUE(ParseEventLog(log).status().IsInvalidArgument()) << record;
+  }
+}
+
+// EventLog::Validate's accuracy range check also rejects NaN for logs built
+// in memory.
+TEST(EventLogIoTest, ValidateRejectsNanAccuracy) {
+  io::EventLog log = SmallEventLog();
+  for (Event& e : log.events) {
+    if (e.kind == Event::Kind::kWorkerArrival) {
+      e.accuracy = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+  }
+  EXPECT_TRUE(log.Validate().IsInvalidArgument());
 }
 
 TEST(ArrangementIoTest, RejectsBadReferences) {

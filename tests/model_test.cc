@@ -193,6 +193,8 @@ TEST(ProblemInstanceTest, RejectsBadParameters) {
   bad = *instance;
   bad.workers[0].historical_accuracy = 1.5;
   EXPECT_FALSE(bad.Validate().ok());
+  bad.workers[0].historical_accuracy = std::nan("");
+  EXPECT_FALSE(bad.Validate().ok());
 }
 
 // ---- Arrangement ----

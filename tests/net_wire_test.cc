@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,6 +221,7 @@ class LoopbackServer {
   }
 
   std::string address() const { return "unix:" + root_ + "/sock"; }
+  std::string wal_path() const { return root_ + "/state/wal.events"; }
   svc::RecoverableService& service() { return *service_; }
   IngestServer& server() { return *server_; }
 
@@ -321,6 +324,59 @@ TEST(IngestServerTest, RejectsTimeRegressionsAllOrNothing) {
   EXPECT_EQ(c.events_admitted, 2);
   EXPECT_EQ(c.events_rejected, 2);
   EXPECT_EQ(c.frames_rejected, 1);
+}
+
+// A NaN time would pass a plain `time < clock` check and then become the
+// clock, after which no regression is ever rejected again; a NaN or
+// infinite coordinate would reach the engine's grid arithmetic. The
+// decoder rejects every such frame before it can reach the WAL.
+TEST(IngestServerTest, NonFiniteEventsAreRejectedBeforeTheWal) {
+  LoopbackServer loopback(/*queue_capacity=*/1024);
+  auto client = ConnectRetry(loopback.address());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  ASSERT_TRUE(client.value()->SendEvents({TaskEvent(10.0, 1.0, 1.0)}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<io::Event>> bad_frames = {
+      {TaskEvent(nan, 2.0, 2.0)},
+      {TaskEvent(11.0, 2.0, 2.0), TaskEvent(nan, 3.0, 3.0)},
+      {TaskEvent(11.0, inf, 2.0)},
+      {WorkerEvent(11.0, 2.0, nan, 0.9)},
+      {WorkerEvent(11.0, 2.0, 2.0, nan)},
+  };
+  for (const auto& frame : bad_frames) {
+    const Status rejected = client.value()->SendEvents(frame);
+    EXPECT_TRUE(rejected.IsInvalidArgument()) << rejected.ToString();
+  }
+  // The clock is still 10: a regression is rejected, in-order traffic
+  // flows.
+  EXPECT_TRUE(client.value()
+                  ->SendEvents({TaskEvent(5.0, 4.0, 4.0)})
+                  .IsInvalidArgument());
+  ASSERT_TRUE(client.value()->SendEvents({TaskEvent(10.5, 4.0, 4.0)}).ok());
+
+  auto finish = client.value()->Finish();
+  ASSERT_TRUE(finish.ok());
+  EXPECT_EQ(finish.value().admitted, 2u);
+  ASSERT_TRUE(loopback.Join().ok());
+  EXPECT_EQ(loopback.server().counters().frames_rejected, 6);
+
+  EXPECT_EQ(loopback.service().events_applied(), 2);
+
+  // Closed, the WAL holds exactly the two admitted records.
+  ASSERT_TRUE(loopback.service().Finish().ok());
+  std::ifstream wal(loopback.wal_path());
+  ASSERT_TRUE(wal.good());
+  std::vector<std::string> records;
+  for (std::string line; std::getline(wal, line);) {
+    if (!line.empty() && line[0] != '#' && line.find(' ') == 1) {
+      records.push_back(line);
+    }
+  }
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], "t 10 1 1");
+  EXPECT_EQ(records[1], "t 10.5 4 4");
 }
 
 TEST(IngestServerTest, BackpressureRejectsWithoutAdmittingAnything) {

@@ -1,11 +1,15 @@
 // Contract tests for the OnlineScheduler protocol, run against every online
-// algorithm in the registry: initialisation discipline, per-arrival capacity,
-// irrevocability, termination behaviour, and re-initialisation.
+// algorithm in the registry, the streaming MCF included: initialisation
+// discipline, the DriveOnline driver, per-worker capacity, irrevocability,
+// termination behaviour, and re-initialisation.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/registry.h"
@@ -16,8 +20,10 @@ namespace ltc {
 namespace algo {
 namespace {
 
-const char* kOnlineAlgorithms[] = {"LAF", "AAM", "Random", "LGF-only",
-                                   "LRF-only"};
+using Commits = std::vector<OnlineScheduler::StreamCommit>;
+
+const char* kOnlineAlgorithms[] = {"LAF",      "AAM",      "Random",
+                                   "LGF-only", "LRF-only", "MCF"};
 
 struct Built {
   model::ProblemInstance instance;
@@ -41,45 +47,58 @@ Built BuildSmall(std::uint64_t seed = 4) {
   return b;
 }
 
-class OnlineContractTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(OnlineContractTest, OnArrivalBeforeInitFails) {
-  auto scheduler = MakeOnlineScheduler(GetParam(), 1);
-  ASSERT_TRUE(scheduler.ok());
-  Built b = BuildSmall();
-  std::vector<model::TaskId> assigned;
-  EXPECT_TRUE((*scheduler)
-                  ->OnArrival(b.instance.workers[0], &assigned)
-                  .IsFailedPrecondition());
+/// Commits worker `i` (0-based) alone, with every eligible task as its
+/// candidates — one step of DriveOnline's loop.
+Commits CommitOne(OnlineScheduler* scheduler, const Built& b, std::size_t i) {
+  const model::Worker& w = b.instance.workers[i];
+  std::vector<model::TaskId> eligible;
+  b.index->EligibleTasksSorted(w, &eligible);
+  Commits commits;
+  scheduler->OnBatchWithCandidates({w.index}, {&eligible}, &commits)
+      .CheckOK();
+  return commits;
 }
 
-TEST_P(OnlineContractTest, InitRejectsMismatchedIndex) {
+/// Per-worker heuristics commit only the worker of the call; MCF may also
+/// commit workers it buffered from earlier calls.
+bool CommitsOnlyCallWorker(const std::string& name) { return name != "MCF"; }
+
+class OnlineContractTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(OnlineContractTest, CallsBeforeInitStreamingFail) {
+  auto scheduler = MakeOnlineScheduler(GetParam(), 1);
+  ASSERT_TRUE(scheduler.ok());
+  EXPECT_FALSE((*scheduler)->Done());
+  Commits commits;
+  EXPECT_TRUE((*scheduler)
+                  ->OnBatchWithCandidates({}, {}, &commits)
+                  .IsFailedPrecondition());
+  EXPECT_TRUE((*scheduler)->OnTaskAdded(0).IsFailedPrecondition());
+  std::string blob;
+  EXPECT_TRUE((*scheduler)->SerializeState(&blob).IsFailedPrecondition());
+}
+
+TEST_P(OnlineContractTest, DriveOnlineRejectsMismatchedIndex) {
   Built a = BuildSmall(1);
   Built b = BuildSmall(2);
   auto scheduler = MakeOnlineScheduler(GetParam(), 1);
   ASSERT_TRUE(scheduler.ok());
-  EXPECT_TRUE(
-      (*scheduler)->Init(a.instance, *b.index).IsInvalidArgument());
+  EXPECT_TRUE(DriveOnline(a.instance, *b.index, scheduler->get())
+                  .status()
+                  .IsInvalidArgument());
 }
 
-TEST_P(OnlineContractTest, PerArrivalCapacityRespected) {
+TEST_P(OnlineContractTest, PerWorkerCapacityRespected) {
   Built b = BuildSmall();
   auto scheduler = MakeOnlineScheduler(GetParam(), 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : b.instance.workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-    EXPECT_LE(static_cast<std::int64_t>(assigned.size()),
-              static_cast<std::int64_t>(b.instance.capacity))
-        << GetParam();
-    // No duplicate tasks within one arrival.
-    std::vector<model::TaskId> sorted = assigned;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end())
-        << GetParam();
+  ASSERT_TRUE(DriveOnline(b.instance, *b.index, scheduler->get()).ok());
+  std::map<model::WorkerIndex, std::int64_t> load;
+  std::set<std::pair<model::WorkerIndex, model::TaskId>> pairs;
+  for (const model::Assignment& a : (*scheduler)->arrangement().assignments()) {
+    EXPECT_LE(++load[a.worker], b.instance.capacity) << GetParam();
+    // No worker is given the same task twice.
+    EXPECT_TRUE(pairs.insert({a.worker, a.task}).second) << GetParam();
   }
 }
 
@@ -87,24 +106,29 @@ TEST_P(OnlineContractTest, ArrangementIsAppendOnly) {
   Built b = BuildSmall();
   auto scheduler = MakeOnlineScheduler(GetParam(), 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  std::int64_t last_size = 0;
-  model::WorkerIndex last_max = 0;
-  for (const auto& w : b.instance.workers) {
+  (*scheduler)->InitStreaming(b.instance).CheckOK();
+  std::vector<model::Assignment> before;
+  for (std::size_t i = 0; i < b.instance.workers.size(); ++i) {
     if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-    const auto& arr = (*scheduler)->arrangement();
-    EXPECT_GE(arr.size(), last_size) << GetParam();
-    EXPECT_GE(arr.MaxWorkerIndex(), last_max) << GetParam();
-    // Newly appended assignments all belong to the current worker.
-    for (std::int64_t i = last_size; i < arr.size(); ++i) {
-      EXPECT_EQ(arr.assignments()[static_cast<std::size_t>(i)].worker,
-                w.index)
-          << GetParam();
+    const Commits commits = CommitOne(scheduler->get(), b, i);
+    const auto& after = (*scheduler)->arrangement().assignments();
+    // The earlier assignments are untouched; the call appended exactly its
+    // reported commits, in commit order.
+    ASSERT_EQ(after.size(), before.size() + commits.size()) << GetParam();
+    for (std::size_t k = 0; k < before.size(); ++k) {
+      EXPECT_EQ(after[k].worker, before[k].worker) << GetParam();
+      EXPECT_EQ(after[k].task, before[k].task) << GetParam();
     }
-    last_size = arr.size();
-    last_max = arr.MaxWorkerIndex();
+    for (std::size_t k = 0; k < commits.size(); ++k) {
+      const model::Assignment& a = after[before.size() + k];
+      EXPECT_EQ(a.worker, commits[k].worker) << GetParam();
+      EXPECT_EQ(a.task, commits[k].task) << GetParam();
+      EXPECT_LE(a.worker, b.instance.workers[i].index) << GetParam();
+      if (CommitsOnlyCallWorker(GetParam())) {
+        EXPECT_EQ(a.worker, b.instance.workers[i].index) << GetParam();
+      }
+    }
+    before = after;
   }
 }
 
@@ -112,21 +136,23 @@ TEST_P(OnlineContractTest, NoAssignmentsAfterDone) {
   Built b = BuildSmall();
   auto scheduler = MakeOnlineScheduler(GetParam(), 1);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<model::TaskId> assigned;
+  (*scheduler)->InitStreaming(b.instance).CheckOK();
   std::size_t i = 0;
   for (; i < b.instance.workers.size(); ++i) {
     if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(b.instance.workers[i], &assigned).CheckOK();
+    CommitOne(scheduler->get(), b, i);
   }
   if (!(*scheduler)->Done()) GTEST_SKIP() << "stream exhausted first";
   const std::int64_t size_at_done = (*scheduler)->arrangement().size();
-  // Feeding more workers after completion must be a no-op.
-  for (std::size_t extra = i; extra < b.instance.workers.size() && extra < i + 5;
-       ++extra) {
-    (*scheduler)->OnArrival(b.instance.workers[extra], &assigned).CheckOK();
-    EXPECT_TRUE(assigned.empty()) << GetParam();
+  // Feeding more workers after completion, and ending the stream, must
+  // commit nothing.
+  for (std::size_t extra = i;
+       extra < b.instance.workers.size() && extra < i + 5; ++extra) {
+    EXPECT_TRUE(CommitOne(scheduler->get(), b, extra).empty()) << GetParam();
   }
+  Commits end;
+  (*scheduler)->OnStreamEnd(&end).CheckOK();
+  EXPECT_TRUE(end.empty()) << GetParam();
   EXPECT_EQ((*scheduler)->arrangement().size(), size_at_done) << GetParam();
 }
 
@@ -135,17 +161,18 @@ TEST_P(OnlineContractTest, ReInitResetsState) {
   auto scheduler = MakeOnlineScheduler(GetParam(), 1);
   ASSERT_TRUE(scheduler.ok());
   auto run_once = [&]() {
-    (*scheduler)->Init(b.instance, *b.index).CheckOK();
-    std::vector<model::TaskId> assigned;
-    for (const auto& w : b.instance.workers) {
-      if ((*scheduler)->Done()) break;
-      (*scheduler)->OnArrival(w, &assigned).CheckOK();
+    DriveOnline(b.instance, *b.index, scheduler->get()).status().CheckOK();
+    std::vector<std::pair<model::WorkerIndex, model::TaskId>> out;
+    for (const model::Assignment& a :
+         (*scheduler)->arrangement().assignments()) {
+      out.emplace_back(a.worker, a.task);
     }
-    return (*scheduler)->arrangement().MaxWorkerIndex();
+    return out;
   };
   const auto first = run_once();
   const auto second = run_once();
-  EXPECT_EQ(first, second) << GetParam() << " must reset on Init";
+  EXPECT_FALSE(first.empty()) << GetParam();
+  EXPECT_EQ(first, second) << GetParam() << " must reset on InitStreaming";
 }
 
 INSTANTIATE_TEST_SUITE_P(Roster, OnlineContractTest,

@@ -58,12 +58,7 @@ TEST_P(StatsVsObjectiveTest, MaxCompletionIndexMatchesLatency) {
 
   auto scheduler = algo::MakeOnlineScheduler(name, 11);
   ASSERT_TRUE(scheduler.ok());
-  (*scheduler)->Init(*instance, *index).CheckOK();
-  std::vector<model::TaskId> assigned;
-  for (const auto& w : instance->workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(*instance, *index, scheduler->get()).status().CheckOK();
   if (!(*scheduler)->arrangement().AllCompleted()) {
     GTEST_SKIP() << "instance not completable for this seed";
   }

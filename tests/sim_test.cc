@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "algo/laf.h"
+#include "algo/mcf_ltc.h"
+#include "algo/mcf_stream.h"
 #include "algo/registry.h"
+#include "common/crc32.h"
+#include "common/string_util.h"
 #include "gen/example_paper.h"
 #include "gen/synthetic.h"
 #include "model/eligibility.h"
@@ -109,6 +116,96 @@ TEST(EngineTest, SeedChangesRandomOnly) {
   ASSERT_TRUE(rnd_a1.ok());
   ASSERT_TRUE(rnd_a2.ok());
   EXPECT_EQ(rnd_a1->latency, rnd_a2->latency);  // same seed, same outcome
+}
+
+/// CRC-32 of a run's arrangement in commit order (worker, task, Acc* at
+/// %.17g), followed by the run's workers_seen, latency and Σ Acc*.
+std::uint32_t RunDigest(const model::Arrangement& arrangement,
+                        const RunMetrics& metrics) {
+  std::string text;
+  for (const model::Assignment& a : arrangement.assignments()) {
+    text += StrFormat("%d %d %.17g\n", a.worker, a.task, a.acc_star);
+  }
+  text += StrFormat("seen %lld latency %lld acc %.17g\n",
+                    static_cast<long long>(metrics.stats.workers_seen),
+                    static_cast<long long>(metrics.latency),
+                    metrics.stats.total_acc_star);
+  return Crc32(text);
+}
+
+// Arrangements of every per-worker scheduler under RunOnline, pinned on two
+// synthetic seeds. Random's rows pin its run semantics: one worker per
+// commit, candidates straight from the eligibility index, so it keeps
+// answering tasks that already reached delta (the waste the paper's Fig.
+// 3/4 baseline shows), which the test also checks is present.
+TEST(EngineTest, OnlineArrangementsArePinned) {
+  struct Golden {
+    const char* algorithm;
+    std::uint64_t seed;
+    std::uint32_t digest;
+  };
+  // A digest that moves means a scheduler's decisions changed; these are
+  // never re-recorded for a refactor.
+  const Golden kGolden[] = {
+      {"LAF", 5, 1349137413u},       {"AAM", 5, 1837261995u},
+      {"Random", 5, 173338258u},     {"LGF-only", 5, 1009719980u},
+      {"LRF-only", 5, 991685805u},   {"LAF", 17, 123424751u},
+      {"AAM", 17, 3871689817u},      {"Random", 17, 4276959095u},
+      {"LGF-only", 17, 1765135282u}, {"LRF-only", 17, 418817963u},
+  };
+  for (const Golden& g : kGolden) {
+    Fixture f = SyntheticFixture(g.seed);
+    auto scheduler = algo::MakeOnlineScheduler(g.algorithm, /*seed=*/42);
+    ASSERT_TRUE(scheduler.ok());
+    auto metrics = RunOnline(f.instance, *f.index, scheduler->get());
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    const model::Arrangement& arr = (*scheduler)->arrangement();
+    EXPECT_EQ(RunDigest(arr, *metrics), g.digest)
+        << g.algorithm << " seed " << g.seed;
+    if (std::string(g.algorithm) == "Random") {
+      model::Arrangement replay(f.instance.num_tasks(), f.instance.Delta());
+      std::int64_t waste = 0;
+      for (const model::Assignment& a : arr.assignments()) {
+        if (replay.TaskCompleted(a.task)) ++waste;
+        replay.Add(a.worker, a.task, a.acc_star);
+      }
+      EXPECT_GT(waste, 0) << "seed " << g.seed;
+    }
+  }
+}
+
+// The streaming MCF runs under RunOnline like every other online scheduler,
+// and reproduces the offline MCF-LTC exactly: both are McfStream driven by
+// algo::DriveOnline.
+TEST(EngineTest, OnlineMcfMatchesMcfLtc) {
+  for (std::uint64_t seed : {5, 17}) {
+    Fixture f = SyntheticFixture(seed);
+    auto online = RunAlgorithm("MCF", f.instance, *f.index);
+    ASSERT_TRUE(online.ok()) << online.status().ToString();
+    auto offline = RunAlgorithm("MCF-LTC", f.instance, *f.index);
+    ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+    EXPECT_EQ(online->algorithm, "MCF");
+    EXPECT_TRUE(online->completed);
+    EXPECT_EQ(online->completed, offline->completed);
+    EXPECT_EQ(online->latency, offline->latency);
+    EXPECT_EQ(online->stats.workers_seen, offline->stats.workers_seen);
+    EXPECT_EQ(online->stats.workers_used, offline->stats.workers_used);
+    EXPECT_EQ(online->stats.assignments, offline->stats.assignments);
+    EXPECT_EQ(online->stats.total_acc_star, offline->stats.total_acc_star);
+
+    algo::McfStream stream;
+    ASSERT_TRUE(RunOnline(f.instance, *f.index, &stream).ok());
+    auto result = algo::McfLtc().Run(f.instance, *f.index);
+    ASSERT_TRUE(result.ok());
+    const auto& a = stream.arrangement().assignments();
+    const auto& b = result->arrangement.assignments();
+    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].worker, b[i].worker) << "seed " << seed << " #" << i;
+      EXPECT_EQ(a[i].task, b[i].task) << "seed " << seed << " #" << i;
+      EXPECT_EQ(a[i].acc_star, b[i].acc_star) << "seed " << seed << " #" << i;
+    }
+  }
 }
 
 TEST(AggregateMetricsTest, MeanAndStddev) {

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "algo/laf.h"
+#include "algo/registry.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "io/event_log.h"
@@ -111,33 +111,40 @@ TEST(StreamEngineTest, DeadlineZeroMatchesRunOnline) {
   ASSERT_TRUE(instance.ok());
   auto index = model::EligibilityIndex::Build(&instance.value());
   ASSERT_TRUE(index.ok());
-
-  algo::Laf laf;
-  auto batch = sim::RunOnline(instance.value(), index.value(), &laf);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-
   auto log = io::EventLogFromInstance(instance.value());
   ASSERT_TRUE(log.ok());
-  StreamOptions options;
-  options.algorithm = "LAF";
-  options.batch_deadline = 0.0;
-  std::vector<StreamAssignment> streamed;
-  auto replay = ReplayEventLog(log.value(), options, &streamed);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
 
-  // RunOnline stops at completion; the stream serves the whole log but
-  // cannot assign anything once every task is closed, so the committed
-  // assignment sequences agree exactly.
-  const model::Arrangement& arr = laf.arrangement();
-  ASSERT_EQ(static_cast<std::int64_t>(streamed.size()), arr.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].worker, arr.assignments()[i].worker);
-    EXPECT_EQ(streamed[i].task, arr.assignments()[i].task);
+  for (const char* algorithm : {"LAF", "AAM"}) {
+    auto scheduler = algo::MakeOnlineScheduler(algorithm, /*seed=*/42);
+    ASSERT_TRUE(scheduler.ok());
+    auto batch =
+        sim::RunOnline(instance.value(), index.value(), scheduler->get());
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+    StreamOptions options;
+    options.algorithm = algorithm;
+    options.batch_deadline = 0.0;
+    std::vector<StreamAssignment> streamed;
+    auto replay = ReplayEventLog(log.value(), options, &streamed);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+
+    // RunOnline stops at completion; the stream serves the whole log but
+    // cannot assign anything once every task is closed, so the committed
+    // assignment sequences agree exactly.
+    const model::Arrangement& arr = (*scheduler)->arrangement();
+    ASSERT_EQ(static_cast<std::int64_t>(streamed.size()), arr.size())
+        << algorithm;
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+      EXPECT_EQ(streamed[i].worker, arr.assignments()[i].worker) << algorithm;
+      EXPECT_EQ(streamed[i].task, arr.assignments()[i].task) << algorithm;
+    }
+    EXPECT_EQ(replay.value().run.latency, batch.value().latency) << algorithm;
+    EXPECT_EQ(replay.value().run.completed, batch.value().completed)
+        << algorithm;
+    EXPECT_TRUE(replay.value().stream.validated) << algorithm;
+    EXPECT_EQ(replay.value().stream.assignment_latency.count, arr.size())
+        << algorithm;
   }
-  EXPECT_EQ(replay.value().run.latency, batch.value().latency);
-  EXPECT_EQ(replay.value().run.completed, batch.value().completed);
-  EXPECT_TRUE(replay.value().stream.validated);
-  EXPECT_EQ(replay.value().stream.assignment_latency.count, arr.size());
 }
 
 TEST(StreamEngineTest, DeadlineBatchesAndMaxBatchBound) {

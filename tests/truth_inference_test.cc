@@ -39,12 +39,7 @@ Built CompletedWorkload(std::uint64_t seed) {
   b.index = std::make_unique<EligibilityIndex>(std::move(index).value());
   auto scheduler = algo::MakeOnlineScheduler("LAF", seed);
   scheduler.status().CheckOK();
-  (*scheduler)->Init(b.instance, *b.index).CheckOK();
-  std::vector<TaskId> assigned;
-  for (const auto& w : b.instance.workers) {
-    if ((*scheduler)->Done()) break;
-    (*scheduler)->OnArrival(w, &assigned).CheckOK();
-  }
+  algo::DriveOnline(b.instance, *b.index, scheduler->get()).status().CheckOK();
   b.arrangement = (*scheduler)->arrangement();
   return b;
 }
