@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -117,7 +118,12 @@ bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
   errno = 0;
   double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size()) return false;
+  // glibc flags every subnormal result with ERANGE, yet "%.17g" writes
+  // subnormals and they read back exactly. Only overflow (±HUGE_VAL) and
+  // an underflow all the way to zero are out of range.
+  const bool subnormal = errno == ERANGE && std::isfinite(v) && v != 0.0;
+  if (errno != 0 && !subnormal) return false;
   *out = v;
   return true;
 }

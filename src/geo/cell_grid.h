@@ -26,6 +26,19 @@
 namespace ltc {
 namespace geo {
 
+/// The grid column (or row) holding offset `t`, in cells from the grid's
+/// low edge: floor(t) clamped into [0, cells - 1]. The clamp happens in
+/// double, before the integer cast, so a coordinate too large for int64
+/// (1e300, ±inf) lands in the boundary cell on its own side; NaN maps to
+/// cell 0. Every in-range offset maps as floor-then-clamp would. GridIndex,
+/// CellGrid and ShardMap all take their cells from here.
+inline std::int64_t ClampedCell(double t, std::int64_t cells) {
+  const double f = std::floor(t);
+  if (!(f > 0.0)) return 0;
+  const auto last = static_cast<double>(cells - 1);
+  return f < last ? static_cast<std::int64_t>(f) : cells - 1;
+}
+
 /// \brief A fixed uniform-cell decomposition of a world rectangle.
 class CellGrid {
  public:
@@ -54,14 +67,10 @@ class CellGrid {
   /// Flat cell index of `p` in [0, num_cells()). Out-of-bounds points clamp
   /// into the boundary row/column, mirroring GridIndex.
   std::int64_t CellOf(const Point& p) const {
-    const auto cx = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((p.x - bounds_.min_x) / cell_size_)),
-        0, cells_x_ - 1);
-    const auto cy = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((p.y - bounds_.min_y) / cell_size_)),
-        0, cells_y_ - 1);
+    const std::int64_t cx =
+        ClampedCell((p.x - bounds_.min_x) / cell_size_, cells_x_);
+    const std::int64_t cy =
+        ClampedCell((p.y - bounds_.min_y) / cell_size_, cells_y_);
     return cy * cells_x_ + cx;
   }
 

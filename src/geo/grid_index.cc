@@ -138,19 +138,11 @@ Status GridIndex::Relocate(std::int64_t id, const Point& p) {
 
 void GridIndex::CellOf(const Point& p, std::int64_t* cx,
                        std::int64_t* cy) const {
-  // floor, matching the query-window arithmetic of ForEachInRadius. With
-  // the clamp below this is equivalent to the previous int-cast truncation
-  // (negative raw columns clamp to 0 either way — the PR-5 audit confirmed
-  // no boundary-cell disagreement existed); floor keeps the insert side
-  // and the query side symmetric by construction rather than by the
-  // clamp's grace, and tests/geo_dynamic_test pins the out-of-bounds
-  // Insert/Relocate behaviour directly.
-  const auto x = static_cast<std::int64_t>(
-      std::floor((p.x - bounds_.min_x) / cell_size_));
-  const auto y = static_cast<std::int64_t>(
-      std::floor((p.y - bounds_.min_y) / cell_size_));
-  *cx = std::clamp<std::int64_t>(x, 0, cells_x_ - 1);
-  *cy = std::clamp<std::int64_t>(y, 0, cells_y_ - 1);
+  // The same floor-and-clamp as ForEachInRadius's query window, so the
+  // insert side and the query side agree by construction;
+  // tests/geo_dynamic_test pins the out-of-bounds Insert/Relocate behaviour.
+  *cx = ClampedCell((p.x - bounds_.min_x) / cell_size_, cells_x_);
+  *cy = ClampedCell((p.y - bounds_.min_y) / cell_size_, cells_y_);
 }
 
 std::int64_t GridIndex::FlatCellOf(const Point& p) const {
@@ -200,7 +192,10 @@ std::int64_t GridIndex::Nearest(const Point& center) const {
                       [&](std::int64_t id) {
                         const double d2 = SquaredDistance(
                             points_[static_cast<std::size_t>(id)], center);
-                        if (d2 < best_d2 || (d2 == best_d2 && id < best)) {
+                        // best < 0 admits the first point even when every
+                        // squared distance overflows to inf (a 1e300 query).
+                        if (best < 0 || d2 < best_d2 ||
+                            (d2 == best_d2 && id < best)) {
                           best_d2 = d2;
                           best = id;
                         }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "geo/cell_grid.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -94,22 +95,14 @@ class GridIndex {
     // dynamic mode stores out-of-bounds points in boundary cells, so even a
     // disk lying entirely outside the bounds must still visit the boundary
     // row/column it clamps to (the distance check rejects non-matches).
-    const auto lo_x = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((center.x - radius - bounds_.min_x) / cell_size_)),
-        0, cells_x_ - 1);
-    const auto hi_x = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((center.x + radius - bounds_.min_x) / cell_size_)),
-        0, cells_x_ - 1);
-    const auto lo_y = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((center.y - radius - bounds_.min_y) / cell_size_)),
-        0, cells_y_ - 1);
-    const auto hi_y = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(
-            std::floor((center.y + radius - bounds_.min_y) / cell_size_)),
-        0, cells_y_ - 1);
+    const std::int64_t lo_x = ClampedCell(
+        (center.x - radius - bounds_.min_x) / cell_size_, cells_x_);
+    const std::int64_t hi_x = ClampedCell(
+        (center.x + radius - bounds_.min_x) / cell_size_, cells_x_);
+    const std::int64_t lo_y = ClampedCell(
+        (center.y - radius - bounds_.min_y) / cell_size_, cells_y_);
+    const std::int64_t hi_y = ClampedCell(
+        (center.y + radius - bounds_.min_y) / cell_size_, cells_y_);
     for (std::int64_t cy = lo_y; cy <= hi_y; ++cy) {
       for (std::int64_t cx = lo_x; cx <= hi_x; ++cx) {
         ForEachInCell(static_cast<std::size_t>(cy * cells_x_ + cx),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -105,20 +106,44 @@ std::int32_t RoadGraph::Snap(const Point& p) const {
   return static_cast<std::int32_t>(snap_index_->Nearest(p));
 }
 
-void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
-  if (ws->graph_id == id_ && ws->source == source) return;
-  if (ws->graph_id != id_) {
-    const auto n = static_cast<std::size_t>(num_nodes());
-    ws->graph_id = id_;
-    ws->dist.assign(n, kUnreachable);
-    ws->frontier.Reset(n);
-  } else {
-    // Same graph, new source: undo only what the last search wrote.
-    for (const std::int32_t v : ws->touched) {
-      ws->dist[static_cast<std::size_t>(v)] = kUnreachable;
-    }
-    ws->frontier.Clear();
+std::int32_t RoadGraph::Snap(const Point& p, Workspace* ws) const {
+  Attach(ws);
+  std::uint64_t x_bits;
+  std::uint64_t y_bits;
+  std::memcpy(&x_bits, &p.x, sizeof(x_bits));
+  std::memcpy(&y_bits, &p.y, sizeof(y_bits));
+  // Multiplicative hash of both coordinates; the top bits pick the slot.
+  const std::uint64_t h =
+      (x_bits * 0x9E3779B97F4A7C15ULL) ^ (y_bits * 0xC2B2AE3D27D4EB4FULL);
+  Workspace::SnapEntry& e = ws->snaps[static_cast<std::size_t>(
+      (h >> 56) % Workspace::kSnapSlots)];
+  if (e.node < 0 || e.x_bits != x_bits || e.y_bits != y_bits) {
+    e.x_bits = x_bits;
+    e.y_bits = y_bits;
+    e.node = Snap(p);
   }
+  return e.node;
+}
+
+void RoadGraph::Attach(Workspace* ws) const {
+  if (ws->graph_id == id_) return;
+  const auto n = static_cast<std::size_t>(num_nodes());
+  ws->graph_id = id_;
+  ws->dist.assign(n, kUnreachable);
+  ws->frontier.Reset(n);
+  ws->touched.clear();
+  ws->source = -1;
+  ws->snaps.fill(Workspace::SnapEntry{});
+}
+
+void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
+  Attach(ws);
+  if (ws->source == source) return;
+  // New source: undo only what the last search wrote.
+  for (const std::int32_t v : ws->touched) {
+    ws->dist[static_cast<std::size_t>(v)] = kUnreachable;
+  }
+  ws->frontier.Clear();
   ws->touched.clear();
   ws->source = source;
   ws->dist[static_cast<std::size_t>(source)] = 0.0;
@@ -126,16 +151,19 @@ void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
   ws->frontier.PushOrDecrease(source, 0.0);
 }
 
-void RoadGraph::Settle(std::int32_t target, Workspace* ws) const {
+bool RoadGraph::Settle(std::int32_t target, double bound,
+                       Workspace* ws) const {
   auto& dist = ws->dist;
   auto& frontier = ws->frontier;
   while (!frontier.empty()) {
     // Every weight is positive, so once the smallest frontier key reaches
-    // dist[target], no later pop can lower it.
-    if (target >= 0 &&
-        frontier.PeekMin().first >= dist[static_cast<std::size_t>(target)]) {
-      return;
+    // dist[target], no later pop can lower it; and once it exceeds `bound`,
+    // every node still unsettled is farther than `bound`.
+    const double key = frontier.PeekMin().first;
+    if (target >= 0 && key >= dist[static_cast<std::size_t>(target)]) {
+      return true;
     }
+    if (key > bound) return false;
     const auto [d, u] = frontier.PopMin();
     const auto begin = static_cast<std::size_t>(
         offsets_[static_cast<std::size_t>(u)]);
@@ -152,18 +180,26 @@ void RoadGraph::Settle(std::int32_t target, Workspace* ws) const {
       }
     }
   }
+  return true;
 }
 
 void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
   StartSearch(source, ws);
-  Settle(/*target=*/-1, ws);
+  Settle(/*target=*/-1, kUnreachable, ws);
 }
 
 double RoadGraph::NodeDistance(std::int32_t u, std::int32_t v,
                                Workspace* ws) const {
   StartSearch(u, ws);
-  Settle(v, ws);
+  Settle(v, kUnreachable, ws);
   return ws->dist[static_cast<std::size_t>(v)];
+}
+
+double RoadGraph::NodeDistanceWithin(std::int32_t u, std::int32_t v,
+                                     double bound, Workspace* ws) const {
+  StartSearch(u, ws);
+  return Settle(v, bound, ws) ? ws->dist[static_cast<std::size_t>(v)]
+                              : kUnreachable;
 }
 
 std::string RoadGraph::Serialize() const {
@@ -272,12 +308,41 @@ StatusOr<RoadGraph> RoadGraph::Load(const std::string& path) {
 }
 
 double RoadMetric::Distance(const Point& a, const Point& b) const {
-  const std::int32_t u = graph_->Snap(a);
-  const std::int32_t v = graph_->Snap(b);
+  RoadGraph::Workspace& ws = LocalWorkspace();
+  const std::int32_t u = graph_->Snap(a, &ws);
+  const std::int32_t v = graph_->Snap(b, &ws);
   const double approach = geo::Distance(a, graph_->node(u));
   const double depart = geo::Distance(graph_->node(v), b);
   if (u == v) return approach + depart;
-  return approach + graph_->NodeDistance(u, v, &LocalWorkspace()) + depart;
+  return approach + graph_->NodeDistance(u, v, &ws) + depart;
+}
+
+void RoadMetric::EligibleWithin(
+    const GridIndex& grid, const Point& origin, double radius,
+    const std::function<void(std::int64_t)>& visit) const {
+  RoadGraph::Workspace& ws = LocalWorkspace();
+  const std::int32_t u = graph_->Snap(origin, &ws);
+  const double approach = geo::Distance(origin, graph_->node(u));
+  // Whenever the caller-order sum approach + d + depart is <= radius, d can
+  // exceed the computed radius - approach - depart only by the few ulps of
+  // radius that rounding both expressions costs; the slack covers that with
+  // room to spare, so no eligible id is cut. A d it lets through is still
+  // judged by the exact sum below.
+  const double slack = 1e-9 * (1.0 + radius);
+  grid.ForEachInRadius(origin, radius, [&](std::int64_t id) {
+    const Point& p = grid.point(id);
+    const std::int32_t v = graph_->Snap(p, &ws);
+    const double depart = geo::Distance(graph_->node(v), p);
+    // Distance(origin, p), summed in the same order.
+    double d;
+    if (u == v) {
+      d = approach + depart;
+    } else {
+      const double bound = radius - approach - depart + slack;
+      d = approach + graph_->NodeDistanceWithin(u, v, bound, &ws) + depart;
+    }
+    if (d <= radius) visit(id);
+  });
 }
 
 std::string RoadMetric::Name() const {

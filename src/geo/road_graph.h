@@ -1,6 +1,7 @@
 // Road-network travel times behind the geo::Metric interface (DESIGN.md
 // §12): a CSR adjacency over plane-embedded nodes, a resumable Dijkstra
-// that settles only as far as each distance query needs, and a
+// that settles only as far as each distance query needs (or, bounded, only
+// as far as an eligibility radius leaves room for), and a memoized
 // snap-to-nearest-node bridge for off-graph points.
 //
 // The CSR layout mirrors the flow layer's (flow/network.h): one offsets
@@ -24,7 +25,9 @@
 #ifndef LTC_GEO_ROAD_GRAPH_H_
 #define LTC_GEO_ROAD_GRAPH_H_
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -54,21 +57,38 @@ class RoadGraph {
     double weight = 0.0;
   };
 
-  /// Reusable single-source shortest-path scratch: one paused Dijkstra.
-  /// It keeps the search from the last source — tentative distances, the
-  /// frontier and the nodes touched so far — so repeated queries from one
-  /// origin (the gather pattern: one worker against many tasks) share one
-  /// search that settles only as far as the farthest target asked for. A
-  /// new source resets only the touched entries.
+  /// Reusable per-thread query scratch: one paused Dijkstra plus a snap
+  /// memo. It keeps the search from the last source — tentative distances,
+  /// the frontier and the nodes touched so far — so repeated queries from
+  /// one origin (the gather pattern: one worker against many tasks) share
+  /// one search that settles only as far as the farthest target asked for.
+  /// A new source resets only the touched entries.
   ///
   /// dist[v] is final once v is settled; it holds final values for every
   /// node only after ShortestPaths.
+  ///
+  /// The snap memo is a direct-mapped cache of Snap answers, keyed by the
+  /// point's exact bit pattern (so it returns what Snap(p) would, never an
+  /// approximation): a gather snaps each task once to filter it, again in
+  /// the eligibility re-check and again in every Acc the scheduler asks
+  /// for. A colliding point evicts the slot's previous entry.
+  ///
+  /// Everything here belongs to the graph named by graph_id; the first
+  /// query on another graph resets the search and the memo.
   struct Workspace {
+    struct SnapEntry {
+      std::uint64_t x_bits = 0;
+      std::uint64_t y_bits = 0;
+      std::int32_t node = -1;  // -1: empty slot
+    };
+    static constexpr std::size_t kSnapSlots = 256;  // 6 KB
+
     std::vector<double> dist;
     IndexedMinHeap<double> frontier{0};
     std::vector<std::int32_t> touched;  // nodes with a finite dist entry
     std::int32_t source = -1;
     std::uint64_t graph_id = 0;  // invalidates the search across graphs
+    std::array<SnapEntry, kSnapSlots> snaps{};
   };
 
   static constexpr double kUnreachable =
@@ -106,6 +126,9 @@ class RoadGraph {
   /// The node nearest to `p` (ties prefer the smaller id — deterministic).
   std::int32_t Snap(const Point& p) const;
 
+  /// Snap(p), answered from the workspace's snap memo when it holds `p`.
+  std::int32_t Snap(const Point& p, Workspace* ws) const;
+
   /// Solves single-source shortest paths from `source` into ws->dist
   /// (kUnreachable where disconnected): the workspace's search from
   /// `source`, started or resumed, run until the frontier is empty.
@@ -117,19 +140,36 @@ class RoadGraph {
   /// a prefix of ShortestPaths(u)'s, so the result is bit-identical to it.
   double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const;
 
+  /// NodeDistance(u, v) for a caller that only needs it up to `bound`: the
+  /// same resumable search, which also stops once the smallest frontier key
+  /// exceeds `bound` (every unsettled node is then farther than `bound`)
+  /// and returns kUnreachable. Whenever NodeDistance(u, v) <= bound the
+  /// result is bit-identical to it; otherwise it is kUnreachable or, when
+  /// the search had already settled v, the exact distance. The heap
+  /// operations stay a prefix of ShortestPaths(u)'s, so bounded and
+  /// unbounded queries from one source interleave without changing a bit.
+  double NodeDistanceWithin(std::int32_t u, std::int32_t v, double bound,
+                            Workspace* ws) const;
+
   /// Process-unique graph identity (workspace cache invalidation).
   std::uint64_t id() const { return id_; }
 
  private:
   RoadGraph() = default;
 
+  /// Resets the workspace (search and snap memo) unless it already belongs
+  /// to this graph.
+  void Attach(Workspace* ws) const;
+
   /// Points the workspace at a search from `source`: keeps it when it
   /// already holds one for this (graph, source), else resets it.
   void StartSearch(std::int32_t source, Workspace* ws) const;
 
   /// Settles frontier nodes until the frontier is empty or, with
-  /// `target` >= 0, until no frontier key is below ws->dist[target].
-  void Settle(std::int32_t target, Workspace* ws) const;
+  /// `target` >= 0, until no frontier key is below ws->dist[target]
+  /// (returns true), or until the smallest frontier key exceeds `bound`
+  /// (returns false: ws->dist[target] is then still tentative).
+  bool Settle(std::int32_t target, double bound, Workspace* ws) const;
 
   std::uint64_t id_ = 0;
   std::vector<Point> nodes_;
@@ -151,16 +191,28 @@ class RoadGraph {
 ///
 /// which dominates ||a - b|| by the triangle inequality plus the per-edge
 /// weight >= length invariant, satisfying the Metric contract; LowerBound
-/// is the inherited Euclidean distance. The Dijkstra workspace lives in
-/// thread-local storage keyed by graph id, so concurrent gathers (svc
-/// GatherSlot fan-out) are safe and a worker's many Acc evaluations share
-/// one search per thread, settled out to the farthest task asked about.
+/// is the inherited Euclidean distance. The Dijkstra workspace (with its
+/// snap memo) lives in thread-local storage keyed by graph id, so
+/// concurrent gathers (svc GatherSlot fan-out) are safe and a worker's many
+/// Acc evaluations share one search per thread, settled out to the
+/// farthest task asked about.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)
       : graph_(std::move(graph)) {}
 
   double Distance(const Point& a, const Point& b) const override;
+
+  /// Emits exactly the ids Metric::EligibleWithin emits, in the same order,
+  /// at the cost of the metric ball instead of the Euclidean superset: the
+  /// origin is snapped once, and each candidate's search stops at the
+  /// radius left after its approach and depart legs (NodeDistanceWithin),
+  /// plus a slack that absorbs the rounding of that subtraction
+  /// (DESIGN.md §12).
+  void EligibleWithin(
+      const GridIndex& grid, const Point& origin, double radius,
+      const std::function<void(std::int64_t)>& visit) const override;
+
   std::string Name() const override;
 
   const RoadGraph& graph() const { return *graph_; }

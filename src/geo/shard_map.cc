@@ -1,7 +1,8 @@
 #include "geo/shard_map.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "geo/cell_grid.h"
 
 namespace ltc {
 namespace geo {
@@ -42,11 +43,8 @@ StatusOr<ShardMap> ShardMap::Build(const Rect& bounds, double cell_size,
 }
 
 std::int64_t ShardMap::ColumnOf(double x) const {
-  // floor (not truncation) so coordinates just left of the world behave
-  // like their clamped column — the same both-ends clamp GridIndex uses.
-  const auto col = static_cast<std::int64_t>(
-      std::floor((x - bounds_.min_x) / cell_size_));
-  return std::clamp<std::int64_t>(col, 0, cells_x_ - 1);
+  // The same both-ends clamp GridIndex uses.
+  return ClampedCell((x - bounds_.min_x) / cell_size_, cells_x_);
 }
 
 double ShardMap::StripeMinX(int shard) const {

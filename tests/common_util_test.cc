@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include "common/flags.h"
 #include "common/math_util.h"
@@ -62,6 +65,28 @@ TEST(ParseTest, ValidatesWholeString) {
   EXPECT_TRUE(ParseInt64("-42", &i));
   EXPECT_EQ(i, -42);
   EXPECT_FALSE(ParseInt64("4.2", &i));
+}
+
+TEST(ParseTest, DoubleRoundTripsSubnormals) {
+  // "%.17g" writes every finite double; ParseDouble must read each back
+  // bit for bit, including the subnormals glibc's strtod flags with ERANGE.
+  const double values[] = {std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::denorm_min(),
+                           2.2250738585072009e-308,  // largest subnormal
+                           -std::numeric_limits<double>::denorm_min()};
+  for (const double v : values) {
+    const std::string text = StrFormat("%.17g", v);
+    double d = 0.0;
+    ASSERT_TRUE(ParseDouble(text, &d)) << text;
+    EXPECT_EQ(std::memcmp(&d, &v, sizeof(d)), 0) << text;
+  }
+  double d = 0.0;
+  EXPECT_TRUE(ParseDouble("2.2250738585072009e-308", &d));
+  EXPECT_EQ(std::fpclassify(d), FP_SUBNORMAL);
+  // Overflow and underflow to zero stay out of range.
+  EXPECT_FALSE(ParseDouble("1e400", &d));
+  EXPECT_FALSE(ParseDouble("-1e400", &d));
+  EXPECT_FALSE(ParseDouble("1e-400", &d));
 }
 
 TEST(MathTest, SigmoidProperties) {

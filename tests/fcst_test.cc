@@ -155,6 +155,36 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
   EXPECT_FALSE(mismatched.value().RestoreFrom(blob).ok());
 }
 
+TEST(CellRateEstimatorTest, SubnormalRateSurvivesSnapshot) {
+  // A cell that sees a task, then only a worker ~5.7k time units later
+  // (tau 8), decays its task rate into the subnormal range. The snapshot
+  // must still restore, bit-exactly.
+  auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0));
+  ASSERT_TRUE(created.ok());
+  CellRateEstimator& estimator = created.value();
+  estimator.OnTaskArrival({5.0, 5.0}, 0.0);
+  estimator.OnWorkerArrival({5.0, 5.0}, 5700.0);
+  std::vector<CellRate> rates;
+  estimator.CellRates(5700.0, &rates);
+  ASSERT_EQ(rates.size(), 1u);
+  ASSERT_EQ(std::fpclassify(rates[0].task_rate), FP_SUBNORMAL);
+
+  std::string blob;
+  ASSERT_TRUE(estimator.SerializeTo(&blob).ok());
+  auto restored = CellRateEstimator::Create(GridConfig(100.0, 10.0));
+  ASSERT_TRUE(restored.ok());
+  const Status status = restored.value().RestoreFrom(blob);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::vector<CellRate> restored_rates;
+  restored.value().CellRates(5700.0, &restored_rates);
+  ASSERT_EQ(restored_rates.size(), 1u);
+  EXPECT_EQ(restored_rates[0].task_rate, rates[0].task_rate);
+  EXPECT_EQ(restored_rates[0].worker_rate, rates[0].worker_rate);
+  std::string blob2;
+  ASSERT_TRUE(restored.value().SerializeTo(&blob2).ok());
+  EXPECT_EQ(blob2, blob);
+}
+
 TEST(CellRateEstimatorTest, CellRatesListsTouchedCellsAscending) {
   auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(created.ok());

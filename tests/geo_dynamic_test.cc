@@ -2,7 +2,9 @@
 // Insert/Remove/Relocate sequences must leave the index answering radius
 // and nearest-point queries identically to an index rebuilt from scratch
 // over the same live point set — the invariant svc::StreamPipeline's
-// incremental open-task index rests on (DESIGN.md §8).
+// incremental open-task index rests on (DESIGN.md §8). Also: coordinates
+// too large for an int64 cell index (±1e300) clamp to their own edge in
+// every grid geometry (GridIndex, CellGrid, ShardMap).
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +12,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "geo/cell_grid.h"
 #include "geo/grid_index.h"
+#include "geo/shard_map.h"
 #include "gtest/gtest.h"
 
 namespace ltc {
@@ -209,6 +213,71 @@ TEST(GridIndexDynamicTest, StaticNearestMatchesBruteForce) {
     const Point center{rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)};
     EXPECT_EQ(index.Nearest(center), BruteNearest(reference, center));
   }
+}
+
+TEST(GridClampTest, HugeCoordinatesLandOnTheirOwnEdge) {
+  const Rect world{0.0, 0.0, 100.0, 50.0};
+  const CellGrid grid(world, 10.0);  // 10 x 5 cells
+  const std::int64_t last_row = grid.num_cells() - grid.cells_x();
+  EXPECT_EQ(grid.CellOf({1e300, 25.0}), 2 * grid.cells_x() + 9);
+  EXPECT_EQ(grid.CellOf({-1e300, 25.0}), 2 * grid.cells_x());
+  EXPECT_EQ(grid.CellOf({1e300, 1e300}), grid.num_cells() - 1);
+  EXPECT_EQ(grid.CellOf({1e300, -1e300}), grid.cells_x() - 1);
+  EXPECT_EQ(grid.CellOf({-1e300, 1e300}), last_row);
+  EXPECT_EQ(grid.CellOf({-1e300, -1e300}), 0);
+
+  auto built = ShardMap::Build(world, 10.0, 3);
+  ASSERT_TRUE(built.ok());
+  const ShardMap& map = built.value();
+  EXPECT_EQ(map.ShardOf({1e300, 25.0}), 2);
+  EXPECT_EQ(map.ShardOf({-1e300, 25.0}), 0);
+  int lo = -1;
+  int hi = -1;
+  map.ShardRange({50.0, 25.0}, 1e300, &lo, &hi);
+  EXPECT_EQ(lo, 0);
+  EXPECT_EQ(hi, 2);
+  map.ShardRange({1e300, 25.0}, 1.0, &lo, &hi);
+  EXPECT_EQ(lo, 2);
+  EXPECT_EQ(hi, 2);
+}
+
+TEST(GridClampTest, HugeCoordinatesStayQueryable) {
+  const Rect world{0.0, 0.0, 100.0, 50.0};
+  auto built = GridIndex::BuildDynamic(world, 10.0);
+  ASSERT_TRUE(built.ok());
+  GridIndex& index = built.value();
+  PointMap reference;
+  for (std::int64_t col = 0; col < 10; ++col) {
+    reference[col] = {10.0 * static_cast<double>(col) + 5.0, 25.0};
+  }
+  reference[10] = {1e300, 25.0};
+  reference[11] = {-1e300, 25.0};
+  reference[12] = {50.0, 1e300};
+  reference[13] = {-1e300, -1e300};
+  for (const auto& [id, p] : reference) ASSERT_TRUE(index.Insert(id, p).ok());
+
+  std::vector<std::int64_t> got;
+  // A radius past every coordinate must open the window over every cell.
+  index.QueryRadius({50.0, 25.0}, 1e300, &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, BruteRadius(reference, {50.0, 25.0}, 1e300));
+  EXPECT_EQ(got.size(), reference.size());
+  for (const std::int64_t id : {10, 11, 12, 13}) {
+    const Point& p = reference[id];
+    index.QueryRadius(p, 1.0, &got);
+    EXPECT_EQ(got, BruteRadius(reference, p, 1.0)) << "id " << id;
+    EXPECT_EQ(index.Nearest(p), BruteNearest(reference, p)) << "id " << id;
+  }
+  ASSERT_TRUE(index.Relocate(10, {5.0, 5.0}).ok());
+  ASSERT_TRUE(index.Relocate(0, {1e300, -1e300}).ok());
+  ASSERT_TRUE(index.Remove(13).ok());
+  reference[10] = {5.0, 5.0};
+  reference[0] = {1e300, -1e300};
+  reference.erase(13);
+  index.QueryRadius({1e300, -1e300}, 1.0, &got);
+  EXPECT_EQ(got, BruteRadius(reference, {1e300, -1e300}, 1.0));
+  EXPECT_EQ(index.Nearest({1e300, 25.0}),
+            BruteNearest(reference, {1e300, 25.0}));
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // Road-network tests: Dijkstra cross-checked against brute-force
-// Bellman-Ford on random graphs, the resumable NodeDistance search
-// bit-identical to full solves, snap determinism, the "ltc-road v1"
-// round-trip and its malformed-input rejections, the Metric-contract
-// validation in Build, and the gen/road street-grid synthesizer.
+// Bellman-Ford on random graphs, the resumable NodeDistance search (and its
+// bounded form) bit-identical to full solves, snap determinism and the snap
+// memo, the bounded EligibleWithin against the base query, the
+// "ltc-road v1" round-trip and its malformed-input rejections, the
+// Metric-contract validation in Build, and the gen/road street-grid
+// synthesizer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +19,7 @@
 
 #include "common/random.h"
 #include "gen/road.h"
+#include "geo/grid_index.h"
 #include "geo/metric.h"
 #include "geo/point.h"
 #include "geo/road_graph.h"
@@ -72,6 +78,38 @@ RandomGraph MakeRandomGraph(Rng* rng, std::int32_t num_nodes,
     g.edges.push_back(e);
   }
   return g;
+}
+
+/// A graph for the metric-level tests: a jittered street grid or, on odd
+/// draws, a sparse random graph that may be disconnected.
+RoadGraph MakeTestGraph(Rng* rng) {
+  if (rng->UniformInt(0, 1) == 0) {
+    gen::RoadConfig cfg;
+    cfg.rows = static_cast<std::int32_t>(rng->UniformInt(2, 14));
+    cfg.cols = static_cast<std::int32_t>(rng->UniformInt(2, 14));
+    cfg.world_side = 100.0;
+    cfg.seed = static_cast<std::uint64_t>(rng->UniformInt(1, 1000));
+    auto built = gen::GenerateGridRoadGraph(cfg);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return std::move(built).value();
+  }
+  RandomGraph g = MakeRandomGraph(rng, 40, 60);
+  auto built = RoadGraph::Build(g.nodes, g.edges);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built).value();
+}
+
+/// NodeDistance with a fresh workspace and an unmemoized snap: the road
+/// distance recomputed from scratch.
+double UncachedDistance(const RoadGraph& graph, const Point& a,
+                        const Point& b) {
+  const std::int32_t u = graph.Snap(a);
+  const std::int32_t v = graph.Snap(b);
+  const double approach = Distance(a, graph.node(u));
+  const double depart = Distance(graph.node(v), b);
+  if (u == v) return approach + depart;
+  RoadGraph::Workspace fresh;
+  return approach + graph.NodeDistance(u, v, &fresh) + depart;
 }
 
 TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
@@ -159,6 +197,147 @@ TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
   }
 }
 
+TEST(RoadGraphTest, NodeDistanceWithinIsExactInsideTheBound) {
+  // Within the bound the bounded search answers exactly what NodeDistance
+  // does; past it, kUnreachable (or the exact value when the paused search
+  // had already settled v). Bounds sit on, just below and just above the
+  // true distance, and at 0, below 0 and +inf.
+  Rng rng(41);
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto num_nodes = static_cast<std::int32_t>(rng.UniformInt(2, 60));
+    const auto num_edges =
+        static_cast<std::int32_t>(rng.UniformInt(1, 3 * num_nodes));
+    RandomGraph g = MakeRandomGraph(&rng, num_nodes, num_edges);
+    auto built = RoadGraph::Build(g.nodes, g.edges);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const RoadGraph& graph = built.value();
+    RoadGraph::Workspace ws;
+    std::int32_t u = 0;
+    for (int q = 0; q < 400; ++q) {
+      if (rng.Uniform(0.0, 1.0) < 0.3) {
+        u = static_cast<std::int32_t>(rng.UniformInt(0, num_nodes - 1));
+      }
+      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, num_nodes - 1));
+      RoadGraph::Workspace fresh;
+      const double want = graph.NodeDistance(u, v, &fresh);
+      const double inf = std::numeric_limits<double>::infinity();
+      const double bounds[] = {want,
+                               std::nextafter(want, -inf),
+                               std::nextafter(want, inf),
+                               rng.Uniform(0.0, 200.0),
+                               0.0,
+                               -1.0,
+                               inf};
+      const double bound = bounds[rng.UniformInt(0, 6)];
+      const double got = graph.NodeDistanceWithin(u, v, bound, &ws);
+      if (want <= bound) {
+        EXPECT_EQ(got, want) << "u=" << u << " v=" << v << " bound=" << bound;
+      } else {
+        EXPECT_TRUE(got == RoadGraph::kUnreachable || got == want)
+            << "u=" << u << " v=" << v << " bound=" << bound;
+      }
+    }
+  }
+}
+
+TEST(RoadGraphTest, BoundedAndUnboundedQueriesInterleave) {
+  // A bounded query pauses the search at a prefix of the full solve's heap
+  // operations, so unbounded queries and full solves that resume it from
+  // the same source still match ShortestPaths bit for bit.
+  Rng rng(43);
+  for (int trial = 0; trial < 10; ++trial) {
+    gen::RoadConfig cfg;
+    cfg.rows = static_cast<std::int32_t>(rng.UniformInt(2, 12));
+    cfg.cols = static_cast<std::int32_t>(rng.UniformInt(2, 12));
+    cfg.world_side = 100.0;
+    cfg.seed = static_cast<std::uint64_t>(trial + 1);
+    auto built = gen::GenerateGridRoadGraph(cfg);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const RoadGraph& graph = built.value();
+    const std::int32_t n = graph.num_nodes();
+    const auto source = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+    RoadGraph::Workspace full;
+    graph.ShortestPaths(source, &full);
+
+    RoadGraph::Workspace ws;
+    for (int q = 0; q < 200; ++q) {
+      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      const double want = full.dist[static_cast<std::size_t>(v)];
+      const double draw = rng.Uniform(0.0, 1.0);
+      if (draw < 0.6) {
+        const double bound = rng.Uniform(0.0, 150.0);
+        const double got = graph.NodeDistanceWithin(source, v, bound, &ws);
+        if (want <= bound) {
+          EXPECT_EQ(got, want) << "v=" << v;
+        }
+      } else if (draw < 0.95) {
+        EXPECT_EQ(graph.NodeDistance(source, v, &ws), want) << "v=" << v;
+      } else {
+        graph.ShortestPaths(source, &ws);
+        EXPECT_EQ(ws.dist, full.dist);
+      }
+    }
+  }
+}
+
+TEST(RoadGraphTest, SnapMemoAnswersLikeSnap) {
+  // A 30 x 30 lattice of points: more than the memo has slots, so slots
+  // collide and evict, and many colliding points share one coordinate, so
+  // a key that ignored either coordinate would answer for the wrong point.
+  // Two graphs alternate on one workspace, so the memo is reset between
+  // them. Every memoized answer must equal the direct Snap.
+  Rng rng(47);
+  std::vector<RoadGraph> graphs;
+  graphs.push_back(MakeTestGraph(&rng));
+  graphs.push_back(MakeTestGraph(&rng));
+  std::vector<double> coords;
+  for (int i = 0; i < 30; ++i) coords.push_back(rng.Uniform(-20.0, 120.0));
+  std::vector<Point> pool;
+  for (const double x : coords) {
+    for (const double y : coords) pool.push_back({x, y});
+  }
+  // Equal values with different bit patterns are separate keys.
+  pool.push_back({0.0, 0.0});
+  pool.push_back({-0.0, 0.0});
+  pool.push_back({1e300, -1e300});
+  RoadGraph::Workspace ws;
+  for (int q = 0; q < 20000; ++q) {
+    const RoadGraph& graph =
+        graphs[static_cast<std::size_t>(q % 7 == 0 ? 1 : 0)];
+    const Point& p = pool[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    ASSERT_EQ(graph.Snap(p, &ws), graph.Snap(p)) << "q=" << q;
+  }
+}
+
+TEST(RoadGraphTest, SnapMatchesBruteForceAtHugeCoordinates) {
+  // Far outside the graph the snap grid clamps the query to its edge cell,
+  // and squared distances may overflow to +inf for every node; the answer
+  // is still the brute-force nearest (ties to the smaller id).
+  gen::RoadConfig cfg;
+  cfg.rows = 6;
+  cfg.cols = 7;
+  cfg.world_side = 100.0;
+  auto built = gen::GenerateGridRoadGraph(cfg);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const RoadGraph& graph = built.value();
+  const Point queries[] = {{1e300, 50.0},  {-1e300, 50.0}, {50.0, 1e300},
+                           {50.0, -1e300}, {1e300, 1e300}, {-1e300, -1e300},
+                           {1e20, 50.0},   {-1e20, 3.0},   {250.0, -40.0}};
+  for (const Point& p : queries) {
+    std::int32_t want = -1;
+    double best_d2 = 0.0;
+    for (std::int32_t id = 0; id < graph.num_nodes(); ++id) {
+      const double d2 = SquaredDistance(graph.node(id), p);
+      if (want < 0 || d2 < best_d2) {
+        want = id;
+        best_d2 = d2;
+      }
+    }
+    EXPECT_EQ(graph.Snap(p), want) << p.x << "," << p.y;
+  }
+}
+
 TEST(RoadGraphTest, SnapPrefersSmallerIdOnTies) {
   // Nodes 0 and 1 are equidistant from the query point.
   std::vector<Point> nodes = {{0.0, 0.0}, {2.0, 0.0}, {10.0, 10.0}};
@@ -234,6 +413,159 @@ TEST(RoadMetricTest, DistanceDominatesEuclidean) {
     EXPECT_LE(metric.LowerBound(a, b), road + 1e-9);
     // Symmetric (undirected network).
     EXPECT_NEAR(metric.Distance(b, a), road, 1e-9);
+  }
+}
+
+/// Ids RoadMetric's bounded EligibleWithin emits, or with `base` the ids
+/// of the reference query it overrides, in emission order.
+std::vector<std::int64_t> EligibleIds(const RoadMetric& metric,
+                                      const GridIndex& grid,
+                                      const Point& origin, double radius,
+                                      bool base) {
+  std::vector<std::int64_t> out;
+  const auto visit = [&out](std::int64_t id) { out.push_back(id); };
+  if (base) {
+    metric.Metric::EligibleWithin(grid, origin, radius, visit);
+  } else {
+    metric.EligibleWithin(grid, origin, radius, visit);
+  }
+  return out;
+}
+
+TEST(RoadMetricTest, BoundedEligibleWithinMatchesBaseQuery) {
+  // The override must emit exactly the base query's ids, in the same
+  // order: street grids and disconnected random graphs, static and dynamic
+  // grids, radius 0, a radius equal to a candidate's own road distance (the
+  // boundary the slack protects), radii past the graph diameter, and
+  // origins on nodes, on tasks, off the graph and outside the world.
+  Rng rng(53);
+  std::int64_t emitted = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    RoadMetric metric(std::make_shared<RoadGraph>(MakeTestGraph(&rng)));
+    const RoadGraph& graph = metric.graph();
+    std::vector<Point> tasks;
+    for (int i = 0; i < 120; ++i) {
+      tasks.push_back({rng.Uniform(-20.0, 120.0), rng.Uniform(-20.0, 120.0)});
+    }
+    for (int i = 0; i < 10; ++i) {
+      tasks.push_back(graph.node(static_cast<std::int32_t>(
+          rng.UniformInt(0, graph.num_nodes() - 1))));
+    }
+    const double cell = rng.Uniform(2.0, 30.0);
+    auto grid = trial % 2 == 0
+                    ? GridIndex::Build(tasks, cell)
+                    : GridIndex::BuildDynamic(Rect{0.0, 0.0, 100.0, 100.0},
+                                              cell);
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    if (grid.value().dynamic()) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        ASSERT_TRUE(
+            grid.value().Insert(static_cast<std::int64_t>(i), tasks[i]).ok());
+      }
+    }
+    for (int q = 0; q < 60; ++q) {
+      Point origin{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+      switch (q % 6) {
+        case 1:
+          origin = graph.node(static_cast<std::int32_t>(
+              rng.UniformInt(0, graph.num_nodes() - 1)));
+          break;
+        case 2:
+          origin = tasks[static_cast<std::size_t>(rng.UniformInt(
+              0, static_cast<std::int64_t>(tasks.size()) - 1))];
+          break;
+        case 3:
+          origin = {rng.Uniform(-300.0, -100.0), rng.Uniform(100.0, 400.0)};
+          break;
+        case 4:
+          origin = {q % 12 == 4 ? 1e300 : -1e300, 50.0};
+          break;
+        default:
+          break;
+      }
+      const Point& target = tasks[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(tasks.size()) - 1))];
+      std::vector<double> radii = {0.0, rng.Uniform(0.0, 60.0),
+                                   UncachedDistance(graph, origin, target),
+                                   1e6};
+      // Bounded queries first, in ascending radius, so each one resumes a
+      // search no farther settled than its own bound; the base queries
+      // (which settle out to every candidate) only run after.
+      std::sort(radii.begin(), radii.end());
+      std::vector<std::vector<std::int64_t>> bounded;
+      for (const double radius : radii) {
+        bounded.push_back(EligibleIds(metric, grid.value(), origin, radius,
+                                      /*base=*/false));
+      }
+      for (std::size_t i = 0; i < radii.size(); ++i) {
+        const auto base = EligibleIds(metric, grid.value(), origin, radii[i],
+                                      /*base=*/true);
+        EXPECT_EQ(bounded[i], base)
+            << "trial " << trial << " origin " << origin.x << "," << origin.y
+            << " radius " << radii[i];
+        emitted += static_cast<std::int64_t>(base.size());
+      }
+    }
+  }
+  EXPECT_GT(emitted, 1000);  // the comparison is not vacuous
+}
+
+TEST(RoadMetricTest, SlackKeepsCandidatesOnTheRadius) {
+  // A task exactly on the radius (radius = its own road distance), where
+  // radius - approach - depart rounds below the last settled key short of
+  // it. Graph: u at the origin's side, then w and v at one spot, joined by
+  // a one-ulp edge, with v reachable only through w. Without the slack the
+  // bounded search would stop at w and drop the task.
+  Rng rng(61);
+  for (int attempt = 0; attempt < 100000; ++attempt) {
+    const double dw = rng.Uniform(10.0, 50.0);
+    const double hop = std::nextafter(dw, 100.0) - dw;
+    const Point origin{-rng.Uniform(0.0, 1.0), 0.0};
+    const Point task{dw + rng.Uniform(0.0, 1.0), 0.0};
+    const double approach = Distance(origin, {0.0, 0.0});
+    const double depart = Distance({dw, 0.0}, task);
+    const double radius = approach + (dw + hop) + depart;
+    if (radius - approach - depart >= dw) continue;  // rounding is harmless
+
+    auto built = RoadGraph::Build({{0.0, 0.0}, {dw, 0.0}, {dw, 0.0}},
+                                  {{0, 2, dw}, {2, 1, hop}});
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    RoadMetric metric(std::make_shared<RoadGraph>(std::move(built).value()));
+    ASSERT_EQ(UncachedDistance(metric.graph(), origin, task), radius);
+    auto grid = GridIndex::Build({task}, 10.0);
+    ASSERT_TRUE(grid.ok());
+    // The bounded query first: the base query would settle v in this
+    // thread's workspace and let the bounded one resume past the cut.
+    const std::vector<std::int64_t> want = {0};
+    EXPECT_EQ(EligibleIds(metric, grid.value(), origin, radius, false), want);
+    EXPECT_EQ(EligibleIds(metric, grid.value(), origin, radius, true), want);
+    return;
+  }
+  FAIL() << "no rounding-sensitive case drawn";
+}
+
+TEST(RoadMetricTest, DistanceMatchesUncachedRecompute) {
+  // Two metrics over different graphs alternate on this thread's one
+  // workspace (search and snap memo both reset on every switch), over more
+  // points than memo slots. Each answer equals a from-scratch recompute.
+  Rng rng(59);
+  const RoadMetric metrics[] = {
+      RoadMetric(std::make_shared<RoadGraph>(MakeTestGraph(&rng))),
+      RoadMetric(std::make_shared<RoadGraph>(MakeTestGraph(&rng)))};
+  std::vector<Point> pool;
+  for (std::size_t i = 0; i < 2 * RoadGraph::Workspace::kSnapSlots; ++i) {
+    pool.push_back({rng.Uniform(-20.0, 120.0), rng.Uniform(-20.0, 120.0)});
+  }
+  const auto pick = [&]() -> const Point& {
+    return pool[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  for (int q = 0; q < 3000; ++q) {
+    const RoadMetric& metric = metrics[q % 100 < 70 ? 0 : 1];
+    const Point& a = pick();
+    const Point& b = pick();
+    EXPECT_EQ(metric.Distance(a, b), UncachedDistance(metric.graph(), a, b))
+        << "q=" << q;
   }
 }
 
