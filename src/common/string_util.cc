@@ -11,14 +11,18 @@
 namespace ltc {
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer; a second only when the output is longer.
+  char buf[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   }

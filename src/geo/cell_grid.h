@@ -19,7 +19,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
+#include "common/status.h"
 #include "geo/point.h"
 #include "geo/rect.h"
 
@@ -37,6 +39,44 @@ inline std::int64_t ClampedCell(double t, std::int64_t cells) {
   if (!(f > 0.0)) return 0;
   const auto last = static_cast<double>(cells - 1);
   return f < last ? static_cast<std::int64_t>(f) : cells - 1;
+}
+
+/// The most cells a GridIndex or ShardMap lays along one axis. Far past
+/// any useful grid (a 2^22-cell axis over a 500-unit world has 1e-4-unit
+/// cells), and far below where the count stops fitting an int64.
+inline constexpr std::int64_t kMaxCellsPerAxis = std::int64_t{1} << 22;
+
+/// The cells a Build-time grid lays along an axis of length `extent` (>= 0)
+/// with square cells of side `cell_size` (> 0): floor(extent / cell_size)
+/// + 1. The count is taken in double and checked against kMaxCellsPerAxis
+/// before the integer cast, so one far point (a 1e300 extent) or a NaN is
+/// InvalidArgument, not an out-of-range conversion.
+inline StatusOr<std::int64_t> CellsPerAxis(double extent, double cell_size) {
+  const double cells = std::floor(extent / cell_size) + 1.0;
+  if (!(cells <= static_cast<double>(kMaxCellsPerAxis))) {
+    return Status::InvalidArgument(
+        "grid would need more than " + std::to_string(kMaxCellsPerAxis) +
+        " cells along an axis (extent " + std::to_string(extent) +
+        ", cell size " + std::to_string(cell_size) + ")");
+  }
+  return std::max<std::int64_t>(1, static_cast<std::int64_t>(cells));
+}
+
+/// The most cells a GridIndex lays in all: 2^24 cells already take 128 MB
+/// of int64 counters, so a large but finite world with a fine cell is
+/// refused before the allocation rather than ending the process.
+inline constexpr std::int64_t kMaxCells = std::int64_t{1} << 24;
+
+/// OK when a `cells_x` x `cells_y` grid (each from CellsPerAxis, so the
+/// product fits an int64) is within kMaxCells; InvalidArgument otherwise.
+inline Status CheckCellCount(std::int64_t cells_x, std::int64_t cells_y) {
+  if (cells_x * cells_y > kMaxCells) {
+    return Status::InvalidArgument(
+        "grid would need " + std::to_string(cells_x) + " x " +
+        std::to_string(cells_y) + " cells, more than " +
+        std::to_string(kMaxCells));
+  }
+  return Status::OK();
 }
 
 /// \brief A fixed uniform-cell decomposition of a world rectangle.

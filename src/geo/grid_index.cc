@@ -24,10 +24,11 @@ StatusOr<GridIndex> GridIndex::Build(std::vector<Point> points,
     index.cell_start_.assign(2, 0);
     return index;
   }
-  index.cells_x_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(index.bounds_.Width() / cell_size) + 1);
-  index.cells_y_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(index.bounds_.Height() / cell_size) + 1);
+  LTC_ASSIGN_OR_RETURN(index.cells_x_,
+                       CellsPerAxis(index.bounds_.Width(), cell_size));
+  LTC_ASSIGN_OR_RETURN(index.cells_y_,
+                       CellsPerAxis(index.bounds_.Height(), cell_size));
+  LTC_RETURN_IF_ERROR(CheckCellCount(index.cells_x_, index.cells_y_));
 
   const std::size_t num_cells =
       static_cast<std::size_t>(index.cells_x_ * index.cells_y_);
@@ -64,10 +65,10 @@ StatusOr<GridIndex> GridIndex::BuildDynamic(const Rect& bounds,
   index.dynamic_ = true;
   index.cell_size_ = cell_size;
   index.bounds_ = bounds;
-  index.cells_x_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(bounds.Width() / cell_size) + 1);
-  index.cells_y_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(bounds.Height() / cell_size) + 1);
+  LTC_ASSIGN_OR_RETURN(index.cells_x_, CellsPerAxis(bounds.Width(), cell_size));
+  LTC_ASSIGN_OR_RETURN(index.cells_y_,
+                       CellsPerAxis(bounds.Height(), cell_size));
+  LTC_RETURN_IF_ERROR(CheckCellCount(index.cells_x_, index.cells_y_));
   index.buckets_.resize(static_cast<std::size_t>(index.cells_x_ *
                                                  index.cells_y_));
   return index;

@@ -44,6 +44,8 @@ namespace geo {
 class GridIndex {
  public:
   /// Builds a static index with the given cell size. cell_size must be > 0.
+  /// A grid past kMaxCellsPerAxis along an axis or kMaxCells in all
+  /// (cell_grid.h) is InvalidArgument, as in BuildDynamic.
   static StatusOr<GridIndex> Build(std::vector<Point> points, double cell_size);
 
   /// Builds an empty dynamic index whose grid geometry covers `bounds` with

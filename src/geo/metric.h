@@ -35,10 +35,14 @@ namespace geo {
 /// radius query.
 ///
 /// Thread-compatible: all methods are const and safe to call concurrently
-/// (RoadMetric keeps its Dijkstra workspace in thread-local storage).
-/// Implementations must be deterministic — Distance is a pure function of
-/// its arguments, never of call order or thread — because assignment-log
-/// byte-identity contracts flow through it.
+/// (RoadMetric keeps its search workspace and memos in thread-local
+/// storage). Implementations must be deterministic — Distance is a pure
+/// function of its arguments, never of call order, thread or what a memo
+/// holds — because assignment-log byte-identity contracts flow through it.
+/// A backend whose distances come from a search should also make
+/// Distance(a, b) == Distance(b, a) bit for bit, so that a search from
+/// either end may answer: RoadMetric does, with integer path lengths and
+/// the two off-graph legs added before the path (DESIGN.md §12).
 class Metric {
  public:
   virtual ~Metric() = default;

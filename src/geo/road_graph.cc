@@ -24,6 +24,61 @@ std::uint64_t NextGraphId() {
 // round-trip rounding.
 constexpr double kWeightSlack = 1e-9;
 
+// 2^-1074 is the smallest subnormal: below it ticks * 2^-k would round.
+constexpr int kMaxTickExponent = 1074;
+
+// ceil(weight * 2^k), at least 1; kMaxPathTicks when it is that large.
+// ldexp is exact unless the result is below the normal range, where the
+// ceiling is 1 whichever way it rounded.
+std::int64_t TicksOf(double weight, int k) {
+  const double scaled = std::ceil(std::ldexp(weight, k));
+  if (!(scaled < static_cast<double>(RoadGraph::kMaxPathTicks))) {
+    return RoadGraph::kMaxPathTicks;
+  }
+  return std::max<std::int64_t>(1, static_cast<std::int64_t>(scaled));
+}
+
+// The edges' ticks at exponent k, or nothing when they sum to
+// kMaxPathTicks or more.
+std::optional<std::vector<std::int64_t>> TicksAt(
+    const std::vector<RoadGraph::Edge>& edges, int k) {
+  std::vector<std::int64_t> ticks;
+  ticks.reserve(edges.size());
+  std::int64_t total = 0;
+  for (const RoadGraph::Edge& e : edges) {
+    ticks.push_back(TicksOf(e.weight, k));
+    total += ticks.back();
+    if (total >= RoadGraph::kMaxPathTicks) return std::nullopt;
+  }
+  return ticks;
+}
+
+// The tick exponent (DESIGN.md §12) and the edges' ticks at it. With the
+// total weight in [2^e, 2^(e+1)), ticks at k = 53 - e would reach 2^53, so
+// k starts at 52 - e, and steps down while rounding each edge up still
+// takes the sum to 2^53.
+std::vector<std::int64_t> PickTicks(const std::vector<RoadGraph::Edge>& edges,
+                                    int* k) {
+  double total = 0.0;
+  for (const RoadGraph::Edge& e : edges) total += e.weight;
+  int e = 0;
+  if (std::isfinite(total)) {
+    e = std::ilogb(total);
+  } else {
+    // Past DBL_MAX: sum at 2^-64 scale (the tiny weights this drops cannot
+    // move the exponent).
+    double scaled = 0.0;
+    for (const RoadGraph::Edge& edge : edges) scaled += edge.weight * 0x1p-64;
+    e = std::ilogb(scaled) + 64;
+  }
+  *k = edges.empty() ? kMaxTickExponent
+                     : std::min(kMaxTickExponent, 52 - e);
+  while (true) {
+    if (auto ticks = TicksAt(edges, *k)) return std::move(*ticks);
+    --*k;
+  }
+}
+
 }  // namespace
 
 StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
@@ -58,6 +113,9 @@ StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
 
   RoadGraph g;
   g.id_ = NextGraphId();
+  const std::vector<std::int64_t> edge_ticks =
+      PickTicks(edges, &g.tick_exponent_);
+  g.tick_units_ = std::ldexp(1.0, -g.tick_exponent_);
   g.nodes_ = std::move(nodes);
   g.edges_ = edges;
 
@@ -71,17 +129,17 @@ StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
     g.offsets_[i] += g.offsets_[i - 1];
   }
   g.targets_.resize(static_cast<std::size_t>(g.offsets_.back()));
-  g.weights_.resize(g.targets_.size());
+  g.ticks_.resize(g.targets_.size());
   std::vector<std::int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : edges) {
+  for (std::size_t i = 0; i < edges.size(); ++i) {
     auto place = [&](std::int32_t from, std::int32_t to) {
       const auto slot =
           static_cast<std::size_t>(cursor[static_cast<std::size_t>(from)]++);
       g.targets_[slot] = to;
-      g.weights_[slot] = e.weight;
+      g.ticks_[slot] = edge_ticks[i];
     };
-    place(e.u, e.v);
-    place(e.v, e.u);
+    place(edges[i].u, edges[i].v);
+    place(edges[i].v, edges[i].u);
   }
 
   // Snap index: a static grid sized so an average cell holds ~1 node.
@@ -125,15 +183,20 @@ std::int32_t RoadGraph::Snap(const Point& p, Workspace* ws) const {
   return e.node;
 }
 
+std::int64_t RoadGraph::ToTicks(double weight) const {
+  return TicksOf(weight, tick_exponent_);
+}
+
 void RoadGraph::Attach(Workspace* ws) const {
   if (ws->graph_id == id_) return;
   const auto n = static_cast<std::size_t>(num_nodes());
   ws->graph_id = id_;
-  ws->dist.assign(n, kUnreachable);
+  ws->dist.assign(n, kUnreachableTicks);
   ws->frontier.Reset(n);
   ws->touched.clear();
   ws->source = -1;
   ws->snaps.fill(Workspace::SnapEntry{});
+  ws->rows.assign(Workspace::kRowSets * Workspace::kRowWays, Workspace::Row{});
 }
 
 void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
@@ -141,65 +204,178 @@ void RoadGraph::StartSearch(std::int32_t source, Workspace* ws) const {
   if (ws->source == source) return;
   // New source: undo only what the last search wrote.
   for (const std::int32_t v : ws->touched) {
-    ws->dist[static_cast<std::size_t>(v)] = kUnreachable;
+    ws->dist[static_cast<std::size_t>(v)] = kUnreachableTicks;
   }
   ws->frontier.Clear();
   ws->touched.clear();
   ws->source = source;
-  ws->dist[static_cast<std::size_t>(source)] = 0.0;
+  ws->dist[static_cast<std::size_t>(source)] = 0;
   ws->touched.push_back(source);
-  ws->frontier.PushOrDecrease(source, 0.0);
+  ws->frontier.PushOrDecrease(source, 0);
 }
 
-bool RoadGraph::Settle(std::int32_t target, double bound,
+std::int64_t RoadGraph::SettleNext(Workspace* ws) const {
+  const auto [d, u] = ws->frontier.PopMin();
+  const auto begin =
+      static_cast<std::size_t>(offsets_[static_cast<std::size_t>(u)]);
+  const auto end =
+      static_cast<std::size_t>(offsets_[static_cast<std::size_t>(u) + 1]);
+  for (std::size_t k = begin; k < end; ++k) {
+    const std::int32_t v = targets_[k];
+    const std::int64_t nd = d + ticks_[k];
+    std::int64_t& dv = ws->dist[static_cast<std::size_t>(v)];
+    if (nd < dv) {
+      if (dv == kUnreachableTicks) ws->touched.push_back(v);
+      dv = nd;
+      ws->frontier.PushOrDecrease(v, nd);
+    }
+  }
+  return u;
+}
+
+void RoadGraph::Settle(std::int32_t target, std::int64_t bound,
                        Workspace* ws) const {
-  auto& dist = ws->dist;
-  auto& frontier = ws->frontier;
-  while (!frontier.empty()) {
+  while (!ws->frontier.empty()) {
     // Every weight is positive, so once the smallest frontier key reaches
     // dist[target], no later pop can lower it; and once it exceeds `bound`,
     // every node still unsettled is farther than `bound`.
-    const double key = frontier.PeekMin().first;
-    if (target >= 0 && key >= dist[static_cast<std::size_t>(target)]) {
-      return true;
+    const std::int64_t key = ws->frontier.PeekMin().first;
+    if (target >= 0 && key >= ws->dist[static_cast<std::size_t>(target)]) {
+      return;
     }
-    if (key > bound) return false;
-    const auto [d, u] = frontier.PopMin();
-    const auto begin = static_cast<std::size_t>(
-        offsets_[static_cast<std::size_t>(u)]);
-    const auto end = static_cast<std::size_t>(
-        offsets_[static_cast<std::size_t>(u) + 1]);
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::int32_t v = targets_[k];
-      const double nd = d + weights_[k];
-      double& dv = dist[static_cast<std::size_t>(v)];
-      if (nd < dv) {
-        if (dv == kUnreachable) ws->touched.push_back(v);
-        dv = nd;
-        frontier.PushOrDecrease(v, nd);
-      }
-    }
+    if (key > bound) return;
+    SettleNext(ws);
   }
-  return true;
 }
 
 void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
   StartSearch(source, ws);
-  Settle(/*target=*/-1, kUnreachable, ws);
+  Settle(/*target=*/-1, kUnreachableTicks, ws);
 }
 
-double RoadGraph::NodeDistance(std::int32_t u, std::int32_t v,
-                               Workspace* ws) const {
+std::int64_t RoadGraph::NodeTicks(std::int32_t u, std::int32_t v,
+                                  Workspace* ws) const {
+  Attach(ws);
+  // d(u, v) == d(v, u), so a row from either end answers.
+  for (const std::int32_t from : {v, u}) {
+    if (const Workspace::Row* row = FindRow(from, ws)) {
+      const std::int64_t t = RowTicks(*row, from == v ? u : v, *ws);
+      if (t >= 0) return t;
+      if (row->bound == kUnreachableTicks) return kUnreachableTicks;
+    }
+  }
   StartSearch(u, ws);
-  Settle(v, kUnreachable, ws);
+  Settle(v, kUnreachableTicks, ws);
   return ws->dist[static_cast<std::size_t>(v)];
 }
 
-double RoadGraph::NodeDistanceWithin(std::int32_t u, std::int32_t v,
-                                     double bound, Workspace* ws) const {
-  StartSearch(u, ws);
-  return Settle(v, bound, ws) ? ws->dist[static_cast<std::size_t>(v)]
-                              : kUnreachable;
+std::int64_t RoadGraph::ReachTicks(std::int32_t source, std::int32_t v,
+                                   std::int64_t need, Workspace* ws) const {
+  Attach(ws);
+  Workspace::Row* row = FindRow(source, ws);
+  if (row == nullptr ||
+      (row->bound < need &&
+       row->size < static_cast<std::int32_t>(Workspace::kRowCapacity))) {
+    // Absent, or built for a smaller need and not full. The bound keeps
+    // need's four leading bits and fills the rest, so workers whose radii
+    // differ a little share one row per node instead of rebuilding it.
+    int shift = 0;
+    while ((need >> (shift + 4)) > 0) ++shift;
+    const std::int64_t level = need | ((std::int64_t{1} << shift) - 1);
+    row = BuildRow(source, level, row, ws);
+  }
+  const std::int64_t t = RowTicks(*row, v, *ws);
+  if (t >= 0) return t;
+  if (row->bound == kUnreachableTicks) return kUnreachableTicks;
+  if (row->bound >= need) return row->bound + 1;
+  // The row filled up short of `need`: search from v instead, a search the
+  // next candidate of the same gather resumes.
+  StartSearch(v, ws);
+  Settle(source, need, ws);
+  // dist[source] is final when it is within `need` or the search ran dry.
+  const std::int64_t d = ws->dist[static_cast<std::size_t>(source)];
+  return d <= need || ws->frontier.empty() ? d : need + 1;
+}
+
+namespace {
+
+// The row set of `source`: a multiplicative hash, so neighbouring node ids
+// spread over the sets.
+std::size_t RowSetOf(std::int32_t source) {
+  return static_cast<std::size_t>(
+             (static_cast<std::uint32_t>(source) * 0x9E3779B1u) >> 27) %
+         RoadGraph::Workspace::kRowSets;
+}
+
+}  // namespace
+
+RoadGraph::Workspace::Row* RoadGraph::FindRow(std::int32_t source,
+                                              Workspace* ws) const {
+  Workspace::Row* set = &ws->rows[RowSetOf(source) * Workspace::kRowWays];
+  for (std::size_t w = 0; w < Workspace::kRowWays; ++w) {
+    if (set[w].source == source) {
+      set[w].last_use = ++ws->row_clock;
+      return &set[w];
+    }
+  }
+  return nullptr;
+}
+
+RoadGraph::Workspace::Row* RoadGraph::BuildRow(std::int32_t source,
+                                               std::int64_t bound,
+                                               Workspace::Row* reuse,
+                                               Workspace* ws) const {
+  Workspace::Row* row = reuse;
+  if (row == nullptr) {
+    // Empty ways have last_use 0, so they go first.
+    Workspace::Row* set = &ws->rows[RowSetOf(source) * Workspace::kRowWays];
+    row = set;
+    for (std::size_t w = 1; w < Workspace::kRowWays; ++w) {
+      if (set[w].last_use < row->last_use) row = &set[w];
+    }
+  }
+  // Row storage is taken on the first build: a workspace that only ever
+  // measures distances (routes, tests) never pays for it.
+  ws->row_nodes.resize(ws->rows.size() * Workspace::kRowCapacity);
+  ws->row_ticks.resize(ws->rows.size() * Workspace::kRowCapacity);
+  const auto slot = static_cast<std::size_t>(row - ws->rows.data()) *
+                    Workspace::kRowCapacity;
+  std::int32_t* nodes = &ws->row_nodes[slot];
+  std::int64_t* ticks = &ws->row_ticks[slot];
+
+  // A fresh search from `source` (a paused one may have settled past the
+  // bound), cut where the smallest key passes the bound or the row is full.
+  // Nodes settle in key order, so every node closer than the first key
+  // left on the frontier is listed.
+  ws->source = -1;
+  StartSearch(source, ws);
+  std::size_t size = 0;
+  while (!ws->frontier.empty() && size < Workspace::kRowCapacity &&
+         ws->frontier.PeekMin().first <= bound) {
+    ticks[size] = ws->frontier.PeekMin().first;
+    nodes[size] = static_cast<std::int32_t>(SettleNext(ws));
+    ++size;
+  }
+  row->source = source;
+  row->size = static_cast<std::int32_t>(size);
+  row->bound = ws->frontier.empty() ? kUnreachableTicks
+                                    : ws->frontier.PeekMin().first - 1;
+  row->last_use = ++ws->row_clock;
+  return row;
+}
+
+std::int64_t RoadGraph::RowTicks(const Workspace::Row& row, std::int32_t v,
+                                 const Workspace& ws) {
+  const std::size_t slot =
+      static_cast<std::size_t>(&row - ws.rows.data()) * Workspace::kRowCapacity;
+  const std::int32_t* nodes = &ws.row_nodes[slot];
+  // A branch-free scan (it vectorizes): rows are short, and unsorted rows
+  // cost nothing to build.
+  std::int32_t hit = -1;
+  for (std::int32_t i = 0; i < row.size; ++i) {
+    hit = nodes[i] == v ? i : hit;
+  }
+  return hit < 0 ? -1 : ws.row_ticks[slot + static_cast<std::size_t>(hit)];
 }
 
 std::string RoadGraph::Serialize() const {
@@ -311,37 +487,35 @@ double RoadMetric::Distance(const Point& a, const Point& b) const {
   RoadGraph::Workspace& ws = LocalWorkspace();
   const std::int32_t u = graph_->Snap(a, &ws);
   const std::int32_t v = graph_->Snap(b, &ws);
-  const double approach = geo::Distance(a, graph_->node(u));
-  const double depart = geo::Distance(graph_->node(v), b);
-  if (u == v) return approach + depart;
-  return approach + graph_->NodeDistance(u, v, &ws) + depart;
+  // The legs first: a + b == b + a, so the sum is symmetric bit for bit.
+  const double legs =
+      geo::Distance(a, graph_->node(u)) + geo::Distance(graph_->node(v), b);
+  if (u == v) return legs;
+  return legs + graph_->NodeDistance(u, v, &ws);
 }
 
 void RoadMetric::EligibleWithin(
     const GridIndex& grid, const Point& origin, double radius,
     const std::function<void(std::int64_t)>& visit) const {
+  if (!(radius >= 0.0)) return;  // the grid visits nothing either
   RoadGraph::Workspace& ws = LocalWorkspace();
   const std::int32_t u = graph_->Snap(origin, &ws);
   const double approach = geo::Distance(origin, graph_->node(u));
-  // Whenever the caller-order sum approach + d + depart is <= radius, d can
-  // exceed the computed radius - approach - depart only by the few ulps of
-  // radius that rounding both expressions costs; the slack covers that with
-  // room to spare, so no eligible id is cut. A d it lets through is still
-  // judged by the exact sum below.
-  const double slack = 1e-9 * (1.0 + radius);
+  // The radius in whole ticks: a path longer than `need` ticks is longer
+  // than the radius, and so is any Distance that adds legs to it.
+  const double scaled = std::floor(std::ldexp(radius, graph_->tick_exponent()));
+  constexpr std::int64_t kNeedCap = std::int64_t{1} << 62;
+  const std::int64_t need = scaled < static_cast<double>(kNeedCap)
+                                ? static_cast<std::int64_t>(scaled)
+                                : kNeedCap;
   grid.ForEachInRadius(origin, radius, [&](std::int64_t id) {
     const Point& p = grid.point(id);
     const std::int32_t v = graph_->Snap(p, &ws);
-    const double depart = geo::Distance(graph_->node(v), p);
+    const std::int64_t t = graph_->ReachTicks(v, u, need, &ws);
+    if (t > need && t != RoadGraph::kUnreachableTicks) return;
     // Distance(origin, p), summed in the same order.
-    double d;
-    if (u == v) {
-      d = approach + depart;
-    } else {
-      const double bound = radius - approach - depart + slack;
-      d = approach + graph_->NodeDistanceWithin(u, v, bound, &ws) + depart;
-    }
-    if (d <= radius) visit(id);
+    const double legs = approach + geo::Distance(graph_->node(v), p);
+    if (legs + graph_->ToUnits(t) <= radius) visit(id);
   });
 }
 

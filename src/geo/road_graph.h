@@ -1,16 +1,20 @@
 // Road-network travel times behind the geo::Metric interface (DESIGN.md
-// §12): a CSR adjacency over plane-embedded nodes, a resumable Dijkstra
-// that settles only as far as each distance query needs (or, bounded, only
-// as far as an eligibility radius leaves room for), and a memoized
+// §12): a CSR adjacency over plane-embedded nodes whose edge weights are
+// exact integer ticks, a resumable Dijkstra on int64 keys, a bounded memo
+// of reach rows (the nodes near a source with their exact tick distances)
+// that answers eligibility from the task side, and a memoized
 // snap-to-nearest-node bridge for off-graph points.
 //
 // The CSR layout mirrors the flow layer's (flow/network.h): one offsets
 // array, flat target/weight arrays, both directions materialised for the
 // undirected graph. Build validates the Metric contract up front — every
 // edge weight must be positive and at least the Euclidean length of the
-// edge — so path length >= straight-line distance holds by summing the
+// edge — and quantizes each weight up to whole ticks of 2^-k units, so
+// path length >= straight-line distance still holds by summing the
 // triangle inequality along the path, and grid pruning stays a superset
-// under RoadMetric (geo/metric.h).
+// under RoadMetric (geo/metric.h). Integer path sums do not depend on the
+// order they are added in, so d(u, v) == d(v, u) exactly and a search from
+// either end gives the same bits.
 //
 // File format "ltc-road v1" (whitespace-separated, '#' comment lines):
 //
@@ -20,6 +24,7 @@
 //   edges <M>
 //   <u> <v> <w>      ... M undirected edges, weight w in grid units
 //
+// The ticks are derived from the weights at Build, never stored.
 // src/gen/road.h synthesizes grid networks in this format.
 
 #ifndef LTC_GEO_ROAD_GRAPH_H_
@@ -46,7 +51,7 @@ namespace geo {
 /// \brief An immutable undirected road network with travel-time weights.
 ///
 /// Thread-compatible: all queries are const; callers own the (mutable)
-/// Dijkstra Workspace, one per thread.
+/// Workspace, one per thread.
 class RoadGraph {
  public:
   /// An undirected edge u—v with travel time `weight` (>= the Euclidean
@@ -57,24 +62,31 @@ class RoadGraph {
     double weight = 0.0;
   };
 
-  /// Reusable per-thread query scratch: one paused Dijkstra plus a snap
-  /// memo. It keeps the search from the last source — tentative distances,
-  /// the frontier and the nodes touched so far — so repeated queries from
-  /// one origin (the gather pattern: one worker against many tasks) share
-  /// one search that settles only as far as the farthest target asked for.
-  /// A new source resets only the touched entries.
+  /// Reusable per-thread query scratch: one paused Dijkstra, a memo of
+  /// reach rows and a snap memo.
   ///
-  /// dist[v] is final once v is settled; it holds final values for every
-  /// node only after ShortestPaths.
+  /// The search keeps its state from the last source — tentative tick
+  /// distances, the frontier and the nodes touched so far — so repeated
+  /// queries from one source share one search that settles only as far as
+  /// the farthest target asked for. A new source resets only the touched
+  /// entries. dist[v] is final once v is settled; it holds final values for
+  /// every node only after ShortestPaths.
+  ///
+  /// A reach row holds the nodes one bounded search from its source
+  /// settled, with their exact tick distances, in settling order; its
+  /// `bound` says every node within that many ticks of the source is in
+  /// it. Rows live in kRowSets sets of kRowWays ways, least recently used
+  /// evicted first, each with room for kRowCapacity nodes: a fixed
+  /// kRowSets * kRowWays * kRowCapacity * 12 bytes (384 KB), allocated
+  /// when the first row is built. Every row entry is an exact distance, so
+  /// which rows are resident changes how much is searched, never an answer.
   ///
   /// The snap memo is a direct-mapped cache of Snap answers, keyed by the
   /// point's exact bit pattern (so it returns what Snap(p) would, never an
-  /// approximation): a gather snaps each task once to filter it, again in
-  /// the eligibility re-check and again in every Acc the scheduler asks
-  /// for. A colliding point evicts the slot's previous entry.
+  /// approximation). A colliding point evicts the slot's previous entry.
   ///
   /// Everything here belongs to the graph named by graph_id; the first
-  /// query on another graph resets the search and the memo.
+  /// query on another graph resets the search and both memos.
   struct Workspace {
     struct SnapEntry {
       std::uint64_t x_bits = 0;
@@ -83,16 +95,37 @@ class RoadGraph {
     };
     static constexpr std::size_t kSnapSlots = 256;  // 6 KB
 
-    std::vector<double> dist;
-    IndexedMinHeap<double> frontier{0};
+    struct Row {
+      std::int32_t source = -1;  // -1: empty way
+      std::int32_t size = 0;
+      std::int64_t bound = -1;  // every node within `bound` ticks is listed
+      std::uint64_t last_use = 0;
+    };
+    static constexpr std::size_t kRowSets = 32;
+    static constexpr std::size_t kRowWays = 8;
+    static constexpr std::size_t kRowCapacity = 128;
+
+    std::vector<std::int64_t> dist;  // ticks
+    IndexedMinHeap<std::int64_t> frontier{0};
     std::vector<std::int32_t> touched;  // nodes with a finite dist entry
     std::int32_t source = -1;
-    std::uint64_t graph_id = 0;  // invalidates the search across graphs
+    std::uint64_t graph_id = 0;  // invalidates everything across graphs
     std::array<SnapEntry, kSnapSlots> snaps{};
+    std::vector<Row> rows;                // kRowSets * kRowWays
+    std::vector<std::int32_t> row_nodes;  // kRowCapacity per row
+    std::vector<std::int64_t> row_ticks;  // parallel to row_nodes
+    std::uint64_t row_clock = 0;
   };
 
   static constexpr double kUnreachable =
       std::numeric_limits<double>::infinity();
+  /// The tick distance of a node in another component.
+  static constexpr std::int64_t kUnreachableTicks =
+      std::numeric_limits<std::int64_t>::max();
+  /// Build picks the tick exponent so that the ticks of all edges together
+  /// stay below this, so every path length in ticks converts to a double
+  /// exactly.
+  static constexpr std::int64_t kMaxPathTicks = std::int64_t{1} << 53;
 
   /// Builds the CSR from nodes + undirected edges. Fails on empty node
   /// sets, out-of-range endpoints, self loops, non-positive weights, and
@@ -123,33 +156,53 @@ class RoadGraph {
     return nodes_[static_cast<std::size_t>(id)];
   }
 
+  /// k, where one tick is 2^-k units: 52 - e for a total edge weight in
+  /// [2^e, 2^(e+1)) (at most 1074, the exponent of the smallest subnormal),
+  /// lowered while the edges' rounded-up ticks sum to kMaxPathTicks or more.
+  int tick_exponent() const { return tick_exponent_; }
+
+  /// `weight` in ticks, rounded up (at least 1): the edge weights the
+  /// search runs on, so every edge keeps weight >= Euclidean length.
+  std::int64_t ToTicks(double weight) const;
+
+  /// `ticks` in units: ticks * 2^-k, exact below kMaxPathTicks;
+  /// kUnreachable for kUnreachableTicks.
+  double ToUnits(std::int64_t ticks) const {
+    return ticks == kUnreachableTicks
+               ? kUnreachable
+               : static_cast<double>(ticks) * tick_units_;
+  }
+
   /// The node nearest to `p` (ties prefer the smaller id — deterministic).
   std::int32_t Snap(const Point& p) const;
 
   /// Snap(p), answered from the workspace's snap memo when it holds `p`.
   std::int32_t Snap(const Point& p, Workspace* ws) const;
 
-  /// Solves single-source shortest paths from `source` into ws->dist
-  /// (kUnreachable where disconnected): the workspace's search from
-  /// `source`, started or resumed, run until the frontier is empty.
+  /// Solves single-source shortest paths from `source` into ws->dist, in
+  /// ticks (kUnreachableTicks where disconnected): the workspace's search
+  /// from `source`, started or resumed, run until the frontier is empty.
   void ShortestPaths(std::int32_t source, Workspace* ws) const;
 
-  /// Shortest-path distance u -> v. Starts or resumes the workspace's
-  /// search from u and stops once no frontier key is below the tentative
-  /// dist[v] (positive weights make it final then). The heap operations are
-  /// a prefix of ShortestPaths(u)'s, so the result is bit-identical to it.
-  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const;
+  /// Shortest-path length u -> v in ticks. Answered from a resident reach
+  /// row of u or v that lists the other end; otherwise starts or resumes
+  /// the workspace's search from u and stops once no frontier key is below
+  /// the tentative dist[v] (positive weights make it final then).
+  std::int64_t NodeTicks(std::int32_t u, std::int32_t v, Workspace* ws) const;
 
-  /// NodeDistance(u, v) for a caller that only needs it up to `bound`: the
-  /// same resumable search, which also stops once the smallest frontier key
-  /// exceeds `bound` (every unsettled node is then farther than `bound`)
-  /// and returns kUnreachable. Whenever NodeDistance(u, v) <= bound the
-  /// result is bit-identical to it; otherwise it is kUnreachable or, when
-  /// the search had already settled v, the exact distance. The heap
-  /// operations stay a prefix of ShortestPaths(u)'s, so bounded and
-  /// unbounded queries from one source interleave without changing a bit.
-  double NodeDistanceWithin(std::int32_t u, std::int32_t v, double bound,
-                            Workspace* ws) const;
+  /// ToUnits(NodeTicks(u, v)).
+  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const {
+    return ToUnits(NodeTicks(u, v, ws));
+  }
+
+  /// NodeTicks(source, v) when it is at most `need` ticks; otherwise some
+  /// value above `need`, which is kUnreachableTicks only when v lies in
+  /// another component (always then, if `need` >= kMaxPathTicks). Answered
+  /// from source's reach row, which is built, or rebuilt to a larger bound,
+  /// when it cannot decide; when the row fills kRowCapacity short of
+  /// `need`, the workspace's search from v answers instead.
+  std::int64_t ReachTicks(std::int32_t source, std::int32_t v,
+                          std::int64_t need, Workspace* ws) const;
 
   /// Process-unique graph identity (workspace cache invalidation).
   std::uint64_t id() const { return id_; }
@@ -157,27 +210,48 @@ class RoadGraph {
  private:
   RoadGraph() = default;
 
-  /// Resets the workspace (search and snap memo) unless it already belongs
-  /// to this graph.
+  /// Resets the workspace (search and both memos) unless it already
+  /// belongs to this graph.
   void Attach(Workspace* ws) const;
 
   /// Points the workspace at a search from `source`: keeps it when it
   /// already holds one for this (graph, source), else resets it.
   void StartSearch(std::int32_t source, Workspace* ws) const;
 
-  /// Settles frontier nodes until the frontier is empty or, with
-  /// `target` >= 0, until no frontier key is below ws->dist[target]
-  /// (returns true), or until the smallest frontier key exceeds `bound`
-  /// (returns false: ws->dist[target] is then still tentative).
-  bool Settle(std::int32_t target, double bound, Workspace* ws) const;
+  /// Pops the frontier's smallest key, relaxes its edges and returns the
+  /// node (now settled).
+  std::int64_t SettleNext(Workspace* ws) const;
+
+  /// Settles frontier nodes in key order until the frontier is empty, or,
+  /// with `target` >= 0, until no frontier key is below ws->dist[target],
+  /// or until the smallest frontier key exceeds `bound`.
+  void Settle(std::int32_t target, std::int64_t bound, Workspace* ws) const;
+
+  /// The resident row of `source`, or null.
+  Workspace::Row* FindRow(std::int32_t source, Workspace* ws) const;
+
+  /// Fills a row for `source` listing every node within `bound` ticks, or
+  /// the kRowCapacity nearest when more are: a fresh search from `source`
+  /// cut at the bound or the capacity. Evicts the set's least recently
+  /// used row (or replaces `reuse`, the source's stale row, when given).
+  Workspace::Row* BuildRow(std::int32_t source, std::int64_t bound,
+                           Workspace::Row* reuse, Workspace* ws) const;
+
+  /// Looks `v` up in `row`: its ticks, or -1 when the row does not list it.
+  static std::int64_t RowTicks(const Workspace::Row& row, std::int32_t v,
+                               const Workspace& ws);
 
   std::uint64_t id_ = 0;
+  int tick_exponent_ = 0;
+  // 2^-k: a power of two (subnormal past k = 1022), so ticks * tick_units_
+  // is exact for every path length below kMaxPathTicks.
+  double tick_units_ = 1.0;
   std::vector<Point> nodes_;
-  // CSR: neighbours of node u live at targets_/weights_[offsets_[u] ..
+  // CSR: neighbours of node u live at targets_/ticks_[offsets_[u] ..
   // offsets_[u+1]).
   std::vector<std::int64_t> offsets_;
   std::vector<std::int32_t> targets_;
-  std::vector<double> weights_;
+  std::vector<std::int64_t> ticks_;
   // Kept in Build input order for Serialize round-trips.
   std::vector<Edge> edges_;
   std::optional<GridIndex> snap_index_;  // static index over nodes_
@@ -187,15 +261,16 @@ class RoadGraph {
 /// the snapped node, shortest path through the network, and the final leg
 /// from the snapped node to the destination.
 ///
-/// Distance(a, b) = ||a - snap(a)|| + d_G(snap(a), snap(b)) + ||snap(b) - b||
+/// Distance(a, b) = (||a - snap(a)|| + ||snap(b) - b||) + d_G(snap(a), snap(b))
 ///
 /// which dominates ||a - b|| by the triangle inequality plus the per-edge
 /// weight >= length invariant, satisfying the Metric contract; LowerBound
-/// is the inherited Euclidean distance. The Dijkstra workspace (with its
-/// snap memo) lives in thread-local storage keyed by graph id, so
-/// concurrent gathers (svc GatherSlot fan-out) are safe and a worker's many
-/// Acc evaluations share one search per thread, settled out to the
-/// farthest task asked about.
+/// is the inherited Euclidean distance. The two legs are added first and
+/// d_G is an exact tick count, so Distance(a, b) == Distance(b, a) bit for
+/// bit. The workspace (search, reach rows, snap memo) lives in
+/// thread-local storage keyed by graph id, so concurrent gathers (svc
+/// GatherSlot fan-out) are safe; a row built by the gather also answers the
+/// scheduler's Acc evaluations of the same task.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)
@@ -204,11 +279,10 @@ class RoadMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
 
   /// Emits exactly the ids Metric::EligibleWithin emits, in the same order,
-  /// at the cost of the metric ball instead of the Euclidean superset: the
-  /// origin is snapped once, and each candidate's search stops at the
-  /// radius left after its approach and depart legs (NodeDistanceWithin),
-  /// plus a slack that absorbs the rounding of that subtraction
-  /// (DESIGN.md §12).
+  /// without a search per origin: the origin is snapped once and looked up
+  /// in each candidate's reach row (RoadGraph::ReachTicks), bounded by the
+  /// radius in whole ticks. A node missing from a row bounded that far is
+  /// farther than the radius, so the answer is exact (DESIGN.md §12).
   void EligibleWithin(
       const GridIndex& grid, const Point& origin, double radius,
       const std::function<void(std::int64_t)>& visit) const override;

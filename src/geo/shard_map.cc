@@ -21,10 +21,9 @@ StatusOr<ShardMap> ShardMap::Build(const Rect& bounds, double cell_size,
   ShardMap map;
   map.bounds_ = bounds;
   map.cell_size_ = cell_size;
-  // Same column-count formula as GridIndex::BuildDynamic, so stripe edges
-  // land exactly on the per-shard grids' cell boundaries.
-  map.cells_x_ = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(bounds.Width() / cell_size) + 1);
+  // Same column count as GridIndex::BuildDynamic, so stripe edges land
+  // exactly on the per-shard grids' cell boundaries.
+  LTC_ASSIGN_OR_RETURN(map.cells_x_, CellsPerAxis(bounds.Width(), cell_size));
   map.num_shards_ = shards;
   map.col_shard_.resize(static_cast<std::size_t>(map.cells_x_));
   map.shard_begin_.resize(static_cast<std::size_t>(shards) + 1);

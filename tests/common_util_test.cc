@@ -21,6 +21,17 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+TEST(StrFormatTest, OutputsAroundTheStackBufferAreWhole) {
+  // Lengths on both sides of the 256-byte one-pass buffer, and far past it.
+  EXPECT_EQ(StrFormat("%s", ""), "");
+  for (const std::size_t len : {1u, 254u, 255u, 256u, 257u, 511u, 5000u}) {
+    const std::string body(len, 'q');
+    EXPECT_EQ(StrFormat("%s", body.c_str()), body) << len;
+    EXPECT_EQ(StrFormat("<%s>%d", body.c_str(), 42), "<" + body + ">42")
+        << len;
+  }
+}
+
 TEST(JoinSplitTest, RoundTrips) {
   std::vector<std::string> parts = {"a", "", "c"};
   EXPECT_EQ(Join(parts, ","), "a,,c");

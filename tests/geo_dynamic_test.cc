@@ -280,6 +280,52 @@ TEST(GridClampTest, HugeCoordinatesStayQueryable) {
             BruteNearest(reference, {1e300, 25.0}));
 }
 
+TEST(GridSizingTest, CellCountsPastTheCapAreInvalidArgument) {
+  // One far point: 1e299 columns would overflow the int64 cast.
+  auto far = GridIndex::Build({{0.0, 0.0}, {1e300, 0.0}}, 10.0);
+  ASSERT_FALSE(far.ok());
+  EXPECT_TRUE(far.status().IsInvalidArgument()) << far.status().ToString();
+  auto tall = GridIndex::Build({{0.0, 0.0}, {0.0, 1e300}}, 10.0);
+  ASSERT_FALSE(tall.ok());
+  EXPECT_TRUE(tall.status().IsInvalidArgument());
+  // A 1e12-wide world: representable, but past the per-axis cap.
+  const Rect wide{0.0, 0.0, 1e12, 10.0};
+  auto dynamic = GridIndex::BuildDynamic(wide, 1.0);
+  ASSERT_FALSE(dynamic.ok());
+  EXPECT_TRUE(dynamic.status().IsInvalidArgument())
+      << dynamic.status().ToString();
+  auto stripes = ShardMap::Build(wide, 1.0, 4);
+  ASSERT_FALSE(stripes.ok());
+  EXPECT_TRUE(stripes.status().IsInvalidArgument());
+  // Each axis within the cap, but 4e6 x 4e6 cells in all: refused before
+  // the counters are allocated.
+  auto square = GridIndex::Build({{0.0, 0.0}, {4e6, 4e6}}, 1.0);
+  ASSERT_FALSE(square.ok());
+  EXPECT_TRUE(square.status().IsInvalidArgument())
+      << square.status().ToString();
+  auto square_dynamic =
+      GridIndex::BuildDynamic(Rect{0.0, 0.0, 4e6, 4e6}, 1.0);
+  ASSERT_FALSE(square_dynamic.ok());
+  EXPECT_TRUE(square_dynamic.status().IsInvalidArgument());
+  EXPECT_TRUE(CheckCellCount(4096, 4096).ok());
+  EXPECT_TRUE(CheckCellCount(kMaxCells, 1).ok());
+  EXPECT_FALSE(CheckCellCount(4096, 4097).ok());
+  // A NaN or infinite extent is refused too.
+  EXPECT_FALSE(CellsPerAxis(std::nan(""), 1.0).ok());
+  EXPECT_FALSE(CellsPerAxis(HUGE_VAL, 1.0).ok());
+
+  // At and just under the cap the count is exact; one cell more fails.
+  const double cap = static_cast<double>(kMaxCellsPerAxis);
+  EXPECT_EQ(CellsPerAxis(cap - 1.0, 1.0).value(), kMaxCellsPerAxis);
+  EXPECT_FALSE(CellsPerAxis(cap, 1.0).ok());
+  EXPECT_EQ(CellsPerAxis(0.0, 1.0).value(), 1);
+  EXPECT_EQ(CellsPerAxis(99.9, 10.0).value(), 10);
+  EXPECT_EQ(CellsPerAxis(100.0, 10.0).value(), 11);
+  // The modest grids every workload builds are unchanged.
+  auto world = GridIndex::BuildDynamic(Rect{0.0, 0.0, 500.0, 500.0}, 0.5);
+  ASSERT_TRUE(world.ok());
+}
+
 }  // namespace
 }  // namespace geo
 }  // namespace ltc

@@ -1,10 +1,11 @@
 // Road-network tests: Dijkstra cross-checked against brute-force
-// Bellman-Ford on random graphs, the resumable NodeDistance search (and its
-// bounded form) bit-identical to full solves, snap determinism and the snap
-// memo, the bounded EligibleWithin against the base query, the
-// "ltc-road v1" round-trip and its malformed-input rejections, the
-// Metric-contract validation in Build, and the gen/road street-grid
-// synthesizer.
+// Bellman-Ford and an independent integer Dijkstra, the resumable search
+// and the reach rows bit-identical to full solves whatever the memo holds,
+// the tick quantization's contract at extreme weights, bitwise symmetric
+// distances, snap determinism and the snap memo, the row-based
+// EligibleWithin against the base query, the "ltc-road v1" round-trip and
+// its malformed-input rejections, the Metric-contract validation in Build,
+// and the gen/road street-grid synthesizer.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "geo/metric.h"
 #include "geo/point.h"
 #include "geo/road_graph.h"
+#include "oracles/road_paths.h"
 
 namespace ltc {
 namespace geo {
@@ -100,16 +102,50 @@ RoadGraph MakeTestGraph(Rng* rng) {
 }
 
 /// NodeDistance with a fresh workspace and an unmemoized snap: the road
-/// distance recomputed from scratch.
+/// distance recomputed from scratch, legs first as RoadMetric adds them.
 double UncachedDistance(const RoadGraph& graph, const Point& a,
                         const Point& b) {
   const std::int32_t u = graph.Snap(a);
   const std::int32_t v = graph.Snap(b);
-  const double approach = Distance(a, graph.node(u));
-  const double depart = Distance(graph.node(v), b);
-  if (u == v) return approach + depart;
+  const double legs = Distance(a, graph.node(u)) + Distance(graph.node(v), b);
+  if (u == v) return legs;
   RoadGraph::Workspace fresh;
-  return approach + graph.NodeDistance(u, v, &fresh) + depart;
+  return legs + graph.NodeDistance(u, v, &fresh);
+}
+
+/// The graph's edges in ticks, for the integer oracle.
+std::vector<TickEdge> TickEdges(const RoadGraph& graph,
+                                const std::vector<RoadGraph::Edge>& edges) {
+  std::vector<TickEdge> out;
+  for (const RoadGraph::Edge& e : edges) {
+    out.push_back({e.u, e.v, graph.ToTicks(e.weight)});
+  }
+  return out;
+}
+
+/// A rows x cols lattice over a 500-unit world with congested weights
+/// (weight = length x (1 + U[0, 1])): connected, with many paths of nearly
+/// equal length.
+RandomGraph MakeLattice(Rng* rng, std::int32_t rows, std::int32_t cols) {
+  RandomGraph g;
+  for (std::int32_t r = 0; r < rows; ++r) {
+    for (std::int32_t c = 0; c < cols; ++c) {
+      g.nodes.push_back({500.0 * c / (cols - 1) + rng->Uniform(-2.0, 2.0),
+                         500.0 * r / (rows - 1) + rng->Uniform(-2.0, 2.0)});
+    }
+  }
+  const auto link = [&](std::int32_t u, std::int32_t v) {
+    const double length = Distance(g.nodes[static_cast<std::size_t>(u)],
+                                   g.nodes[static_cast<std::size_t>(v)]);
+    g.edges.push_back({u, v, length * (1.0 + rng->Uniform(0.0, 1.0))});
+  };
+  for (std::int32_t r = 0; r < rows; ++r) {
+    for (std::int32_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) link(r * cols + c, r * cols + c + 1);
+      if (r + 1 < rows) link(r * cols + c, (r + 1) * cols + c);
+    }
+  }
+  return g;
 }
 
 TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
@@ -131,7 +167,7 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
           BellmanFord(num_nodes, g.edges, s);
       graph.ShortestPaths(s, &ws);
       for (std::int32_t v = 0; v < num_nodes; ++v) {
-        const double got = ws.dist[static_cast<std::size_t>(v)];
+        const double got = graph.ToUnits(ws.dist[static_cast<std::size_t>(v)]);
         const double want = brute[static_cast<std::size_t>(v)];
         if (std::isinf(want)) {
           EXPECT_TRUE(std::isinf(got)) << "s=" << s << " v=" << v;
@@ -143,15 +179,16 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
   }
 }
 
-TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
-  // NodeDistance settles only as far as each target needs and resumes the
+TEST(RoadGraphTest, LazyNodeTicksAreBitIdentical) {
+  // NodeTicks settles only as far as each target needs and resumes the
   // paused search on the next query from the same source; a new source or
   // graph resets it. Every answer must equal the full solve's bit for bit,
-  // including kUnreachable across components, whatever the query order.
+  // including kUnreachableTicks across components, whatever the query order.
   Rng rng(23);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<RoadGraph> graphs;
-    std::vector<std::vector<std::vector<double>>> full;  // [graph][source]
+    // [graph][source]
+    std::vector<std::vector<std::vector<std::int64_t>>> full;
     for (int k = 0; k < 2; ++k) {
       const auto num_nodes =
           static_cast<std::int32_t>(rng.UniformInt(2, 60));
@@ -162,7 +199,7 @@ TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
       auto built = RoadGraph::Build(g.nodes, g.edges);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       graphs.push_back(std::move(built).value());
-      std::vector<std::vector<double>> solved;
+      std::vector<std::vector<std::int64_t>> solved;
       for (std::int32_t s = 0; s < num_nodes; ++s) {
         RoadGraph::Workspace fresh;
         graphs.back().ShortestPaths(s, &fresh);
@@ -183,9 +220,9 @@ TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
         source[k] = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
       }
       const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
-      const double got = graph.NodeDistance(source[k], v, &ws);
-      const double want = full[k][static_cast<std::size_t>(source[k])]
-                              [static_cast<std::size_t>(v)];
+      const std::int64_t got = graph.NodeTicks(source[k], v, &ws);
+      const std::int64_t want = full[k][static_cast<std::size_t>(source[k])]
+                                    [static_cast<std::size_t>(v)];
       EXPECT_EQ(got, want) << "trial " << trial << " graph " << k << " u="
                            << source[k] << " v=" << v;
       if (q % 50 == 49) {
@@ -197,85 +234,223 @@ TEST(RoadGraphTest, LazyNodeDistanceIsBitIdentical) {
   }
 }
 
-TEST(RoadGraphTest, NodeDistanceWithinIsExactInsideTheBound) {
-  // Within the bound the bounded search answers exactly what NodeDistance
-  // does; past it, kUnreachable (or the exact value when the paused search
-  // had already settled v). Bounds sit on, just below and just above the
-  // true distance, and at 0, below 0 and +inf.
-  Rng rng(41);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto num_nodes = static_cast<std::int32_t>(rng.UniformInt(2, 60));
-    const auto num_edges =
-        static_cast<std::int32_t>(rng.UniformInt(1, 3 * num_nodes));
-    RandomGraph g = MakeRandomGraph(&rng, num_nodes, num_edges);
+TEST(RoadGraphTest, NodeTicksMatchIntegerOracle) {
+  // Full solves, lazy NodeTicks and NodeDistance against a textbook int64
+  // Dijkstra over the same ticks: equal as integers, and NodeDistance is
+  // exactly ticks * 2^-k. Sparse random graphs (some disconnected) and
+  // congested lattices.
+  Rng rng(29);
+  for (int trial = 0; trial < 16; ++trial) {
+    RandomGraph g =
+        trial % 2 == 0
+            ? MakeRandomGraph(&rng,
+                              static_cast<std::int32_t>(rng.UniformInt(2, 60)),
+                              static_cast<std::int32_t>(rng.UniformInt(1, 150)))
+            : MakeLattice(&rng, static_cast<std::int32_t>(rng.UniformInt(2, 20)),
+                          static_cast<std::int32_t>(rng.UniformInt(2, 20)));
     auto built = RoadGraph::Build(g.nodes, g.edges);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const RoadGraph& graph = built.value();
+    const std::vector<TickEdge> ticks = TickEdges(graph, g.edges);
+    const std::int32_t n = graph.num_nodes();
     RoadGraph::Workspace ws;
-    std::int32_t u = 0;
-    for (int q = 0; q < 400; ++q) {
-      if (rng.Uniform(0.0, 1.0) < 0.3) {
-        u = static_cast<std::int32_t>(rng.UniformInt(0, num_nodes - 1));
+    for (int q = 0; q < 40; ++q) {
+      const auto s = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      const std::vector<std::int64_t> want = IntegerDijkstra(n, ticks, s);
+      for (int i = 0; i < 10; ++i) {
+        const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+        const std::int64_t t = want[static_cast<std::size_t>(v)];
+        ASSERT_EQ(graph.NodeTicks(s, v, &ws), t) << "s=" << s << " v=" << v;
+        EXPECT_EQ(graph.NodeDistance(s, v, &ws),
+                  t == RoadGraph::kUnreachableTicks
+                      ? RoadGraph::kUnreachable
+                      : std::ldexp(static_cast<double>(t),
+                                   -graph.tick_exponent()));
       }
-      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, num_nodes - 1));
-      RoadGraph::Workspace fresh;
-      const double want = graph.NodeDistance(u, v, &fresh);
-      const double inf = std::numeric_limits<double>::infinity();
-      const double bounds[] = {want,
-                               std::nextafter(want, -inf),
-                               std::nextafter(want, inf),
-                               rng.Uniform(0.0, 200.0),
-                               0.0,
-                               -1.0,
-                               inf};
-      const double bound = bounds[rng.UniformInt(0, 6)];
-      const double got = graph.NodeDistanceWithin(u, v, bound, &ws);
-      if (want <= bound) {
-        EXPECT_EQ(got, want) << "u=" << u << " v=" << v << " bound=" << bound;
-      } else {
-        EXPECT_TRUE(got == RoadGraph::kUnreachable || got == want)
-            << "u=" << u << " v=" << v << " bound=" << bound;
-      }
+      graph.ShortestPaths(s, &ws);
+      EXPECT_EQ(ws.dist, want) << "s=" << s;
     }
   }
 }
 
-TEST(RoadGraphTest, BoundedAndUnboundedQueriesInterleave) {
-  // A bounded query pauses the search at a prefix of the full solve's heap
-  // operations, so unbounded queries and full solves that resume it from
-  // the same source still match ShortestPaths bit for bit.
-  Rng rng(43);
+/// Checks ReachTicks' contract for one query: the exact ticks when they
+/// are within `need`, otherwise something above it, which is
+/// kUnreachableTicks only when disconnected (and always then when `need`
+/// is past every path).
+void ExpectReachContract(const RoadGraph& graph, std::int32_t source,
+                         std::int32_t v, std::int64_t need,
+                         RoadGraph::Workspace* ws) {
+  RoadGraph::Workspace fresh;
+  const std::int64_t want = graph.NodeTicks(source, v, &fresh);
+  const std::int64_t got = graph.ReachTicks(source, v, need, ws);
+  if (want <= need) {
+    EXPECT_EQ(got, want) << "source=" << source << " v=" << v
+                         << " need=" << need;
+  } else {
+    EXPECT_GT(got, need) << "source=" << source << " v=" << v;
+    if (got == RoadGraph::kUnreachableTicks ||
+        need >= RoadGraph::kMaxPathTicks) {
+      EXPECT_EQ(got, want) << "source=" << source << " v=" << v
+                           << " need=" << need;
+    }
+  }
+}
+
+TEST(RoadGraphTest, ReachTicksAreExactWithinTheNeed) {
+  // Needs on, just below and just above the true distance, and at 0 and
+  // past the graph's diameter. Rows get built, rebuilt to larger needs and
+  // fill up (kRowCapacity) on the larger graphs, where the answer comes
+  // from the fallback search.
+  Rng rng(41);
   for (int trial = 0; trial < 10; ++trial) {
-    gen::RoadConfig cfg;
-    cfg.rows = static_cast<std::int32_t>(rng.UniformInt(2, 12));
-    cfg.cols = static_cast<std::int32_t>(rng.UniformInt(2, 12));
-    cfg.world_side = 100.0;
-    cfg.seed = static_cast<std::uint64_t>(trial + 1);
-    auto built = gen::GenerateGridRoadGraph(cfg);
+    RandomGraph g =
+        trial % 2 == 0
+            ? MakeRandomGraph(&rng,
+                              static_cast<std::int32_t>(rng.UniformInt(2, 60)),
+                              static_cast<std::int32_t>(rng.UniformInt(1, 180)))
+            : MakeLattice(&rng, 16, 16);
+    auto built = RoadGraph::Build(g.nodes, g.edges);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const RoadGraph& graph = built.value();
     const std::int32_t n = graph.num_nodes();
-    const auto source = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
-    RoadGraph::Workspace full;
-    graph.ShortestPaths(source, &full);
-
     RoadGraph::Workspace ws;
-    for (int q = 0; q < 200; ++q) {
+    for (int q = 0; q < 400; ++q) {
+      const auto source = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
       const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
-      const double want = full.dist[static_cast<std::size_t>(v)];
-      const double draw = rng.Uniform(0.0, 1.0);
-      if (draw < 0.6) {
-        const double bound = rng.Uniform(0.0, 150.0);
-        const double got = graph.NodeDistanceWithin(source, v, bound, &ws);
-        if (want <= bound) {
-          EXPECT_EQ(got, want) << "v=" << v;
-        }
-      } else if (draw < 0.95) {
-        EXPECT_EQ(graph.NodeDistance(source, v, &ws), want) << "v=" << v;
+      RoadGraph::Workspace fresh;
+      const std::int64_t d = graph.NodeTicks(source, v, &fresh);
+      const std::int64_t finite = d == RoadGraph::kUnreachableTicks ? 1000 : d;
+      const std::int64_t needs[] = {finite,
+                                    finite - 1,
+                                    finite + 1,
+                                    rng.UniformInt(0, 2 * finite),
+                                    0,
+                                    std::int64_t{1} << 62};
+      ExpectReachContract(graph, source, v, needs[rng.UniformInt(0, 5)], &ws);
+    }
+  }
+}
+
+TEST(RoadGraphTest, ReachMemoNeverChangesAnAnswer) {
+  // Two graphs alternate on one workspace (each switch resets it) with far
+  // more sources than the memo holds rows, so rows are evicted and rebuilt,
+  // and paused searches from the same sources resume in between. Every
+  // ReachTicks and NodeTicks answer equals a fresh workspace's.
+  Rng rng(31);
+  std::vector<RoadGraph> graphs;
+  for (int k = 0; k < 2; ++k) {
+    RandomGraph g = MakeLattice(&rng, 30, 30);
+    auto built = RoadGraph::Build(g.nodes, g.edges);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    graphs.push_back(std::move(built).value());
+  }
+  RoadGraph::Workspace ws;
+  std::int64_t near_answers = 0;
+  for (int q = 0; q < 20000; ++q) {
+    const RoadGraph& graph = graphs[static_cast<std::size_t>(q % 97 < 80 ? 0 : 1)];
+    const std::int32_t n = graph.num_nodes();
+    const auto source = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+    // Mostly nearby targets, as in a gather.
+    const auto v = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+        source + rng.UniformInt(-2, 2) + 30 * rng.UniformInt(-2, 2), 0,
+        n - 1));
+    // Radii of about 20-80 units, in ticks.
+    const auto need = static_cast<std::int64_t>(
+        std::ldexp(rng.Uniform(20.0, 80.0), graph.tick_exponent()));
+    RoadGraph::Workspace fresh;
+    const std::int64_t want = graph.NodeTicks(source, v, &fresh);
+    if (q % 3 == 0) {
+      ASSERT_EQ(graph.NodeTicks(v, source, &ws), want) << "q=" << q;
+    } else {
+      const std::int64_t got = graph.ReachTicks(source, v, need, &ws);
+      if (want <= need) {
+        ASSERT_EQ(got, want) << "q=" << q;
+        ++near_answers;
       } else {
-        graph.ShortestPaths(source, &ws);
-        EXPECT_EQ(ws.dist, full.dist);
+        ASSERT_GT(got, need) << "q=" << q;
       }
+    }
+  }
+  EXPECT_GT(near_answers, 3000);  // the comparison is not vacuous
+}
+
+TEST(RoadGraphTest, TicksKeepTheMetricContract) {
+  // Every edge rounds up (weight <= ticks * 2^-k), the edges' ticks sum
+  // below 2^53, k is the largest exponent that allows it (or 1074), and a
+  // path's length in units is its exact tick count times 2^-k.
+  struct Case {
+    const char* name;
+    std::vector<Point> nodes;
+    std::vector<RoadGraph::Edge> edges;
+    double path_units;  // exact NodeDistance(0, last node)
+  };
+  const double two52 = std::ldexp(1.0, 52);
+  const std::vector<Case> cases = {
+      // Total weight 2^53 - 3 fits at k = 0, exactly.
+      {"near 2^53 below",
+       {{0.0, 0.0}, {two52, 0.0}, {2 * two52 - 3.0, 0.0}},
+       {{0, 1, two52}, {1, 2, two52 - 3.0}},
+       2 * two52 - 3.0},
+      // Total 2^53 + 2 needs k = -1: ticks 2^51 and 2^51 + 1.
+      {"near 2^53 above",
+       {{0.0, 0.0}, {two52, 0.0}, {2 * two52 + 2.0, 0.0}},
+       {{0, 1, two52}, {1, 2, two52 + 2.0}},
+       2 * two52 + 2.0},
+      // Node spacing stays small: a 1e300 offset squares to +inf.
+      {"1e300",
+       {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}},
+       {{0, 1, 1e300}, {1, 2, 1.5e300}},
+       -1.0},
+      {"1e-300",
+       {{0.0, 0.0}, {1e-300, 0.0}, {2e-300, 0.0}},
+       {{0, 1, 1e-300}, {1, 2, 1.5e-300}},
+       -1.0},
+      // Subnormal weights are whole multiples of 2^-1074: exact at k = 1074.
+      {"subnormal",
+       {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}},
+       {{0, 1, 1e-320}, {1, 2, 3e-320}},
+       1e-320 + 3e-320},
+      {"mixed 1e-300 and 1e300",
+       {{0.0, 0.0}, {1e-300, 0.0}, {1.0, 0.0}},
+       {{0, 1, 1e-300}, {1, 2, 1e300}},
+       -1.0},
+  };
+  for (const Case& c : cases) {
+    auto built = RoadGraph::Build(c.nodes, c.edges);
+    ASSERT_TRUE(built.ok()) << c.name << ": " << built.status().ToString();
+    const RoadGraph& graph = built.value();
+    const int k = graph.tick_exponent();
+    EXPECT_LE(k, 1074) << c.name;
+    std::int64_t total = 0;
+    bool wider_fits = k < 1074;
+    std::int64_t wider_total = 0;
+    for (const RoadGraph::Edge& e : c.edges) {
+      const std::int64_t t = graph.ToTicks(e.weight);
+      EXPECT_GE(t, 1) << c.name;
+      EXPECT_GE(graph.ToUnits(t), e.weight) << c.name;
+      EXPECT_GE(graph.ToUnits(t),
+                Distance(c.nodes[static_cast<std::size_t>(e.u)],
+                         c.nodes[static_cast<std::size_t>(e.v)]))
+          << c.name;
+      // One tick less would fall below the weight.
+      EXPECT_LT(graph.ToUnits(t - 1), e.weight) << c.name;
+      total += t;
+      wider_total += static_cast<std::int64_t>(
+          std::min(std::ceil(std::ldexp(e.weight, k + 1)), 0x1p62));
+    }
+    EXPECT_LT(total, RoadGraph::kMaxPathTicks) << c.name;
+    if (wider_fits) {
+      EXPECT_GE(wider_total, RoadGraph::kMaxPathTicks) << c.name << " k=" << k;
+    }
+    RoadGraph::Workspace ws;
+    const std::int32_t last = graph.num_nodes() - 1;
+    const std::int64_t path = graph.NodeTicks(0, last, &ws);
+    EXPECT_EQ(path, total) << c.name;  // a path graph: the only route
+    const double units = graph.NodeDistance(0, last, &ws);
+    EXPECT_EQ(units, std::ldexp(static_cast<double>(total), -k)) << c.name;
+    EXPECT_GE(units, c.edges[0].weight + c.edges[1].weight) << c.name;
+    if (c.path_units >= 0.0) {
+      EXPECT_EQ(units, c.path_units) << c.name;
     }
   }
 }
@@ -411,12 +586,40 @@ TEST(RoadMetricTest, DistanceDominatesEuclidean) {
     EXPECT_GE(road, Distance(a, b) - 1e-9);
     // The lower bound must never exceed the true distance.
     EXPECT_LE(metric.LowerBound(a, b), road + 1e-9);
-    // Symmetric (undirected network).
-    EXPECT_NEAR(metric.Distance(b, a), road, 1e-9);
+    // Symmetric (undirected network), bit for bit.
+    EXPECT_EQ(metric.Distance(b, a), road);
   }
 }
 
-/// Ids RoadMetric's bounded EligibleWithin emits, or with `base` the ids
+TEST(RoadMetricTest, DistanceIsSymmetric) {
+  // Bitwise, on the serving benchmark's street grid (48 x 48 over a
+  // 500-unit world), for off-graph points and for the nodes themselves.
+  // Float path sums made 13,562 of these 20,000 pairs differ.
+  Rng rng(71);
+  gen::RoadConfig cfg;
+  cfg.rows = 48;
+  cfg.cols = 48;
+  cfg.world_side = 500.0;
+  auto built = gen::GenerateGridRoadGraph(cfg);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  RoadMetric metric(std::make_shared<RoadGraph>(std::move(built).value()));
+  const RoadGraph& graph = metric.graph();
+  std::int64_t asymmetric = 0;
+  for (int q = 0; q < 20000; ++q) {
+    Point a{rng.Uniform(0.0, 500.0), rng.Uniform(0.0, 500.0)};
+    Point b{rng.Uniform(0.0, 500.0), rng.Uniform(0.0, 500.0)};
+    if (q % 2 == 1) {
+      a = graph.node(static_cast<std::int32_t>(
+          rng.UniformInt(0, graph.num_nodes() - 1)));
+      b = graph.node(static_cast<std::int32_t>(
+          rng.UniformInt(0, graph.num_nodes() - 1)));
+    }
+    if (metric.Distance(a, b) != metric.Distance(b, a)) ++asymmetric;
+  }
+  EXPECT_EQ(asymmetric, 0);
+}
+
+/// Ids RoadMetric's row-based EligibleWithin emits, or with `base` the ids
 /// of the reference query it overrides, in emission order.
 std::vector<std::int64_t> EligibleIds(const RoadMetric& metric,
                                       const GridIndex& grid,
@@ -435,9 +638,9 @@ std::vector<std::int64_t> EligibleIds(const RoadMetric& metric,
 TEST(RoadMetricTest, BoundedEligibleWithinMatchesBaseQuery) {
   // The override must emit exactly the base query's ids, in the same
   // order: street grids and disconnected random graphs, static and dynamic
-  // grids, radius 0, a radius equal to a candidate's own road distance (the
-  // boundary the slack protects), radii past the graph diameter, and
-  // origins on nodes, on tasks, off the graph and outside the world.
+  // grids, radius 0, a radius equal to a candidate's own road distance (and
+  // one ulp either side of it), radii past the graph diameter, and origins
+  // on nodes, on tasks, off the graph and outside the world.
   Rng rng(53);
   std::int64_t emitted = 0;
   for (int trial = 0; trial < 12; ++trial) {
@@ -485,63 +688,57 @@ TEST(RoadMetricTest, BoundedEligibleWithinMatchesBaseQuery) {
       }
       const Point& target = tasks[static_cast<std::size_t>(rng.UniformInt(
           0, static_cast<std::int64_t>(tasks.size()) - 1))];
-      std::vector<double> radii = {0.0, rng.Uniform(0.0, 60.0),
-                                   UncachedDistance(graph, origin, target),
-                                   1e6};
-      // Bounded queries first, in ascending radius, so each one resumes a
-      // search no farther settled than its own bound; the base queries
-      // (which settle out to every candidate) only run after.
-      std::sort(radii.begin(), radii.end());
-      std::vector<std::vector<std::int64_t>> bounded;
-      for (const double radius : radii) {
-        bounded.push_back(EligibleIds(metric, grid.value(), origin, radius,
-                                      /*base=*/false));
-      }
-      for (std::size_t i = 0; i < radii.size(); ++i) {
-        const auto base = EligibleIds(metric, grid.value(), origin, radii[i],
-                                      /*base=*/true);
-        EXPECT_EQ(bounded[i], base)
+      const double on = UncachedDistance(graph, origin, target);
+      const double inf = std::numeric_limits<double>::infinity();
+      const double radii[] = {0.0,
+                              rng.Uniform(0.0, 60.0),
+                              on,
+                              std::nextafter(on, 0.0),
+                              std::nextafter(on, inf),
+                              1e6};
+      // Rows answer the same whatever was asked before, so the two queries
+      // run in either order.
+      for (std::size_t i = 0; i < std::size(radii); ++i) {
+        const bool row_first = (q + static_cast<int>(i)) % 2 == 0;
+        const auto first = EligibleIds(metric, grid.value(), origin, radii[i],
+                                       /*base=*/!row_first);
+        const auto second = EligibleIds(metric, grid.value(), origin,
+                                        radii[i], /*base=*/row_first);
+        EXPECT_EQ(first, second)
             << "trial " << trial << " origin " << origin.x << "," << origin.y
             << " radius " << radii[i];
-        emitted += static_cast<std::int64_t>(base.size());
+        emitted += static_cast<std::int64_t>(first.size());
       }
     }
   }
   EXPECT_GT(emitted, 1000);  // the comparison is not vacuous
 }
 
-TEST(RoadMetricTest, SlackKeepsCandidatesOnTheRadius) {
-  // A task exactly on the radius (radius = its own road distance), where
-  // radius - approach - depart rounds below the last settled key short of
-  // it. Graph: u at the origin's side, then w and v at one spot, joined by
-  // a one-ulp edge, with v reachable only through w. Without the slack the
-  // bounded search would stop at w and drop the task.
+TEST(RoadMetricTest, TaskOnTheRadiusIsEligible) {
+  // A task whose road distance is exactly the radius is emitted, and one
+  // ulp less of radius drops it: the row compare is exact in ticks and the
+  // final test is Distance's own sum, so nothing is cut or let through.
   Rng rng(61);
-  for (int attempt = 0; attempt < 100000; ++attempt) {
-    const double dw = rng.Uniform(10.0, 50.0);
-    const double hop = std::nextafter(dw, 100.0) - dw;
-    const Point origin{-rng.Uniform(0.0, 1.0), 0.0};
-    const Point task{dw + rng.Uniform(0.0, 1.0), 0.0};
-    const double approach = Distance(origin, {0.0, 0.0});
-    const double depart = Distance({dw, 0.0}, task);
-    const double radius = approach + (dw + hop) + depart;
-    if (radius - approach - depart >= dw) continue;  // rounding is harmless
-
-    auto built = RoadGraph::Build({{0.0, 0.0}, {dw, 0.0}, {dw, 0.0}},
-                                  {{0, 2, dw}, {2, 1, hop}});
+  std::int64_t checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    RandomGraph g = MakeLattice(&rng, 6, 6);
+    auto built = RoadGraph::Build(g.nodes, g.edges);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     RoadMetric metric(std::make_shared<RoadGraph>(std::move(built).value()));
-    ASSERT_EQ(UncachedDistance(metric.graph(), origin, task), radius);
-    auto grid = GridIndex::Build({task}, 10.0);
+    const Point origin{rng.Uniform(0.0, 500.0), rng.Uniform(0.0, 500.0)};
+    const Point task{rng.Uniform(0.0, 500.0), rng.Uniform(0.0, 500.0)};
+    const double radius = UncachedDistance(metric.graph(), origin, task);
+    auto grid = GridIndex::Build({task}, 50.0);
     ASSERT_TRUE(grid.ok());
-    // The bounded query first: the base query would settle v in this
-    // thread's workspace and let the bounded one resume past the cut.
+    if (Distance(origin, task) > std::nextafter(radius, 0.0)) continue;
     const std::vector<std::int64_t> want = {0};
     EXPECT_EQ(EligibleIds(metric, grid.value(), origin, radius, false), want);
-    EXPECT_EQ(EligibleIds(metric, grid.value(), origin, radius, true), want);
-    return;
+    EXPECT_TRUE(EligibleIds(metric, grid.value(), origin,
+                            std::nextafter(radius, 0.0), false)
+                    .empty());
+    ++checked;
   }
-  FAIL() << "no rounding-sensitive case drawn";
+  EXPECT_GT(checked, 100);
 }
 
 TEST(RoadMetricTest, DistanceMatchesUncachedRecompute) {
@@ -585,7 +782,9 @@ TEST(GridRoadGeneratorTest, DeterministicAndConnected) {
   // The lattice keeps everything reachable from node 0.
   RoadGraph::Workspace ws;
   first.value().ShortestPaths(0, &ws);
-  for (double d : ws.dist) EXPECT_TRUE(std::isfinite(d));
+  for (const std::int64_t d : ws.dist) {
+    EXPECT_NE(d, RoadGraph::kUnreachableTicks);
+  }
 }
 
 TEST(GridRoadGeneratorTest, RejectsBadConfigs) {

@@ -171,22 +171,22 @@ struct RoadGoldenCell {
 };
 
 constexpr RoadGoldenCell kRoadGolden[] = {
-    {"LAF", 1, false, 0x9a707439u, 13538},
-    {"LAF", 1, true, 0xeb98a2efu, 25000},
-    {"LAF", 3, false, 0x28af06e6u, 13539},
-    {"LAF", 3, true, 0x163317dbu, 25001},
-    {"AAM", 1, false, 0x766dc5aeu, 13538},
-    {"AAM", 1, true, 0x6e0a1187u, 25000},
-    {"AAM", 3, false, 0x46281db0u, 13539},
-    {"AAM", 3, true, 0x55df6c02u, 25001},
-    {"Random", 1, false, 0x10dc69dau, 13541},
-    {"Random", 1, true, 0x6a21d8bbu, 25003},
-    {"Random", 3, false, 0x11261939u, 13542},
-    {"Random", 3, true, 0x7ab43b4cu, 25004},
-    {"MCF", 1, false, 0x2f482f19u, 13436},
-    {"MCF", 1, true, 0xae1bbd91u, 24573},
-    {"MCF", 3, false, 0x2cf241beu, 13437},
-    {"MCF", 3, true, 0xf7e2b2cau, 24574},
+    {"LAF", 1, false, 0xf06c71d7u, 13538},
+    {"LAF", 1, true, 0xfe03dcffu, 25044},
+    {"LAF", 3, false, 0x42b30308u, 13539},
+    {"LAF", 3, true, 0xbde32c1eu, 25045},
+    {"AAM", 1, false, 0x1c71c040u, 13538},
+    {"AAM", 1, true, 0x50075161u, 25044},
+    {"AAM", 3, false, 0x2c34185eu, 13539},
+    {"AAM", 3, true, 0xaafa96d0u, 25045},
+    {"Random", 1, false, 0x7ac06c34u, 13541},
+    {"Random", 1, true, 0x7ed2ae4eu, 25047},
+    {"Random", 3, false, 0x7b3a1cd7u, 13542},
+    {"Random", 3, true, 0x01057e76u, 25048},
+    {"MCF", 1, false, 0xc29c26b9u, 13436},
+    {"MCF", 1, true, 0x216cfbd4u, 24616},
+    {"MCF", 3, false, 0xc126481eu, 13437},
+    {"MCF", 3, true, 0x3eb3f524u, 24617},
 };
 
 TEST(MetricEquivalenceTest, RoadStreamLogsMatchGoldenDigests) {
