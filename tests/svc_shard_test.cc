@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -239,13 +240,16 @@ TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
 // the merged log, every pipeline block and scheduler blob — are pinned
 // like the assignment logs above, at shards 1 and 3 and any thread count.
 // Completion-latency ("plat_c") samples are in the order of the commits
-// that completed their tasks.
+// that completed their tasks. The `routes` cells run with route_workers on,
+// which adds the "moves"/"M" log and each pipeline's "proutes"/"pr"/"ps"
+// records.
 struct SnapshotCell {
   const char* algorithm;
   const char* deadline;  // "0", "0.4", or "adaptive" (cap 0.5)
   int shards;
   std::uint32_t crc;
   std::size_t bytes;
+  bool routes = false;
 };
 
 constexpr SnapshotCell kSnapshotGolden[] = {
@@ -273,45 +277,69 @@ constexpr SnapshotCell kSnapshotGolden[] = {
     {"MCF", "0", 3, 0x778ab323u, 351682},
     {"MCF", "0.4", 3, 0xc411da24u, 352119},
     {"MCF", "adaptive", 3, 0xc381d56bu, 412081},
+    {"LAF", "0.4", 1, 0x4430495au, 394107, true},
+    {"LAF", "0.4", 3, 0xfc5c7e77u, 424698, true},
+    {"MCF", "0.4", 1, 0x4330ef71u, 393762, true},
+    {"MCF", "0.4", 3, 0x93f846e8u, 424077, true},
 };
+
+std::string SnapshotKey(const char* algorithm, const char* deadline,
+                        int shards, bool routes) {
+  return StrFormat("%s/%s/%d%s", algorithm, deadline, shards,
+                   routes ? "/routes" : "");
+}
 
 TEST(ShardedEngineTest, FinalSnapshotBytesArePinned) {
   std::map<std::string, const SnapshotCell*> golden;
   for (const SnapshotCell& cell : kSnapshotGolden) {
-    golden[StrFormat("%s/%s/%d", cell.algorithm, cell.deadline,
-                     cell.shards)] = &cell;
+    golden[SnapshotKey(cell.algorithm, cell.deadline, cell.shards,
+                       cell.routes)] = &cell;
   }
   gen::StreamConfig cfg = SmallStream(41);
   cfg.move_fraction = 0.1;
   auto log = gen::GenerateStreamEvents(cfg);
   ASSERT_TRUE(log.ok());
-  for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
-    for (const int shards : {1, 3}) {
-      for (const char* deadline : {"0", "0.4", "adaptive"}) {
-        StreamOptions options = GoldenOptions(algo, deadline);
-        options.shards = shards;
-        const std::string key = StrFormat("%s/%s/%d", algo, deadline, shards);
-        for (int threads : {1, 4}) {
-          options.threads = threads;
-          auto engine = ShardedStreamEngine::Create(log.value(), options);
-          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-          for (const io::Event& e : log.value().events) {
-            ASSERT_TRUE(engine.value()->OnEvent(e).ok()) << key;
-          }
-          std::string snapshot;
-          ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
-          const std::uint32_t crc = Crc32(snapshot);
-          const auto it = golden.find(key);
-          const bool match = it != golden.end() && it->second->crc == crc &&
-                             it->second->bytes == snapshot.size();
-          EXPECT_TRUE(match)
-              << key << " threads " << threads << ": got {\"" << algo
-              << "\", \"" << deadline << "\", " << shards << ", "
-              << StrFormat("0x%08x", crc) << "u, " << snapshot.size()
-              << "},";
+  // Record keys seen across the pinned snapshots; "pbatch+" stands for a
+  // pbatch record that lists buffered workers.
+  std::set<std::string> keys_seen;
+  for (const SnapshotCell& cell : kSnapshotGolden) {
+    StreamOptions options = GoldenOptions(cell.algorithm, cell.deadline);
+    options.shards = cell.shards;
+    options.route_workers = cell.routes;
+    const std::string key = SnapshotKey(cell.algorithm, cell.deadline,
+                                        cell.shards, cell.routes);
+    for (int threads : {1, 4}) {
+      options.threads = threads;
+      auto engine = ShardedStreamEngine::Create(log.value(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (const io::Event& e : log.value().events) {
+        ASSERT_TRUE(engine.value()->OnEvent(e).ok()) << key;
+      }
+      std::string snapshot;
+      ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
+      const std::uint32_t crc = Crc32(snapshot);
+      EXPECT_TRUE(cell.crc == crc && cell.bytes == snapshot.size())
+          << key << " threads " << threads << ": got {\"" << cell.algorithm
+          << "\", \"" << cell.deadline << "\", " << cell.shards << ", "
+          << StrFormat("0x%08x", crc) << "u, " << snapshot.size()
+          << (cell.routes ? ", true" : "") << "},";
+      for (const std::string& line : Split(snapshot, '\n')) {
+        const std::string record = line.substr(0, line.find(' '));
+        keys_seen.insert(record);
+        if (record == "pbatch" && !EndsWith(line, " 0")) {
+          keys_seen.insert("pbatch+");
         }
       }
     }
+  }
+  EXPECT_EQ(golden.size(), std::size(kSnapshotGolden)) << "duplicate cell";
+  // Every record key a writer emits is covered by at least one pin, so the
+  // byte pins above guard each record's format.
+  for (const char* record : {"pt", "pw", "pbatch+", "l", "a", "x", "b", "m",
+                             "pr", "ps", "d", "c", "A", "M", "fcst", "fc",
+                             "pdl"}) {
+    EXPECT_TRUE(keys_seen.count(record) > 0)
+        << "no pinned snapshot holds a '" << record << "' record";
   }
 }
 
