@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/string_util.h"
 #include "model/quality.h"
 
 namespace ltc {
@@ -19,18 +18,10 @@ constexpr std::int64_t kCostScale = 1'000'000;
 
 Status McfStream::InitStreaming(const model::ProblemInstance& instance,
                                 const StreamShardContext& shard) {
-  if (instance.accuracy == nullptr) {
-    return Status::InvalidArgument("streaming instance has no accuracy model");
-  }
-  if (!(instance.epsilon > 0.0) || !(instance.epsilon < 1.0)) {
-    return Status::InvalidArgument("streaming instance epsilon outside (0,1)");
-  }
+  LTC_RETURN_IF_ERROR(StartArrangement(instance, shard));
   if (options_.batch_factor <= 0.0 || options_.first_batch_factor <= 0.0) {
     return Status::InvalidArgument("MCF: batch factors must be positive");
   }
-  instance_ = &instance;
-  delta_ = instance.Delta();
-  arrangement_.emplace(instance.num_tasks(), delta_);
 
   flow::IncrementalMcmfOptions incr_options;
   incr_options.warm_start = options_.warm_start;
@@ -45,19 +36,11 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance,
   first_batch_ = true;
   batches_solved_ = 0;
   augmentations_ = 0;
-  set_shard_context(shard);
   return Status::OK();
 }
 
 Status McfStream::OnTaskAdded(model::TaskId task) {
-  if (!arrangement_.has_value()) {
-    return Status::FailedPrecondition("OnTaskAdded before InitStreaming");
-  }
-  if (static_cast<std::int64_t>(task) != arrangement_->num_tasks()) {
-    return Status::InvalidArgument(
-        "OnTaskAdded: task ids must arrive densely in order");
-  }
-  arrangement_->AddTask();
+  LTC_RETURN_IF_ERROR(AddArrangementTask(task));
   task_right_.push_back(-1);
   task_closed_.push_back(0);
   return Status::OK();
@@ -111,72 +94,24 @@ Status McfStream::OnStreamEnd(std::vector<StreamCommit>* commits) {
   return FlushInternalBatch(commits);
 }
 
-Status McfStream::SerializeState(std::string* out) const {
-  if (!arrangement_.has_value()) {
-    return Status::FailedPrecondition("SerializeState before InitStreaming");
-  }
-  SerializeAssignments(*arrangement_, out);
-  // One line per buffered worker: "b <worker> [cand...]" in buffer order,
-  // candidates exactly as gathered at admission.
-  for (std::size_t p = 0; p < buf_worker_.size(); ++p) {
-    out->append(StrFormat("b %lld", static_cast<long long>(buf_worker_[p])));
-    for (std::size_t k = buf_begin_[p]; k < buf_begin_[p + 1]; ++k) {
-      out->append(StrFormat(" %lld", static_cast<long long>(buf_cand_[k])));
-    }
-    out->push_back('\n');
-  }
-  out->append(StrFormat("m %d %lld", first_batch_ ? 1 : 0,
-                        static_cast<long long>(batches_solved_)));
-  out->push_back('\n');
-  return Status::OK();
-}
-
-Status McfStream::RestoreState(const model::ProblemInstance& instance,
-                               const StreamShardContext& shard,
-                               const std::string& blob) {
-  // Fresh solver, empty buffer, task_right_ all -1: the cold-restart
-  // baseline the header documents.
-  LTC_RETURN_IF_ERROR(InitStreaming(instance, shard));
-  for (const std::string& raw : Split(blob, '\n')) {
-    const std::string line = Trim(raw);
-    if (line.empty()) continue;
-    if (StartsWith(line, "a ")) {
-      LTC_RETURN_IF_ERROR(
-          RestoreAssignment(line, instance, &*arrangement_).status());
-      continue;
-    }
-    const std::vector<std::string> f = Split(line, ' ');
-    if (f[0] == "b") {
-      std::int64_t w = 0;
-      if (f.size() < 2 || !ParseInt64(f[1], &w) || w < 1 ||
-          w > static_cast<std::int64_t>(instance.workers.size())) {
-        return Status::InvalidArgument("snapshot: bad buffer line: " + line);
-      }
-      buf_worker_.push_back(static_cast<model::WorkerIndex>(w));
-      for (std::size_t i = 2; i < f.size(); ++i) {
-        std::int64_t t = 0;
-        if (!ParseInt64(f[i], &t) || t < 0 || t >= arrangement_->num_tasks()) {
-          return Status::InvalidArgument("snapshot: bad buffer candidate: " +
-                                         line);
-        }
-        buf_cand_.push_back(static_cast<model::TaskId>(t));
-      }
+Status McfStream::Serialize(StateArchive& ar) {
+  LTC_RETURN_IF_ERROR(OnlineScheduler::Serialize(ar));
+  // Buffered workers ascend (arrival order), and so do their candidates.
+  model::WorkerIndex last = 0;
+  for (std::size_t p = 0; ar.Repeats("b", p, buf_worker_.size()); ++p) {
+    model::WorkerIndex w = ar.writing() ? buf_worker_[p] : 0;
+    const std::size_t end = ar.writing() ? buf_begin_[p + 1] : 0;
+    LTC_RETURN_IF_ERROR(
+        ar.Record("b", Index(&w, last + 1, instance_->num_workers()),
+                  List(&buf_cand_, buf_begin_[p], end, 0,
+                       arrangement_->num_tasks() - 1)));
+    if (ar.reading()) {
+      buf_worker_.push_back(w);
       buf_begin_.push_back(buf_cand_.size());
-    } else if (f[0] == "m") {
-      std::int64_t fb = 0;
-      std::int64_t solved = 0;
-      if (f.size() != 3 || !ParseInt64(f[1], &fb) ||
-          !ParseInt64(f[2], &solved)) {
-        return Status::InvalidArgument("snapshot: bad marker line: " + line);
-      }
-      first_batch_ = fb != 0;
-      batches_solved_ = solved;
-    } else {
-      return Status::InvalidArgument("snapshot: unknown scheduler line: " +
-                                     line);
     }
+    last = w;
   }
-  return Status::OK();
+  return ar.Record("m", Bit(&first_batch_), NonNeg(&batches_solved_));
 }
 
 Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,26 +64,18 @@ class McfStream : public OnlineScheduler {
   Status OnStreamEnd(std::vector<StreamCommit>* commits) override;
 
   /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's Add
-  /// sequence, the open internal batch (workers with their flush-time
-  /// candidate sets), and the batch-phase flags. The IncrementalMcmf warm
-  /// state is deliberately NOT serialized — restore cold-starts a fresh
-  /// solver. This is sound because each flush refreshes every demand
-  /// absolutely from the arrangement and retires all supplies afterwards,
-  /// so a solve's commitments depend only on (arrangement, buffered batch);
-  /// the warm start is a pure speed-up whose warm-vs-cold assignment-log
-  /// identity the drift checks already enforce (DESIGN.md §10). The first
-  /// post-restore flush simply pays one cold solve.
-  Status SerializeState(std::string* out) const override;
-  Status RestoreState(const model::ProblemInstance& instance,
-                      const StreamShardContext& shard,
-                      const std::string& blob) override;
-
-  bool Done() const override {
-    return arrangement_.has_value() && arrangement_->AllCompleted();
-  }
-  const model::Arrangement& arrangement() const override {
-    return *arrangement_;
-  }
+  /// sequence ("a"), the open internal batch — one "b <worker> [cand...]"
+  /// record per buffered worker, candidates exactly as gathered at
+  /// admission — and the batch-phase flags ("m <first_batch>
+  /// <batches_solved>"). The IncrementalMcmf warm state is deliberately NOT
+  /// serialized — restore cold-starts a fresh solver. This is sound because
+  /// each flush refreshes every demand absolutely from the arrangement and
+  /// retires all supplies afterwards, so a solve's commitments depend only
+  /// on (arrangement, buffered batch); the warm start is a pure speed-up
+  /// whose warm-vs-cold assignment-log identity the drift checks already
+  /// enforce (DESIGN.md §10). The first post-restore flush simply pays one
+  /// cold solve.
+  Status Serialize(StateArchive& ar) override;
 
   const McfLtcOptions& options() const { return options_; }
   /// Moves the arrangement out (McfLtc::Run's result, without a copy);
@@ -98,7 +89,7 @@ class McfStream : public OnlineScheduler {
   std::int64_t batches_solved() const { return batches_solved_; }
   /// Flow augmentations summed over this run's solves
   /// (ScheduleStats::mcf_augmentations). Diagnostics only: not
-  /// snapshotted, so it restarts at 0 on RestoreState.
+  /// snapshotted, so it restarts at 0 on restore.
   std::int64_t augmentations() const { return augmentations_; }
 
  private:
@@ -113,9 +104,6 @@ class McfStream : public OnlineScheduler {
   Status FlushInternalBatch(std::vector<StreamCommit>* commits);
 
   McfLtcOptions options_;
-  const model::ProblemInstance* instance_ = nullptr;
-  std::optional<model::Arrangement> arrangement_;
-  double delta_ = 0.0;
 
   // The persistent cross-batch solver state.
   std::unique_ptr<flow::IncrementalMcmf> incr_;

@@ -2,39 +2,17 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
-
 namespace ltc {
 namespace algo {
 
 Status OnlineSchedulerBase::InitStreaming(
     const model::ProblemInstance& instance, const StreamShardContext& shard) {
-  // No Validate() here: a stream starts empty (no tasks, no workers), which
-  // the instance validator rejects. The structural invariants — dense task
-  // ids, sequential worker indices — are maintained by the caller as it
-  // appends (DriveOnline validates its complete instance up front).
-  if (instance.accuracy == nullptr) {
-    return Status::InvalidArgument("streaming instance has no accuracy model");
-  }
-  if (!(instance.epsilon > 0.0) || !(instance.epsilon < 1.0)) {
-    return Status::InvalidArgument("streaming instance epsilon outside (0,1)");
-  }
-  instance_ = &instance;
-  delta_ = instance.Delta();
-  arrangement_.emplace(instance.num_tasks(), delta_);
-  set_shard_context(shard);
+  LTC_RETURN_IF_ERROR(StartArrangement(instance, shard));
   return OnInit();
 }
 
 Status OnlineSchedulerBase::OnTaskAdded(model::TaskId task) {
-  if (!arrangement_.has_value()) {
-    return Status::FailedPrecondition("OnTaskAdded before InitStreaming");
-  }
-  if (static_cast<std::int64_t>(task) != arrangement_->num_tasks()) {
-    return Status::InvalidArgument(
-        "OnTaskAdded: task ids must arrive densely in order");
-  }
-  arrangement_->AddTask();
+  LTC_RETURN_IF_ERROR(AddArrangementTask(task));
   return OnTaskAddedHook(task);
 }
 
@@ -86,37 +64,6 @@ Status OnlineSchedulerBase::OnBatchWithCandidates(
       if (was_open && arrangement_->TaskCompleted(t)) {
         closed_this_call_.push_back(t);
       }
-    }
-  }
-  return Status::OK();
-}
-
-Status OnlineSchedulerBase::SerializeState(std::string* out) const {
-  if (!arrangement_.has_value()) {
-    return Status::FailedPrecondition("SerializeState before InitStreaming");
-  }
-  SerializeAssignments(*arrangement_, out);
-  SerializeExtras(out);
-  return Status::OK();
-}
-
-Status OnlineSchedulerBase::RestoreState(
-    const model::ProblemInstance& instance, const StreamShardContext& shard,
-    const std::string& blob) {
-  LTC_RETURN_IF_ERROR(InitStreaming(instance, shard));
-  for (const std::string& raw : Split(blob, '\n')) {
-    const std::string line = Trim(raw);
-    if (line.empty()) continue;
-    if (StartsWith(line, "a ")) {
-      LTC_ASSIGN_OR_RETURN(const model::Assignment a,
-                           RestoreAssignment(line, instance, &*arrangement_));
-      OnAssigned(instance.workers[static_cast<std::size_t>(a.worker) - 1],
-                 a.task);
-    } else if (StartsWith(line, "x ")) {
-      LTC_RETURN_IF_ERROR(RestoreExtra(line.substr(2)));
-    } else {
-      return Status::InvalidArgument("snapshot: unknown scheduler line: " +
-                                     line);
     }
   }
   return Status::OK();

@@ -1,11 +1,10 @@
 // Shared machinery for the per-worker online schedulers (LAF, AAM,
 // Random): candidate filtering, arrangement bookkeeping and the snapshot
-// pair. Subclasses only implement the per-worker selection rule.
+// records. Subclasses only implement the per-worker selection rule.
 
 #ifndef LTC_ALGO_ONLINE_BASE_H_
 #define LTC_ALGO_ONLINE_BASE_H_
 
-#include <optional>
 #include <vector>
 
 #include "algo/scheduler.h"
@@ -33,24 +32,6 @@ class OnlineSchedulerBase : public OnlineScheduler {
       const std::vector<model::WorkerIndex>& workers,
       const std::vector<const std::vector<model::TaskId>*>& candidates,
       std::vector<StreamCommit>* commits) override;
-
-  /// Snapshot protocol (DESIGN.md §11): the generic serialization is the
-  /// arrangement's Add sequence ("a" lines), which RestoreState replays
-  /// through Add() + OnAssigned() so per-task aggregates (AAM) rebuild
-  /// themselves; schedulers with state that replay cannot rebuild (Random's
-  /// generator) add "x <payload>" lines via the extras hooks.
-  Status SerializeState(std::string* out) const override;
-  Status RestoreState(const model::ProblemInstance& instance,
-                      const StreamShardContext& shard,
-                      const std::string& blob) override;
-
-  bool Done() const override {
-    return arrangement_.has_value() && arrangement_->AllCompleted();
-  }
-
-  const model::Arrangement& arrangement() const override {
-    return *arrangement_;
-  }
 
  protected:
   /// Chooses at most `capacity()` tasks from `candidates` (eligible,
@@ -86,16 +67,11 @@ class OnlineSchedulerBase : public OnlineScheduler {
     return Status::OK();
   }
 
-  /// Appends scheduler-specific snapshot lines ("x <payload>") after the
-  /// generic arrangement lines. Default: no extra state.
-  virtual void SerializeExtras(std::string* out) const { (void)out; }
-
-  /// Applies one scheduler-specific snapshot payload (the text after
-  /// "x "). Extras are applied after the arrangement replay, in emission
-  /// order. Default: schedulers without extras reject any payload.
-  virtual Status RestoreExtra(const std::string& payload) {
-    return Status::InvalidArgument(Name() +
-                                   ": unknown snapshot payload: " + payload);
+  /// A snapshot read replays each assignment through OnAssigned() too, so
+  /// per-task aggregates (AAM) rebuild themselves.
+  void OnReplayed(const model::Assignment& a) override {
+    OnAssigned(instance_->workers[static_cast<std::size_t>(a.worker) - 1],
+               a.task);
   }
 
   const model::ProblemInstance& instance() const { return *instance_; }
@@ -104,9 +80,6 @@ class OnlineSchedulerBase : public OnlineScheduler {
   const model::Arrangement& arr() const { return *arrangement_; }
 
  private:
-  const model::ProblemInstance* instance_ = nullptr;
-  std::optional<model::Arrangement> arrangement_;
-  double delta_ = 0.0;
   std::vector<model::TaskId> candidates_scratch_;
   std::vector<model::TaskId> assigned_scratch_;
   /// Tasks an earlier commit of the current OnBatchWithCandidates call

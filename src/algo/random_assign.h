@@ -30,6 +30,11 @@ class RandomAssign : public OnlineSchedulerBase {
 
   std::string Name() const override { return "Random"; }
 
+  /// Snapshot: the arrangement, then the generator state verbatim ("x rng
+  /// <s0> <s1> <s2> <s3> <cached_gaussian> <has_cached>"): the draws consumed
+  /// are not derivable from the arrangement (small candidate sets skip it).
+  Status Serialize(StateArchive& ar) override;
+
  protected:
   Status OnInit() override {
     // Per-shard decorrelation (DESIGN.md §9): each spatial shard of the
@@ -47,12 +52,6 @@ class RandomAssign : public OnlineSchedulerBase {
   void SelectTasks(const model::Worker& worker,
                    const std::vector<model::TaskId>& candidates,
                    std::vector<model::TaskId>* out) override;
-
-  /// Snapshot extras: the raw generator state. The number of draws consumed
-  /// is not derivable from the arrangement (small candidate sets skip the
-  /// generator entirely), so the xoshiro words are saved verbatim.
-  void SerializeExtras(std::string* out) const override;
-  Status RestoreExtra(const std::string& payload) override;
 
  private:
   std::uint64_t seed_;

@@ -1,7 +1,5 @@
 #include "algo/scheduler.h"
 
-#include "common/string_util.h"
-
 namespace ltc {
 namespace algo {
 
@@ -47,41 +45,53 @@ void FillArrangementStats(const model::Arrangement& arrangement,
   }
 }
 
-void SerializeAssignments(const model::Arrangement& arrangement,
-                          std::string* out) {
-  for (const model::Assignment& a : arrangement.assignments()) {
-    out->append(StrFormat("a %lld %lld %.17g\n",
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task), a.acc_star));
+Status OnlineScheduler::StartArrangement(
+    const model::ProblemInstance& instance, const StreamShardContext& shard) {
+  // No Validate() here: a stream starts empty (no tasks, no workers), which
+  // the instance validator rejects. The structural invariants — dense task
+  // ids, sequential worker indices — are maintained by the caller as it
+  // appends (DriveOnline validates its complete instance up front).
+  if (instance.accuracy == nullptr) {
+    return Status::InvalidArgument("streaming instance has no accuracy model");
   }
+  if (!(instance.epsilon > 0.0) || !(instance.epsilon < 1.0)) {
+    return Status::InvalidArgument("streaming instance epsilon outside (0,1)");
+  }
+  instance_ = &instance;
+  delta_ = instance.Delta();
+  arrangement_.emplace(instance.num_tasks(), delta_);
+  shard_context_ = shard;
+  return Status::OK();
 }
 
-StatusOr<model::Assignment> RestoreAssignment(
-    const std::string& line, const model::ProblemInstance& instance,
-    model::Arrangement* arrangement) {
-  const std::vector<std::string> f = Split(line, ' ');
-  std::int64_t w = 0;
-  std::int64_t t = 0;
-  double acc = 0.0;
-  if (f.size() != 4 || f[0] != "a" || !ParseInt64(f[1], &w) ||
-      !ParseInt64(f[2], &t) || !ParseDouble(f[3], &acc)) {
-    return Status::InvalidArgument("snapshot: bad assignment line: " + line);
+Status OnlineScheduler::AddArrangementTask(model::TaskId task) {
+  if (!arrangement_.has_value()) {
+    return Status::FailedPrecondition("OnTaskAdded before InitStreaming");
   }
-  // Acc* = (2 Acc - 1)^2 lies in [0, 1]; the negated form also rejects NaN.
-  if (!(acc >= 0.0 && acc <= 1.0)) {
-    return Status::InvalidArgument("snapshot: acc_star outside [0, 1]: " +
-                                   line);
+  if (static_cast<std::int64_t>(task) != arrangement_->num_tasks()) {
+    return Status::InvalidArgument(
+        "OnTaskAdded: task ids must arrive densely in order");
   }
-  if (w < 1 || w > static_cast<std::int64_t>(instance.workers.size())) {
-    return Status::OutOfRange("snapshot: worker index out of range: " + line);
+  arrangement_->AddTask();
+  return Status::OK();
+}
+
+Status OnlineScheduler::Serialize(StateArchive& ar) {
+  if (!arrangement_.has_value()) {
+    return Status::FailedPrecondition("Serialize before InitStreaming");
   }
-  if (t < 0 || t >= arrangement->num_tasks()) {
-    return Status::OutOfRange("snapshot: task id out of range: " + line);
+  const std::vector<model::Assignment>& made = arrangement_->assignments();
+  for (std::size_t i = 0; ar.Repeats("a", i, made.size()); ++i) {
+    model::Assignment a = ar.writing() ? made[i] : model::Assignment{};
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "a", Index(&a.worker, 1, instance_->num_workers()),
+        Index(&a.task, 0, arrangement_->num_tasks() - 1), Unit(&a.acc_star)));
+    if (ar.reading()) {
+      arrangement_->Add(a.worker, a.task, a.acc_star);
+      OnReplayed(a);
+    }
   }
-  const model::Assignment a{static_cast<model::WorkerIndex>(w),
-                            static_cast<model::TaskId>(t), acc};
-  arrangement->Add(a.worker, a.task, a.acc_star);
-  return a;
+  return Status::OK();
 }
 
 }  // namespace algo

@@ -3,22 +3,23 @@
 // Offline schedulers (paper Sec. III) see the whole instance. Online
 // schedulers (paper Sec. IV, and the streaming MCF-LTC) implement one
 // protocol: InitStreaming, OnTaskAdded, one OnBatchWithCandidates per
-// committed batch, OnStreamEnd, and the SerializeState/RestoreState
-// snapshot pair. svc::StreamPipeline drives it over a live event stream;
-// DriveOnline drives it over a fully materialised instance, one worker per
-// call in arrival order, which enforces the temporal constraint of
-// Definition 7 (each worker is committed before the next one is seen).
-// Every run's arrangement is validated by the same
-// model::ValidateArrangement code.
+// committed batch, OnStreamEnd, and one snapshot Serialize(StateArchive&).
+// svc::StreamPipeline drives it over a live event stream; DriveOnline
+// drives it over a fully materialised instance, one worker per call in
+// arrival order, which enforces the temporal constraint of Definition 7
+// (each worker is committed before the next one is seen). Every run's
+// arrangement is validated by the same model::ValidateArrangement code.
 
 #ifndef LTC_ALGO_SCHEDULER_H_
 #define LTC_ALGO_SCHEDULER_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/state_archive.h"
 #include "common/status.h"
 #include "model/arrangement.h"
 #include "model/eligibility.h"
@@ -106,10 +107,12 @@ class OnlineScheduler {
   virtual std::string Name() const = 0;
 
   /// True once every task reached delta.
-  virtual bool Done() const = 0;
+  bool Done() const {
+    return arrangement_.has_value() && arrangement_->AllCompleted();
+  }
 
   /// The arrangement built so far.
-  virtual const model::Arrangement& arrangement() const = 0;
+  const model::Arrangement& arrangement() const { return *arrangement_; }
 
   /// The shard identity of the current run ({0, 1} for DriveOnline and
   /// unsharded streaming runs).
@@ -160,39 +163,41 @@ class OnlineScheduler {
   // --- Snapshot protocol (svc crash recovery; DESIGN.md §11) ---
   //
   // A crash-recoverable service periodically snapshots each pipeline; the
-  // scheduler contributes a line-oriented text blob capturing every bit of
-  // streaming-mode mutable state that is not derivable from the instance
-  // prefix alone. The contract: restoring a snapshot and continuing the
-  // stream must produce exactly the commitments the uninterrupted scheduler
-  // would have produced — svc_recovery_test pins this per scheduler.
+  // scheduler contributes the records of every bit of streaming-mode
+  // mutable state that is not derivable from the instance prefix alone.
+  // The contract: restoring a snapshot and continuing the stream must
+  // produce exactly the commitments the uninterrupted scheduler would have
+  // produced — svc_recovery_test pins this per scheduler.
   //
-  // Line vocabulary (one record per '\n'-terminated line):
-  //   "a <worker> <task> <acc_star>"  — one arrangement Add, in commit
-  //       order. acc_star is recorded (%.17g), not recomputed on restore:
-  //       a task may have moved since the assignment was made.
-  //   anything else                   — scheduler-specific (see subclasses).
-
-  /// Appends this scheduler's streaming state to *out. Only meaningful
-  /// after InitStreaming; implementations must emit every line their own
-  /// RestoreState needs.
-  virtual Status SerializeState(std::string* out) const = 0;
-
-  /// Counterpart of SerializeState: re-initialises this scheduler for a
-  /// streaming run over `instance` — which the caller has already re-grown
-  /// to the snapshot's task/worker prefix — with shard identity `shard`,
-  /// then applies `blob`. After RestoreState the scheduler is
-  /// indistinguishable (commitment for commitment) from one that lived
-  /// through the whole prefix.
-  virtual Status RestoreState(const model::ProblemInstance& instance,
-                              const StreamShardContext& shard,
-                              const std::string& blob) = 0;
+  /// Writes this scheduler's streaming state to a writer archive, or
+  /// replays a reader archive's records onto a scheduler that was just
+  /// InitStreaming'd over the instance regrown to the snapshot's
+  /// task/worker prefix. After a read the scheduler is indistinguishable
+  /// (commitment for commitment) from one that lived through the whole
+  /// prefix. FailedPrecondition before InitStreaming.
+  ///
+  /// This writes the arrangement: one "a <worker> <task> <acc_star>" record
+  /// per Add, in commit order (acc_star is recorded, not recomputed: a task
+  /// may have moved since). A read replays each through Add and
+  /// OnReplayed. Schedulers with more state override this, call it, and
+  /// append their own records.
+  virtual Status Serialize(StateArchive& ar);
 
  protected:
-  /// Records the identity of the run being initialised, so a reused
-  /// scheduler never carries a stale shard id into the next run's seeding.
-  void set_shard_context(const StreamShardContext& shard) {
-    shard_context_ = shard;
-  }
+  /// The shared part of InitStreaming: checks `instance` (an accuracy
+  /// model, epsilon in (0, 1)), starts an empty arrangement over its tasks
+  /// and records `shard`, so a reused scheduler never carries a stale shard
+  /// id into the next run's seeding.
+  Status StartArrangement(const model::ProblemInstance& instance,
+                          const StreamShardContext& shard);
+  /// The shared part of OnTaskAdded: grows the arrangement by `task`.
+  Status AddArrangementTask(model::TaskId task);
+  /// Called per "a" record a Serialize read replays.
+  virtual void OnReplayed(const model::Assignment& a) { (void)a; }
+
+  const model::ProblemInstance* instance_ = nullptr;
+  std::optional<model::Arrangement> arrangement_;
+  double delta_ = 0.0;
 
  private:
   StreamShardContext shard_context_{};
@@ -213,19 +218,6 @@ StatusOr<std::int64_t> DriveOnline(const model::ProblemInstance& instance,
 /// commit order) from `arrangement`; leaves the other fields alone.
 void FillArrangementStats(const model::Arrangement& arrangement,
                           ScheduleStats* stats);
-
-/// Appends one snapshot "a <worker> <task> <acc_star>" line per
-/// arrangement Add, in commit order (the line vocabulary of
-/// OnlineScheduler's snapshot protocol).
-void SerializeAssignments(const model::Arrangement& arrangement,
-                          std::string* out);
-
-/// Parses one "a <worker> <task> <acc_star>" snapshot line, range-checks
-/// the worker against `instance` and the task against `arrangement`, and
-/// replays the Add. Returns the restored record.
-StatusOr<model::Assignment> RestoreAssignment(
-    const std::string& line, const model::ProblemInstance& instance,
-    model::Arrangement* arrangement);
 
 }  // namespace algo
 }  // namespace ltc

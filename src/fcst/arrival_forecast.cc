@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/string_util.h"
 
 namespace ltc {
 namespace fcst {
@@ -77,72 +76,34 @@ void CellRateEstimator::CellRates(double now,
   }
 }
 
-Status CellRateEstimator::SerializeTo(std::string* out) const {
+Status CellRateEstimator::Serialize(StateArchive& ar) {
+  auto n_cells = static_cast<std::int64_t>(cells_.size());
+  double horizon = config_.horizon;
   std::int64_t touched = 0;
   for (const Cell& cell : cells_) touched += cell.touched ? 1 : 0;
-  out->append(StrFormat("fcst %lld %.17g %lld %lld\n",
-                        static_cast<long long>(cells_.size()), config_.horizon,
-                        static_cast<long long>(events_),
-                        static_cast<long long>(touched)));
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    const Cell& cell = cells_[c];
-    if (!cell.touched) continue;
-    out->append(StrFormat("fc %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(c), cell.worker_rate,
-                          cell.task_rate, cell.last));
-  }
-  out->append("endfcst\n");
-  return Status::OK();
-}
-
-Status CellRateEstimator::RestoreFrom(const std::string& blob) {
-  const std::vector<std::string> lines = Split(blob, '\n');
-  std::size_t pos = 0;
-  auto next = [&]() -> std::string {
-    while (pos < lines.size() && Trim(lines[pos]).empty()) ++pos;
-    if (pos >= lines.size()) return "";
-    return Trim(lines[pos++]);
-  };
-
-  std::vector<std::string> f = Split(next(), ' ');
-  if (f.size() != 5 || f[0] != "fcst") {
-    return Status::InvalidArgument("forecast blob: bad header");
-  }
-  std::int64_t n_cells = 0;
-  double horizon = 0.0;
-  std::int64_t n_touched = 0;
-  if (!ParseInt64(f[1], &n_cells) || !ParseDouble(f[2], &horizon) ||
-      !ParseInt64(f[3], &events_) || !ParseInt64(f[4], &n_touched)) {
-    return Status::InvalidArgument("forecast blob: unparseable header");
-  }
+  LTC_RETURN_IF_ERROR(ar.Record("fcst", NonNeg(&n_cells), Real(&horizon),
+                                NonNeg(&events_), Count(&touched)));
   if (n_cells != static_cast<std::int64_t>(cells_.size()) ||
       horizon != config_.horizon) {
     return Status::InvalidArgument(
-        "forecast blob: geometry/horizon mismatch with this configuration");
+        "forecast: geometry/horizon mismatch with this configuration");
   }
-  for (Cell& cell : cells_) cell = Cell{};
-  for (std::int64_t i = 0; i < n_touched; ++i) {
-    f = Split(next(), ' ');
-    if (f.size() != 5 || f[0] != "fc") {
-      return Status::InvalidArgument("forecast blob: bad cell record");
+  if (ar.reading()) cells_.assign(cells_.size(), Cell{});
+  std::int64_t c = -1;  // the previous record's cell
+  for (std::int64_t i = 0; i < touched; ++i) {
+    std::int64_t next = c + 1;
+    if (ar.writing()) {
+      while (!cells_[static_cast<std::size_t>(next)].touched) ++next;
     }
-    std::int64_t c = 0;
-    Cell cell;
-    if (!ParseInt64(f[1], &c) || !ParseDouble(f[2], &cell.worker_rate) ||
-        !ParseDouble(f[3], &cell.task_rate) ||
-        !ParseDouble(f[4], &cell.last)) {
-      return Status::InvalidArgument("forecast blob: unparseable cell record");
-    }
-    if (c < 0 || c >= n_cells) {
-      return Status::OutOfRange("forecast blob: cell index out of range");
-    }
-    cell.touched = true;
-    cells_[static_cast<std::size_t>(c)] = cell;
+    Cell cell = ar.writing() ? cells_[static_cast<std::size_t>(next)]
+                             : Cell{0.0, 0.0, 0.0, /*touched=*/true};
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "fc", Index(&next, c + 1, n_cells - 1), NonNeg(&cell.worker_rate),
+        NonNeg(&cell.task_rate), Real(&cell.last)));
+    if (ar.reading()) cells_[static_cast<std::size_t>(next)] = cell;
+    c = next;
   }
-  if (next() != "endfcst") {
-    return Status::InvalidArgument("forecast blob: missing endfcst trailer");
-  }
-  return Status::OK();
+  return ar.Record("endfcst");
 }
 
 }  // namespace fcst

@@ -36,9 +36,9 @@
 #define LTC_FCST_ARRIVAL_FORECAST_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "common/state_archive.h"
 #include "common/status.h"
 #include "geo/cell_grid.h"
 #include "geo/point.h"
@@ -98,16 +98,14 @@ class CellRateEstimator {
   std::int64_t num_cells() const { return config_.grid.num_cells(); }
   double horizon() const { return config_.horizon; }
 
-  /// Appends the estimator's state as '\n'-terminated lines: a "fcst"
-  /// header, one "fc" line per touched cell (ascending cell index), and an
-  /// "endfcst" trailer. %.17g doubles, so a restore is bit-exact and a
+  /// Snapshot records: a "fcst <cells> <horizon> <events> <touched>"
+  /// header, one "fc <cell> <worker_rate> <task_rate> <last>" record per
+  /// touched cell (ascending cell index), and an "endfcst" trailer. Doubles
+  /// are exact (common/state_archive.h), so a restore is bit-exact and a
   /// restarted service forecasts — and therefore flushes — identically
-  /// (DESIGN.md §13).
-  Status SerializeTo(std::string* out) const;
-
-  /// Counterpart of SerializeTo: rebuilds from `blob` (the lines between
-  /// and including "fcst".."endfcst"). The config must match the writer's.
-  Status RestoreFrom(const std::string& blob);
+  /// (DESIGN.md §13). Reading replaces every cell; the cell count and
+  /// horizon must match this estimator's configuration.
+  Status Serialize(StateArchive& ar);
 
  private:
   struct Cell {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "common/container_util.h"
@@ -30,15 +31,16 @@ bool DueOrder(const double a_time, const int a_shard, const double b_time,
 
 }  // namespace
 
-Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
-                                       const StreamOptions& options,
-                                       std::optional<double>* cell_out) {
+StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Create(
+    const io::EventLog& header, const StreamOptions& options) {
   LTC_RETURN_IF_ERROR(ValidateStreamOptions(options));
   if (header.accuracy == nullptr) {
     return Status::InvalidArgument("event log header has no accuracy model");
   }
-  accuracy_ = header.accuracy;
-  acc_min_ = header.acc_min;
+  std::unique_ptr<ShardedStreamEngine> engine(
+      new ShardedStreamEngine(options));
+  engine->accuracy_ = header.accuracy;
+  engine->acc_min_ = header.acc_min;
 
   const auto cell =
       model::SpatialPruningCellSize(*header.accuracy, header.acc_min);
@@ -50,25 +52,15 @@ Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
       *header.accuracy, header.acc_min, options.world.Width(),
       options.shards);
   LTC_ASSIGN_OR_RETURN(
-      map_, geo::ShardMap::Build(options.world, map_cell, options.shards));
-  route_flags_.assign(static_cast<std::size_t>(options.shards), 0);
+      engine->map_,
+      geo::ShardMap::Build(options.world, map_cell, options.shards));
+  engine->route_flags_.assign(static_cast<std::size_t>(options.shards), 0);
 
   int threads = options.threads;
   if (threads == 0) threads = ThreadPool::DefaultThreads();
   if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
+    engine->pool_ = std::make_unique<ThreadPool>(threads);
   }
-  *cell_out = cell;
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Create(
-    const io::EventLog& header, const StreamOptions& options) {
-  std::unique_ptr<ShardedStreamEngine> engine(
-      new ShardedStreamEngine(options));
-  std::optional<double> cell;
-  LTC_RETURN_IF_ERROR(engine->InitCommon(header, options, &cell));
-
   engine->pipelines_.reserve(static_cast<std::size_t>(options.shards));
   for (int s = 0; s < options.shards; ++s) {
     LTC_ASSIGN_OR_RETURN(
@@ -84,223 +76,137 @@ Status ShardedStreamEngine::SerializeTo(std::string* out) const {
   if (finished_) {
     return Status::FailedPrecondition("SerializeTo after Finish");
   }
-  out->append(StrFormat("shards %d\n", num_shards()));
-  out->append(StrFormat("clock %.17g\n", last_event_time_));
-  out->append(StrFormat("counters %lld %lld %lld %lld %lld %lld\n",
-                        static_cast<long long>(metrics_.events),
-                        static_cast<long long>(metrics_.task_events),
-                        static_cast<long long>(metrics_.worker_events),
-                        static_cast<long long>(metrics_.move_events),
-                        static_cast<long long>(metrics_.boundary_workers),
-                        static_cast<long long>(metrics_.handoff_skips)));
-
-  out->append(StrFormat("tasks %lld\n",
-                        static_cast<long long>(task_route_.size())));
-  for (std::size_t t = 0; t < task_route_.size(); ++t) {
-    out->append(StrFormat("r %d %lld %d\n", task_route_[t].shard,
-                          static_cast<long long>(task_route_[t].local),
-                          task_open_[t] ? 1 : 0));
-  }
-
-  // Hash-map state in sorted key order: snapshot bytes must not depend on
-  // iteration order (common::SortedKeys is the lint-sanctioned walk).
-  const std::vector<model::TaskId> displaced_keys = SortedKeys(displaced_);
-  out->append(StrFormat("displaced %lld\n",
-                        static_cast<long long>(displaced_keys.size())));
-  for (const model::TaskId task : displaced_keys) {
-    const Displaced& d = displaced_.at(task);
-    out->append(StrFormat("d %lld %d %.17g %.17g\n",
-                          static_cast<long long>(task), d.owner, d.location.x,
-                          d.location.y));
-  }
-  const std::vector<model::WorkerIndex> claim_keys = SortedKeys(claims_);
-  out->append(StrFormat("claims %lld\n",
-                        static_cast<long long>(claim_keys.size())));
-  for (const model::WorkerIndex worker : claim_keys) {
-    const Claim& c = claims_.at(worker);
-    out->append(StrFormat("c %lld %d %d\n", static_cast<long long>(worker),
-                          c.shard, c.remaining));
-  }
-
-  // The merged assignment log: a restarted server re-renders the *complete*
-  // log, so the prefix committed before the snapshot rides along.
-  out->append(StrFormat("log %lld\n",
-                        static_cast<long long>(assignments_.size())));
-  for (const StreamAssignment& a : assignments_) {
-    out->append(StrFormat("A %.17g %lld %lld\n", a.time,
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task)));
-  }
-  // The merged move log, route_workers mode only — the default snapshot
-  // bytes stay exactly the pre-routing format.
-  if (options_.route_workers) {
-    out->append(StrFormat("moves %lld\n",
-                          static_cast<long long>(moves_.size())));
-    for (const WorkerMove& m : moves_) {
-      out->append(StrFormat("M %.17g %lld %.17g %.17g %lld\n", m.time,
-                            static_cast<long long>(m.worker), m.location.x,
-                            m.location.y, static_cast<long long>(m.task)));
-    }
-  }
-
-  for (int s = 0; s < num_shards(); ++s) {
-    out->append(StrFormat("pipeline %d\n", s));
-    LTC_RETURN_IF_ERROR(
-        pipelines_[static_cast<std::size_t>(s)]->SerializeTo(out));
-  }
-  return Status::OK();
+  StateArchive ar = StateArchive::Writer(out);
+  // A writer archive only reads the fields Serialize declares.
+  return const_cast<ShardedStreamEngine*>(this)->Serialize(ar);
 }
 
 StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     const io::EventLog& header, const StreamOptions& options,
     const std::string& engine_state) {
-  std::unique_ptr<ShardedStreamEngine> engine(
-      new ShardedStreamEngine(options));
-  std::optional<double> cell;
-  LTC_RETURN_IF_ERROR(engine->InitCommon(header, options, &cell));
+  LTC_ASSIGN_OR_RETURN(auto engine, Create(header, options));
+  StateArchive ar = StateArchive::Reader(engine_state);
+  LTC_RETURN_IF_ERROR(engine->Serialize(ar));
+  LTC_RETURN_IF_ERROR(ar.End());
+  return engine;
+}
 
-  snap::Reader reader(engine_state);
-  std::vector<std::string> f;
-
-  LTC_RETURN_IF_ERROR(reader.Read("shards", 2, &f));
-  std::int64_t shards = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &shards));
-  if (shards != options.shards) {
+Status ShardedStreamEngine::Serialize(StateArchive& ar) {
+  std::int64_t shards = num_shards();
+  LTC_RETURN_IF_ERROR(ar.Record("shards", NonNeg(&shards)));
+  if (shards != num_shards()) {
     return Status::InvalidArgument(StrFormat(
         "snapshot taken with %lld shards; the service is configured for %d "
         "(restore requires an identical topology)",
-        static_cast<long long>(shards), options.shards));
+        static_cast<long long>(shards), num_shards()));
   }
-  LTC_RETURN_IF_ERROR(reader.Read("clock", 2, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &engine->last_event_time_));
-  LTC_RETURN_IF_ERROR(reader.Read("counters", 7, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &engine->metrics_.events));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &engine->metrics_.task_events));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &engine->metrics_.worker_events));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 4, &engine->metrics_.move_events));
-  LTC_RETURN_IF_ERROR(
-      snap::FieldI64(f, 5, &engine->metrics_.boundary_workers));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &engine->metrics_.handoff_skips));
+  LTC_RETURN_IF_ERROR(ar.Record("clock", Real(&last_event_time_)));
+  LTC_RETURN_IF_ERROR(ar.Record(
+      "counters", NonNeg(&metrics_.events), NonNeg(&metrics_.task_events),
+      NonNeg(&metrics_.worker_events), NonNeg(&metrics_.move_events),
+      NonNeg(&metrics_.boundary_workers), NonNeg(&metrics_.handoff_skips)));
+  const std::int64_t workers = metrics_.worker_events;
 
-  std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(reader.ReadCount("tasks", &nt));
-  engine->task_route_.reserve(reader.ReserveHint(nt));
-  engine->task_open_.reserve(reader.ReserveHint(nt));
-  for (std::int64_t t = 0; t < nt; ++t) {
-    LTC_RETURN_IF_ERROR(reader.Read("r", 4, &f));
-    std::int64_t shard = 0;
-    std::int64_t local = 0;
-    std::int64_t open = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &shard));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &local));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &open));
-    if (shard < 0 || shard >= options.shards || local < 0) {
-      return Status::OutOfRange("snapshot: task route out of range");
-    }
-    engine->task_route_.push_back(TaskRoute{
-        static_cast<int>(shard), static_cast<model::TaskId>(local)});
-    engine->task_open_.push_back(open != 0 ? 1 : 0);
+  auto tasks = static_cast<std::int64_t>(task_route_.size());
+  LTC_RETURN_IF_ERROR(ar.Record("tasks", Count(&tasks)));
+  if (tasks != metrics_.task_events) {
+    return Status::InvalidArgument("snapshot: tasks disagree with counters");
+  }
+  task_route_.resize(static_cast<std::size_t>(tasks));  // no-op writing
+  task_open_.resize(task_route_.size());
+  for (std::size_t t = 0; t < task_route_.size(); ++t) {
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "r", Index(&task_route_[t].shard, 0, shards - 1),
+        Index(&task_route_[t].local, 0,
+              std::numeric_limits<model::TaskId>::max()),
+        Bit(&task_open_[t])));
   }
 
-  std::int64_t nd = 0;
-  LTC_RETURN_IF_ERROR(reader.ReadCount("displaced", &nd));
-  for (std::int64_t i = 0; i < nd; ++i) {
-    LTC_RETURN_IF_ERROR(reader.Read("d", 5, &f));
-    std::int64_t task = 0;
-    std::int64_t owner = 0;
-    Displaced d;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &task));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &owner));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &d.location.x));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &d.location.y));
-    if (task < 0 || task >= nt || owner < 0 || owner >= options.shards) {
-      return Status::OutOfRange("snapshot: displaced record out of range");
-    }
-    d.owner = static_cast<int>(owner);
-    engine->displaced_[static_cast<model::TaskId>(task)] = d;
+  // Hash-map state in sorted key order (snapshot bytes must not depend on
+  // iteration order), so reading requires ascending keys.
+  std::vector<model::TaskId> displaced = SortedKeys(displaced_);
+  auto n = static_cast<std::int64_t>(displaced.size());
+  LTC_RETURN_IF_ERROR(ar.Record("displaced", Count(&n)));
+  displaced.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < displaced.size(); ++i) {
+    Displaced d = ar.writing() ? displaced_.at(displaced[i]) : Displaced{};
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "d", Index(&displaced[i], i > 0 ? displaced[i - 1] + 1 : 0, tasks - 1),
+        Index(&d.owner, 0, shards - 1), Real(&d.location.x),
+        Real(&d.location.y)));
+    if (ar.reading()) displaced_.emplace(displaced[i], d);
+  }
+  // A live claim still awaits 1..K offers (a worker is offered to each
+  // shard at most once, and entries retire at 0).
+  std::vector<model::WorkerIndex> claimed = SortedKeys(claims_);
+  n = static_cast<std::int64_t>(claimed.size());
+  LTC_RETURN_IF_ERROR(ar.Record("claims", Count(&n)));
+  claimed.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < claimed.size(); ++i) {
+    Claim c = ar.writing() ? claims_.at(claimed[i]) : Claim{};
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "c", Index(&claimed[i], i > 0 ? claimed[i - 1] + 1 : 1, workers),
+        Index(&c.shard, -1, shards - 1), Index(&c.remaining, 1, shards)));
+    if (ar.reading()) claims_.emplace(claimed[i], c);
   }
 
-  std::int64_t nc = 0;
-  LTC_RETURN_IF_ERROR(reader.ReadCount("claims", &nc));
-  for (std::int64_t i = 0; i < nc; ++i) {
-    LTC_RETURN_IF_ERROR(reader.Read("c", 4, &f));
-    std::int64_t worker = 0;
-    std::int64_t shard = 0;
-    std::int64_t remaining = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &worker));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &shard));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &remaining));
-    // A live entry still awaits at least one offer, and a worker is offered
-    // to each shard at most once; entries retire at 0, so a 0 never
-    // appears in a snapshot SerializeTo wrote.
-    if (worker < 1 || shard < -1 || shard >= options.shards ||
-        remaining < 1 || remaining > options.shards) {
-      return Status::OutOfRange("snapshot: claim record out of range");
-    }
-    engine->claims_.emplace(
-        static_cast<model::WorkerIndex>(worker),
-        Claim{static_cast<int>(shard), static_cast<int>(remaining)});
+  // The merged assignment log: a restarted server re-renders the *complete*
+  // log, so the prefix committed before the snapshot rides along.
+  n = static_cast<std::int64_t>(assignments_.size());
+  LTC_RETURN_IF_ERROR(ar.Record("log", Count(&n)));
+  assignments_.resize(static_cast<std::size_t>(n));
+  for (StreamAssignment& a : assignments_) {
+    LTC_RETURN_IF_ERROR(ar.Record("A", Real(&a.time),
+                                  Index(&a.worker, 1, workers),
+                                  Index(&a.task, 0, tasks - 1)));
+    // Derived (unchanged when writing).
+    max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
   }
-
-  std::int64_t na = 0;
-  LTC_RETURN_IF_ERROR(reader.ReadCount("log", &na));
-  engine->assignments_.reserve(reader.ReserveHint(na));
-  for (std::int64_t i = 0; i < na; ++i) {
-    LTC_RETURN_IF_ERROR(reader.Read("A", 4, &f));
-    StreamAssignment a;
-    std::int64_t worker = 0;
-    std::int64_t task = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &a.time));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &worker));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &task));
-    a.worker = static_cast<model::WorkerIndex>(worker);
-    a.task = static_cast<model::TaskId>(task);
-    engine->assignments_.push_back(a);
-    engine->max_assigned_worker_ =
-        std::max(engine->max_assigned_worker_, a.worker);
-  }
-  engine->metrics_.assignments =
-      static_cast<std::int64_t>(engine->assignments_.size());
-
-  if (options.route_workers) {
-    std::int64_t nm = 0;
-    LTC_RETURN_IF_ERROR(reader.ReadCount("moves", &nm));
-    engine->moves_.reserve(reader.ReserveHint(nm));
-    for (std::int64_t i = 0; i < nm; ++i) {
-      LTC_RETURN_IF_ERROR(reader.Read("M", 6, &f));
-      WorkerMove m;
-      std::int64_t worker = 0;
-      std::int64_t task = 0;
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &m.time));
-      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &worker));
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &m.location.x));
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &m.location.y));
-      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 5, &task));
-      m.worker = static_cast<model::WorkerIndex>(worker);
-      m.task = static_cast<model::TaskId>(task);
-      engine->moves_.push_back(m);
+  metrics_.assignments = n;
+  // The merged move log, route_workers mode only — the default snapshot
+  // bytes stay exactly the pre-routing format.
+  if (options_.route_workers) {
+    n = static_cast<std::int64_t>(moves_.size());
+    LTC_RETURN_IF_ERROR(ar.Record("moves", Count(&n)));
+    moves_.resize(static_cast<std::size_t>(n));
+    for (WorkerMove& m : moves_) {
+      LTC_RETURN_IF_ERROR(ar.Record(
+          "M", Real(&m.time), Index(&m.worker, 1, workers),
+          Real(&m.location.x), Real(&m.location.y),
+          Index(&m.task, 0, tasks - 1)));
     }
   }
 
-  engine->pipelines_.reserve(static_cast<std::size_t>(options.shards));
-  for (int s = 0; s < options.shards; ++s) {
-    LTC_RETURN_IF_ERROR(reader.Read("pipeline", 2, &f));
-    std::int64_t shard = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &shard));
-    if (shard != s) {
-      return Status::InvalidArgument("snapshot: pipeline blocks out of order");
+  // Reading, the router and the pipelines must describe the same tasks:
+  // each pipeline task's global id names a distinct router entry that
+  // routes back to it with the same open flag, and every entry is covered
+  // (MergePending and RouteWorker index the router tables by these ids).
+  std::vector<char> seen(ar.reading() ? task_route_.size() : 0, 0);
+  std::size_t covered = 0;
+  for (int s = 0; s < num_shards(); ++s) {
+    int shard = s;
+    LTC_RETURN_IF_ERROR(ar.Record("pipeline", Index(&shard, s, s)));
+    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
+    LTC_RETURN_IF_ERROR(p.Serialize(ar));
+    for (model::TaskId local = 0;
+         ar.reading() && local < p.instance().num_tasks(); ++local) {
+      const model::TaskId g = p.task_global(local);
+      const auto gi = static_cast<std::size_t>(g);
+      if (g < 0 || gi >= seen.size() || seen[gi] ||
+          task_route_[gi].shard != s || task_route_[gi].local != local ||
+          (task_open_[gi] != 0) != p.task_open(local)) {
+        return Status::OutOfRange(StrFormat(
+            "snapshot: pipeline %d task %d (global %d) disagrees with the "
+            "router", s, local, g));
+      }
+      seen[gi] = 1;
+      ++covered;
     }
-    LTC_ASSIGN_OR_RETURN(
-        auto pipeline,
-        StreamPipeline::Restore(
-            header, StreamPipeline::Config{options, s, cell}, &reader));
-    engine->pipelines_.push_back(std::move(pipeline));
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument(
-        "snapshot: trailing data after the last pipeline block");
+  if (covered != seen.size()) {
+    return Status::OutOfRange("snapshot: router tasks no pipeline holds");
   }
-  return engine;
+  return Status::OK();
 }
 
 Status ShardedStreamEngine::OnEvent(const io::Event& event) {

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,15 +71,17 @@ class ShardedStreamEngine {
   /// flags, displaced tasks, the claim table — map entries in sorted key
   /// order so snapshot bytes are deterministic), the merged assignment log
   /// (restarts re-render the complete log byte-for-byte), and every
-  /// pipeline's SerializeTo block. Only call between events.
+  /// pipeline's records. Only call between events.
   Status SerializeTo(std::string* out) const;
 
-  /// Counterpart of SerializeTo: rebuilds an engine, from the same header
-  /// and options the original was created with, that continues the stream
-  /// exactly where the snapshot left off (svc_recovery_test pins the
-  /// byte-identity of the resulting assignment log). The ShardMap geometry
-  /// is derived from (header, options) like Create — snapshots only restore
-  /// into an identically configured service.
+  /// Counterpart of SerializeTo: Creates an engine from the same header
+  /// and options the original was created with and reads the snapshot
+  /// through the same Serialize, so it continues the stream exactly where
+  /// the snapshot left off
+  /// (svc_recovery_test pins the byte-identity of the resulting assignment
+  /// log). The ShardMap geometry is derived from (header, options) —
+  /// snapshots only restore into an identically configured service.
+  /// InvalidArgument or OutOfRange for any state the writer cannot emit.
   static StatusOr<std::unique_ptr<ShardedStreamEngine>> Restore(
       const io::EventLog& header, const StreamOptions& options,
       const std::string& engine_state);
@@ -163,12 +164,10 @@ class ShardedStreamEngine {
   explicit ShardedStreamEngine(const StreamOptions& options)
       : options_(options) {}
 
-  /// Validates (header, options) and initialises everything except the
-  /// pipelines: accuracy, shard map, route scratch, thread pool. *cell_out
-  /// receives the grid cell size the pipelines must use (shared by Create
-  /// and Restore).
-  Status InitCommon(const io::EventLog& header, const StreamOptions& options,
-                    std::optional<double>* cell_out);
+  /// The engine's records (SerializeTo's layout). Reading requires an
+  /// engine fresh from Create, and checks the router against the
+  /// pipelines' tasks (ids, routes, open flags; OutOfRange otherwise).
+  Status Serialize(StateArchive& ar);
 
   Status HandleTaskArrival(const io::Event& event);
   Status HandleWorkerArrival(const io::Event& event);

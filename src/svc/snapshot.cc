@@ -18,84 +18,6 @@
 namespace ltc {
 namespace svc {
 
-namespace snap {
-
-Reader::Reader(const std::string& text) : lines_(Split(text, '\n')) {}
-
-Status Reader::Read(const char* key, std::size_t min_fields,
-                    std::vector<std::string>* fields) {
-  while (pos_ < lines_.size()) {
-    const std::string line = Trim(lines_[pos_]);
-    ++pos_;
-    if (line.empty()) continue;
-    *fields = Split(line, ' ');
-    if ((*fields)[0] != key) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot: expected '%s' record, got: %s", key, line.c_str()));
-    }
-    if (fields->size() < min_fields) {
-      return Status::InvalidArgument(
-          StrFormat("snapshot: '%s' record too short: %s", key, line.c_str()));
-    }
-    return Status::OK();
-  }
-  return Status::InvalidArgument(
-      StrFormat("snapshot: unexpected end of input (wanted '%s')", key));
-}
-
-Status Reader::ReadCount(const char* key, std::int64_t* count) {
-  std::vector<std::string> fields;
-  LTC_RETURN_IF_ERROR(Read(key, 2, &fields));
-  LTC_RETURN_IF_ERROR(FieldI64(fields, 1, count));
-  if (*count < 0) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot: negative '%s' count", key));
-  }
-  return Status::OK();
-}
-
-std::size_t Reader::ReserveHint(std::int64_t count) const {
-  return std::min(static_cast<std::size_t>(count), lines_.size() - pos_);
-}
-
-Status Reader::ReadRaw(std::string* line) {
-  if (pos_ >= lines_.size()) {
-    return Status::InvalidArgument("snapshot: unexpected end of input");
-  }
-  *line = Trim(lines_[pos_]);
-  ++pos_;
-  return Status::OK();
-}
-
-bool Reader::AtEnd() const {
-  for (std::size_t i = pos_; i < lines_.size(); ++i) {
-    if (!Trim(lines_[i]).empty()) return false;
-  }
-  return true;
-}
-
-Status FieldI64(const std::vector<std::string>& fields, std::size_t i,
-                std::int64_t* out) {
-  if (i >= fields.size() || !ParseInt64(fields[i], out)) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot: bad integer field %zu in '%s' record", i,
-                  fields.empty() ? "?" : fields[0].c_str()));
-  }
-  return Status::OK();
-}
-
-Status FieldDouble(const std::vector<std::string>& fields, std::size_t i,
-                   double* out) {
-  if (i >= fields.size() || !ParseDouble(fields[i], out)) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot: bad double field %zu in '%s' record", i,
-                  fields.empty() ? "?" : fields[0].c_str()));
-  }
-  return Status::OK();
-}
-
-}  // namespace snap
-
 namespace {
 
 constexpr char kSnapshotHeader[] = "# ltc-snapshot v1";
@@ -234,34 +156,23 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
       continue;
     }
 
-    snap::Reader reader(body.substr(0, trailer));
-    std::string header_line;
-    if (!reader.ReadRaw(&header_line).ok() || header_line != kSnapshotHeader) {
-      ++loaded.discarded;
-      continue;
-    }
-    std::vector<std::string> fields;
-    std::int64_t events_applied = 0;
-    if (!reader.Read("events_applied", 2, &fields).ok() ||
-        !snap::FieldI64(fields, 1, &events_applied).ok() ||
+    // Then the v1 header line and the "events_applied <N>" line; the
+    // payload is everything between that line and the trailer.
+    const std::string prefix = std::string(kSnapshotHeader) +
+                               "\nevents_applied ";
+    const std::size_t eol = body.find('\n', prefix.size());
+    std::int64_t events_applied = -1;
+    if (!StartsWith(body, prefix) || eol == std::string::npos ||
+        eol > trailer ||
+        !ParseInt64(body.substr(prefix.size(), eol - prefix.size()),
+                    &events_applied) ||
         events_applied < 0) {
-      ++loaded.discarded;
-      continue;
-    }
-
-    // Payload = everything between the events_applied line and the trailer.
-    const std::string marker =
-        StrFormat("events_applied %lld\n",
-                  static_cast<long long>(events_applied));
-    const std::size_t payload_start = body.find(marker);
-    if (payload_start == std::string::npos) {
       ++loaded.discarded;
       continue;
     }
     loaded.found = true;
     loaded.events_applied = events_applied;
-    loaded.engine_state = body.substr(payload_start + marker.size(),
-                                      trailer - payload_start - marker.size());
+    loaded.engine_state = body.substr(eol + 1, trailer - eol - 1);
     return loaded;
   }
   return loaded;

@@ -27,51 +27,6 @@
 namespace ltc {
 namespace svc {
 
-namespace snap {
-
-/// \brief Line-cursor reader shared by every snapshot parser.
-///
-/// Snapshot state is line-oriented: "key field field ...". Read() consumes
-/// the next non-empty line, verifies its key, splits its fields, and fails
-/// with the offending line in the message — so a parse error in a 10k-line
-/// snapshot still points at the byte that broke.
-class Reader {
- public:
-  explicit Reader(const std::string& text);
-
-  /// Consumes the next non-empty line; errors unless fields[0] == key and
-  /// at least min_fields fields are present.
-  Status Read(const char* key, std::size_t min_fields,
-              std::vector<std::string>* fields);
-
-  /// Consumes a "key <count>" record; errors unless the count is a
-  /// non-negative integer.
-  Status ReadCount(const char* key, std::int64_t* count);
-
-  /// What to reserve for `count` items that each take at least one line:
-  /// at most the lines left, so a forged count cannot force a huge
-  /// allocation.
-  std::size_t ReserveHint(std::int64_t count) const;
-
-  /// Consumes the next line verbatim (embedded sub-blobs, e.g. scheduler
-  /// state). Errors at end of input.
-  Status ReadRaw(std::string* line);
-
-  bool AtEnd() const;
-
- private:
-  std::vector<std::string> lines_;
-  std::size_t pos_ = 0;
-};
-
-/// Field parse helpers with contextual errors.
-Status FieldI64(const std::vector<std::string>& fields, std::size_t i,
-                std::int64_t* out);
-Status FieldDouble(const std::vector<std::string>& fields, std::size_t i,
-                   double* out);
-
-}  // namespace snap
-
 /// \brief Atomic, CRC-guarded snapshot files in one state directory.
 ///
 /// Single-threaded by contract: only the serving loop's engine thread

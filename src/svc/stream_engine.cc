@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "algo/mcf_stream.h"
@@ -60,27 +61,6 @@ Status ValidateStreamOptions(const StreamOptions& options) {
   return Status::OK();
 }
 
-namespace {
-
-/// Builds the pipeline's scheduler (shared by Create and Restore, which
-/// must construct identically configured schedulers for the restart
-/// determinism contract to hold). The options were validated by the
-/// engine (ValidateStreamOptions).
-StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
-    const StreamOptions& options) {
-  if (options.algorithm == "MCF") {
-    // The registry's default-constructed MCF cannot carry the service's
-    // drift-check knob, so the pipeline builds its own.
-    algo::McfLtcOptions mcf_options;
-    mcf_options.drift_check_every = options.mcf_drift_check_every;
-    return std::unique_ptr<algo::OnlineScheduler>(
-        std::make_unique<algo::McfStream>(mcf_options));
-  }
-  return algo::MakeOnlineScheduler(options.algorithm, options.seed);
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
     const io::EventLog& header, const Config& config) {
   if (header.accuracy == nullptr) {
@@ -92,8 +72,18 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
   pipeline->instance_.acc_min = header.acc_min;
   pipeline->instance_.accuracy = header.accuracy;
 
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
-                       MakePipelineScheduler(config.options));
+  // The options were validated by the engine (ValidateStreamOptions).
+  if (config.options.algorithm == "MCF") {
+    // The registry's default-constructed MCF cannot carry the service's
+    // drift-check knob, so the pipeline builds its own.
+    algo::McfLtcOptions mcf_options;
+    mcf_options.drift_check_every = config.options.mcf_drift_check_every;
+    pipeline->scheduler_ = std::make_unique<algo::McfStream>(mcf_options);
+  } else {
+    LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
+                         algo::MakeOnlineScheduler(config.options.algorithm,
+                                                   config.options.seed));
+  }
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->InitStreaming(
       pipeline->instance_,
       algo::StreamShardContext{config.shard_id, config.options.shards}));
@@ -104,310 +94,158 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
         geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
     pipeline->grid_.emplace(std::move(grid));
   }
-  LTC_RETURN_IF_ERROR(pipeline->InitForecast());
+  if (config.options.deadline_policy == DeadlinePolicy::kAdaptive) {
+    fcst::CellRateEstimator::Config fc;
+    // Same cell decomposition as the incremental task index; models without
+    // spatial structure fall back to one global rate cell.
+    if (config.cell_size.has_value()) {
+      fc.grid = geo::CellGrid(config.options.world, *config.cell_size);
+    }
+    fc.horizon = kForecastHorizon;
+    LTC_ASSIGN_OR_RETURN(auto estimator, fcst::CellRateEstimator::Create(fc));
+    pipeline->forecast_.emplace(std::move(estimator));
+  }
   return pipeline;
 }
 
-Status StreamPipeline::InitForecast() {
-  if (config_.options.deadline_policy != DeadlinePolicy::kAdaptive) {
-    return Status::OK();
-  }
-  fcst::CellRateEstimator::Config fc;
-  // Same cell decomposition as the incremental task index; models without
-  // spatial structure fall back to one global rate cell.
-  if (config_.cell_size.has_value()) {
-    fc.grid = geo::CellGrid(config_.options.world, *config_.cell_size);
-  }
-  fc.horizon = kForecastHorizon;
-  LTC_ASSIGN_OR_RETURN(auto estimator, fcst::CellRateEstimator::Create(fc));
-  forecast_.emplace(std::move(estimator));
-  return Status::OK();
-}
-
-Status StreamPipeline::SerializeTo(std::string* out) const {
+Status StreamPipeline::Serialize(StateArchive& ar) {
   if (!pending_assignments_.empty() || !pending_closed_.empty() ||
       !pending_moves_.empty()) {
     return Status::FailedPrecondition(
         "pipeline snapshot mid-round: pending records not yet merged");
   }
-  const std::int64_t nt = instance_.num_tasks();
-  out->append(StrFormat("ptasks %lld\n", static_cast<long long>(nt)));
-  for (std::int64_t t = 0; t < nt; ++t) {
-    const auto ti = static_cast<std::size_t>(t);
-    // Current location, not arrival location: moves already applied.
-    out->append(StrFormat("pt %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(task_global_[ti]),
-                          task_arrival_time_[ti],
-                          instance_.tasks[ti].location.x,
-                          instance_.tasks[ti].location.y));
+  constexpr std::int64_t kMaxId = std::numeric_limits<std::int32_t>::max();
+  // Tasks: local ids are the record order (the id assignments below are
+  // no-ops when writing). Current location, not arrival location: moves
+  // already applied.
+  auto nt = static_cast<std::int64_t>(instance_.tasks.size());
+  LTC_RETURN_IF_ERROR(ar.Record("ptasks", Count(&nt)));
+  instance_.tasks.resize(static_cast<std::size_t>(nt));  // no-op writing
+  task_global_.resize(instance_.tasks.size());
+  task_arrival_time_.resize(instance_.tasks.size());
+  for (std::size_t t = 0; t < instance_.tasks.size(); ++t) {
+    model::Task& task = instance_.tasks[t];
+    task.id = static_cast<model::TaskId>(t);
+    LTC_RETURN_IF_ERROR(ar.Record("pt", Index(&task_global_[t], 0, kMaxId),
+                                  Real(&task_arrival_time_[t]),
+                                  Real(&task.location.x),
+                                  Real(&task.location.y)));
   }
-  out->append(StrFormat("pworkers %lld\n",
-                        static_cast<long long>(instance_.num_workers())));
+  // Workers: local arrival indices are the record order + 1.
+  auto nw = static_cast<std::int64_t>(instance_.workers.size());
+  LTC_RETURN_IF_ERROR(ar.Record("pworkers", Count(&nw)));
+  instance_.workers.resize(static_cast<std::size_t>(nw));
+  worker_global_.resize(instance_.workers.size());
   for (std::size_t i = 0; i < instance_.workers.size(); ++i) {
-    const model::Worker& w = instance_.workers[i];
-    out->append(StrFormat("pw %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(worker_global_[i]),
-                          w.location.x, w.location.y, w.historical_accuracy));
+    model::Worker& w = instance_.workers[i];
+    w.index = static_cast<model::WorkerIndex>(i + 1);
+    LTC_RETURN_IF_ERROR(ar.Record("pw", Index(&worker_global_[i], 1, kMaxId),
+                                  Real(&w.location.x), Real(&w.location.y),
+                                  Unit(&w.historical_accuracy)));
   }
-  out->append(StrFormat("pbatch %.17g %lld", batch_open_time_,
-                        static_cast<long long>(batch_.size())));
-  for (const model::WorkerIndex w : batch_) {
-    out->append(StrFormat(" %lld", static_cast<long long>(w)));
+  // The open micro-batch: local worker indices in arrival order.
+  LTC_RETURN_IF_ERROR(ar.Record("pbatch", Real(&batch_open_time_),
+                                CountedList(&batch_, 1, nw)));
+  LTC_RETURN_IF_ERROR(ar.Record("pcounters", NonNeg(&batches_),
+                                NonNeg(&max_batch_size_),
+                                NonNeg(&tasks_completed_)));
+  // Latency samples (metrics parity across restarts, not schedule inputs).
+  for (auto [key, samples] :
+       {std::pair{"plat_a", &assignment_latency_samples_},
+        std::pair{"plat_c", &completion_latency_samples_}}) {
+    auto n = static_cast<std::int64_t>(samples->size());
+    LTC_RETURN_IF_ERROR(ar.Record(key, Count(&n)));
+    samples->resize(static_cast<std::size_t>(n));
+    for (double& v : *samples) LTC_RETURN_IF_ERROR(ar.Record("l", Real(&v)));
   }
-  out->push_back('\n');
-  out->append(StrFormat("pcounters %lld %lld %lld\n",
-                        static_cast<long long>(batches_),
-                        static_cast<long long>(max_batch_size_),
-                        static_cast<long long>(tasks_completed_)));
-  out->append(StrFormat("plat_a %lld\n", static_cast<long long>(
-                                             assignment_latency_samples_.size())));
-  for (const double v : assignment_latency_samples_) {
-    out->append(StrFormat("l %.17g\n", v));
+  // Reading, the scheduler restarts over the regrown instance (same shard
+  // identity) and replays its records.
+  if (ar.reading()) {
+    LTC_RETURN_IF_ERROR(
+        scheduler_->InitStreaming(instance_, scheduler_->shard_context()));
   }
-  out->append(StrFormat("plat_c %lld\n", static_cast<long long>(
-                                             completion_latency_samples_.size())));
-  for (const double v : completion_latency_samples_) {
-    out->append(StrFormat("l %.17g\n", v));
-  }
-  std::string sched;
-  LTC_RETURN_IF_ERROR(scheduler_->SerializeState(&sched));
-  const auto sched_lines =
-      static_cast<std::int64_t>(std::count(sched.begin(), sched.end(), '\n'));
-  out->append(StrFormat("sched %lld\n", static_cast<long long>(sched_lines)));
-  out->append(sched);
+  LTC_RETURN_IF_ERROR(
+      ar.Block("sched", [&] { return scheduler_->Serialize(ar); }));
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
   if (config_.options.route_workers) {
-    out->append(StrFormat("proutes %lld\n",
-                          static_cast<long long>(routes_.size())));
-    for (const auto& [w, route] : routes_) {
-      out->append(StrFormat("pr %lld %.17g %.17g %.17g %lld %lld\n",
-                            static_cast<long long>(w), route.origin().x,
-                            route.origin().y, route.start_time(),
-                            static_cast<long long>(route.visited()),
-                            static_cast<long long>(route.stops().size())));
-      for (const model::WorkerRoute::Stop& s : route.stops()) {
-        out->append(StrFormat("ps %lld %.17g %.17g\n",
-                              static_cast<long long>(s.task), s.location.x,
-                              s.location.y));
-      }
-    }
-  }
-  // Adaptive-deadline state likewise rides along only when the policy is
-  // on, so fixed-mode snapshot bytes are unchanged. The forecast blob and
-  // the open batch's flush instant are schedule inputs: a restored service
-  // must predict — and therefore flush — exactly as the uninterrupted one
-  // would (DESIGN.md §13).
-  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    std::string blob;
-    LTC_RETURN_IF_ERROR(forecast_->SerializeTo(&blob));
-    const auto blob_lines =
-        static_cast<std::int64_t>(std::count(blob.begin(), blob.end(), '\n'));
-    out->append(StrFormat("pfcst %lld\n", static_cast<long long>(blob_lines)));
-    out->append(blob);
-    out->append(StrFormat("pdl %.17g %lld %lld\n", batch_flush_time_,
-                          static_cast<long long>(quiet_flushes_),
-                          static_cast<long long>(deadline_extensions_)));
-  }
-  out->append("endpipe\n");
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
-    const io::EventLog& header, const Config& config, snap::Reader* reader) {
-  if (header.accuracy == nullptr) {
-    return Status::InvalidArgument("event log header has no accuracy model");
-  }
-  std::unique_ptr<StreamPipeline> pipeline(new StreamPipeline(config));
-  pipeline->instance_.epsilon = header.epsilon;
-  pipeline->instance_.capacity = header.capacity;
-  pipeline->instance_.acc_min = header.acc_min;
-  pipeline->instance_.accuracy = header.accuracy;
-
-  std::vector<std::string> f;
-
-  // Tasks: local ids are the serialization order.
-  std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("ptasks", &nt));
-  pipeline->instance_.tasks.reserve(reader->ReserveHint(nt));
-  for (std::int64_t t = 0; t < nt; ++t) {
-    LTC_RETURN_IF_ERROR(reader->Read("pt", 5, &f));
-    std::int64_t global = 0;
-    model::Task task;
-    task.id = static_cast<model::TaskId>(t);
-    double arrival = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &global));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &arrival));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &task.location.x));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &task.location.y));
-    pipeline->instance_.tasks.push_back(task);
-    pipeline->task_arrival_time_.push_back(arrival);
-    pipeline->task_global_.push_back(static_cast<model::TaskId>(global));
-  }
-
-  // Workers: local arrival indices are the serialization order + 1.
-  std::int64_t nw = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("pworkers", &nw));
-  pipeline->instance_.workers.reserve(reader->ReserveHint(nw));
-  for (std::int64_t i = 0; i < nw; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("pw", 5, &f));
-    std::int64_t global = 0;
-    model::Worker worker;
-    worker.index = static_cast<model::WorkerIndex>(i + 1);
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &global));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &worker.location.x));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &worker.location.y));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &worker.historical_accuracy));
-    pipeline->instance_.workers.push_back(worker);
-    pipeline->worker_global_.push_back(
-        static_cast<model::WorkerIndex>(global));
-  }
-
-  // The open micro-batch.
-  LTC_RETURN_IF_ERROR(reader->Read("pbatch", 3, &f));
-  std::int64_t batch_n = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &pipeline->batch_open_time_));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &batch_n));
-  if (batch_n < 0 || f.size() != static_cast<std::size_t>(batch_n) + 3) {
-    return Status::InvalidArgument("snapshot: batch record length mismatch");
-  }
-  for (std::int64_t i = 0; i < batch_n; ++i) {
-    std::int64_t w = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, static_cast<std::size_t>(i) + 3, &w));
-    if (w < 1 || w > nw) {
-      return Status::OutOfRange("snapshot: batch worker out of range");
-    }
-    pipeline->batch_.push_back(static_cast<model::WorkerIndex>(w));
-  }
-
-  LTC_RETURN_IF_ERROR(reader->Read("pcounters", 4, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &pipeline->batches_));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &pipeline->max_batch_size_));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &pipeline->tasks_completed_));
-
-  // Latency samples (metrics parity across restarts, not schedule inputs).
-  std::int64_t n_samples = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_a", &n_samples));
-  for (std::int64_t i = 0; i < n_samples; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
-    double v = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
-    pipeline->assignment_latency_samples_.push_back(v);
-  }
-  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_c", &n_samples));
-  for (std::int64_t i = 0; i < n_samples; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
-    double v = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
-    pipeline->completion_latency_samples_.push_back(v);
-  }
-
-  // Scheduler blob: restore against the fully re-grown instance.
-  std::int64_t sched_lines = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("sched", &sched_lines));
-  std::string blob;
-  for (std::int64_t i = 0; i < sched_lines; ++i) {
-    std::string line;
-    LTC_RETURN_IF_ERROR(reader->ReadRaw(&line));
-    blob += line;
-    blob += '\n';
-  }
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
-                       MakePipelineScheduler(config.options));
-  LTC_RETURN_IF_ERROR(pipeline->scheduler_->RestoreState(
-      pipeline->instance_,
-      algo::StreamShardContext{config.shard_id, config.options.shards},
-      blob));
-
-  if (config.options.route_workers) {
-    const geo::Metric& metric =
-        *pipeline->instance_.accuracy->DistanceMetric();
-    std::int64_t n_routes = 0;
-    LTC_RETURN_IF_ERROR(reader->ReadCount("proutes", &n_routes));
-    for (std::int64_t r = 0; r < n_routes; ++r) {
-      LTC_RETURN_IF_ERROR(reader->Read("pr", 7, &f));
-      std::int64_t w = 0;
+    // One "pr <worker> <origin.x> <origin.y> <start> <visited> <stops>"
+    // record per route (ascending local worker), each followed by its "ps
+    // <task> <x> <y>" stops. Reading rebuilds each route with FromStops,
+    // which recomputes leg costs and reach times from the metric, so the
+    // restored route emits the exact moves the live one would have.
+    const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
+    auto n = static_cast<std::int64_t>(routes_.size());
+    LTC_RETURN_IF_ERROR(ar.Record("proutes", Count(&n)));
+    auto it = routes_.begin();
+    model::WorkerIndex last = 0;
+    for (std::int64_t r = 0; r < n; ++r) {
+      model::WorkerIndex w = 0;
       geo::Point origin;
       double start_time = 0.0;
       std::int64_t visited = 0;
-      std::int64_t n_stops = 0;
-      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &w));
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &origin.x));
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &origin.y));
-      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &start_time));
-      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 5, &visited));
-      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &n_stops));
-      if (w < 1 || w > nw || visited < 0 || visited > n_stops ||
-          n_stops < 0) {
-        return Status::OutOfRange("snapshot: route record out of range");
-      }
       std::vector<std::pair<model::TaskId, geo::Point>> stops;
-      stops.reserve(reader->ReserveHint(n_stops));
-      for (std::int64_t s = 0; s < n_stops; ++s) {
-        LTC_RETURN_IF_ERROR(reader->Read("ps", 4, &f));
-        std::int64_t task = 0;
-        geo::Point location;
-        LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &task));
-        LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &location.x));
-        LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &location.y));
-        stops.emplace_back(static_cast<model::TaskId>(task), location);
+      if (ar.writing()) {
+        const model::WorkerRoute& route = it->second;
+        w = (it++)->first;
+        origin = route.origin();
+        start_time = route.start_time();
+        visited = static_cast<std::int64_t>(route.visited());
+        for (const model::WorkerRoute::Stop& s : route.stops()) {
+          stops.emplace_back(s.task, s.location);
+        }
       }
-      // FromStops recomputes leg costs and reach times from the metric, so
-      // the restored route emits the exact moves the live one would have.
-      pipeline->routes_.emplace(
-          static_cast<model::WorkerIndex>(w),
-          model::WorkerRoute::FromStops(metric, origin, start_time, stops,
-                                        static_cast<std::size_t>(visited)));
+      auto n_stops = static_cast<std::int64_t>(stops.size());
+      LTC_RETURN_IF_ERROR(ar.Record(
+          "pr", Index(&w, last + 1, nw), Real(&origin.x), Real(&origin.y),
+          Real(&start_time), Index(&visited, 0, kMaxId), Count(&n_stops)));
+      if (visited > n_stops) {
+        return Status::OutOfRange("snapshot: route visited past its stops");
+      }
+      stops.resize(static_cast<std::size_t>(n_stops));
+      for (auto& [task, at] : stops) {
+        LTC_RETURN_IF_ERROR(ar.Record("ps", Index(&task, 0, kMaxId),
+                                      Real(&at.x), Real(&at.y)));
+      }
+      if (ar.reading()) {
+        routes_.emplace(w, model::WorkerRoute::FromStops(
+                               metric, origin, start_time, stops,
+                               static_cast<std::size_t>(visited)));
+      }
+      last = w;
     }
   }
-  if (config.options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    LTC_RETURN_IF_ERROR(pipeline->InitForecast());
-    LTC_RETURN_IF_ERROR(reader->Read("pfcst", 2, &f));
-    std::int64_t blob_lines = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &blob_lines));
-    std::string blob;
-    for (std::int64_t i = 0; i < blob_lines; ++i) {
-      std::string line;
-      LTC_RETURN_IF_ERROR(reader->ReadRaw(&line));
-      blob += line;
-      blob += '\n';
-    }
-    LTC_RETURN_IF_ERROR(pipeline->forecast_->RestoreFrom(blob));
-    LTC_RETURN_IF_ERROR(reader->Read("pdl", 4, &f));
+  // Adaptive-deadline state likewise rides along only when the policy is
+  // on, so fixed-mode snapshot bytes are unchanged. The forecast and the
+  // open batch's flush instant are schedule inputs: a restored service
+  // must predict — and therefore flush — exactly as the uninterrupted one
+  // would (DESIGN.md §13).
+  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     LTC_RETURN_IF_ERROR(
-        snap::FieldDouble(f, 1, &pipeline->batch_flush_time_));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &pipeline->quiet_flushes_));
-    LTC_RETURN_IF_ERROR(
-        snap::FieldI64(f, 3, &pipeline->deadline_extensions_));
+        ar.Block("pfcst", [&] { return forecast_->Serialize(ar); }));
+    LTC_RETURN_IF_ERROR(ar.Record("pdl", Real(&batch_flush_time_),
+                                  NonNeg(&quiet_flushes_),
+                                  NonNeg(&deadline_extensions_)));
   }
-  LTC_RETURN_IF_ERROR(reader->Read("endpipe", 1, &f));
+  LTC_RETURN_IF_ERROR(ar.Record("endpipe"));
+  if (ar.writing()) return Status::OK();
 
   // Derived state. open_ follows from the restored arrangement (a task is
   // closed exactly when it reached delta — RecordCommits' invariant), and
-  // the grid is rebuilt over the open set in ascending local-id order,
+  // the grid is filled over the open set in ascending local-id order,
   // which matches incremental maintenance query-for-query (the sorted-
   // bucket invariant of geo/grid_index.h).
-  const model::Arrangement& arr = pipeline->scheduler_->arrangement();
-  if (arr.num_tasks() != nt) {
-    return Status::Internal("snapshot: scheduler/task count mismatch");
-  }
-  if (config.cell_size.has_value()) {
-    LTC_ASSIGN_OR_RETURN(
-        auto grid,
-        geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
-    pipeline->grid_.emplace(std::move(grid));
-  }
-  pipeline->open_.assign(static_cast<std::size_t>(nt), 0);
-  for (std::int64_t t = 0; t < nt; ++t) {
-    const auto ti = static_cast<std::size_t>(t);
-    if (arr.TaskCompleted(static_cast<model::TaskId>(t))) continue;
-    pipeline->open_[ti] = 1;
-    if (pipeline->grid_.has_value()) {
-      LTC_RETURN_IF_ERROR(pipeline->grid_->Insert(
-          static_cast<model::TaskId>(t), pipeline->instance_.tasks[ti].location));
+  const model::Arrangement& arr = scheduler_->arrangement();
+  open_.assign(instance_.tasks.size(), 0);
+  for (std::size_t t = 0; t < instance_.tasks.size(); ++t) {
+    const auto id = static_cast<model::TaskId>(t);
+    if (arr.TaskCompleted(id)) continue;
+    open_[t] = 1;
+    if (grid_.has_value()) {
+      LTC_RETURN_IF_ERROR(grid_->Insert(id, instance_.tasks[t].location));
     }
   }
-  return pipeline;
+  return Status::OK();
 }
 
 StatusOr<model::TaskId> StreamPipeline::AddTask(model::TaskId global_id,

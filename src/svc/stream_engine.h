@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "algo/scheduler.h"
+#include "common/state_archive.h"
 #include "common/status.h"
 #include "fcst/arrival_forecast.h"
 #include "geo/grid_index.h"
@@ -47,7 +48,6 @@
 #include "model/problem.h"
 #include "model/worker_route.h"
 #include "sim/metrics.h"
-#include "svc/snapshot.h"
 
 namespace ltc {
 namespace svc {
@@ -240,22 +240,15 @@ class StreamPipeline {
   static StatusOr<std::unique_ptr<StreamPipeline>> Create(
       const io::EventLog& header, const Config& config);
 
-  /// Serializes the pipeline's full logical state (DESIGN.md §11): the
-  /// grown instance (tasks with arrival times and *current* locations,
-  /// workers), the open micro-batch, the batch counters, the latency
-  /// samples, and the scheduler's own SerializeState blob. The grid index
-  /// is NOT serialized — it is derived state, rebuilt over the open set on
-  /// restore (bucket contents stay ascending by id either way, so queries
-  /// match; geo/grid_index.h). Only call between events: the per-round
-  /// pending_* buffers must be empty.
-  Status SerializeTo(std::string* out) const;
-
-  /// Counterpart of SerializeTo: rebuilds a pipeline from a serialized
-  /// block at *cursor (advancing it past the block). The restored pipeline
-  /// is commitment-for-commitment indistinguishable from one that lived
-  /// through the whole stream prefix (svc_recovery_test pins this).
-  static StatusOr<std::unique_ptr<StreamPipeline>> Restore(
-      const io::EventLog& header, const Config& config, snap::Reader* reader);
+  /// The pipeline's full logical state as snapshot records (DESIGN.md
+  /// §11): the grown instance (tasks with arrival times and *current*
+  /// locations, workers), the open micro-batch, counters, latency samples,
+  /// the scheduler's records and, per mode, routes and forecast. The grid
+  /// index and open_ are derived state, rebuilt after a read. Writing needs
+  /// empty pending_* buffers (only call between events); reading needs a
+  /// pipeline fresh from Create, which then is commitment-for-commitment
+  /// indistinguishable from one that lived through the stream prefix.
+  Status Serialize(StateArchive& ar);
 
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
@@ -340,6 +333,13 @@ class StreamPipeline {
   Status Validate() const;
 
   const model::ProblemInstance& instance() const { return instance_; }
+  /// Global id and open flag of local task `local`.
+  model::TaskId task_global(model::TaskId local) const {
+    return task_global_[static_cast<std::size_t>(local)];
+  }
+  bool task_open(model::TaskId local) const {
+    return open_[static_cast<std::size_t>(local)] != 0;
+  }
   const model::Arrangement& arrangement() const {
     return scheduler_->arrangement();
   }
@@ -368,11 +368,6 @@ class StreamPipeline {
 
  private:
   explicit StreamPipeline(const Config& config) : config_(config) {}
-
-  /// Adaptive policy only: builds the cell-rate estimator over the grid
-  /// geometry (no-op under kFixed). Create and Restore both route through
-  /// this so a restored pipeline forecasts identically.
-  Status InitForecast();
 
   /// route_workers mode: advances every route to `now`, emitting a
   /// WorkerMove per newly reached stop into pending_moves_ (ascending

@@ -287,14 +287,26 @@ TEST(RandomAssignTest, DeterministicPerSeedAndValid) {
 
 // ---- Snapshot restore: hand-made blobs outside the serialized domain ----
 
+// Restores `scheduler` from scheduler records the way a pipeline does:
+// InitStreaming, then a reader archive that must be consumed exactly.
+Status RestoreFromRecords(OnlineScheduler* scheduler,
+                          const model::ProblemInstance& instance,
+                          const std::string& records) {
+  LTC_RETURN_IF_ERROR(scheduler->InitStreaming(instance));
+  StateArchive ar = StateArchive::Reader(records);
+  LTC_RETURN_IF_ERROR(scheduler->Serialize(ar));
+  return ar.End();
+}
+
 TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
   Fixture f = PaperFixture();
   RandomAssign rnd(7);
   rnd.InitStreaming(f.instance).CheckOK();
   std::string blob;
-  rnd.SerializeState(&blob).CheckOK();
+  StateArchive writer = StateArchive::Writer(&blob);
+  rnd.Serialize(writer).CheckOK();
   ASSERT_TRUE(StartsWith(blob, "x rng ")) << blob;
-  ASSERT_TRUE(rnd.RestoreState(f.instance, {}, blob).ok());
+  ASSERT_TRUE(RestoreFromRecords(&rnd, f.instance, blob).ok());
   // Fields of the valid line: "x", "rng", four words, gaussian, flag.
   const std::vector<std::string> good = Split(Trim(blob), ' ');
   ASSERT_EQ(good.size(), 8u);
@@ -315,7 +327,7 @@ TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
       with(6, "inf"),
   };
   for (const std::string& bad : kBad) {
-    EXPECT_TRUE(rnd.RestoreState(f.instance, {}, bad).IsInvalidArgument())
+    EXPECT_TRUE(RestoreFromRecords(&rnd, f.instance, bad).IsInvalidArgument())
         << bad;
   }
 }
@@ -323,11 +335,11 @@ TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
 TEST(SnapshotRestoreTest, RejectsAccStarOutsideUnitInterval) {
   Fixture f = PaperFixture();
   Laf laf;
-  ASSERT_TRUE(laf.RestoreState(f.instance, {}, "a 1 0 0.25\n").ok());
+  ASSERT_TRUE(RestoreFromRecords(&laf, f.instance, "a 1 0 0.25\n").ok());
   EXPECT_EQ(laf.arrangement().size(), 1);
   for (const char* acc : {"nan", "-nan", "inf", "-inf", "-0.5", "1.5"}) {
     const std::string blob = std::string("a 1 0 ") + acc + "\n";
-    EXPECT_TRUE(laf.RestoreState(f.instance, {}, blob).IsInvalidArgument())
+    EXPECT_TRUE(RestoreFromRecords(&laf, f.instance, blob).IsInvalidArgument())
         << blob;
   }
 }

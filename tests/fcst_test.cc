@@ -24,6 +24,21 @@ CellRateEstimator::Config GridConfig(double side, double cell_size,
   return config;
 }
 
+/// The estimator's snapshot records.
+std::string Records(CellRateEstimator* estimator) {
+  std::string out;
+  StateArchive ar = StateArchive::Writer(&out);
+  estimator->Serialize(ar).CheckOK();
+  return out;
+}
+
+/// Reads `records` into *estimator; they must be consumed exactly.
+Status Restore(CellRateEstimator* estimator, const std::string& records) {
+  StateArchive ar = StateArchive::Reader(records);
+  LTC_RETURN_IF_ERROR(estimator->Serialize(ar));
+  return ar.End();
+}
+
 TEST(CellGridTest, GeometryAndClamping) {
   const geo::CellGrid grid(geo::Rect{0.0, 0.0, 100.0, 50.0}, 10.0);
   EXPECT_EQ(grid.cells_x(), 10);
@@ -130,12 +145,11 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
     }
   }
 
-  std::string blob;
-  ASSERT_TRUE(estimator.SerializeTo(&blob).ok());
+  const std::string blob = Records(&estimator);
 
   auto restored = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE(restored.value().RestoreFrom(blob).ok());
+  ASSERT_TRUE(Restore(&restored.value(), blob).ok());
   EXPECT_EQ(restored.value().events(), estimator.events());
 
   for (int i = 0; i < 50; ++i) {
@@ -145,14 +159,12 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
     EXPECT_EQ(restored.value().TaskRate(p, t + 1.0),
               estimator.TaskRate(p, t + 1.0));
   }
-  std::string blob2;
-  ASSERT_TRUE(restored.value().SerializeTo(&blob2).ok());
-  EXPECT_EQ(blob, blob2);
+  EXPECT_EQ(blob, Records(&restored.value()));
 
   // A geometry mismatch is rejected, not silently misread.
   auto mismatched = CellRateEstimator::Create(GridConfig(100.0, 25.0));
   ASSERT_TRUE(mismatched.ok());
-  EXPECT_FALSE(mismatched.value().RestoreFrom(blob).ok());
+  EXPECT_FALSE(Restore(&mismatched.value(), blob).ok());
 }
 
 TEST(CellRateEstimatorTest, SubnormalRateSurvivesSnapshot) {
@@ -169,20 +181,17 @@ TEST(CellRateEstimatorTest, SubnormalRateSurvivesSnapshot) {
   ASSERT_EQ(rates.size(), 1u);
   ASSERT_EQ(std::fpclassify(rates[0].task_rate), FP_SUBNORMAL);
 
-  std::string blob;
-  ASSERT_TRUE(estimator.SerializeTo(&blob).ok());
+  const std::string blob = Records(&estimator);
   auto restored = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(restored.ok());
-  const Status status = restored.value().RestoreFrom(blob);
+  const Status status = Restore(&restored.value(), blob);
   ASSERT_TRUE(status.ok()) << status.ToString();
   std::vector<CellRate> restored_rates;
   restored.value().CellRates(5700.0, &restored_rates);
   ASSERT_EQ(restored_rates.size(), 1u);
   EXPECT_EQ(restored_rates[0].task_rate, rates[0].task_rate);
   EXPECT_EQ(restored_rates[0].worker_rate, rates[0].worker_rate);
-  std::string blob2;
-  ASSERT_TRUE(restored.value().SerializeTo(&blob2).ok());
-  EXPECT_EQ(blob2, blob);
+  EXPECT_EQ(Records(&restored.value()), blob);
 }
 
 TEST(CellRateEstimatorTest, CellRatesListsTouchedCellsAscending) {

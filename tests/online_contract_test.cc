@@ -75,7 +75,8 @@ TEST_P(OnlineContractTest, CallsBeforeInitStreamingFail) {
                   .IsFailedPrecondition());
   EXPECT_TRUE((*scheduler)->OnTaskAdded(0).IsFailedPrecondition());
   std::string blob;
-  EXPECT_TRUE((*scheduler)->SerializeState(&blob).IsFailedPrecondition());
+  StateArchive writer = StateArchive::Writer(&blob);
+  EXPECT_TRUE((*scheduler)->Serialize(writer).IsFailedPrecondition());
 }
 
 TEST_P(OnlineContractTest, DriveOnlineRejectsMismatchedIndex) {

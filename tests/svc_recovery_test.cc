@@ -16,8 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_points.h"
@@ -746,6 +749,261 @@ TEST(SnapshotRoundTripTest, BadRecordCountsAreRejected) {
   const auto restored = ShardedStreamEngine::Restore(log, options, edited);
   EXPECT_TRUE(restored.status().IsInvalidArgument())
       << restored.status().ToString();
+}
+
+
+/// The engine snapshot after the first `cut` events of `log`.
+std::string SnapshotAt(const io::EventLog& log, const StreamOptions& options,
+                       std::int64_t cut) {
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  for (std::int64_t i = 0; i < cut; ++i) {
+    engine.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
+        .CheckOK();
+  }
+  std::string state;
+  engine.value()->SerializeTo(&state).CheckOK();
+  return state;
+}
+
+/// `state` with field `field` (0 = the key) of the first `key` record
+/// replaced by `value`; empty when no such record exists.
+std::string EditField(const std::string& state, const std::string& key,
+                      std::size_t field, const std::string& value) {
+  std::vector<std::string> lines = Split(state, '\n');
+  for (std::string& line : lines) {
+    std::vector<std::string> f = Split(line, ' ');
+    if (f[0] != key || field >= f.size()) continue;
+    f[field] = value;
+    line = Join(f, " ");
+    return Join(lines, "\n");
+  }
+  return "";
+}
+
+// Every field the writer emits has a declared domain, and Restore rejects
+// a value outside it: one edit per case to a valid mid-stream snapshot of a
+// two-shard LAF engine, with fixed and with adaptive deadlines.
+TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
+  struct Edit {
+    const char* key;
+    std::size_t field;
+    const char* value;
+    bool adaptive_only;
+  };
+  const Edit kEdits[] = {
+      {"clock", 1, "nan", false},      {"clock", 1, "inf", false},
+      {"counters", 1, "-5", false},    {"r", 3, "7", false},
+      {"A", 3, "999999", false},       {"A", 2, "-3", false},
+      {"A", 1, "nan", false},          {"pt", 1, "999999", false},
+      {"pt", 1, "-4", false},          {"pt", 3, "nan", false},
+      {"pt", 2, "inf", false},         {"pw", 1, "-4", false},
+      {"pw", 4, "nan", false},         {"pw", 4, "7", false},
+      {"pbatch", 1, "nan", false},     {"pcounters", 1, "-9", false},
+      {"l", 1, "nan", false},          {"sched", 1, "-3", false},
+      {"fc", 2, "nan", true},          {"fc", 3, "-1", true},
+      {"fc", 4, "inf", true},          {"fcst", 3, "-2", true},
+      {"pdl", 1, "nan", true},         {"pdl", 2, "-1", true},
+  };
+  const io::EventLog log = MakeLog(50, 1000, 11, /*move_fraction=*/0.1);
+  for (const bool adaptive : {false, true}) {
+    StreamOptions options = BaseOptions("LAF", 2);
+    if (adaptive) options.deadline_policy = DeadlinePolicy::kAdaptive;
+    const std::string state = SnapshotAt(log, options, log.num_events() / 2);
+    ASSERT_TRUE(ShardedStreamEngine::Restore(log, options, state).ok());
+    int cases = 0;
+    for (const Edit& edit : kEdits) {
+      if (edit.adaptive_only && !adaptive) continue;
+      const std::string edited =
+          EditField(state, edit.key, edit.field, edit.value);
+      ASSERT_FALSE(edited.empty()) << "no '" << edit.key << "' record";
+      const Status status =
+          ShardedStreamEngine::Restore(log, options, edited).status();
+      EXPECT_TRUE(status.IsInvalidArgument() || status.IsOutOfRange())
+          << (adaptive ? "adaptive " : "fixed ") << edit.key << " field "
+          << edit.field << " = " << edit.value << ": " << status.ToString();
+      ++cases;
+    }
+    EXPECT_EQ(cases, adaptive ? 24 : 18);
+  }
+}
+
+// The router and the pipelines describe the same tasks. Shifting every
+// pipeline task's global id past the router's task table used to restore
+// fine and then index past that table the first time one of the tasks
+// closed; Restore now refuses it.
+TEST(SnapshotRoundTripTest, PipelineTaskIdsMustMatchTheRouter) {
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 60;
+  cfg.num_workers = 6000;
+  cfg.dmax = 80.0;
+  cfg.seed = 5;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  generated.status().CheckOK();
+  const io::EventLog log = std::move(generated).value();
+  const StreamOptions options = BaseOptions("LAF", 2);
+  const std::int64_t cut = log.num_events() / 2;
+  const std::string state = SnapshotAt(log, options, cut);
+
+  std::vector<std::string> lines = Split(state, '\n');
+  int shifted = 0;
+  for (std::string& line : lines) {
+    std::vector<std::string> f = Split(line, ' ');
+    if (f[0] != "pt") continue;
+    f[1] = std::to_string(std::stoll(f[1]) + 100000);
+    line = Join(f, " ");
+    ++shifted;
+  }
+  ASSERT_GT(shifted, 0);
+  const auto restored =
+      ShardedStreamEngine::Restore(log, options, Join(lines, "\n"));
+  ASSERT_TRUE(restored.status().IsOutOfRange())
+      << restored.status().ToString();
+
+  // Swapping two pipeline tasks' ids keeps them in range but breaks the
+  // router's routes; that is refused too.
+  lines = Split(state, '\n');
+  std::vector<std::size_t> pt;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (StartsWith(lines[i], "pt ")) pt.push_back(i);
+  }
+  ASSERT_GE(pt.size(), 2u);
+  std::vector<std::string> a = Split(lines[pt[0]], ' ');
+  std::vector<std::string> b = Split(lines[pt[1]], ' ');
+  std::swap(a[1], b[1]);
+  lines[pt[0]] = Join(a, " ");
+  lines[pt[1]] = Join(b, " ");
+  EXPECT_TRUE(ShardedStreamEngine::Restore(log, options, Join(lines, "\n"))
+                  .status()
+                  .IsOutOfRange());
+
+  // The router's task table and the task-arrival counter agree too; a
+  // recovered service that counted one task more reported a wrong
+  // completion footer.
+  const std::string counters = state.substr(state.find("\ncounters ") + 1);
+  const std::int64_t task_events = std::stoll(Split(counters, ' ')[2]);
+  EXPECT_TRUE(
+      ShardedStreamEngine::Restore(
+          log, options,
+          EditField(state, "counters", 2, std::to_string(task_events + 1)))
+          .status()
+          .IsInvalidArgument());
+}
+
+// Seeded snapshot mutations (no fuzzing engine): each mutant of a valid
+// snapshot is either refused with a Status, or restores into an engine
+// whose snapshot is the mutant byte for byte and which runs the stream's
+// tail to Finish. A tail event may be refused only because the mutant moved
+// the stream clock past it; nothing may abort (the sanitizer CI rows run
+// this with _GLIBCXX_ASSERTIONS).
+TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
+  struct Base {
+    const char* algorithm;
+    bool adaptive;
+    bool routes;
+  };
+  const Base kBases[] = {
+      {"LAF", true, true}, {"Random", false, true}, {"MCF", false, true},
+      {"MCF", true, false}, {"AAM", false, false},
+  };
+  const char* const kNumbers[] = {
+      "nan", "inf", "-1", "0", "9223372036854775808", "1e300",
+      "1.0000000000000001e+300", "4.9406564584124654e-324"};
+  // A slow stream (~40 time units), so routed workers reach stops ("M").
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 20;
+  cfg.num_workers = 400;
+  cfg.task_rate = 0.5;
+  cfg.worker_rate = 10.0;
+  cfg.move_fraction = 0.1;
+  cfg.seed = 13;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  generated.status().CheckOK();
+  const io::EventLog log = std::move(generated).value();
+  const std::int64_t n = log.num_events();
+  std::mt19937_64 rng(20261019);
+  std::set<std::string> keys;
+  int refused = 0;
+  int accepted = 0;
+  for (const Base& base : kBases) {
+    StreamOptions options = BaseOptions(base.algorithm, 3);
+    options.batch_deadline = 0.4;
+    if (base.adaptive) options.deadline_policy = DeadlinePolicy::kAdaptive;
+    options.route_workers = base.routes;
+    const std::int64_t cut = n - 40;
+    const std::string state = SnapshotAt(log, options, cut);
+    const std::vector<std::string> lines = Split(state, '\n');
+    for (const std::string& line : lines) {
+      keys.insert(line.substr(0, line.find(' ')));
+    }
+    for (int m = 0; m < 600; ++m) {
+      std::vector<std::string> mutant = lines;
+      mutant.pop_back();  // the empty piece after the final '\n'
+      auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(rng() % size);
+      };
+      std::string& line = mutant[pick(mutant.size())];
+      std::vector<std::string> f = Split(line, ' ');
+      switch (m % 5) {
+        case 0:  // one byte flipped
+          if (!line.empty()) {
+            line[pick(line.size())] ^= static_cast<char>(1 + pick(255));
+          }
+          break;
+        case 1:  // a line dropped
+          mutant.erase(mutant.begin() +
+                       static_cast<std::ptrdiff_t>(pick(mutant.size())));
+          break;
+        case 2: {  // a line duplicated
+          const std::size_t at = pick(mutant.size());
+          mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                        mutant[at]);
+          break;
+        }
+        case 3:  // two fields swapped
+          if (f.size() > 2) {
+            std::swap(f[1 + pick(f.size() - 1)], f[1 + pick(f.size() - 1)]);
+            line = Join(f, " ");
+          }
+          break;
+        default:  // a number replaced by an extreme
+          if (f.size() > 1) {
+            f[1 + pick(f.size() - 1)] = kNumbers[pick(std::size(kNumbers))];
+            line = Join(f, " ");
+          }
+          break;
+      }
+      const std::string text = Join(mutant, "\n") + "\n";
+      auto restored = ShardedStreamEngine::Restore(log, options, text);
+      if (!restored.ok()) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      std::string again;
+      ASSERT_TRUE(restored.value()->SerializeTo(&again).ok());
+      ASSERT_EQ(again, text) << base.algorithm << " mutant " << m;
+      for (std::int64_t i = cut; i < n; ++i) {
+        const Status status = restored.value()->OnEvent(
+            log.events[static_cast<std::size_t>(i)]);
+        if (!status.ok()) {
+          EXPECT_NE(status.ToString().find("precedes the stream clock"),
+                    std::string::npos)
+              << base.algorithm << " mutant " << m << ": "
+              << status.ToString();
+          break;
+        }
+      }
+      (void)restored.value()->Finish();
+    }
+  }
+  EXPECT_EQ(refused + accepted, 3000);
+  EXPECT_GT(refused, 0);
+  for (const char* key : {"pt", "pw", "l", "a", "x", "b", "m", "pr", "ps",
+                          "d", "c", "A", "M", "fcst", "fc", "pdl"}) {
+    EXPECT_TRUE(keys.count(key) > 0) << "no base snapshot holds '" << key
+                                     << "'";
+  }
 }
 
 }  // namespace

@@ -24,9 +24,13 @@ Rules (ids appear in findings and in suppression comments):
                        common/random.* and common/timer.h — all randomness
                        flows through common::Random (seeded, mixable), all
                        timing through common::Timer (steady_clock).
-  float-format         A float conversion other than %.17g in a
-                       determinism-sensitive function: %.17g is the shortest
-                       printf format that round-trips every finite double.
+  float-format         A float conversion other than %.17g, or a
+                       std::to_chars format other than (chars_format::general,
+                       17), in a determinism-sensitive function: 17
+                       significant digits is the shortest fixed precision
+                       that round-trips every finite double. The snapshot
+                       codec's one double writer (common/state_archive.cc
+                       FormatReal) is such a function.
   unchecked-status     A bare call statement to a function returning
                        Status/StatusOr. The compiler enforces this too
                        ([[nodiscard]] + -Werror in CI); the lint catches it
@@ -86,9 +90,12 @@ RULE_IDS = (
 )
 
 # Function names whose bodies feed persisted, byte-compared artifacts
-# (snapshots, the WAL, serialized forecast/scheduler state).
+# (snapshots, the WAL, serialized forecast/scheduler state). Every state
+# object's snapshot layout is one Serialize(StateArchive&); FormatReal is
+# the archive's double writer.
 SENSITIVE_FN_RE = re.compile(
-    r"^(Serialize\w*|\w*Snapshot\w*|FormatEventRecord|WriteManifest)$")
+    r"^(Serialize\w*|\w*Snapshot\w*|FormatEventRecord|WriteManifest|"
+    r"FormatReal)$")
 
 # Directories whose includes make a src/ header shipped code (tests/ is
 # deliberately absent: a module only tests reach is the test-only-module
@@ -393,6 +400,9 @@ RANDOMNESS_RES = [
 ]
 
 FLOAT_CONV_RE = re.compile(r"%[-+ #0-9.*]*(?:hh|h|ll|l|L)?[fFeEgG]")
+# A std::to_chars floating format: chars_format::<kind>[, <precision>].
+TO_CHARS_FORMAT_RE = re.compile(
+    r"chars_format\s*::\s*(\w+)(?:\s*,\s*([^,)\s]+))?")
 
 CALL_STMT_RE = re.compile(
     r"^(?:[A-Za-z_]\w*(?:\.|->|::))*([A-Za-z_]\w*)\s*\(")
@@ -448,14 +458,20 @@ def lint_text(path, text, unordered, status_fns, findings,
                     "iterates unordered container '%s' in "
                     "determinism-sensitive function '%s' (use "
                     "common::SortedKeys)" % (var, stmt.fn)))
-            for conv in FLOAT_CONV_RE.findall(stmt.text):
+            convs = FLOAT_CONV_RE.findall(stmt.text)
+            for kind, precision in TO_CHARS_FORMAT_RE.findall(stmt.text):
+                if (kind, precision) != ("general", "17"):
+                    convs.append("chars_format::%s%s" % (
+                        kind, ", " + precision if precision else ""))
+            for conv in convs:
                 if conv != "%.17g" and not allowed(
                         "float-format", stmt.line, line_allows, file_allows):
                     findings.append(Finding(
                         path, stmt.line, "float-format",
                         "float format '%s' in determinism-sensitive function "
-                        "'%s' (persisted floats use %%.17g — the only format "
-                        "that round-trips every double)" % (conv, stmt.fn)))
+                        "'%s' (persisted floats use %%.17g or "
+                        "chars_format::general, 17 — 17 significant digits "
+                        "round-trip every double)" % (conv, stmt.fn)))
         if not skip_unchecked_status and stmt.fn and stmt.text.endswith(";"):
             m = CALL_STMT_RE.match(stmt.text)
             if (m and m.group(1) in status_fns
@@ -700,6 +716,17 @@ def selftest():
     f = _fixture_findings(neg, failures)
     expect(not any(x.rule == "unordered-iteration" for x in f),
            "sorted-keys walk and non-sensitive iteration pass", failures)
+    pos = dict(base)
+    pos["src/svc/engine.cc"] = (
+        "#include <unordered_map>\n"
+        "std::unordered_map<int, int> claims_;\n"
+        "Status Serialize(StateArchive& ar) {\n"
+        "  for (const auto& [k, v] : claims_) { Touch(ar, k); }\n"
+        "  return Status::OK();\n"
+        "}\n")
+    f = _fixture_findings(pos, failures)
+    expect(any(x.rule == "unordered-iteration" and x.line == 4 for x in f),
+           "hash-map iteration in Serialize(StateArchive&) flagged", failures)
 
     print("selftest: address-ordering")
     pos = dict(base)
@@ -750,6 +777,29 @@ def selftest():
     f = _fixture_findings(neg, failures)
     expect(not any(x.rule == "float-format" for x in f),
            "%.17g and non-sensitive %.3f pass", failures)
+    for fmt in ("general, 6", "fixed, 17", "scientific"):
+        pos = dict(base)
+        pos["src/common/state_archive.cc"] = (
+            "char* FormatReal(double v, char* buf) {\n"
+            "  return std::to_chars(buf, buf + 32, v,\n"
+            "                       std::chars_format::%s).ptr;\n"
+            "}\n" % fmt)
+        f = _fixture_findings(pos, failures)
+        expect(any(x.rule == "float-format" for x in f),
+               "chars_format::%s in the archive's writer flagged" % fmt,
+               failures)
+    neg = dict(base)
+    neg["src/common/state_archive.cc"] = (
+        "char* FormatReal(double v, char* buf) {\n"
+        "  return std::to_chars(buf, buf + 32, v,\n"
+        "                       std::chars_format::general, 17).ptr;\n"
+        "}\n"
+        "void Report(double v, char* buf) {\n"
+        "  std::to_chars(buf, buf + 32, v, std::chars_format::fixed, 3);\n"
+        "}\n")
+    f = _fixture_findings(neg, failures)
+    expect(not any(x.rule == "float-format" for x in f),
+           "general, 17 writer and non-sensitive fixed, 3 pass", failures)
 
     print("selftest: unchecked-status")
     pos = dict(base)
