@@ -47,7 +47,7 @@ void Aam::SelectTasks(const model::Worker& worker,
   last_strategy_ = use_lgf ? Strategy::kLgf : Strategy::kLrf;
 
   // Lines 6-12: score candidates under the active strategy, keep top K.
-  BoundedTopK heap(static_cast<std::size_t>(capacity()));
+  top_.Reset(static_cast<std::size_t>(capacity()));
   for (model::TaskId t : candidates) {
     const double remaining = remaining_[static_cast<std::size_t>(t)];
     double score;
@@ -59,9 +59,10 @@ void Aam::SelectTasks(const model::Worker& worker,
       // LRF: attack the bottleneck tasks with the most remaining demand.
       score = remaining;
     }
-    heap.Push(score, t);
+    top_.Push(score, t);
   }
-  for (const auto& item : heap.TakeDescending()) {
+  top_.TakeDescending(&chosen_);
+  for (const auto& item : chosen_) {
     out->push_back(static_cast<model::TaskId>(item.id));
   }
 }

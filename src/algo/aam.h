@@ -68,6 +68,9 @@ class Aam : public OnlineSchedulerBase {
   double remaining_sum_ = 0.0;
   std::unique_ptr<LazyMaxTracker> max_tracker_;
   Strategy last_strategy_ = Strategy::kNone;
+  // Selection scratch reused across workers: no allocation per worker.
+  BoundedTopK top_{0};
+  std::vector<BoundedTopK::Item> chosen_;
 };
 
 }  // namespace algo

@@ -1,7 +1,5 @@
 #include "algo/laf.h"
 
-#include "common/heap.h"
-
 namespace ltc {
 namespace algo {
 
@@ -9,13 +7,14 @@ void Laf::SelectTasks(const model::Worker& worker,
                       const std::vector<model::TaskId>& candidates,
                       std::vector<model::TaskId>* out) {
   // Algorithm 2 lines 4-7: keep the K largest Acc* in a bounded heap.
-  BoundedTopK heap(static_cast<std::size_t>(capacity()));
+  top_.Reset(static_cast<std::size_t>(capacity()));
   for (model::TaskId t : candidates) {
-    heap.Push(instance().AccStar(worker.index, t), t);
+    top_.Push(instance().AccStar(worker.index, t), t);
   }
   // Lines 8-10: extract and assign. Descending order is the paper's heap
   // extraction order; assignment order does not affect the outcome here.
-  for (const auto& item : heap.TakeDescending()) {
+  top_.TakeDescending(&chosen_);
+  for (const auto& item : chosen_) {
     out->push_back(static_cast<model::TaskId>(item.id));
   }
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algo/online_base.h"
+#include "common/heap.h"
 
 namespace ltc {
 namespace algo {
@@ -27,6 +28,11 @@ class Laf : public OnlineSchedulerBase {
   void SelectTasks(const model::Worker& worker,
                    const std::vector<model::TaskId>& candidates,
                    std::vector<model::TaskId>* out) override;
+
+ private:
+  // Selection scratch reused across workers: no allocation per worker.
+  BoundedTopK top_{0};
+  std::vector<BoundedTopK::Item> chosen_;
 };
 
 }  // namespace algo

@@ -77,10 +77,16 @@ class BoundedTopK {
   /// id). Leaves the heap empty.
   std::vector<Item> TakeDescending() {
     std::vector<Item> out;
-    out.reserve(heap_.size());
-    while (!heap_.empty()) out.push_back(PopMin());
-    std::reverse(out.begin(), out.end());
+    TakeDescending(&out);
     return out;
+  }
+
+  /// TakeDescending into `out`, replacing its contents; a buffer reused
+  /// across selections allocates only when it grows.
+  void TakeDescending(std::vector<Item>* out) {
+    out->clear();
+    while (!heap_.empty()) out->push_back(PopMin());
+    std::reverse(out->begin(), out->end());
   }
 
  private:

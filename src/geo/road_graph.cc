@@ -79,6 +79,28 @@ std::vector<std::int64_t> PickTicks(const std::vector<RoadGraph::Edge>& edges,
   }
 }
 
+// A point's coordinates as bit patterns: memo keys that tell -0.0 from 0.0
+// and never approximate.
+struct PointBits {
+  std::uint64_t x;
+  std::uint64_t y;
+};
+
+PointBits BitsOf(const Point& p) {
+  PointBits bits;
+  std::memcpy(&bits.x, &p.x, sizeof(bits.x));
+  std::memcpy(&bits.y, &p.y, sizeof(bits.y));
+  return bits;
+}
+
+// Multiplicative hash of both coordinates; the top `slot_bits` bits pick
+// the slot.
+std::size_t SlotOf(const PointBits& bits, int slot_bits) {
+  const std::uint64_t h =
+      (bits.x * 0x9E3779B97F4A7C15ULL) ^ (bits.y * 0xC2B2AE3D27D4EB4FULL);
+  return static_cast<std::size_t>(h >> (64 - slot_bits));
+}
+
 }  // namespace
 
 StatusOr<RoadGraph> RoadGraph::Build(std::vector<Point> nodes,
@@ -166,18 +188,12 @@ std::int32_t RoadGraph::Snap(const Point& p) const {
 
 std::int32_t RoadGraph::Snap(const Point& p, Workspace* ws) const {
   Attach(ws);
-  std::uint64_t x_bits;
-  std::uint64_t y_bits;
-  std::memcpy(&x_bits, &p.x, sizeof(x_bits));
-  std::memcpy(&y_bits, &p.y, sizeof(y_bits));
-  // Multiplicative hash of both coordinates; the top bits pick the slot.
-  const std::uint64_t h =
-      (x_bits * 0x9E3779B97F4A7C15ULL) ^ (y_bits * 0xC2B2AE3D27D4EB4FULL);
-  Workspace::SnapEntry& e = ws->snaps[static_cast<std::size_t>(
-      (h >> 56) % Workspace::kSnapSlots)];
-  if (e.node < 0 || e.x_bits != x_bits || e.y_bits != y_bits) {
-    e.x_bits = x_bits;
-    e.y_bits = y_bits;
+  if (ws->snaps.empty()) ws->snaps.resize(Workspace::kSnapSlots);
+  const PointBits bits = BitsOf(p);
+  Workspace::SnapEntry& e = ws->snaps[SlotOf(bits, Workspace::kSnapSlotBits)];
+  if (e.node < 0 || e.x_bits != bits.x || e.y_bits != bits.y) {
+    e.x_bits = bits.x;
+    e.y_bits = bits.y;
     e.node = Snap(p);
   }
   return e.node;
@@ -195,7 +211,7 @@ void RoadGraph::Attach(Workspace* ws) const {
   ws->frontier.Reset(n);
   ws->touched.clear();
   ws->source = -1;
-  ws->snaps.fill(Workspace::SnapEntry{});
+  ws->snaps.clear();  // re-filled empty by the next memoized snap
   ws->rows.assign(Workspace::kRowSets * Workspace::kRowWays, Workspace::Row{});
 }
 
@@ -299,12 +315,30 @@ std::int64_t RoadGraph::ReachTicks(std::int32_t source, std::int32_t v,
 
 namespace {
 
+using Workspace = RoadGraph::Workspace;
+
+static_assert(Workspace::kRowCapacity < Workspace::kNoPosition,
+              "row positions must fit the index's bytes");
+static_assert(2 * Workspace::kRowCapacity <= Workspace::kRowIndexSlots,
+              "a full row must leave the index at most half full");
+
 // The row set of `source`: a multiplicative hash, so neighbouring node ids
 // spread over the sets.
 std::size_t RowSetOf(std::int32_t source) {
   return static_cast<std::size_t>(
              (static_cast<std::uint32_t>(source) * 0x9E3779B1u) >> 27) %
-         RoadGraph::Workspace::kRowSets;
+         Workspace::kRowSets;
+}
+
+// Where a row's index starts probing for node `v`: the same multiplicative
+// hash, its top kRowIndexBits bits.
+std::size_t IndexSlotOf(std::int32_t v) {
+  const std::uint32_t h = static_cast<std::uint32_t>(v) * 0x9E3779B1u;
+  return h >> (32 - Workspace::kRowIndexBits);
+}
+
+std::size_t NextIndexSlot(std::size_t slot) {
+  return (slot + 1) % Workspace::kRowIndexSlots;
 }
 
 }  // namespace
@@ -338,10 +372,12 @@ RoadGraph::Workspace::Row* RoadGraph::BuildRow(std::int32_t source,
   // measures distances (routes, tests) never pays for it.
   ws->row_nodes.resize(ws->rows.size() * Workspace::kRowCapacity);
   ws->row_ticks.resize(ws->rows.size() * Workspace::kRowCapacity);
-  const auto slot = static_cast<std::size_t>(row - ws->rows.data()) *
-                    Workspace::kRowCapacity;
-  std::int32_t* nodes = &ws->row_nodes[slot];
-  std::int64_t* ticks = &ws->row_ticks[slot];
+  ws->row_index.resize(ws->rows.size() * Workspace::kRowIndexSlots);
+  const auto r = static_cast<std::size_t>(row - ws->rows.data());
+  std::int32_t* nodes = &ws->row_nodes[r * Workspace::kRowCapacity];
+  std::int64_t* ticks = &ws->row_ticks[r * Workspace::kRowCapacity];
+  std::uint8_t* index = &ws->row_index[r * Workspace::kRowIndexSlots];
+  std::fill_n(index, Workspace::kRowIndexSlots, Workspace::kNoPosition);
 
   // A fresh search from `source` (a paused one may have settled past the
   // bound), cut where the smallest key passes the bound or the row is full.
@@ -354,6 +390,9 @@ RoadGraph::Workspace::Row* RoadGraph::BuildRow(std::int32_t source,
          ws->frontier.PeekMin().first <= bound) {
     ticks[size] = ws->frontier.PeekMin().first;
     nodes[size] = static_cast<std::int32_t>(SettleNext(ws));
+    std::size_t s = IndexSlotOf(nodes[size]);
+    while (index[s] != Workspace::kNoPosition) s = NextIndexSlot(s);
+    index[s] = static_cast<std::uint8_t>(size);
     ++size;
   }
   row->source = source;
@@ -366,16 +405,16 @@ RoadGraph::Workspace::Row* RoadGraph::BuildRow(std::int32_t source,
 
 std::int64_t RoadGraph::RowTicks(const Workspace::Row& row, std::int32_t v,
                                  const Workspace& ws) {
-  const std::size_t slot =
-      static_cast<std::size_t>(&row - ws.rows.data()) * Workspace::kRowCapacity;
-  const std::int32_t* nodes = &ws.row_nodes[slot];
-  // A branch-free scan (it vectorizes): rows are short, and unsorted rows
-  // cost nothing to build.
-  std::int32_t hit = -1;
-  for (std::int32_t i = 0; i < row.size; ++i) {
-    hit = nodes[i] == v ? i : hit;
+  const auto r = static_cast<std::size_t>(&row - ws.rows.data());
+  const std::size_t base = r * Workspace::kRowCapacity;
+  const std::uint8_t* index = &ws.row_index[r * Workspace::kRowIndexSlots];
+  // Linear probing over an index at most half full: the probe ends at v's
+  // position or at the first empty slot.
+  for (std::size_t s = IndexSlotOf(v);; s = NextIndexSlot(s)) {
+    const std::uint8_t pos = index[s];
+    if (pos == Workspace::kNoPosition) return -1;
+    if (ws.row_nodes[base + pos] == v) return ws.row_ticks[base + pos];
   }
-  return hit < 0 ? -1 : ws.row_ticks[slot + static_cast<std::size_t>(hit)];
 }
 
 std::string RoadGraph::Serialize() const {
@@ -483,8 +522,63 @@ StatusOr<RoadGraph> RoadGraph::Load(const std::string& path) {
   return Parse(buf.str());
 }
 
+namespace {
+
+// Forgets the last gather's distances and makes `origin` on the graph
+// `graph_id` the key of the next ones. Only the used slots are emptied.
+void BeginGather(std::uint64_t graph_id, const Point& origin, Workspace* ws) {
+  if (ws->gather.empty()) ws->gather.resize(Workspace::kGatherSlots);
+  for (const std::uint16_t s : ws->gather_used) {
+    ws->gather[s] = Workspace::GatherEntry{};
+  }
+  ws->gather_used.clear();
+  const PointBits bits = BitsOf(origin);
+  ws->gather_graph_id = graph_id;
+  ws->gather_x_bits = bits.x;
+  ws->gather_y_bits = bits.y;
+}
+
+// Records Distance(gather origin, p) == d. Past half the slots the rest
+// go unrecorded, and Distance recomputes them.
+void RecordGather(const Point& p, double d, Workspace* ws) {
+  if (ws->gather_used.size() >= Workspace::kGatherSlots / 2) return;
+  const PointBits bits = BitsOf(p);
+  std::size_t s = SlotOf(bits, Workspace::kGatherSlotBits);
+  while (ws->gather[s].distance >= 0.0) {
+    // A second task at the same point: the same distance is already there.
+    if (ws->gather[s].x_bits == bits.x && ws->gather[s].y_bits == bits.y) {
+      return;
+    }
+    s = (s + 1) % Workspace::kGatherSlots;
+  }
+  ws->gather[s] = Workspace::GatherEntry{bits.x, bits.y, d};
+  ws->gather_used.push_back(static_cast<std::uint16_t>(s));
+}
+
+// The recorded Distance(a, b) when `a` is the last gather's origin on this
+// graph and the gather emitted `b`; otherwise null.
+const double* GatheredDistance(const Workspace& ws, std::uint64_t graph_id,
+                               const Point& a, const Point& b) {
+  if (ws.gather_graph_id != graph_id) return nullptr;
+  const PointBits origin = BitsOf(a);
+  if (origin.x != ws.gather_x_bits || origin.y != ws.gather_y_bits) {
+    return nullptr;
+  }
+  const PointBits bits = BitsOf(b);
+  for (std::size_t s = SlotOf(bits, Workspace::kGatherSlotBits);
+       ws.gather[s].distance >= 0.0; s = (s + 1) % Workspace::kGatherSlots) {
+    if (ws.gather[s].x_bits == bits.x && ws.gather[s].y_bits == bits.y) {
+      return &ws.gather[s].distance;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 double RoadMetric::Distance(const Point& a, const Point& b) const {
   RoadGraph::Workspace& ws = LocalWorkspace();
+  if (const double* d = GatheredDistance(ws, graph_->id(), a, b)) return *d;
   const std::int32_t u = graph_->Snap(a, &ws);
   const std::int32_t v = graph_->Snap(b, &ws);
   // The legs first: a + b == b + a, so the sum is symmetric bit for bit.
@@ -500,6 +594,7 @@ void RoadMetric::EligibleWithin(
   if (!(radius >= 0.0)) return;  // the grid visits nothing either
   RoadGraph::Workspace& ws = LocalWorkspace();
   const std::int32_t u = graph_->Snap(origin, &ws);
+  BeginGather(graph_->id(), origin, &ws);
   const double approach = geo::Distance(origin, graph_->node(u));
   // The radius in whole ticks: a path longer than `need` ticks is longer
   // than the radius, and so is any Distance that adds legs to it.
@@ -515,7 +610,11 @@ void RoadMetric::EligibleWithin(
     if (t > need && t != RoadGraph::kUnreachableTicks) return;
     // Distance(origin, p), summed in the same order.
     const double legs = approach + geo::Distance(graph_->node(v), p);
-    if (legs + graph_->ToUnits(t) <= radius) visit(id);
+    const double d = legs + graph_->ToUnits(t);
+    if (d <= radius) {
+      RecordGather(p, d, &ws);
+      visit(id);
+    }
   });
 }
 

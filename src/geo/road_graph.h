@@ -63,7 +63,8 @@ class RoadGraph {
   };
 
   /// Reusable per-thread query scratch: one paused Dijkstra, a memo of
-  /// reach rows and a snap memo.
+  /// reach rows with their node index, a snap memo and the last gather's
+  /// distances.
   ///
   /// The search keeps its state from the last source — tentative tick
   /// distances, the frontier and the nodes touched so far — so repeated
@@ -76,24 +77,38 @@ class RoadGraph {
   /// settled, with their exact tick distances, in settling order; its
   /// `bound` says every node within that many ticks of the source is in
   /// it. Rows live in kRowSets sets of kRowWays ways, least recently used
-  /// evicted first, each with room for kRowCapacity nodes: a fixed
-  /// kRowSets * kRowWays * kRowCapacity * 12 bytes (384 KB), allocated
-  /// when the first row is built. Every row entry is an exact distance, so
-  /// which rows are resident changes how much is searched, never an answer.
+  /// evicted first, each with room for kRowCapacity nodes, plus a
+  /// kRowIndexSlots-byte open-addressed index from node id to row position:
+  /// kRowSets * kRowWays * (kRowCapacity * 12 + kRowIndexSlots) bytes
+  /// (384 KB of nodes and ticks, 64 KB of index), allocated when the first
+  /// row is built. Every row entry is an exact distance, so which rows are
+  /// resident changes how much is searched, never an answer.
   ///
   /// The snap memo is a direct-mapped cache of Snap answers, keyed by the
   /// point's exact bit pattern (so it returns what Snap(p) would, never an
-  /// approximation). A colliding point evicts the slot's previous entry.
+  /// approximation). A colliding point evicts the slot's previous entry. It
+  /// has room for every open task of a gather-heavy stream plus the workers
+  /// passing through (kSnapSlots * 24 bytes, 96 KB), allocated on the first
+  /// memoized snap.
   ///
-  /// Everything here belongs to the graph named by graph_id; the first
-  /// query on another graph resets the search and both memos.
+  /// The gather memo holds the exact Distance(origin, p) of every point p
+  /// the last RoadMetric::EligibleWithin emitted, keyed by the graph and by
+  /// the origin's and p's bit patterns, so the eligibility re-check and the
+  /// scheduler's Acc evaluations of the same pairs reuse them (kGatherSlots
+  /// * 24 bytes, 6 KB, open-addressed and at most half full; the emissions
+  /// past that are recomputed on demand).
+  ///
+  /// Everything but the gather memo belongs to the graph named by
+  /// graph_id; the first query on another graph resets the search and the
+  /// other memos. The gather memo names its own graph.
   struct Workspace {
     struct SnapEntry {
       std::uint64_t x_bits = 0;
       std::uint64_t y_bits = 0;
       std::int32_t node = -1;  // -1: empty slot
     };
-    static constexpr std::size_t kSnapSlots = 256;  // 6 KB
+    static constexpr int kSnapSlotBits = 12;
+    static constexpr std::size_t kSnapSlots = 1u << kSnapSlotBits;
 
     struct Row {
       std::int32_t source = -1;  // -1: empty way
@@ -104,17 +119,37 @@ class RoadGraph {
     static constexpr std::size_t kRowSets = 32;
     static constexpr std::size_t kRowWays = 8;
     static constexpr std::size_t kRowCapacity = 128;
+    // Twice the capacity, so probes stay short; positions fit a byte.
+    static constexpr int kRowIndexBits = 8;
+    static constexpr std::size_t kRowIndexSlots = 1u << kRowIndexBits;
+    static constexpr std::uint8_t kNoPosition = 0xFF;
+
+    struct GatherEntry {
+      std::uint64_t x_bits = 0;
+      std::uint64_t y_bits = 0;
+      double distance = -1.0;  // -1: empty slot
+    };
+    static constexpr int kGatherSlotBits = 8;
+    static constexpr std::size_t kGatherSlots = 1u << kGatherSlotBits;
 
     std::vector<std::int64_t> dist;  // ticks
     IndexedMinHeap<std::int64_t> frontier{0};
     std::vector<std::int32_t> touched;  // nodes with a finite dist entry
     std::int32_t source = -1;
     std::uint64_t graph_id = 0;  // invalidates everything across graphs
-    std::array<SnapEntry, kSnapSlots> snaps{};
+    std::vector<SnapEntry> snaps;         // kSnapSlots once used
     std::vector<Row> rows;                // kRowSets * kRowWays
     std::vector<std::int32_t> row_nodes;  // kRowCapacity per row
     std::vector<std::int64_t> row_ticks;  // parallel to row_nodes
+    std::vector<std::uint8_t> row_index;  // kRowIndexSlots per row
     std::uint64_t row_clock = 0;
+    // The last gather: its graph (0: none), its origin's bits and the
+    // distances it emitted.
+    std::uint64_t gather_graph_id = 0;
+    std::uint64_t gather_x_bits = 0;
+    std::uint64_t gather_y_bits = 0;
+    std::vector<GatherEntry> gather;         // kGatherSlots once used
+    std::vector<std::uint16_t> gather_used;  // occupied gather slots
   };
 
   static constexpr double kUnreachable =
@@ -210,7 +245,7 @@ class RoadGraph {
  private:
   RoadGraph() = default;
 
-  /// Resets the workspace (search and both memos) unless it already
+  /// Resets the workspace (search and every memo) unless it already
   /// belongs to this graph.
   void Attach(Workspace* ws) const;
 
@@ -237,7 +272,8 @@ class RoadGraph {
   Workspace::Row* BuildRow(std::int32_t source, std::int64_t bound,
                            Workspace::Row* reuse, Workspace* ws) const;
 
-  /// Looks `v` up in `row`: its ticks, or -1 when the row does not list it.
+  /// Looks `v` up in `row` through the row's node index: its ticks, or -1
+  /// when the row does not list it.
   static std::int64_t RowTicks(const Workspace::Row& row, std::int32_t v,
                                const Workspace& ws);
 
@@ -267,22 +303,26 @@ class RoadGraph {
 /// weight >= length invariant, satisfying the Metric contract; LowerBound
 /// is the inherited Euclidean distance. The two legs are added first and
 /// d_G is an exact tick count, so Distance(a, b) == Distance(b, a) bit for
-/// bit. The workspace (search, reach rows, snap memo) lives in
+/// bit. The workspace (search, reach rows, snap and gather memos) lives in
 /// thread-local storage keyed by graph id, so concurrent gathers (svc
-/// GatherSlot fan-out) are safe; a row built by the gather also answers the
-/// scheduler's Acc evaluations of the same task.
+/// GatherSlot fan-out) are safe; the distances a gather emits answer the
+/// eligibility re-check and the scheduler's Acc evaluations of the same
+/// pairs, and a row it built answers the other pairs of the same task.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)
       : graph_(std::move(graph)) {}
 
+  /// Answered from the gather memo when `a` is the origin of this thread's
+  /// last EligibleWithin and that call emitted `b`.
   double Distance(const Point& a, const Point& b) const override;
 
   /// Emits exactly the ids Metric::EligibleWithin emits, in the same order,
   /// without a search per origin: the origin is snapped once and looked up
   /// in each candidate's reach row (RoadGraph::ReachTicks), bounded by the
   /// radius in whole ticks. A node missing from a row bounded that far is
-  /// farther than the radius, so the answer is exact (DESIGN.md §12).
+  /// farther than the radius, so the answer is exact (DESIGN.md §12). The
+  /// Distance of each emitted point goes to the gather memo.
   void EligibleWithin(
       const GridIndex& grid, const Point& origin, double radius,
       const std::function<void(std::int64_t)>& visit) const override;

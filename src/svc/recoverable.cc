@@ -85,12 +85,27 @@ StatusOr<std::unique_ptr<RecoverableService>> RecoverableService::Open(
           svc->engine_,
           ShardedStreamEngine::Restore(svc->header_, options.stream,
                                        loaded.engine_state));
-      svc->events_applied_ = loaded.events_applied;
-      svc->recovery_.snapshot_events = loaded.events_applied;
-    } else {
+      // The snapshot's clock must be the time of the last WAL event it
+      // covers (0 for none): a CRC-valid snapshot whose clock disagrees
+      // would make the suffix replay fail on every restart.
+      const double wal_clock =
+          loaded.events_applied == 0
+              ? 0.0
+              : rec.log.events[static_cast<std::size_t>(
+                                   loaded.events_applied - 1)]
+                    .time;
+      if (svc->engine_->last_event_time() == wal_clock) {
+        svc->events_applied_ = loaded.events_applied;
+        svc->recovery_.snapshot_events = loaded.events_applied;
+      } else {
+        svc->engine_.reset();
+      }
+    }
+    if (svc->engine_ == nullptr) {
       // No valid snapshot — or one claiming more events than the WAL holds,
-      // which the flush-before-snapshot ordering forbids, so it cannot be
-      // trusted either. Cold start + full WAL replay.
+      // which the flush-before-snapshot ordering forbids, or one whose clock
+      // disagrees with the WAL, so it cannot be trusted either. Cold start +
+      // full WAL replay.
       if (loaded.found) ++svc->recovery_.snapshots_discarded;
       LTC_ASSIGN_OR_RETURN(
           svc->engine_,

@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -374,6 +375,99 @@ TEST(RoadGraphTest, ReachMemoNeverChangesAnAnswer) {
   EXPECT_GT(near_answers, 3000);  // the comparison is not vacuous
 }
 
+/// The resident row of `source` in `ws`, or null.
+const RoadGraph::Workspace::Row* ResidentRow(const RoadGraph::Workspace& ws,
+                                             std::int32_t source) {
+  for (const RoadGraph::Workspace::Row& row : ws.rows) {
+    if (row.source == source) return &row;
+  }
+  return nullptr;
+}
+
+TEST(RoadGraphTest, RowIndexAnswersLikeALinearScan) {
+  // After each ReachTicks, every node of the graph, listed in the source's
+  // row or not, is looked up again through the row's index with the row's
+  // own bound as the need (so nothing is rebuilt or searched): a listed
+  // node gives the ticks a linear scan of the row finds, an unlisted one
+  // the bound plus one. A lattice and a random graph take turns on one
+  // workspace, each for long enough that more sources are asked than rows
+  // are resident, so rows are evicted; and needs grow per source, so rows
+  // are rebuilt in place.
+  Rng rng(67);
+  using Workspace = RoadGraph::Workspace;
+  std::int64_t evicted = 0;
+  std::int64_t rebuilt = 0;
+  std::int64_t listed = 0;
+  for (int trial = 0; trial < 2; ++trial) {
+    std::vector<RoadGraph> graphs;
+    for (RandomGraph g :
+         {MakeLattice(&rng, 24, 24), MakeRandomGraph(&rng, 400, 900)}) {
+      auto built = RoadGraph::Build(g.nodes, g.edges);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      graphs.push_back(std::move(built).value());
+    }
+    // Sources asked since the workspace last switched to their graph.
+    std::vector<char> asked;
+    Workspace ws;
+    for (int q = 0; q < 2400; ++q) {
+      const auto k = static_cast<std::size_t>((q / 600 + trial) % 2);
+      const RoadGraph& graph = graphs[k];
+      const std::int32_t n = graph.num_nodes();
+      if (q % 600 == 0) asked.assign(static_cast<std::size_t>(n), 0);
+      // Half the sources come back (rows grow), the rest spread over the
+      // graph (rows are evicted).
+      const auto source = static_cast<std::int32_t>(
+          rng.UniformInt(0, rng.Uniform(0.0, 1.0) < 0.5 ? 39 : n - 1));
+      const Workspace::Row* before = ResidentRow(ws, source);
+      if (asked[static_cast<std::size_t>(source)] && before == nullptr) {
+        ++evicted;
+      }
+      asked[static_cast<std::size_t>(source)] = 1;
+      if (q % 600 == 0) before = nullptr;  // the switch resets the rows
+      // A row that is neither full nor the source's whole component.
+      const bool grows =
+          before != nullptr &&
+          before->size < static_cast<std::int32_t>(Workspace::kRowCapacity) &&
+          before->bound != RoadGraph::kUnreachableTicks;
+      // A need past the row's bound when it can grow, so it is rebuilt.
+      const std::int64_t need =
+          grows ? before->bound + 1 + rng.UniformInt(0, before->bound + 1)
+                : static_cast<std::int64_t>(std::ldexp(
+                      rng.Uniform(5.0, 120.0), graph.tick_exponent()));
+      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      graph.ReachTicks(source, v, need, &ws);
+      const Workspace::Row* row = ResidentRow(ws, source);
+      ASSERT_NE(row, nullptr) << "q=" << q;
+      if (grows && row == before) ++rebuilt;
+      // The row as a linear scan sees it.
+      const auto base = static_cast<std::size_t>(row - ws.rows.data()) *
+                        Workspace::kRowCapacity;
+      std::vector<std::int64_t> scanned(static_cast<std::size_t>(n), -1);
+      for (std::int32_t i = 0; i < row->size; ++i) {
+        const auto at = base + static_cast<std::size_t>(i);
+        scanned[static_cast<std::size_t>(ws.row_nodes[at])] = ws.row_ticks[at];
+      }
+      const std::int64_t bound = row->bound;
+      const std::int64_t unlisted = bound == RoadGraph::kUnreachableTicks
+                                        ? RoadGraph::kUnreachableTicks
+                                        : bound + 1;
+      for (std::int32_t x = 0; x < n; ++x) {
+        const std::int64_t want = scanned[static_cast<std::size_t>(x)];
+        const std::int64_t got = graph.ReachTicks(source, x, bound, &ws);
+        ASSERT_EQ(got, want >= 0 ? want : unlisted)
+            << "trial " << trial << " q=" << q << " source=" << source
+            << " x=" << x;
+        if (want >= 0) ++listed;
+      }
+      ASSERT_EQ(ResidentRow(ws, source), row) << "q=" << q;
+    }
+  }
+  // The comparison is not vacuous, and rows were evicted and rebuilt.
+  EXPECT_GT(listed, 10000);
+  EXPECT_GT(evicted, 0);
+  EXPECT_GT(rebuilt, 0);
+}
+
 TEST(RoadGraphTest, TicksKeepTheMetricContract) {
   // Every edge rounds up (weight <= ticks * 2^-k), the edges' ticks sum
   // below 2^53, k is the largest exponent that allows it (or 1074), and a
@@ -456,17 +550,19 @@ TEST(RoadGraphTest, TicksKeepTheMetricContract) {
 }
 
 TEST(RoadGraphTest, SnapMemoAnswersLikeSnap) {
-  // A 30 x 30 lattice of points: more than the memo has slots, so slots
-  // collide and evict, and many colliding points share one coordinate, so
-  // a key that ignored either coordinate would answer for the wrong point.
-  // Two graphs alternate on one workspace, so the memo is reset between
-  // them. Every memoized answer must equal the direct Snap.
+  // A square lattice of points, about twice as many as the memo has slots,
+  // so slots collide and evict, and many colliding points share one
+  // coordinate, so a key that ignored either coordinate would answer for
+  // the wrong point. Two graphs take turns on one workspace, so the memo is
+  // reset between them. Every memoized answer must equal the direct Snap.
   Rng rng(47);
   std::vector<RoadGraph> graphs;
   graphs.push_back(MakeTestGraph(&rng));
   graphs.push_back(MakeTestGraph(&rng));
+  const auto side = static_cast<int>(
+      std::sqrt(2.0 * static_cast<double>(RoadGraph::Workspace::kSnapSlots)));
   std::vector<double> coords;
-  for (int i = 0; i < 30; ++i) coords.push_back(rng.Uniform(-20.0, 120.0));
+  for (int i = 0; i < side; ++i) coords.push_back(rng.Uniform(-20.0, 120.0));
   std::vector<Point> pool;
   for (const double x : coords) {
     for (const double y : coords) pool.push_back({x, y});
@@ -475,10 +571,10 @@ TEST(RoadGraphTest, SnapMemoAnswersLikeSnap) {
   pool.push_back({0.0, 0.0});
   pool.push_back({-0.0, 0.0});
   pool.push_back({1e300, -1e300});
+  ASSERT_GT(pool.size(), RoadGraph::Workspace::kSnapSlots);
   RoadGraph::Workspace ws;
-  for (int q = 0; q < 20000; ++q) {
-    const RoadGraph& graph =
-        graphs[static_cast<std::size_t>(q % 7 == 0 ? 1 : 0)];
+  for (int q = 0; q < 40000; ++q) {
+    const RoadGraph& graph = graphs[static_cast<std::size_t>((q / 5000) % 2)];
     const Point& p = pool[static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
     ASSERT_EQ(graph.Snap(p, &ws), graph.Snap(p)) << "q=" << q;
@@ -764,6 +860,96 @@ TEST(RoadMetricTest, DistanceMatchesUncachedRecompute) {
     EXPECT_EQ(metric.Distance(a, b), UncachedDistance(metric.graph(), a, b))
         << "q=" << q;
   }
+}
+
+/// Gathers from two origins interleaved with Distance calls from both, in
+/// both directions, on two metrics whose graphs share the task points, and
+/// counts the answers that differ from a from-scratch recompute. The last
+/// gather's memo must answer only for its own origin and graph: every third
+/// gather, the other metric is asked about the same pairs first. Adds the
+/// number of pairs checked to `*checked`.
+std::int64_t GatherMemoMismatches(const RoadMetric* metrics,
+                                  std::uint64_t seed, std::int64_t* checked) {
+  Rng rng(seed);
+  // The second half shares the first half's x coordinates, so a key that
+  // ignored y would answer for the wrong point.
+  std::vector<Point> tasks;
+  for (int i = 0; i < 150; ++i) {
+    tasks.push_back({rng.Uniform(-20.0, 120.0), rng.Uniform(-20.0, 120.0)});
+  }
+  for (int i = 0; i < 150; ++i) {
+    tasks.push_back({tasks[static_cast<std::size_t>(i)].x,
+                     rng.Uniform(-20.0, 120.0)});
+  }
+  auto grid = GridIndex::Build(tasks, 10.0);
+  grid.status().CheckOK();
+  std::int64_t mismatches = 0;
+  const auto check = [&](const RoadMetric& metric, const Point& a,
+                         const Point& b) {
+    if (metric.Distance(a, b) != UncachedDistance(metric.graph(), a, b)) {
+      ++mismatches;
+    }
+    ++*checked;
+  };
+  Point origins[2] = {{50.0, 50.0}, {50.0, 50.0}};
+  for (int q = 0; q < 60; ++q) {
+    const int o = q % 2;
+    const RoadMetric& metric = metrics[(q / 4) % 2];
+    const RoadMetric& other = metrics[1 - (q / 4) % 2];
+    if (q % 5 < 2) {
+      origins[o] = {rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+    } else if (q % 5 == 2) {
+      // The same x as the other origin.
+      origins[o] = {origins[1 - o].x, rng.Uniform(0.0, 100.0)};
+    }
+    // A radius of 1e6 emits every task: more than the memo holds.
+    const double radius = q % 7 == 0 ? 1e6 : rng.Uniform(0.0, 60.0);
+    std::vector<std::int64_t> emitted;
+    metric.EligibleWithin(grid.value(), origins[o], radius,
+                          [&](std::int64_t id) { emitted.push_back(id); });
+    if (q % 3 == 0) {
+      for (const std::int64_t id : emitted) {
+        check(other, origins[o], tasks[static_cast<std::size_t>(id)]);
+      }
+    }
+    for (const std::int64_t id : emitted) {
+      const Point& p = tasks[static_cast<std::size_t>(id)];
+      check(metric, origins[o], p);
+      check(metric, p, origins[o]);
+      check(metric, origins[1 - o], p);
+    }
+    // Points it did not emit, from its origin.
+    for (int i = 0; i < 10; ++i) {
+      check(metric, origins[o],
+            tasks[static_cast<std::size_t>(rng.UniformInt(0, 299))]);
+    }
+  }
+  return mismatches;
+}
+
+TEST(RoadMetricTest, GatherMemoMatchesUncachedRecompute) {
+  // The distances RoadMetric::EligibleWithin leaves behind answer Distance
+  // bit for bit like a recompute: two origins interleaved, after graph
+  // switches, past the memo's capacity, and on two threads at once (each
+  // with its own workspace).
+  Rng rng(73);
+  const RoadMetric metrics[] = {
+      RoadMetric(std::make_shared<RoadGraph>(MakeTestGraph(&rng))),
+      RoadMetric(std::make_shared<RoadGraph>(MakeTestGraph(&rng)))};
+  std::int64_t checked = 0;
+  EXPECT_EQ(GatherMemoMismatches(metrics, 1, &checked), 0);
+  EXPECT_GT(checked, 5000);  // the comparison is not vacuous
+
+  std::int64_t mismatches[2] = {0, 0};
+  std::int64_t counts[2] = {0, 0};
+  std::thread other([&] {
+    mismatches[1] = GatherMemoMismatches(metrics, 2, &counts[1]);
+  });
+  mismatches[0] = GatherMemoMismatches(metrics, 3, &counts[0]);
+  other.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
+  EXPECT_GT(counts[0] + counts[1], 10000);
 }
 
 TEST(GridRoadGeneratorTest, DeterministicAndConnected) {

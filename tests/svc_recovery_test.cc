@@ -32,6 +32,7 @@
 #include "svc/recoverable.h"
 #include "svc/serve_main.h"
 #include "svc/sharded_engine.h"
+#include "svc/snapshot.h"
 
 namespace ltc {
 namespace svc {
@@ -779,6 +780,61 @@ std::string EditField(const std::string& state, const std::string& key,
     return Join(lines, "\n");
   }
   return "";
+}
+
+// A CRC-valid snapshot whose clock disagrees with the WAL event it claims
+// to end at (rewritten, CRC recomputed) is discarded like one ahead of the
+// WAL: recovery replays the whole WAL and finishes with the golden log.
+// Restored, a future clock would fail the next event with "precedes the
+// stream clock", on every restart.
+TEST(CrashRecoveryTest, SnapshotClockOffTheWalIsDiscarded) {
+  const io::EventLog log = MakeLog(30, 600, 43);
+  const StreamOptions options = BaseOptions("LAF", 1);
+  const std::string golden = GoldenLog(log, options, "clock_golden");
+  const std::int64_t ingested = log.num_events() / 2;
+  for (const char* clock : {"1000000", "0"}) {
+    const std::string dir = FreshDir("clock");
+    const auto sopts = ServiceOptions(dir, options, 0, 8);
+    {
+      auto service = RecoverableService::Open(log, sopts);
+      service.status().CheckOK();
+      for (std::int64_t i = 0; i < ingested; ++i) {
+        service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+            .CheckOK();
+      }
+      service.value()->Checkpoint().CheckOK();
+    }
+    auto store = SnapshotStore::Open(dir + "/snapshots");
+    store.status().CheckOK();
+    auto loaded = store.value().LoadLatest();
+    loaded.status().CheckOK();
+    ASSERT_TRUE(loaded.value().found);
+    ASSERT_EQ(loaded.value().events_applied, ingested);
+    const std::string edited =
+        EditField(loaded.value().engine_state, "clock", 1, clock);
+    ASSERT_FALSE(edited.empty());
+    ASSERT_NE(edited, loaded.value().engine_state);
+    // Write frames the edited state with a fresh CRC, over the same file.
+    store.value().Write(ingested, edited).CheckOK();
+
+    auto service = RecoverableService::Open(log, sopts);
+    ASSERT_TRUE(service.ok()) << clock << ": " << service.status().ToString();
+    const RecoverableService::RecoveryInfo& r = service.value()->recovery();
+    EXPECT_GE(r.snapshots_discarded, 1) << clock;
+    EXPECT_EQ(r.snapshot_events, 0) << clock;  // full WAL replay
+    EXPECT_EQ(r.replayed, ingested) << clock;
+    for (std::int64_t i = ingested; i < log.num_events(); ++i) {
+      ASSERT_TRUE(
+          service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+              .ok());
+    }
+    auto metrics = service.value()->Finish();
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    EXPECT_EQ(RenderAssignmentLog(options, service.value()->assignments(),
+                                  metrics.value()),
+              golden)
+        << clock;
+  }
 }
 
 // Every field the writer emits has a declared domain, and Restore rejects
