@@ -116,9 +116,9 @@ StatusOr<CellResult> RunCell(const StreamCase& scale, std::int64_t shards,
     options.seed = cfg.seed;
     options.threads = static_cast<int>(FLAG_threads.Get());
     options.shards = static_cast<int>(shards);
-    // Measure the serving path only: post-stream ValidateArrangement is
-    // O(assignments) bookkeeping inside ReplayEventLog's timed window and
-    // would pollute events/sec (tests cover validity; benches measure).
+    // Measure the serving path only: the commit-time constraint checks are
+    // bookkeeping inside ReplayEventLog's timed window and would pollute
+    // events/sec (tests cover validity; benches measure).
     options.validate = false;
     LTC_ASSIGN_OR_RETURN(svc::ReplayResult replay,
                          svc::ReplayEventLog(log, options));

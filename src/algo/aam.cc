@@ -67,8 +67,7 @@ void Aam::SelectTasks(const model::Worker& worker,
   }
 }
 
-void Aam::OnAssigned(const model::Worker& worker, model::TaskId task) {
-  (void)worker;
+void Aam::OnAssigned(model::TaskId task) {
   const auto t = static_cast<std::size_t>(task);
   const double new_remaining = arr().Remaining(task);
   remaining_sum_ -= remaining_[t] - new_remaining;

@@ -59,7 +59,7 @@ class Aam : public OnlineSchedulerBase {
   void SelectTasks(const model::Worker& worker,
                    const std::vector<model::TaskId>& candidates,
                    std::vector<model::TaskId>* out) override;
-  void OnAssigned(const model::Worker& worker, model::TaskId task) override;
+  void OnAssigned(model::TaskId task) override;
 
  private:
   AamOptions options_;

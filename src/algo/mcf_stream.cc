@@ -101,8 +101,11 @@ Status McfStream::Serialize(StateArchive& ar) {
   for (std::size_t p = 0; ar.Repeats("b", p, buf_worker_.size()); ++p) {
     model::WorkerIndex w = ar.writing() ? buf_worker_[p] : 0;
     const std::size_t end = ar.writing() ? buf_begin_[p + 1] : 0;
+    // A held worker is resident: its record is read at the flush.
     LTC_RETURN_IF_ERROR(
-        ar.Record("b", Index(&w, last + 1, instance_->num_workers()),
+        ar.Record("b",
+                  Index(&w, std::max(last, instance_->worker_offset) + 1,
+                        instance_->last_worker()),
                   List(&buf_cand_, buf_begin_[p], end, 0,
                        arrangement_->num_tasks() - 1)));
     if (ar.reading()) {
@@ -169,15 +172,14 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   batch_left_.assign(nb, -1);
   for (std::size_t p = 0; p < nb; ++p) {
     pair_begin_[p] = pair_task_.size();
-    const model::Worker& w =
-        instance_->workers[static_cast<std::size_t>(buf_worker_[p]) - 1];
+    const model::WorkerIndex w = buf_worker_[p];
     for (std::size_t k = buf_begin_[p]; k < buf_begin_[p + 1]; ++k) {
       const model::TaskId t = buf_cand_[k];
       if (arrangement_->TaskCompleted(t)) continue;
       if (batch_left_[p] < 0) {
         batch_left_[p] = incr_->AddLeft(instance_->capacity);
       }
-      const double acc_star = instance_->AccStar(w.index, t);
+      const double acc_star = instance_->AccStar(w, t);
       const auto scaled =
           static_cast<std::int64_t>(std::llround(acc_star * kCostScale));
       const std::int64_t cost =

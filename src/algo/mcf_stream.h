@@ -62,6 +62,10 @@ class McfStream : public OnlineScheduler {
       const std::vector<const std::vector<model::TaskId>*>& candidates,
       std::vector<StreamCommit>* commits) override;
   Status OnStreamEnd(std::vector<StreamCommit>* commits) override;
+  /// The oldest worker of the open internal batch (0 when it is empty).
+  model::WorkerIndex OldestHeldWorker() const override {
+    return buf_worker_.empty() ? 0 : buf_worker_.front();
+  }
 
   /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's Add
   /// sequence ("a"), the open internal batch — one "b <worker> [cand...]"

@@ -36,8 +36,7 @@ Status OnlineSchedulerBase::OnBatchWithCandidates(
   closed_this_call_.clear();
   for (std::size_t i = 0; i < workers.size(); ++i) {
     if (arrangement_->AllCompleted()) break;
-    const model::Worker& worker =
-        instance_->workers[static_cast<std::size_t>(workers[i]) - 1];
+    const model::Worker& worker = instance_->worker(workers[i]);
     candidates_scratch_.clear();
     for (model::TaskId t : *candidates[i]) {
       if (arrangement_->TaskCompleted(t) &&
@@ -59,7 +58,7 @@ Status OnlineSchedulerBase::OnBatchWithCandidates(
       const bool was_open =
           !filter_completed && !arrangement_->TaskCompleted(t);
       arrangement_->Add(worker.index, t, instance_->AccStar(worker.index, t));
-      OnAssigned(worker, t);
+      OnAssigned(t);
       commits->push_back(StreamCommit{worker.index, t});
       if (was_open && arrangement_->TaskCompleted(t)) {
         closed_this_call_.push_back(t);

@@ -49,12 +49,9 @@ class OnlineSchedulerBase : public OnlineScheduler {
   /// keeps (DESIGN.md §8).
   virtual bool FilterCompleted() const { return true; }
 
-  /// Hook invoked after each committed assignment (AAM maintains its
-  /// remaining-demand aggregates here).
-  virtual void OnAssigned(const model::Worker& worker, model::TaskId task) {
-    (void)worker;
-    (void)task;
-  }
+  /// Hook invoked after each committed assignment of `task` (AAM
+  /// maintains its remaining-demand aggregates here).
+  virtual void OnAssigned(model::TaskId task) { (void)task; }
 
   /// Hook invoked by InitStreaming after the base state is ready.
   virtual Status OnInit() { return Status::OK(); }
@@ -68,11 +65,9 @@ class OnlineSchedulerBase : public OnlineScheduler {
   }
 
   /// A snapshot read replays each assignment through OnAssigned() too, so
-  /// per-task aggregates (AAM) rebuild themselves.
-  void OnReplayed(const model::Assignment& a) override {
-    OnAssigned(instance_->workers[static_cast<std::size_t>(a.worker) - 1],
-               a.task);
-  }
+  /// per-task aggregates (AAM) rebuild themselves; the worker may be
+  /// retired, so the hook sees only the task.
+  void OnReplayed(const model::Assignment& a) override { OnAssigned(a.task); }
 
   const model::ProblemInstance& instance() const { return *instance_; }
   std::int32_t capacity() const { return instance_->capacity; }

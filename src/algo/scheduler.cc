@@ -39,10 +39,7 @@ void FillArrangementStats(const model::Arrangement& arrangement,
   for (const model::Assignment& a : arrangement.assignments()) {
     stats->total_acc_star += a.acc_star;
   }
-  stats->workers_used = 0;
-  for (model::WorkerIndex w = 1; w <= arrangement.MaxWorkerIndex(); ++w) {
-    if (arrangement.Load(w) > 0) ++stats->workers_used;
-  }
+  stats->workers_used = arrangement.workers_used();
 }
 
 Status OnlineScheduler::StartArrangement(
@@ -84,7 +81,7 @@ Status OnlineScheduler::Serialize(StateArchive& ar) {
   for (std::size_t i = 0; ar.Repeats("a", i, made.size()); ++i) {
     model::Assignment a = ar.writing() ? made[i] : model::Assignment{};
     LTC_RETURN_IF_ERROR(ar.Record(
-        "a", Index(&a.worker, 1, instance_->num_workers()),
+        "a", Index(&a.worker, 1, instance_->last_worker()),
         Index(&a.task, 0, arrangement_->num_tasks() - 1), Unit(&a.acc_star)));
     if (ar.reading()) {
       arrangement_->Add(a.worker, a.task, a.acc_star);

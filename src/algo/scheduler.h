@@ -7,8 +7,10 @@
 // svc::StreamPipeline drives it over a live event stream; DriveOnline
 // drives it over a fully materialised instance, one worker per call in
 // arrival order, which enforces the temporal constraint of Definition 7
-// (each worker is committed before the next one is seen). Every run's
-// arrangement is validated by the same model::ValidateArrangement code.
+// (each worker is committed before the next one is seen). sim validates a
+// finished run's whole arrangement (model::ValidateArrangement); a
+// streaming pipeline checks each commit round as it commits
+// (model::ValidateCommitRound), before it retires the round's workers.
 
 #ifndef LTC_ALGO_SCHEDULER_H_
 #define LTC_ALGO_SCHEDULER_H_
@@ -132,21 +134,21 @@ class OnlineScheduler {
   virtual Status OnTaskAdded(model::TaskId task) = 0;
 
   /// One streaming commitment. `worker` is the scheduler-local arrival
-  /// index (instance.workers[worker - 1]) — the svc pipeline translates to
+  /// index (instance.worker(worker)) — the svc pipeline translates to
   /// global identity when it serialises the assignment log.
   struct StreamCommit {
     model::WorkerIndex worker = 0;
     model::TaskId task = 0;
   };
 
-  /// One batch: `workers[i]` (local arrival indices, arrival order) was
-  /// admitted with eligible tasks `*candidates[i]` (ascending ids,
-  /// gathered before the call). Appends every commitment made — for these
-  /// workers or ones buffered from earlier calls — to *commits in commit
-  /// order, recording each in the arrangement. May commit nothing
-  /// (buffering). Never commits to a task that an earlier commit of the
-  /// same call completed; LAF, AAM and MCF never commit to any task that
-  /// already reached delta (DESIGN.md §8).
+  /// One batch: `workers[i]` (local arrival indices, arrival order,
+  /// resident in the instance) was admitted with eligible tasks
+  /// `*candidates[i]` (ascending ids, gathered before the call). Appends
+  /// every commitment made — for these workers or ones buffered from
+  /// earlier calls — to *commits in commit order, recording each in the
+  /// arrangement. May commit nothing (buffering). Never commits to a task
+  /// that an earlier commit of the same call completed; LAF, AAM and MCF
+  /// never commit to any task that already reached delta (DESIGN.md §8).
   virtual Status OnBatchWithCandidates(
       const std::vector<model::WorkerIndex>& workers,
       const std::vector<const std::vector<model::TaskId>*>& candidates,
@@ -158,6 +160,19 @@ class OnlineScheduler {
   virtual Status OnStreamEnd(std::vector<StreamCommit>* commits) {
     (void)commits;
     return Status::OK();
+  }
+
+  /// The oldest (smallest local index) worker this scheduler still holds
+  /// for a later commit — MCF's Theorem-2 buffer — or 0 when it holds none.
+  /// Every other worker an earlier call admitted is decided for good: no
+  /// later call reads its record (DESIGN.md §8, worker lifetime).
+  virtual model::WorkerIndex OldestHeldWorker() const { return 0; }
+
+  /// Drops the arrangement's per-worker loads below `worker`; the driver
+  /// calls it as it retires those workers from the instance
+  /// (model::ProblemInstance::RetireWorkersBefore).
+  void RetireWorkersBefore(model::WorkerIndex worker) {
+    arrangement_->RetireWorkersBefore(worker);
   }
 
   // --- Snapshot protocol (svc crash recovery; DESIGN.md §11) ---

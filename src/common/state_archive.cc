@@ -26,13 +26,13 @@ void PutInteger(std::string* out, T v) {
   out->append(buf, r.ptr);
 }
 
-/// The one snapshot float format: general, 17 significant digits (%.17g).
-/// Writes at most 32 chars at `buf`; returns the end.
-char* FormatReal(double v, char* buf) {
-  return std::to_chars(buf, buf + 32, v, std::chars_format::general, 17).ptr;
-}
-
 }  // namespace
+
+char* FormatReal(double v, char* buf) {
+  const auto r =
+      std::to_chars(buf, buf + kRealChars, v, std::chars_format::general, 17);
+  return r.ptr;
+}
 
 StateArchive StateArchive::Reader(std::string_view text) {
   StateArchive ar(nullptr);

@@ -30,6 +30,14 @@
 
 namespace ltc {
 
+/// Room FormatReal needs at `buf`.
+inline constexpr std::size_t kRealChars = 32;
+
+/// The one persisted double format — snapshots, the WAL and the event log:
+/// general, 17 significant digits (the bytes of printf's "%.17g"). Writes
+/// at most kRealChars chars at `buf`; returns the end.
+char* FormatReal(double v, char* buf);
+
 class StateArchive {
  public:
   /// Appends records to *out.

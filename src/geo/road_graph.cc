@@ -443,6 +443,10 @@ Status RoadGraph::Save(const std::string& path) const {
 
 StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text) {
   std::istringstream in(text);
+  return ParseStream(in);
+}
+
+StatusOr<RoadGraph> RoadGraph::ParseStream(std::istream& in) {
   std::string token;
   auto next_token = [&](std::string* out) -> bool {
     while (in >> *out) {
@@ -517,9 +521,7 @@ StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text) {
 StatusOr<RoadGraph> RoadGraph::Load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open road graph " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return Parse(buf.str());
+  return ParseStream(in);
 }
 
 namespace {

@@ -33,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -171,7 +172,8 @@ class RoadGraph {
   /// Parses the "ltc-road v1" text format.
   static StatusOr<RoadGraph> Parse(const std::string& text);
 
-  /// Reads an "ltc-road v1" file.
+  /// Reads an "ltc-road v1" file, parsing as it reads: no copy of the
+  /// text is held.
   static StatusOr<RoadGraph> Load(const std::string& path);
 
   /// The "ltc-road v1" text for this graph (round-trips through Parse).
@@ -244,6 +246,9 @@ class RoadGraph {
 
  private:
   RoadGraph() = default;
+
+  /// Parse and Load: the "ltc-road v1" tokens of `in`.
+  static StatusOr<RoadGraph> ParseStream(std::istream& in);
 
   /// Resets the workspace (search and every memo) unless it already
   /// belongs to this graph.

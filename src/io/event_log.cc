@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/state_archive.h"
 #include "common/string_util.h"
 #include "io/workload_io.h"
 
@@ -89,18 +90,40 @@ StatusOr<std::string> SerializeEventLogHeader(const EventLog& log) {
 }
 
 std::string FormatEventRecord(const Event& e) {
+  // Doubles through the snapshot codec's writer: the bytes of "%.17g"
+  // without printf's format parsing.
+  std::string out;
+  char buf[kRealChars];
+  const auto real = [&out, &buf](double v) {
+    out.push_back(' ');
+    out.append(buf, FormatReal(v, buf));
+  };
   switch (e.kind) {
     case Event::Kind::kTaskArrival:
-      return StrFormat("t %.17g %.17g %.17g\n", e.time, e.location.x,
-                       e.location.y);
+      out = "t";
+      real(e.time);
+      real(e.location.x);
+      real(e.location.y);
+      break;
     case Event::Kind::kWorkerArrival:
-      return StrFormat("w %.17g %.17g %.17g %.17g\n", e.time, e.location.x,
-                       e.location.y, e.accuracy);
+      out = "w";
+      real(e.time);
+      real(e.location.x);
+      real(e.location.y);
+      real(e.accuracy);
+      break;
     case Event::Kind::kTaskMove:
-      return StrFormat("m %.17g %d %.17g %.17g\n", e.time, e.task,
-                       e.location.x, e.location.y);
+      out = "m";
+      real(e.time);
+      out += ' ' + std::to_string(e.task);
+      real(e.location.x);
+      real(e.location.y);
+      break;
+    default:
+      return out;
   }
-  return std::string();
+  out.push_back('\n');
+  return out;
 }
 
 StatusOr<std::string> SerializeEventLog(const EventLog& log) {

@@ -88,7 +88,8 @@ StatusOr<std::string> SerializeEventLogHeader(const EventLog& log);
 
 /// One v1 event record, newline-terminated — byte-identical to the record
 /// SerializeEventLog would emit. Shared with the WAL appender so a WAL is
-/// always a byte-prefix-compatible ltc-events file.
+/// always a byte-prefix-compatible ltc-events file. Doubles go through
+/// FormatReal (common/state_archive.h): the bytes of "%.17g".
 std::string FormatEventRecord(const Event& e);
 
 /// Parses one v1 event record line ("t ...", "w ...", "m ...") — the

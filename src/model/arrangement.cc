@@ -24,10 +24,13 @@ void Arrangement::Add(WorkerIndex worker, TaskId task, double acc_star) {
     ++completed_tasks_;
   }
   assignments_.push_back(Assignment{worker, task, acc_star});
-  if (static_cast<std::size_t>(worker) >= load_.size()) {
-    load_.resize(static_cast<std::size_t>(worker) + 1, 0);
+  // A retired worker has no load slot left; only a faulty scheduler names
+  // one, and ValidateCommitRound reports it.
+  if (worker >= load_base_) {
+    const auto w = static_cast<std::size_t>(worker - load_base_);
+    if (w >= load_.size()) load_.resize(w + 1, 0);
+    if (load_[w]++ == 0) ++workers_used_;
   }
-  ++load_[static_cast<std::size_t>(worker)];
   max_worker_index_ = std::max(max_worker_index_, worker);
 }
 
@@ -50,49 +53,79 @@ bool Arrangement::TaskCompleted(TaskId t) const {
 }
 
 std::int32_t Arrangement::Load(WorkerIndex worker) const {
-  const auto w = static_cast<std::size_t>(worker);
+  if (worker < load_base_) return 0;
+  const auto w = static_cast<std::size_t>(worker - load_base_);
   return w < load_.size() ? load_[w] : 0;
 }
+
+void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
+  if (worker <= load_base_) return;
+  const auto drop = std::min(static_cast<std::size_t>(worker - load_base_),
+                             load_.size());
+  load_.erase(load_.begin(), load_.begin() + static_cast<std::ptrdiff_t>(drop));
+  load_base_ = worker;
+}
+
+namespace {
+
+/// The per-assignment checks both validators share: ranges (`a.worker`
+/// resident), eligibility and the recorded Acc*, which must match the
+/// model's, *expected.
+Status CheckAssignment(const ProblemInstance& instance, const Assignment& a,
+                       double* expected) {
+  if (!instance.resident(a.worker)) {
+    return Status::OutOfRange(
+        StrFormat("assignment references worker %d outside %d..%d", a.worker,
+                  instance.worker_offset + 1, instance.last_worker()));
+  }
+  if (a.task < 0 || a.task >= instance.num_tasks()) {
+    return Status::OutOfRange(
+        StrFormat("assignment references task %d outside 0..%lld", a.task,
+                  static_cast<long long>(instance.num_tasks() - 1)));
+  }
+  if (!instance.Eligible(a.worker, a.task)) {
+    return Status::FailedPrecondition(StrFormat(
+        "ineligible assignment (worker %d, task %d): Acc=%.4f < acc_min=%g",
+        a.worker, a.task, instance.Acc(a.worker, a.task), instance.acc_min));
+  }
+  *expected = instance.AccStar(a.worker, a.task);
+  if (!AlmostEqual(*expected, a.acc_star, 1e-9)) {
+    return Status::Internal(StrFormat(
+        "recorded Acc*=%.12f disagrees with model %.12f for (w%d, t%d)",
+        a.acc_star, *expected, a.worker, a.task));
+  }
+  return Status::OK();
+}
+
+Status DuplicatePair(WorkerIndex worker, TaskId task) {
+  return Status::FailedPrecondition(
+      StrFormat("duplicate assignment (worker %d, task %d)", worker, task));
+}
+
+Status OverCapacity(WorkerIndex worker, std::int32_t capacity) {
+  return Status::FailedPrecondition(
+      StrFormat("worker %d exceeds capacity K=%d", worker, capacity));
+}
+
+}  // namespace
 
 Status ValidateArrangement(const ProblemInstance& instance,
                            const Arrangement& arrangement,
                            bool require_completion) {
   const double delta = instance.Delta();
   std::vector<double> recomputed(instance.tasks.size(), 0.0);
-  std::vector<std::int32_t> load(instance.workers.size() + 1, 0);
+  std::vector<std::int32_t> load(instance.workers.size(), 0);
   std::set<std::pair<WorkerIndex, TaskId>> seen;
 
   for (const Assignment& a : arrangement.assignments()) {
-    if (a.worker < 1 || a.worker > instance.num_workers()) {
-      return Status::OutOfRange(
-          StrFormat("assignment references worker %d outside 1..%lld",
-                    a.worker, static_cast<long long>(instance.num_workers())));
-    }
-    if (a.task < 0 || a.task >= instance.num_tasks()) {
-      return Status::OutOfRange(
-          StrFormat("assignment references task %d outside 0..%lld", a.task,
-                    static_cast<long long>(instance.num_tasks() - 1)));
-    }
+    double expected = 0.0;
+    LTC_RETURN_IF_ERROR(CheckAssignment(instance, a, &expected));
     if (!seen.insert({a.worker, a.task}).second) {
-      return Status::FailedPrecondition(
-          StrFormat("duplicate assignment (worker %d, task %d)", a.worker,
-                    a.task));
+      return DuplicatePair(a.worker, a.task);
     }
-    if (++load[static_cast<std::size_t>(a.worker)] > instance.capacity) {
-      return Status::FailedPrecondition(
-          StrFormat("worker %d exceeds capacity K=%d", a.worker,
-                    instance.capacity));
-    }
-    if (!instance.Eligible(a.worker, a.task)) {
-      return Status::FailedPrecondition(StrFormat(
-          "ineligible assignment (worker %d, task %d): Acc=%.4f < acc_min=%g",
-          a.worker, a.task, instance.Acc(a.worker, a.task), instance.acc_min));
-    }
-    const double expected = instance.AccStar(a.worker, a.task);
-    if (!AlmostEqual(expected, a.acc_star, 1e-9)) {
-      return Status::Internal(StrFormat(
-          "recorded Acc*=%.12f disagrees with model %.12f for (w%d, t%d)",
-          a.acc_star, expected, a.worker, a.task));
+    if (++load[static_cast<std::size_t>(a.worker - instance.worker_offset -
+                                        1)] > instance.capacity) {
+      return OverCapacity(a.worker, instance.capacity);
     }
     recomputed[static_cast<std::size_t>(a.task)] += expected;
   }
@@ -108,6 +141,36 @@ Status ValidateArrangement(const ProblemInstance& instance,
       return Status::FailedPrecondition(
           StrFormat("task %zu incomplete: sum Acc* = %.6f < delta = %.6f", t,
                     recomputed[t], delta));
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateCommitRound(const ProblemInstance& instance,
+                           const Arrangement& arrangement, std::size_t first) {
+  const std::vector<Assignment>& made = arrangement.assignments();
+  std::vector<std::pair<WorkerIndex, TaskId>> pairs;
+  pairs.reserve(made.size() - first);
+  for (std::size_t i = first; i < made.size(); ++i) {
+    double expected = 0.0;
+    LTC_RETURN_IF_ERROR(CheckAssignment(instance, made[i], &expected));
+    pairs.emplace_back(made[i].worker, made[i].task);
+  }
+  // Sorted, each worker's commitments of the round form one run.
+  std::sort(pairs.begin(), pairs.end());
+  for (std::size_t begin = 0, end = 0; begin < pairs.size(); begin = end) {
+    const WorkerIndex w = pairs[begin].first;
+    for (end = begin + 1; end < pairs.size() && pairs[end].first == w; ++end) {
+      if (pairs[end].second == pairs[end - 1].second) {
+        return DuplicatePair(w, pairs[end].second);
+      }
+    }
+    const auto run = static_cast<std::int32_t>(end - begin);
+    if (run > instance.capacity) return OverCapacity(w, instance.capacity);
+    if (arrangement.Load(w) != run) {
+      return Status::FailedPrecondition(StrFormat(
+          "worker %d committed again after its round: load %d, %d this round",
+          w, arrangement.Load(w), run));
     }
   }
   return Status::OK();

@@ -1,6 +1,8 @@
 // The task-worker arrangement M (paper Definition 6) with incremental
 // bookkeeping: per-task accumulated Acc* (the S array of Algorithms 1-3),
-// per-worker load, completion tracking, and full constraint validation.
+// per-worker load over a window of workers still being decided,
+// completion tracking, and constraint validation of a whole arrangement or
+// of one streaming commit round.
 
 #ifndef LTC_MODEL_ARRANGEMENT_H_
 #define LTC_MODEL_ARRANGEMENT_H_
@@ -62,8 +64,20 @@ class Arrangement {
   std::int64_t completed_tasks() const { return completed_tasks_; }
   double delta() const { return delta_; }
 
-  /// Number of tasks assigned to `worker` so far.
+  /// Number of tasks assigned to `worker` so far; 0 for a worker outside
+  /// the load window (never assigned, or retired).
   std::int32_t Load(WorkerIndex worker) const;
+
+  /// Distinct workers holding at least one assignment (retired ones
+  /// included).
+  std::int64_t workers_used() const { return workers_used_; }
+
+  /// Drops the loads of every worker older than `worker` (index < worker).
+  /// A streaming driver calls this once those workers are decided for good
+  /// (model::ProblemInstance::RetireWorkersBefore), so the load window
+  /// stays O(open work). Add() of a retired worker records the assignment
+  /// but no load.
+  void RetireWorkersBefore(WorkerIndex worker);
 
   /// The latency objective: max arrival index over all assignments
   /// (0 when empty).
@@ -79,7 +93,11 @@ class Arrangement {
   double delta_;
   std::vector<double> accumulated_;
   std::vector<Assignment> assignments_;
-  std::vector<std::int32_t> load_;  // indexed by worker index (1-based)
+  // load_[w - load_base_]: the load window, from the oldest worker not
+  // retired to the newest one assigned.
+  std::vector<std::int32_t> load_;
+  WorkerIndex load_base_ = 1;
+  std::int64_t workers_used_ = 0;
   std::int64_t completed_tasks_ = 0;
   WorkerIndex max_worker_index_ = 0;
 };
@@ -97,6 +115,18 @@ class Arrangement {
 Status ValidateArrangement(const ProblemInstance& instance,
                            const Arrangement& arrangement,
                            bool require_completion);
+
+/// \brief Checks one streaming commit round: `arrangement`'s assignments
+/// from index `first` on, recorded by a scheduler that has just committed
+/// them, while every worker they name must still be resident in `instance`
+/// (ProblemInstance::resident). Per assignment it runs ValidateArrangement's
+/// checks — worker and task in range, Acc >= acc_min, recorded Acc* equal to
+/// the model's — and per worker the capacity K and no duplicate (worker,
+/// task) pair. Those two hold across rounds because an online worker is
+/// decided once (Definition 7): a worker's arrangement Load must equal its
+/// commitments in this round. Returns OK or the first violation found.
+Status ValidateCommitRound(const ProblemInstance& instance,
+                           const Arrangement& arrangement, std::size_t first);
 
 }  // namespace model
 }  // namespace ltc

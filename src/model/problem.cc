@@ -12,6 +12,13 @@ double ProblemInstance::Delta() const {
   return 2.0 * std::log(1.0 / epsilon);
 }
 
+void ProblemInstance::RetireWorkersBefore(WorkerIndex w) {
+  if (w <= worker_offset + 1) return;
+  const auto drop = static_cast<std::ptrdiff_t>(w - worker_offset - 1);
+  workers.erase(workers.begin(), workers.begin() + drop);
+  worker_offset = w - 1;
+}
+
 Status ProblemInstance::Validate() const {
   if (accuracy == nullptr) {
     return Status::InvalidArgument("instance has no accuracy function");
@@ -38,13 +45,17 @@ Status ProblemInstance::Validate() const {
                     tasks[i].id));
     }
   }
+  if (worker_offset < 0) {
+    return Status::InvalidArgument(
+        StrFormat("worker_offset must be >= 0, got %d", worker_offset));
+  }
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const Worker& w = workers[i];
-    if (w.index != static_cast<WorkerIndex>(i + 1)) {
+    if (w.index != worker_offset + static_cast<WorkerIndex>(i + 1)) {
       return Status::InvalidArgument(
-          StrFormat("worker indices must be 1..|W| in order; workers[%zu]"
+          StrFormat("worker indices must be %d..%d in order; workers[%zu]"
                     ".index = %d",
-                    i, w.index));
+                    worker_offset + 1, last_worker(), i, w.index));
     }
     if (!(w.historical_accuracy >= 0.0 && w.historical_accuracy <= 1.0)) {
       return Status::InvalidArgument(

@@ -2,7 +2,9 @@
 // threshold, the shared capacity K, and the accuracy model (paper
 // Definitions 6-7). Offline algorithms see the whole instance; online
 // algorithms must only look at workers[0..i] when deciding for worker i
-// (enforced structurally by the simulation engine in src/sim).
+// (enforced structurally by the simulation engine in src/sim). A streaming
+// instance (svc::StreamPipeline) holds only a window of the arrival stream:
+// workers decided for good are retired from its front (worker_offset).
 
 #ifndef LTC_MODEL_PROBLEM_H_
 #define LTC_MODEL_PROBLEM_H_
@@ -28,8 +30,12 @@ inline constexpr double kDefaultAccMin = 0.66;
 /// \brief An immutable LTC problem instance.
 struct ProblemInstance {
   std::vector<Task> tasks;
-  /// Arrival stream; workers[i].index must equal i + 1.
+  /// Arrival stream, or its resident window; workers[i].index must equal
+  /// worker_offset + i + 1.
   std::vector<Worker> workers;
+  /// Workers retired from the front of the stream (RetireWorkersBefore).
+  /// Always 0 in an offline instance.
+  WorkerIndex worker_offset = 0;
   /// Tolerable error rate epsilon in (0, 1).
   double epsilon = 0.1;
   /// Per-worker capacity K (max tasks per check-in).
@@ -42,21 +48,38 @@ struct ProblemInstance {
   std::int64_t num_tasks() const {
     return static_cast<std::int64_t>(tasks.size());
   }
+  /// Resident workers (the whole stream unless some were retired).
   std::int64_t num_workers() const {
     return static_cast<std::int64_t>(workers.size());
   }
+  /// Arrival index of the newest worker (0 before any arrived); retired
+  /// workers count.
+  WorkerIndex last_worker() const {
+    return worker_offset + static_cast<WorkerIndex>(workers.size());
+  }
+  /// True while worker `w`'s record is held (not retired, arrived).
+  bool resident(WorkerIndex w) const {
+    return w > worker_offset && w <= last_worker();
+  }
+  /// The record of resident worker `w` (precondition: resident(w)).
+  const Worker& worker(WorkerIndex w) const {
+    return workers[static_cast<std::size_t>(w - worker_offset - 1)];
+  }
+
+  /// Drops every worker older than `w` (index < w) and advances
+  /// worker_offset past them; a no-op for workers already retired.
+  /// Precondition: w <= last_worker() + 1.
+  void RetireWorkersBefore(WorkerIndex w);
 
   /// delta = 2 ln(1/epsilon). Precondition: a Validate()d instance.
   double Delta() const;
 
-  /// Predicted accuracy / Hoeffding contribution of a pair.
+  /// Predicted accuracy / Hoeffding contribution of a pair (resident `w`).
   double Acc(WorkerIndex w, TaskId t) const {
-    return accuracy->Acc(workers[static_cast<std::size_t>(w - 1)],
-                         tasks[static_cast<std::size_t>(t)]);
+    return accuracy->Acc(worker(w), tasks[static_cast<std::size_t>(t)]);
   }
   double AccStar(WorkerIndex w, TaskId t) const {
-    return accuracy->AccStar(workers[static_cast<std::size_t>(w - 1)],
-                             tasks[static_cast<std::size_t>(t)]);
+    return accuracy->AccStar(worker(w), tasks[static_cast<std::size_t>(t)]);
   }
 
   /// (w, t) may be assigned iff predicted accuracy reaches acc_min.
@@ -64,8 +87,8 @@ struct ProblemInstance {
     return Acc(w, t) >= acc_min;
   }
 
-  /// Structural validation: ids dense, indices sequential, parameters in
-  /// range, accuracy model present.
+  /// Structural validation: ids dense, indices sequential from
+  /// worker_offset + 1, parameters in range, accuracy model present.
   Status Validate() const;
 
   /// One-line description for logs ("|T|=1000 |W|=40000 K=6 eps=0.1 ...").

@@ -434,6 +434,7 @@ Status ShardedStreamEngine::RunRound() {
   // Phase 3 — commit: each due shard's batch in parallel (a pipeline's
   // commit touches only shard-local state; the claim table is read-only
   // now). Statuses land in slot-indexed storage.
+  const bool check = CheckCommits();
   if (pool_ != nullptr && due.size() > 1) {
     std::vector<Status> statuses(due.size(), Status::OK());
     std::vector<std::future<void>> futures;
@@ -443,8 +444,8 @@ Status ShardedStreamEngine::RunRound() {
           pipelines_[static_cast<std::size_t>(due[k].shard)].get();
       const double flush_time = due[k].time;
       Status* status = &statuses[k];
-      futures.push_back(pool_->Submit([p, flush_time, status] {
-        *status = p->CommitBatch(flush_time);
+      futures.push_back(pool_->Submit([p, flush_time, check, status] {
+        *status = p->CommitBatch(flush_time, check);
       }));
     }
     LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "commit"));
@@ -454,7 +455,8 @@ Status ShardedStreamEngine::RunRound() {
   } else {
     for (const DueFlush& f : due) {
       LTC_RETURN_IF_ERROR(
-          pipelines_[static_cast<std::size_t>(f.shard)]->CommitBatch(f.time));
+          pipelines_[static_cast<std::size_t>(f.shard)]->CommitBatch(f.time,
+                                                                     check));
     }
   }
 
@@ -501,7 +503,7 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   // drain them sequentially in shard order — one deterministic tail for the
   // global log, merged exactly like a round's phase 4.
   for (const auto& pipeline : pipelines_) {
-    LTC_RETURN_IF_ERROR(pipeline->CommitStreamEnd(end_time));
+    LTC_RETURN_IF_ERROR(pipeline->CommitStreamEnd(end_time, CheckCommits()));
     MergePending(pipeline.get());
   }
   finished_ = true;
@@ -536,13 +538,8 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   metrics_.assignment_latency = sim::SummarizeLatencies(&assignment_samples);
   metrics_.completion_latency = sim::SummarizeLatencies(&completion_samples);
 
-  if (options_.validate && metrics_.move_events == 0 &&
-      metrics_.task_events > 0) {
-    for (const auto& pipeline : pipelines_) {
-      LTC_RETURN_IF_ERROR(pipeline->Validate());
-    }
-    metrics_.validated = true;
-  }
+  // Every commit round was checked as it committed (CheckCommits).
+  metrics_.validated = CheckCommits() && metrics_.task_events > 0;
   return metrics_;
 }
 

@@ -93,8 +93,8 @@ class ShardedStreamEngine {
   /// shard flushes are committed (in key order) before the event applies.
   Status OnEvent(const io::Event& event);
 
-  /// Flushes every open batch at its deadline, merges per-shard metrics,
-  /// and (when configured) validates every shard arrangement. Call once.
+  /// Flushes every open batch at its deadline and merges per-shard
+  /// metrics. Call once.
   StatusOr<StreamMetrics> Finish();
 
   /// The merged assignment log: per-shard commit records interleaved in
@@ -185,6 +185,11 @@ class ShardedStreamEngine {
   /// Folds `p`'s pending records into the merged logs and the router's
   /// open/displaced bookkeeping, then clears them.
   void MergePending(StreamPipeline* p);
+  /// Whether commit rounds are checked (StreamOptions::validate): on until
+  /// the stream's first task move.
+  bool CheckCommits() const {
+    return options_.validate && metrics_.move_events == 0;
+  }
 
   StreamOptions options_;
   geo::ShardMap map_;

@@ -20,7 +20,7 @@ namespace svc {
 
 namespace {
 
-constexpr char kSnapshotHeader[] = "# ltc-snapshot v1";
+constexpr char kSnapshotHeader[] = "# ltc-snapshot v2";
 
 std::string SnapshotName(std::int64_t events_applied) {
   return StrFormat("snap-%lld.snap", static_cast<long long>(events_applied));
@@ -156,7 +156,7 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
       continue;
     }
 
-    // Then the v1 header line and the "events_applied <N>" line; the
+    // Then the v2 header line and the "events_applied <N>" line; the
     // payload is everything between that line and the trailer.
     const std::string prefix = std::string(kSnapshotHeader) +
                                "\nevents_applied ";

@@ -1,6 +1,7 @@
 #include "svc/stream_engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <limits>
 #include <utility>
@@ -131,21 +132,29 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
                                   Real(&task.location.x),
                                   Real(&task.location.y)));
   }
-  // Workers: local arrival indices are the record order + 1.
+  // Workers: the resident window only — "pworkers <resident> <retired>",
+  // then one "pw" per resident worker, whose local arrival index is the
+  // retired count + the record order + 1.
+  model::WorkerIndex& retired = instance_.worker_offset;
   auto nw = static_cast<std::int64_t>(instance_.workers.size());
-  LTC_RETURN_IF_ERROR(ar.Record("pworkers", Count(&nw)));
+  LTC_RETURN_IF_ERROR(
+      ar.Record("pworkers", Count(&nw), Index(&retired, 0, kMaxId)));
+  if (nw > kMaxId - retired) {
+    return Status::OutOfRange("snapshot: worker indices past int32");
+  }
   instance_.workers.resize(static_cast<std::size_t>(nw));
   worker_global_.resize(instance_.workers.size());
   for (std::size_t i = 0; i < instance_.workers.size(); ++i) {
     model::Worker& w = instance_.workers[i];
-    w.index = static_cast<model::WorkerIndex>(i + 1);
+    w.index = retired + static_cast<model::WorkerIndex>(i + 1);
     LTC_RETURN_IF_ERROR(ar.Record("pw", Index(&worker_global_[i], 1, kMaxId),
                                   Real(&w.location.x), Real(&w.location.y),
                                   Unit(&w.historical_accuracy)));
   }
-  // The open micro-batch: local worker indices in arrival order.
-  LTC_RETURN_IF_ERROR(ar.Record("pbatch", Real(&batch_open_time_),
-                                CountedList(&batch_, 1, nw)));
+  // The open micro-batch: resident local worker indices in arrival order.
+  LTC_RETURN_IF_ERROR(
+      ar.Record("pbatch", Real(&batch_open_time_),
+                CountedList(&batch_, retired + 1, instance_.last_worker())));
   LTC_RETURN_IF_ERROR(ar.Record("pcounters", NonNeg(&batches_),
                                 NonNeg(&max_batch_size_),
                                 NonNeg(&tasks_completed_)));
@@ -166,14 +175,18 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   }
   LTC_RETURN_IF_ERROR(
       ar.Block("sched", [&] { return scheduler_->Serialize(ar); }));
+  // The replay above loaded every assignment's worker; keep the loads of
+  // the resident window only.
+  if (ar.reading()) scheduler_->RetireWorkersBefore(retired + 1);
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
   if (config_.options.route_workers) {
     // One "pr <worker> <origin.x> <origin.y> <start> <visited> <stops>"
-    // record per route (ascending local worker), each followed by its "ps
-    // <task> <x> <y>" stops. Reading rebuilds each route with FromStops,
-    // which recomputes leg costs and reach times from the metric, so the
-    // restored route emits the exact moves the live one would have.
+    // record per route (ascending global worker index, which outlives the
+    // worker's retirement), each followed by its "ps <task> <x> <y>"
+    // stops. Reading rebuilds each route with FromStops, which recomputes
+    // leg costs and reach times from the metric, so the restored route
+    // emits the exact moves the live one would have.
     const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
     auto n = static_cast<std::int64_t>(routes_.size());
     LTC_RETURN_IF_ERROR(ar.Record("proutes", Count(&n)));
@@ -197,7 +210,7 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
       }
       auto n_stops = static_cast<std::int64_t>(stops.size());
       LTC_RETURN_IF_ERROR(ar.Record(
-          "pr", Index(&w, last + 1, nw), Real(&origin.x), Real(&origin.y),
+          "pr", Index(&w, last + 1, kMaxId), Real(&origin.x), Real(&origin.y),
           Real(&start_time), Index(&visited, 0, kMaxId), Count(&n_stops)));
       if (visited > n_stops) {
         return Status::OutOfRange("snapshot: route visited past its stops");
@@ -287,7 +300,7 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
                                     bool* flush_now) {
   *flush_now = false;
   model::Worker worker;
-  worker.index = static_cast<model::WorkerIndex>(instance_.num_workers() + 1);
+  worker.index = instance_.last_worker() + 1;
   worker.location = location;
   worker.historical_accuracy = accuracy;
   instance_.workers.push_back(worker);
@@ -341,8 +354,7 @@ void StreamPipeline::PrepareGather() {
 }
 
 void StreamPipeline::GatherSlot(std::size_t i) {
-  const model::Worker& worker =
-      instance_.workers[static_cast<std::size_t>(batch_[i]) - 1];
+  const model::Worker& worker = instance_.worker(batch_[i]);
   std::vector<model::TaskId>* out = &gather_slots_[i];
   out->clear();
   if (grid_.has_value()) {
@@ -364,8 +376,11 @@ void StreamPipeline::GatherSlot(std::size_t i) {
     } else {
       // Grid pruning stays a superset under any conforming metric (the
       // metric ball of radius r sits inside the Euclidean disk of radius
-      // r — geo/metric.h); EligibleWithin applies the exact filter.
-      metric.EligibleWithin(*grid_, worker.location, *radius, check);
+      // r — geo/metric.h); EligibleWithin applies the exact filter. The
+      // std::function wraps a reference: the lambda itself is too big for
+      // its local buffer and would be heap-allocated per gather.
+      metric.EligibleWithin(*grid_, worker.location, *radius,
+                            std::ref(check));
     }
     // The grid emits cell order; the scheduler contract wants ascending ids.
     std::sort(out->begin(), out->end());
@@ -379,7 +394,7 @@ void StreamPipeline::GatherSlot(std::size_t i) {
   }
 }
 
-Status StreamPipeline::CommitBatch(double flush_time) {
+Status StreamPipeline::CommitBatch(double flush_time, bool check) {
   if (batch_.empty()) return Status::OK();
   const std::size_t n = batch_.size();
   ++batches_;
@@ -400,23 +415,47 @@ Status StreamPipeline::CommitBatch(double flush_time) {
   commits_scratch_.clear();
   LTC_RETURN_IF_ERROR(scheduler_->OnBatchWithCandidates(
       batch_, candidate_ptrs_, &commits_scratch_));
-  RecordCommits(commits_scratch_, flush_time);
   batch_.clear();
-  return Status::OK();
+  return FinishRound(flush_time, check);
 }
 
-Status StreamPipeline::CommitStreamEnd(double end_time) {
+Status StreamPipeline::CommitStreamEnd(double end_time, bool check) {
   // Stream end also closes the move log: whatever route progress lands at
   // or before the end instant is emitted (stops beyond it stay in flight).
   if (config_.options.route_workers) AdvanceRoutes(end_time);
   commits_scratch_.clear();
   LTC_RETURN_IF_ERROR(scheduler_->OnStreamEnd(&commits_scratch_));
-  if (commits_scratch_.empty()) return Status::OK();
-  ++batches_;  // the final partial batch is a real commit round
-  RecordCommits(commits_scratch_, end_time);
+  // The final partial batch is a real commit round; an empty one still
+  // releases the workers the scheduler held.
+  if (!commits_scratch_.empty()) ++batches_;
+  LTC_RETURN_IF_ERROR(FinishRound(end_time, check));
   // Commitments made at the end instant can complete zero-length legs
   // (stop at the worker's own location) exactly at end_time.
   if (config_.options.route_workers) AdvanceRoutes(end_time);
+  return Status::OK();
+}
+
+Status StreamPipeline::FinishRound(double time, bool check) {
+  if (check) {
+    // The round is the arrangement's tail, one entry per commitment; its
+    // workers are all still resident.
+    const model::Arrangement& arr = scheduler_->arrangement();
+    LTC_RETURN_IF_ERROR(model::ValidateCommitRound(
+        instance_, arr,
+        static_cast<std::size_t>(arr.size()) - commits_scratch_.size()));
+  }
+  RecordCommits(commits_scratch_, time);
+  // Retire every worker older than the open batch and the scheduler's
+  // oldest held worker: no later round reads it.
+  model::WorkerIndex keep = instance_.last_worker() + 1;
+  if (!batch_.empty()) keep = batch_.front();
+  const model::WorkerIndex held = scheduler_->OldestHeldWorker();
+  if (held > 0) keep = std::min(keep, held);
+  const model::WorkerIndex drop = keep - instance_.worker_offset - 1;
+  if (drop <= 0) return Status::OK();
+  worker_global_.erase(worker_global_.begin(), worker_global_.begin() + drop);
+  instance_.RetireWorkersBefore(keep);
+  scheduler_->RetireWorkersBefore(keep);
   return Status::OK();
 }
 
@@ -424,9 +463,9 @@ void StreamPipeline::RecordCommits(
     const std::vector<algo::OnlineScheduler::StreamCommit>& commits,
     double time) {
   for (const auto& commit : commits) {
-    pending_assignments_.push_back(StreamAssignment{
-        time, worker_global_[static_cast<std::size_t>(commit.worker) - 1],
-        task_global_[static_cast<std::size_t>(commit.task)]});
+    pending_assignments_.push_back(
+        StreamAssignment{time, global_worker(commit.worker),
+                         task_global_[static_cast<std::size_t>(commit.task)]});
     assignment_latency_samples_.push_back(
         time - task_arrival_time_[static_cast<std::size_t>(commit.task)]);
     if (config_.options.route_workers) {
@@ -461,10 +500,8 @@ void StreamPipeline::RecordCommits(
 }
 
 void StreamPipeline::AdvanceRoutes(double now) {
-  for (auto& [w, route] : routes_) {
+  for (auto& [global, route] : routes_) {
     if (route.done()) continue;
-    const model::WorkerIndex global =
-        worker_global_[static_cast<std::size_t>(w) - 1];
     route.AdvanceTo(now, [&](const model::WorkerRoute::Stop& stop) {
       pending_moves_.push_back(
           WorkerMove{stop.reach_time, global, stop.location, stop.task});
@@ -474,12 +511,12 @@ void StreamPipeline::AdvanceRoutes(double now) {
 
 void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
                                      double time) {
-  auto it = routes_.find(w);
+  const model::WorkerIndex global = global_worker(w);
+  auto it = routes_.find(global);
   if (it == routes_.end()) {
-    const model::Worker& worker =
-        instance_.workers[static_cast<std::size_t>(w) - 1];
     it = routes_
-             .emplace(w, model::WorkerRoute(worker.location, time))
+             .emplace(global,
+                      model::WorkerRoute(instance_.worker(w).location, time))
              .first;
   }
   const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
@@ -495,25 +532,10 @@ double StreamPipeline::route_travel_time() const {
   return total;
 }
 
-Status StreamPipeline::Validate() const {
-  if (instance_.num_tasks() == 0) return Status::OK();
-  return model::ValidateArrangement(instance_, scheduler_->arrangement(),
-                                    /*require_completion=*/false);
-}
-
 std::int64_t StreamPipeline::open_tasks() const {
   std::int64_t open = 0;
   for (char o : open_) open += o != 0 ? 1 : 0;
   return open;
-}
-
-std::int64_t StreamPipeline::workers_used() const {
-  const model::Arrangement& arr = scheduler_->arrangement();
-  std::int64_t used = 0;
-  for (model::WorkerIndex w = 1; w <= arr.MaxWorkerIndex(); ++w) {
-    if (arr.Load(w) > 0) ++used;
-  }
-  return used;
 }
 
 }  // namespace svc

@@ -7,7 +7,9 @@
 //
 // Where sim::RunOnline replays a fully materialised ProblemInstance, the
 // service consumes worker/task *arrival events* (io::Event) one at a time,
-// grows each pipeline's ProblemInstance in place, maintains an
+// grows each pipeline's ProblemInstance in place — and retires each worker
+// from it once its batch committed and the scheduler holds it no longer,
+// so worker state stays O(open work) (DESIGN.md §8) — maintains an
 // **incremental** spatial index over the open tasks (geo::GridIndex dynamic
 // mode — tasks are Inserted on arrival, Removed on completion, Relocated on
 // "m" events; never rebuilt), and admits workers in micro-batches closed by
@@ -104,10 +106,12 @@ struct StreamOptions {
   /// which stays correct — see geo/grid_index.h). ReplayEventLog derives
   /// this from the log; the default covers the Table-IV synthetic world.
   geo::Rect world{0.0, 0.0, 1000.0, 1000.0};
-  /// Validate the arrangement against every LTC constraint at Finish.
-  /// Skipped (with a note in the metrics) when the stream moved tasks:
-  /// validation recomputes Acc* from final locations, which legitimately
-  /// disagrees with values committed before a move.
+  /// Check every commit round against the LTC constraints as it commits,
+  /// while its workers are still resident (model::ValidateCommitRound); a
+  /// violation fails the flush. The checks stop at the stream's first task
+  /// move: MCF commits candidates gathered before it, which the moved
+  /// location may no longer make eligible. StreamMetrics::validated
+  /// reports whether every commit was checked.
   bool validate = true;
   /// "MCF" only: cross-check every Nth warm batch solve against an
   /// independent from-scratch solve, CHECK-failing on divergence (see
@@ -190,7 +194,8 @@ struct StreamMetrics {
   sim::LatencySummary assignment_latency;
   /// Completing commit time minus arrival time, per completed task.
   sim::LatencySummary completion_latency;
-  /// True when Finish ran the full arrangement validation.
+  /// True when every commit round was checked (options.validate, tasks
+  /// arrived, and no task moved).
   bool validated = false;
 };
 
@@ -206,6 +211,13 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 
 /// \brief The per-pipeline core: one growing instance, one streaming
 /// scheduler, one incremental open-task index, one micro-batch buffer.
+///
+/// Worker lifetime: a worker's record (instance().workers, its global id,
+/// the arrangement's load) stays resident while it is in the open batch or
+/// the scheduler holds it (OnlineScheduler::OldestHeldWorker); every commit
+/// retires the older ones. Local arrival indices keep counting across
+/// retirement (model::ProblemInstance::worker_offset), and routes carry
+/// their worker's global index, so nothing reads a retired record.
 ///
 /// ShardedStreamEngine runs one per shard, side by side. The engine owns
 /// event routing, flush scheduling and the thread pool; the pipeline owns
@@ -242,12 +254,13 @@ class StreamPipeline {
 
   /// The pipeline's full logical state as snapshot records (DESIGN.md
   /// §11): the grown instance (tasks with arrival times and *current*
-  /// locations, workers), the open micro-batch, counters, latency samples,
-  /// the scheduler's records and, per mode, routes and forecast. The grid
-  /// index and open_ are derived state, rebuilt after a read. Writing needs
-  /// empty pending_* buffers (only call between events); reading needs a
-  /// pipeline fresh from Create, which then is commitment-for-commitment
-  /// indistinguishable from one that lived through the stream prefix.
+  /// locations, the resident worker window), the open micro-batch,
+  /// counters, latency samples, the scheduler's records and, per mode,
+  /// routes and forecast. The grid index and open_ are derived state,
+  /// rebuilt after a read. Writing needs empty pending_* buffers (only
+  /// call between events); reading needs a pipeline fresh from Create,
+  /// which then is commitment-for-commitment indistinguishable from one
+  /// that lived through the stream prefix.
   Status Serialize(StateArchive& ar);
 
   StreamPipeline(const StreamPipeline&) = delete;
@@ -283,7 +296,7 @@ class StreamPipeline {
   }
   std::size_t batch_size() const { return batch_.size(); }
   model::WorkerIndex batch_global_worker(std::size_t i) const {
-    return worker_global_[static_cast<std::size_t>(batch_[i]) - 1];
+    return global_worker(batch_[i]);
   }
 
   // --- Flush phases ---
@@ -301,16 +314,18 @@ class StreamPipeline {
 
   /// Commits the batch at `flush_time`: hands the whole batch, in arrival
   /// order with its gathered slots, to the scheduler's
-  /// OnBatchWithCandidates, then records the commitments (RecordCommits).
+  /// OnBatchWithCandidates, checks the round when `check` (the engine
+  /// passes options.validate until the first task move), records the
+  /// commitments (RecordCommits) and retires the decided workers.
   /// Safe to run concurrently with other pipelines' CommitBatch.
-  Status CommitBatch(double flush_time);
+  Status CommitBatch(double flush_time, bool check);
 
   /// End of stream (engines call it once, after the final batch flush):
   /// drains the scheduler's internally buffered workers (MCF's final
   /// partial Theorem-2 batch; nothing for the per-worker schedulers),
-  /// committing at `end_time`. Safe to run concurrently with other
-  /// pipelines' CommitStreamEnd.
-  Status CommitStreamEnd(double end_time);
+  /// committing at `end_time`, checked like CommitBatch. Safe to run
+  /// concurrently with other pipelines' CommitStreamEnd.
+  Status CommitStreamEnd(double end_time, bool check);
 
   // --- Per-round outputs (engine merges after CommitBatch, then clears) ---
 
@@ -328,11 +343,11 @@ class StreamPipeline {
 
   // --- Finish-time accessors ---
 
-  /// Full arrangement validation over the pipeline's local instance (no-op
-  /// when the pipeline holds no tasks).
-  Status Validate() const;
-
+  /// Every task, and the resident worker window (num_workers() counts
+  /// resident workers; workers_offered() counts them all).
   const model::ProblemInstance& instance() const { return instance_; }
+  /// Workers ever buffered into this pipeline (retired ones included).
+  std::int64_t workers_offered() const { return instance_.last_worker(); }
   /// Global id and open flag of local task `local`.
   model::TaskId task_global(model::TaskId local) const {
     return task_global_[static_cast<std::size_t>(local)];
@@ -352,7 +367,9 @@ class StreamPipeline {
   std::int64_t deadline_extensions() const { return deadline_extensions_; }
   std::int64_t open_tasks() const;
   /// Distinct (local) workers holding at least one assignment.
-  std::int64_t workers_used() const;
+  std::int64_t workers_used() const {
+    return scheduler_->arrangement().workers_used();
+  }
   /// route_workers mode: workers holding a route.
   std::int64_t routed_workers() const {
     return static_cast<std::int64_t>(routes_.size());
@@ -369,16 +386,26 @@ class StreamPipeline {
  private:
   explicit StreamPipeline(const Config& config) : config_(config) {}
 
+  /// Global arrival index of resident local worker `local`.
+  model::WorkerIndex global_worker(model::WorkerIndex local) const {
+    return worker_global_[static_cast<std::size_t>(
+        local - instance_.worker_offset - 1)];
+  }
+  /// The scheduler-independent tail of a commit round: the optional
+  /// check, RecordCommits, and the retirement of decided workers.
+  Status FinishRound(double time, bool check);
+
   /// route_workers mode: advances every route to `now`, emitting a
   /// WorkerMove per newly reached stop into pending_moves_ (ascending
-  /// local-worker order; the engine's final (time, worker) sort fixes the
+  /// worker order; the engine's final (time, worker) sort fixes the
   /// global order).
   void AdvanceRoutes(double now);
   /// route_workers mode: grows (or creates, anchored at the worker's
-  /// check-in location and `time`) local worker `w`'s route by cheapest
-  /// insertion of local task `t`. Cost is measured from the route's
-  /// insertion point — a second task committed to the same worker pays the
-  /// marginal detour, not the from-origin distance.
+  /// check-in location and `time`) resident local worker `w`'s route,
+  /// keyed by its global index, by cheapest insertion of local task `t`.
+  /// Cost is measured from the route's insertion point — a second task
+  /// committed to the same worker pays the marginal detour, not the
+  /// from-origin distance.
   void RouteAssignment(model::WorkerIndex w, model::TaskId t, double time);
 
   /// Folds one round's commitment list into the pending records at `time`
@@ -389,14 +416,16 @@ class StreamPipeline {
                      double time);
 
   Config config_;
-  model::ProblemInstance instance_;  // grows in place; never reallocated as
-                                     // a whole (schedulers hold a pointer)
+  model::ProblemInstance instance_;  // grows in place, retires workers from
+                                     // the front; never reallocated as a
+                                     // whole (schedulers hold a pointer)
   std::unique_ptr<algo::OnlineScheduler> scheduler_;
   std::optional<geo::GridIndex> grid_;  // open tasks; nullopt = scan fallback
   std::vector<char> open_;              // open_[local]: arrived, below delta
   std::vector<double> task_arrival_time_;      // by local task id
   std::vector<model::TaskId> task_global_;     // local task -> global id
-  std::vector<model::WorkerIndex> worker_global_;  // local-1 -> global index
+  // Global index of each resident worker (instance_.workers' order).
+  std::vector<model::WorkerIndex> worker_global_;
 
   // Open batch: local worker indices of buffered arrivals.
   std::vector<model::WorkerIndex> batch_;
@@ -416,8 +445,9 @@ class StreamPipeline {
   std::vector<model::TaskId> closing_scratch_;
   std::vector<StreamAssignment> pending_assignments_;
   std::vector<model::TaskId> pending_closed_;
-  // Route state (route_workers only; empty otherwise). Ordered by local
-  // worker index so advancement and serialization are deterministic.
+  // Route state (route_workers only; empty otherwise), keyed by global
+  // worker index — ascending in arrival order, like the local index, so
+  // advancement and serialization are deterministic.
   std::map<model::WorkerIndex, model::WorkerRoute> routes_;
   std::vector<WorkerMove> pending_moves_;
   std::vector<double> assignment_latency_samples_;

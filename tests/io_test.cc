@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -369,6 +372,48 @@ TEST(EventRecordCodecTest, ParseIsInverseOfFormat) {
   EXPECT_FALSE(ParseEventRecord("m 0 zero 1 2").ok());  // non-numeric id
   EXPECT_FALSE(ParseEventRecord("q 0 1 2").ok());     // unknown kind
   EXPECT_FALSE(ParseEventRecord("").ok());
+}
+
+// FormatEventRecord writes doubles with the snapshot codec's FormatReal;
+// the bytes are those of "%.17g", the format WAL and event-log files were
+// always written in — edge values and a seeded sample of bit patterns.
+TEST(EventRecordCodecTest, FormatMatchesPrintfBytes) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                0.1,
+                                1e300,
+                                -1e-300,
+                                123456789012345678.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                2.2250738585072009e-308,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min()};
+  std::uint64_t bits = 0x9e3779b97f4a7c15u;
+  for (int i = 0; i < 4000; ++i) {
+    bits = bits * 6364136223846793005u + 1442695040888963407u;
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (double v : values) {
+    Event t;
+    t.kind = Event::Kind::kTaskArrival;
+    t.time = v;
+    t.location = {v, -v};
+    EXPECT_EQ(FormatEventRecord(t),
+              StrFormat("t %.17g %.17g %.17g\n", v, v, -v));
+    Event w = t;
+    w.kind = Event::Kind::kWorkerArrival;
+    w.accuracy = v;
+    EXPECT_EQ(FormatEventRecord(w),
+              StrFormat("w %.17g %.17g %.17g %.17g\n", v, v, -v, v));
+    Event m = t;
+    m.kind = Event::Kind::kTaskMove;
+    m.task = 42;
+    EXPECT_EQ(FormatEventRecord(m),
+              StrFormat("m %.17g 42 %.17g %.17g\n", v, v, -v));
+  }
 }
 
 // strtod accepts "nan" and "inf"; the record parser behind both event

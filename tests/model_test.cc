@@ -197,7 +197,63 @@ TEST(ProblemInstanceTest, RejectsBadParameters) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
+TEST(ProblemInstanceTest, RetiresWorkersFromTheFront) {
+  auto instance = SmallInstance();
+  ASSERT_TRUE(instance.ok());
+  ProblemInstance window = *instance;
+  window.RetireWorkersBefore(51);
+  EXPECT_EQ(window.worker_offset, 50);
+  EXPECT_EQ(window.num_workers(), 150);
+  EXPECT_EQ(window.last_worker(), 200);
+  EXPECT_FALSE(window.resident(50));
+  EXPECT_TRUE(window.resident(51));
+  EXPECT_TRUE(window.resident(200));
+  EXPECT_FALSE(window.resident(201));
+  EXPECT_EQ(window.worker(51).index, 51);
+  EXPECT_TRUE(window.Validate().ok());
+  for (TaskId t = 0; t < window.num_tasks(); ++t) {
+    EXPECT_EQ(window.Acc(120, t), instance->Acc(120, t));
+    EXPECT_EQ(window.AccStar(200, t), instance->AccStar(200, t));
+  }
+  window.RetireWorkersBefore(10);  // already retired: no-op
+  EXPECT_EQ(window.worker_offset, 50);
+  window.RetireWorkersBefore(201);  // everything
+  EXPECT_EQ(window.num_workers(), 0);
+  EXPECT_EQ(window.last_worker(), 200);
+
+  ProblemInstance bad = *instance;
+  bad.RetireWorkersBefore(51);
+  bad.worker_offset = 49;  // indices no longer follow the offset
+  EXPECT_FALSE(bad.Validate().ok());
+}
+
 // ---- Arrangement ----
+
+TEST(ArrangementTest, LoadWindowRetiresOldWorkers) {
+  Arrangement arr(2, 10.0);
+  arr.Add(1, 0, 0.5);
+  arr.Add(2, 0, 0.5);
+  arr.Add(2, 1, 0.5);
+  arr.Add(5, 1, 0.5);
+  EXPECT_EQ(arr.workers_used(), 3);
+  arr.RetireWorkersBefore(3);
+  EXPECT_EQ(arr.Load(1), 0);
+  EXPECT_EQ(arr.Load(2), 0);
+  EXPECT_EQ(arr.Load(5), 1);
+  EXPECT_EQ(arr.workers_used(), 3);  // retired workers still count
+  arr.Add(6, 0, 0.5);
+  arr.Add(5, 0, 0.5);
+  EXPECT_EQ(arr.Load(5), 2);
+  EXPECT_EQ(arr.Load(6), 1);
+  EXPECT_EQ(arr.workers_used(), 4);
+  EXPECT_EQ(arr.MaxWorkerIndex(), 6);
+  arr.RetireWorkersBefore(10);  // past the window
+  EXPECT_EQ(arr.Load(6), 0);
+  arr.Add(10, 1, 0.5);
+  EXPECT_EQ(arr.Load(10), 1);
+  EXPECT_EQ(arr.workers_used(), 5);
+  EXPECT_EQ(arr.size(), 7);
+}
 
 TEST(ArrangementTest, TracksAccumulationAndCompletion) {
   Arrangement arr(2, 1.0);
@@ -270,6 +326,60 @@ TEST(ValidateArrangementTest, AcceptsValidAndCatchesViolations) {
   EXPECT_TRUE(ValidateArrangement(instance, partial, false).ok());
   EXPECT_TRUE(
       ValidateArrangement(instance, partial, true).IsFailedPrecondition());
+}
+
+TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
+  auto instance_or = gen::PaperExampleInstance(0.2);
+  ASSERT_TRUE(instance_or.ok());
+  ProblemInstance instance = instance_or.value();
+  ASSERT_EQ(instance.capacity, 2);
+  const double delta = instance.Delta();
+
+  // Two good rounds; the first round's workers then retire.
+  Arrangement arr(3, delta);
+  arr.Add(1, 1, instance.AccStar(1, 1));
+  arr.Add(2, 0, instance.AccStar(2, 0));
+  arr.Add(1, 0, instance.AccStar(1, 0));
+  EXPECT_TRUE(ValidateCommitRound(instance, arr, 0).ok());
+  instance.RetireWorkersBefore(3);
+  arr.RetireWorkersBefore(3);
+  arr.Add(3, 0, instance.AccStar(3, 0));
+  EXPECT_TRUE(ValidateCommitRound(instance, arr, 3).ok());
+  EXPECT_TRUE(ValidateCommitRound(instance, arr, 4).ok());  // empty round
+
+  // Each violation, one corrupted commit appended to a copy of `arr`.
+  const auto check = [&](const ProblemInstance& inst, WorkerIndex w, TaskId t,
+                         double acc_star) {
+    Arrangement bad = arr;
+    bad.Add(w, t, acc_star);
+    return ValidateCommitRound(inst, bad, 4);
+  };
+  // A retired worker, and one that never arrived.
+  EXPECT_TRUE(check(instance, 2, 1, 0.5).IsOutOfRange());
+  EXPECT_TRUE(check(instance, 99, 1, 0.5).IsOutOfRange());
+  // A task out of the instance's range.
+  ProblemInstance fewer = instance;
+  fewer.tasks.pop_back();
+  EXPECT_TRUE(check(fewer, 4, 2, 0.5).IsOutOfRange());
+  // A recorded Acc* the model disagrees with.
+  EXPECT_TRUE(check(instance, 4, 1, 0.123).IsInternal());
+  // An ineligible pair.
+  ProblemInstance strict = instance;
+  strict.acc_min = 0.999;
+  EXPECT_TRUE(check(strict, 4, 1, instance.AccStar(4, 1))
+                  .IsFailedPrecondition());
+  // Worker 3 committed again after its round.
+  EXPECT_TRUE(check(instance, 3, 1, instance.AccStar(3, 1))
+                  .IsFailedPrecondition());
+
+  // A duplicate pair and a capacity overflow inside one round.
+  Arrangement dup = arr;
+  dup.Add(4, 1, instance.AccStar(4, 1));
+  dup.Add(4, 1, instance.AccStar(4, 1));
+  EXPECT_TRUE(ValidateCommitRound(instance, dup, 4).IsFailedPrecondition());
+  Arrangement over = arr;
+  for (TaskId t : {0, 1, 2}) over.Add(5, t, instance.AccStar(5, t));
+  EXPECT_TRUE(ValidateCommitRound(instance, over, 4).IsFailedPrecondition());
 }
 
 // ---- EligibilityIndex ----

@@ -253,34 +253,34 @@ struct SnapshotCell {
 };
 
 constexpr SnapshotCell kSnapshotGolden[] = {
-    {"LAF", "0", 1, 0x1188f386u, 319922},
-    {"LAF", "0.4", 1, 0x66ed7d72u, 320380},
-    {"LAF", "adaptive", 1, 0x3b97405bu, 373560},
-    {"LAF", "0", 3, 0x96ec1817u, 351785},
-    {"LAF", "0.4", 3, 0x4c840824u, 352157},
-    {"LAF", "adaptive", 3, 0x7847cab0u, 412184},
-    {"AAM", "0", 1, 0xd2f26c20u, 319922},
-    {"AAM", "0.4", 1, 0x66ed7d72u, 320380},
-    {"AAM", "adaptive", 1, 0xb2acefa2u, 373560},
-    {"AAM", "0", 3, 0x4fe31102u, 351785},
-    {"AAM", "0.4", 3, 0x4c840824u, 352157},
-    {"AAM", "adaptive", 3, 0xc22936c8u, 412184},
-    {"Random", "0", 1, 0xb357f5d0u, 320016},
-    {"Random", "0.4", 1, 0x662d7b26u, 320474},
-    {"Random", "adaptive", 1, 0x0263bdd9u, 373654},
-    {"Random", "0", 3, 0xcd5413b2u, 352065},
-    {"Random", "0.4", 3, 0x2d8104b4u, 352437},
-    {"Random", "adaptive", 3, 0x15638b09u, 412464},
-    {"MCF", "0", 1, 0x11019519u, 319927},
-    {"MCF", "0.4", 1, 0xca7777e6u, 320491},
-    {"MCF", "adaptive", 1, 0x5b358913u, 373565},
-    {"MCF", "0", 3, 0x778ab323u, 351682},
-    {"MCF", "0.4", 3, 0xc411da24u, 352119},
-    {"MCF", "adaptive", 3, 0xc381d56bu, 412081},
-    {"LAF", "0.4", 1, 0x4430495au, 394107, true},
-    {"LAF", "0.4", 3, 0xfc5c7e77u, 424698, true},
-    {"MCF", "0.4", 1, 0x4330ef71u, 393762, true},
-    {"MCF", "0.4", 3, 0x93f846e8u, 424077, true},
+    {"LAF", "0", 1, 0x193b99cfu, 58308},
+    {"LAF", "0.4", 1, 0x8bf72c73u, 60151},
+    {"LAF", "adaptive", 1, 0x3a25d95du, 111946},
+    {"LAF", "0", 3, 0xfb760654u, 57710},
+    {"LAF", "0.4", 3, 0xd1c012c2u, 63613},
+    {"LAF", "adaptive", 3, 0xd2d013a3u, 118109},
+    {"AAM", "0", 1, 0x060cdcc3u, 58308},
+    {"AAM", "0.4", 1, 0x8bf72c73u, 60151},
+    {"AAM", "adaptive", 1, 0xd35de0adu, 111946},
+    {"AAM", "0", 3, 0xc72a007du, 57710},
+    {"AAM", "0.4", 3, 0xd1c012c2u, 63613},
+    {"AAM", "adaptive", 3, 0x0d554667u, 118109},
+    {"Random", "0", 1, 0xc71a20f7u, 58402},
+    {"Random", "0.4", 1, 0xd6c8bc8fu, 60245},
+    {"Random", "adaptive", 1, 0x1e922e2au, 112040},
+    {"Random", "0", 3, 0xb738a0fau, 57990},
+    {"Random", "0.4", 3, 0x932658e8u, 63893},
+    {"Random", "adaptive", 3, 0x0ecedaf9u, 118389},
+    {"MCF", "0", 1, 0x353d7b9cu, 59172},
+    {"MCF", "0.4", 1, 0xc801fd01u, 63286},
+    {"MCF", "adaptive", 1, 0x534e8aa4u, 112810},
+    {"MCF", "0", 3, 0x07f93761u, 60110},
+    {"MCF", "0.4", 3, 0x94cfd08au, 65944},
+    {"MCF", "adaptive", 3, 0xd944608bu, 120509},
+    {"LAF", "0.4", 1, 0x43505a9fu, 133878, true},
+    {"LAF", "0.4", 3, 0xbbcf3a76u, 136467, true},
+    {"MCF", "0.4", 1, 0x69023230u, 136557, true},
+    {"MCF", "0.4", 3, 0xcb13ebdeu, 138215, true},
 };
 
 std::string SnapshotKey(const char* algorithm, const char* deadline,

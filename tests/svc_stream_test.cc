@@ -1,12 +1,18 @@
 // Tests of the streaming service layer: the ltc-events v1 codec, the
 // Poisson stream generator, the engine's micro-batch admission, the
-// RunOnline-equivalence of deadline-0 admission, and the ltc_serve replay
-// determinism contract (byte-identical assignment logs for any --threads).
+// RunOnline-equivalence of deadline-0 admission, the ltc_serve replay
+// determinism contract (byte-identical assignment logs for any --threads),
+// and worker lifetime (resident state bounded by open work, commit-time
+// validation).
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/registry.h"
+#include "common/string_util.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "io/event_log.h"
@@ -188,8 +194,8 @@ TEST(StreamEngineTest, MoveEventsRelocateOpenTasks) {
   auto replay = ReplayEventLog(log.value(), options);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_GT(replay.value().stream.move_events, 0);
-  // Moved tasks make post-hoc Acc* validation unsound, so the engine skips
-  // it and says so.
+  // Commit checks stop at the first move (a batch scheduler may commit a
+  // candidate gathered before it), so the run is not reported validated.
   EXPECT_FALSE(replay.value().stream.validated);
   EXPECT_GT(replay.value().stream.tasks_completed, 0);
 }
@@ -299,6 +305,291 @@ TEST(StreamEngineTest, RejectsOfflineSchedulersAndBadEvents) {
   e.time = 6.0;
   e.task = 3;  // no task has arrived
   EXPECT_TRUE(engine.value()->OnEvent(e).IsInvalidArgument());
+}
+
+// ---- Worker lifetime (DESIGN.md §8) ----
+
+/// An upper bound on the workers an MCF pipeline may hold: its Theorem-2
+/// batch target |T| * ceil(delta) / K, 1.5x for the first batch, over every
+/// task of the stream. The per-worker schedulers hold none.
+std::int64_t HoldBound(const io::EventLog& log, const std::string& algorithm) {
+  if (algorithm != "MCF") return 0;
+  std::int64_t tasks = 0;
+  for (const io::Event& e : log.events) {
+    tasks += e.kind == io::Event::Kind::kTaskArrival ? 1 : 0;
+  }
+  const double delta = 2.0 * std::log(1.0 / log.epsilon);
+  return static_cast<std::int64_t>(1.5 * static_cast<double>(tasks) *
+                                   std::ceil(delta) /
+                                   static_cast<double>(log.capacity)) +
+         1;
+}
+
+/// Workers resident in `engine` beyond its open batches and `hold` held
+/// workers per pipeline (0 when bounded).
+std::int64_t ResidentExcess(const ShardedStreamEngine& engine,
+                            std::int64_t hold) {
+  std::int64_t excess = 0;
+  for (int k = 0; k < engine.num_shards(); ++k) {
+    const StreamPipeline& p = engine.pipeline(k);
+    excess += std::max<std::int64_t>(
+        0, p.instance().num_workers() -
+               static_cast<std::int64_t>(p.batch_size()) - hold);
+  }
+  return excess;
+}
+
+struct LifetimeCell {
+  const char* algorithm;
+  int shards;
+  bool routes;
+  std::int64_t workers_used;
+  double total_acc_star;
+  model::WorkerIndex max_assigned_worker;
+};
+
+// workers_used, total_acc_star and max_assigned_worker were recorded before
+// workers retired, when every pipeline kept every worker it was offered.
+constexpr LifetimeCell kLifetimeGolden[] = {
+    {"LAF", 1, false, 892, 1466.1060077411241, 1097},
+    {"LAF", 1, true, 892, 1466.1060077411241, 1097},
+    {"LAF", 3, false, 941, 1466.6032124635406, 1334},
+    {"LAF", 3, true, 941, 1466.6032124635406, 1334},
+    {"AAM", 1, false, 891, 1467.7202340575132, 1097},
+    {"AAM", 1, true, 891, 1467.7202340575132, 1097},
+    {"AAM", 3, false, 935, 1466.795902263013, 1332},
+    {"AAM", 3, true, 935, 1466.795902263013, 1332},
+    {"Random", 1, false, 892, 1468.226497486218, 1097},
+    {"Random", 1, true, 892, 1468.226497486218, 1097},
+    {"Random", 3, false, 937, 1466.0065872959995, 1332},
+    {"Random", 3, true, 937, 1466.0065872959995, 1332},
+    {"MCF", 1, false, 842, 1454.8654821581547, 1124},
+    {"MCF", 1, true, 842, 1454.8654821581547, 1124},
+    {"MCF", 3, false, 903, 1457.8721992587309, 1332},
+    {"MCF", 3, true, 903, 1457.8721992587309, 1332},
+};
+
+// After every event, a pipeline holds only its open batch and what its
+// scheduler still buffers (route_workers keeps no worker record: a route
+// carries its global index). Retirement changes no outcome.
+TEST(WorkerLifetimeTest, ResidentWorkersStayWithinOpenWork) {
+  gen::StreamConfig cfg = SmallStream(17);
+  cfg.num_tasks = 300;
+  cfg.task_rate = 100.0;
+  cfg.dmax = 150.0;  // more open tasks in reach than K: choices differ
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  std::int64_t worker_events = 0;
+  for (const io::Event& e : log.value().events) {
+    worker_events += e.kind == io::Event::Kind::kWorkerArrival ? 1 : 0;
+  }
+  std::size_t cells = 0;
+  for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
+    const std::int64_t hold = HoldBound(log.value(), algo);
+    for (int shards : {1, 3}) {
+      for (bool routes : {false, true}) {
+        StreamOptions options;
+        options.algorithm = algo;
+        options.batch_deadline = 0.4;
+        options.shards = shards;
+        options.route_workers = routes;
+        options.seed = 5;
+        const std::string key =
+            StrFormat("%s/%d%s", algo, shards, routes ? "/routes" : "");
+        auto engine = ShardedStreamEngine::Create(log.value(), options);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        std::int64_t excess = 0;
+        for (const io::Event& e : log.value().events) {
+          ASSERT_TRUE(engine.value()->OnEvent(e).ok()) << key;
+          excess += ResidentExcess(*engine.value(), hold);
+        }
+        EXPECT_EQ(excess, 0) << key;
+        auto metrics = engine.value()->Finish();
+        ASSERT_TRUE(metrics.ok()) << key << ": " << metrics.status().ToString();
+        EXPECT_TRUE(metrics.value().validated) << key;
+        EXPECT_EQ(ResidentExcess(*engine.value(), 0), 0) << key;
+        std::int64_t offered = 0;
+        for (int k = 0; k < shards; ++k) {
+          offered += engine.value()->pipeline(k).workers_offered();
+        }
+        if (shards == 1) {
+          EXPECT_EQ(offered, worker_events) << key;
+        } else {
+          EXPECT_GE(offered, worker_events) << key;
+        }
+        const ShardedStreamEngine& done = *engine.value();
+        bool pinned = false;
+        for (const LifetimeCell& cell : kLifetimeGolden) {
+          if (cell.algorithm != std::string(algo) || cell.shards != shards ||
+              cell.routes != routes) {
+            continue;
+          }
+          pinned = true;
+          ++cells;
+          EXPECT_EQ(done.workers_used(), cell.workers_used) << key;
+          EXPECT_EQ(done.total_acc_star(), cell.total_acc_star) << key;
+          EXPECT_EQ(done.max_assigned_worker(), cell.max_assigned_worker)
+              << key;
+        }
+        EXPECT_TRUE(pinned)
+            << key << ": got {\"" << algo << "\", " << shards << ", "
+            << (routes ? "true" : "false") << ", " << done.workers_used()
+            << ", " << StrFormat("%.17g", done.total_acc_star()) << ", "
+            << done.max_assigned_worker() << "},";
+      }
+    }
+  }
+  EXPECT_EQ(cells, std::size(kLifetimeGolden));
+}
+
+/// The "pworkers <resident> <retired>" and "pbatch <time> <n> ..." counts
+/// of every pipeline block in an engine snapshot.
+std::vector<std::pair<std::int64_t, std::int64_t>> SnapshotWindows(
+    const std::string& snapshot) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> windows;
+  for (const std::string& line : Split(snapshot, '\n')) {
+    const std::vector<std::string> f = Split(line, ' ');
+    if (f[0] == "pworkers") windows.emplace_back(std::stoll(f[1]), 0);
+    if (f[0] == "pbatch") windows.back().second = std::stoll(f[2]);
+  }
+  return windows;
+}
+
+// A long stream's snapshots stay as small in workers as its open work:
+// after 20k and after 80k worker events every pipeline writes only its open
+// batch plus what its scheduler holds.
+TEST(WorkerLifetimeTest, SnapshotWorkerWindowIsBounded) {
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 2000;
+  cfg.num_workers = 80000;
+  cfg.task_rate = 10.0;
+  cfg.worker_rate = 400.0;
+  cfg.seed = 29;
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  for (const char* algo : {"LAF", "MCF"}) {
+    const std::int64_t hold = HoldBound(log.value(), algo);
+    for (int shards : {1, 3}) {
+      StreamOptions options;
+      options.algorithm = algo;
+      options.batch_deadline = 0.25;
+      options.shards = shards;
+      options.validate = false;
+      auto engine = ShardedStreamEngine::Create(log.value(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      std::int64_t workers = 0;
+      int snapshots = 0;
+      for (const io::Event& e : log.value().events) {
+        ASSERT_TRUE(engine.value()->OnEvent(e).ok());
+        if (e.kind != io::Event::Kind::kWorkerArrival) continue;
+        if (++workers != 20000 && workers != 80000) continue;
+        std::string snapshot;
+        ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok());
+        const auto windows = SnapshotWindows(snapshot);
+        ASSERT_EQ(windows.size(), static_cast<std::size_t>(shards));
+        for (const auto& [resident, batch] : windows) {
+          EXPECT_LE(resident, batch + hold)
+              << algo << " shards " << shards << " at " << workers;
+        }
+        ++snapshots;
+      }
+      EXPECT_EQ(snapshots, 2) << algo << " shards " << shards;
+    }
+  }
+}
+
+/// The local index of the first worker MCF holds ("b" record) in the
+/// one-pipeline snapshot `state` with a candidate task `p` still has open,
+/// or -1.
+std::int64_t HeldWorkerWithOpenCandidate(const std::string& state,
+                                         const StreamPipeline& p) {
+  for (const std::string& line : Split(state, '\n')) {
+    const std::vector<std::string> f = Split(line, ' ');
+    if (f[0] != "b") continue;
+    for (std::size_t i = 2; i < f.size(); ++i) {
+      if (p.task_open(std::stoi(f[i]))) return std::stoll(f[1]);
+    }
+  }
+  return -1;
+}
+
+/// The first snapshot of `log` under `options` (one shard) in which MCF
+/// holds a worker with an open candidate; *cut receives its event count and
+/// *held the worker.
+std::string SnapshotHoldingAWorker(const io::EventLog& log,
+                                   const StreamOptions& options,
+                                   std::int64_t* cut, std::int64_t* held) {
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  for (std::int64_t i = 0; i < log.num_events(); ++i) {
+    engine.value()->OnEvent(log.events[static_cast<std::size_t>(i)]).CheckOK();
+    std::string state;
+    engine.value()->SerializeTo(&state).CheckOK();
+    *held = HeldWorkerWithOpenCandidate(state, engine.value()->pipeline(0));
+    if (*held >= 0) {
+      *cut = i + 1;
+      return state;
+    }
+  }
+  return "";
+}
+
+// Commit-time validation sees what the scheduler commits. A snapshot that
+// lies about a held worker's accuracy (0: far below acc_min, yet the
+// largest Acc*) makes MCF commit an ineligible pair at its next flush; with
+// validate on, that flush fails instead of logging the commitment.
+TEST(WorkerLifetimeTest, CommitCheckRejectsACorruptedCommit) {
+  gen::StreamConfig cfg = SmallStream(23);
+  cfg.dmax = 150.0;
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  StreamOptions options;
+  options.algorithm = "MCF";
+  options.batch_deadline = 0.4;
+  std::int64_t cut = 0;
+  std::int64_t held = 0;
+  const std::string state =
+      SnapshotHoldingAWorker(log.value(), options, &cut, &held);
+  ASSERT_FALSE(state.empty()) << "MCF never held a worker";
+
+  // That held worker's "pw" line.
+  std::vector<std::string> lines = Split(state, '\n');
+  std::int64_t retired = -1;
+  for (const std::string& line : lines) {
+    const std::vector<std::string> f = Split(line, ' ');
+    if (f[0] == "pworkers") retired = std::stoll(f[2]);
+  }
+  ASSERT_GE(retired, 0);
+  ASSERT_GT(held, retired);
+  std::int64_t local = retired;
+  for (std::string& line : lines) {
+    if (!StartsWith(line, "pw ") || ++local != held) continue;
+    std::vector<std::string> f = Split(line, ' ');
+    f[4] = "0";
+    line = Join(f, " ");
+    break;
+  }
+  ASSERT_EQ(local, held);
+  const std::string corrupted = Join(lines, "\n");
+
+  // Runs the stream's tail from the corrupted snapshot; returns the first
+  // failure.
+  const auto tail = [&](bool validate) {
+    StreamOptions o = options;
+    o.validate = validate;
+    auto engine = ShardedStreamEngine::Restore(log.value(), o, corrupted);
+    if (!engine.ok()) return engine.status();
+    for (std::int64_t i = cut; i < log.value().num_events(); ++i) {
+      LTC_RETURN_IF_ERROR(engine.value()->OnEvent(
+          log.value().events[static_cast<std::size_t>(i)]));
+    }
+    return engine.value()->Finish().status();
+  };
+  EXPECT_TRUE(tail(/*validate=*/false).ok());
+  const Status checked = tail(/*validate=*/true);
+  EXPECT_TRUE(checked.IsFailedPrecondition()) << checked.ToString();
+  EXPECT_NE(checked.ToString().find("ineligible"), std::string::npos)
+      << checked.ToString();
 }
 
 TEST(LatencySummaryTest, NearestRankPercentiles) {
