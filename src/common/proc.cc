@@ -15,6 +15,7 @@ std::uint64_t ReadStatusField(const char* field) {
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     if (std::strncmp(line, field, field_len) == 0) {
       unsigned long long v = 0;
+      // ltc-lint: allow(number-parse) /proc pads fields with tabs, spaces
       if (std::sscanf(line + field_len, ": %llu kB", &v) == 1) kib = v;
       break;
     }

@@ -6,14 +6,15 @@
 //   LTC_RETURN_IF_ERROR(ar.Record("clock", Real(&last_event_time_)));
 //
 // Text format: one record per '\n'-terminated line, "key field field ...",
-// separated by single spaces. Integers are plain decimal; doubles are
-// std::to_chars(..., chars_format::general, 17), which the standard defines
-// as printf's "%.17g" — the fixed precision that round-trips every double.
-// The reader accepts exactly what the writer emits (canonical numbers, no
-// blank lines, no missing or extra fields), so any state it accepts
-// serializes back to the same bytes. A malformed record, a value outside
-// its domain or a Count beyond the lines left is InvalidArgument; an id
-// outside its Index range is OutOfRange.
+// read by the one text scanner (common/line_scanner.h). Integers are plain
+// decimal; doubles are FormatReal's (std::to_chars(..., general, 17), which
+// the standard defines as printf's "%.17g" — the fixed precision that
+// round-trips every double). On top of the scanner's rules the reader
+// accepts exactly what the writer emits (doubles in FormatReal's bytes, no
+// blank lines, no '\r', no missing or extra fields, block line counts that
+// hold), so any state it accepts serializes back to the same bytes. A
+// malformed record, a value outside its domain or a Count beyond the lines
+// left is InvalidArgument; an id outside its Index range is OutOfRange.
 
 #ifndef LTC_COMMON_STATE_ARCHIVE_H_
 #define LTC_COMMON_STATE_ARCHIVE_H_
@@ -23,20 +24,12 @@
 #include <limits>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
+#include "common/line_scanner.h"
 #include "common/status.h"
 
 namespace ltc {
-
-/// Room FormatReal needs at `buf`.
-inline constexpr std::size_t kRealChars = 32;
-
-/// The one persisted double format — snapshots, the WAL and the event log:
-/// general, 17 significant digits (the bytes of printf's "%.17g"). Writes
-/// at most kRealChars chars at `buf`; returns the end.
-char* FormatReal(double v, char* buf);
 
 class StateArchive {
  public:
@@ -81,34 +74,33 @@ class StateArchive {
   }
 
   // Field primitives. TakeInt's range error is OutOfRange when `index`,
-  // else InvalidArgument; TakeReal also requires a finite value.
+  // else InvalidArgument; TakeReal also requires FormatReal's bytes.
   void PutInt(std::int64_t v);
   void PutWord(std::uint64_t v);
   void PutReal(double v);
-  Status TakeInt(std::int64_t* v, std::int64_t lo, std::int64_t hi,
-                 bool index);
-  Status TakeWord(std::uint64_t* v);
+  template <typename T>
+  Status TakeInt(T* v, std::int64_t lo, std::int64_t hi, bool index) {
+    return scan_.Int(v, lo, hi,
+                     index ? StatusCode::kOutOfRange
+                           : StatusCode::kInvalidArgument);
+  }
+  Status TakeWord(std::uint64_t* v) { return scan_.Word(v); }
   Status TakeReal(double* v, double lo, double hi);
-  bool MoreFields() const { return cursor_ < line_.size(); }
+  bool MoreFields() const { return scan_.MoreFields(); }
   std::int64_t lines_left() const { return lines_left_; }
-  Status Invalid(const char* what) const { return Error(false, what); }
+  Status Invalid(const char* what) const { return scan_.Error(what); }
 
  private:
-  explicit StateArchive(std::string* out) : out_(out) {}
+  explicit StateArchive(std::string* out)
+      : out_(out), scan_({}, "snapshot") {}
 
   Status BeginLine(std::string_view key);
-  Status NextField(std::string_view* field);
-  Status Error(bool out_of_range, const char* what) const;
 
   std::string* out_ = nullptr;  // writer only
-  // Reader: the text, the next unread line, the lines left in the current
-  // scope (the text or the open block), the current line and its cursor.
-  std::string_view text_;
-  std::size_t pos_ = 0;
+  // Reader: the text and the lines left in the current scope (the text or
+  // the open block).
+  LineScanner scan_;
   std::int64_t lines_left_ = 0;
-  std::string_view key_;
-  std::string_view line_;
-  std::size_t cursor_ = 0;
 };
 
 // --- Fields: a variable and its domain ---
@@ -117,7 +109,6 @@ class StateArchive {
 /// lines left.
 template <typename T>
 struct IntField {
-  static_assert(std::is_signed_v<T> || sizeof(T) < sizeof(std::int64_t));
   T* v;
   std::int64_t lo;
   std::int64_t hi;
@@ -126,14 +117,7 @@ struct IntField {
 
   void Write(StateArchive& ar) const { ar.PutInt(*v); }
   Status Read(StateArchive& ar) const {
-    std::int64_t x = 0;
-    LTC_RETURN_IF_ERROR(ar.TakeInt(
-        &x, std::max<std::int64_t>(lo, std::numeric_limits<T>::min()),
-        std::min<std::int64_t>(count ? ar.lines_left() : hi,
-                               std::numeric_limits<T>::max()),
-        index));
-    *v = static_cast<T>(x);
-    return Status::OK();
+    return ar.TakeInt(v, lo, count ? ar.lines_left() : hi, index);
   }
 };
 

@@ -1,11 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace ltc {
@@ -115,31 +112,6 @@ std::string JsonEscape(const std::string& s) {
 
 std::string DoubleToString(double v, int precision) {
   return StrFormat("%.*f", precision, v);
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  // glibc flags every subnormal result with ERANGE, yet "%.17g" writes
-  // subnormals and they read back exactly. Only overflow (±HUGE_VAL) and
-  // an underflow all the way to zero are out of range.
-  const bool subnormal = errno == ERANGE && std::isfinite(v) && v != 0.0;
-  if (errno != 0 && !subnormal) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseInt64(const std::string& s, std::int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
 }
 
 }  // namespace ltc

@@ -41,9 +41,9 @@ std::string DoubleToString(double v, int precision = 6);
 /// newlines) — shared by the exp and svc JSON emitters.
 std::string JsonEscape(const std::string& s);
 
-/// Parses a double/int64 with full-string validation. ParseDouble reads
-/// every finite double "%.17g" writes, subnormals included, and rejects
-/// values that overflow to ±inf or underflow to zero.
+/// The whole of `s` as one field of common/line_scanner.h, which defines
+/// them: a finite double (every one "%.17g" writes, subnormals included),
+/// or canonical decimal (no '+', leading zero or "-0").
 bool ParseDouble(const std::string& s, double* out);
 bool ParseInt64(const std::string& s, std::int64_t* out);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "algo/lower_bound.h"
@@ -126,6 +125,7 @@ StatusOr<std::string> RunTruthSuite(const SweepOptions& sweep,
 StatusOr<std::string> RunErrorRateSuite(const SweepOptions& sweep,
                                         const OutputOptions& output) {
   struct Cell {
+    double epsilon = 0;
     double error = 0;
     double worst = 0;
   };
@@ -150,6 +150,7 @@ StatusOr<std::string> RunErrorRateSuite(const SweepOptions& sweep,
             model::SimulateVoting(instance, arrangement, trials, seed + 1));
         Cell& cell =
             cells[case_index * reps + static_cast<std::size_t>(rep)];
+        cell.epsilon = instance.epsilon;
         cell.error = outcome.empirical_error_rate;
         cell.worst = outcome.max_task_error_rate;
         return Status::OK();
@@ -165,9 +166,7 @@ StatusOr<std::string> RunErrorRateSuite(const SweepOptions& sweep,
       error_sum += cells[c * reps + r].error;
       worst = std::max(worst, cells[c * reps + r].worst);
     }
-    // The case label renders the epsilon value ("0.06"), so it converts
-    // back exactly enough for the delta column.
-    const double epsilon = std::atof(cases[c].label.c_str());
+    const double epsilon = cells[c * reps].epsilon;
     table.AddRow({cases[c].label,
                   StrFormat("%.3f", 2.0 * std::log(1.0 / epsilon)),
                   StrFormat("%.5f", error_sum / static_cast<double>(reps)),

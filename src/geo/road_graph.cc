@@ -4,12 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
 
-#include "common/string_util.h"
+#include "common/file_util.h"
+#include "common/line_scanner.h"
 
 namespace ltc {
 namespace geo {
@@ -418,110 +417,68 @@ std::int64_t RoadGraph::RowTicks(const Workspace::Row& row, std::int32_t v,
 }
 
 std::string RoadGraph::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "# ltc-road v1\n";
-  out << "nodes " << num_nodes() << "\n";
+  std::string out = "# ltc-road v1\nnodes " + std::to_string(num_nodes()) +
+                    '\n';
+  char x[kRealChars];
   for (const Point& p : nodes_) {
-    out << p.x << " " << p.y << "\n";
+    out.append(x, FormatReal(p.x, x));
+    AppendRealField(&out, p.y);
+    out.push_back('\n');
   }
-  out << "edges " << edges_.size() << "\n";
+  out += "edges " + std::to_string(edges_.size()) + '\n';
   for (const Edge& e : edges_) {
-    out << e.u << " " << e.v << " " << e.weight << "\n";
+    out += std::to_string(e.u) + ' ' + std::to_string(e.v);
+    AppendRealField(&out, e.weight);
+    out.push_back('\n');
   }
-  return out.str();
+  return out;
 }
 
 Status RoadGraph::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << Serialize();
-  out.flush();
-  if (!out) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return WriteFile(path, Serialize());
 }
 
 StatusOr<RoadGraph> RoadGraph::Parse(const std::string& text) {
-  std::istringstream in(text);
-  return ParseStream(in);
-}
-
-StatusOr<RoadGraph> RoadGraph::ParseStream(std::istream& in) {
-  std::string token;
-  auto next_token = [&](std::string* out) -> bool {
-    while (in >> *out) {
-      if ((*out)[0] == '#') {
-        std::string rest;
-        std::getline(in, rest);  // comment runs to end of line
-        continue;
-      }
-      return true;
-    }
-    return false;
-  };
-  auto expect_keyword = [&](const char* want) -> Status {
-    if (!next_token(&token) || token != want) {
-      return Status::InvalidArgument(std::string("ltc-road: expected '") +
-                                     want + "'");
+  LineScanner scan(text, "ltc-road");
+  LTC_RETURN_IF_ERROR(scan.Header("# ltc-road v1"));
+  // A "<key> <count>" line, then one line per item. The count is
+  // untrusted: no more than the lines left.
+  const auto list = [&scan](const char* key, std::int32_t lo, auto* items,
+                            auto read_item) -> Status {
+    std::int32_t count = 0;
+    if (!scan.NextRecord()) return scan.Error(std::string("no ") + key);
+    LTC_RETURN_IF_ERROR(scan.Expect(key));
+    LTC_RETURN_IF_ERROR(scan.Int(&count, lo, scan.lines_left()));
+    LTC_RETURN_IF_ERROR(scan.EndLine());
+    items->resize(static_cast<std::size_t>(count));
+    for (auto& item : *items) {
+      if (!scan.NextRecord()) return scan.Error("truncated list");
+      LTC_RETURN_IF_ERROR(read_item(&item));
+      LTC_RETURN_IF_ERROR(scan.EndLine());
     }
     return Status::OK();
   };
-  auto next_int = [&](std::int64_t* out) -> bool {
-    return next_token(&token) && ParseInt64(token, out);
-  };
-  auto next_double = [&](double* out) -> bool {
-    return next_token(&token) && ParseDouble(token, out);
-  };
-
-  LTC_RETURN_IF_ERROR(expect_keyword("nodes"));
-  std::int64_t n = 0;
-  if (!next_int(&n) || n <= 0 ||
-      n > std::numeric_limits<std::int32_t>::max()) {
-    return Status::InvalidArgument("ltc-road: bad node count");
-  }
-  // The counts are untrusted: no reserve from them, so a huge count over
-  // short text fails as truncated input instead of exhausting memory.
   std::vector<Point> nodes;
-  for (std::int64_t i = 0; i < n; ++i) {
-    Point p;
-    if (!next_double(&p.x) || !next_double(&p.y)) {
-      return Status::InvalidArgument("ltc-road: bad or truncated node list");
-    }
-    nodes.push_back(p);
-  }
-
-  LTC_RETURN_IF_ERROR(expect_keyword("edges"));
-  std::int64_t m = 0;
-  if (!next_int(&m) || m < 0) {
-    return Status::InvalidArgument("ltc-road: bad edge count");
-  }
+  LTC_RETURN_IF_ERROR(list("nodes", 1, &nodes, [&scan](Point* p) -> Status {
+    LTC_RETURN_IF_ERROR(scan.Real(&p->x));
+    return scan.Real(&p->y);
+  }));
+  const auto last = static_cast<std::int64_t>(nodes.size()) - 1;
   std::vector<Edge> edges;
-  for (std::int64_t i = 0; i < m; ++i) {
-    Edge e;
-    std::int64_t u = 0, v = 0;
-    if (!next_int(&u) || !next_int(&v) || !next_double(&e.weight)) {
-      return Status::InvalidArgument("ltc-road: bad or truncated edge list");
-    }
-    // Range-check before narrowing: 2^32 must not wrap onto node 0.
-    if (u < 0 || u >= n || v < 0 || v >= n) {
-      return Status::InvalidArgument("ltc-road: edge " + std::to_string(i) +
-                                     " endpoint out of range");
-    }
-    e.u = static_cast<std::int32_t>(u);
-    e.v = static_cast<std::int32_t>(v);
-    edges.push_back(e);
-  }
-  if (next_token(&token)) {
-    return Status::InvalidArgument("ltc-road: trailing content '" + token +
-                                   "'");
-  }
+  LTC_RETURN_IF_ERROR(
+      list("edges", 0, &edges, [&scan, last](Edge* e) -> Status {
+        LTC_RETURN_IF_ERROR(scan.Int(&e->u, 0, last));
+        LTC_RETURN_IF_ERROR(scan.Int(&e->v, 0, last));
+        return scan.Real(&e->weight);
+      }));
+  if (scan.NextRecord()) return scan.Error("trailing content");
+  LTC_RETURN_IF_ERROR(scan.Finish());
   return Build(std::move(nodes), edges);
 }
 
 StatusOr<RoadGraph> RoadGraph::Load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open road graph " + path);
-  return ParseStream(in);
+  LTC_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  return Parse(text);
 }
 
 namespace {

@@ -16,7 +16,8 @@
 // order they are added in, so d(u, v) == d(v, u) exactly and a search from
 // either end gives the same bits.
 //
-// File format "ltc-road v1" (whitespace-separated, '#' comment lines):
+// File format "ltc-road v1" (one record per line, fields separated by one
+// space, the header required on line 1; src/io/README.md):
 //
 //   # ltc-road v1
 //   nodes <N>
@@ -33,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -169,11 +169,11 @@ class RoadGraph {
   static StatusOr<RoadGraph> Build(std::vector<Point> nodes,
                                    const std::vector<Edge>& edges);
 
-  /// Parses the "ltc-road v1" text format.
+  /// Parses the "ltc-road v1" text format with the one line scanner
+  /// (common/line_scanner.h).
   static StatusOr<RoadGraph> Parse(const std::string& text);
 
-  /// Reads an "ltc-road v1" file, parsing as it reads: no copy of the
-  /// text is held.
+  /// ReadFile, then Parse.
   static StatusOr<RoadGraph> Load(const std::string& path);
 
   /// The "ltc-road v1" text for this graph (round-trips through Parse).
@@ -246,9 +246,6 @@ class RoadGraph {
 
  private:
   RoadGraph() = default;
-
-  /// Parse and Load: the "ltc-road v1" tokens of `in`.
-  static StatusOr<RoadGraph> ParseStream(std::istream& in);
 
   /// Resets the workspace (search and every memo) unless it already
   /// belongs to this graph.

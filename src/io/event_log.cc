@@ -1,10 +1,8 @@
 #include "io/event_log.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "common/state_archive.h"
+#include "common/line_scanner.h"
 #include "common/string_util.h"
 #include "io/workload_io.h"
 
@@ -14,12 +12,30 @@ namespace io {
 namespace {
 
 constexpr char kHeader[] = "# ltc-events v1";
+constexpr char kFormat[] = "ltc-events";
 
-/// strtod accepts "nan" and "inf"; no event time or coordinate may be
-/// either (a NaN time would poison every later clock comparison).
-bool Finite(const Event& e) {
-  return std::isfinite(e.time) && std::isfinite(e.location.x) &&
-         std::isfinite(e.location.y);
+/// Reads the fields of the event record whose key the scanner just read
+/// into *e, a default Event.
+Status ReadEvent(LineScanner& scan, std::string_view key, Event* e) {
+  if (key == "t") {
+    e->kind = Event::Kind::kTaskArrival;
+  } else if (key == "w") {
+    e->kind = Event::Kind::kWorkerArrival;
+  } else if (key == "m") {
+    e->kind = Event::Kind::kTaskMove;
+  } else {
+    return scan.Error("unknown record");
+  }
+  LTC_RETURN_IF_ERROR(scan.Real(&e->time));
+  if (e->kind == Event::Kind::kTaskMove) {
+    LTC_RETURN_IF_ERROR(scan.Int(&e->task, 0));
+  }
+  LTC_RETURN_IF_ERROR(scan.Real(&e->location.x));
+  LTC_RETURN_IF_ERROR(scan.Real(&e->location.y));
+  if (e->kind == Event::Kind::kWorkerArrival) {
+    return scan.Real(&e->accuracy, 0.0, 1.0);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -80,47 +96,39 @@ StatusOr<std::string> SerializeEventLogHeader(const EventLog& log) {
     return Status::InvalidArgument("event log has no accuracy function");
   }
   LTC_ASSIGN_OR_RETURN(std::string accuracy_line, AccuracyLine(*log.accuracy));
-  std::string out = kHeader;
-  out += '\n';
-  out += StrFormat("epsilon %.17g\n", log.epsilon);
-  out += StrFormat("capacity %d\n", log.capacity);
-  out += StrFormat("acc_min %.17g\n", log.acc_min);
-  out += accuracy_line + "\n";
+  std::string out = std::string(kHeader) + "\nepsilon";
+  AppendRealField(&out, log.epsilon);
+  out += "\ncapacity " + std::to_string(log.capacity) + "\nacc_min";
+  AppendRealField(&out, log.acc_min);
+  out += '\n' + accuracy_line + '\n';
   return out;
 }
 
 std::string FormatEventRecord(const Event& e) {
-  // Doubles through the snapshot codec's writer: the bytes of "%.17g"
-  // without printf's format parsing.
+  // Doubles through FormatReal: the bytes of "%.17g" without printf's
+  // format parsing.
   std::string out;
-  char buf[kRealChars];
-  const auto real = [&out, &buf](double v) {
-    out.push_back(' ');
-    out.append(buf, FormatReal(v, buf));
-  };
   switch (e.kind) {
     case Event::Kind::kTaskArrival:
       out = "t";
-      real(e.time);
-      real(e.location.x);
-      real(e.location.y);
+      AppendRealField(&out, e.time);
       break;
     case Event::Kind::kWorkerArrival:
       out = "w";
-      real(e.time);
-      real(e.location.x);
-      real(e.location.y);
-      real(e.accuracy);
+      AppendRealField(&out, e.time);
       break;
     case Event::Kind::kTaskMove:
       out = "m";
-      real(e.time);
+      AppendRealField(&out, e.time);
       out += ' ' + std::to_string(e.task);
-      real(e.location.x);
-      real(e.location.y);
       break;
     default:
       return out;
+  }
+  AppendRealField(&out, e.location.x);
+  AppendRealField(&out, e.location.y);
+  if (e.kind == Event::Kind::kWorkerArrival) {
+    AppendRealField(&out, e.accuracy);
   }
   out.push_back('\n');
   return out;
@@ -136,137 +144,64 @@ StatusOr<std::string> SerializeEventLog(const EventLog& log) {
   return out;
 }
 
+StatusOr<std::vector<Event>> ParseEventRecords(const std::string& text,
+                                               const char* format) {
+  std::vector<Event> events;
+  LineScanner scan(text, format);
+  while (scan.NextRecord()) {
+    std::string_view key;
+    Event e;
+    LTC_RETURN_IF_ERROR(scan.Field(&key));
+    LTC_RETURN_IF_ERROR(ReadEvent(scan, key, &e));
+    LTC_RETURN_IF_ERROR(scan.EndLine());
+    events.push_back(e);
+  }
+  LTC_RETURN_IF_ERROR(scan.Finish());
+  return events;
+}
+
 StatusOr<Event> ParseEventRecord(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  const auto fields = Split(trimmed, ' ');
-  if (fields.empty() || fields[0].empty()) {
-    return Status::InvalidArgument("empty event record");
+  LTC_ASSIGN_OR_RETURN(
+      const std::vector<Event> events,
+      ParseEventRecords(
+          !line.empty() && line.back() == '\n' ? line : line + '\n', kFormat));
+  if (events.size() != 1) {
+    return Status::InvalidArgument("expected one event record");
   }
-  const std::string& key = fields[0];
-  Event e;
-  if (key == "t") {
-    if (fields.size() != 4) {
-      return Status::InvalidArgument("bad task event record: " + trimmed);
-    }
-    e.kind = Event::Kind::kTaskArrival;
-    if (!ParseDouble(fields[1], &e.time) ||
-        !ParseDouble(fields[2], &e.location.x) ||
-        !ParseDouble(fields[3], &e.location.y) || !Finite(e)) {
-      return Status::InvalidArgument("bad task event record: " + trimmed);
-    }
-    return e;
-  }
-  if (key == "w") {
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad worker event record: " + trimmed);
-    }
-    e.kind = Event::Kind::kWorkerArrival;
-    if (!ParseDouble(fields[1], &e.time) ||
-        !ParseDouble(fields[2], &e.location.x) ||
-        !ParseDouble(fields[3], &e.location.y) ||
-        !ParseDouble(fields[4], &e.accuracy) || !Finite(e) ||
-        !(e.accuracy >= 0.0 && e.accuracy <= 1.0)) {
-      return Status::InvalidArgument("bad worker event record: " + trimmed);
-    }
-    return e;
-  }
-  if (key == "m") {
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad move event record: " + trimmed);
-    }
-    e.kind = Event::Kind::kTaskMove;
-    std::int64_t task;
-    if (!ParseDouble(fields[1], &e.time) || !ParseInt64(fields[2], &task) ||
-        !ParseDouble(fields[3], &e.location.x) ||
-        !ParseDouble(fields[4], &e.location.y) || !Finite(e)) {
-      return Status::InvalidArgument("bad move event record: " + trimmed);
-    }
-    e.task = static_cast<model::TaskId>(task);
-    return e;
-  }
-  return Status::InvalidArgument("unknown event record '" + key + "'");
+  return events[0];
 }
 
 StatusOr<EventLog> ParseEventLog(const std::string& text) {
-  // Split on '\n'; CRLF-terminated files are tolerated because every line
-  // is Trim()med (which strips the dangling '\r') before field splitting.
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != kHeader) {
-    return Status::InvalidArgument("missing ltc-events v1 header");
-  }
-  // Every record the writer emits is newline-terminated, so a non-empty
-  // final line without its '\n' means the file was cut mid-record. Failing
-  // here is what keeps a truncated last event from parsing "successfully"
-  // with a silently shortened coordinate or accuracy field.
-  if (text.back() != '\n' && !Trim(lines.back()).empty()) {
-    return Status::InvalidArgument(
-        "truncated final line (ltc-events v1 files are newline-terminated): "
-        "'" + Trim(lines.back()) + "'");
-  }
+  LineScanner scan(text, kFormat);
+  LTC_RETURN_IF_ERROR(scan.Header(kHeader));
   EventLog log;
   std::int64_t expected_events = -1;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string line = Trim(lines[i]);
-    if (line.empty()) continue;
-    const auto fields = Split(line, ' ');
-    const std::string& key = fields[0];
-    auto need = [&](std::size_t n) -> Status {
-      if (fields.size() != n) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: expected %zu fields, got %zu", i + 1, n,
-                      fields.size()));
-      }
-      return Status::OK();
-    };
+  while (scan.NextRecord()) {
+    std::string_view key;
+    LTC_RETURN_IF_ERROR(scan.Field(&key));
     if (key == "epsilon") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &log.epsilon)) {
-        return Status::InvalidArgument("bad epsilon");
-      }
+      LTC_RETURN_IF_ERROR(scan.Real(&log.epsilon));
     } else if (key == "capacity") {
-      LTC_RETURN_IF_ERROR(need(2));
-      std::int64_t v;
-      if (!ParseInt64(fields[1], &v)) {
-        return Status::InvalidArgument("bad capacity");
-      }
-      log.capacity = static_cast<std::int32_t>(v);
+      LTC_RETURN_IF_ERROR(scan.Int(&log.capacity));
     } else if (key == "acc_min") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &log.acc_min)) {
-        return Status::InvalidArgument("bad acc_min");
-      }
+      LTC_RETURN_IF_ERROR(scan.Real(&log.acc_min));
     } else if (key == "accuracy") {
-      LTC_RETURN_IF_ERROR(need(3));
-      double param;
-      if (!ParseDouble(fields[2], &param)) {
-        return Status::InvalidArgument("bad accuracy parameter");
-      }
-      LTC_ASSIGN_OR_RETURN(log.accuracy, MakeAccuracy(fields[1], param));
+      LTC_ASSIGN_OR_RETURN(log.accuracy, ReadAccuracy(scan));
     } else if (key == "events") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_events) || expected_events < 0) {
-        return Status::InvalidArgument("bad event count");
-      }
-      // The count is untrusted: each event takes a line, so reserve no
-      // more than the lines left.
-      log.events.reserve(std::min(static_cast<std::size_t>(expected_events),
-                                  lines.size() - i - 1));
-    } else if (key == "t" || key == "w" || key == "m") {
-      auto event = ParseEventRecord(line);
-      if (!event.ok()) {
-        return event.status().WithContext(StrFormat("line %zu", i + 1));
-      }
-      log.events.push_back(event.value());
+      // Untrusted: each event takes a line, so no more than the lines left.
+      LTC_RETURN_IF_ERROR(scan.Int(&expected_events, 0, scan.lines_left()));
+      log.events.reserve(static_cast<std::size_t>(expected_events));
     } else {
-      return Status::InvalidArgument("unknown record '" + key + "'");
+      Event e;
+      LTC_RETURN_IF_ERROR(ReadEvent(scan, key, &e));
+      log.events.push_back(e);
     }
+    LTC_RETURN_IF_ERROR(scan.EndLine());
   }
-  if (expected_events >= 0 && expected_events != log.num_events()) {
-    return Status::InvalidArgument(
-        StrFormat("event count mismatch: declared %lld, found %lld",
-                  static_cast<long long>(expected_events),
-                  static_cast<long long>(log.num_events())));
-  }
+  // A last line without its '\n' was cut mid-record, and a cut number can
+  // still parse as a valid, wrong one.
+  LTC_RETURN_IF_ERROR(scan.Finish());
+  LTC_RETURN_IF_ERROR(CheckCount("event", expected_events, log.num_events()));
   LTC_RETURN_IF_ERROR(log.Validate().WithContext("ParseEventLog"));
   return log;
 }

@@ -89,14 +89,18 @@ StatusOr<std::string> SerializeEventLogHeader(const EventLog& log);
 /// One v1 event record, newline-terminated — byte-identical to the record
 /// SerializeEventLog would emit. Shared with the WAL appender so a WAL is
 /// always a byte-prefix-compatible ltc-events file. Doubles go through
-/// FormatReal (common/state_archive.h): the bytes of "%.17g".
+/// FormatReal (common/line_scanner.h): the bytes of "%.17g".
 std::string FormatEventRecord(const Event& e);
 
-/// Parses one v1 event record line ("t ...", "w ...", "m ...") — the
-/// inverse of FormatEventRecord. Shared with the wire codec (net/frame.h)
-/// so a socket payload is the same text a WAL or replay file holds.
-/// Rejects a non-finite time or coordinate and a worker accuracy outside
-/// [0, 1] (NaN included).
+/// Parses v1 event records ("t ...", "w ...", "m ...") — the inverse of
+/// FormatEventRecord; `format` names the text in errors. Shared with the
+/// wire codec (net/frame.h) so a socket payload is the same text a WAL or
+/// replay file holds. Rejects a non-finite time or coordinate, a worker
+/// accuracy outside [0, 1] and a task id outside [0, 2^31).
+StatusOr<std::vector<Event>> ParseEventRecords(const std::string& text,
+                                               const char* format);
+
+/// One record of ParseEventRecords, with or without its '\n'.
 StatusOr<Event> ParseEventRecord(const std::string& line);
 
 /// Parses the v1 text format back into a log (validated).

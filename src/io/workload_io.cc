@@ -1,7 +1,5 @@
 #include "io/workload_io.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
 
 #include "common/string_util.h"
@@ -17,44 +15,50 @@ constexpr char kHeader[] = "# ltc-workload v1";
 }  // namespace
 
 StatusOr<std::string> AccuracyLine(const model::AccuracyFunction& fn) {
-  const std::string name = fn.Name();
-  if (StartsWith(name, "sigmoid")) {
-    const auto* sigmoid =
-        dynamic_cast<const model::SigmoidDistanceAccuracy*>(&fn);
-    if (sigmoid != nullptr) {
-      return StrFormat("accuracy sigmoid %.17g", sigmoid->dmax());
-    }
+  std::string out;
+  if (const auto* sigmoid =
+          dynamic_cast<const model::SigmoidDistanceAccuracy*>(&fn)) {
+    out = "accuracy sigmoid";
+    AppendRealField(&out, sigmoid->dmax());
+  } else if (const auto* step =
+                 dynamic_cast<const model::StepDistanceAccuracy*>(&fn)) {
+    out = "accuracy step";
+    AppendRealField(&out, step->dmax());
+  } else if (fn.Name() == "flat") {
+    out = "accuracy flat 0";
+  } else {
+    return Status::NotImplemented("accuracy model '" + fn.Name() +
+                                  "' is not serialisable");
   }
-  if (StartsWith(name, "step")) {
-    // StepDistanceAccuracy does not expose dmax; re-derive from the name.
-    double dmax;
-    const auto open = name.find('=');
-    const auto close = name.find(')');
-    if (open != std::string::npos && close != std::string::npos &&
-        ParseDouble(name.substr(open + 1, close - open - 1), &dmax)) {
-      return StrFormat("accuracy step %.17g", dmax);
-    }
-  }
-  if (name == "flat") return std::string("accuracy flat 0");
-  return Status::NotImplemented("accuracy model '" + name +
-                                "' is not serialisable");
+  return out;
 }
 
-StatusOr<std::shared_ptr<const model::AccuracyFunction>> MakeAccuracy(
-    const std::string& kind, double param) {
+StatusOr<std::shared_ptr<const model::AccuracyFunction>> ReadAccuracy(
+    LineScanner& scan) {
+  std::string_view kind;
+  double param = 0.0;
+  LTC_RETURN_IF_ERROR(scan.Field(&kind));
+  LTC_RETURN_IF_ERROR(scan.Real(&param));
+  std::shared_ptr<const model::AccuracyFunction> fn;
   if (kind == "sigmoid") {
-    return std::shared_ptr<const model::AccuracyFunction>(
-        std::make_shared<model::SigmoidDistanceAccuracy>(param));
+    fn = std::make_shared<model::SigmoidDistanceAccuracy>(param);
+  } else if (kind == "step") {
+    fn = std::make_shared<model::StepDistanceAccuracy>(param);
+  } else if (kind == "flat") {
+    fn = std::make_shared<model::FlatAccuracy>();
+  } else {
+    return scan.Error("unknown accuracy kind");
   }
-  if (kind == "step") {
-    return std::shared_ptr<const model::AccuracyFunction>(
-        std::make_shared<model::StepDistanceAccuracy>(param));
-  }
-  if (kind == "flat") {
-    return std::shared_ptr<const model::AccuracyFunction>(
-        std::make_shared<model::FlatAccuracy>());
-  }
-  return Status::InvalidArgument("unknown accuracy kind '" + kind + "'");
+  return fn;
+}
+
+Status CheckCount(const char* records, std::int64_t declared,
+                  std::int64_t found) {
+  if (declared < 0 || declared == found) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("%s count mismatch: declared %lld, found %lld", records,
+                static_cast<long long>(declared),
+                static_cast<long long>(found)));
 }
 
 StatusOr<std::string> SerializeInstance(
@@ -62,128 +66,77 @@ StatusOr<std::string> SerializeInstance(
   LTC_RETURN_IF_ERROR(instance.Validate());
   LTC_ASSIGN_OR_RETURN(std::string accuracy_line,
                        AccuracyLine(*instance.accuracy));
-  std::string out = kHeader;
-  out += '\n';
-  out += StrFormat("epsilon %.17g\n", instance.epsilon);
-  out += StrFormat("capacity %d\n", instance.capacity);
-  out += StrFormat("acc_min %.17g\n", instance.acc_min);
-  out += accuracy_line + "\n";
-  out += StrFormat("tasks %lld\n", static_cast<long long>(instance.num_tasks()));
+  std::string out = std::string(kHeader) + "\nepsilon";
+  AppendRealField(&out, instance.epsilon);
+  out += "\ncapacity " + std::to_string(instance.capacity) + "\nacc_min";
+  AppendRealField(&out, instance.acc_min);
+  out += '\n' + accuracy_line + "\ntasks " +
+         std::to_string(instance.num_tasks()) + '\n';
   for (const model::Task& t : instance.tasks) {
-    out += StrFormat("t %d %.17g %.17g\n", t.id, t.location.x, t.location.y);
+    out += "t " + std::to_string(t.id);
+    AppendRealField(&out, t.location.x);
+    AppendRealField(&out, t.location.y);
+    out += '\n';
   }
-  out += StrFormat("workers %lld\n",
-                   static_cast<long long>(instance.num_workers()));
+  out += "workers " + std::to_string(instance.num_workers()) + '\n';
   for (const model::Worker& w : instance.workers) {
-    out += StrFormat("w %d %.17g %.17g %.17g %lld\n", w.index, w.location.x,
-                     w.location.y, w.historical_accuracy,
-                     static_cast<long long>(w.user_id));
+    out += "w " + std::to_string(w.index);
+    AppendRealField(&out, w.location.x);
+    AppendRealField(&out, w.location.y);
+    AppendRealField(&out, w.historical_accuracy);
+    out += ' ' + std::to_string(w.user_id) + '\n';
   }
   return out;
 }
 
 StatusOr<model::ProblemInstance> ParseInstance(const std::string& text) {
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != kHeader) {
-    return Status::InvalidArgument("missing ltc-workload v1 header");
-  }
+  LineScanner scan(text, "ltc-workload");
+  LTC_RETURN_IF_ERROR(scan.Header(kHeader));
   model::ProblemInstance instance;
-  std::size_t i = 1;
   std::int64_t expected_tasks = -1;
   std::int64_t expected_workers = -1;
-  for (; i < lines.size(); ++i) {
-    const std::string line = Trim(lines[i]);
-    if (line.empty()) continue;
-    const auto fields = Split(line, ' ');
-    const std::string& key = fields[0];
-    auto need = [&](std::size_t n) -> Status {
-      if (fields.size() != n) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: expected %zu fields, got %zu", i + 1, n,
-                      fields.size()));
-      }
-      return Status::OK();
-    };
+  while (scan.NextRecord()) {
+    std::string_view key;
+    LTC_RETURN_IF_ERROR(scan.Field(&key));
     if (key == "epsilon") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &instance.epsilon)) {
-        return Status::InvalidArgument("bad epsilon");
-      }
+      LTC_RETURN_IF_ERROR(scan.Real(&instance.epsilon));
     } else if (key == "capacity") {
-      LTC_RETURN_IF_ERROR(need(2));
-      std::int64_t v;
-      if (!ParseInt64(fields[1], &v)) {
-        return Status::InvalidArgument("bad capacity");
-      }
-      instance.capacity = static_cast<std::int32_t>(v);
+      LTC_RETURN_IF_ERROR(scan.Int(&instance.capacity));
     } else if (key == "acc_min") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &instance.acc_min)) {
-        return Status::InvalidArgument("bad acc_min");
-      }
+      LTC_RETURN_IF_ERROR(scan.Real(&instance.acc_min));
     } else if (key == "accuracy") {
-      LTC_RETURN_IF_ERROR(need(3));
-      double param;
-      if (!ParseDouble(fields[2], &param)) {
-        return Status::InvalidArgument("bad accuracy parameter");
-      }
-      LTC_ASSIGN_OR_RETURN(instance.accuracy, MakeAccuracy(fields[1], param));
+      LTC_ASSIGN_OR_RETURN(instance.accuracy, ReadAccuracy(scan));
     } else if (key == "tasks") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_tasks) || expected_tasks < 0) {
-        return Status::InvalidArgument("bad task count");
-      }
-      // Untrusted: reserve no more than the lines left (one per task).
-      instance.tasks.reserve(std::min(static_cast<std::size_t>(expected_tasks),
-                                   lines.size() - i - 1));
+      // Untrusted counts: one line per record, so no more than the lines
+      // left.
+      LTC_RETURN_IF_ERROR(scan.Int(&expected_tasks, 0, scan.lines_left()));
+      instance.tasks.reserve(static_cast<std::size_t>(expected_tasks));
     } else if (key == "t") {
-      LTC_RETURN_IF_ERROR(need(4));
       model::Task t;
-      std::int64_t id;
-      if (!ParseInt64(fields[1], &id) ||
-          !ParseDouble(fields[2], &t.location.x) ||
-          !ParseDouble(fields[3], &t.location.y)) {
-        return Status::InvalidArgument(StrFormat("bad task line %zu", i + 1));
-      }
-      t.id = static_cast<model::TaskId>(id);
+      LTC_RETURN_IF_ERROR(scan.Int(&t.id, 0));
+      LTC_RETURN_IF_ERROR(scan.Real(&t.location.x));
+      LTC_RETURN_IF_ERROR(scan.Real(&t.location.y));
       instance.tasks.push_back(t);
     } else if (key == "workers") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_workers) || expected_workers < 0) {
-        return Status::InvalidArgument("bad worker count");
-      }
-      // Untrusted: reserve no more than the lines left (one per worker).
-      instance.workers.reserve(std::min(
-          static_cast<std::size_t>(expected_workers), lines.size() - i - 1));
+      LTC_RETURN_IF_ERROR(scan.Int(&expected_workers, 0, scan.lines_left()));
+      instance.workers.reserve(static_cast<std::size_t>(expected_workers));
     } else if (key == "w") {
-      LTC_RETURN_IF_ERROR(need(6));
       model::Worker w;
-      std::int64_t index;
-      if (!ParseInt64(fields[1], &index) ||
-          !ParseDouble(fields[2], &w.location.x) ||
-          !ParseDouble(fields[3], &w.location.y) ||
-          !ParseDouble(fields[4], &w.historical_accuracy) ||
-          !ParseInt64(fields[5], &w.user_id)) {
-        return Status::InvalidArgument(StrFormat("bad worker line %zu", i + 1));
-      }
-      w.index = static_cast<model::WorkerIndex>(index);
+      LTC_RETURN_IF_ERROR(scan.Int(&w.index, 1));
+      LTC_RETURN_IF_ERROR(scan.Real(&w.location.x));
+      LTC_RETURN_IF_ERROR(scan.Real(&w.location.y));
+      LTC_RETURN_IF_ERROR(scan.Real(&w.historical_accuracy));
+      LTC_RETURN_IF_ERROR(scan.Int(&w.user_id));
       instance.workers.push_back(w);
     } else {
-      return Status::InvalidArgument("unknown record '" + key + "'");
+      return scan.Error("unknown record");
     }
+    LTC_RETURN_IF_ERROR(scan.EndLine());
   }
-  if (expected_tasks >= 0 && expected_tasks != instance.num_tasks()) {
-    return Status::InvalidArgument(
-        StrFormat("task count mismatch: declared %lld, found %lld",
-                  static_cast<long long>(expected_tasks),
-                  static_cast<long long>(instance.num_tasks())));
-  }
-  if (expected_workers >= 0 && expected_workers != instance.num_workers()) {
-    return Status::InvalidArgument(
-        StrFormat("worker count mismatch: declared %lld, found %lld",
-                  static_cast<long long>(expected_workers),
-                  static_cast<long long>(instance.num_workers())));
-  }
+  LTC_RETURN_IF_ERROR(scan.Finish());
+  LTC_RETURN_IF_ERROR(CheckCount("task", expected_tasks, instance.num_tasks()));
+  LTC_RETURN_IF_ERROR(
+      CheckCount("worker", expected_workers, instance.num_workers()));
   LTC_RETURN_IF_ERROR(instance.Validate().WithContext("ParseInstance"));
   return instance;
 }
@@ -211,62 +164,20 @@ std::string SerializeArrangement(const model::Arrangement& arrangement) {
 
 StatusOr<model::Arrangement> ParseArrangement(
     const model::ProblemInstance& instance, const std::string& text) {
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != "# ltc-arrangement v1") {
-    return Status::InvalidArgument("missing ltc-arrangement v1 header");
-  }
+  LineScanner scan(text, "ltc-arrangement");
+  LTC_RETURN_IF_ERROR(scan.Header("# ltc-arrangement v1"));
   model::Arrangement arrangement(instance.num_tasks(), instance.Delta());
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string line = Trim(lines[i]);
-    if (line.empty()) continue;
-    const auto fields = Split(line, ' ');
-    std::int64_t worker;
-    std::int64_t task;
-    if (fields.size() != 3 || fields[0] != "a" ||
-        !ParseInt64(fields[1], &worker) || !ParseInt64(fields[2], &task)) {
-      return Status::InvalidArgument(
-          StrFormat("bad arrangement line %zu", i + 1));
-    }
-    if (worker < 1 || worker > instance.num_workers() || task < 0 ||
-        task >= instance.num_tasks()) {
-      return Status::OutOfRange(
-          StrFormat("arrangement line %zu references unknown ids", i + 1));
-    }
-    const auto w = static_cast<model::WorkerIndex>(worker);
-    const auto t = static_cast<model::TaskId>(task);
+  while (scan.NextRecord()) {
+    model::WorkerIndex w = 0;
+    model::TaskId t = 0;
+    LTC_RETURN_IF_ERROR(scan.Expect("a"));
+    LTC_RETURN_IF_ERROR(scan.Int(&w, 1, instance.num_workers()));
+    LTC_RETURN_IF_ERROR(scan.Int(&t, 0, instance.num_tasks() - 1));
+    LTC_RETURN_IF_ERROR(scan.EndLine());
     arrangement.Add(w, t, instance.AccStar(w, t));
   }
+  LTC_RETURN_IF_ERROR(scan.Finish());
   return arrangement;
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("error reading '" + path + "'");
-  return out;
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  return Status::OK();
 }
 
 }  // namespace io

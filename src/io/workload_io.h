@@ -22,6 +22,8 @@
 #include <memory>
 #include <string>
 
+#include "common/file_util.h"
+#include "common/line_scanner.h"
 #include "common/status.h"
 #include "model/accuracy.h"
 #include "model/arrangement.h"
@@ -35,9 +37,15 @@ namespace io {
 /// NotImplemented for models without a serialisable form (matrix fixtures).
 StatusOr<std::string> AccuracyLine(const model::AccuracyFunction& fn);
 
-/// Inverse of AccuracyLine: builds the model named by a parsed line.
-StatusOr<std::shared_ptr<const model::AccuracyFunction>> MakeAccuracy(
-    const std::string& kind, double param);
+/// Inverse of AccuracyLine: reads the "<kind> <param>" fields after the
+/// scanner's "accuracy" key and builds the model they name.
+StatusOr<std::shared_ptr<const model::AccuracyFunction>> ReadAccuracy(
+    LineScanner& scan);
+
+/// InvalidArgument unless a declared record count (-1: none declared)
+/// matches the records read; shared with the event-log reader.
+Status CheckCount(const char* records, std::int64_t declared,
+                  std::int64_t found);
 
 /// Serialises the instance into the v1 text format.
 StatusOr<std::string> SerializeInstance(const model::ProblemInstance& instance);
@@ -61,11 +69,9 @@ std::string SerializeArrangement(const model::Arrangement& arrangement);
 StatusOr<model::Arrangement> ParseArrangement(
     const model::ProblemInstance& instance, const std::string& text);
 
-/// Reads an entire file into a string.
-StatusOr<std::string> ReadFile(const std::string& path);
-
-/// Writes a string to a file (overwrites).
-Status WriteFile(const std::string& path, const std::string& content);
+/// Whole-file reads and writes (common/file_util.h).
+using ::ltc::ReadFile;
+using ::ltc::WriteFile;
 
 }  // namespace io
 }  // namespace ltc

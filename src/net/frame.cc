@@ -127,19 +127,7 @@ std::string EncodeEventsPayload(const std::vector<io::Event>& events) {
 
 StatusOr<std::vector<io::Event>> DecodeEventsPayload(
     const std::string& payload) {
-  std::vector<io::Event> events;
-  const std::vector<std::string> lines = Split(payload, '\n');
-  if (!payload.empty() && payload.back() != '\n') {
-    return Status::InvalidArgument(
-        "wire: events payload not newline-terminated");
-  }
-  for (const std::string& raw : lines) {
-    const std::string line = Trim(raw);
-    if (line.empty()) continue;
-    LTC_ASSIGN_OR_RETURN(const io::Event e, io::ParseEventRecord(line));
-    events.push_back(e);
-  }
-  return events;
+  return io::ParseEventRecords(payload, "wire events");
 }
 
 }  // namespace net

@@ -5,10 +5,12 @@
 
 #include "svc/serve_main.h"
 
+#include <charconv>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/line_scanner.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "svc/sharded_engine.h"
@@ -74,13 +76,27 @@ std::string RenderAssignmentLog(
   }
   if (options.route_workers) out += " routes 1";
   out += '\n';
+  // to_chars(general, 9): the bytes of printf's "%.9g".
+  const auto real = [&out](double v) {
+    char buf[kRealChars];
+    out.push_back(' ');
+    out.append(buf, std::to_chars(buf, buf + kRealChars, v,
+                                  std::chars_format::general, 9)
+                        .ptr);
+  };
   for (const StreamAssignment& a : assignments) {
-    out += StrFormat("a %.9g %d %d\n", a.time, a.worker, a.task);
+    out.push_back('a');
+    real(a.time);
+    out += StrFormat(" %d %d\n", a.worker, a.task);
   }
   if (options.route_workers && moves != nullptr) {
     for (const WorkerMove& m : *moves) {
-      out += StrFormat("m %.9g %d %.9g %.9g %d\n", m.time, m.worker,
-                       m.location.x, m.location.y, m.task);
+      out.push_back('m');
+      real(m.time);
+      out += StrFormat(" %d", m.worker);
+      real(m.location.x);
+      real(m.location.y);
+      out += StrFormat(" %d\n", m.task);
     }
   }
   out += StrFormat(

@@ -89,8 +89,9 @@ Flag<std::string> FLAG_save_events("save_events", "",
                                    "also save the (generated) event log "
                                    "here, for later replay");
 Flag<bool> FLAG_validate("validate", true,
-                         "validate the final arrangement against every LTC "
-                         "constraint");
+                         "check each commit round against every LTC "
+                         "constraint as it commits, up to the stream's "
+                         "first task move (DESIGN.md section 8)");
 Flag<std::string> FLAG_metric(
     "metric", "euclid",
     "distance backend (DESIGN.md section 12): 'euclid' (the default — "

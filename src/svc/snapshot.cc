@@ -12,6 +12,7 @@
 
 #include "common/crc32.h"
 #include "common/fault_points.h"
+#include "common/line_scanner.h"
 #include "common/string_util.h"
 #include "io/workload_io.h"
 
@@ -138,41 +139,31 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
     }
     const std::string& body = read.value();
 
-    // The trailer is the final "crc32 <hex>\n" line; the checksum covers
-    // every byte before it.
-    const char kTrailerTag[] = "crc32 ";
-    const std::size_t trailer = body.rfind(kTrailerTag);
-    if (trailer == std::string::npos || body.back() != '\n') {
-      ++loaded.discarded;  // torn: trailer missing or cut
-      continue;
-    }
-    const std::string crc_text =
-        Trim(body.substr(trailer + sizeof(kTrailerTag) - 1));
-    char* end = nullptr;
-    const unsigned long crc_expect = std::strtoul(crc_text.c_str(), &end, 16);
-    if (end == crc_text.c_str() || *end != '\0' ||
-        Crc32(body.data(), trailer) != static_cast<std::uint32_t>(crc_expect)) {
-      ++loaded.discarded;  // corrupt: checksum mismatch
+    // The trailer is the final line, exactly as Write renders the checksum
+    // of every byte before it: a torn or bit-rotted file fails the match.
+    const std::size_t trailer = body.rfind("crc32 ");
+    if (trailer == std::string::npos ||
+        body.compare(trailer, std::string::npos,
+                     StrFormat("crc32 %08x\n",
+                               Crc32(body.data(), trailer))) != 0) {
+      ++loaded.discarded;
       continue;
     }
 
     // Then the v2 header line and the "events_applied <N>" line; the
     // payload is everything between that line and the trailer.
-    const std::string prefix = std::string(kSnapshotHeader) +
-                               "\nevents_applied ";
-    const std::size_t eol = body.find('\n', prefix.size());
+    LineScanner scan(std::string_view(body).substr(0, trailer),
+                     "ltc-snapshot");
     std::int64_t events_applied = -1;
-    if (!StartsWith(body, prefix) || eol == std::string::npos ||
-        eol > trailer ||
-        !ParseInt64(body.substr(prefix.size(), eol - prefix.size()),
-                    &events_applied) ||
-        events_applied < 0) {
+    if (!scan.NextLine() || scan.line() != kSnapshotHeader ||
+        !scan.NextLine() || !scan.Expect("events_applied").ok() ||
+        !scan.Int(&events_applied, 0).ok() || !scan.EndLine().ok()) {
       ++loaded.discarded;
       continue;
     }
     loaded.found = true;
     loaded.events_applied = events_applied;
-    loaded.engine_state = body.substr(eol + 1, trailer - eol - 1);
+    loaded.engine_state = std::string(scan.rest());
     return loaded;
   }
   return loaded;

@@ -80,7 +80,7 @@ TEST(ParseTest, ValidatesWholeString) {
 
 TEST(ParseTest, DoubleRoundTripsSubnormals) {
   // "%.17g" writes every finite double; ParseDouble must read each back
-  // bit for bit, including the subnormals glibc's strtod flags with ERANGE.
+  // bit for bit, subnormals included.
   const double values[] = {std::numeric_limits<double>::min(),
                            std::numeric_limits<double>::denorm_min(),
                            2.2250738585072009e-308,  // largest subnormal

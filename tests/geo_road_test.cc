@@ -656,11 +656,11 @@ TEST(RoadGraphTest, ParseRejectsMalformedCounts) {
       << wrapped.status().ToString();
   EXPECT_FALSE(RoadGraph::Parse(header + "-1 1 5\n").ok());
   // Huge counts over short text fail as truncated input, not bad_alloc.
-  auto nodes = RoadGraph::Parse("nodes 100000000000\n0 0\n");
+  auto nodes = RoadGraph::Parse("# ltc-road v1\nnodes 100000000000\n0 0\n");
   ASSERT_FALSE(nodes.ok());
   EXPECT_TRUE(nodes.status().IsInvalidArgument()) << nodes.status().ToString();
   auto edges = RoadGraph::Parse(
-      "nodes 2\n0 0\n3 4\nedges 100000000000\n0 1 5\n");
+      "# ltc-road v1\nnodes 2\n0 0\n3 4\nedges 100000000000\n0 1 5\n");
   ASSERT_FALSE(edges.ok());
   EXPECT_TRUE(edges.status().IsInvalidArgument()) << edges.status().ToString();
 }

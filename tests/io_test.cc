@@ -1,5 +1,6 @@
-// Tests for workload/arrangement (de)serialisation and the robustness of
-// the ltc-events v1 reader (truncation, CRLF line endings).
+// Tests for workload/arrangement (de)serialisation, the robustness of the
+// ltc-events v1 reader (truncation, CRLF line endings), and seeded
+// mutations of every format the line scanner reads.
 
 #include <gtest/gtest.h>
 
@@ -8,17 +9,24 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "gen/example_paper.h"
+#include "gen/road.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "io/event_log.h"
 #include "io/wal.h"
 #include "io/workload_io.h"
+#include "model/accuracy.h"
 #include "model/eligibility.h"
+#include "mutate.h"
+#include "net/frame.h"
 #include "sim/engine.h"
 
 namespace ltc {
@@ -106,6 +114,17 @@ TEST(WorkloadIoTest, ParseRejectsCorruptInputs) {
   EXPECT_FALSE(ParseInstance(miscount).ok());
   // Unknown record type.
   EXPECT_FALSE(ParseInstance(std::string("# ltc-workload v1\nz 1\n")).ok());
+  // An id or count its field cannot hold is an error, not a narrowed value
+  // (2^32 used to load as task 0, 2^32 + 1 as worker 1 or capacity 1).
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\nt 0 ", "\nt 4294967296 "},
+        {"\nw 1 ", "\nw 4294967297 "},
+        {"\ncapacity " + std::to_string(original.capacity) + "\n",
+         "\ncapacity 4294967297\n"}}) {
+    std::string wide = text.value();
+    wide.replace(wide.find(from), from.size(), to);
+    EXPECT_TRUE(ParseInstance(wide).status().IsInvalidArgument()) << to;
+  }
   // Declared counts are untrusted: a negative one is a parse error, and a
   // huge one reserves no more than the input holds (both used to abort in
   // std::vector::reserve).
@@ -117,6 +136,22 @@ TEST(WorkloadIoTest, ParseRejectsCorruptInputs) {
     EXPECT_TRUE(parsed.status().IsInvalidArgument())
         << count << ": " << parsed.status().ToString();
   }
+}
+
+// A step model's dmax is written with FormatReal like every other double
+// (it used to be re-read from the model's "%g" name, six digits).
+TEST(WorkloadIoTest, StepAccuracyRoundTripsExactly) {
+  model::ProblemInstance instance = SmallSynthetic();
+  instance.accuracy = std::make_shared<model::StepDistanceAccuracy>(
+      12.345678901234567);
+  auto text = SerializeInstance(instance);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  auto parsed = ParseInstance(text.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto* step = dynamic_cast<const model::StepDistanceAccuracy*>(
+      parsed->accuracy.get());
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->dmax(), 12.345678901234567);
 }
 
 TEST(WorkloadIoTest, MatrixAccuracyNotSerialisable) {
@@ -202,7 +237,9 @@ TEST(EventLogIoTest, CrlfTerminatedLogParsesTolerantly) {
   EXPECT_EQ(round.value(), text);
 }
 
-// The declared event count is untrusted, as in ParseInstance.
+// The declared event count is untrusted, as in ParseInstance; and an
+// integer its field cannot hold is an error, not a narrowed value (2^32 + 1
+// used to load as capacity 1).
 TEST(EventLogIoTest, BadEventCountsAreParseErrors) {
   for (const char* count : {"events -1", "events 4611686018427387904"}) {
     const auto parsed =
@@ -210,6 +247,13 @@ TEST(EventLogIoTest, BadEventCountsAreParseErrors) {
     EXPECT_TRUE(parsed.status().IsInvalidArgument())
         << count << ": " << parsed.status().ToString();
   }
+  const std::string text = SmallEventLogText();
+  const std::size_t begin = text.find("\ncapacity ") + 1;
+  const std::size_t end = text.find('\n', begin);
+  const auto parsed = ParseEventLog(text.substr(0, begin) +
+                                    "capacity 4294967297" + text.substr(end));
+  EXPECT_TRUE(parsed.status().IsInvalidArgument())
+      << parsed.status().ToString();
 }
 
 // --------------------------------------------------------------------------
@@ -416,12 +460,15 @@ TEST(EventRecordCodecTest, FormatMatchesPrintfBytes) {
   }
 }
 
-// strtod accepts "nan" and "inf"; the record parser behind both event
+// from_chars accepts "nan" and "inf"; the record parser behind both event
 // files and the wire decoder must not. One row per numeric field.
 TEST(EventRecordCodecTest, NonFiniteFieldsAreRejected) {
   ASSERT_TRUE(ParseEventRecord("t 1 2 3").ok());
   ASSERT_TRUE(ParseEventRecord("w 1 2 3 0.8").ok());
   ASSERT_TRUE(ParseEventRecord("m 1 0 2 3").ok());
+  // A task id its field cannot hold: 2^32 used to move task 0.
+  EXPECT_TRUE(
+      ParseEventRecord("m 1 4294967296 2 3").status().IsInvalidArgument());
   for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
     const std::string v = bad;
     for (const std::string& record : {
@@ -482,6 +529,109 @@ TEST(ArrangementIoTest, RejectsBadReferences) {
       ParseArrangement(instance, "# ltc-arrangement v1\na 1 999\n").ok());
   EXPECT_FALSE(
       ParseArrangement(instance, "# ltc-arrangement v1\nbogus\n").ok());
+}
+
+// --------------------------------------------------------------------------
+// Seeded mutations of every text format the line scanner reads
+// (tests/mutate.h). Each mutant is refused with a Status or accepted, and an
+// accepted one must be a fixed point of one serialize/parse round: what it
+// serializes to parses and serializes to the same bytes. Nothing may abort
+// (the sanitizer CI rows run io_test with _GLIBCXX_ASSERTIONS).
+
+template <typename Parse, typename Serialize>
+void ExpectMutantsRefusedOrFixed(const char* format, const std::string& text,
+                                 Parse parse, Serialize serialize) {
+  std::mt19937_64 rng(20261019);
+  int refused = 0;
+  int accepted = 0;
+  for (int m = 0; m < 500; ++m) {
+    auto parsed = parse(Mutate(text, m, rng));
+    if (!parsed.ok()) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    const std::string once = serialize(parsed.value());
+    auto again = parse(once);
+    ASSERT_TRUE(again.ok()) << format << " mutant " << m << ": "
+                            << again.status().ToString();
+    ASSERT_EQ(serialize(again.value()), once) << format << " mutant " << m;
+  }
+  EXPECT_GT(refused, 0) << format;
+  EXPECT_GT(accepted, 0) << format;
+}
+
+TEST(TextMutationTest, EventLog) {
+  ExpectMutantsRefusedOrFixed(
+      "ltc-events", SmallEventLogText(), ParseEventLog,
+      [](const EventLog& log) { return SerializeEventLog(log).value(); });
+}
+
+// A WAL reopened over the mutant plus a torn record: the tail is cut, the
+// durable prefix parsed.
+TEST(TextMutationTest, WalReopenWithATornTail) {
+  const EventLog log = SmallEventLog();
+  std::string wal = SerializeEventLogHeader(log).value();
+  for (const Event& e : log.events) wal += FormatEventRecord(e);
+  const std::string tail = FormatEventRecord(log.events.back());
+  const std::string path = WalPath("mutant");
+  std::mt19937_64 cut_rng(7);
+  const auto reopen = [&](const std::string& text) -> StatusOr<EventLog> {
+    const std::string torn =
+        tail.substr(0, 1 + cut_rng() % (tail.size() - 1));
+    LTC_RETURN_IF_ERROR(WriteFile(path, text + torn));
+    WalRecovery recovery;
+    LTC_RETURN_IF_ERROR(
+        EventLogWriter::OpenForAppend(path, &recovery).status());
+    EXPECT_EQ(recovery.truncated_bytes,
+              static_cast<std::int64_t>(torn.size()));
+    return std::move(recovery.log);
+  };
+  ExpectMutantsRefusedOrFixed(
+      "WAL", wal, reopen,
+      [](const EventLog& log) { return SerializeEventLog(log).value(); });
+}
+
+TEST(TextMutationTest, Workload) {
+  ExpectMutantsRefusedOrFixed(
+      "ltc-workload", SerializeInstance(SmallSynthetic()).value(),
+      ParseInstance, [](const model::ProblemInstance& instance) {
+        return SerializeInstance(instance).value();
+      });
+}
+
+TEST(TextMutationTest, Arrangement) {
+  const model::ProblemInstance instance = SmallSynthetic(11);
+  auto index = model::EligibilityIndex::Build(&instance);
+  ASSERT_TRUE(index.ok());
+  auto scheduler = algo::MakeOnlineScheduler("LAF", 1);
+  ASSERT_TRUE(scheduler.ok());
+  algo::DriveOnline(instance, *index, scheduler->get()).status().CheckOK();
+  ExpectMutantsRefusedOrFixed(
+      "ltc-arrangement", SerializeArrangement((*scheduler)->arrangement()),
+      [&instance](const std::string& text) {
+        return ParseArrangement(instance, text);
+      },
+      SerializeArrangement);
+}
+
+TEST(TextMutationTest, RoadGraph) {
+  gen::RoadConfig cfg;
+  cfg.rows = 4;
+  cfg.cols = 5;
+  cfg.world_side = 100.0;
+  auto graph = gen::GenerateGridRoadGraph(cfg);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ExpectMutantsRefusedOrFixed(
+      "ltc-road", graph.value().Serialize(), geo::RoadGraph::Parse,
+      [](const geo::RoadGraph& g) { return g.Serialize(); });
+}
+
+TEST(TextMutationTest, WireEventsPayload) {
+  ExpectMutantsRefusedOrFixed("wire events",
+                              net::EncodeEventsPayload(SmallEventLog().events),
+                              net::DecodeEventsPayload,
+                              net::EncodeEventsPayload);
 }
 
 }  // namespace

@@ -160,6 +160,8 @@ TEST(EventsPayloadTest, RoundTripsAndRejectsBadRecords) {
   EXPECT_FALSE(DecodeEventsPayload("t 0 1 2").ok());   // missing newline
   EXPECT_FALSE(DecodeEventsPayload("x 0 1 2\n").ok()); // unknown kind
   EXPECT_FALSE(DecodeEventsPayload("w 0 1 2\n").ok()); // missing accuracy
+  // A task id its field cannot hold (2^32 used to move task 0).
+  EXPECT_FALSE(DecodeEventsPayload("m 1 4294967296 2 3\n").ok());
 }
 
 // ---------------------------------------------------------------------------

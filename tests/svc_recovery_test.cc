@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <iterator>
 #include <random>
 #include <set>
 #include <string>
@@ -34,6 +33,7 @@
 #include "svc/serve_main.h"
 #include "svc/sharded_engine.h"
 #include "svc/snapshot.h"
+#include "mutate.h"
 
 namespace ltc {
 namespace svc {
@@ -994,7 +994,7 @@ TEST(SnapshotRoundTripTest, PipelineTaskIdsMustMatchTheRouter) {
           .IsInvalidArgument());
 }
 
-// Seeded snapshot mutations (no fuzzing engine): each mutant of a valid
+// Seeded snapshot mutations (tests/mutate.h): each mutant of a valid
 // snapshot is either refused with a Status, or restores into an engine
 // whose snapshot is the mutant byte for byte and which runs the stream's
 // tail to Finish. A tail event may be refused only because the mutant moved
@@ -1010,9 +1010,6 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
       {"LAF", true, true}, {"Random", false, true}, {"MCF", false, true},
       {"MCF", true, false}, {"AAM", false, false},
   };
-  const char* const kNumbers[] = {
-      "nan", "inf", "-1", "0", "9223372036854775808", "1e300",
-      "1.0000000000000001e+300", "4.9406564584124654e-324"};
   // A slow stream (~40 time units), so routed workers reach stops ("M").
   gen::StreamConfig cfg;
   cfg.num_tasks = 20;
@@ -1036,48 +1033,11 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
     options.route_workers = base.routes;
     const std::int64_t cut = n - 40;
     const std::string state = SnapshotAt(log, options, cut);
-    const std::vector<std::string> lines = Split(state, '\n');
-    for (const std::string& line : lines) {
+    for (const std::string& line : Split(state, '\n')) {
       keys.insert(line.substr(0, line.find(' ')));
     }
     for (int m = 0; m < 600; ++m) {
-      std::vector<std::string> mutant = lines;
-      mutant.pop_back();  // the empty piece after the final '\n'
-      auto pick = [&rng](std::size_t size) {
-        return static_cast<std::size_t>(rng() % size);
-      };
-      std::string& line = mutant[pick(mutant.size())];
-      std::vector<std::string> f = Split(line, ' ');
-      switch (m % 5) {
-        case 0:  // one byte flipped
-          if (!line.empty()) {
-            line[pick(line.size())] ^= static_cast<char>(1 + pick(255));
-          }
-          break;
-        case 1:  // a line dropped
-          mutant.erase(mutant.begin() +
-                       static_cast<std::ptrdiff_t>(pick(mutant.size())));
-          break;
-        case 2: {  // a line duplicated
-          const std::size_t at = pick(mutant.size());
-          mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
-                        mutant[at]);
-          break;
-        }
-        case 3:  // two fields swapped
-          if (f.size() > 2) {
-            std::swap(f[1 + pick(f.size() - 1)], f[1 + pick(f.size() - 1)]);
-            line = Join(f, " ");
-          }
-          break;
-        default:  // a number replaced by an extreme
-          if (f.size() > 1) {
-            f[1 + pick(f.size() - 1)] = kNumbers[pick(std::size(kNumbers))];
-            line = Join(f, " ");
-          }
-          break;
-      }
-      const std::string text = Join(mutant, "\n") + "\n";
+      const std::string text = Mutate(state, m, rng);
       auto restored = ShardedStreamEngine::Restore(log, options, text);
       if (!restored.ok()) {
         ++refused;

@@ -48,6 +48,11 @@ Rules (ids appear in findings and in suppression comments):
                        tests/ includes: src/ ships what the serving system,
                        benches and examples use. Reference code that only
                        tests compare against lives in tests/oracles/.
+  number-parse         strto*/ato*/sto*/*scanf, or a '>>' read from an input
+                       stream, in src/ outside common/line_scanner.cc: every
+                       persisted format is read by the one line scanner, and
+                       a number by its field parsers (ParseDouble,
+                       ParseInt64), so no reader drifts from the one rule.
 
 Suppressions, each requiring a justification in the trailing text:
   // ltc-lint: allow(rule-id) <why>          — this line and the next
@@ -87,6 +92,7 @@ RULE_IDS = (
     "raw-std-mutex",
     "nodiscard-status",
     "test-only-module",
+    "number-parse",
 )
 
 # Function names whose bodies feed persisted, byte-compared artifacts
@@ -115,6 +121,18 @@ RANDOMNESS_ALLOWED = {
 # -Wthread-safety surface).
 RAW_MUTEX_SCOPE = "src"
 RAW_MUTEX_ALLOWED = {os.path.join("src", "common", "thread_annotations.h")}
+
+# Text is read by the one line scanner; numbers by its field parsers.
+NUMBER_PARSE_SCOPE = "src"
+NUMBER_PARSE_ALLOWED = {os.path.join("src", "common", "line_scanner.cc")}
+C_NUMBER_PARSE_RE = re.compile(
+    r"\b(?:strto(?:d|f|ld|l|ll|ul|ull|imax|umax)|ato(?:i|l|ll|f)|"
+    r"sto(?:i|l|ll|ul|ull|f|d|ld)|v?[sf]?scanf)\s*\(")
+# Input stream variables and parameters (std::istream& in, ifstream f, ...),
+# whose '>>' is a read; other '>>' are shifts and template closers.
+INPUT_STREAM_DECL_RE = re.compile(
+    r"\b(?:std::)?(?:i|if|istring|string|f|io)?stream\s*&?\s*"
+    r"([A-Za-z_]\w*)")
 
 ALLOW_RE = re.compile(r"ltc-lint:\s*allow\(([a-z0-9-]+)\)")
 ALLOW_FILE_RE = re.compile(r"ltc-lint:\s*allow-file\(([a-z0-9-]+)\)")
@@ -487,6 +505,9 @@ def lint_text(path, text, unordered, status_fns, findings,
     # --- line-scoped rules ---
     in_src = rel_parts[0] == "src"
     rel_norm = os.path.join(*rel_parts)
+    streams = set(INPUT_STREAM_DECL_RE.findall(stripped)) | {"cin"}
+    stream_read_re = re.compile(
+        r"\b(?:%s)\s*>>(?!=)" % "|".join(sorted(streams)))
     for lineno, line in enumerate(stripped.splitlines(), 1):
         if ADDRESS_ORDER_RE.search(line) and not allowed(
                 "address-ordering", lineno, line_allows, file_allows):
@@ -500,6 +521,16 @@ def lint_text(path, text, unordered, status_fns, findings,
                         "banned-randomness", lineno, line_allows, file_allows):
                     findings.append(Finding(
                         path, lineno, "banned-randomness", what))
+        if (in_src and rel_norm not in NUMBER_PARSE_ALLOWED
+                and (C_NUMBER_PARSE_RE.search(line) or
+                     (stream_read_re and stream_read_re.search(line)))
+                and not allowed("number-parse", lineno, line_allows,
+                                file_allows)):
+            findings.append(Finding(
+                path, lineno, "number-parse",
+                "text or number read outside the line scanner (use "
+                "common::LineScanner, or ParseDouble / ParseInt64 for one "
+                "value)"))
         if (in_src and rel_norm not in RAW_MUTEX_ALLOWED
                 and RAW_MUTEX_RE.search(line)
                 and not allowed("raw-std-mutex", lineno, line_allows,
@@ -877,6 +908,55 @@ def selftest():
     expect(not any(x.rule == "test-only-module" for x in f),
            "headers reached from src/, perfbench/, bench/, examples/ pass",
            failures)
+
+    print("selftest: number-parse")
+    for body in ("  return std::strtod(s.c_str(), nullptr);\n",
+                 "  return atoi(s.c_str());\n",
+                 "  return std::stod(s);\n",
+                 "  std::sscanf(s.c_str(), \"%lf\", &v);\n",
+                 "  std::istringstream in(s);\n  in >> v;\n",
+                 "  std::cin >> v;\n"):
+        pos = dict(base)
+        pos["src/io/reader.cc"] = (
+            "double Read(const std::string& s) {\n" + body + "}\n")
+        f = _fixture_findings(pos, failures)
+        expect(any(x.rule == "number-parse" for x in f),
+               "%s flagged in src/" % body.splitlines()[-1].strip(), failures)
+    pos = dict(base)
+    pos["src/geo/road.cc"] = (
+        "Status ParseStream(std::istream& in) {\n"
+        "  std::string token;\n"
+        "  while (in >> token) {}\n"
+        "}\n")
+    f = _fixture_findings(pos, failures)
+    expect(any(x.rule == "number-parse" and x.line == 3 for x in f),
+           "'>>' from an istream parameter flagged", failures)
+    neg = dict(base)
+    neg["src/common/line_scanner.cc"] = (
+        "bool Parse(const char* s, double* v) {\n"
+        "  *v = std::strtod(s, nullptr);\n"
+        "  return true;\n"
+        "}\n")
+    neg["src/io/reader.cc"] = (
+        "// strtod and in >> x in a comment are fine\n"
+        "std::vector<std::vector<int>> grid;\n"
+        "std::uint32_t Hi(std::uint64_t bits, int k) {\n"
+        "  std::ostringstream out;\n"
+        "  out << (bits >> k);\n"
+        "  bits >>= 1;\n"
+        "  return static_cast<std::uint32_t>(bits >> 32);\n"
+        "}\n"
+        "bool Read(const std::string& s, double* v) {\n"
+        "  return ParseDouble(s, v);\n"
+        "}\n")
+    neg["tests/io_test.cc"] = "int Read(const char* s) { return atoi(s); }\n"
+    neg["src/common/proc.cc"] = (
+        "// ltc-lint: allow(number-parse) /proc pads with tabs\n"
+        "int n = std::sscanf(line, \": %llu kB\", &v);\n")
+    f = _fixture_findings(neg, failures)
+    expect(not any(x.rule == "number-parse" for x in f),
+           "the scanner, shifts, template closers, ParseDouble, tests/ and "
+           "an allow pass", failures)
 
     print("selftest: suppression comments")
     sup = dict(base)
