@@ -67,6 +67,17 @@ void Aam::SelectTasks(const model::Worker& worker,
   }
 }
 
+Status Aam::Serialize(StateArchive& ar) {
+  LTC_RETURN_IF_ERROR(OnlineScheduler::Serialize(ar));
+  LTC_RETURN_IF_ERROR(ar.Record("x remaining_sum", Real(&remaining_sum_)));
+  if (ar.writing()) return Status::OK();
+  for (model::TaskId t = 0; t < arr().num_tasks(); ++t) {
+    remaining_[static_cast<std::size_t>(t)] = arr().Remaining(t);
+  }
+  max_tracker_ = std::make_unique<LazyMaxTracker>(&remaining_);
+  return Status::OK();
+}
+
 void Aam::OnAssigned(model::TaskId task) {
   const auto t = static_cast<std::size_t>(task);
   const double new_remaining = arr().Remaining(task);

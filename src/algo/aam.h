@@ -53,6 +53,12 @@ class Aam : public OnlineSchedulerBase {
   enum class Strategy { kNone, kLgf, kLrf };
   Strategy last_strategy() const { return last_strategy_; }
 
+  /// Snapshot protocol (DESIGN.md §11): the arrangement's records, then
+  /// "x remaining_sum <sum>". The sum is stored because it is accumulated
+  /// in commit order; a read derives remaining_ from the restored S and
+  /// rebuilds the max tracker over it.
+  Status Serialize(StateArchive& ar) override;
+
  protected:
   Status OnInit() override;
   Status OnTaskAddedHook(model::TaskId task) override;

@@ -64,11 +64,6 @@ class OnlineSchedulerBase : public OnlineScheduler {
     return Status::OK();
   }
 
-  /// A snapshot read replays each assignment through OnAssigned() too, so
-  /// per-task aggregates (AAM) rebuild themselves; the worker may be
-  /// retired, so the hook sees only the task.
-  void OnReplayed(const model::Assignment& a) override { OnAssigned(a.task); }
-
   const model::ProblemInstance& instance() const { return *instance_; }
   std::int32_t capacity() const { return instance_->capacity; }
   double delta() const { return delta_; }

@@ -35,10 +35,7 @@ StatusOr<std::int64_t> DriveOnline(const model::ProblemInstance& instance,
 void FillArrangementStats(const model::Arrangement& arrangement,
                           ScheduleStats* stats) {
   stats->assignments = arrangement.size();
-  stats->total_acc_star = 0.0;
-  for (const model::Assignment& a : arrangement.assignments()) {
-    stats->total_acc_star += a.acc_star;
-  }
+  stats->total_acc_star = arrangement.total_acc_star();
   stats->workers_used = arrangement.workers_used();
 }
 
@@ -77,18 +74,8 @@ Status OnlineScheduler::Serialize(StateArchive& ar) {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("Serialize before InitStreaming");
   }
-  const std::vector<model::Assignment>& made = arrangement_->assignments();
-  for (std::size_t i = 0; ar.Repeats("a", i, made.size()); ++i) {
-    model::Assignment a = ar.writing() ? made[i] : model::Assignment{};
-    LTC_RETURN_IF_ERROR(ar.Record(
-        "a", Index(&a.worker, 1, instance_->last_worker()),
-        Index(&a.task, 0, arrangement_->num_tasks() - 1), Unit(&a.acc_star)));
-    if (ar.reading()) {
-      arrangement_->Add(a.worker, a.task, a.acc_star);
-      OnReplayed(a);
-    }
-  }
-  return Status::OK();
+  return arrangement_->Serialize(ar, instance_->worker_offset + 1,
+                                 instance_->last_worker());
 }
 
 }  // namespace algo

@@ -168,9 +168,9 @@ class OnlineScheduler {
   /// later call reads its record (DESIGN.md §8, worker lifetime).
   virtual model::WorkerIndex OldestHeldWorker() const { return 0; }
 
-  /// Drops the arrangement's per-worker loads below `worker`; the driver
-  /// calls it as it retires those workers from the instance
-  /// (model::ProblemInstance::RetireWorkersBefore).
+  /// Drops the arrangement's per-worker loads and listed assignments below
+  /// `worker`; the driver calls it as it retires those workers from the
+  /// instance (model::ProblemInstance::RetireWorkersBefore).
   void RetireWorkersBefore(model::WorkerIndex worker) {
     arrangement_->RetireWorkersBefore(worker);
   }
@@ -191,11 +191,10 @@ class OnlineScheduler {
   /// (commitment for commitment) from one that lived through the whole
   /// prefix. FailedPrecondition before InitStreaming.
   ///
-  /// This writes the arrangement: one "a <worker> <task> <acc_star>" record
-  /// per Add, in commit order (acc_star is recorded, not recomputed: a task
-  /// may have moved since). A read replays each through Add and
-  /// OnReplayed. Schedulers with more state override this, call it, and
-  /// append their own records.
+  /// This writes the arrangement's records (model::Arrangement::Serialize:
+  /// S per task, the counters, and the resident workers' assignments).
+  /// Schedulers with more state override this, call it, and append their
+  /// own records.
   virtual Status Serialize(StateArchive& ar);
 
  protected:
@@ -207,8 +206,6 @@ class OnlineScheduler {
                           const StreamShardContext& shard);
   /// The shared part of OnTaskAdded: grows the arrangement by `task`.
   Status AddArrangementTask(model::TaskId task);
-  /// Called per "a" record a Serialize read replays.
-  virtual void OnReplayed(const model::Assignment& a) { (void)a; }
 
   const model::ProblemInstance* instance_ = nullptr;
   std::optional<model::Arrangement> arrangement_;
@@ -230,7 +227,8 @@ StatusOr<std::int64_t> DriveOnline(const model::ProblemInstance& instance,
                                    OnlineScheduler* scheduler);
 
 /// Sets stats->assignments, workers_used and total_acc_star (summed in
-/// commit order) from `arrangement`; leaves the other fields alone.
+/// commit order) from an arrangement that retired no worker; leaves the
+/// other fields alone.
 void FillArrangementStats(const model::Arrangement& arrangement,
                           ScheduleStats* stats);
 

@@ -228,20 +228,24 @@ class IndexedMinHeap {
 
 /// \brief Tracks max_i value[i] for an array whose entries only *decrease*
 /// over time (remaining demand δ - S[t] in AAM). Entries are re-pushed on
-/// change; stale heap tops are discarded lazily against the live array.
+/// change; stale heap tops are discarded lazily against the live array, and
+/// once the heap holds more than twice the live values (plus a constant)
+/// it is rebuilt from the array, so it stays O(values), not O(updates).
 class LazyMaxTracker {
  public:
   explicit LazyMaxTracker(const std::vector<double>* values)
       : values_(values) {
-    for (std::size_t i = 0; i < values->size(); ++i) {
-      heap_.push({(*values)[i], static_cast<std::int64_t>(i)});
-    }
+    Rebuild();
   }
 
-  /// Notifies that values_[i] changed (decreased).
+  /// Notifies that values_[i] changed (decreased), or that i was appended.
   void Update(std::int64_t i) {
     heap_.push({(*values_)[static_cast<std::size_t>(i)], i});
+    if (heap_.size() > 2 * values_->size() + kSlack) Rebuild();
   }
+
+  /// Heap entries held, stale ones included (exposed for tests).
+  std::size_t heap_size() const { return heap_.size(); }
 
   /// Current maximum over live values (0 if array empty).
   double Max() {
@@ -255,6 +259,19 @@ class LazyMaxTracker {
   }
 
  private:
+  static constexpr std::size_t kSlack = 16;
+
+  /// One entry per live value (O(n) heapify).
+  void Rebuild() {
+    std::vector<std::pair<double, std::int64_t>> entries;
+    entries.reserve(values_->size());
+    for (std::size_t i = 0; i < values_->size(); ++i) {
+      entries.emplace_back((*values_)[i], static_cast<std::int64_t>(i));
+    }
+    heap_ = std::priority_queue<std::pair<double, std::int64_t>>(
+        std::less<std::pair<double, std::int64_t>>(), std::move(entries));
+  }
+
   const std::vector<double>* values_;
   std::priority_queue<std::pair<double, std::int64_t>> heap_;
 };

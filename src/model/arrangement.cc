@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/state_archive.h"
 #include "common/string_util.h"
 #include "model/quality.h"
 
@@ -23,6 +24,7 @@ void Arrangement::Add(WorkerIndex worker, TaskId task, double acc_star) {
   if (!was_completed && ReachedDelta(accumulated_[t], delta_)) {
     ++completed_tasks_;
   }
+  total_acc_star_ += acc_star;
   assignments_.push_back(Assignment{worker, task, acc_star});
   // A retired worker has no load slot left; only a faulty scheduler names
   // one, and ValidateCommitRound reports it.
@@ -64,6 +66,38 @@ void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
                              load_.size());
   load_.erase(load_.begin(), load_.begin() + static_cast<std::ptrdiff_t>(drop));
   load_base_ = worker;
+  assignments_.erase(
+      std::remove_if(assignments_.begin(), assignments_.end(),
+                     [worker](const Assignment& a) { return a.worker < worker; }),
+      assignments_.end());
+}
+
+Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
+                              WorkerIndex last) {
+  LTC_RETURN_IF_ERROR(ar.Record("arr", Index(&workers_used_, 0, last),
+                                Index(&max_worker_index_, 0, last),
+                                NonNeg(&total_acc_star_)));
+  for (double& s : accumulated_) {
+    LTC_RETURN_IF_ERROR(ar.Record("s", NonNeg(&s)));
+  }
+  if (ar.reading()) {
+    completed_tasks_ = std::count_if(
+        accumulated_.begin(), accumulated_.end(),
+        [this](double s) { return ReachedDelta(s, delta_); });
+    RetireWorkersBefore(first);
+  }
+  for (std::size_t i = 0; ar.Repeats("a", i, assignments_.size()); ++i) {
+    Assignment a = ar.writing() ? assignments_[i] : Assignment{};
+    LTC_RETURN_IF_ERROR(ar.Record("a", Index(&a.worker, first, last),
+                                  Index(&a.task, 0, num_tasks_ - 1),
+                                  Unit(&a.acc_star)));
+    if (ar.writing()) continue;
+    assignments_.push_back(a);
+    const auto w = static_cast<std::size_t>(a.worker - load_base_);
+    if (w >= load_.size()) load_.resize(w + 1, 0);
+    ++load_[w];
+  }
+  return Status::OK();
 }
 
 namespace {

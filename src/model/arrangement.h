@@ -1,8 +1,8 @@
 // The task-worker arrangement M (paper Definition 6) with incremental
 // bookkeeping: per-task accumulated Acc* (the S array of Algorithms 1-3),
-// per-worker load over a window of workers still being decided,
-// completion tracking, and constraint validation of a whole arrangement or
-// of one streaming commit round.
+// per-worker load and assignment list over a window of workers still being
+// decided, completion tracking, and constraint validation of a whole
+// arrangement or of one streaming commit round.
 
 #ifndef LTC_MODEL_ARRANGEMENT_H_
 #define LTC_MODEL_ARRANGEMENT_H_
@@ -16,6 +16,9 @@
 #include "model/worker.h"
 
 namespace ltc {
+
+class StateArchive;
+
 namespace model {
 
 /// One (worker, task) assignment with its Acc* contribution.
@@ -29,7 +32,10 @@ struct Assignment {
 ///
 /// Assignments are append-only (the paper's invariable constraint: an
 /// assignment can never be revoked). Completion is tracked against the delta
-/// fixed at construction.
+/// fixed at construction. Offline, the assignment list holds every
+/// assignment; a streaming driver retires decided workers, and with them
+/// their entries (RetireWorkersBefore), while S, the counters and the
+/// objective keep counting them.
 class Arrangement {
  public:
   /// num_tasks tasks, all starting at accumulated Acc* = 0; delta is the
@@ -72,21 +78,38 @@ class Arrangement {
   /// included).
   std::int64_t workers_used() const { return workers_used_; }
 
-  /// Drops the loads of every worker older than `worker` (index < worker).
-  /// A streaming driver calls this once those workers are decided for good
-  /// (model::ProblemInstance::RetireWorkersBefore), so the load window
-  /// stays O(open work). Add() of a retired worker records the assignment
-  /// but no load.
+  /// Sum of Acc* over every assignment ever added (retired workers'
+  /// included), accumulated in commit order.
+  double total_acc_star() const { return total_acc_star_; }
+
+  /// Drops the loads and the listed assignments of every worker older than
+  /// `worker` (index < worker). A streaming driver calls this once those
+  /// workers are decided for good (model::ProblemInstance::
+  /// RetireWorkersBefore), so the window stays O(open work). Add() of a
+  /// retired worker lists the assignment until the next retirement but
+  /// records no load.
   void RetireWorkersBefore(WorkerIndex worker);
 
   /// The latency objective: max arrival index over all assignments
   /// (0 when empty).
   WorkerIndex MaxWorkerIndex() const { return max_worker_index_; }
 
+  /// The assignments of workers not retired, in commit order: every
+  /// assignment unless RetireWorkersBefore was called.
   const std::vector<Assignment>& assignments() const { return assignments_; }
   std::int64_t size() const {
     return static_cast<std::int64_t>(assignments_.size());
   }
+
+  /// Snapshot records (DESIGN.md §11): "arr <workers_used>
+  /// <max_worker_index> <total_acc_star>", one "s <S[t]>" per task, then one
+  /// "a <worker> <task> <acc_star>" per listed assignment, whose workers lie
+  /// in [first, last] (the resident window). S is stored, not recomputed:
+  /// its sums are order-dependent and a task may have moved since. Reading
+  /// needs an arrangement fresh over the same task count; the "a" records
+  /// rebuild the list and the load window (from `first` on) without adding
+  /// to S again.
+  Status Serialize(StateArchive& ar, WorkerIndex first, WorkerIndex last);
 
  private:
   std::int64_t num_tasks_;
@@ -100,6 +123,7 @@ class Arrangement {
   std::int64_t workers_used_ = 0;
   std::int64_t completed_tasks_ = 0;
   WorkerIndex max_worker_index_ = 0;
+  double total_acc_star_ = 0.0;
 };
 
 /// \brief Checks every LTC constraint of `arrangement` against `instance`:

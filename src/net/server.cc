@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/line_scanner.h"
 #include "common/string_util.h"
 
 namespace ltc {
@@ -41,11 +42,11 @@ void IngestServer::HandleEvents(const std::string& payload, Ack* ack) {
   auto decoded = DecodeEventsPayload(payload);
   if (!decoded.ok()) {
     ++counters_.frames_rejected;
-    // Count the frame's lines as rejected events; they are unattributable
-    // to a shard without a successful parse.
-    for (const std::string& line : Split(payload, '\n')) {
-      if (!Trim(line).empty()) ++counters_.events_rejected;
-    }
+    // Count the frame's records, by the decoder's own record rule, as
+    // rejected events; they are unattributable to a shard without a
+    // successful parse.
+    LineScanner scan(payload, "ltc-wire events");
+    while (scan.NextRecord()) ++counters_.events_rejected;
     ack->code = decoded.status().code();
     ack->message = decoded.status().message();
     return;

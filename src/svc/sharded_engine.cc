@@ -518,7 +518,6 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   metrics_.worker_moves = static_cast<std::int64_t>(moves_.size());
   metrics_.last_event_time = last_event_time_;
   metrics_.shards = num_shards();
-  std::vector<double> assignment_samples;
   std::vector<double> completion_samples;
   for (const auto& pipeline : pipelines_) {
     metrics_.batches += pipeline->batches();
@@ -530,10 +529,17 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
     metrics_.route_travel_time += pipeline->route_travel_time();
     metrics_.quiet_flushes += pipeline->quiet_flushes();
     metrics_.deadline_extensions += pipeline->deadline_extensions();
-    const auto* a = pipeline->mutable_assignment_latency_samples();
-    assignment_samples.insert(assignment_samples.end(), a->begin(), a->end());
-    const auto* c = pipeline->mutable_completion_latency_samples();
-    completion_samples.insert(completion_samples.end(), c->begin(), c->end());
+    const std::vector<double>& c = pipeline->completion_latency_samples();
+    completion_samples.insert(completion_samples.end(), c.begin(), c.end());
+  }
+  // An assignment's latency is its commit time minus its task's arrival.
+  std::vector<double> assignment_samples;
+  assignment_samples.reserve(assignments_.size());
+  for (const StreamAssignment& a : assignments_) {
+    const TaskRoute route = task_route_[static_cast<std::size_t>(a.task)];
+    assignment_samples.push_back(
+        a.time - pipelines_[static_cast<std::size_t>(route.shard)]
+                     ->task_arrival_time(route.local));
   }
   metrics_.assignment_latency = sim::SummarizeLatencies(&assignment_samples);
   metrics_.completion_latency = sim::SummarizeLatencies(&completion_samples);
@@ -546,9 +552,7 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
 double ShardedStreamEngine::total_acc_star() const {
   double total = 0.0;
   for (const auto& pipeline : pipelines_) {
-    for (const model::Assignment& a : pipeline->arrangement().assignments()) {
-      total += a.acc_star;
-    }
+    total += pipeline->arrangement().total_acc_star();
   }
   return total;
 }

@@ -111,7 +111,9 @@ class ShardedStreamEngine {
   model::WorkerIndex max_assigned_worker() const {
     return max_assigned_worker_;
   }
-  /// Sum of Acc* over all shards' assignments.
+  /// Sum of Acc* over all shards' assignments: each pipeline's running
+  /// sum in commit order (model::Arrangement::total_acc_star), summed in
+  /// shard order.
   double total_acc_star() const;
   /// Distinct workers holding at least one assignment (the claim table
   /// guarantees a worker commits in at most one shard).

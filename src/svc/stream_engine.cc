@@ -158,26 +158,23 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   LTC_RETURN_IF_ERROR(ar.Record("pcounters", NonNeg(&batches_),
                                 NonNeg(&max_batch_size_),
                                 NonNeg(&tasks_completed_)));
-  // Latency samples (metrics parity across restarts, not schedule inputs).
-  for (auto [key, samples] :
-       {std::pair{"plat_a", &assignment_latency_samples_},
-        std::pair{"plat_c", &completion_latency_samples_}}) {
-    auto n = static_cast<std::int64_t>(samples->size());
-    LTC_RETURN_IF_ERROR(ar.Record(key, Count(&n)));
-    samples->resize(static_cast<std::size_t>(n));
-    for (double& v : *samples) LTC_RETURN_IF_ERROR(ar.Record("l", Real(&v)));
+  // Completion latency samples (metrics parity across restarts, not
+  // schedule inputs). Assignment latencies are not stored: Finish derives
+  // them from the engine's assignment log and the task arrival times.
+  auto n_closed = static_cast<std::int64_t>(completion_latency_samples_.size());
+  LTC_RETURN_IF_ERROR(ar.Record("plat_c", Count(&n_closed)));
+  completion_latency_samples_.resize(static_cast<std::size_t>(n_closed));
+  for (double& v : completion_latency_samples_) {
+    LTC_RETURN_IF_ERROR(ar.Record("l", Real(&v)));
   }
   // Reading, the scheduler restarts over the regrown instance (same shard
-  // identity) and replays its records.
+  // identity) and reads its records.
   if (ar.reading()) {
     LTC_RETURN_IF_ERROR(
         scheduler_->InitStreaming(instance_, scheduler_->shard_context()));
   }
   LTC_RETURN_IF_ERROR(
       ar.Block("sched", [&] { return scheduler_->Serialize(ar); }));
-  // The replay above loaded every assignment's worker; keep the loads of
-  // the resident window only.
-  if (ar.reading()) scheduler_->RetireWorkersBefore(retired + 1);
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
   if (config_.options.route_workers) {
@@ -466,8 +463,6 @@ void StreamPipeline::RecordCommits(
     pending_assignments_.push_back(
         StreamAssignment{time, global_worker(commit.worker),
                          task_global_[static_cast<std::size_t>(commit.task)]});
-    assignment_latency_samples_.push_back(
-        time - task_arrival_time_[static_cast<std::size_t>(commit.task)]);
     if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }

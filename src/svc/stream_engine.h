@@ -16,9 +16,10 @@
 // a configurable batching deadline. Each flushed batch is committed through
 // the one streaming contract of algo/scheduler.h — one
 // OnBatchWithCandidates call per flush, whatever the scheduler — and one
-// function records the commitments and closes the tasks they completed;
-// per-assignment latency (commit time minus the assigned task's arrival
-// time) feeds sim::RunMetrics.
+// function records the commitments and closes the tasks they completed.
+// Per-assignment latency (commit time minus the assigned task's arrival
+// time) is derived from the assignment log at Finish and feeds
+// sim::RunMetrics.
 //
 // Determinism contract: every schedule-dependent output — the assignment
 // log, per-assignment latencies, completion counts — is a function of
@@ -255,7 +256,8 @@ class StreamPipeline {
   /// The pipeline's full logical state as snapshot records (DESIGN.md
   /// §11): the grown instance (tasks with arrival times and *current*
   /// locations, the resident worker window), the open micro-batch,
-  /// counters, latency samples, the scheduler's records and, per mode,
+  /// counters, completion latency samples, the scheduler's records and,
+  /// per mode,
   /// routes and forecast. The grid index and open_ are derived state,
   /// rebuilt after a read. Writing needs empty pending_* buffers (only
   /// call between events); reading needs a pipeline fresh from Create,
@@ -355,6 +357,10 @@ class StreamPipeline {
   bool task_open(model::TaskId local) const {
     return open_[static_cast<std::size_t>(local)] != 0;
   }
+  /// Arrival time of local task `local`.
+  double task_arrival_time(model::TaskId local) const {
+    return task_arrival_time_[static_cast<std::size_t>(local)];
+  }
   const model::Arrangement& arrangement() const {
     return scheduler_->arrangement();
   }
@@ -376,11 +382,8 @@ class StreamPipeline {
   }
   /// route_workers mode: total metric travel time over all routes.
   double route_travel_time() const;
-  std::vector<double>* mutable_assignment_latency_samples() {
-    return &assignment_latency_samples_;
-  }
-  std::vector<double>* mutable_completion_latency_samples() {
-    return &completion_latency_samples_;
+  const std::vector<double>& completion_latency_samples() const {
+    return completion_latency_samples_;
   }
 
  private:
@@ -409,8 +412,8 @@ class StreamPipeline {
   void RouteAssignment(model::WorkerIndex w, model::TaskId t, double time);
 
   /// Folds one round's commitment list into the pending records at `time`
-  /// (assignment log, latency samples, routes) and closes the tasks it
-  /// completed — the one place a task closes.
+  /// (assignment log, routes) and closes the tasks it completed — the one
+  /// place a task closes.
   void RecordCommits(const std::vector<algo::OnlineScheduler::StreamCommit>&
                          commits,
                      double time);
@@ -450,8 +453,7 @@ class StreamPipeline {
   // advancement and serialization are deterministic.
   std::map<model::WorkerIndex, model::WorkerRoute> routes_;
   std::vector<WorkerMove> pending_moves_;
-  std::vector<double> assignment_latency_samples_;
-  std::vector<double> completion_latency_samples_;
+  std::vector<double> completion_latency_samples_;  // one per closed task
   std::int64_t batches_ = 0;
   std::int64_t max_batch_size_ = 0;
   std::int64_t tasks_completed_ = 0;

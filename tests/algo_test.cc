@@ -305,22 +305,26 @@ TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
   std::string blob;
   StateArchive writer = StateArchive::Writer(&blob);
   rnd.Serialize(writer).CheckOK();
-  ASSERT_TRUE(StartsWith(blob, "x rng ")) << blob;
+  // The arrangement's records come first; the rng line is the last one.
+  const std::size_t rng_at = blob.find("x rng ");
+  ASSERT_NE(rng_at, std::string::npos) << blob;
+  const std::string arrangement = blob.substr(0, rng_at);
   ASSERT_TRUE(RestoreFromRecords(&rnd, f.instance, blob).ok());
   // Fields of the valid line: "x", "rng", four words, gaussian, flag.
-  const std::vector<std::string> good = Split(Trim(blob), ' ');
+  const std::vector<std::string> good = Split(Trim(blob.substr(rng_at)), ' ');
   ASSERT_EQ(good.size(), 8u);
-  auto with = [&good](std::size_t field, const std::string& value) {
+  auto with = [&arrangement, &good](std::size_t field,
+                                    const std::string& value) {
     std::vector<std::string> f = good;
     f[field] = value;
-    return Join(f, " ") + "\n";
+    return arrangement + Join(f, " ") + "\n";
   };
   const std::string kBad[] = {
       with(2, "-1"),            // strtoull would wrap to 2^64 - 1
       with(3, "+7"),            // signed
       with(4, "\t7"),           // leading whitespace
       with(5, "18446744073709551616"),  // 2^64 overflows
-      "x rng 0 0 0 0 0 0\n",    // xoshiro's all-zero fixed point
+      arrangement + "x rng 0 0 0 0 0 0\n",  // xoshiro's all-zero fixed point
       with(7, "2"),             // the flag is 0 or 1
       with(7, "-1"),
       with(6, "nan"),           // the cached gaussian is finite
@@ -332,16 +336,46 @@ TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
   }
 }
 
+// The arrangement records of the paper fixture (three tasks) holding one
+// assignment of worker 1 to task 0 with Acc* `acc`.
+std::string OneAssignmentRecords(const std::string& acc) {
+  return "arr 1 1 0.25\ns 0.25\ns 0\ns 0\na 1 0 " + acc + "\n";
+}
+
 TEST(SnapshotRestoreTest, RejectsAccStarOutsideUnitInterval) {
   Fixture f = PaperFixture();
   Laf laf;
-  ASSERT_TRUE(RestoreFromRecords(&laf, f.instance, "a 1 0 0.25\n").ok());
+  ASSERT_TRUE(
+      RestoreFromRecords(&laf, f.instance, OneAssignmentRecords("0.25")).ok());
   EXPECT_EQ(laf.arrangement().size(), 1);
   for (const char* acc : {"nan", "-nan", "inf", "-inf", "-0.5", "1.5"}) {
-    const std::string blob = std::string("a 1 0 ") + acc + "\n";
+    const std::string blob = OneAssignmentRecords(acc);
     EXPECT_TRUE(RestoreFromRecords(&laf, f.instance, blob).IsInvalidArgument())
         << blob;
   }
+}
+
+// A read takes S, the counters and the listed assignments as stored: the
+// "a" records rebuild loads without adding to S a second time.
+TEST(SnapshotRestoreTest, ListedAssignmentsDoNotAddToS) {
+  Fixture f = PaperFixture();
+  Laf laf;
+  ASSERT_TRUE(
+      RestoreFromRecords(&laf, f.instance, OneAssignmentRecords("0.25")).ok());
+  const model::Arrangement& arr = laf.arrangement();
+  EXPECT_EQ(arr.accumulated(0), 0.25);
+  EXPECT_EQ(arr.accumulated(1), 0.0);
+  EXPECT_EQ(arr.total_acc_star(), 0.25);
+  EXPECT_EQ(arr.workers_used(), 1);
+  EXPECT_EQ(arr.MaxWorkerIndex(), 1);
+  EXPECT_EQ(arr.Load(1), 1);
+  // A negative S and a count past the resident workers are refused.
+  EXPECT_TRUE(RestoreFromRecords(&laf, f.instance,
+                                 "arr 0 0 0\ns -1\ns 0\ns 0\n")
+                  .IsInvalidArgument());
+  EXPECT_TRUE(RestoreFromRecords(&laf, f.instance,
+                                 "arr 99 0 0\ns 0\ns 0\ns 0\n")
+                  .IsOutOfRange());
 }
 
 // ---- Exhaustive ----

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -160,6 +161,35 @@ TEST(LazyMaxTrackerTest, TracksDecreasingValues) {
   values[1] = 0.0;
   tracker.Update(1);
   EXPECT_DOUBLE_EQ(tracker.Max(), 0.5);
+}
+
+// One heap entry per Update would grow with the updates (AAM makes one per
+// assignment); the tracker rebuilds from the live array instead, so after
+// 10^5 updates it still holds at most 2x the live values plus a constant,
+// and Max() stays the live maximum throughout.
+TEST(LazyMaxTrackerTest, HeapStaysBoundedOverManyUpdates) {
+  std::vector<double> values(64, 1000.0);
+  LazyMaxTracker tracker(&values);
+  std::uint64_t state = 12345;
+  std::size_t largest = 0;
+  for (int step = 0; step < 100000; ++step) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    if (step % 1000 == 999) {
+      values.push_back(1000.0);  // a task arriving mid-stream
+      tracker.Update(static_cast<std::int64_t>(values.size() - 1));
+    }
+    const auto i = static_cast<std::size_t>((state >> 33) % values.size());
+    values[i] = std::max(0.0, values[i] - 0.01 * static_cast<double>(
+                                                     (state >> 20) % 7));
+    tracker.Update(static_cast<std::int64_t>(i));
+    largest = std::max(largest, tracker.heap_size());
+    if (step % 97 == 0) {
+      ASSERT_EQ(tracker.Max(), *std::max_element(values.begin(), values.end()))
+          << step;
+    }
+  }
+  EXPECT_LE(largest, 2 * values.size() + 16);
+  EXPECT_EQ(tracker.Max(), *std::max_element(values.begin(), values.end()));
 }
 
 TEST(LazyMaxTrackerTest, EmptyArrayYieldsZero) {

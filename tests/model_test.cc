@@ -241,6 +241,9 @@ TEST(ArrangementTest, LoadWindowRetiresOldWorkers) {
   EXPECT_EQ(arr.Load(2), 0);
   EXPECT_EQ(arr.Load(5), 1);
   EXPECT_EQ(arr.workers_used(), 3);  // retired workers still count
+  ASSERT_EQ(arr.size(), 1);          // ... but leave the list
+  EXPECT_EQ(arr.assignments()[0].worker, 5);
+  EXPECT_EQ(arr.accumulated(0), 1.0);
   arr.Add(6, 0, 0.5);
   arr.Add(5, 0, 0.5);
   EXPECT_EQ(arr.Load(5), 2);
@@ -252,7 +255,8 @@ TEST(ArrangementTest, LoadWindowRetiresOldWorkers) {
   arr.Add(10, 1, 0.5);
   EXPECT_EQ(arr.Load(10), 1);
   EXPECT_EQ(arr.workers_used(), 5);
-  EXPECT_EQ(arr.size(), 7);
+  EXPECT_EQ(arr.size(), 1);
+  EXPECT_EQ(arr.total_acc_star(), 3.5);
 }
 
 TEST(ArrangementTest, TracksAccumulationAndCompletion) {
@@ -342,17 +346,17 @@ TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
   arr.Add(1, 0, instance.AccStar(1, 0));
   EXPECT_TRUE(ValidateCommitRound(instance, arr, 0).ok());
   instance.RetireWorkersBefore(3);
-  arr.RetireWorkersBefore(3);
+  arr.RetireWorkersBefore(3);  // the list drops their three entries
   arr.Add(3, 0, instance.AccStar(3, 0));
-  EXPECT_TRUE(ValidateCommitRound(instance, arr, 3).ok());
-  EXPECT_TRUE(ValidateCommitRound(instance, arr, 4).ok());  // empty round
+  EXPECT_TRUE(ValidateCommitRound(instance, arr, 0).ok());
+  EXPECT_TRUE(ValidateCommitRound(instance, arr, 1).ok());  // empty round
 
   // Each violation, one corrupted commit appended to a copy of `arr`.
   const auto check = [&](const ProblemInstance& inst, WorkerIndex w, TaskId t,
                          double acc_star) {
     Arrangement bad = arr;
     bad.Add(w, t, acc_star);
-    return ValidateCommitRound(inst, bad, 4);
+    return ValidateCommitRound(inst, bad, 1);
   };
   // A retired worker, and one that never arrived.
   EXPECT_TRUE(check(instance, 2, 1, 0.5).IsOutOfRange());
@@ -376,10 +380,10 @@ TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
   Arrangement dup = arr;
   dup.Add(4, 1, instance.AccStar(4, 1));
   dup.Add(4, 1, instance.AccStar(4, 1));
-  EXPECT_TRUE(ValidateCommitRound(instance, dup, 4).IsFailedPrecondition());
+  EXPECT_TRUE(ValidateCommitRound(instance, dup, 1).IsFailedPrecondition());
   Arrangement over = arr;
   for (TaskId t : {0, 1, 2}) over.Add(5, t, instance.AccStar(5, t));
-  EXPECT_TRUE(ValidateCommitRound(instance, over, 4).IsFailedPrecondition());
+  EXPECT_TRUE(ValidateCommitRound(instance, over, 1).IsFailedPrecondition());
 }
 
 // ---- EligibilityIndex ----

@@ -461,6 +461,57 @@ TEST(IngestServerTest, HelloAckReportsRecoveredPosition) {
   EXPECT_EQ(loopback.service().events_applied(), 8);
 }
 
+/// Writes `frame` to `sock` and reads back the one ack frame.
+StatusOr<Ack> RoundTrip(Socket& sock, const Frame& frame) {
+  LTC_RETURN_IF_ERROR(sock.WriteAll(EncodeFrame(frame)));
+  FrameDecoder decoder;
+  char buf[4096];
+  Frame reply;
+  while (true) {
+    LTC_ASSIGN_OR_RETURN(const bool complete, decoder.Next(&reply));
+    if (complete) break;
+    LTC_ASSIGN_OR_RETURN(const std::size_t n, sock.ReadSome(buf, sizeof(buf)));
+    if (n == 0) return Status::Unavailable("server closed the connection");
+    decoder.Feed(buf, n);
+  }
+  return DecodeAckPayload(reply.payload);
+}
+
+// A refused events frame counts its records as the decoder reads them:
+// a whitespace-only line is a (bad) record, and an unterminated last
+// fragment is not a record at all.
+TEST(IngestServerTest, RejectedFramesCountTheDecodersRecords) {
+  LoopbackServer loopback(/*queue_capacity=*/64);
+  auto sock = ConnectTo(loopback.address());
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  Frame frame;
+  frame.type = FrameType::kHello;
+  frame.payload = kWireProtocol;
+  auto hello = RoundTrip(sock.value(), frame);
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  ASSERT_EQ(hello.value().code, StatusCode::kOk);
+
+  frame.type = FrameType::kEvents;
+  std::int64_t expected = 0;
+  for (const auto& [payload, records] :
+       {std::pair<std::string, int>{"t 1 2 3\n \n", 2},
+        std::pair<std::string, int>{"t 1 2 3\nt 2 3 4", 1},
+        std::pair<std::string, int>{"t 1 2 3\r\n\nbogus\n", 2}}) {
+    frame.payload = payload;
+    auto ack = RoundTrip(sock.value(), frame);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_EQ(ack.value().code, StatusCode::kInvalidArgument) << payload;
+    expected += records;
+    EXPECT_EQ(loopback.server().counters().events_rejected, expected)
+        << payload;
+  }
+  EXPECT_EQ(loopback.server().counters().frames_rejected, 3);
+  EXPECT_EQ(loopback.server().counters().events_admitted, 0);
+
+  loopback.RequestStop();
+  ASSERT_TRUE(loopback.Join().ok());
+}
+
 TEST(IngestServerTest, HelloProtocolMismatchIsRejected) {
   LoopbackServer loopback(/*queue_capacity=*/64);
   auto sock = ConnectTo(loopback.address());

@@ -221,6 +221,85 @@ TEST(CrashRecoveryTest, RandomizedCrashPointsRecoverByteIdentical) {
   EXPECT_GE(crashes, 50);
 }
 
+/// The rendered log plus what the log does not show: both latency
+/// summaries at full precision and the Acc* sum and worker count.
+std::string RenderWithSums(const StreamOptions& options,
+                           const RecoverableService& service,
+                           const StreamMetrics& metrics) {
+  std::string out =
+      RenderAssignmentLog(options, service.assignments(), metrics);
+  for (const sim::LatencySummary& l :
+       {metrics.assignment_latency, metrics.completion_latency}) {
+    out += StrFormat("lat %lld %.17g %.17g %.17g %.17g %.17g\n",
+                     static_cast<long long>(l.count), l.mean, l.p50, l.p95,
+                     l.p99, l.max);
+  }
+  return out + StrFormat("acc %.17g used %lld\n",
+                         service.engine().total_acc_star(),
+                         static_cast<long long>(
+                             service.engine().workers_used()));
+}
+
+// A crash after several snapshots restores the newest one (S per task, the
+// arrangement counters, AAM's remaining-demand sum, no assignment history)
+// and replays the WAL suffix: the end-of-stream engine state, the log, both
+// latency summaries and the Acc* sum match an uninterrupted run to the bit,
+// for every scheduler at one and three shards, with task moves in the
+// stream.
+TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
+  const io::EventLog log = MakeLog(60, 1500, 31, /*move_fraction=*/0.1);
+  const std::int64_t n = log.num_events();
+  for (const char* algorithm : {"LAF", "AAM", "Random", "MCF"}) {
+    for (const int shards : {1, 3}) {
+      const StreamOptions options = BaseOptions(algorithm, shards);
+      const std::string tag =
+          std::string(algorithm) + "_k" + std::to_string(shards);
+      std::string golden;
+      std::string golden_state;
+      {
+        auto service = RecoverableService::Open(
+            log, ServiceOptions(FreshDir("sums_golden_" + tag), options, 0,
+                                64));
+        service.status().CheckOK();
+        for (const io::Event& e : log.events) {
+          service.value()->Ingest(e).CheckOK();
+        }
+        service.value()->engine().SerializeTo(&golden_state).CheckOK();
+        auto metrics = service.value()->Finish();
+        metrics.status().CheckOK();
+        golden = RenderWithSums(options, *service.value(), metrics.value());
+      }
+      for (const std::int64_t crash_at : {n / 3, (2 * n) / 3}) {
+        const auto sopts =
+            ServiceOptions(FreshDir("sums_" + tag), options, 61, 16);
+        {
+          auto service = RecoverableService::Open(log, sopts);
+          service.status().CheckOK();
+          for (std::int64_t i = 0; i < crash_at; ++i) {
+            service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+                .CheckOK();
+          }
+        }
+        auto service = RecoverableService::Open(log, sopts);
+        ASSERT_TRUE(service.ok()) << tag << ": " << service.status().ToString();
+        EXPECT_GT(service.value()->recovery().snapshot_events, 0) << tag;
+        for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
+          service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+              .CheckOK();
+        }
+        std::string state;
+        service.value()->engine().SerializeTo(&state).CheckOK();
+        EXPECT_EQ(state, golden_state) << tag << " crash@" << crash_at;
+        auto metrics = service.value()->Finish();
+        metrics.status().CheckOK();
+        EXPECT_EQ(RenderWithSums(options, *service.value(), metrics.value()),
+                  golden)
+            << tag << " crash@" << crash_at;
+      }
+    }
+  }
+}
+
 // The adaptive deadline's forecast state travels in the snapshot and the
 // WAL replay re-derives the rest (DESIGN.md §13), so a crash-recovered
 // adaptive service forecasts — and therefore flushes and assigns —
@@ -400,44 +479,47 @@ TEST(CrashRecoveryTest, TruncatedSnapshotIsDiscarded) {
   EXPECT_EQ(recovered, golden);
 }
 
-// A state dir written before workers retired holds "ltc-snapshot v1"
-// files: every worker in "pworkers", and "a"/"b"/"pr" domains over them.
-// The store refuses that header before it reads any payload, so the dir
-// still opens — each v1 snapshot is discarded and the whole WAL replays to
-// the golden log. This run's snapshots, relabelled v1 with a fresh CRC,
-// stand in for such files.
-TEST(CrashRecoveryTest, V1SnapshotIsDiscardedAndTheWalReplayed) {
+// A state dir written by an older engine holds "ltc-snapshot v1" files
+// (every worker in "pworkers", and "a"/"b"/"pr" domains over them) or v2
+// files (every assignment as an "a" record, assignment latencies as "l").
+// The store refuses those headers before it reads any payload, so the dir
+// still opens — each old snapshot is discarded and the whole WAL replays to
+// the golden log. This run's snapshots, relabelled with a fresh CRC, stand
+// in for such files.
+TEST(CrashRecoveryTest, OlderSnapshotVersionsAreDiscardedAndTheWalReplayed) {
   const io::EventLog log = MakeLog(30, 600, 47);
   const StreamOptions options = BaseOptions("MCF", 2);
-  const std::string golden = GoldenLog(log, options, "v1_golden");
+  const std::string golden = GoldenLog(log, options, "old_golden");
 
-  RecoverableService::RecoveryInfo info;
-  int relabelled = 0;
-  const std::string recovered = DamagedRecoveryLog(
-      log, options, FreshDir("v1"),
-      [&relabelled](const std::string& snap_dir) {
-        for (const auto& entry :
-             std::filesystem::directory_iterator(snap_dir)) {
-          const std::string path = entry.path().string();
-          if (!EndsWith(path, ".snap")) continue;
-          auto text = io::ReadFile(path);
-          text.status().CheckOK();
-          // The v1 framing: the same header lines and CRC-32 trailer.
-          std::string body = text.value();
-          ASSERT_TRUE(StartsWith(body, "# ltc-snapshot v2\n"));
-          body[sizeof("# ltc-snapshot v") - 1] = '1';
-          body.resize(body.rfind("crc32 "));
-          body += StrFormat("crc32 %08x\n", Crc32(body));
-          io::WriteFile(path, body).CheckOK();
-          ++relabelled;
-        }
-      },
-      &info);
-  ASSERT_GE(relabelled, 1);
-  EXPECT_EQ(info.snapshots_discarded, relabelled);
-  EXPECT_EQ(info.snapshot_events, 0);
-  EXPECT_EQ(info.replayed, info.wal_records);
-  EXPECT_EQ(recovered, golden);
+  for (const char version : {'1', '2'}) {
+    RecoverableService::RecoveryInfo info;
+    int relabelled = 0;
+    const std::string recovered = DamagedRecoveryLog(
+        log, options, FreshDir(std::string("v") + version),
+        [&relabelled, version](const std::string& snap_dir) {
+          for (const auto& entry :
+               std::filesystem::directory_iterator(snap_dir)) {
+            const std::string path = entry.path().string();
+            if (!EndsWith(path, ".snap")) continue;
+            auto text = io::ReadFile(path);
+            text.status().CheckOK();
+            // The old framing: the same header lines and CRC-32 trailer.
+            std::string body = text.value();
+            ASSERT_TRUE(StartsWith(body, "# ltc-snapshot v3\n"));
+            body[sizeof("# ltc-snapshot v") - 1] = version;
+            body.resize(body.rfind("crc32 "));
+            body += StrFormat("crc32 %08x\n", Crc32(body));
+            io::WriteFile(path, body).CheckOK();
+            ++relabelled;
+          }
+        },
+        &info);
+    ASSERT_GE(relabelled, 1) << version;
+    EXPECT_EQ(info.snapshots_discarded, relabelled) << version;
+    EXPECT_EQ(info.snapshot_events, 0) << version;
+    EXPECT_EQ(info.replayed, info.wal_records) << version;
+    EXPECT_EQ(recovered, golden) << version;
+  }
 }
 
 // A snapshot that claims more events than the WAL durably holds (here:
@@ -902,7 +984,9 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
       {"pw", 4, "nan", false, true},   {"pw", 4, "7", false, true},
       {"pworkers", 2, "-1", false},
       {"pbatch", 1, "nan", false},     {"pcounters", 1, "-9", false},
-      {"l", 1, "nan", false},          {"sched", 1, "-3", false},
+      {"s", 1, "nan", false},          {"s", 1, "-1", false},
+      {"arr", 1, "-1", false},         {"arr", 3, "inf", false},
+      {"sched", 1, "-3", false},
       {"fc", 2, "nan", true},          {"fc", 3, "-1", true},
       {"fc", 4, "inf", true},          {"fcst", 3, "-2", true},
       {"pdl", 1, "nan", true},         {"pdl", 2, "-1", true},
@@ -928,7 +1012,7 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
           << edit.field << " = " << edit.value << ": " << status.ToString();
       ++cases;
     }
-    EXPECT_EQ(cases, adaptive ? 22 : 19);
+    EXPECT_EQ(cases, adaptive ? 25 : 22);
   }
 }
 
@@ -1063,7 +1147,7 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
   }
   EXPECT_EQ(refused + accepted, 3000);
   EXPECT_GT(refused, 0);
-  for (const char* key : {"pt", "pw", "l", "a", "x", "b", "m", "pr", "ps",
+  for (const char* key : {"pt", "pw", "arr", "s", "x", "b", "m", "pr", "ps",
                           "d", "c", "A", "M", "fcst", "fc", "pdl"}) {
     EXPECT_TRUE(keys.count(key) > 0) << "no base snapshot holds '" << key
                                      << "'";

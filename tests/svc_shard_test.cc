@@ -253,34 +253,34 @@ struct SnapshotCell {
 };
 
 constexpr SnapshotCell kSnapshotGolden[] = {
-    {"LAF", "0", 1, 0x193b99cfu, 58308},
-    {"LAF", "0.4", 1, 0x8bf72c73u, 60151},
-    {"LAF", "adaptive", 1, 0x3a25d95du, 111946},
-    {"LAF", "0", 3, 0xfb760654u, 57710},
-    {"LAF", "0.4", 3, 0xd1c012c2u, 63613},
-    {"LAF", "adaptive", 3, 0xd2d013a3u, 118109},
-    {"AAM", "0", 1, 0x060cdcc3u, 58308},
-    {"AAM", "0.4", 1, 0x8bf72c73u, 60151},
-    {"AAM", "adaptive", 1, 0xd35de0adu, 111946},
-    {"AAM", "0", 3, 0xc72a007du, 57710},
-    {"AAM", "0.4", 3, 0xd1c012c2u, 63613},
-    {"AAM", "adaptive", 3, 0x0d554667u, 118109},
-    {"Random", "0", 1, 0xc71a20f7u, 58402},
-    {"Random", "0.4", 1, 0xd6c8bc8fu, 60245},
-    {"Random", "adaptive", 1, 0x1e922e2au, 112040},
-    {"Random", "0", 3, 0xb738a0fau, 57990},
-    {"Random", "0.4", 3, 0x932658e8u, 63893},
-    {"Random", "adaptive", 3, 0x0ecedaf9u, 118389},
-    {"MCF", "0", 1, 0x353d7b9cu, 59172},
-    {"MCF", "0.4", 1, 0xc801fd01u, 63286},
-    {"MCF", "adaptive", 1, 0x534e8aa4u, 112810},
-    {"MCF", "0", 3, 0x07f93761u, 60110},
-    {"MCF", "0.4", 3, 0x94cfd08au, 65944},
-    {"MCF", "adaptive", 3, 0xd944608bu, 120509},
-    {"LAF", "0.4", 1, 0x43505a9fu, 133878, true},
-    {"LAF", "0.4", 3, 0xbbcf3a76u, 136467, true},
-    {"MCF", "0.4", 1, 0x69023230u, 136557, true},
-    {"MCF", "0.4", 3, 0xcb13ebdeu, 138215, true},
+    {"LAF", "0", 1, 0x3ad66e24u, 27040},
+    {"LAF", "0.4", 1, 0xbf947c0bu, 28631},
+    {"LAF", "adaptive", 1, 0xd97af688u, 80678},
+    {"LAF", "0", 3, 0x0bb22519u, 27273},
+    {"LAF", "0.4", 3, 0xd079c933u, 33282},
+    {"LAF", "adaptive", 3, 0x7c2eb21cu, 87672},
+    {"AAM", "0", 1, 0x876ecb39u, 27075},
+    {"AAM", "0.4", 1, 0xdda125ccu, 28666},
+    {"AAM", "adaptive", 1, 0x15951559u, 80713},
+    {"AAM", "0", 3, 0x49a7954du, 27378},
+    {"AAM", "0.4", 3, 0x8551c457u, 33387},
+    {"AAM", "adaptive", 3, 0x801df350u, 87777},
+    {"Random", "0", 1, 0x58a76692u, 27134},
+    {"Random", "0.4", 1, 0x583f93cfu, 28725},
+    {"Random", "adaptive", 1, 0xdee1eec0u, 80772},
+    {"Random", "0", 3, 0x7e7be2a4u, 27553},
+    {"Random", "0.4", 3, 0xcee6e468u, 33562},
+    {"Random", "adaptive", 3, 0x96238bb4u, 87952},
+    {"MCF", "0", 1, 0x8594368cu, 27962},
+    {"MCF", "0.4", 1, 0xa1f10d37u, 31921},
+    {"MCF", "adaptive", 1, 0x57deb4afu, 81600},
+    {"MCF", "0", 3, 0xca8f758cu, 29920},
+    {"MCF", "0.4", 3, 0x443e2bb5u, 35815},
+    {"MCF", "adaptive", 3, 0x28c5fe72u, 90319},
+    {"LAF", "0.4", 1, 0x7801b98cu, 102358, true},
+    {"LAF", "0.4", 3, 0x1d3be8c7u, 106136, true},
+    {"MCF", "0.4", 1, 0x413e517fu, 105192, true},
+    {"MCF", "0.4", 3, 0x767be556u, 108086, true},
 };
 
 std::string SnapshotKey(const char* algorithm, const char* deadline,
@@ -335,9 +335,9 @@ TEST(ShardedEngineTest, FinalSnapshotBytesArePinned) {
   EXPECT_EQ(golden.size(), std::size(kSnapshotGolden)) << "duplicate cell";
   // Every record key a writer emits is covered by at least one pin, so the
   // byte pins above guard each record's format.
-  for (const char* record : {"pt", "pw", "pbatch+", "l", "a", "x", "b", "m",
-                             "pr", "ps", "d", "c", "A", "M", "fcst", "fc",
-                             "pdl"}) {
+  for (const char* record : {"pt", "pw", "pbatch+", "l", "arr", "s", "x", "b",
+                             "m", "pr", "ps", "d", "c", "A", "M", "fcst",
+                             "fc", "pdl"}) {
     EXPECT_TRUE(keys_seen.count(record) > 0)
         << "no pinned snapshot holds a '" << record << "' record";
   }
