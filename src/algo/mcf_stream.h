@@ -67,12 +67,13 @@ class McfStream : public OnlineScheduler {
     return buf_worker_.empty() ? 0 : buf_worker_.front();
   }
 
-  /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's Add
-  /// sequence ("a"), the open internal batch — one "b <worker> [cand...]"
-  /// record per buffered worker, candidates exactly as gathered at
-  /// admission — and the batch-phase flags ("m <first_batch>
-  /// <batches_solved>"). The IncrementalMcmf warm state is deliberately NOT
-  /// serialized — restore cold-starts a fresh solver. This is sound because
+  /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's
+  /// records (model::Arrangement::Serialize: "arr", one "s" per task), the
+  /// open internal batch — one "b <worker> [cand...]" record per buffered
+  /// worker, candidates exactly as gathered at admission — and the
+  /// batch-phase flags ("m <first_batch> <batches_solved>"). The
+  /// IncrementalMcmf warm state is deliberately NOT serialized — restore
+  /// cold-starts a fresh solver. This is sound because
   /// each flush refreshes every demand absolutely from the arrangement and
   /// retires all supplies afterwards, so a solve's commitments depend only
   /// on (arrangement, buffered batch); the warm start is a pure speed-up

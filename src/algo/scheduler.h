@@ -192,7 +192,7 @@ class OnlineScheduler {
   /// prefix. FailedPrecondition before InitStreaming.
   ///
   /// This writes the arrangement's records (model::Arrangement::Serialize:
-  /// S per task, the counters, and the resident workers' assignments).
+  /// the counters and S per task).
   /// Schedulers with more state override this, call it, and append their
   /// own records.
   virtual Status Serialize(StateArchive& ar);

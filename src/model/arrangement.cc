@@ -74,6 +74,11 @@ void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
 
 Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
                               WorkerIndex last) {
+  if (ar.writing() && !assignments_.empty()) {
+    return Status::FailedPrecondition(
+        "arrangement snapshot lists assignments: their workers are not "
+        "retired");
+  }
   LTC_RETURN_IF_ERROR(ar.Record("arr", Index(&workers_used_, 0, last),
                                 Index(&max_worker_index_, 0, last),
                                 NonNeg(&total_acc_star_)));
@@ -85,17 +90,6 @@ Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
         accumulated_.begin(), accumulated_.end(),
         [this](double s) { return ReachedDelta(s, delta_); });
     RetireWorkersBefore(first);
-  }
-  for (std::size_t i = 0; ar.Repeats("a", i, assignments_.size()); ++i) {
-    Assignment a = ar.writing() ? assignments_[i] : Assignment{};
-    LTC_RETURN_IF_ERROR(ar.Record("a", Index(&a.worker, first, last),
-                                  Index(&a.task, 0, num_tasks_ - 1),
-                                  Unit(&a.acc_star)));
-    if (ar.writing()) continue;
-    assignments_.push_back(a);
-    const auto w = static_cast<std::size_t>(a.worker - load_base_);
-    if (w >= load_.size()) load_.resize(w + 1, 0);
-    ++load_[w];
   }
   return Status::OK();
 }

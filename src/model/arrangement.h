@@ -102,13 +102,14 @@ class Arrangement {
   }
 
   /// Snapshot records (DESIGN.md §11): "arr <workers_used>
-  /// <max_worker_index> <total_acc_star>", one "s <S[t]>" per task, then one
-  /// "a <worker> <task> <acc_star>" per listed assignment, whose workers lie
-  /// in [first, last] (the resident window). S is stored, not recomputed:
-  /// its sums are order-dependent and a task may have moved since. Reading
-  /// needs an arrangement fresh over the same task count; the "a" records
-  /// rebuild the list and the load window (from `first` on) without adding
-  /// to S again.
+  /// <max_worker_index> <total_acc_star>" (both counts at most `last`, the
+  /// newest resident worker), then one "s <S[t]>" per task. S is stored,
+  /// not recomputed: its sums are order-dependent and a task may have moved
+  /// since. Writing needs an empty list: a streaming driver retires every
+  /// committed worker before a snapshot, since a pipeline decides its
+  /// workers in arrival order (FailedPrecondition otherwise). Reading needs
+  /// an arrangement fresh over the same task count and starts its load
+  /// window, empty, at `first`, the oldest resident worker.
   Status Serialize(StateArchive& ar, WorkerIndex first, WorkerIndex last);
 
  private:

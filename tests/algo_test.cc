@@ -336,39 +336,25 @@ TEST(SnapshotRestoreTest, RandomRejectsOutOfDomainRngLines) {
   }
 }
 
-// The arrangement records of the paper fixture (three tasks) holding one
-// assignment of worker 1 to task 0 with Acc* `acc`.
-std::string OneAssignmentRecords(const std::string& acc) {
-  return "arr 1 1 0.25\ns 0.25\ns 0\ns 0\na 1 0 " + acc + "\n";
-}
-
-TEST(SnapshotRestoreTest, RejectsAccStarOutsideUnitInterval) {
+// A read takes S and the counters as stored and lists no assignment: the
+// snapshot's workers are all retired, so no load is rebuilt and nothing is
+// added to S a second time. A listed-assignment "a" record is not part of
+// the format.
+TEST(SnapshotRestoreTest, RestoreTakesSAndCountersAsStored) {
   Fixture f = PaperFixture();
   Laf laf;
-  ASSERT_TRUE(
-      RestoreFromRecords(&laf, f.instance, OneAssignmentRecords("0.25")).ok());
-  EXPECT_EQ(laf.arrangement().size(), 1);
-  for (const char* acc : {"nan", "-nan", "inf", "-inf", "-0.5", "1.5"}) {
-    const std::string blob = OneAssignmentRecords(acc);
-    EXPECT_TRUE(RestoreFromRecords(&laf, f.instance, blob).IsInvalidArgument())
-        << blob;
-  }
-}
-
-// A read takes S, the counters and the listed assignments as stored: the
-// "a" records rebuild loads without adding to S a second time.
-TEST(SnapshotRestoreTest, ListedAssignmentsDoNotAddToS) {
-  Fixture f = PaperFixture();
-  Laf laf;
-  ASSERT_TRUE(
-      RestoreFromRecords(&laf, f.instance, OneAssignmentRecords("0.25")).ok());
+  const std::string records = "arr 1 1 0.25\ns 0.25\ns 0\ns 0\n";
+  ASSERT_TRUE(RestoreFromRecords(&laf, f.instance, records).ok());
   const model::Arrangement& arr = laf.arrangement();
   EXPECT_EQ(arr.accumulated(0), 0.25);
   EXPECT_EQ(arr.accumulated(1), 0.0);
   EXPECT_EQ(arr.total_acc_star(), 0.25);
   EXPECT_EQ(arr.workers_used(), 1);
   EXPECT_EQ(arr.MaxWorkerIndex(), 1);
-  EXPECT_EQ(arr.Load(1), 1);
+  EXPECT_EQ(arr.Load(1), 0);
+  EXPECT_EQ(arr.size(), 0);
+  EXPECT_TRUE(RestoreFromRecords(&laf, f.instance, records + "a 1 0 0.25\n")
+                  .IsInvalidArgument());
   // A negative S and a count past the resident workers are refused.
   EXPECT_TRUE(RestoreFromRecords(&laf, f.instance,
                                  "arr 0 0 0\ns -1\ns 0\ns 0\n")

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common/math_util.h"
+#include "common/state_archive.h"
 #include "gen/example_paper.h"
 #include "gen/synthetic.h"
 #include "model/accuracy.h"
@@ -257,6 +258,37 @@ TEST(ArrangementTest, LoadWindowRetiresOldWorkers) {
   EXPECT_EQ(arr.workers_used(), 5);
   EXPECT_EQ(arr.size(), 1);
   EXPECT_EQ(arr.total_acc_star(), 3.5);
+}
+
+// A snapshot carries S and the counters, never an assignment list: the
+// writer refuses while a listed worker is not retired, and a read starts
+// the load window, empty, at the first resident worker.
+TEST(ArrangementTest, SnapshotRefusesListedAssignments) {
+  Arrangement arr(2, 10.0);
+  arr.Add(1, 0, 0.5);
+  arr.Add(2, 1, 0.25);
+  std::string blob;
+  StateArchive writer = StateArchive::Writer(&blob);
+  EXPECT_TRUE(arr.Serialize(writer, 1, 2).IsFailedPrecondition());
+  arr.RetireWorkersBefore(3);
+  blob.clear();
+  StateArchive retired = StateArchive::Writer(&blob);
+  ASSERT_TRUE(arr.Serialize(retired, 3, 3).ok());
+  EXPECT_EQ(blob, "arr 2 2 0.75\ns 0.5\ns 0.25\n");
+
+  Arrangement restored(2, 10.0);
+  StateArchive reader = StateArchive::Reader(blob);
+  ASSERT_TRUE(restored.Serialize(reader, 3, 3).ok());
+  ASSERT_TRUE(reader.End().ok());
+  EXPECT_EQ(restored.accumulated(0), 0.5);
+  EXPECT_EQ(restored.accumulated(1), 0.25);
+  EXPECT_EQ(restored.workers_used(), 2);
+  EXPECT_EQ(restored.MaxWorkerIndex(), 2);
+  EXPECT_EQ(restored.total_acc_star(), 0.75);
+  EXPECT_EQ(restored.size(), 0);
+  restored.Add(3, 0, 0.5);
+  EXPECT_EQ(restored.Load(3), 1);
+  EXPECT_EQ(restored.workers_used(), 3);
 }
 
 TEST(ArrangementTest, TracksAccumulationAndCompletion) {

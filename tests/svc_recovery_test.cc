@@ -984,6 +984,7 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
       {"pw", 4, "nan", false, true},   {"pw", 4, "7", false, true},
       {"pworkers", 2, "-1", false},
       {"pbatch", 1, "nan", false},     {"pcounters", 1, "-9", false},
+      {"l", 1, "nan", false},          {"l", 1, "inf", false},
       {"s", 1, "nan", false},          {"s", 1, "-1", false},
       {"arr", 1, "-1", false},         {"arr", 3, "inf", false},
       {"sched", 1, "-3", false},
@@ -991,7 +992,17 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
       {"fc", 4, "inf", true},          {"fcst", 3, "-2", true},
       {"pdl", 1, "nan", true},         {"pdl", 2, "-1", true},
   };
-  const io::EventLog log = MakeLog(50, 1000, 11, /*move_fraction=*/0.1);
+  // A reach of 100 closes tasks before the cut, so completion-latency
+  // samples ("l") are in the snapshot too.
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 50;
+  cfg.num_workers = 1000;
+  cfg.move_fraction = 0.1;
+  cfg.dmax = 100.0;
+  cfg.seed = 11;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  generated.status().CheckOK();
+  const io::EventLog log = std::move(generated).value();
   for (const bool adaptive : {false, true}) {
     StreamOptions options = BaseOptions("LAF", 2);
     if (adaptive) options.deadline_policy = DeadlinePolicy::kAdaptive;
@@ -1012,7 +1023,7 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
           << edit.field << " = " << edit.value << ": " << status.ToString();
       ++cases;
     }
-    EXPECT_EQ(cases, adaptive ? 25 : 22);
+    EXPECT_EQ(cases, adaptive ? 27 : 24);
   }
 }
 
@@ -1094,13 +1105,15 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
       {"LAF", true, true}, {"Random", false, true}, {"MCF", false, true},
       {"MCF", true, false}, {"AAM", false, false},
   };
-  // A slow stream (~40 time units), so routed workers reach stops ("M").
+  // A slow stream (~40 time units), so routed workers reach stops ("M"),
+  // with a reach of 150 so every base has closed tasks ("l").
   gen::StreamConfig cfg;
   cfg.num_tasks = 20;
   cfg.num_workers = 400;
   cfg.task_rate = 0.5;
   cfg.worker_rate = 10.0;
   cfg.move_fraction = 0.1;
+  cfg.dmax = 150.0;
   cfg.seed = 13;
   auto generated = gen::GenerateStreamEvents(cfg);
   generated.status().CheckOK();
@@ -1147,8 +1160,8 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
   }
   EXPECT_EQ(refused + accepted, 3000);
   EXPECT_GT(refused, 0);
-  for (const char* key : {"pt", "pw", "arr", "s", "x", "b", "m", "pr", "ps",
-                          "d", "c", "A", "M", "fcst", "fc", "pdl"}) {
+  for (const char* key : {"pt", "pw", "l", "arr", "s", "x", "b", "m", "pr",
+                          "ps", "d", "c", "A", "M", "fcst", "fc", "pdl"}) {
     EXPECT_TRUE(keys.count(key) > 0) << "no base snapshot holds '" << key
                                      << "'";
   }

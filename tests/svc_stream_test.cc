@@ -515,12 +515,11 @@ std::int64_t CountRecords(const std::string& snapshot, const std::string& key) {
 
 // The arrangement keeps only open work: over a stream of N worker arrivals
 // and one of 4N, after every event each pipeline lists at most K
-// assignments per resident worker, and the end-of-stream snapshot's "a"
-// records do not grow with N (S is one "s" record per task).
+// assignments per resident worker, and the end-of-stream snapshot holds no
+// listed assignment ("a") at either size (S is one "s" record per task).
 TEST(WorkerLifetimeTest, ArrangementListStaysWithinResidentWorkers) {
   for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
     for (int shards : {1, 3}) {
-      std::int64_t a_records[2] = {0, 0};
       for (int size = 0; size < 2; ++size) {
         gen::StreamConfig cfg = SmallStream(31);
         cfg.num_workers = size == 0 ? 1500 : 6000;
@@ -546,11 +545,10 @@ TEST(WorkerLifetimeTest, ArrangementListStaysWithinResidentWorkers) {
         EXPECT_EQ(excess, 0) << key;
         std::string snapshot;
         ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
-        a_records[size] = CountRecords(snapshot, "a");
+        EXPECT_EQ(CountRecords(snapshot, "a"), 0) << key;
         EXPECT_EQ(CountRecords(snapshot, "s"), cfg.num_tasks) << key;
         EXPECT_EQ(CountRecords(snapshot, "arr"), shards) << key;
       }
-      EXPECT_LE(a_records[1], a_records[0]) << algo << "/" << shards;
     }
   }
 }
