@@ -62,14 +62,23 @@ class Aam : public OnlineSchedulerBase {
  protected:
   Status OnInit() override;
   Status OnTaskAddedHook(model::TaskId task) override;
+  void OnTasksRetired() override;
   void SelectTasks(const model::Worker& worker,
                    const std::vector<model::TaskId>& candidates,
                    std::vector<model::TaskId>* out) override;
   void OnAssigned(model::TaskId task) override;
 
  private:
+  /// remaining_'s slot of resident task `t`.
+  std::size_t Slot(model::TaskId t) const {
+    return static_cast<std::size_t>(t - arr().first_task());
+  }
+
   AamOptions options_;
-  // remaining_[t] = max(0, delta - S[t]), kept in sync by OnAssigned.
+  // remaining_[Slot(t)] = max(0, delta - S[t]) over the resident tasks,
+  // kept in sync by OnAssigned. The max over them is the max over every
+  // task while any is open: only closed tasks retire. The sum keeps
+  // counting retired tasks' (at most kQualityTol) remainders.
   std::vector<double> remaining_;
   double remaining_sum_ = 0.0;
   std::unique_ptr<LazyMaxTracker> max_tracker_;

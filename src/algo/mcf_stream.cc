@@ -14,6 +14,11 @@ namespace {
 /// cost domain of the flow solver.
 constexpr std::int64_t kCostScale = 1'000'000;
 
+/// Lowers the held-task bound *oldest (-1: none) to task `t`.
+void Hold(model::TaskId t, model::TaskId* oldest) {
+  if (*oldest < 0 || t < *oldest) *oldest = t;
+}
+
 }  // namespace
 
 Status McfStream::InitStreaming(const model::ProblemInstance& instance,
@@ -27,12 +32,16 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance,
   incr_options.warm_start = options_.warm_start;
   incr_options.drift_check_every = options_.drift_check_every;
   incr_ = std::make_unique<flow::IncrementalMcmf>(incr_options);
-  task_right_.assign(static_cast<std::size_t>(instance.num_tasks()), -1);
-  task_closed_.assign(static_cast<std::size_t>(instance.num_tasks()), 0);
+  const auto resident =
+      static_cast<std::size_t>(instance.num_tasks() - instance.task_offset);
+  task_right_.assign(resident, -1);
+  task_closed_.assign(resident, 0);
+  oldest_unzeroed_ = -1;
 
   buf_worker_.clear();
   buf_begin_.assign(1, 0);
   buf_cand_.clear();
+  buf_oldest_task_ = -1;
   first_batch_ = true;
   batches_solved_ = 0;
   augmentations_ = 0;
@@ -44,6 +53,19 @@ Status McfStream::OnTaskAdded(model::TaskId task) {
   task_right_.push_back(-1);
   task_closed_.push_back(0);
   return Status::OK();
+}
+
+model::TaskId McfStream::OldestHeldTask() const {
+  model::TaskId oldest = buf_oldest_task_;
+  if (oldest_unzeroed_ >= 0) Hold(oldest_unzeroed_, &oldest);
+  return oldest;
+}
+
+void McfStream::OnTasksRetired() {
+  const auto kept = static_cast<std::ptrdiff_t>(arrangement_->num_tasks() -
+                                                arrangement_->first_task());
+  task_right_.erase(task_right_.begin(), task_right_.end() - kept);
+  task_closed_.erase(task_closed_.begin(), task_closed_.end() - kept);
 }
 
 std::int64_t McfStream::BatchTarget() const {
@@ -75,8 +97,9 @@ Status McfStream::OnBatchWithCandidates(
     // Offline consumes *every* worker of the stream prefix into a batch,
     // eligible or not — buffer unconditionally so batch boundaries match.
     buf_worker_.push_back(workers[i]);
-    buf_cand_.insert(buf_cand_.end(), candidates[i]->begin(),
-                     candidates[i]->end());
+    const std::vector<model::TaskId>& cand = *candidates[i];
+    if (!cand.empty()) Hold(cand.front(), &buf_oldest_task_);
+    buf_cand_.insert(buf_cand_.end(), cand.begin(), cand.end());
     buf_begin_.push_back(buf_cand_.size());
     if (static_cast<std::int64_t>(buf_worker_.size()) >= BatchTarget()) {
       LTC_RETURN_IF_ERROR(FlushInternalBatch(commits));
@@ -101,15 +124,19 @@ Status McfStream::Serialize(StateArchive& ar) {
   for (std::size_t p = 0; ar.Repeats("b", p, buf_worker_.size()); ++p) {
     model::WorkerIndex w = ar.writing() ? buf_worker_[p] : 0;
     const std::size_t end = ar.writing() ? buf_begin_[p + 1] : 0;
-    // A held worker is resident: its record is read at the flush.
+    // A held worker is resident: its record is read at the flush. So are
+    // the tasks its candidates name (OldestHeldTask).
     LTC_RETURN_IF_ERROR(
         ar.Record("b",
                   Index(&w, std::max(last, instance_->worker_offset) + 1,
                         instance_->last_worker()),
-                  List(&buf_cand_, buf_begin_[p], end, 0,
+                  List(&buf_cand_, buf_begin_[p], end, instance_->task_offset,
                        arrangement_->num_tasks() - 1)));
     if (ar.reading()) {
       buf_worker_.push_back(w);
+      if (buf_cand_.size() > buf_begin_[p]) {
+        Hold(buf_cand_[buf_begin_[p]], &buf_oldest_task_);
+      }
       buf_begin_.push_back(buf_cand_.size());
     }
     last = w;
@@ -126,6 +153,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     buf_worker_.clear();
     buf_begin_.assign(1, 0);
     buf_cand_.clear();
+    buf_oldest_task_ = -1;
     return Status::OK();
   }
 
@@ -134,9 +162,11 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   // each batch (top-ups contribute quality outside the flow, so the
   // solver's own frozen-consumption bookkeeping undershoots). A task that
   // completed since its node was created gets its deficit zeroed exactly
-  // once and never reopens.
-  for (model::TaskId t = 0; t < arrangement_->num_tasks(); ++t) {
-    const auto ti = static_cast<std::size_t>(t);
+  // once and never reopens. A retired task has none left to zero: it had
+  // no node, or this loop zeroed it before it retired (OldestHeldTask).
+  for (model::TaskId t = arrangement_->first_task();
+       t < arrangement_->num_tasks(); ++t) {
+    const std::size_t ti = Slot(t);
     if (arrangement_->TaskCompleted(t)) {
       if (task_right_[ti] >= 0 && !task_closed_[ti]) {
         LTC_RETURN_IF_ERROR(incr_->SetDeficit(task_right_[ti], 0));
@@ -154,6 +184,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
       LTC_RETURN_IF_ERROR(incr_->SetDeficit(task_right_[ti], demand));
     }
   }
+  oldest_unzeroed_ = -1;
 
   // ---- Worker supply and arcs. ----
   // Arc costs: -Acc* (scaled); optionally plus an arrival-position epsilon
@@ -187,8 +218,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
           (options_.index_tie_break ? static_cast<std::int64_t>(p) : 0);
       LTC_ASSIGN_OR_RETURN(
           const flow::ArcId arc,
-          incr_->AddArc(batch_left_[p],
-                        task_right_[static_cast<std::size_t>(t)], 1, cost));
+          incr_->AddArc(batch_left_[p], task_right_[Slot(t)], 1, cost));
       pair_task_.push_back(t);
       pair_acc_.push_back(acc_star);
       pair_arc_.push_back(arc);
@@ -203,6 +233,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   // ---- Line 7: extract M' and update S. ----
   // The pair -> arc map renders the flow directly; no adjacency walk and
   // no searches over batch task lists.
+  const std::size_t first_commit = commits->size();
   batch_load_.assign(nb, 0);
   pair_assigned_.assign(pair_task_.size(), 0);
   for (std::size_t p = 0; p < nb; ++p) {
@@ -237,6 +268,13 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     }
   }
 
+  // Every task this batch completed still carries its demand node's deficit
+  // until the next refresh zeroes it.
+  for (std::size_t k = first_commit; k < commits->size(); ++k) {
+    const model::TaskId t = (*commits)[k].task;
+    if (arrangement_->TaskCompleted(t)) Hold(t, &oldest_unzeroed_);
+  }
+
   // The batch's workers leave the platform: retire their supply nodes with
   // deliveries frozen. This is what keeps the next solve warm — no left
   // carries flow across batches, so the feasibility scan always passes.
@@ -248,6 +286,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   buf_worker_.clear();
   buf_begin_.assign(1, 0);
   buf_cand_.clear();
+  buf_oldest_task_ = -1;
   first_batch_ = false;
   return Status::OK();
 }

@@ -66,6 +66,9 @@ class McfStream : public OnlineScheduler {
   model::WorkerIndex OldestHeldWorker() const override {
     return buf_worker_.empty() ? 0 : buf_worker_.front();
   }
+  /// The oldest task the open batch's candidate lists name, or whose
+  /// demand node still awaits its zeroing flush (-1 when neither).
+  model::TaskId OldestHeldTask() const override;
 
   /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's
   /// records (model::Arrangement::Serialize: "arr", one "s" per task), the
@@ -108,12 +111,22 @@ class McfStream : public OnlineScheduler {
   /// once every task reached delta.
   Status FlushInternalBatch(std::vector<StreamCommit>* commits);
 
+  void OnTasksRetired() override;
+
+  /// task_right_/task_closed_ slot of resident task `t`.
+  std::size_t Slot(model::TaskId t) const {
+    return static_cast<std::size_t>(t - arrangement_->first_task());
+  }
+
   McfLtcOptions options_;
 
-  // The persistent cross-batch solver state.
+  // The persistent cross-batch solver state, per resident task.
   std::unique_ptr<flow::IncrementalMcmf> incr_;
   std::vector<flow::NodeId> task_right_;  // task -> demand node (-1 = none)
   std::vector<char> task_closed_;         // deficit already zeroed
+  // The oldest task that completed with its demand node's deficit not yet
+  // zeroed (the next flush's refresh zeroes it), or -1.
+  model::TaskId oldest_unzeroed_ = -1;
 
   // The open internal batch: worker local indices plus their flush-time
   // candidate sets, flattened (worker p's candidates occupy
@@ -121,6 +134,8 @@ class McfStream : public OnlineScheduler {
   std::vector<model::WorkerIndex> buf_worker_;
   std::vector<std::size_t> buf_begin_;
   std::vector<model::TaskId> buf_cand_;
+  // The smallest id in buf_cand_, or -1 while it is empty.
+  model::TaskId buf_oldest_task_ = -1;
   bool first_batch_ = true;
   std::int64_t batches_solved_ = 0;
   std::int64_t augmentations_ = 0;

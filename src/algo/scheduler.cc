@@ -53,7 +53,7 @@ Status OnlineScheduler::StartArrangement(
   }
   instance_ = &instance;
   delta_ = instance.Delta();
-  arrangement_.emplace(instance.num_tasks(), delta_);
+  arrangement_.emplace(instance.num_tasks(), delta_, instance.task_offset);
   shard_context_ = shard;
   return Status::OK();
 }

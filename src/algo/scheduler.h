@@ -143,8 +143,8 @@ class OnlineScheduler {
 
   /// One batch: `workers[i]` (local arrival indices, arrival order,
   /// resident in the instance) was admitted with eligible tasks
-  /// `*candidates[i]` (ascending ids, gathered before the call). Appends
-  /// every commitment made — for these workers or ones buffered from
+  /// `*candidates[i]` (resident, ascending ids, gathered before the call).
+  /// Appends every commitment made — for these workers or ones buffered from
   /// earlier calls — to *commits in commit order, recording each in the
   /// arrangement. May commit nothing (buffering). Never commits to a task
   /// that an earlier commit of the same call completed; LAF, AAM and MCF
@@ -173,6 +173,21 @@ class OnlineScheduler {
   /// instance (model::ProblemInstance::RetireWorkersBefore).
   void RetireWorkersBefore(model::WorkerIndex worker) {
     arrangement_->RetireWorkersBefore(worker);
+  }
+
+  /// The oldest (smallest id) task this scheduler may still read although
+  /// it closed — one that MCF's buffered candidate lists name, or whose
+  /// flow demand MCF has yet to zero — or -1 when it holds none. Every
+  /// other closed task is final: no later call reads it (DESIGN.md §8,
+  /// task lifetime).
+  virtual model::TaskId OldestHeldTask() const { return -1; }
+
+  /// Drops the per-task state of every task below `task`, all closed and
+  /// none held; the streaming pipeline calls it as it retires those tasks
+  /// from the instance (model::ProblemInstance::RetireTasksBefore).
+  void RetireTasksBefore(model::TaskId task) {
+    arrangement_->RetireTasksBefore(task);
+    OnTasksRetired();
   }
 
   // --- Snapshot protocol (svc crash recovery; DESIGN.md §11) ---
@@ -206,6 +221,9 @@ class OnlineScheduler {
                           const StreamShardContext& shard);
   /// The shared part of OnTaskAdded: grows the arrangement by `task`.
   Status AddArrangementTask(model::TaskId task);
+  /// Hook after RetireTasksBefore: schedulers with per-task state drop it
+  /// below arrangement().first_task().
+  virtual void OnTasksRetired() {}
 
   const model::ProblemInstance* instance_ = nullptr;
   std::optional<model::Arrangement> arrangement_;

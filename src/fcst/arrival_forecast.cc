@@ -35,7 +35,6 @@ void CellRateEstimator::OnWorkerArrival(const geo::Point& p, double t) {
   Cell& cell = cells_[static_cast<std::size_t>(config_.grid.CellOf(p))];
   const double decay = Decay(cell.last, t, config_.horizon);
   cell.worker_rate = cell.worker_rate * decay + 1.0 / config_.horizon;
-  cell.task_rate *= decay;
   cell.last = t;
   cell.touched = true;
   ++events_;
@@ -43,9 +42,7 @@ void CellRateEstimator::OnWorkerArrival(const geo::Point& p, double t) {
 
 void CellRateEstimator::OnTaskArrival(const geo::Point& p, double t) {
   Cell& cell = cells_[static_cast<std::size_t>(config_.grid.CellOf(p))];
-  const double decay = Decay(cell.last, t, config_.horizon);
-  cell.worker_rate *= decay;
-  cell.task_rate = cell.task_rate * decay + 1.0 / config_.horizon;
+  cell.worker_rate *= Decay(cell.last, t, config_.horizon);
   cell.last = t;
   cell.touched = true;
   ++events_;
@@ -55,25 +52,6 @@ double CellRateEstimator::WorkerRate(const geo::Point& p, double now) const {
   const Cell& cell = cells_[static_cast<std::size_t>(config_.grid.CellOf(p))];
   if (!cell.touched) return 0.0;
   return cell.worker_rate * Decay(cell.last, now, config_.horizon);
-}
-
-double CellRateEstimator::TaskRate(const geo::Point& p, double now) const {
-  const Cell& cell = cells_[static_cast<std::size_t>(config_.grid.CellOf(p))];
-  if (!cell.touched) return 0.0;
-  return cell.task_rate * Decay(cell.last, now, config_.horizon);
-}
-
-void CellRateEstimator::CellRates(double now,
-                                  std::vector<CellRate>* out) const {
-  out->clear();
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    const Cell& cell = cells_[c];
-    if (!cell.touched) continue;
-    const double decay = Decay(cell.last, now, config_.horizon);
-    out->push_back(CellRate{static_cast<std::int64_t>(c),
-                            cell.worker_rate * decay,
-                            cell.task_rate * decay});
-  }
 }
 
 Status CellRateEstimator::Serialize(StateArchive& ar) {
@@ -96,10 +74,9 @@ Status CellRateEstimator::Serialize(StateArchive& ar) {
       while (!cells_[static_cast<std::size_t>(next)].touched) ++next;
     }
     Cell cell = ar.writing() ? cells_[static_cast<std::size_t>(next)]
-                             : Cell{0.0, 0.0, 0.0, /*touched=*/true};
-    LTC_RETURN_IF_ERROR(ar.Record(
-        "fc", Index(&next, c + 1, n_cells - 1), NonNeg(&cell.worker_rate),
-        NonNeg(&cell.task_rate), Real(&cell.last)));
+                             : Cell{0.0, 0.0, /*touched=*/true};
+    LTC_RETURN_IF_ERROR(ar.Record("fc", Index(&next, c + 1, n_cells - 1),
+                                  NonNeg(&cell.worker_rate), Real(&cell.last)));
     if (ar.reading()) cells_[static_cast<std::size_t>(next)] = cell;
     c = next;
   }

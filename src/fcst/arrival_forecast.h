@@ -10,11 +10,13 @@
 //
 // The estimator is a continuous-time EWMA per cell of the same grid
 // geometry the incremental task index uses (geo::CellGrid mirrors
-// geo::GridIndex's clamped floor cells). On an arrival at time t in cell c:
+// geo::GridIndex's clamped floor cells). On a worker arrival at time t in
+// cell c:
 //
 //     rate[c] <- rate[c] * exp(-(t - last[c]) / tau) + 1 / tau
 //     last[c] <- t
 //
+// A task arrival decays rate[c] to t the same way and adds nothing.
 // and a query at time `now` reads rate[c] * exp(-(now - last[c]) / tau).
 // For a stationary Poisson process of intensity lambda the expectation of
 // this estimate converges to lambda (each event contributes 1/tau and
@@ -27,10 +29,6 @@
 // svc::kForecastHorizon) and reads WorkerRate to position its flushes.
 // Schedulers never see the forecast, so it cannot change what a flush
 // commits, only when the flush happens.
-//
-// The same per-cell rates are the occupancy signal the planned 2-D shard
-// rebalancer consumes (ROADMAP: adaptive 2-D sharding): CellRates exposes
-// the full decayed rate surface.
 
 #ifndef LTC_FCST_ARRIVAL_FORECAST_H_
 #define LTC_FCST_ARRIVAL_FORECAST_H_
@@ -45,13 +43,6 @@
 
 namespace ltc {
 namespace fcst {
-
-/// One cell's decayed rates (CellRateEstimator::CellRates).
-struct CellRate {
-  std::int64_t cell = 0;
-  double worker_rate = 0.0;
-  double task_rate = 0.0;
-};
 
 /// \brief Per-grid-cell EWMA arrival-rate estimator.
 ///
@@ -76,7 +67,8 @@ class CellRateEstimator {
   /// non-decreasing per cell (the engine's stream clock guarantees it; a
   /// backwards time is clamped, never amplified).
   void OnWorkerArrival(const geo::Point& p, double t);
-  /// O(1): records one task arrival at `p`, time `t`.
+  /// O(1): records one task arrival at `p`, time `t`: it decays the cell's
+  /// worker rate to `t` and counts as an event.
   void OnTaskArrival(const geo::Point& p, double t);
 
   /// Estimated worker-arrival rate (events per stream-time unit) in the
@@ -84,14 +76,6 @@ class CellRateEstimator {
   /// never-touched cell. Queries are const and safe concurrently with each
   /// other (not with updates).
   double WorkerRate(const geo::Point& p, double now) const;
-  /// Estimated task-arrival rate in the cell containing `p`, decayed to
-  /// `now`.
-  double TaskRate(const geo::Point& p, double now) const;
-
-  /// The decayed rate surface at `now` — every cell that ever saw an
-  /// arrival, ascending by cell index. The occupancy signal for the shard
-  /// rebalancer.
-  void CellRates(double now, std::vector<CellRate>* out) const;
 
   /// Arrivals recorded since construction (workers + tasks).
   std::int64_t events() const { return events_; }
@@ -99,7 +83,7 @@ class CellRateEstimator {
   double horizon() const { return config_.horizon; }
 
   /// Snapshot records: a "fcst <cells> <horizon> <events> <touched>"
-  /// header, one "fc <cell> <worker_rate> <task_rate> <last>" record per
+  /// header, one "fc <cell> <worker_rate> <last>" record per
   /// touched cell (ascending cell index), and an "endfcst" trailer. Doubles
   /// are exact (common/state_archive.h), so a restore is bit-exact and a
   /// restarted service forecasts — and therefore flushes — identically
@@ -110,7 +94,6 @@ class CellRateEstimator {
  private:
   struct Cell {
     double worker_rate = 0.0;
-    double task_rate = 0.0;
     double last = 0.0;
     bool touched = false;
   };

@@ -78,8 +78,12 @@ Status GridIndex::Insert(std::int64_t id, const Point& p) {
   if (!dynamic_) {
     return Status::FailedPrecondition("Insert on a static GridIndex");
   }
-  if (id < 0) return Status::InvalidArgument("GridIndex ids must be >= 0");
-  const auto slot = static_cast<std::size_t>(id);
+  if (id < id_base_) {
+    return Status::InvalidArgument(
+        StrFormat("GridIndex ids must be >= %lld",
+                  static_cast<long long>(id_base_)));
+  }
+  const auto slot = static_cast<std::size_t>(id - id_base_);
   if (slot < cell_of_.size() && cell_of_[slot] >= 0) {
     return Status::InvalidArgument(
         StrFormat("GridIndex::Insert: id %lld already present",
@@ -106,7 +110,7 @@ Status GridIndex::Remove(std::int64_t id) {
     return Status::NotFound(StrFormat("GridIndex::Remove: id %lld not present",
                                       static_cast<long long>(id)));
   }
-  const auto slot = static_cast<std::size_t>(id);
+  const auto slot = static_cast<std::size_t>(id - id_base_);
   auto& bucket = buckets_[static_cast<std::size_t>(cell_of_[slot])];
   bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), id));
   cell_of_[slot] = -1;
@@ -123,7 +127,7 @@ Status GridIndex::Relocate(std::int64_t id, const Point& p) {
         StrFormat("GridIndex::Relocate: id %lld not present",
                   static_cast<long long>(id)));
   }
-  const auto slot = static_cast<std::size_t>(id);
+  const auto slot = static_cast<std::size_t>(id - id_base_);
   const std::int64_t from = cell_of_[slot];
   const std::int64_t to = FlatCellOf(p);
   points_[slot] = p;
@@ -134,6 +138,28 @@ Status GridIndex::Relocate(std::int64_t id, const Point& p) {
   new_bucket.insert(
       std::lower_bound(new_bucket.begin(), new_bucket.end(), id), id);
   cell_of_[slot] = to;
+  return Status::OK();
+}
+
+Status GridIndex::RetireIdsBefore(std::int64_t id) {
+  if (!dynamic_) {
+    return Status::FailedPrecondition("RetireIdsBefore on a static GridIndex");
+  }
+  if (id <= id_base_) return Status::OK();
+  const auto drop = std::min(static_cast<std::size_t>(id - id_base_),
+                             cell_of_.size());
+  for (std::size_t slot = 0; slot < drop; ++slot) {
+    if (cell_of_[slot] >= 0) {
+      return Status::FailedPrecondition(StrFormat(
+          "GridIndex::RetireIdsBefore(%lld): id %lld is present",
+          static_cast<long long>(id),
+          static_cast<long long>(id_base_ + static_cast<std::int64_t>(slot))));
+    }
+  }
+  const auto end = static_cast<std::ptrdiff_t>(drop);
+  cell_of_.erase(cell_of_.begin(), cell_of_.begin() + end);
+  points_.erase(points_.begin(), points_.begin() + end);
+  id_base_ = id;
   return Status::OK();
 }
 
@@ -191,8 +217,7 @@ std::int64_t GridIndex::Nearest(const Point& center) const {
           continue;
         ForEachInCell(static_cast<std::size_t>(cy * cells_x_ + cx),
                       [&](std::int64_t id) {
-                        const double d2 = SquaredDistance(
-                            points_[static_cast<std::size_t>(id)], center);
+                        const double d2 = SquaredDistance(point(id), center);
                         // best < 0 admits the first point even when every
                         // squared distance overflows to inf (a 1e300 query).
                         if (best < 0 || d2 < best_d2 ||

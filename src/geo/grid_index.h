@@ -17,7 +17,9 @@
 //   tests/geo_dynamic_test.cc). Points outside the construction bounds are
 //   accepted: they clamp into the boundary cells, and the query window
 //   clamps the same way, so correctness is unaffected — only boundary-cell
-//   occupancy grows.
+//   occupancy grows. Per-id slots cover a window of ids: RetireIdsBefore
+//   drops the slots of absent ids below a floor, so a caller whose ids grow
+//   forever (a service's task ids) keeps slots only for its recent ones.
 
 #ifndef LTC_GEO_GRID_INDEX_H_
 #define LTC_GEO_GRID_INDEX_H_
@@ -56,8 +58,8 @@ class GridIndex {
   /// True for BuildDynamic-built indices (the only ones accepting mutation).
   bool dynamic() const { return dynamic_; }
 
-  /// Inserts `id` at `p`. The id must be non-negative and not present.
-  /// Dynamic mode only.
+  /// Inserts `id` at `p`. The id must be at least the retirement floor
+  /// (0 until RetireIdsBefore) and not present. Dynamic mode only.
   Status Insert(std::int64_t id, const Point& p);
 
   /// Removes a present `id`. Dynamic mode only.
@@ -67,11 +69,18 @@ class GridIndex {
   /// O(1) bucket work when the point stays in its cell). Dynamic mode only.
   Status Relocate(std::int64_t id, const Point& p);
 
+  /// Drops the slots of every id below `id`, none of which may be present
+  /// (FailedPrecondition otherwise), and raises the floor to `id`; a no-op
+  /// at or below the floor. O(slots dropped + slots kept). Dynamic mode
+  /// only.
+  Status RetireIdsBefore(std::int64_t id);
+
   /// True iff `id` is currently in the index.
   bool Contains(std::int64_t id) const {
-    return dynamic_ ? id >= 0 &&
-                          static_cast<std::size_t>(id) < cell_of_.size() &&
-                          cell_of_[static_cast<std::size_t>(id)] >= 0
+    const std::int64_t slot = id - id_base_;
+    return dynamic_ ? slot >= 0 &&
+                          static_cast<std::size_t>(slot) < cell_of_.size() &&
+                          cell_of_[static_cast<std::size_t>(slot)] >= 0
                     : id >= 0 && static_cast<std::size_t>(id) < points_.size();
   }
 
@@ -109,9 +118,7 @@ class GridIndex {
       for (std::int64_t cx = lo_x; cx <= hi_x; ++cx) {
         ForEachInCell(static_cast<std::size_t>(cy * cells_x_ + cx),
                       [&](std::int64_t id) {
-                        if (SquaredDistance(
-                                points_[static_cast<std::size_t>(id)],
-                                center) <= r2) {
+                        if (SquaredDistance(point(id), center) <= r2) {
                           fn(id);
                         }
                       });
@@ -126,7 +133,7 @@ class GridIndex {
   /// Number of live points.
   std::size_t size() const { return count_; }
   const Point& point(std::int64_t id) const {
-    return points_[static_cast<std::size_t>(id)];
+    return points_[static_cast<std::size_t>(id - id_base_)];
   }
 
  private:
@@ -151,7 +158,10 @@ class GridIndex {
   }
 
   bool dynamic_ = false;
-  std::vector<Point> points_;  // indexed by id (dynamic: may contain holes)
+  // points_[id - id_base_] (dynamic: may contain holes). id_base_ is the
+  // retirement floor, always 0 in static mode.
+  std::vector<Point> points_;
+  std::int64_t id_base_ = 0;
   Rect bounds_;
   double cell_size_ = 1.0;
   std::int64_t cells_x_ = 0;
@@ -162,7 +172,7 @@ class GridIndex {
   std::vector<std::int64_t> cell_start_;
   std::vector<std::int64_t> ids_;
   // Dynamic layout: buckets_[c] holds the ids of cell c, ascending;
-  // cell_of_[id] is the flat cell holding id, or -1 when absent.
+  // cell_of_[id - id_base_] is the flat cell holding id, or -1 when absent.
   std::vector<std::vector<std::int64_t>> buckets_;
   std::vector<std::int64_t> cell_of_;
 };

@@ -162,23 +162,5 @@ std::string SerializeArrangement(const model::Arrangement& arrangement) {
   return out;
 }
 
-StatusOr<model::Arrangement> ParseArrangement(
-    const model::ProblemInstance& instance, const std::string& text) {
-  LineScanner scan(text, "ltc-arrangement");
-  LTC_RETURN_IF_ERROR(scan.Header("# ltc-arrangement v1"));
-  model::Arrangement arrangement(instance.num_tasks(), instance.Delta());
-  while (scan.NextRecord()) {
-    model::WorkerIndex w = 0;
-    model::TaskId t = 0;
-    LTC_RETURN_IF_ERROR(scan.Expect("a"));
-    LTC_RETURN_IF_ERROR(scan.Int(&w, 1, instance.num_workers()));
-    LTC_RETURN_IF_ERROR(scan.Int(&t, 0, instance.num_tasks() - 1));
-    LTC_RETURN_IF_ERROR(scan.EndLine());
-    arrangement.Add(w, t, instance.AccStar(w, t));
-  }
-  LTC_RETURN_IF_ERROR(scan.Finish());
-  return arrangement;
-}
-
 }  // namespace io
 }  // namespace ltc

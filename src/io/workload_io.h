@@ -60,14 +60,9 @@ Status SaveInstance(const model::ProblemInstance& instance,
 /// Reads a file saved with SaveInstance.
 StatusOr<model::ProblemInstance> LoadInstance(const std::string& path);
 
-/// Serialises an arrangement as "a <worker> <task>" lines (Acc* values are
-/// recomputed from the instance on load).
+/// Serialises an arrangement as "a <worker> <task>" lines, one per listed
+/// assignment in commit order (ltc_run --save_arrangement; write-only).
 std::string SerializeArrangement(const model::Arrangement& arrangement);
-
-/// Parses an arrangement against its instance; validates ids and recomputes
-/// Acc* contributions.
-StatusOr<model::Arrangement> ParseArrangement(
-    const model::ProblemInstance& instance, const std::string& text);
 
 /// Whole-file reads and writes (common/file_util.h).
 using ::ltc::ReadFile;

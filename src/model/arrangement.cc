@@ -10,15 +10,18 @@
 namespace ltc {
 namespace model {
 
-Arrangement::Arrangement(std::int64_t num_tasks, double delta)
+Arrangement::Arrangement(std::int64_t num_tasks, double delta,
+                         TaskId first_task)
     : num_tasks_(num_tasks),
       delta_(delta),
-      accumulated_(static_cast<std::size_t>(num_tasks), 0.0) {
+      accumulated_(static_cast<std::size_t>(num_tasks - first_task), 0.0),
+      task_base_(first_task),
+      completed_tasks_(first_task) {
   if (delta_ <= kQualityTol) completed_tasks_ = num_tasks_;
 }
 
 void Arrangement::Add(WorkerIndex worker, TaskId task, double acc_star) {
-  const auto t = static_cast<std::size_t>(task);
+  const auto t = static_cast<std::size_t>(task - task_base_);
   const bool was_completed = ReachedDelta(accumulated_[t], delta_);
   accumulated_[t] += acc_star;
   if (!was_completed && ReachedDelta(accumulated_[t], delta_)) {
@@ -47,11 +50,7 @@ TaskId Arrangement::AddTask() {
 }
 
 double Arrangement::Remaining(TaskId t) const {
-  return std::max(0.0, delta_ - accumulated_[static_cast<std::size_t>(t)]);
-}
-
-bool Arrangement::TaskCompleted(TaskId t) const {
-  return ReachedDelta(accumulated_[static_cast<std::size_t>(t)], delta_);
+  return std::max(0.0, delta_ - accumulated(t));
 }
 
 std::int32_t Arrangement::Load(WorkerIndex worker) const {
@@ -72,6 +71,14 @@ void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
       assignments_.end());
 }
 
+void Arrangement::RetireTasksBefore(TaskId task) {
+  if (task <= task_base_) return;
+  accumulated_.erase(
+      accumulated_.begin(),
+      accumulated_.begin() + static_cast<std::ptrdiff_t>(task - task_base_));
+  task_base_ = task;
+}
+
 Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
                               WorkerIndex last) {
   if (ar.writing() && !assignments_.empty()) {
@@ -86,9 +93,11 @@ Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
     LTC_RETURN_IF_ERROR(ar.Record("s", NonNeg(&s)));
   }
   if (ar.reading()) {
-    completed_tasks_ = std::count_if(
-        accumulated_.begin(), accumulated_.end(),
-        [this](double s) { return ReachedDelta(s, delta_); });
+    completed_tasks_ =
+        task_base_ + std::count_if(accumulated_.begin(), accumulated_.end(),
+                                   [this](double s) {
+                                     return ReachedDelta(s, delta_);
+                                   });
     RetireWorkersBefore(first);
   }
   return Status::OK();
@@ -106,9 +115,10 @@ Status CheckAssignment(const ProblemInstance& instance, const Assignment& a,
         StrFormat("assignment references worker %d outside %d..%d", a.worker,
                   instance.worker_offset + 1, instance.last_worker()));
   }
-  if (a.task < 0 || a.task >= instance.num_tasks()) {
+  if (!instance.task_resident(a.task)) {
     return Status::OutOfRange(
-        StrFormat("assignment references task %d outside 0..%lld", a.task,
+        StrFormat("assignment references task %d outside %d..%lld", a.task,
+                  instance.task_offset,
                   static_cast<long long>(instance.num_tasks() - 1)));
   }
   if (!instance.Eligible(a.worker, a.task)) {
@@ -159,11 +169,12 @@ Status ValidateArrangement(const ProblemInstance& instance,
   }
 
   for (std::size_t t = 0; t < recomputed.size(); ++t) {
-    if (!AlmostEqual(recomputed[t], arrangement.accumulated()[t], 1e-6)) {
+    const double tracked = arrangement.accumulated(static_cast<TaskId>(t));
+    if (!AlmostEqual(recomputed[t], tracked, 1e-6)) {
       return Status::Internal(
           StrFormat("task %zu accumulator drifted: recomputed %.9f vs "
                     "tracked %.9f",
-                    t, recomputed[t], arrangement.accumulated()[t]));
+                    t, recomputed[t], tracked));
     }
     if (require_completion && !ReachedDelta(recomputed[t], delta)) {
       return Status::FailedPrecondition(

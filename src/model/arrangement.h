@@ -1,8 +1,9 @@
 // The task-worker arrangement M (paper Definition 6) with incremental
-// bookkeeping: per-task accumulated Acc* (the S array of Algorithms 1-3),
-// per-worker load and assignment list over a window of workers still being
-// decided, completion tracking, and constraint validation of a whole
-// arrangement or of one streaming commit round.
+// bookkeeping: per-task accumulated Acc* (the S array of Algorithms 1-3)
+// over a window of tasks not yet retired, per-worker load and assignment
+// list over a window of workers still being decided, completion tracking,
+// and constraint validation of a whole arrangement or of one streaming
+// commit round.
 
 #ifndef LTC_MODEL_ARRANGEMENT_H_
 #define LTC_MODEL_ARRANGEMENT_H_
@@ -12,6 +13,7 @@
 
 #include "common/status.h"
 #include "model/problem.h"
+#include "model/quality.h"
 #include "model/task.h"
 #include "model/worker.h"
 
@@ -33,14 +35,16 @@ struct Assignment {
 /// Assignments are append-only (the paper's invariable constraint: an
 /// assignment can never be revoked). Completion is tracked against the delta
 /// fixed at construction. Offline, the assignment list holds every
-/// assignment; a streaming driver retires decided workers, and with them
-/// their entries (RetireWorkersBefore), while S, the counters and the
-/// objective keep counting them.
+/// assignment and S every task; a streaming pipeline retires decided
+/// workers, and with them their entries (RetireWorkersBefore), and closed
+/// tasks, and with them their S (RetireTasksBefore), while the counters and
+/// the objective keep counting them.
 class Arrangement {
  public:
-  /// num_tasks tasks, all starting at accumulated Acc* = 0; delta is the
+  /// num_tasks tasks; those from `first_task` on start at accumulated
+  /// Acc* = 0, and those below it are retired (completed). delta is the
   /// completion threshold 2 ln(1/eps).
-  Arrangement(std::int64_t num_tasks, double delta);
+  Arrangement(std::int64_t num_tasks, double delta, TaskId first_task = 0);
 
   /// Records that `worker` performs `task` contributing `acc_star`.
   /// Invariable: there is deliberately no removal API.
@@ -51,22 +55,27 @@ class Arrangement {
   /// arrival events come in. Returns the new task's id.
   TaskId AddTask();
 
-  /// Accumulated Acc* of a task (S[t] in the paper's pseudocode).
+  /// Accumulated Acc* of resident task `t` (S[t] in the paper's
+  /// pseudocode).
   double accumulated(TaskId t) const {
-    return accumulated_[static_cast<std::size_t>(t)];
+    return accumulated_[static_cast<std::size_t>(t - task_base_)];
   }
-  const std::vector<double>& accumulated() const { return accumulated_; }
 
-  /// Remaining demand max(0, delta - S[t]).
+  /// Remaining demand max(0, delta - S[t]) of resident task `t`.
   double Remaining(TaskId t) const;
 
-  /// True once S[t] >= delta (with tolerance).
-  bool TaskCompleted(TaskId t) const;
+  /// True once resident task `t` has S[t] >= delta (with tolerance).
+  bool TaskCompleted(TaskId t) const {
+    return ReachedDelta(accumulated(t), delta_);
+  }
 
   /// True once every task reached delta. O(1).
   bool AllCompleted() const { return completed_tasks_ == num_tasks_; }
 
+  /// Every task ever added, retired ones included.
   std::int64_t num_tasks() const { return num_tasks_; }
+  /// The oldest task whose S is held (0 unless tasks were retired).
+  TaskId first_task() const { return task_base_; }
   std::int64_t completed_tasks() const { return completed_tasks_; }
   double delta() const { return delta_; }
 
@@ -90,6 +99,12 @@ class Arrangement {
   /// records no load.
   void RetireWorkersBefore(WorkerIndex worker);
 
+  /// Drops S of every task older than `task` (id < task), which must all be
+  /// completed: a streaming pipeline retires a closed task once no algorithm
+  /// reads it again (model::ProblemInstance::RetireTasksBefore). The
+  /// completed count keeps counting them.
+  void RetireTasksBefore(TaskId task);
+
   /// The latency objective: max arrival index over all assignments
   /// (0 when empty).
   WorkerIndex MaxWorkerIndex() const { return max_worker_index_; }
@@ -103,19 +118,22 @@ class Arrangement {
 
   /// Snapshot records (DESIGN.md §11): "arr <workers_used>
   /// <max_worker_index> <total_acc_star>" (both counts at most `last`, the
-  /// newest resident worker), then one "s <S[t]>" per task. S is stored,
-  /// not recomputed: its sums are order-dependent and a task may have moved
-  /// since. Writing needs an empty list: a streaming driver retires every
-  /// committed worker before a snapshot, since a pipeline decides its
-  /// workers in arrival order (FailedPrecondition otherwise). Reading needs
-  /// an arrangement fresh over the same task count and starts its load
-  /// window, empty, at `first`, the oldest resident worker.
+  /// newest resident worker), then one "s <S[t]>" per resident task. S is
+  /// stored, not recomputed: its sums are order-dependent and a task may
+  /// have moved since. Writing needs an empty list: a streaming pipeline
+  /// retires every committed worker before a snapshot, since a pipeline
+  /// decides its workers in arrival order (FailedPrecondition otherwise).
+  /// Reading needs an arrangement fresh over the same task window and
+  /// starts its load window, empty, at `first`, the oldest resident
+  /// worker.
   Status Serialize(StateArchive& ar, WorkerIndex first, WorkerIndex last);
 
  private:
   std::int64_t num_tasks_;
   double delta_;
+  // accumulated_[t - task_base_]: S over the resident tasks.
   std::vector<double> accumulated_;
+  TaskId task_base_ = 0;
   std::vector<Assignment> assignments_;
   // load_[w - load_base_]: the load window, from the oldest worker not
   // retired to the newest one assigned.
@@ -143,10 +161,10 @@ Status ValidateArrangement(const ProblemInstance& instance,
 
 /// \brief Checks one streaming commit round: `arrangement`'s assignments
 /// from index `first` on, recorded by a scheduler that has just committed
-/// them, while every worker they name must still be resident in `instance`
-/// (ProblemInstance::resident). Per assignment it runs ValidateArrangement's
-/// checks — worker and task in range, Acc >= acc_min, recorded Acc* equal to
-/// the model's — and per worker the capacity K and no duplicate (worker,
+/// them, while every worker and task they name must still be resident in
+/// `instance` (ProblemInstance::resident, task_resident). Per assignment it
+/// runs ValidateArrangement's checks — worker and task in range, Acc >=
+/// acc_min, recorded Acc* equal to the model's — and per worker the capacity K and no duplicate (worker,
 /// task) pair. Those two hold across rounds because an online worker is
 /// decided once (Definition 7): a worker's arrangement Load must equal its
 /// commitments in this round. Returns OK or the first violation found.

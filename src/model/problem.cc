@@ -19,6 +19,13 @@ void ProblemInstance::RetireWorkersBefore(WorkerIndex w) {
   worker_offset = w - 1;
 }
 
+void ProblemInstance::RetireTasksBefore(TaskId t) {
+  if (t <= task_offset) return;
+  tasks.erase(tasks.begin(),
+              tasks.begin() + static_cast<std::ptrdiff_t>(t - task_offset));
+  task_offset = t;
+}
+
 Status ProblemInstance::Validate() const {
   if (accuracy == nullptr) {
     return Status::InvalidArgument("instance has no accuracy function");
@@ -38,10 +45,15 @@ Status ProblemInstance::Validate() const {
   if (tasks.empty()) {
     return Status::InvalidArgument("instance has no tasks");
   }
+  if (task_offset < 0) {
+    return Status::InvalidArgument(
+        StrFormat("task_offset must be >= 0, got %d", task_offset));
+  }
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].id != static_cast<TaskId>(i)) {
+    if (tasks[i].id != task_offset + static_cast<TaskId>(i)) {
       return Status::InvalidArgument(
-          StrFormat("task ids must be dense 0..|T|-1; tasks[%zu].id = %d", i,
+          StrFormat("task ids must be dense %d..%lld; tasks[%zu].id = %d",
+                    task_offset, static_cast<long long>(num_tasks() - 1), i,
                     tasks[i].id));
     }
   }

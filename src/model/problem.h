@@ -3,8 +3,10 @@
 // Definitions 6-7). Offline algorithms see the whole instance; online
 // algorithms must only look at workers[0..i] when deciding for worker i
 // (enforced structurally by the simulation engine in src/sim). A streaming
-// instance (svc::StreamPipeline) holds only a window of the arrival stream:
-// workers decided for good are retired from its front (worker_offset).
+// instance (svc::StreamPipeline) holds only a window of the arrival stream
+// and of its tasks: workers decided for good are retired from the front
+// (worker_offset), and so are closed tasks no algorithm reads again
+// (task_offset).
 
 #ifndef LTC_MODEL_PROBLEM_H_
 #define LTC_MODEL_PROBLEM_H_
@@ -29,7 +31,12 @@ inline constexpr double kDefaultAccMin = 0.66;
 
 /// \brief An immutable LTC problem instance.
 struct ProblemInstance {
+  /// Tasks, or their resident window; tasks[i].id must equal
+  /// task_offset + i.
   std::vector<Task> tasks;
+  /// Tasks retired from the front (RetireTasksBefore). Always 0 in an
+  /// offline instance.
+  TaskId task_offset = 0;
   /// Arrival stream, or its resident window; workers[i].index must equal
   /// worker_offset + i + 1.
   std::vector<Worker> workers;
@@ -45,8 +52,21 @@ struct ProblemInstance {
   /// Predicted accuracy model (shared; never null in a valid instance).
   std::shared_ptr<const AccuracyFunction> accuracy;
 
+  /// Every task ever admitted (retired ones count), so ids stay stable.
   std::int64_t num_tasks() const {
-    return static_cast<std::int64_t>(tasks.size());
+    return static_cast<std::int64_t>(task_offset) +
+           static_cast<std::int64_t>(tasks.size());
+  }
+  /// True while task `t`'s record is held (arrived, not retired).
+  bool task_resident(TaskId t) const {
+    return t >= task_offset && t < num_tasks();
+  }
+  /// The record of resident task `t` (precondition: task_resident(t)).
+  const Task& task(TaskId t) const {
+    return tasks[static_cast<std::size_t>(t - task_offset)];
+  }
+  Task& task(TaskId t) {
+    return tasks[static_cast<std::size_t>(t - task_offset)];
   }
   /// Resident workers (the whole stream unless some were retired).
   std::int64_t num_workers() const {
@@ -65,21 +85,29 @@ struct ProblemInstance {
   const Worker& worker(WorkerIndex w) const {
     return workers[static_cast<std::size_t>(w - worker_offset - 1)];
   }
+  Worker& worker(WorkerIndex w) {
+    return workers[static_cast<std::size_t>(w - worker_offset - 1)];
+  }
 
   /// Drops every worker older than `w` (index < w) and advances
   /// worker_offset past them; a no-op for workers already retired.
   /// Precondition: w <= last_worker() + 1.
   void RetireWorkersBefore(WorkerIndex w);
+  /// Drops every task older than `t` (id < t) and advances task_offset past
+  /// them; a no-op for tasks already retired. Precondition:
+  /// t <= num_tasks().
+  void RetireTasksBefore(TaskId t);
 
   /// delta = 2 ln(1/epsilon). Precondition: a Validate()d instance.
   double Delta() const;
 
-  /// Predicted accuracy / Hoeffding contribution of a pair (resident `w`).
+  /// Predicted accuracy / Hoeffding contribution of a pair (resident `w`
+  /// and `t`).
   double Acc(WorkerIndex w, TaskId t) const {
-    return accuracy->Acc(worker(w), tasks[static_cast<std::size_t>(t)]);
+    return accuracy->Acc(worker(w), task(t));
   }
   double AccStar(WorkerIndex w, TaskId t) const {
-    return accuracy->AccStar(worker(w), tasks[static_cast<std::size_t>(t)]);
+    return accuracy->AccStar(worker(w), task(t));
   }
 
   /// (w, t) may be assigned iff predicted accuracy reaches acc_min.
@@ -87,8 +115,8 @@ struct ProblemInstance {
     return Acc(w, t) >= acc_min;
   }
 
-  /// Structural validation: ids dense, indices sequential from
-  /// worker_offset + 1, parameters in range, accuracy model present.
+  /// Structural validation: ids dense from task_offset, indices sequential
+  /// from worker_offset + 1, parameters in range, accuracy model present.
   Status Validate() const;
 
   /// One-line description for logs ("|T|=1000 |W|=40000 K=6 eps=0.1 ...").

@@ -114,12 +114,13 @@ Status ShardedStreamEngine::Serialize(StateArchive& ar) {
   }
   task_route_.resize(static_cast<std::size_t>(tasks));  // no-op writing
   task_open_.resize(task_route_.size());
+  task_arrival_.resize(task_route_.size());
   for (std::size_t t = 0; t < task_route_.size(); ++t) {
     LTC_RETURN_IF_ERROR(ar.Record(
         "r", Index(&task_route_[t].shard, 0, shards - 1),
         Index(&task_route_[t].local, 0,
               std::numeric_limits<model::TaskId>::max()),
-        Bit(&task_open_[t])));
+        Bit(&task_open_[t]), Real(&task_arrival_[t])));
   }
 
   // Hash-map state in sorted key order (snapshot bytes must not depend on
@@ -177,34 +178,48 @@ Status ShardedStreamEngine::Serialize(StateArchive& ar) {
     }
   }
 
-  // Reading, the router and the pipelines must describe the same tasks:
-  // each pipeline task's global id names a distinct router entry that
-  // routes back to it with the same open flag, and every entry is covered
-  // (MergePending and RouteWorker index the router tables by these ids).
-  std::vector<char> seen(ar.reading() ? task_route_.size() : 0, 0);
-  std::size_t covered = 0;
+  // Completion latency samples (metrics parity across restarts, not
+  // schedule inputs); assignment latencies are derived at Finish.
+  n = static_cast<std::int64_t>(completion_samples_.size());
+  LTC_RETURN_IF_ERROR(ar.Record("plat_c", Count(&n)));
+  completion_samples_.resize(static_cast<std::size_t>(n));
+  for (double& v : completion_samples_) {
+    LTC_RETURN_IF_ERROR(ar.Record("l", Real(&v)));
+  }
+
   for (int s = 0; s < num_shards(); ++s) {
     int shard = s;
     LTC_RETURN_IF_ERROR(ar.Record("pipeline", Index(&shard, s, s)));
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
-    LTC_RETURN_IF_ERROR(p.Serialize(ar));
-    for (model::TaskId local = 0;
-         ar.reading() && local < p.instance().num_tasks(); ++local) {
-      const model::TaskId g = p.task_global(local);
-      const auto gi = static_cast<std::size_t>(g);
-      if (g < 0 || gi >= seen.size() || seen[gi] ||
-          task_route_[gi].shard != s || task_route_[gi].local != local ||
-          (task_open_[gi] != 0) != p.task_open(local)) {
-        return Status::OutOfRange(StrFormat(
-            "snapshot: pipeline %d task %d (global %d) disagrees with the "
-            "router", s, local, g));
-      }
-      seen[gi] = 1;
-      ++covered;
+    LTC_RETURN_IF_ERROR(pipelines_[static_cast<std::size_t>(s)]->Serialize(ar));
+  }
+  if (ar.writing()) return Status::OK();
+  // Reading, the router and the pipelines must describe the same tasks
+  // (MergePending, HandleTaskMove and RouteWorker index the router tables
+  // by these ids): in global order each shard's entries name its local ids
+  // 0, 1, 2, ... up to its task count; an entry below the shard's retired
+  // count is closed, and any other routes back from the pipeline's global
+  // id with the same open flag.
+  std::vector<model::TaskId> next_local(pipelines_.size(), 0);
+  for (std::size_t g = 0; g < task_route_.size(); ++g) {
+    const TaskRoute route = task_route_[g];
+    const StreamPipeline& p =
+        *pipelines_[static_cast<std::size_t>(route.shard)];
+    const model::TaskId local =
+        next_local[static_cast<std::size_t>(route.shard)]++;
+    if (route.local != local || local >= p.instance().num_tasks() ||
+        (p.instance().task_resident(local) &&
+         p.task_global(local) != static_cast<model::TaskId>(g)) ||
+        (task_open_[g] != 0) != p.task_open(local)) {
+      return Status::OutOfRange(StrFormat(
+          "snapshot: router task %zu (shard %d, local %d) disagrees with the "
+          "pipeline", g, route.shard, route.local));
     }
   }
-  if (covered != seen.size()) {
-    return Status::OutOfRange("snapshot: router tasks no pipeline holds");
+  for (int s = 0; s < num_shards(); ++s) {
+    if (next_local[static_cast<std::size_t>(s)] !=
+        pipelines_[static_cast<std::size_t>(s)]->instance().num_tasks()) {
+      return Status::OutOfRange("snapshot: pipeline tasks the router lacks");
+    }
   }
   return Status::OK();
 }
@@ -241,6 +256,7 @@ Status ShardedStreamEngine::HandleTaskArrival(const io::Event& event) {
                                                            event.location));
   task_route_.push_back(TaskRoute{shard, local});
   task_open_.push_back(1);
+  task_arrival_.push_back(event.time);
   ++metrics_.task_events;
   return Status::OK();
 }
@@ -463,12 +479,12 @@ Status ShardedStreamEngine::RunRound() {
   // Phase 4 — merge, sequential in the same key order: one deterministic
   // global log, closure bookkeeping for the router.
   for (const DueFlush& f : due) {
-    MergePending(pipelines_[static_cast<std::size_t>(f.shard)].get());
+    MergePending(pipelines_[static_cast<std::size_t>(f.shard)].get(), f.time);
   }
   return Status::OK();
 }
 
-void ShardedStreamEngine::MergePending(StreamPipeline* p) {
+void ShardedStreamEngine::MergePending(StreamPipeline* p, double time) {
   for (const StreamAssignment& a : p->pending_assignments()) {
     assignments_.push_back(a);
     max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
@@ -476,7 +492,9 @@ void ShardedStreamEngine::MergePending(StreamPipeline* p) {
   }
   p->pending_assignments().clear();
   for (const model::TaskId task : p->pending_closed()) {
-    task_open_[static_cast<std::size_t>(task)] = 0;
+    const auto g = static_cast<std::size_t>(task);
+    task_open_[g] = 0;
+    completion_samples_.push_back(time - task_arrival_[g]);
     displaced_.erase(task);
   }
   p->pending_closed().clear();
@@ -504,7 +522,7 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   // global log, merged exactly like a round's phase 4.
   for (const auto& pipeline : pipelines_) {
     LTC_RETURN_IF_ERROR(pipeline->CommitStreamEnd(end_time, CheckCommits()));
-    MergePending(pipeline.get());
+    MergePending(pipeline.get(), end_time);
   }
   finished_ = true;
 
@@ -518,7 +536,6 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   metrics_.worker_moves = static_cast<std::int64_t>(moves_.size());
   metrics_.last_event_time = last_event_time_;
   metrics_.shards = num_shards();
-  std::vector<double> completion_samples;
   for (const auto& pipeline : pipelines_) {
     metrics_.batches += pipeline->batches();
     metrics_.max_batch_size =
@@ -529,20 +546,16 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
     metrics_.route_travel_time += pipeline->route_travel_time();
     metrics_.quiet_flushes += pipeline->quiet_flushes();
     metrics_.deadline_extensions += pipeline->deadline_extensions();
-    const std::vector<double>& c = pipeline->completion_latency_samples();
-    completion_samples.insert(completion_samples.end(), c.begin(), c.end());
   }
   // An assignment's latency is its commit time minus its task's arrival.
   std::vector<double> assignment_samples;
   assignment_samples.reserve(assignments_.size());
   for (const StreamAssignment& a : assignments_) {
-    const TaskRoute route = task_route_[static_cast<std::size_t>(a.task)];
     assignment_samples.push_back(
-        a.time - pipelines_[static_cast<std::size_t>(route.shard)]
-                     ->task_arrival_time(route.local));
+        a.time - task_arrival_[static_cast<std::size_t>(a.task)]);
   }
   metrics_.assignment_latency = sim::SummarizeLatencies(&assignment_samples);
-  metrics_.completion_latency = sim::SummarizeLatencies(&completion_samples);
+  metrics_.completion_latency = sim::SummarizeLatencies(&completion_samples_);
 
   // Every commit round was checked as it committed (CheckCommits).
   metrics_.validated = CheckCommits() && metrics_.task_events > 0;

@@ -67,11 +67,12 @@ class ShardedStreamEngine {
       const io::EventLog& header, const StreamOptions& options);
 
   /// Serializes the engine's full logical state (DESIGN.md §11): the stream
-  /// clock and event counters, the router tables (task routes and open
-  /// flags, displaced tasks, the claim table — map entries in sorted key
-  /// order so snapshot bytes are deterministic), the merged assignment log
-  /// (restarts re-render the complete log byte-for-byte), and every
-  /// pipeline's records. Only call between events.
+  /// clock and event counters, the router tables (task routes, open flags
+  /// and arrival times, displaced tasks, the claim table — map entries in
+  /// sorted key order so snapshot bytes are deterministic), the merged
+  /// assignment log (restarts re-render the complete log byte-for-byte),
+  /// the completion latency samples, and every pipeline's records. Only
+  /// call between events.
   Status SerializeTo(std::string* out) const;
 
   /// Counterpart of SerializeTo: Creates an engine from the same header
@@ -184,9 +185,10 @@ class ShardedStreamEngine {
   /// gather, sequential claim resolution, parallel per-shard commit,
   /// sequential merge.
   Status RunRound();
-  /// Folds `p`'s pending records into the merged logs and the router's
-  /// open/displaced bookkeeping, then clears them.
-  void MergePending(StreamPipeline* p);
+  /// Folds `p`'s pending records, committed at `time`, into the merged
+  /// logs, the router's open/displaced bookkeeping and the completion
+  /// latency samples, then clears them.
+  void MergePending(StreamPipeline* p, double time);
   /// Whether commit rounds are checked (StreamOptions::validate): on until
   /// the stream's first task move.
   bool CheckCommits() const {
@@ -204,6 +206,7 @@ class ShardedStreamEngine {
   // pipelines' const state while the engine thread is blocked on futures).
   std::vector<TaskRoute> task_route_;  // by global task id
   std::vector<char> task_open_;        // by global task id
+  std::vector<double> task_arrival_;   // by global task id
   std::unordered_map<model::TaskId, Displaced> displaced_;
   std::unordered_map<model::WorkerIndex, Claim> claims_;
   std::vector<char> route_flags_;      // scratch: shard membership per event
@@ -211,6 +214,8 @@ class ShardedStreamEngine {
 
   std::vector<StreamAssignment> assignments_;
   std::vector<WorkerMove> moves_;
+  // Close time minus arrival time, one per closed task, in merge order.
+  std::vector<double> completion_samples_;
   model::WorkerIndex max_assigned_worker_ = 0;
   StreamMetrics metrics_;
   double last_event_time_ = 0.0;

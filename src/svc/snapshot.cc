@@ -21,7 +21,7 @@ namespace svc {
 
 namespace {
 
-constexpr char kSnapshotHeader[] = "# ltc-snapshot v3";
+constexpr char kSnapshotHeader[] = "# ltc-snapshot v4";
 
 std::string SnapshotName(std::int64_t events_applied) {
   return StrFormat("snap-%lld.snap", static_cast<long long>(events_applied));
@@ -150,7 +150,7 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
       continue;
     }
 
-    // Then the v3 header line and the "events_applied <N>" line; the
+    // Then the v4 header line and the "events_applied <N>" line; the
     // payload is everything between that line and the trailer.
     LineScanner scan(std::string_view(body).substr(0, trailer),
                      "ltc-snapshot");

@@ -1,6 +1,6 @@
 // Snapshot persistence for the crash-recoverable service (DESIGN.md §11).
 //
-// A snapshot is a text artifact ("ltc-snapshot v3"): a header naming how
+// A snapshot is a text artifact ("ltc-snapshot v4"): a header naming how
 // many WAL events the captured engine state reflects, the engine's
 // serialized state (sharded_engine.h / stream_engine.h), and a CRC-32
 // trailer over everything before it. Snapshots are written atomically
@@ -38,7 +38,7 @@ class SnapshotStore {
   static StatusOr<SnapshotStore> Open(const std::string& dir);
 
   /// Writes `engine_state` as the snapshot for `events_applied` WAL events:
-  /// frames it with the v3 header and CRC trailer, lands it atomically as
+  /// frames it with the v4 header and CRC trailer, lands it atomically as
   /// snap-<events_applied>.snap, appends it to MANIFEST, and prunes all but
   /// the newest `retain` snapshots. Fault points: "snap.write",
   /// "snap.fsync".

@@ -116,19 +116,24 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
         "pipeline snapshot mid-round: pending records not yet merged");
   }
   constexpr std::int64_t kMaxId = std::numeric_limits<std::int32_t>::max();
-  // Tasks: local ids are the record order (the id assignments below are
-  // no-ops when writing). Current location, not arrival location: moves
-  // already applied.
+  // Tasks: the resident window only — "ptasks <resident> <retired>", then
+  // one "pt" per resident task, whose local id is the retired count + the
+  // record order (the id assignments below are no-ops when writing).
+  // Current location, not arrival location: moves already applied.
+  model::TaskId& retired_tasks = instance_.task_offset;
   auto nt = static_cast<std::int64_t>(instance_.tasks.size());
-  LTC_RETURN_IF_ERROR(ar.Record("ptasks", Count(&nt)));
+  LTC_RETURN_IF_ERROR(
+      ar.Record("ptasks", Count(&nt), Index(&retired_tasks, 0, kMaxId)));
+  if (nt > kMaxId - retired_tasks) {
+    return Status::OutOfRange("snapshot: task ids past int32");
+  }
   instance_.tasks.resize(static_cast<std::size_t>(nt));  // no-op writing
   task_global_.resize(instance_.tasks.size());
-  task_arrival_time_.resize(instance_.tasks.size());
-  for (std::size_t t = 0; t < instance_.tasks.size(); ++t) {
-    model::Task& task = instance_.tasks[t];
-    task.id = static_cast<model::TaskId>(t);
-    LTC_RETURN_IF_ERROR(ar.Record("pt", Index(&task_global_[t], 0, kMaxId),
-                                  Real(&task_arrival_time_[t]),
+  for (model::TaskId id = retired_tasks; id < instance_.num_tasks(); ++id) {
+    model::Task& task = instance_.task(id);
+    task.id = id;
+    LTC_RETURN_IF_ERROR(ar.Record("pt",
+                                  Index(&task_global_[Slot(id)], 0, kMaxId),
                                   Real(&task.location.x),
                                   Real(&task.location.y)));
   }
@@ -144,12 +149,16 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   }
   instance_.workers.resize(static_cast<std::size_t>(nw));
   worker_global_.resize(instance_.workers.size());
-  for (std::size_t i = 0; i < instance_.workers.size(); ++i) {
-    model::Worker& w = instance_.workers[i];
-    w.index = retired + static_cast<model::WorkerIndex>(i + 1);
-    LTC_RETURN_IF_ERROR(ar.Record("pw", Index(&worker_global_[i], 1, kMaxId),
-                                  Real(&w.location.x), Real(&w.location.y),
-                                  Unit(&w.historical_accuracy)));
+  for (model::WorkerIndex w = retired + 1; w <= instance_.last_worker();
+       ++w) {
+    model::Worker& worker = instance_.worker(w);
+    worker.index = w;
+    LTC_RETURN_IF_ERROR(ar.Record(
+        "pw",
+        Index(&worker_global_[static_cast<std::size_t>(w - retired - 1)], 1,
+              kMaxId),
+        Real(&worker.location.x), Real(&worker.location.y),
+        Unit(&worker.historical_accuracy)));
   }
   // The open micro-batch: resident local worker indices in arrival order.
   LTC_RETURN_IF_ERROR(
@@ -158,15 +167,6 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   LTC_RETURN_IF_ERROR(ar.Record("pcounters", NonNeg(&batches_),
                                 NonNeg(&max_batch_size_),
                                 NonNeg(&tasks_completed_)));
-  // Completion latency samples (metrics parity across restarts, not
-  // schedule inputs). Assignment latencies are not stored: Finish derives
-  // them from the engine's assignment log and the task arrival times.
-  auto n_closed = static_cast<std::int64_t>(completion_latency_samples_.size());
-  LTC_RETURN_IF_ERROR(ar.Record("plat_c", Count(&n_closed)));
-  completion_latency_samples_.resize(static_cast<std::size_t>(n_closed));
-  for (double& v : completion_latency_samples_) {
-    LTC_RETURN_IF_ERROR(ar.Record("l", Real(&v)));
-  }
   // Reading, the scheduler restarts over the regrown instance (same shard
   // identity) and reads its records.
   if (ar.reading()) {
@@ -247,12 +247,15 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   // bucket invariant of geo/grid_index.h).
   const model::Arrangement& arr = scheduler_->arrangement();
   open_.assign(instance_.tasks.size(), 0);
-  for (std::size_t t = 0; t < instance_.tasks.size(); ++t) {
-    const auto id = static_cast<model::TaskId>(t);
+  oldest_open_ = retired_tasks;
+  if (grid_.has_value()) {
+    LTC_RETURN_IF_ERROR(grid_->RetireIdsBefore(retired_tasks));
+  }
+  for (model::TaskId id = retired_tasks; id < instance_.num_tasks(); ++id) {
     if (arr.TaskCompleted(id)) continue;
-    open_[t] = 1;
+    open_[Slot(id)] = 1;
     if (grid_.has_value()) {
-      LTC_RETURN_IF_ERROR(grid_->Insert(id, instance_.tasks[t].location));
+      LTC_RETURN_IF_ERROR(grid_->Insert(id, instance_.task(id).location));
     }
   }
   return Status::OK();
@@ -266,7 +269,6 @@ StatusOr<model::TaskId> StreamPipeline::AddTask(model::TaskId global_id,
   task.id = id;
   task.location = location;
   instance_.tasks.push_back(task);
-  task_arrival_time_.push_back(time);
   task_global_.push_back(global_id);
   open_.push_back(1);
   if (grid_.has_value()) {
@@ -284,8 +286,9 @@ Status StreamPipeline::MoveTask(model::TaskId local_id,
     return Status::InvalidArgument(
         StrFormat("move references unknown local task %d", local_id));
   }
-  instance_.tasks[static_cast<std::size_t>(local_id)].location = location;
-  if (open_[static_cast<std::size_t>(local_id)] && grid_.has_value()) {
+  if (local_id < instance_.task_offset) return Status::OK();  // retired
+  instance_.task(local_id).location = location;
+  if (open_[Slot(local_id)] && grid_.has_value()) {
     LTC_RETURN_IF_ERROR(grid_->Relocate(local_id, location));
   }
   return Status::OK();
@@ -383,10 +386,9 @@ void StreamPipeline::GatherSlot(std::size_t i) {
     std::sort(out->begin(), out->end());
     return;
   }
-  for (std::int64_t t = 0; t < instance_.num_tasks(); ++t) {
-    if (open_[static_cast<std::size_t>(t)] &&
-        instance_.Eligible(worker.index, static_cast<model::TaskId>(t))) {
-      out->push_back(static_cast<model::TaskId>(t));
+  for (model::TaskId t = oldest_open_; t < instance_.num_tasks(); ++t) {
+    if (open_[Slot(t)] && instance_.Eligible(worker.index, t)) {
+      out->push_back(t);
     }
   }
 }
@@ -449,10 +451,32 @@ Status StreamPipeline::FinishRound(double time, bool check) {
   const model::WorkerIndex held = scheduler_->OldestHeldWorker();
   if (held > 0) keep = std::min(keep, held);
   const model::WorkerIndex drop = keep - instance_.worker_offset - 1;
-  if (drop <= 0) return Status::OK();
-  worker_global_.erase(worker_global_.begin(), worker_global_.begin() + drop);
-  instance_.RetireWorkersBefore(keep);
-  scheduler_->RetireWorkersBefore(keep);
+  if (drop > 0) {
+    worker_global_.erase(worker_global_.begin(),
+                         worker_global_.begin() + drop);
+    instance_.RetireWorkersBefore(keep);
+    scheduler_->RetireWorkersBefore(keep);
+  }
+  return RetireTasks();
+}
+
+Status StreamPipeline::RetireTasks() {
+  // Tasks never reopen, so the cursor only moves forward: O(1) amortized.
+  while (oldest_open_ < instance_.num_tasks() && !open_[Slot(oldest_open_)]) {
+    ++oldest_open_;
+  }
+  model::TaskId keep = oldest_open_;
+  const model::TaskId held = scheduler_->OldestHeldTask();
+  if (held >= 0) keep = std::min(keep, held);
+  // Compact only once the closed prefix is at least as long as the kept
+  // window: each erase then moves no more slots than it drops.
+  const model::TaskId drop = keep - instance_.task_offset;
+  if (drop <= 0 || drop < instance_.num_tasks() - keep) return Status::OK();
+  open_.erase(open_.begin(), open_.begin() + drop);
+  task_global_.erase(task_global_.begin(), task_global_.begin() + drop);
+  if (grid_.has_value()) LTC_RETURN_IF_ERROR(grid_->RetireIdsBefore(keep));
+  instance_.RetireTasksBefore(keep);
+  scheduler_->RetireTasksBefore(keep);
   return Status::OK();
 }
 
@@ -460,9 +484,8 @@ void StreamPipeline::RecordCommits(
     const std::vector<algo::OnlineScheduler::StreamCommit>& commits,
     double time) {
   for (const auto& commit : commits) {
-    pending_assignments_.push_back(
-        StreamAssignment{time, global_worker(commit.worker),
-                         task_global_[static_cast<std::size_t>(commit.task)]});
+    pending_assignments_.push_back(StreamAssignment{
+        time, global_worker(commit.worker), task_global_[Slot(commit.task)]});
     if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }
@@ -475,21 +498,19 @@ void StreamPipeline::RecordCommits(
   const model::Arrangement& arrangement = scheduler_->arrangement();
   closing_scratch_.clear();
   for (auto it = commits.rbegin(); it != commits.rend(); ++it) {
-    const auto slot = static_cast<std::size_t>(it->task);
+    const std::size_t slot = Slot(it->task);
     if (!open_[slot] || !arrangement.TaskCompleted(it->task)) continue;
     open_[slot] = 0;
     closing_scratch_.push_back(it->task);
   }
   for (auto it = closing_scratch_.rbegin(); it != closing_scratch_.rend();
        ++it) {
-    const auto slot = static_cast<std::size_t>(*it);
     if (grid_.has_value()) {
       // The id is present: it was open until this round.
       const Status removed = grid_->Remove(*it);
       (void)removed;
     }
-    completion_latency_samples_.push_back(time - task_arrival_time_[slot]);
-    pending_closed_.push_back(task_global_[slot]);
+    pending_closed_.push_back(task_global_[Slot(*it)]);
     ++tasks_completed_;
   }
 }
@@ -517,8 +538,7 @@ void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
   const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
   // Stops carry the *global* task id (moves are global records) and the
   // task's location as of commit time.
-  it->second.Insert(metric, task_global_[static_cast<std::size_t>(t)],
-                    instance_.tasks[static_cast<std::size_t>(t)].location);
+  it->second.Insert(metric, task_global_[Slot(t)], instance_.task(t).location);
 }
 
 double StreamPipeline::route_travel_time() const {

@@ -9,7 +9,8 @@
 // service consumes worker/task *arrival events* (io::Event) one at a time,
 // grows each pipeline's ProblemInstance in place — and retires each worker
 // from it once its batch committed and the scheduler holds it no longer,
-// so worker state stays O(open work) (DESIGN.md §8) — maintains an
+// and each task once it closed and nothing still reads it, so worker and
+// task state stay O(open work) (DESIGN.md §8) — maintains an
 // **incremental** spatial index over the open tasks (geo::GridIndex dynamic
 // mode — tasks are Inserted on arrival, Removed on completion, Relocated on
 // "m" events; never rebuilt), and admits workers in micro-batches closed by
@@ -17,9 +18,9 @@
 // the one streaming contract of algo/scheduler.h — one
 // OnBatchWithCandidates call per flush, whatever the scheduler — and one
 // function records the commitments and closes the tasks they completed.
-// Per-assignment latency (commit time minus the assigned task's arrival
-// time) is derived from the assignment log at Finish and feeds
-// sim::RunMetrics.
+// Task arrival times live in the engine's router, which derives the
+// per-assignment latency (commit time minus the assigned task's arrival
+// time) from the assignment log at Finish for sim::RunMetrics.
 //
 // Determinism contract: every schedule-dependent output — the assignment
 // log, per-assignment latencies, completion counts — is a function of
@@ -220,6 +221,14 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 /// retirement (model::ProblemInstance::worker_offset), and routes carry
 /// their worker's global index, so nothing reads a retired record.
 ///
+/// Task lifetime: a task's record (instance().tasks, its global id, open
+/// flag, S and grid slot, the scheduler's per-task state) stays resident
+/// from the oldest open task or the scheduler's oldest held task
+/// (OnlineScheduler::OldestHeldTask), whichever is older, on. Commit rounds
+/// retire the closed prefix below it once that prefix is as long as the
+/// rest, so retirement is amortized O(1) per task. Local task ids keep
+/// counting (model::ProblemInstance::task_offset).
+///
 /// ShardedStreamEngine runs one per shard, side by side. The engine owns
 /// event routing, flush scheduling and the thread pool; the pipeline owns
 /// every id-translated, shard-local piece of state. Not movable once
@@ -254,15 +263,14 @@ class StreamPipeline {
       const io::EventLog& header, const Config& config);
 
   /// The pipeline's full logical state as snapshot records (DESIGN.md
-  /// §11): the grown instance (tasks with arrival times and *current*
-  /// locations, the resident worker window), the open micro-batch,
-  /// counters, completion latency samples, the scheduler's records and,
-  /// per mode,
-  /// routes and forecast. The grid index and open_ are derived state,
-  /// rebuilt after a read. Writing needs empty pending_* buffers (only
-  /// call between events); reading needs a pipeline fresh from Create,
-  /// which then is commitment-for-commitment indistinguishable from one
-  /// that lived through the stream prefix.
+  /// §11): the resident task window (tasks at their *current* locations),
+  /// the resident worker window, the open micro-batch, counters, the
+  /// scheduler's records and, per mode, routes and forecast. The grid
+  /// index and open_ are derived state, rebuilt after a read. Writing
+  /// needs empty pending_* buffers (only call between events); reading
+  /// needs a pipeline fresh from Create, which then is commitment-for-
+  /// commitment indistinguishable from one that lived through the stream
+  /// prefix.
   Status Serialize(StateArchive& ar);
 
   StreamPipeline(const StreamPipeline&) = delete;
@@ -270,10 +278,12 @@ class StreamPipeline {
 
   // --- Stream mutations (engine thread only) ---
 
-  /// Appends the task with global id `global_id`; returns its local id.
+  /// Appends the task with global id `global_id` arriving at `time`;
+  /// returns its local id.
   StatusOr<model::TaskId> AddTask(model::TaskId global_id, double time,
                                   const geo::Point& location);
-  /// Relocates local task `local_id` (grid update only while it is open).
+  /// Relocates local task `local_id` (grid update only while it is open; a
+  /// no-op once it retired, since nothing reads it again).
   Status MoveTask(model::TaskId local_id, const geo::Point& location);
   /// Appends the worker (global arrival index `global_index`) and buffers
   /// it into the open batch. *flush_now reports that the batch must flush
@@ -318,7 +328,8 @@ class StreamPipeline {
   /// order with its gathered slots, to the scheduler's
   /// OnBatchWithCandidates, checks the round when `check` (the engine
   /// passes options.validate until the first task move), records the
-  /// commitments (RecordCommits) and retires the decided workers.
+  /// commitments (RecordCommits) and retires the decided workers and the
+  /// final tasks.
   /// Safe to run concurrently with other pipelines' CommitBatch.
   Status CommitBatch(double flush_time, bool check);
 
@@ -336,7 +347,7 @@ class StreamPipeline {
   std::vector<StreamAssignment>& pending_assignments() {
     return pending_assignments_;
   }
-  /// Global ids of tasks closed by the last CommitBatch.
+  /// Global ids of tasks closed by the last CommitBatch, at its flush time.
   std::vector<model::TaskId>& pending_closed() { return pending_closed_; }
   /// route_workers mode: moves emitted by the last CommitBatch /
   /// CommitStreamEnd (route progress that crossed the flush instant), in
@@ -345,22 +356,20 @@ class StreamPipeline {
 
   // --- Finish-time accessors ---
 
-  /// Every task, and the resident worker window (num_workers() counts
-  /// resident workers; workers_offered() counts them all).
+  /// The resident task and worker windows (num_tasks() counts every task,
+  /// num_workers() resident workers; workers_offered() counts them all).
   const model::ProblemInstance& instance() const { return instance_; }
   /// Workers ever buffered into this pipeline (retired ones included).
   std::int64_t workers_offered() const { return instance_.last_worker(); }
-  /// Global id and open flag of local task `local`.
+  /// Global id of resident local task `local`.
   model::TaskId task_global(model::TaskId local) const {
-    return task_global_[static_cast<std::size_t>(local)];
+    return task_global_[Slot(local)];
   }
+  /// Whether local task `local` is open (false once retired).
   bool task_open(model::TaskId local) const {
-    return open_[static_cast<std::size_t>(local)] != 0;
+    return instance_.task_resident(local) && open_[Slot(local)] != 0;
   }
-  /// Arrival time of local task `local`.
-  double task_arrival_time(model::TaskId local) const {
-    return task_arrival_time_[static_cast<std::size_t>(local)];
-  }
+  const algo::OnlineScheduler& scheduler() const { return *scheduler_; }
   const model::Arrangement& arrangement() const {
     return scheduler_->arrangement();
   }
@@ -382,9 +391,6 @@ class StreamPipeline {
   }
   /// route_workers mode: total metric travel time over all routes.
   double route_travel_time() const;
-  const std::vector<double>& completion_latency_samples() const {
-    return completion_latency_samples_;
-  }
 
  private:
   explicit StreamPipeline(const Config& config) : config_(config) {}
@@ -394,9 +400,18 @@ class StreamPipeline {
     return worker_global_[static_cast<std::size_t>(
         local - instance_.worker_offset - 1)];
   }
+  /// The per-task window slot (open_, task_global_) of resident task `t`.
+  std::size_t Slot(model::TaskId t) const {
+    return static_cast<std::size_t>(t - instance_.task_offset);
+  }
   /// The scheduler-independent tail of a commit round: the optional
-  /// check, RecordCommits, and the retirement of decided workers.
+  /// check, RecordCommits, and the retirement of decided workers and of
+  /// final tasks (RetireTasks).
   Status FinishRound(double time, bool check);
+  /// Advances the oldest-open cursor past closed tasks, and retires every
+  /// task below it and below the scheduler's oldest held task once those
+  /// are at least as many as the tasks kept (amortized compaction).
+  Status RetireTasks();
 
   /// route_workers mode: advances every route to `now`, emitting a
   /// WorkerMove per newly reached stop into pending_moves_ (ascending
@@ -424,9 +439,11 @@ class StreamPipeline {
                                      // whole (schedulers hold a pointer)
   std::unique_ptr<algo::OnlineScheduler> scheduler_;
   std::optional<geo::GridIndex> grid_;  // open tasks; nullopt = scan fallback
-  std::vector<char> open_;              // open_[local]: arrived, below delta
-  std::vector<double> task_arrival_time_;      // by local task id
-  std::vector<model::TaskId> task_global_;     // local task -> global id
+  // Per resident task, by Slot(local): arrived and below delta; global id.
+  std::vector<char> open_;
+  std::vector<model::TaskId> task_global_;
+  // Every task below this local id is closed: the oldest-open cursor.
+  model::TaskId oldest_open_ = 0;
   // Global index of each resident worker (instance_.workers' order).
   std::vector<model::WorkerIndex> worker_global_;
 
@@ -453,7 +470,6 @@ class StreamPipeline {
   // advancement and serialization are deterministic.
   std::map<model::WorkerIndex, model::WorkerRoute> routes_;
   std::vector<WorkerMove> pending_moves_;
-  std::vector<double> completion_latency_samples_;  // one per closed task
   std::int64_t batches_ = 0;
   std::int64_t max_batch_size_ = 0;
   std::int64_t tasks_completed_ = 0;

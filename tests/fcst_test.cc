@@ -70,7 +70,6 @@ TEST(CellRateEstimatorTest, UntouchedCellsReadZero) {
   auto estimator = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(estimator.ok());
   EXPECT_EQ(estimator.value().WorkerRate({5.0, 5.0}, 10.0), 0.0);
-  EXPECT_EQ(estimator.value().TaskRate({5.0, 5.0}, 10.0), 0.0);
   EXPECT_EQ(estimator.value().events(), 0);
 }
 
@@ -110,8 +109,7 @@ TEST(CellRateEstimatorTest, QuietCellsDecayExponentially) {
     EXPECT_NEAR(estimator.WorkerRate({5.0, 5.0}, k * tau),
                 initial * std::exp(-k), 1e-12);
   }
-  // Worker arrivals do not bleed into the task rate (or into other cells).
-  EXPECT_EQ(estimator.TaskRate({5.0, 5.0}, 1.0), 0.0);
+  // Worker arrivals do not bleed into other cells.
   EXPECT_EQ(estimator.WorkerRate({55.0, 55.0}, 1.0), 0.0);
 }
 
@@ -156,8 +154,6 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
     const geo::Point p{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
     EXPECT_EQ(restored.value().WorkerRate(p, t + 1.0),
               estimator.WorkerRate(p, t + 1.0));
-    EXPECT_EQ(restored.value().TaskRate(p, t + 1.0),
-              estimator.TaskRate(p, t + 1.0));
   }
   EXPECT_EQ(blob, Records(&restored.value()));
 
@@ -168,48 +164,51 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
 }
 
 TEST(CellRateEstimatorTest, SubnormalRateSurvivesSnapshot) {
-  // A cell that sees a task, then only a worker ~5.7k time units later
-  // (tau 8), decays its task rate into the subnormal range. The snapshot
+  // A cell that sees a worker, then only a task ~5.7k time units later
+  // (tau 8), decays its worker rate into the subnormal range. The snapshot
   // must still restore, bit-exactly.
   auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(created.ok());
   CellRateEstimator& estimator = created.value();
-  estimator.OnTaskArrival({5.0, 5.0}, 0.0);
-  estimator.OnWorkerArrival({5.0, 5.0}, 5700.0);
-  std::vector<CellRate> rates;
-  estimator.CellRates(5700.0, &rates);
-  ASSERT_EQ(rates.size(), 1u);
-  ASSERT_EQ(std::fpclassify(rates[0].task_rate), FP_SUBNORMAL);
+  estimator.OnWorkerArrival({5.0, 5.0}, 0.0);
+  estimator.OnTaskArrival({5.0, 5.0}, 5700.0);
+  const double rate = estimator.WorkerRate({5.0, 5.0}, 5700.0);
+  ASSERT_EQ(std::fpclassify(rate), FP_SUBNORMAL);
 
   const std::string blob = Records(&estimator);
   auto restored = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(restored.ok());
   const Status status = Restore(&restored.value(), blob);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  std::vector<CellRate> restored_rates;
-  restored.value().CellRates(5700.0, &restored_rates);
-  ASSERT_EQ(restored_rates.size(), 1u);
-  EXPECT_EQ(restored_rates[0].task_rate, rates[0].task_rate);
-  EXPECT_EQ(restored_rates[0].worker_rate, rates[0].worker_rate);
+  EXPECT_EQ(restored.value().WorkerRate({5.0, 5.0}, 5700.0), rate);
   EXPECT_EQ(Records(&restored.value()), blob);
 }
 
-TEST(CellRateEstimatorTest, CellRatesListsTouchedCellsAscending) {
-  auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0));
+// A task arrival decays its cell's worker rate to its instant and counts as
+// an event, but adds no rate; the snapshot lists touched cells ascending.
+TEST(CellRateEstimatorTest, TaskArrivalsOnlyDecayTheWorkerRate) {
+  const double tau = 8.0;
+  auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0, tau));
   ASSERT_TRUE(created.ok());
   CellRateEstimator& estimator = created.value();
   estimator.OnWorkerArrival({95.0, 95.0}, 1.0);
-  estimator.OnTaskArrival({5.0, 5.0}, 2.0);
-  estimator.OnWorkerArrival({5.0, 5.0}, 3.0);
+  estimator.OnWorkerArrival({5.0, 5.0}, 1.0);
+  estimator.OnTaskArrival({5.0, 5.0}, 3.0);
+  estimator.OnTaskArrival({55.0, 55.0}, 3.0);
+  EXPECT_EQ(estimator.events(), 4);
+  EXPECT_EQ(estimator.WorkerRate({5.0, 5.0}, 3.0),
+            (1.0 / tau) * std::exp(-2.0 / tau));
+  EXPECT_EQ(estimator.WorkerRate({55.0, 55.0}, 3.0), 0.0);
 
-  std::vector<CellRate> rates;
-  estimator.CellRates(3.0, &rates);
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_LT(rates[0].cell, rates[1].cell);
-  EXPECT_GT(rates[0].worker_rate, 0.0);
-  EXPECT_GT(rates[0].task_rate, 0.0);
-  EXPECT_GT(rates[1].worker_rate, 0.0);
-  EXPECT_EQ(rates[1].task_rate, 0.0);
+  const std::string blob = Records(&estimator);
+  const std::size_t low = blob.find("fc 0 ");
+  const std::size_t mid = blob.find("fc 55 ");
+  const std::size_t high = blob.find("fc 99 ");
+  ASSERT_NE(low, std::string::npos) << blob;
+  ASSERT_NE(mid, std::string::npos) << blob;
+  ASSERT_NE(high, std::string::npos) << blob;
+  EXPECT_LT(low, mid);
+  EXPECT_LT(mid, high);
 }
 
 }  // namespace

@@ -172,6 +172,60 @@ TEST(GridIndexDynamicTest, RelocateOutsideBoundsStaysQueryable) {
   }
 }
 
+// Ids that only grow (a service's task ids): retiring the slots below the
+// oldest live id keeps every query identical to an index rebuilt over the
+// live set, and ids below the floor are refused afterwards.
+TEST(GridIndexDynamicTest, RetiredIdSlotsLeaveQueriesExact) {
+  Rng rng(20261020);
+  const Rect world{0.0, 0.0, 100.0, 100.0};
+  auto built = GridIndex::BuildDynamic(world, 8.0);
+  ASSERT_TRUE(built.ok());
+  GridIndex index = std::move(built).value();
+  PointMap reference;
+  std::int64_t next = 0;
+  std::int64_t floor = 0;
+  for (int op = 0; op < 2000; ++op) {
+    if (reference.empty() || rng.NextDouble() < 0.55) {
+      const Point p{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+      ASSERT_TRUE(index.Insert(next, p).ok());
+      reference[next++] = p;
+    } else {
+      // Mostly the oldest ids leave, as tasks close.
+      auto it = reference.begin();
+      std::advance(it, rng.UniformInt(
+                           0, std::min<std::int64_t>(
+                                  3, static_cast<std::int64_t>(
+                                         reference.size()) - 1)));
+      ASSERT_TRUE(index.Remove(it->first).ok());
+      reference.erase(it);
+    }
+    const std::int64_t oldest =
+        reference.empty() ? next : reference.begin()->first;
+    if (op % 7 == 0 && oldest > floor) {
+      ASSERT_TRUE(index.RetireIdsBefore(oldest).ok());
+      floor = oldest;
+    }
+    if (op % 50 != 0) continue;
+    const GridIndex rebuilt = RebuildDynamic(reference, world, 8.0);
+    const Point center{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
+    std::vector<std::int64_t> got;
+    std::vector<std::int64_t> fresh;
+    index.QueryRadius(center, 30.0, &got);
+    rebuilt.QueryRadius(center, 30.0, &fresh);
+    EXPECT_EQ(got, fresh) << "op " << op;
+    EXPECT_EQ(index.Nearest(center), rebuilt.Nearest(center)) << "op " << op;
+  }
+  ASSERT_GT(floor, 0);
+  EXPECT_FALSE(index.Contains(floor - 1));
+  EXPECT_TRUE(index.Insert(floor - 1, {1.0, 1.0}).IsInvalidArgument());
+  // A live id below the requested floor is refused, and nothing moves.
+  ASSERT_FALSE(reference.empty());
+  const std::int64_t live = reference.begin()->first;
+  EXPECT_TRUE(index.RetireIdsBefore(live + 1).IsFailedPrecondition());
+  EXPECT_TRUE(index.Contains(live));
+  EXPECT_TRUE(index.RetireIdsBefore(floor - 1).ok());  // below the floor
+}
+
 TEST(GridIndexDynamicTest, MutationErrors) {
   auto built = GridIndex::BuildDynamic(Rect{0, 0, 10, 10}, 1.0);
   ASSERT_TRUE(built.ok());
@@ -195,6 +249,7 @@ TEST(GridIndexDynamicTest, StaticIndexRejectsMutation) {
   EXPECT_TRUE(index.Insert(5, {3.0, 3.0}).IsFailedPrecondition());
   EXPECT_TRUE(index.Remove(0).IsFailedPrecondition());
   EXPECT_TRUE(index.Relocate(0, {3.0, 3.0}).IsFailedPrecondition());
+  EXPECT_TRUE(index.RetireIdsBefore(1).IsFailedPrecondition());
 }
 
 TEST(GridIndexDynamicTest, StaticNearestMatchesBruteForce) {

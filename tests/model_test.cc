@@ -228,6 +228,32 @@ TEST(ProblemInstanceTest, RetiresWorkersFromTheFront) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
+TEST(ProblemInstanceTest, RetiresTasksFromTheFront) {
+  auto instance = SmallInstance();
+  ASSERT_TRUE(instance.ok());
+  ProblemInstance window = *instance;
+  const std::int64_t all = instance->num_tasks();
+  window.RetireTasksBefore(3);
+  EXPECT_EQ(window.task_offset, 3);
+  EXPECT_EQ(window.num_tasks(), all);  // ids stay stable
+  EXPECT_FALSE(window.task_resident(2));
+  EXPECT_TRUE(window.task_resident(3));
+  EXPECT_FALSE(window.task_resident(static_cast<TaskId>(all)));
+  EXPECT_EQ(window.task(3).id, 3);
+  EXPECT_TRUE(window.Validate().ok());
+  for (TaskId t = 3; t < window.num_tasks(); ++t) {
+    EXPECT_EQ(window.Acc(120, t), instance->Acc(120, t));
+    EXPECT_EQ(window.AccStar(200, t), instance->AccStar(200, t));
+  }
+  window.RetireTasksBefore(1);  // already retired: no-op
+  EXPECT_EQ(window.task_offset, 3);
+
+  ProblemInstance bad = *instance;
+  bad.RetireTasksBefore(3);
+  bad.task_offset = 2;  // ids no longer follow the offset
+  EXPECT_FALSE(bad.Validate().ok());
+}
+
 // ---- Arrangement ----
 
 TEST(ArrangementTest, LoadWindowRetiresOldWorkers) {
@@ -289,6 +315,41 @@ TEST(ArrangementTest, SnapshotRefusesListedAssignments) {
   restored.Add(3, 0, 0.5);
   EXPECT_EQ(restored.Load(3), 1);
   EXPECT_EQ(restored.workers_used(), 3);
+}
+
+// Closed tasks retire from the front of S: ids stay stable, the completed
+// count keeps them, and a snapshot writes S for resident tasks only.
+TEST(ArrangementTest, TaskWindowRetiresClosedTasks) {
+  Arrangement arr(4, 1.0);
+  arr.Add(1, 0, 1.0);
+  arr.Add(1, 1, 1.0);
+  arr.Add(2, 3, 0.5);
+  EXPECT_EQ(arr.completed_tasks(), 2);
+  arr.RetireTasksBefore(2);
+  EXPECT_EQ(arr.num_tasks(), 4);
+  EXPECT_EQ(arr.first_task(), 2);
+  EXPECT_FALSE(arr.TaskCompleted(2));
+  EXPECT_EQ(arr.accumulated(3), 0.5);
+  EXPECT_EQ(arr.completed_tasks(), 2);
+  EXPECT_EQ(arr.AddTask(), 4);
+  arr.Add(3, 2, 1.0);
+  arr.Add(3, 3, 0.5);
+  EXPECT_EQ(arr.completed_tasks(), 4);
+  arr.RetireWorkersBefore(4);
+
+  std::string blob;
+  StateArchive writer = StateArchive::Writer(&blob);
+  ASSERT_TRUE(arr.Serialize(writer, 4, 3).ok());
+  EXPECT_EQ(blob, "arr 3 3 4\ns 1\ns 1\ns 0\n");
+  Arrangement restored(5, 1.0, /*first_task=*/2);
+  StateArchive reader = StateArchive::Reader(blob);
+  ASSERT_TRUE(restored.Serialize(reader, 4, 3).ok());
+  ASSERT_TRUE(reader.End().ok());
+  EXPECT_EQ(restored.first_task(), 2);
+  EXPECT_EQ(restored.completed_tasks(), 4);
+  EXPECT_FALSE(restored.AllCompleted());
+  EXPECT_TRUE(restored.TaskCompleted(3));
+  EXPECT_EQ(restored.accumulated(4), 0.0);
 }
 
 TEST(ArrangementTest, TracksAccumulationAndCompletion) {

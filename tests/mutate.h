@@ -1,7 +1,7 @@
 // Seeded text mutations for the reader tests (no fuzzing engine): each
 // mutant makes one edit to a valid file, so every format's reader meets
 // broken input it was never written for. Used by the io_test mutation
-// table (ltc-events, WAL reopen, ltc-workload, ltc-arrangement, ltc-road,
+// table (ltc-events, WAL reopen, ltc-workload, ltc-road,
 // the wire events payload) and by the snapshot mutation test.
 
 #ifndef LTC_TESTS_MUTATE_H_

@@ -11,9 +11,11 @@
 //    offline run solves warm or cold (warm starts are an optimisation, not
 //    a policy change).
 
+#include <algorithm>
 #include <vector>
 
 #include "algo/mcf_ltc.h"
+#include "algo/mcf_stream.h"
 #include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "io/event_log.h"
@@ -169,6 +171,54 @@ TEST(McfServeDeterminismTest, ShardedLogPinnedAcrossThreads) {
 
 // A deadline-batched single-shard run completes tasks and validates against
 // the full LTC constraint set (capacity, eligibility, accuracy accounting).
+// MCF holds a closed task while it may still read it (DESIGN.md §8, task
+// lifetime): while its buffered candidate lists name the task, and after a
+// flush completed it, until the next flush's demand refresh zeroes its
+// node's deficit. Fed one worker per call, right after a flush the buffer is
+// empty and the oldest held task is the oldest one that flush completed.
+TEST(McfStreamTest, HoldsTasksUntilTheirDemandNodeIsZeroed) {
+  gen::SyntheticConfig synth;
+  synth.num_tasks = 50;
+  synth.num_workers = 2500;
+  synth.seed = 9;
+  auto instance = gen::GenerateSynthetic(synth);
+  ASSERT_TRUE(instance.ok());
+  auto index = model::EligibilityIndex::Build(&instance.value());
+  ASSERT_TRUE(index.ok());
+  algo::McfStream mcf;
+  ASSERT_TRUE(mcf.InitStreaming(instance.value()).ok());
+  EXPECT_EQ(mcf.OldestHeldTask(), -1);
+  std::vector<model::TaskId> eligible;
+  std::vector<algo::OnlineScheduler::StreamCommit> commits;
+  int checked = 0;
+  for (const model::Worker& w : instance.value().workers) {
+    if (mcf.Done()) break;
+    index.value().EligibleTasksSorted(w, &eligible);
+    commits.clear();
+    const std::int64_t solved = mcf.batches_solved();
+    ASSERT_TRUE(mcf.OnBatchWithCandidates({w.index}, {&eligible}, &commits)
+                    .ok());
+    if (mcf.batches_solved() == solved) {
+      // Buffering: every candidate the call took is held.
+      if (!eligible.empty()) {
+        EXPECT_GE(mcf.OldestHeldTask(), 0);
+        EXPECT_LE(mcf.OldestHeldTask(), eligible.front());
+      }
+      continue;
+    }
+    model::TaskId expected = -1;
+    for (const auto& c : commits) {
+      if (mcf.arrangement().TaskCompleted(c.task) &&
+          (expected < 0 || c.task < expected)) {
+        expected = c.task;
+      }
+    }
+    EXPECT_EQ(mcf.OldestHeldTask(), expected) << "worker " << w.index;
+    checked += expected >= 0 ? 1 : 0;
+  }
+  EXPECT_GT(checked, 0);
+}
+
 TEST(McfServeTest, BatchedRunValidates) {
   auto log = gen::GenerateStreamEvents(SmallStream(29));
   ASSERT_TRUE(log.ok());

@@ -240,26 +240,26 @@ std::string RenderWithSums(const StreamOptions& options,
                              service.engine().workers_used()));
 }
 
-// A crash after several snapshots restores the newest one (S per task, the
-// arrangement counters, AAM's remaining-demand sum, no assignment history)
-// and replays the WAL suffix: the end-of-stream engine state, the log, both
-// latency summaries and the Acc* sum match an uninterrupted run to the bit,
-// for every scheduler at one and three shards, with task moves in the
-// stream.
-TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
-  const io::EventLog log = MakeLog(60, 1500, 31, /*move_fraction=*/0.1);
+/// Crashes a durable service over `log` after `crash_at` events (snapshots
+/// every 61), recovers it and runs the rest, for every scheduler at one and
+/// three shards and two crash points; the end-of-stream engine state, the
+/// log, both latency summaries and the Acc* sum must match an uninterrupted
+/// run to the bit. With `expect_retired`, each (scheduler, shards) cell's
+/// recoveries must find closed tasks already retired.
+void ExpectRecoveryMatchesUninterrupted(const io::EventLog& log,
+                                        const std::string& name,
+                                        bool expect_retired) {
   const std::int64_t n = log.num_events();
   for (const char* algorithm : {"LAF", "AAM", "Random", "MCF"}) {
     for (const int shards : {1, 3}) {
       const StreamOptions options = BaseOptions(algorithm, shards);
       const std::string tag =
-          std::string(algorithm) + "_k" + std::to_string(shards);
+          name + "_" + algorithm + "_k" + std::to_string(shards);
       std::string golden;
       std::string golden_state;
       {
         auto service = RecoverableService::Open(
-            log, ServiceOptions(FreshDir("sums_golden_" + tag), options, 0,
-                                64));
+            log, ServiceOptions(FreshDir(tag + "_golden"), options, 0, 64));
         service.status().CheckOK();
         for (const io::Event& e : log.events) {
           service.value()->Ingest(e).CheckOK();
@@ -269,9 +269,9 @@ TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
         metrics.status().CheckOK();
         golden = RenderWithSums(options, *service.value(), metrics.value());
       }
+      std::int64_t retired = 0;
       for (const std::int64_t crash_at : {n / 3, (2 * n) / 3}) {
-        const auto sopts =
-            ServiceOptions(FreshDir("sums_" + tag), options, 61, 16);
+        const auto sopts = ServiceOptions(FreshDir(tag), options, 61, 16);
         {
           auto service = RecoverableService::Open(log, sopts);
           service.status().CheckOK();
@@ -283,6 +283,10 @@ TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
         auto service = RecoverableService::Open(log, sopts);
         ASSERT_TRUE(service.ok()) << tag << ": " << service.status().ToString();
         EXPECT_GT(service.value()->recovery().snapshot_events, 0) << tag;
+        for (int k = 0; k < shards; ++k) {
+          retired +=
+              service.value()->engine().pipeline(k).instance().task_offset;
+        }
         for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
           service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
               .CheckOK();
@@ -296,8 +300,38 @@ TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
                   golden)
             << tag << " crash@" << crash_at;
       }
+      if (expect_retired) {
+        EXPECT_GT(retired, 0) << tag;
+      }
     }
   }
+}
+
+// A crash after several snapshots restores the newest one (S per resident
+// task, the arrangement counters, AAM's remaining-demand sum, no assignment
+// history) and replays the WAL suffix, with task moves in the stream.
+TEST(CrashRecoveryTest, SnapshotRestoreKeepsLogsLatenciesAndSums) {
+  ExpectRecoveryMatchesUninterrupted(
+      MakeLog(60, 1500, 31, /*move_fraction=*/0.1), "sums",
+      /*expect_retired=*/false);
+}
+
+// The same over a stream whose tasks arrive throughout and close (a reach
+// of 150): each recovery restores a snapshot whose pipelines have retired
+// closed tasks, and moves of retired tasks are in the replayed suffix.
+TEST(CrashRecoveryTest, RestoreWithRetiredTasksIsByteIdentical) {
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 60;
+  cfg.num_workers = 1500;
+  cfg.task_rate = 10.0;
+  cfg.worker_rate = 250.0;
+  cfg.dmax = 150.0;
+  cfg.move_fraction = 0.1;
+  cfg.seed = 31;
+  auto log = gen::GenerateStreamEvents(cfg);
+  log.status().CheckOK();
+  ExpectRecoveryMatchesUninterrupted(log.value(), "retired",
+                                     /*expect_retired=*/true);
 }
 
 // The adaptive deadline's forecast state travels in the snapshot and the
@@ -480,8 +514,10 @@ TEST(CrashRecoveryTest, TruncatedSnapshotIsDiscarded) {
 }
 
 // A state dir written by an older engine holds "ltc-snapshot v1" files
-// (every worker in "pworkers", and "a"/"b"/"pr" domains over them) or v2
-// files (every assignment as an "a" record, assignment latencies as "l").
+// (every worker in "pworkers", and "a"/"b"/"pr" domains over them), v2
+// files (every assignment as an "a" record, assignment latencies as "l")
+// or v3 files (every task in "ptasks", arrival times in "pt", completion
+// latencies per pipeline).
 // The store refuses those headers before it reads any payload, so the dir
 // still opens — each old snapshot is discarded and the whole WAL replays to
 // the golden log. This run's snapshots, relabelled with a fresh CRC, stand
@@ -491,7 +527,7 @@ TEST(CrashRecoveryTest, OlderSnapshotVersionsAreDiscardedAndTheWalReplayed) {
   const StreamOptions options = BaseOptions("MCF", 2);
   const std::string golden = GoldenLog(log, options, "old_golden");
 
-  for (const char version : {'1', '2'}) {
+  for (const char version : {'1', '2', '3'}) {
     RecoverableService::RecoveryInfo info;
     int relabelled = 0;
     const std::string recovered = DamagedRecoveryLog(
@@ -505,7 +541,7 @@ TEST(CrashRecoveryTest, OlderSnapshotVersionsAreDiscardedAndTheWalReplayed) {
             text.status().CheckOK();
             // The old framing: the same header lines and CRC-32 trailer.
             std::string body = text.value();
-            ASSERT_TRUE(StartsWith(body, "# ltc-snapshot v3\n"));
+            ASSERT_TRUE(StartsWith(body, "# ltc-snapshot v4\n"));
             body[sizeof("# ltc-snapshot v") - 1] = version;
             body.resize(body.rfind("crc32 "));
             body += StrFormat("crc32 %08x\n", Crc32(body));
@@ -977,6 +1013,7 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
   const Edit kEdits[] = {
       {"clock", 1, "nan", false},      {"clock", 1, "inf", false},
       {"counters", 1, "-5", false},    {"r", 3, "7", false},
+      {"r", 4, "nan", false},          {"ptasks", 2, "-1", false},
       {"A", 3, "999999", false},       {"A", 2, "-3", false},
       {"A", 1, "nan", false},          {"pt", 1, "999999", false},
       {"pt", 1, "-4", false},          {"pt", 3, "nan", false},
@@ -988,8 +1025,8 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
       {"s", 1, "nan", false},          {"s", 1, "-1", false},
       {"arr", 1, "-1", false},         {"arr", 3, "inf", false},
       {"sched", 1, "-3", false},
-      {"fc", 2, "nan", true},          {"fc", 3, "-1", true},
-      {"fc", 4, "inf", true},          {"fcst", 3, "-2", true},
+      {"fc", 2, "nan", true},          {"fc", 2, "-1", true},
+      {"fc", 3, "inf", true},          {"fcst", 3, "-2", true},
       {"pdl", 1, "nan", true},         {"pdl", 2, "-1", true},
   };
   // A reach of 100 closes tasks before the cut, so completion-latency
@@ -1023,7 +1060,7 @@ TEST(SnapshotRoundTripTest, FieldOutsideItsDomainIsRejected) {
           << edit.field << " = " << edit.value << ": " << status.ToString();
       ++cases;
     }
-    EXPECT_EQ(cases, adaptive ? 27 : 24);
+    EXPECT_EQ(cases, adaptive ? 29 : 26);
   }
 }
 
@@ -1041,7 +1078,13 @@ TEST(SnapshotRoundTripTest, PipelineTaskIdsMustMatchTheRouter) {
   generated.status().CheckOK();
   const io::EventLog log = std::move(generated).value();
   const StreamOptions options = BaseOptions("LAF", 2);
-  const std::int64_t cut = log.num_events() / 2;
+  // Cut while tasks still arrive, so the pipelines hold open ("pt") tasks:
+  // by half the stream every task has closed and retired.
+  std::int64_t cut = 0;
+  for (std::int64_t arrived = 0; arrived < cfg.num_tasks / 2; ++cut) {
+    arrived += log.events[static_cast<std::size_t>(cut)].kind ==
+               io::Event::Kind::kTaskArrival;
+  }
   const std::string state = SnapshotAt(log, options, cut);
 
   std::vector<std::string> lines = Split(state, '\n');
@@ -1160,8 +1203,9 @@ TEST(SnapshotMutationTest, SeededMutationsAreRefusedOrRoundTrip) {
   }
   EXPECT_EQ(refused + accepted, 3000);
   EXPECT_GT(refused, 0);
-  for (const char* key : {"pt", "pw", "l", "arr", "s", "x", "b", "m", "pr",
-                          "ps", "d", "c", "A", "M", "fcst", "fc", "pdl"}) {
+  for (const char* key : {"r", "ptasks", "pt", "pw", "l", "arr", "s", "x",
+                          "b", "m", "pr", "ps", "d", "c", "A", "M", "fcst",
+                          "fc", "pdl"}) {
     EXPECT_TRUE(keys.count(key) > 0) << "no base snapshot holds '" << key
                                      << "'";
   }

@@ -239,8 +239,9 @@ TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
 // "moves" stream (before Finish), so the snapshot bytes — router tables,
 // the merged log, every pipeline block and scheduler blob — are pinned
 // like the assignment logs above, at shards 1 and 3 and any thread count.
-// Completion-latency ("plat_c") samples are in the order of the commits
-// that completed their tasks. The `routes` cells run with route_workers on,
+// Completion-latency ("plat_c") samples are in the order the engine merged
+// the closures (the router holds them and the task arrival times, "r"). The
+// `routes` cells run with route_workers on,
 // which adds the "moves"/"M" log and each pipeline's "proutes"/"pr"/"ps"
 // records.
 struct SnapshotCell {
@@ -253,34 +254,34 @@ struct SnapshotCell {
 };
 
 constexpr SnapshotCell kSnapshotGolden[] = {
-    {"LAF", "0", 1, 0x3ad66e24u, 27040},
-    {"LAF", "0.4", 1, 0xbf947c0bu, 28631},
-    {"LAF", "adaptive", 1, 0xd97af688u, 80678},
-    {"LAF", "0", 3, 0x0bb22519u, 27273},
-    {"LAF", "0.4", 3, 0xd079c933u, 33282},
-    {"LAF", "adaptive", 3, 0x7c2eb21cu, 87672},
-    {"AAM", "0", 1, 0x876ecb39u, 27075},
-    {"AAM", "0.4", 1, 0xdda125ccu, 28666},
-    {"AAM", "adaptive", 1, 0x15951559u, 80713},
-    {"AAM", "0", 3, 0x49a7954du, 27378},
-    {"AAM", "0.4", 3, 0x8551c457u, 33387},
-    {"AAM", "adaptive", 3, 0x801df350u, 87777},
-    {"Random", "0", 1, 0x58a76692u, 27134},
-    {"Random", "0.4", 1, 0x583f93cfu, 28725},
-    {"Random", "adaptive", 1, 0xdee1eec0u, 80772},
-    {"Random", "0", 3, 0x7e7be2a4u, 27553},
-    {"Random", "0.4", 3, 0xcee6e468u, 33562},
-    {"Random", "adaptive", 3, 0x96238bb4u, 87952},
-    {"MCF", "0", 1, 0x8594368cu, 27962},
-    {"MCF", "0.4", 1, 0xa1f10d37u, 31921},
-    {"MCF", "adaptive", 1, 0x57deb4afu, 81600},
-    {"MCF", "0", 3, 0xca8f758cu, 29920},
-    {"MCF", "0.4", 3, 0x443e2bb5u, 35815},
-    {"MCF", "adaptive", 3, 0x28c5fe72u, 90319},
-    {"LAF", "0.4", 1, 0x7801b98cu, 102358, true},
-    {"LAF", "0.4", 3, 0x1d3be8c7u, 106136, true},
-    {"MCF", "0.4", 1, 0x413e517fu, 105192, true},
-    {"MCF", "0.4", 3, 0x767be556u, 108086, true},
+    {"LAF", "0", 1, 0x73b5f07bu, 27042},
+    {"LAF", "0.4", 1, 0xddf8bdb4u, 28633},
+    {"LAF", "adaptive", 1, 0xd47c597du, 77008},
+    {"LAF", "0", 3, 0x6269f858u, 27259},
+    {"LAF", "0.4", 3, 0x39ce8f23u, 33268},
+    {"LAF", "adaptive", 3, 0xdde65cf4u, 83694},
+    {"AAM", "0", 1, 0x9394dde8u, 27077},
+    {"AAM", "0.4", 1, 0xeb6d5bceu, 28668},
+    {"AAM", "adaptive", 1, 0x8c9da6feu, 77043},
+    {"AAM", "0", 3, 0xdf3ff9e1u, 27364},
+    {"AAM", "0.4", 3, 0x64137eedu, 33373},
+    {"AAM", "adaptive", 3, 0x55f85e42u, 83799},
+    {"Random", "0", 1, 0x412b5a87u, 27136},
+    {"Random", "0.4", 1, 0x9044bc5au, 28727},
+    {"Random", "adaptive", 1, 0xbd537792u, 77102},
+    {"Random", "0", 3, 0x6dcb016bu, 27539},
+    {"Random", "0.4", 3, 0xf48f908bu, 33548},
+    {"Random", "adaptive", 3, 0xa72c1621u, 83974},
+    {"MCF", "0", 1, 0x5e837b6fu, 27964},
+    {"MCF", "0.4", 1, 0xe2485717u, 31923},
+    {"MCF", "adaptive", 1, 0x632d083du, 77930},
+    {"MCF", "0", 3, 0x9b314674u, 29906},
+    {"MCF", "0.4", 3, 0x71da86e8u, 35801},
+    {"MCF", "adaptive", 3, 0xd1258bc5u, 86341},
+    {"LAF", "0.4", 1, 0x6c06e149u, 102360, true},
+    {"LAF", "0.4", 3, 0x2e47e090u, 106122, true},
+    {"MCF", "0.4", 1, 0xb93eb01au, 105194, true},
+    {"MCF", "0.4", 3, 0x4c92026bu, 108072, true},
 };
 
 std::string SnapshotKey(const char* algorithm, const char* deadline,
@@ -377,6 +378,66 @@ TEST(ShardedServeDeterminismTest, LogIdenticalAcrossThreadCounts) {
 
 // Boundary-handoff claim invariant: no worker is ever committed by two
 // shards, and every assignment respects per-worker capacity globally.
+// Golden snapshots with retired tasks: the same digest pin, taken a third
+// into a stream whose tasks arrive throughout and close (reach 150, moves
+// on), so every pipeline has retired closed tasks ("ptasks
+// <resident> <retired>" with both counts positive) and writes "pt" and "s"
+// for its window only.
+struct RetiredSnapshotCell {
+  const char* algorithm;
+  int shards;
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+constexpr RetiredSnapshotCell kRetiredSnapshotGolden[] = {
+    {"LAF", 1, 0x7d267913u, 22133},
+    {"LAF", 3, 0x645195a0u, 24622},
+    {"MCF", 1, 0x9dbb7f82u, 24490},
+    {"MCF", 3, 0x9f1fcc2eu, 27527},
+};
+
+TEST(ShardedEngineTest, RetiredTaskSnapshotBytesArePinned) {
+  gen::StreamConfig cfg = SmallStream(43);
+  cfg.task_rate = 10.0;
+  cfg.worker_rate = 250.0;
+  cfg.dmax = 150.0;
+  cfg.move_fraction = 0.1;
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  const std::size_t cut = log.value().events.size() / 3;
+  for (const RetiredSnapshotCell& cell : kRetiredSnapshotGolden) {
+    StreamOptions options = GoldenOptions(cell.algorithm, "0.4");
+    options.shards = cell.shards;
+    const std::string key = StrFormat("%s/%d", cell.algorithm, cell.shards);
+    for (int threads : {1, 4}) {
+      options.threads = threads;
+      auto engine = ShardedStreamEngine::Create(log.value(), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (std::size_t i = 0; i < cut; ++i) {
+        ASSERT_TRUE(engine.value()->OnEvent(log.value().events[i]).ok())
+            << key;
+      }
+      std::string snapshot;
+      ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
+      int windows = 0;
+      for (const std::string& line : Split(snapshot, '\n')) {
+        const std::vector<std::string> f = Split(line, ' ');
+        if (f[0] != "ptasks") continue;
+        EXPECT_GT(std::stoll(f[1]), 0) << key << ": " << line;
+        EXPECT_GT(std::stoll(f[2]), 0) << key << ": " << line;
+        ++windows;
+      }
+      EXPECT_EQ(windows, cell.shards) << key;
+      const std::uint32_t crc = Crc32(snapshot);
+      EXPECT_TRUE(cell.crc == crc && cell.bytes == snapshot.size())
+          << key << " threads " << threads << ": got {\"" << cell.algorithm
+          << "\", " << cell.shards << ", " << StrFormat("0x%08x", crc)
+          << "u, " << snapshot.size() << "},";
+    }
+  }
+}
+
 TEST(ShardedEngineTest, ClaimTableKeepsWorkersSingleShard) {
   gen::StreamConfig cfg = SmallStream(9);
   auto log = gen::GenerateStreamEvents(cfg);

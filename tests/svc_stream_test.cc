@@ -504,6 +504,16 @@ TEST(WorkerLifetimeTest, SnapshotWorkerWindowIsBounded) {
   }
 }
 
+/// Tasks resident in `engine`'s pipelines (their "pt" and "s" records).
+std::int64_t ResidentTasks(const ShardedStreamEngine& engine) {
+  std::int64_t resident = 0;
+  for (int k = 0; k < engine.num_shards(); ++k) {
+    const model::ProblemInstance& instance = engine.pipeline(k).instance();
+    resident += instance.num_tasks() - instance.task_offset;
+  }
+  return resident;
+}
+
 /// How many lines of `snapshot` are `key` records.
 std::int64_t CountRecords(const std::string& snapshot, const std::string& key) {
   std::int64_t n = 0;
@@ -546,11 +556,142 @@ TEST(WorkerLifetimeTest, ArrangementListStaysWithinResidentWorkers) {
         std::string snapshot;
         ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
         EXPECT_EQ(CountRecords(snapshot, "a"), 0) << key;
-        EXPECT_EQ(CountRecords(snapshot, "s"), cfg.num_tasks) << key;
+        EXPECT_EQ(CountRecords(snapshot, "s"), ResidentTasks(*engine.value()))
+            << key;
         EXPECT_EQ(CountRecords(snapshot, "arr"), shards) << key;
       }
     }
   }
+}
+
+// ---- Task lifetime (DESIGN.md §8) ----
+
+/// Tasks resident in `p` beyond twice its live window — the tasks from the
+/// oldest open one or the scheduler's oldest held one, whichever is older,
+/// on — plus one if that floor lies below the retired prefix (an open or
+/// held task retired); 0 when bounded.
+std::int64_t TaskExcess(const StreamPipeline& p) {
+  const model::ProblemInstance& instance = p.instance();
+  model::TaskId keep = static_cast<model::TaskId>(instance.num_tasks());
+  for (model::TaskId t = instance.task_offset; t < instance.num_tasks(); ++t) {
+    if (p.task_open(t)) {
+      keep = t;
+      break;
+    }
+  }
+  const model::TaskId held = p.scheduler().OldestHeldTask();
+  if (held >= 0) keep = std::min(keep, held);
+  const std::int64_t resident = instance.num_tasks() - instance.task_offset;
+  const std::int64_t live = instance.num_tasks() - keep;
+  return std::max<std::int64_t>(0, resident - 2 * live) +
+         (keep < instance.task_offset ? 1 : 0);
+}
+
+// Closed tasks retire: over a stream of N worker arrivals and one of 4N
+// (tasks arriving throughout), after every event each pipeline holds at
+// most twice its live task window (from the oldest open or held task on)
+// and never retires an open or held task; snapshots every 100 events write
+// one "pt" and one "s" per resident task, and their peak grows by less than
+// 3x while the stream grows 4x, staying under a quarter of the 4N stream's
+// tasks. Retirement changes no outcome (the golden logs and the recovery
+// tests pin that).
+TEST(TaskLifetimeTest, ResidentTasksStayWithinTheWindow) {
+  for (const char* algo : {"LAF", "AAM", "Random", "MCF"}) {
+    for (int shards : {1, 3}) {
+      std::int64_t peak[2] = {0, 0};
+      std::int64_t tasks = 0;
+      for (int size = 0; size < 2; ++size) {
+        gen::StreamConfig cfg = SmallStream(37);
+        cfg.num_workers = size == 0 ? 1500 : 6000;
+        cfg.num_tasks = cfg.num_workers / 25;
+        tasks = cfg.num_tasks;
+        cfg.task_rate = 10.0;
+        cfg.worker_rate = 250.0;
+        cfg.dmax = 150.0;
+        cfg.move_fraction = 0.1;
+        auto log = gen::GenerateStreamEvents(cfg);
+        ASSERT_TRUE(log.ok());
+        StreamOptions options;
+        options.algorithm = algo;
+        options.batch_deadline = 0.4;
+        options.shards = shards;
+        const std::string key = StrFormat("%s/%d/%lld", algo, shards,
+                                          static_cast<long long>(
+                                              cfg.num_workers));
+        auto engine = ShardedStreamEngine::Create(log.value(), options);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        std::int64_t excess = 0;
+        std::int64_t events = 0;
+        for (const io::Event& e : log.value().events) {
+          ASSERT_TRUE(engine.value()->OnEvent(e).ok()) << key;
+          for (int k = 0; k < shards; ++k) {
+            excess += TaskExcess(engine.value()->pipeline(k));
+          }
+          if (++events % 100 != 0) continue;
+          std::string snapshot;
+          ASSERT_TRUE(engine.value()->SerializeTo(&snapshot).ok()) << key;
+          const std::int64_t resident = ResidentTasks(*engine.value());
+          EXPECT_EQ(CountRecords(snapshot, "pt"), resident) << key;
+          EXPECT_EQ(CountRecords(snapshot, "s"), resident) << key;
+          peak[size] = std::max(peak[size], resident);
+        }
+        EXPECT_EQ(excess, 0) << key;
+        EXPECT_LT(ResidentTasks(*engine.value()), cfg.num_tasks) << key;
+        auto metrics = engine.value()->Finish();
+        ASSERT_TRUE(metrics.ok()) << key << ": " << metrics.status().ToString();
+        EXPECT_EQ(metrics.value().tasks_completed + metrics.value().open_tasks,
+                  cfg.num_tasks)
+            << key;
+      }
+      EXPECT_LT(peak[1], 3 * peak[0]) << algo << "/" << shards;
+      EXPECT_LT(4 * peak[1], tasks) << algo << "/" << shards;
+    }
+  }
+}
+
+// A move that names a retired task is accepted and changes nothing: the
+// task is closed for good. A move naming a task that never arrived is still
+// refused.
+TEST(TaskLifetimeTest, MovesOfRetiredTasksAreAccepted) {
+  gen::StreamConfig cfg = SmallStream(37);
+  cfg.task_rate = 10.0;
+  cfg.worker_rate = 250.0;
+  cfg.dmax = 150.0;
+  auto log = gen::GenerateStreamEvents(cfg);
+  ASSERT_TRUE(log.ok());
+  StreamOptions options;
+  options.batch_deadline = 0.4;
+  auto engine = ShardedStreamEngine::Create(log.value(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const StreamPipeline& p = engine.value()->pipeline(0);
+  std::size_t next = 0;
+  while (p.instance().task_offset == 0 && next < log.value().events.size()) {
+    ASSERT_TRUE(engine.value()->OnEvent(log.value().events[next++]).ok());
+  }
+  ASSERT_GT(p.instance().task_offset, 0) << "no task retired";
+  std::string before;
+  ASSERT_TRUE(engine.value()->SerializeTo(&before).ok());
+
+  io::Event move;
+  move.kind = io::Event::Kind::kTaskMove;
+  move.time = engine.value()->last_event_time();
+  move.task = 0;
+  move.location = {1.0, 1.0};
+  ASSERT_TRUE(engine.value()->OnEvent(move).ok());
+  std::string after;
+  ASSERT_TRUE(engine.value()->SerializeTo(&after).ok());
+  // Only the event counters moved.
+  const auto without_counters = [](const std::string& state) {
+    std::string out;
+    for (const std::string& line : Split(state, '\n')) {
+      if (!StartsWith(line, "counters ")) out += line + "\n";
+    }
+    return out;
+  };
+  EXPECT_EQ(without_counters(after), without_counters(before));
+
+  move.task = static_cast<model::TaskId>(p.instance().num_tasks());
+  EXPECT_TRUE(engine.value()->OnEvent(move).IsInvalidArgument());
 }
 
 /// The local index of the first worker MCF holds ("b" record) in the
