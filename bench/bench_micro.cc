@@ -151,7 +151,8 @@ void BM_EligibilityQuery(benchmark::State& state) {
   std::vector<ltc::model::TaskId> out;
   std::size_t cursor = 0;
   for (auto _ : state) {
-    const auto& w = f.instance.workers[cursor];
+    const auto& w =
+        f.instance.worker(static_cast<ltc::model::WorkerIndex>(cursor + 1));
     f.index->EligibleTasks(w, &out);
     benchmark::DoNotOptimize(out.size());
     cursor = (cursor + 1) % f.instance.workers.size();

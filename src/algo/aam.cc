@@ -6,9 +6,8 @@ namespace ltc {
 namespace algo {
 
 Status Aam::OnInit() {
-  const auto n = static_cast<std::size_t>(instance().num_tasks() -
-                                          instance().task_offset);
-  remaining_.assign(n, delta());
+  const std::size_t n = instance().tasks.size();
+  remaining_.Reset(instance().tasks.first_id(), n, delta());
   remaining_sum_ = delta() * static_cast<double>(n);
   max_tracker_ = std::make_unique<LazyMaxTracker>(&remaining_);
   last_strategy_ = Strategy::kNone;
@@ -21,17 +20,13 @@ Status Aam::OnTaskAddedHook(model::TaskId task) {
   // assignment bookkeeping uses.
   remaining_.push_back(delta());
   remaining_sum_ += delta();
-  max_tracker_->Update(static_cast<std::int64_t>(Slot(task)));
+  max_tracker_->Update(task);
   return Status::OK();
 }
 
 void Aam::OnTasksRetired() {
-  // The pipeline compacts at most once per window's worth of retired tasks,
-  // so rebuilding the tracker over the kept window is amortized too.
-  const auto kept =
-      static_cast<std::ptrdiff_t>(arr().num_tasks() - arr().first_task());
-  remaining_.erase(remaining_.begin(), remaining_.end() - kept);
-  max_tracker_ = std::make_unique<LazyMaxTracker>(&remaining_);
+  // The tracker drops the retired tasks' heap entries as it meets them.
+  remaining_.RetireBefore(arr().first_task());
 }
 
 void Aam::SelectTasks(const model::Worker& worker,
@@ -59,7 +54,7 @@ void Aam::SelectTasks(const model::Worker& worker,
   // Lines 6-12: score candidates under the active strategy, keep top K.
   top_.Reset(static_cast<std::size_t>(capacity()));
   for (model::TaskId t : candidates) {
-    const double remaining = remaining_[Slot(t)];
+    const double remaining = remaining_.at(t);
     double score;
     if (use_lgf) {
       // LGF: the gain is capped by what the task still needs, so highly
@@ -82,18 +77,18 @@ Status Aam::Serialize(StateArchive& ar) {
   LTC_RETURN_IF_ERROR(ar.Record("x remaining_sum", Real(&remaining_sum_)));
   if (ar.writing()) return Status::OK();
   for (model::TaskId t = arr().first_task(); t < arr().num_tasks(); ++t) {
-    remaining_[Slot(t)] = arr().Remaining(t);
+    remaining_.at(t) = arr().Remaining(t);
   }
   max_tracker_ = std::make_unique<LazyMaxTracker>(&remaining_);
   return Status::OK();
 }
 
 void Aam::OnAssigned(model::TaskId task) {
-  const std::size_t t = Slot(task);
+  double& remaining = remaining_.at(task);
   const double new_remaining = arr().Remaining(task);
-  remaining_sum_ -= remaining_[t] - new_remaining;
-  remaining_[t] = new_remaining;
-  max_tracker_->Update(static_cast<std::int64_t>(t));
+  remaining_sum_ -= remaining - new_remaining;
+  remaining = new_remaining;
+  max_tracker_->Update(task);
 }
 
 }  // namespace algo

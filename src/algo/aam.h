@@ -69,17 +69,12 @@ class Aam : public OnlineSchedulerBase {
   void OnAssigned(model::TaskId task) override;
 
  private:
-  /// remaining_'s slot of resident task `t`.
-  std::size_t Slot(model::TaskId t) const {
-    return static_cast<std::size_t>(t - arr().first_task());
-  }
-
   AamOptions options_;
-  // remaining_[Slot(t)] = max(0, delta - S[t]) over the resident tasks,
-  // kept in sync by OnAssigned. The max over them is the max over every
-  // task while any is open: only closed tasks retire. The sum keeps
-  // counting retired tasks' (at most kQualityTol) remainders.
-  std::vector<double> remaining_;
+  // max(0, delta - S[t]) per resident task t, kept in sync by OnAssigned.
+  // The max over them is the max over every task while any is open: only
+  // closed tasks retire. The sum keeps counting retired tasks' (at most
+  // kQualityTol) remainders.
+  IdWindow<double> remaining_;
   double remaining_sum_ = 0.0;
   std::unique_ptr<LazyMaxTracker> max_tracker_;
   Strategy last_strategy_ = Strategy::kNone;

@@ -61,8 +61,8 @@ struct Search {
     const auto& cand = (*eligible)[w];
     if (cand.size() - ci < left) return false;  // not enough tasks remain
     if (exhausted) return false;
-    const model::WorkerIndex windex =
-        (*instance).workers[w].index;  // positions align with prefix
+    // Worker position w is the (w + 1)-th arrival.
+    const auto windex = static_cast<model::WorkerIndex>(w + 1);
     // Branch A: take cand[ci].
     const model::TaskId t = cand[ci];
     const double acc_star = instance->AccStar(windex, t);
@@ -104,11 +104,13 @@ StatusOr<ScheduleResult> Exhaustive::Run(
       static_cast<std::size_t>(instance.num_workers()));
   std::vector<double> top_k_value(eligible.size(), 0.0);
   for (std::size_t i = 0; i < eligible.size(); ++i) {
-    index.EligibleTasksSorted(instance.workers[i], &eligible[i]);
+    const model::Worker& worker =
+        instance.worker(static_cast<model::WorkerIndex>(i + 1));
+    index.EligibleTasksSorted(worker, &eligible[i]);
     std::vector<double> values;
     values.reserve(eligible[i].size());
     for (model::TaskId t : eligible[i]) {
-      values.push_back(instance.AccStar(instance.workers[i].index, t));
+      values.push_back(instance.AccStar(worker.index, t));
     }
     std::sort(values.rbegin(), values.rend());
     const auto k = std::min<std::size_t>(

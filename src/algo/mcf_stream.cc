@@ -32,10 +32,7 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance,
   incr_options.warm_start = options_.warm_start;
   incr_options.drift_check_every = options_.drift_check_every;
   incr_ = std::make_unique<flow::IncrementalMcmf>(incr_options);
-  const auto resident =
-      static_cast<std::size_t>(instance.num_tasks() - instance.task_offset);
-  task_right_.assign(resident, -1);
-  task_closed_.assign(resident, 0);
+  task_demand_.Reset(instance.tasks.first_id(), instance.tasks.size());
   oldest_unzeroed_ = -1;
 
   buf_worker_.clear();
@@ -50,8 +47,7 @@ Status McfStream::InitStreaming(const model::ProblemInstance& instance,
 
 Status McfStream::OnTaskAdded(model::TaskId task) {
   LTC_RETURN_IF_ERROR(AddArrangementTask(task));
-  task_right_.push_back(-1);
-  task_closed_.push_back(0);
+  task_demand_.push_back(TaskDemand{});
   return Status::OK();
 }
 
@@ -62,10 +58,7 @@ model::TaskId McfStream::OldestHeldTask() const {
 }
 
 void McfStream::OnTasksRetired() {
-  const auto kept = static_cast<std::ptrdiff_t>(arrangement_->num_tasks() -
-                                                arrangement_->first_task());
-  task_right_.erase(task_right_.begin(), task_right_.end() - kept);
-  task_closed_.erase(task_closed_.begin(), task_closed_.end() - kept);
+  task_demand_.RetireBefore(arrangement_->first_task());
 }
 
 std::int64_t McfStream::BatchTarget() const {
@@ -128,9 +121,10 @@ Status McfStream::Serialize(StateArchive& ar) {
     // the tasks its candidates name (OldestHeldTask).
     LTC_RETURN_IF_ERROR(
         ar.Record("b",
-                  Index(&w, std::max(last, instance_->worker_offset) + 1,
+                  Index(&w, std::max(last + 1, instance_->workers.first_id()),
                         instance_->last_worker()),
-                  List(&buf_cand_, buf_begin_[p], end, instance_->task_offset,
+                  List(&buf_cand_, buf_begin_[p], end,
+                       instance_->tasks.first_id(),
                        arrangement_->num_tasks() - 1)));
     if (ar.reading()) {
       buf_worker_.push_back(w);
@@ -166,11 +160,11 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
   // no node, or this loop zeroed it before it retired (OldestHeldTask).
   for (model::TaskId t = arrangement_->first_task();
        t < arrangement_->num_tasks(); ++t) {
-    const std::size_t ti = Slot(t);
+    TaskDemand& node = task_demand_.at(t);
     if (arrangement_->TaskCompleted(t)) {
-      if (task_right_[ti] >= 0 && !task_closed_[ti]) {
-        LTC_RETURN_IF_ERROR(incr_->SetDeficit(task_right_[ti], 0));
-        task_closed_[ti] = 1;
+      if (node.right >= 0 && !node.closed) {
+        LTC_RETURN_IF_ERROR(incr_->SetDeficit(node.right, 0));
+        node.closed = true;
       }
       continue;
     }
@@ -178,10 +172,10 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
     const auto demand = std::max<std::int64_t>(
         1,
         static_cast<std::int64_t>(std::ceil(remaining - model::kQualityTol)));
-    if (task_right_[ti] < 0) {
-      task_right_[ti] = incr_->AddRight(demand);
+    if (node.right < 0) {
+      node.right = incr_->AddRight(demand);
     } else {
-      LTC_RETURN_IF_ERROR(incr_->SetDeficit(task_right_[ti], demand));
+      LTC_RETURN_IF_ERROR(incr_->SetDeficit(node.right, demand));
     }
   }
   oldest_unzeroed_ = -1;
@@ -218,7 +212,7 @@ Status McfStream::FlushInternalBatch(std::vector<StreamCommit>* commits) {
           (options_.index_tie_break ? static_cast<std::int64_t>(p) : 0);
       LTC_ASSIGN_OR_RETURN(
           const flow::ArcId arc,
-          incr_->AddArc(batch_left_[p], task_right_[Slot(t)], 1, cost));
+          incr_->AddArc(batch_left_[p], task_demand_.at(t).right, 1, cost));
       pair_task_.push_back(t);
       pair_acc_.push_back(acc_star);
       pair_arc_.push_back(arc);

@@ -37,6 +37,7 @@
 #include "algo/mcf_ltc.h"
 #include "algo/scheduler.h"
 #include "common/heap.h"
+#include "common/id_window.h"
 #include "flow/min_cost_flow.h"
 
 namespace ltc {
@@ -113,17 +114,18 @@ class McfStream : public OnlineScheduler {
 
   void OnTasksRetired() override;
 
-  /// task_right_/task_closed_ slot of resident task `t`.
-  std::size_t Slot(model::TaskId t) const {
-    return static_cast<std::size_t>(t - arrangement_->first_task());
-  }
-
   McfLtcOptions options_;
+
+  /// A resident task's demand node (-1 = none) and whether its deficit
+  /// was already zeroed.
+  struct TaskDemand {
+    flow::NodeId right = -1;
+    bool closed = false;
+  };
 
   // The persistent cross-batch solver state, per resident task.
   std::unique_ptr<flow::IncrementalMcmf> incr_;
-  std::vector<flow::NodeId> task_right_;  // task -> demand node (-1 = none)
-  std::vector<char> task_closed_;         // deficit already zeroed
+  IdWindow<TaskDemand> task_demand_;
   // The oldest task that completed with its demand node's deficit not yet
   // zeroed (the next flush's refresh zeroes it), or -1.
   model::TaskId oldest_unzeroed_ = -1;

@@ -53,7 +53,7 @@ Status OnlineScheduler::StartArrangement(
   }
   instance_ = &instance;
   delta_ = instance.Delta();
-  arrangement_.emplace(instance.num_tasks(), delta_, instance.task_offset);
+  arrangement_.emplace(instance.num_tasks(), delta_, instance.tasks.first_id());
   shard_context_ = shard;
   return Status::OK();
 }
@@ -74,7 +74,7 @@ Status OnlineScheduler::Serialize(StateArchive& ar) {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("Serialize before InitStreaming");
   }
-  return arrangement_->Serialize(ar, instance_->worker_offset + 1,
+  return arrangement_->Serialize(ar, instance_->workers.first_id(),
                                  instance_->last_worker());
 }
 

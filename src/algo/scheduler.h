@@ -129,8 +129,8 @@ class OnlineScheduler {
   virtual Status InitStreaming(const model::ProblemInstance& instance,
                                const StreamShardContext& shard = {}) = 0;
 
-  /// Notifies that instance.tasks grew by one; `task` is the new id and
-  /// must equal the previous task count (dense arrival order).
+  /// Notifies that the instance's tasks grew by one; `task` is the new id
+  /// and must equal the previous task count (dense arrival order).
   virtual Status OnTaskAdded(model::TaskId task) = 0;
 
   /// One streaming commitment. `worker` is the scheduler-local arrival
@@ -170,7 +170,7 @@ class OnlineScheduler {
 
   /// Drops the arrangement's per-worker loads and listed assignments below
   /// `worker`; the driver calls it as it retires those workers from the
-  /// instance (model::ProblemInstance::RetireWorkersBefore).
+  /// instance's worker window.
   void RetireWorkersBefore(model::WorkerIndex worker) {
     arrangement_->RetireWorkersBefore(worker);
   }
@@ -184,7 +184,7 @@ class OnlineScheduler {
 
   /// Drops the per-task state of every task below `task`, all closed and
   /// none held; the streaming pipeline calls it as it retires those tasks
-  /// from the instance (model::ProblemInstance::RetireTasksBefore).
+  /// from the instance's task window.
   void RetireTasksBefore(model::TaskId task) {
     arrangement_->RetireTasksBefore(task);
     OnTasksRetired();

@@ -4,8 +4,9 @@
 //                      ("maintain size of Q under capacity of w").
 //  * IndexedMinHeap  — addressable binary heap with DecreaseKey, used by the
 //                      Dijkstra inside the min-cost-flow solver.
-//  * LazyMaxTracker  — max-of-mutating-array with lazy invalidation, used by
-//                      AAM to maintain maxRemain in O(log n) amortised.
+//  * LazyMaxTracker  — max of a mutating id window with lazy invalidation,
+//                      used by AAM to maintain maxRemain in O(log n)
+//                      amortised.
 
 #ifndef LTC_COMMON_HEAP_H_
 #define LTC_COMMON_HEAP_H_
@@ -17,6 +18,8 @@
 #include <queue>
 #include <utility>
 #include <vector>
+
+#include "common/id_window.h"
 
 namespace ltc {
 
@@ -226,33 +229,34 @@ class IndexedMinHeap {
   std::vector<std::size_t> pos_;
 };
 
-/// \brief Tracks max_i value[i] for an array whose entries only *decrease*
-/// over time (remaining demand δ - S[t] in AAM). Entries are re-pushed on
-/// change; stale heap tops are discarded lazily against the live array, and
-/// once the heap holds more than twice the live values (plus a constant)
-/// it is rebuilt from the array, so it stays O(values), not O(updates).
+/// \brief Tracks the max of a window of values whose entries only
+/// *decrease* over time (remaining demand δ - S[t] in AAM), by id.
+/// Entries are re-pushed on change; stale heap tops — an old value, or an
+/// id retired from the window — are discarded lazily against the live
+/// window, and once the heap holds more than twice the live values (plus a
+/// constant) it is rebuilt from the window, so it stays O(values), not
+/// O(updates).
 class LazyMaxTracker {
  public:
-  explicit LazyMaxTracker(const std::vector<double>* values)
-      : values_(values) {
+  explicit LazyMaxTracker(const IdWindow<double>* values) : values_(values) {
     Rebuild();
   }
 
-  /// Notifies that values_[i] changed (decreased), or that i was appended.
-  void Update(std::int64_t i) {
-    heap_.push({(*values_)[static_cast<std::size_t>(i)], i});
+  /// Notifies that the value of `id` changed (decreased), or that `id` was
+  /// appended.
+  void Update(std::int64_t id) {
+    heap_.push({values_->at(id), id});
     if (heap_.size() > 2 * values_->size() + kSlack) Rebuild();
   }
 
   /// Heap entries held, stale ones included (exposed for tests).
   std::size_t heap_size() const { return heap_.size(); }
 
-  /// Current maximum over live values (0 if array empty).
+  /// Current maximum over live values (0 if the window is empty).
   double Max() {
     while (!heap_.empty()) {
       const auto& [cached, id] = heap_.top();
-      const double live = (*values_)[static_cast<std::size_t>(id)];
-      if (cached == live) return live;
+      if (values_->contains(id) && cached == values_->at(id)) return cached;
       heap_.pop();  // stale entry
     }
     return 0.0;
@@ -265,14 +269,14 @@ class LazyMaxTracker {
   void Rebuild() {
     std::vector<std::pair<double, std::int64_t>> entries;
     entries.reserve(values_->size());
-    for (std::size_t i = 0; i < values_->size(); ++i) {
-      entries.emplace_back((*values_)[i], static_cast<std::int64_t>(i));
+    for (std::int64_t id = values_->first_id(); id < values_->end_id(); ++id) {
+      entries.emplace_back(values_->at(id), id);
     }
     heap_ = std::priority_queue<std::pair<double, std::int64_t>>(
         std::less<std::pair<double, std::int64_t>>(), std::move(entries));
   }
 
-  const std::vector<double>* values_;
+  const IdWindow<double>* values_;
   std::priority_queue<std::pair<double, std::int64_t>> heap_;
 };
 

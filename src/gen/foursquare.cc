@@ -155,7 +155,9 @@ StatusOr<model::ProblemInstance> GenerateFoursquareLike(
     worker_grid->QueryRadius(loc, cfg.dmax + 5.0, &nearby);
     double mass = 0.0;
     for (std::int64_t wi : nearby) {
-      const model::Worker& w = instance.workers[static_cast<std::size_t>(wi)];
+      // Grid ids are positions; the (wi + 1)-th check-in has index wi + 1.
+      const model::Worker& w =
+          instance.worker(static_cast<model::WorkerIndex>(wi + 1));
       if (sigmoid_acc.Acc(w, probe) >= cfg.acc_min) {
         mass += sigmoid_acc.AccStar(w, probe);
       }
@@ -170,8 +172,8 @@ StatusOr<model::ProblemInstance> GenerateFoursquareLike(
     task.id = static_cast<model::TaskId>(t);
     for (int attempt = 0; attempt < kMaxAnchorTries; ++attempt) {
       const auto anchor =
-          static_cast<std::size_t>(rng.UniformInt(0, num_checkins - 1));
-      const geo::Point& base = instance.workers[anchor].location;
+          static_cast<model::WorkerIndex>(rng.UniformInt(0, num_checkins - 1));
+      const geo::Point& base = instance.worker(anchor + 1).location;
       task.location =
           clamp_to_city({rng.Gaussian(base.x, district_stddev / 10.0),
                          rng.Gaussian(base.y, district_stddev / 10.0)});

@@ -15,11 +15,10 @@ StatusOr<GridIndex> GridIndex::Build(std::vector<Point> points,
     return Status::InvalidArgument("GridIndex cell_size must be positive");
   }
   GridIndex index;
-  index.points_ = std::move(points);
   index.cell_size_ = cell_size;
-  index.bounds_ = Rect::BoundingBox(index.points_);
-  index.count_ = index.points_.size();
-  if (index.points_.empty()) {
+  index.bounds_ = Rect::BoundingBox(points);
+  index.count_ = points.size();
+  if (points.empty()) {
     index.cells_x_ = index.cells_y_ = 1;
     index.cell_start_.assign(2, 0);
     return index;
@@ -34,20 +33,19 @@ StatusOr<GridIndex> GridIndex::Build(std::vector<Point> points,
       static_cast<std::size_t>(index.cells_x_ * index.cells_y_);
   // Counting sort of point ids into cells (CSR).
   std::vector<std::int64_t> counts(num_cells + 1, 0);
-  std::vector<std::int64_t> cell_of(index.points_.size());
-  for (std::size_t i = 0; i < index.points_.size(); ++i) {
-    const std::int64_t c = index.FlatCellOf(index.points_[i]);
-    cell_of[i] = c;
+  index.entries_.reserve(points.size());
+  for (const Point& p : points) {
+    const std::int64_t c = index.FlatCellOf(p);
+    index.entries_.push_back(Entry{p, c});
     ++counts[static_cast<std::size_t>(c) + 1];
   }
   for (std::size_t c = 1; c < counts.size(); ++c) counts[c] += counts[c - 1];
   index.cell_start_ = counts;
-  index.ids_.resize(index.points_.size());
+  index.ids_.resize(points.size());
   std::vector<std::int64_t> cursor(counts.begin(), counts.end() - 1);
-  for (std::size_t i = 0; i < index.points_.size(); ++i) {
-    const auto c = static_cast<std::size_t>(cell_of[i]);
-    index.ids_[static_cast<std::size_t>(cursor[c]++)] =
-        static_cast<std::int64_t>(i);
+  for (std::int64_t id = 0; id < index.entries_.end_id(); ++id) {
+    const auto c = static_cast<std::size_t>(index.entries_.at(id).cell);
+    index.ids_[static_cast<std::size_t>(cursor[c]++)] = id;
   }
   // Ascending ids inside each cell come for free from the stable fill above.
   return index;
@@ -78,24 +76,19 @@ Status GridIndex::Insert(std::int64_t id, const Point& p) {
   if (!dynamic_) {
     return Status::FailedPrecondition("Insert on a static GridIndex");
   }
-  if (id < id_base_) {
+  if (id < entries_.first_id()) {
     return Status::InvalidArgument(
         StrFormat("GridIndex ids must be >= %lld",
-                  static_cast<long long>(id_base_)));
+                  static_cast<long long>(entries_.first_id())));
   }
-  const auto slot = static_cast<std::size_t>(id - id_base_);
-  if (slot < cell_of_.size() && cell_of_[slot] >= 0) {
+  if (Contains(id)) {
     return Status::InvalidArgument(
         StrFormat("GridIndex::Insert: id %lld already present",
                   static_cast<long long>(id)));
   }
-  if (slot >= cell_of_.size()) {
-    cell_of_.resize(slot + 1, -1);
-    points_.resize(slot + 1);
-  }
+  entries_.GrowTo(id + 1, Entry{});
   const std::int64_t c = FlatCellOf(p);
-  points_[slot] = p;
-  cell_of_[slot] = c;
+  entries_.at(id) = Entry{p, c};
   auto& bucket = buckets_[static_cast<std::size_t>(c)];
   bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
   ++count_;
@@ -110,10 +103,10 @@ Status GridIndex::Remove(std::int64_t id) {
     return Status::NotFound(StrFormat("GridIndex::Remove: id %lld not present",
                                       static_cast<long long>(id)));
   }
-  const auto slot = static_cast<std::size_t>(id - id_base_);
-  auto& bucket = buckets_[static_cast<std::size_t>(cell_of_[slot])];
+  std::int64_t& cell = entries_.at(id).cell;
+  auto& bucket = buckets_[static_cast<std::size_t>(cell)];
   bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), id));
-  cell_of_[slot] = -1;
+  cell = -1;
   --count_;
   return Status::OK();
 }
@@ -127,17 +120,17 @@ Status GridIndex::Relocate(std::int64_t id, const Point& p) {
         StrFormat("GridIndex::Relocate: id %lld not present",
                   static_cast<long long>(id)));
   }
-  const auto slot = static_cast<std::size_t>(id - id_base_);
-  const std::int64_t from = cell_of_[slot];
+  Entry& entry = entries_.at(id);
+  const std::int64_t from = entry.cell;
   const std::int64_t to = FlatCellOf(p);
-  points_[slot] = p;
+  entry.point = p;
   if (from == to) return Status::OK();
   auto& old_bucket = buckets_[static_cast<std::size_t>(from)];
   old_bucket.erase(std::lower_bound(old_bucket.begin(), old_bucket.end(), id));
   auto& new_bucket = buckets_[static_cast<std::size_t>(to)];
   new_bucket.insert(
       std::lower_bound(new_bucket.begin(), new_bucket.end(), id), id);
-  cell_of_[slot] = to;
+  entry.cell = to;
   return Status::OK();
 }
 
@@ -145,21 +138,15 @@ Status GridIndex::RetireIdsBefore(std::int64_t id) {
   if (!dynamic_) {
     return Status::FailedPrecondition("RetireIdsBefore on a static GridIndex");
   }
-  if (id <= id_base_) return Status::OK();
-  const auto drop = std::min(static_cast<std::size_t>(id - id_base_),
-                             cell_of_.size());
-  for (std::size_t slot = 0; slot < drop; ++slot) {
-    if (cell_of_[slot] >= 0) {
+  const std::int64_t end = std::min(id, entries_.end_id());
+  for (std::int64_t present = entries_.first_id(); present < end; ++present) {
+    if (Contains(present)) {
       return Status::FailedPrecondition(StrFormat(
           "GridIndex::RetireIdsBefore(%lld): id %lld is present",
-          static_cast<long long>(id),
-          static_cast<long long>(id_base_ + static_cast<std::int64_t>(slot))));
+          static_cast<long long>(id), static_cast<long long>(present)));
     }
   }
-  const auto end = static_cast<std::ptrdiff_t>(drop);
-  cell_of_.erase(cell_of_.begin(), cell_of_.begin() + end);
-  points_.erase(points_.begin(), points_.begin() + end);
-  id_base_ = id;
+  entries_.RetireBefore(id);
   return Status::OK();
 }
 

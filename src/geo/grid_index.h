@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_window.h"
 #include "common/status.h"
 #include "geo/cell_grid.h"
 #include "geo/point.h"
@@ -77,11 +78,7 @@ class GridIndex {
 
   /// True iff `id` is currently in the index.
   bool Contains(std::int64_t id) const {
-    const std::int64_t slot = id - id_base_;
-    return dynamic_ ? slot >= 0 &&
-                          static_cast<std::size_t>(slot) < cell_of_.size() &&
-                          cell_of_[static_cast<std::size_t>(slot)] >= 0
-                    : id >= 0 && static_cast<std::size_t>(id) < points_.size();
+    return entries_.contains(id) && entries_.at(id).cell >= 0;
   }
 
   /// Appends ids of all points within `radius` of `center` (inclusive) to
@@ -132,9 +129,7 @@ class GridIndex {
 
   /// Number of live points.
   std::size_t size() const { return count_; }
-  const Point& point(std::int64_t id) const {
-    return points_[static_cast<std::size_t>(id - id_base_)];
-  }
+  const Point& point(std::int64_t id) const { return entries_.at(id).point; }
 
  private:
   GridIndex() = default;
@@ -157,24 +152,27 @@ class GridIndex {
     }
   }
 
+  /// An id's point and the flat cell holding it (-1: absent, a hole the
+  /// dynamic mode leaves).
+  struct Entry {
+    Point point;
+    std::int64_t cell = -1;
+  };
+
   bool dynamic_ = false;
-  // points_[id - id_base_] (dynamic: may contain holes). id_base_ is the
-  // retirement floor, always 0 in static mode.
-  std::vector<Point> points_;
-  std::int64_t id_base_ = 0;
+  // Per id from the retirement floor on (always 0 in static mode).
+  IdWindow<Entry> entries_;
   Rect bounds_;
   double cell_size_ = 1.0;
   std::int64_t cells_x_ = 0;
   std::int64_t cells_y_ = 0;
-  std::size_t count_ = 0;  // live points (static: == points_.size())
+  std::size_t count_ = 0;  // live points (static: == entries_.size())
   // Static CSR layout: ids of points in cell c live at ids_[cell_start_[c]
   // .. cell_start_[c+1]).
   std::vector<std::int64_t> cell_start_;
   std::vector<std::int64_t> ids_;
-  // Dynamic layout: buckets_[c] holds the ids of cell c, ascending;
-  // cell_of_[id - id_base_] is the flat cell holding id, or -1 when absent.
+  // Dynamic layout: buckets_[c] holds the ids of cell c, ascending.
   std::vector<std::vector<std::int64_t>> buckets_;
-  std::vector<std::int64_t> cell_of_;
 };
 
 }  // namespace geo

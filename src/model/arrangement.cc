@@ -12,37 +12,33 @@ namespace model {
 
 Arrangement::Arrangement(std::int64_t num_tasks, double delta,
                          TaskId first_task)
-    : num_tasks_(num_tasks),
-      delta_(delta),
-      accumulated_(static_cast<std::size_t>(num_tasks - first_task), 0.0),
-      task_base_(first_task),
-      completed_tasks_(first_task) {
-  if (delta_ <= kQualityTol) completed_tasks_ = num_tasks_;
+    : delta_(delta), completed_tasks_(first_task) {
+  accumulated_.Reset(first_task,
+                     static_cast<std::size_t>(num_tasks - first_task), 0.0);
+  if (delta_ <= kQualityTol) completed_tasks_ = num_tasks;
 }
 
 void Arrangement::Add(WorkerIndex worker, TaskId task, double acc_star) {
-  const auto t = static_cast<std::size_t>(task - task_base_);
-  const bool was_completed = ReachedDelta(accumulated_[t], delta_);
-  accumulated_[t] += acc_star;
-  if (!was_completed && ReachedDelta(accumulated_[t], delta_)) {
+  double& s = accumulated_.at(task);
+  const bool was_completed = ReachedDelta(s, delta_);
+  s += acc_star;
+  if (!was_completed && ReachedDelta(s, delta_)) {
     ++completed_tasks_;
   }
   total_acc_star_ += acc_star;
   assignments_.push_back(Assignment{worker, task, acc_star});
   // A retired worker has no load slot left; only a faulty scheduler names
   // one, and ValidateCommitRound reports it.
-  if (worker >= load_base_) {
-    const auto w = static_cast<std::size_t>(worker - load_base_);
-    if (w >= load_.size()) load_.resize(w + 1, 0);
-    if (load_[w]++ == 0) ++workers_used_;
+  if (worker >= load_.first_id()) {
+    load_.GrowTo(worker + 1, 0);
+    if (load_.at(worker)++ == 0) ++workers_used_;
   }
   max_worker_index_ = std::max(max_worker_index_, worker);
 }
 
 TaskId Arrangement::AddTask() {
-  const auto id = static_cast<TaskId>(num_tasks_);
+  const TaskId id = accumulated_.end_id();
   accumulated_.push_back(0.0);
-  ++num_tasks_;
   // Mirror the constructor's degenerate-delta handling: a task whose target
   // is already met counts as completed from the start.
   if (delta_ <= kQualityTol) ++completed_tasks_;
@@ -54,17 +50,12 @@ double Arrangement::Remaining(TaskId t) const {
 }
 
 std::int32_t Arrangement::Load(WorkerIndex worker) const {
-  if (worker < load_base_) return 0;
-  const auto w = static_cast<std::size_t>(worker - load_base_);
-  return w < load_.size() ? load_[w] : 0;
+  return load_.contains(worker) ? load_.at(worker) : 0;
 }
 
 void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
-  if (worker <= load_base_) return;
-  const auto drop = std::min(static_cast<std::size_t>(worker - load_base_),
-                             load_.size());
-  load_.erase(load_.begin(), load_.begin() + static_cast<std::ptrdiff_t>(drop));
-  load_base_ = worker;
+  if (worker <= load_.first_id()) return;
+  load_.RetireBefore(worker);
   assignments_.erase(
       std::remove_if(assignments_.begin(), assignments_.end(),
                      [worker](const Assignment& a) { return a.worker < worker; }),
@@ -72,11 +63,7 @@ void Arrangement::RetireWorkersBefore(WorkerIndex worker) {
 }
 
 void Arrangement::RetireTasksBefore(TaskId task) {
-  if (task <= task_base_) return;
-  accumulated_.erase(
-      accumulated_.begin(),
-      accumulated_.begin() + static_cast<std::ptrdiff_t>(task - task_base_));
-  task_base_ = task;
+  accumulated_.RetireBefore(task);
 }
 
 Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
@@ -94,7 +81,7 @@ Status Arrangement::Serialize(StateArchive& ar, WorkerIndex first,
   }
   if (ar.reading()) {
     completed_tasks_ =
-        task_base_ + std::count_if(accumulated_.begin(), accumulated_.end(),
+        first_task() + std::count_if(accumulated_.begin(), accumulated_.end(),
                                    [this](double s) {
                                      return ReachedDelta(s, delta_);
                                    });
@@ -113,12 +100,12 @@ Status CheckAssignment(const ProblemInstance& instance, const Assignment& a,
   if (!instance.resident(a.worker)) {
     return Status::OutOfRange(
         StrFormat("assignment references worker %d outside %d..%d", a.worker,
-                  instance.worker_offset + 1, instance.last_worker()));
+                  instance.workers.first_id(), instance.last_worker()));
   }
   if (!instance.task_resident(a.task)) {
     return Status::OutOfRange(
         StrFormat("assignment references task %d outside %d..%lld", a.task,
-                  instance.task_offset,
+                  instance.tasks.first_id(),
                   static_cast<long long>(instance.num_tasks() - 1)));
   }
   if (!instance.Eligible(a.worker, a.task)) {
@@ -151,8 +138,12 @@ Status ValidateArrangement(const ProblemInstance& instance,
                            const Arrangement& arrangement,
                            bool require_completion) {
   const double delta = instance.Delta();
-  std::vector<double> recomputed(instance.tasks.size(), 0.0);
-  std::vector<std::int32_t> load(instance.workers.size(), 0);
+  // Scratch over the instance's windows, which need not start at the
+  // first ids.
+  IdWindow<double, TaskId> recomputed;
+  recomputed.Reset(instance.tasks.first_id(), instance.tasks.size(), 0.0);
+  IdWindow<std::int32_t, WorkerIndex> load;
+  load.Reset(instance.workers.first_id(), instance.workers.size(), 0);
   std::set<std::pair<WorkerIndex, TaskId>> seen;
 
   for (const Assignment& a : arrangement.assignments()) {
@@ -161,25 +152,25 @@ Status ValidateArrangement(const ProblemInstance& instance,
     if (!seen.insert({a.worker, a.task}).second) {
       return DuplicatePair(a.worker, a.task);
     }
-    if (++load[static_cast<std::size_t>(a.worker - instance.worker_offset -
-                                        1)] > instance.capacity) {
+    if (++load.at(a.worker) > instance.capacity) {
       return OverCapacity(a.worker, instance.capacity);
     }
-    recomputed[static_cast<std::size_t>(a.task)] += expected;
+    recomputed.at(a.task) += expected;
   }
 
-  for (std::size_t t = 0; t < recomputed.size(); ++t) {
-    const double tracked = arrangement.accumulated(static_cast<TaskId>(t));
-    if (!AlmostEqual(recomputed[t], tracked, 1e-6)) {
+  for (TaskId t = recomputed.first_id(); t < recomputed.end_id(); ++t) {
+    const double sum = recomputed.at(t);
+    const double tracked = arrangement.accumulated(t);
+    if (!AlmostEqual(sum, tracked, 1e-6)) {
       return Status::Internal(
-          StrFormat("task %zu accumulator drifted: recomputed %.9f vs "
+          StrFormat("task %d accumulator drifted: recomputed %.9f vs "
                     "tracked %.9f",
-                    t, recomputed[t], tracked));
+                    t, sum, tracked));
     }
-    if (require_completion && !ReachedDelta(recomputed[t], delta)) {
+    if (require_completion && !ReachedDelta(sum, delta)) {
       return Status::FailedPrecondition(
-          StrFormat("task %zu incomplete: sum Acc* = %.6f < delta = %.6f", t,
-                    recomputed[t], delta));
+          StrFormat("task %d incomplete: sum Acc* = %.6f < delta = %.6f", t,
+                    sum, delta));
     }
   }
   return Status::OK();

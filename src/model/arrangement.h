@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_window.h"
 #include "common/status.h"
 #include "model/problem.h"
 #include "model/quality.h"
@@ -57,9 +58,7 @@ class Arrangement {
 
   /// Accumulated Acc* of resident task `t` (S[t] in the paper's
   /// pseudocode).
-  double accumulated(TaskId t) const {
-    return accumulated_[static_cast<std::size_t>(t - task_base_)];
-  }
+  double accumulated(TaskId t) const { return accumulated_.at(t); }
 
   /// Remaining demand max(0, delta - S[t]) of resident task `t`.
   double Remaining(TaskId t) const;
@@ -70,12 +69,12 @@ class Arrangement {
   }
 
   /// True once every task reached delta. O(1).
-  bool AllCompleted() const { return completed_tasks_ == num_tasks_; }
+  bool AllCompleted() const { return completed_tasks_ == num_tasks(); }
 
   /// Every task ever added, retired ones included.
-  std::int64_t num_tasks() const { return num_tasks_; }
+  std::int64_t num_tasks() const { return accumulated_.end_id(); }
   /// The oldest task whose S is held (0 unless tasks were retired).
-  TaskId first_task() const { return task_base_; }
+  TaskId first_task() const { return accumulated_.first_id(); }
   std::int64_t completed_tasks() const { return completed_tasks_; }
   double delta() const { return delta_; }
 
@@ -93,16 +92,16 @@ class Arrangement {
 
   /// Drops the loads and the listed assignments of every worker older than
   /// `worker` (index < worker). A streaming driver calls this once those
-  /// workers are decided for good (model::ProblemInstance::
-  /// RetireWorkersBefore), so the window stays O(open work). Add() of a
+  /// workers are decided for good and retire from the instance, so the
+  /// window stays O(open work). Add() of a
   /// retired worker lists the assignment until the next retirement but
   /// records no load.
   void RetireWorkersBefore(WorkerIndex worker);
 
   /// Drops S of every task older than `task` (id < task), which must all be
-  /// completed: a streaming pipeline retires a closed task once no algorithm
-  /// reads it again (model::ProblemInstance::RetireTasksBefore). The
-  /// completed count keeps counting them.
+  /// completed: a streaming pipeline retires a closed task from its
+  /// instance once no algorithm reads it again. The completed count keeps
+  /// counting them.
   void RetireTasksBefore(TaskId task);
 
   /// The latency objective: max arrival index over all assignments
@@ -129,16 +128,13 @@ class Arrangement {
   Status Serialize(StateArchive& ar, WorkerIndex first, WorkerIndex last);
 
  private:
-  std::int64_t num_tasks_;
   double delta_;
-  // accumulated_[t - task_base_]: S over the resident tasks.
-  std::vector<double> accumulated_;
-  TaskId task_base_ = 0;
+  // S over the resident tasks; its end is the task count.
+  IdWindow<double, TaskId> accumulated_;
   std::vector<Assignment> assignments_;
-  // load_[w - load_base_]: the load window, from the oldest worker not
-  // retired to the newest one assigned.
-  std::vector<std::int32_t> load_;
-  WorkerIndex load_base_ = 1;
+  // The load window, from the oldest worker not retired to the newest one
+  // assigned.
+  IdWindow<std::int32_t, WorkerIndex> load_{1};
   std::int64_t workers_used_ = 0;
   std::int64_t completed_tasks_ = 0;
   WorkerIndex max_worker_index_ = 0;

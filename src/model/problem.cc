@@ -12,20 +12,6 @@ double ProblemInstance::Delta() const {
   return 2.0 * std::log(1.0 / epsilon);
 }
 
-void ProblemInstance::RetireWorkersBefore(WorkerIndex w) {
-  if (w <= worker_offset + 1) return;
-  const auto drop = static_cast<std::ptrdiff_t>(w - worker_offset - 1);
-  workers.erase(workers.begin(), workers.begin() + drop);
-  worker_offset = w - 1;
-}
-
-void ProblemInstance::RetireTasksBefore(TaskId t) {
-  if (t <= task_offset) return;
-  tasks.erase(tasks.begin(),
-              tasks.begin() + static_cast<std::ptrdiff_t>(t - task_offset));
-  task_offset = t;
-}
-
 Status ProblemInstance::Validate() const {
   if (accuracy == nullptr) {
     return Status::InvalidArgument("instance has no accuracy function");
@@ -45,29 +31,29 @@ Status ProblemInstance::Validate() const {
   if (tasks.empty()) {
     return Status::InvalidArgument("instance has no tasks");
   }
-  if (task_offset < 0) {
+  if (tasks.first_id() < 0) {
     return Status::InvalidArgument(
-        StrFormat("task_offset must be >= 0, got %d", task_offset));
+        StrFormat("task ids must be >= 0, first is %d", tasks.first_id()));
   }
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].id != task_offset + static_cast<TaskId>(i)) {
+  for (TaskId t = tasks.first_id(); t < tasks.end_id(); ++t) {
+    if (task(t).id != t) {
       return Status::InvalidArgument(
-          StrFormat("task ids must be dense %d..%lld; tasks[%zu].id = %d",
-                    task_offset, static_cast<long long>(num_tasks() - 1), i,
-                    tasks[i].id));
+          StrFormat("task ids must be dense %d..%lld; task %d has id %d",
+                    tasks.first_id(), static_cast<long long>(num_tasks() - 1),
+                    t, task(t).id));
     }
   }
-  if (worker_offset < 0) {
-    return Status::InvalidArgument(
-        StrFormat("worker_offset must be >= 0, got %d", worker_offset));
+  if (workers.first_id() < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "worker indices must be >= 1, first is %d", workers.first_id()));
   }
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const Worker& w = workers[i];
-    if (w.index != worker_offset + static_cast<WorkerIndex>(i + 1)) {
+  for (WorkerIndex i = workers.first_id(); i <= last_worker(); ++i) {
+    const Worker& w = worker(i);
+    if (w.index != i) {
       return Status::InvalidArgument(
-          StrFormat("worker indices must be %d..%d in order; workers[%zu]"
-                    ".index = %d",
-                    worker_offset + 1, last_worker(), i, w.index));
+          StrFormat("worker indices must be %d..%d in order; worker %d has "
+                    "index %d",
+                    workers.first_id(), last_worker(), i, w.index));
     }
     if (!(w.historical_accuracy >= 0.0 && w.historical_accuracy <= 1.0)) {
       return Status::InvalidArgument(

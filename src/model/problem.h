@@ -4,9 +4,9 @@
 // algorithms must only look at workers[0..i] when deciding for worker i
 // (enforced structurally by the simulation engine in src/sim). A streaming
 // instance (svc::StreamPipeline) holds only a window of the arrival stream
-// and of its tasks: workers decided for good are retired from the front
-// (worker_offset), and so are closed tasks no algorithm reads again
-// (task_offset).
+// and of its tasks (common/id_window.h): workers decided for good are
+// retired from the front, and so are closed tasks no algorithm reads
+// again.
 
 #ifndef LTC_MODEL_PROBLEM_H_
 #define LTC_MODEL_PROBLEM_H_
@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "common/id_window.h"
 #include "common/status.h"
 #include "model/accuracy.h"
 #include "model/task.h"
@@ -31,18 +31,13 @@ inline constexpr double kDefaultAccMin = 0.66;
 
 /// \brief An immutable LTC problem instance.
 struct ProblemInstance {
-  /// Tasks, or their resident window; tasks[i].id must equal
-  /// task_offset + i.
-  std::vector<Task> tasks;
-  /// Tasks retired from the front (RetireTasksBefore). Always 0 in an
-  /// offline instance.
-  TaskId task_offset = 0;
-  /// Arrival stream, or its resident window; workers[i].index must equal
-  /// worker_offset + i + 1.
-  std::vector<Worker> workers;
-  /// Workers retired from the front of the stream (RetireWorkersBefore).
-  /// Always 0 in an offline instance.
-  WorkerIndex worker_offset = 0;
+  /// Tasks by id, or their resident window; tasks.at(t).id must equal t.
+  /// An offline instance starts at id 0 and retires none.
+  IdWindow<Task, TaskId> tasks;
+  /// The arrival stream by index, or its resident window;
+  /// workers.at(w).index must equal w. Indices start at 1; an offline
+  /// instance retires none.
+  IdWindow<Worker, WorkerIndex> workers{1};
   /// Tolerable error rate epsilon in (0, 1).
   double epsilon = 0.1;
   /// Per-worker capacity K (max tasks per check-in).
@@ -53,50 +48,24 @@ struct ProblemInstance {
   std::shared_ptr<const AccuracyFunction> accuracy;
 
   /// Every task ever admitted (retired ones count), so ids stay stable.
-  std::int64_t num_tasks() const {
-    return static_cast<std::int64_t>(task_offset) +
-           static_cast<std::int64_t>(tasks.size());
-  }
+  std::int64_t num_tasks() const { return tasks.end_id(); }
   /// True while task `t`'s record is held (arrived, not retired).
-  bool task_resident(TaskId t) const {
-    return t >= task_offset && t < num_tasks();
-  }
+  bool task_resident(TaskId t) const { return tasks.contains(t); }
   /// The record of resident task `t` (precondition: task_resident(t)).
-  const Task& task(TaskId t) const {
-    return tasks[static_cast<std::size_t>(t - task_offset)];
-  }
-  Task& task(TaskId t) {
-    return tasks[static_cast<std::size_t>(t - task_offset)];
-  }
+  const Task& task(TaskId t) const { return tasks.at(t); }
+  Task& task(TaskId t) { return tasks.at(t); }
   /// Resident workers (the whole stream unless some were retired).
   std::int64_t num_workers() const {
     return static_cast<std::int64_t>(workers.size());
   }
   /// Arrival index of the newest worker (0 before any arrived); retired
   /// workers count.
-  WorkerIndex last_worker() const {
-    return worker_offset + static_cast<WorkerIndex>(workers.size());
-  }
+  WorkerIndex last_worker() const { return workers.end_id() - 1; }
   /// True while worker `w`'s record is held (not retired, arrived).
-  bool resident(WorkerIndex w) const {
-    return w > worker_offset && w <= last_worker();
-  }
+  bool resident(WorkerIndex w) const { return workers.contains(w); }
   /// The record of resident worker `w` (precondition: resident(w)).
-  const Worker& worker(WorkerIndex w) const {
-    return workers[static_cast<std::size_t>(w - worker_offset - 1)];
-  }
-  Worker& worker(WorkerIndex w) {
-    return workers[static_cast<std::size_t>(w - worker_offset - 1)];
-  }
-
-  /// Drops every worker older than `w` (index < w) and advances
-  /// worker_offset past them; a no-op for workers already retired.
-  /// Precondition: w <= last_worker() + 1.
-  void RetireWorkersBefore(WorkerIndex w);
-  /// Drops every task older than `t` (id < t) and advances task_offset past
-  /// them; a no-op for tasks already retired. Precondition:
-  /// t <= num_tasks().
-  void RetireTasksBefore(TaskId t);
+  const Worker& worker(WorkerIndex w) const { return workers.at(w); }
+  Worker& worker(WorkerIndex w) { return workers.at(w); }
 
   /// delta = 2 ln(1/epsilon). Precondition: a Validate()d instance.
   double Delta() const;
@@ -115,8 +84,9 @@ struct ProblemInstance {
     return Acc(w, t) >= acc_min;
   }
 
-  /// Structural validation: ids dense from task_offset, indices sequential
-  /// from worker_offset + 1, parameters in range, accuracy model present.
+  /// Structural validation: every task and worker record carries its id,
+  /// the windows start at a task id >= 0 and a worker index >= 1,
+  /// parameters in range, accuracy model present.
   Status Validate() const;
 
   /// One-line description for logs ("|T|=1000 |W|=40000 K=6 eps=0.1 ...").

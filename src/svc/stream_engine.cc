@@ -120,43 +120,44 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   // one "pt" per resident task, whose local id is the retired count + the
   // record order (the id assignments below are no-ops when writing).
   // Current location, not arrival location: moves already applied.
-  model::TaskId& retired_tasks = instance_.task_offset;
+  model::TaskId retired_tasks = instance_.tasks.first_id();
   auto nt = static_cast<std::int64_t>(instance_.tasks.size());
   LTC_RETURN_IF_ERROR(
       ar.Record("ptasks", Count(&nt), Index(&retired_tasks, 0, kMaxId)));
   if (nt > kMaxId - retired_tasks) {
     return Status::OutOfRange("snapshot: task ids past int32");
   }
-  instance_.tasks.resize(static_cast<std::size_t>(nt));  // no-op writing
-  task_global_.resize(instance_.tasks.size());
+  if (ar.reading()) {
+    instance_.tasks.Reset(retired_tasks, static_cast<std::size_t>(nt));
+    tasks_.Reset(retired_tasks, static_cast<std::size_t>(nt));
+  }
   for (model::TaskId id = retired_tasks; id < instance_.num_tasks(); ++id) {
     model::Task& task = instance_.task(id);
     task.id = id;
-    LTC_RETURN_IF_ERROR(ar.Record("pt",
-                                  Index(&task_global_[Slot(id)], 0, kMaxId),
+    LTC_RETURN_IF_ERROR(ar.Record("pt", Index(&tasks_.at(id).global, 0, kMaxId),
                                   Real(&task.location.x),
                                   Real(&task.location.y)));
   }
   // Workers: the resident window only — "pworkers <resident> <retired>",
   // then one "pw" per resident worker, whose local arrival index is the
   // retired count + the record order + 1.
-  model::WorkerIndex& retired = instance_.worker_offset;
+  model::WorkerIndex retired = instance_.workers.first_id() - 1;
   auto nw = static_cast<std::int64_t>(instance_.workers.size());
   LTC_RETURN_IF_ERROR(
       ar.Record("pworkers", Count(&nw), Index(&retired, 0, kMaxId)));
   if (nw > kMaxId - retired) {
     return Status::OutOfRange("snapshot: worker indices past int32");
   }
-  instance_.workers.resize(static_cast<std::size_t>(nw));
-  worker_global_.resize(instance_.workers.size());
+  if (ar.reading()) {
+    instance_.workers.Reset(retired + 1, static_cast<std::size_t>(nw));
+    worker_global_.Reset(retired + 1, static_cast<std::size_t>(nw));
+  }
   for (model::WorkerIndex w = retired + 1; w <= instance_.last_worker();
        ++w) {
     model::Worker& worker = instance_.worker(w);
     worker.index = w;
     LTC_RETURN_IF_ERROR(ar.Record(
-        "pw",
-        Index(&worker_global_[static_cast<std::size_t>(w - retired - 1)], 1,
-              kMaxId),
+        "pw", Index(&worker_global_.at(w), 1, kMaxId),
         Real(&worker.location.x), Real(&worker.location.y),
         Unit(&worker.historical_accuracy)));
   }
@@ -240,20 +241,19 @@ Status StreamPipeline::Serialize(StateArchive& ar) {
   LTC_RETURN_IF_ERROR(ar.Record("endpipe"));
   if (ar.writing()) return Status::OK();
 
-  // Derived state. open_ follows from the restored arrangement (a task is
-  // closed exactly when it reached delta — RecordCommits' invariant), and
-  // the grid is filled over the open set in ascending local-id order,
-  // which matches incremental maintenance query-for-query (the sorted-
-  // bucket invariant of geo/grid_index.h).
+  // Derived state. The open flags follow from the restored arrangement (a
+  // task is closed exactly when it reached delta — RecordCommits'
+  // invariant), and the grid is filled over the open set in ascending
+  // local-id order, which matches incremental maintenance query-for-query
+  // (the sorted-bucket invariant of geo/grid_index.h).
   const model::Arrangement& arr = scheduler_->arrangement();
-  open_.assign(instance_.tasks.size(), 0);
   oldest_open_ = retired_tasks;
   if (grid_.has_value()) {
     LTC_RETURN_IF_ERROR(grid_->RetireIdsBefore(retired_tasks));
   }
   for (model::TaskId id = retired_tasks; id < instance_.num_tasks(); ++id) {
     if (arr.TaskCompleted(id)) continue;
-    open_[Slot(id)] = 1;
+    tasks_.at(id).open = true;
     if (grid_.has_value()) {
       LTC_RETURN_IF_ERROR(grid_->Insert(id, instance_.task(id).location));
     }
@@ -269,8 +269,7 @@ StatusOr<model::TaskId> StreamPipeline::AddTask(model::TaskId global_id,
   task.id = id;
   task.location = location;
   instance_.tasks.push_back(task);
-  task_global_.push_back(global_id);
-  open_.push_back(1);
+  tasks_.push_back(TaskState{global_id, true});
   if (grid_.has_value()) {
     LTC_RETURN_IF_ERROR(grid_->Insert(id, location));
   }
@@ -286,9 +285,9 @@ Status StreamPipeline::MoveTask(model::TaskId local_id,
     return Status::InvalidArgument(
         StrFormat("move references unknown local task %d", local_id));
   }
-  if (local_id < instance_.task_offset) return Status::OK();  // retired
+  if (!instance_.task_resident(local_id)) return Status::OK();  // retired
   instance_.task(local_id).location = location;
-  if (open_[Slot(local_id)] && grid_.has_value()) {
+  if (tasks_.at(local_id).open && grid_.has_value()) {
     LTC_RETURN_IF_ERROR(grid_->Relocate(local_id, location));
   }
   return Status::OK();
@@ -387,7 +386,7 @@ void StreamPipeline::GatherSlot(std::size_t i) {
     return;
   }
   for (model::TaskId t = oldest_open_; t < instance_.num_tasks(); ++t) {
-    if (open_[Slot(t)] && instance_.Eligible(worker.index, t)) {
+    if (tasks_.at(t).open && instance_.Eligible(worker.index, t)) {
       out->push_back(t);
     }
   }
@@ -450,32 +449,30 @@ Status StreamPipeline::FinishRound(double time, bool check) {
   if (!batch_.empty()) keep = batch_.front();
   const model::WorkerIndex held = scheduler_->OldestHeldWorker();
   if (held > 0) keep = std::min(keep, held);
-  const model::WorkerIndex drop = keep - instance_.worker_offset - 1;
-  if (drop > 0) {
-    worker_global_.erase(worker_global_.begin(),
-                         worker_global_.begin() + drop);
-    instance_.RetireWorkersBefore(keep);
-    scheduler_->RetireWorkersBefore(keep);
-  }
+  worker_global_.RetireBefore(keep);
+  instance_.workers.RetireBefore(keep);
+  scheduler_->RetireWorkersBefore(keep);
   return RetireTasks();
 }
 
 Status StreamPipeline::RetireTasks() {
   // Tasks never reopen, so the cursor only moves forward: O(1) amortized.
-  while (oldest_open_ < instance_.num_tasks() && !open_[Slot(oldest_open_)]) {
+  while (oldest_open_ < instance_.num_tasks() &&
+         !tasks_.at(oldest_open_).open) {
     ++oldest_open_;
   }
   model::TaskId keep = oldest_open_;
   const model::TaskId held = scheduler_->OldestHeldTask();
   if (held >= 0) keep = std::min(keep, held);
   // Compact only once the closed prefix is at least as long as the kept
-  // window: each erase then moves no more slots than it drops.
-  const model::TaskId drop = keep - instance_.task_offset;
-  if (drop <= 0 || drop < instance_.num_tasks() - keep) return Status::OK();
-  open_.erase(open_.begin(), open_.begin() + drop);
-  task_global_.erase(task_global_.begin(), task_global_.begin() + drop);
+  // window: each erase then moves no more entries than it drops.
+  const model::TaskId first = instance_.tasks.first_id();
+  if (keep <= first || keep - first < instance_.num_tasks() - keep) {
+    return Status::OK();
+  }
+  tasks_.RetireBefore(keep);
   if (grid_.has_value()) LTC_RETURN_IF_ERROR(grid_->RetireIdsBefore(keep));
-  instance_.RetireTasksBefore(keep);
+  instance_.tasks.RetireBefore(keep);
   scheduler_->RetireTasksBefore(keep);
   return Status::OK();
 }
@@ -485,7 +482,7 @@ void StreamPipeline::RecordCommits(
     double time) {
   for (const auto& commit : commits) {
     pending_assignments_.push_back(StreamAssignment{
-        time, global_worker(commit.worker), task_global_[Slot(commit.task)]});
+        time, worker_global_.at(commit.worker), tasks_.at(commit.task).global});
     if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }
@@ -498,9 +495,9 @@ void StreamPipeline::RecordCommits(
   const model::Arrangement& arrangement = scheduler_->arrangement();
   closing_scratch_.clear();
   for (auto it = commits.rbegin(); it != commits.rend(); ++it) {
-    const std::size_t slot = Slot(it->task);
-    if (!open_[slot] || !arrangement.TaskCompleted(it->task)) continue;
-    open_[slot] = 0;
+    TaskState& state = tasks_.at(it->task);
+    if (!state.open || !arrangement.TaskCompleted(it->task)) continue;
+    state.open = false;
     closing_scratch_.push_back(it->task);
   }
   for (auto it = closing_scratch_.rbegin(); it != closing_scratch_.rend();
@@ -510,7 +507,7 @@ void StreamPipeline::RecordCommits(
       const Status removed = grid_->Remove(*it);
       (void)removed;
     }
-    pending_closed_.push_back(task_global_[Slot(*it)]);
+    pending_closed_.push_back(tasks_.at(*it).global);
     ++tasks_completed_;
   }
 }
@@ -527,7 +524,7 @@ void StreamPipeline::AdvanceRoutes(double now) {
 
 void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
                                      double time) {
-  const model::WorkerIndex global = global_worker(w);
+  const model::WorkerIndex global = worker_global_.at(w);
   auto it = routes_.find(global);
   if (it == routes_.end()) {
     it = routes_
@@ -538,7 +535,7 @@ void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
   const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
   // Stops carry the *global* task id (moves are global records) and the
   // task's location as of commit time.
-  it->second.Insert(metric, task_global_[Slot(t)], instance_.task(t).location);
+  it->second.Insert(metric, tasks_.at(t).global, instance_.task(t).location);
 }
 
 double StreamPipeline::route_travel_time() const {
@@ -549,7 +546,7 @@ double StreamPipeline::route_travel_time() const {
 
 std::int64_t StreamPipeline::open_tasks() const {
   std::int64_t open = 0;
-  for (char o : open_) open += o != 0 ? 1 : 0;
+  for (const TaskState& task : tasks_) open += task.open ? 1 : 0;
   return open;
 }
 

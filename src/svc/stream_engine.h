@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "algo/scheduler.h"
+#include "common/id_window.h"
 #include "common/state_archive.h"
 #include "common/status.h"
 #include "fcst/arrival_forecast.h"
@@ -218,8 +219,9 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 /// the arrangement's load) stays resident while it is in the open batch or
 /// the scheduler holds it (OnlineScheduler::OldestHeldWorker); every commit
 /// retires the older ones. Local arrival indices keep counting across
-/// retirement (model::ProblemInstance::worker_offset), and routes carry
-/// their worker's global index, so nothing reads a retired record.
+/// retirement (each of these is an IdWindow, common/id_window.h), and
+/// routes carry their worker's global index, so nothing reads a retired
+/// record.
 ///
 /// Task lifetime: a task's record (instance().tasks, its global id, open
 /// flag, S and grid slot, the scheduler's per-task state) stays resident
@@ -227,7 +229,7 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 /// (OnlineScheduler::OldestHeldTask), whichever is older, on. Commit rounds
 /// retire the closed prefix below it once that prefix is as long as the
 /// rest, so retirement is amortized O(1) per task. Local task ids keep
-/// counting (model::ProblemInstance::task_offset).
+/// counting: each of these is an IdWindow too.
 ///
 /// ShardedStreamEngine runs one per shard, side by side. The engine owns
 /// event routing, flush scheduling and the thread pool; the pipeline owns
@@ -266,7 +268,7 @@ class StreamPipeline {
   /// §11): the resident task window (tasks at their *current* locations),
   /// the resident worker window, the open micro-batch, counters, the
   /// scheduler's records and, per mode, routes and forecast. The grid
-  /// index and open_ are derived state, rebuilt after a read. Writing
+  /// index and the open flags are derived state, rebuilt after a read. Writing
   /// needs empty pending_* buffers (only call between events); reading
   /// needs a pipeline fresh from Create, which then is commitment-for-
   /// commitment indistinguishable from one that lived through the stream
@@ -308,7 +310,7 @@ class StreamPipeline {
   }
   std::size_t batch_size() const { return batch_.size(); }
   model::WorkerIndex batch_global_worker(std::size_t i) const {
-    return global_worker(batch_[i]);
+    return worker_global_.at(batch_[i]);
   }
 
   // --- Flush phases ---
@@ -363,11 +365,11 @@ class StreamPipeline {
   std::int64_t workers_offered() const { return instance_.last_worker(); }
   /// Global id of resident local task `local`.
   model::TaskId task_global(model::TaskId local) const {
-    return task_global_[Slot(local)];
+    return tasks_.at(local).global;
   }
   /// Whether local task `local` is open (false once retired).
   bool task_open(model::TaskId local) const {
-    return instance_.task_resident(local) && open_[Slot(local)] != 0;
+    return tasks_.contains(local) && tasks_.at(local).open;
   }
   const algo::OnlineScheduler& scheduler() const { return *scheduler_; }
   const model::Arrangement& arrangement() const {
@@ -395,15 +397,13 @@ class StreamPipeline {
  private:
   explicit StreamPipeline(const Config& config) : config_(config) {}
 
-  /// Global arrival index of resident local worker `local`.
-  model::WorkerIndex global_worker(model::WorkerIndex local) const {
-    return worker_global_[static_cast<std::size_t>(
-        local - instance_.worker_offset - 1)];
-  }
-  /// The per-task window slot (open_, task_global_) of resident task `t`.
-  std::size_t Slot(model::TaskId t) const {
-    return static_cast<std::size_t>(t - instance_.task_offset);
-  }
+  /// What the pipeline keeps per resident task besides its record.
+  struct TaskState {
+    model::TaskId global = 0;
+    /// Arrived and below delta.
+    bool open = false;
+  };
+
   /// The scheduler-independent tail of a commit round: the optional
   /// check, RecordCommits, and the retirement of decided workers and of
   /// final tasks (RetireTasks).
@@ -439,13 +439,12 @@ class StreamPipeline {
                                      // whole (schedulers hold a pointer)
   std::unique_ptr<algo::OnlineScheduler> scheduler_;
   std::optional<geo::GridIndex> grid_;  // open tasks; nullopt = scan fallback
-  // Per resident task, by Slot(local): arrived and below delta; global id.
-  std::vector<char> open_;
-  std::vector<model::TaskId> task_global_;
+  // Per resident task, the window of instance_.tasks.
+  IdWindow<TaskState, model::TaskId> tasks_;
   // Every task below this local id is closed: the oldest-open cursor.
   model::TaskId oldest_open_ = 0;
-  // Global index of each resident worker (instance_.workers' order).
-  std::vector<model::WorkerIndex> worker_global_;
+  // Global index of each resident worker, the window of instance_.workers.
+  IdWindow<model::WorkerIndex, model::WorkerIndex> worker_global_{1};
 
   // Open batch: local worker indices of buffered arrivals.
   std::vector<model::WorkerIndex> batch_;

@@ -116,7 +116,7 @@ TEST(AamTest, StartsWithLgfWhenAverageDominates) {
   Aam aam;
   aam.InitStreaming(f.instance).CheckOK();
   std::vector<TaskId> eligible;
-  f.index->EligibleTasksSorted(f.instance.workers[0], &eligible);
+  f.index->EligibleTasksSorted(f.instance.worker(1), &eligible);
   std::vector<OnlineScheduler::StreamCommit> commits;
   aam.OnBatchWithCandidates({1}, {&eligible}, &commits).CheckOK();
   // avg = 3 * 3.219 / 2 = 4.83 >= maxRemain = 3.219 -> LGF.

@@ -146,29 +146,51 @@ TEST(IndexedMinHeapTest, RandomizedAgainstSort) {
   }
 }
 
+/// A window over ids [0, n) holding `values`.
+IdWindow<double> Window(const std::vector<double>& values) {
+  IdWindow<double> window;
+  for (double v : values) window.push_back(v);
+  return window;
+}
+
 TEST(LazyMaxTrackerTest, TracksDecreasingValues) {
-  std::vector<double> values = {3.0, 5.0, 1.0};
+  IdWindow<double> values = Window({3.0, 5.0, 1.0});
   LazyMaxTracker tracker(&values);
   EXPECT_DOUBLE_EQ(tracker.Max(), 5.0);
-  values[1] = 2.0;
+  values.at(1) = 2.0;
   tracker.Update(1);
   EXPECT_DOUBLE_EQ(tracker.Max(), 3.0);
-  values[0] = 0.0;
+  values.at(0) = 0.0;
   tracker.Update(0);
   EXPECT_DOUBLE_EQ(tracker.Max(), 2.0);
-  values[2] = 0.5;
+  values.at(2) = 0.5;
   tracker.Update(2);
-  values[1] = 0.0;
+  values.at(1) = 0.0;
   tracker.Update(1);
   EXPECT_DOUBLE_EQ(tracker.Max(), 0.5);
 }
 
+// Ids retired from the window leave the maximum at once, though their heap
+// entries go only as Max() meets them.
+TEST(LazyMaxTrackerTest, RetiredIdsLeaveTheMaximum) {
+  IdWindow<double> values = Window({9.0, 7.0, 1.0, 4.0});
+  LazyMaxTracker tracker(&values);
+  EXPECT_DOUBLE_EQ(tracker.Max(), 9.0);
+  values.RetireBefore(2);
+  EXPECT_DOUBLE_EQ(tracker.Max(), 4.0);
+  values.push_back(6.0);
+  tracker.Update(4);
+  EXPECT_DOUBLE_EQ(tracker.Max(), 6.0);
+  values.RetireBefore(5);
+  EXPECT_DOUBLE_EQ(tracker.Max(), 0.0);
+}
+
 // One heap entry per Update would grow with the updates (AAM makes one per
-// assignment); the tracker rebuilds from the live array instead, so after
+// assignment); the tracker rebuilds from the live window instead, so after
 // 10^5 updates it still holds at most 2x the live values plus a constant,
 // and Max() stays the live maximum throughout.
 TEST(LazyMaxTrackerTest, HeapStaysBoundedOverManyUpdates) {
-  std::vector<double> values(64, 1000.0);
+  IdWindow<double> values = Window(std::vector<double>(64, 1000.0));
   LazyMaxTracker tracker(&values);
   std::uint64_t state = 12345;
   std::size_t largest = 0;
@@ -176,12 +198,12 @@ TEST(LazyMaxTrackerTest, HeapStaysBoundedOverManyUpdates) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     if (step % 1000 == 999) {
       values.push_back(1000.0);  // a task arriving mid-stream
-      tracker.Update(static_cast<std::int64_t>(values.size() - 1));
+      tracker.Update(values.end_id() - 1);
     }
-    const auto i = static_cast<std::size_t>((state >> 33) % values.size());
-    values[i] = std::max(0.0, values[i] - 0.01 * static_cast<double>(
-                                                     (state >> 20) % 7));
-    tracker.Update(static_cast<std::int64_t>(i));
+    const auto id = static_cast<std::int64_t>((state >> 33) % values.size());
+    values.at(id) = std::max(
+        0.0, values.at(id) - 0.01 * static_cast<double>((state >> 20) % 7));
+    tracker.Update(id);
     largest = std::max(largest, tracker.heap_size());
     if (step % 97 == 0) {
       ASSERT_EQ(tracker.Max(), *std::max_element(values.begin(), values.end()))
@@ -193,7 +215,7 @@ TEST(LazyMaxTrackerTest, HeapStaysBoundedOverManyUpdates) {
 }
 
 TEST(LazyMaxTrackerTest, EmptyArrayYieldsZero) {
-  std::vector<double> values;
+  IdWindow<double> values;
   LazyMaxTracker tracker(&values);
   EXPECT_DOUBLE_EQ(tracker.Max(), 0.0);
 }

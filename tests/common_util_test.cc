@@ -1,4 +1,5 @@
-// Tests for string utilities, math helpers, the table printer and flags.
+// Tests for string utilities, math helpers, the table printer, flags and
+// the id window.
 
 #include <gtest/gtest.h>
 
@@ -6,8 +7,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/flags.h"
+#include "common/id_window.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "common/table.h"
@@ -207,6 +212,125 @@ TEST(FlagsTest, UsageListsFlags) {
   const std::string usage = FlagUsage();
   EXPECT_NE(usage.find("test_int"), std::string::npos);
   EXPECT_NE(usage.find("an int flag"), std::string::npos);
+}
+
+// ---- IdWindow ----
+
+/// True when `W` has an operator[] taking an integer.
+template <typename W, typename = void>
+struct HasSubscript : std::false_type {};
+template <typename W>
+struct HasSubscript<W, std::void_t<decltype(std::declval<W&>()[0])>>
+    : std::true_type {};
+
+// A window is addressed by id only: a raw position does not compile.
+static_assert(!HasSubscript<IdWindow<int>>::value,
+              "IdWindow must not offer a positional operator[]");
+static_assert(!HasSubscript<const IdWindow<double, std::int32_t>>::value,
+              "IdWindow must not offer a positional operator[]");
+static_assert(HasSubscript<std::vector<int>>::value,
+              "the detector sees a subscript where there is one");
+
+/// The values of `w` in id order.
+template <typename T, typename Id>
+std::vector<T> Values(const IdWindow<T, Id>& w) {
+  return std::vector<T>(w.begin(), w.end());
+}
+
+TEST(IdWindowTest, ContainsExactlyItsIdsAtBothEdges) {
+  IdWindow<int> w(10);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.first_id(), 10);
+  EXPECT_EQ(w.end_id(), 10);
+  EXPECT_FALSE(w.contains(10));
+  for (int v : {100, 110, 120}) w.push_back(v);
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.end_id(), 13);
+  EXPECT_FALSE(w.contains(9));
+  EXPECT_TRUE(w.contains(10));
+  EXPECT_TRUE(w.contains(12));
+  EXPECT_FALSE(w.contains(13));
+  EXPECT_EQ(w.at(10), 100);
+  EXPECT_EQ(w.at(12), 120);
+  w.at(11) = 7;
+  EXPECT_EQ(Values(w), (std::vector<int>{100, 7, 120}));
+}
+
+TEST(IdWindowTest, RetireBeforeAtOrBelowTheFirstIdIsANoOp) {
+  IdWindow<int> w(5);
+  for (int v : {1, 2, 3}) w.push_back(v);
+  w.RetireBefore(5);
+  w.RetireBefore(0);
+  w.RetireBefore(-3);
+  EXPECT_EQ(w.first_id(), 5);
+  EXPECT_EQ(Values(w), (std::vector<int>{1, 2, 3}));
+  w.RetireBefore(6);
+  EXPECT_EQ(w.first_id(), 6);
+  EXPECT_EQ(w.end_id(), 8);
+  EXPECT_EQ(w.at(6), 2);
+  EXPECT_EQ(Values(w), (std::vector<int>{2, 3}));
+}
+
+TEST(IdWindowTest, RetireBeforePastTheEndEmptiesAndRebases) {
+  IdWindow<int> w;
+  for (int v : {1, 2, 3}) w.push_back(v);
+  w.RetireBefore(3);  // exactly the end
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.first_id(), 3);
+  w.RetireBefore(9);  // past it
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.first_id(), 9);
+  EXPECT_EQ(w.end_id(), 9);
+  w.push_back(4);
+  EXPECT_TRUE(w.contains(9));
+  EXPECT_EQ(w.at(9), 4);
+}
+
+TEST(IdWindowTest, GrowToFillsOnlyTheNewIds) {
+  IdWindow<int> w(2);
+  w.push_back(8);
+  w.GrowTo(5, -1);
+  EXPECT_EQ(w.end_id(), 5);
+  EXPECT_EQ(Values(w), (std::vector<int>{8, -1, -1}));
+  w.GrowTo(4, 0);  // already reaches it
+  w.GrowTo(2, 0);
+  EXPECT_EQ(Values(w), (std::vector<int>{8, -1, -1}));
+  w.RetireBefore(7);
+  w.GrowTo(8, 3);
+  EXPECT_EQ(w.first_id(), 7);
+  EXPECT_EQ(Values(w), (std::vector<int>{3}));
+}
+
+TEST(IdWindowTest, ResetRestartsTheWindow) {
+  IdWindow<double> w;
+  for (double v : {1.0, 2.0}) w.push_back(v);
+  w.Reset(40, 3, 0.5);
+  EXPECT_EQ(w.first_id(), 40);
+  EXPECT_EQ(w.end_id(), 43);
+  EXPECT_EQ(Values(w), (std::vector<double>{0.5, 0.5, 0.5}));
+  w.Reset(7, 2);  // default fill
+  EXPECT_EQ(w.first_id(), 7);
+  EXPECT_EQ(Values(w), (std::vector<double>{0.0, 0.0}));
+  w.Reset(0, 0);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.end_id(), 0);
+}
+
+// The worker-style window: indices start at 1, narrow id type.
+TEST(IdWindowTest, WorkerStyleWindowStartsAtOne) {
+  IdWindow<char, std::int32_t> w(1);
+  EXPECT_EQ(w.end_id(), 1);  // last index 0: nothing arrived
+  for (char c : {'a', 'b', 'c', 'd'}) w.push_back(c);
+  EXPECT_FALSE(w.contains(0));
+  EXPECT_TRUE(w.contains(1));
+  EXPECT_TRUE(w.contains(4));
+  EXPECT_FALSE(w.contains(5));
+  EXPECT_EQ(w.at(1), 'a');
+  w.RetireBefore(1);  // nothing before the first index
+  EXPECT_EQ(w.size(), 4u);
+  w.RetireBefore(3);
+  EXPECT_EQ(w.at(3), 'c');
+  EXPECT_EQ(w.end_id() - 1, 4);  // the newest index survives retirement
 }
 
 }  // namespace

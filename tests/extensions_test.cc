@@ -203,7 +203,7 @@ TEST(AamAblationTest, ForcedStrategyIsPinned) {
   EXPECT_EQ(lrf.Name(), "LRF-only");
   lrf.InitStreaming(*instance).CheckOK();
   std::vector<model::TaskId> eligible;
-  index->EligibleTasksSorted(instance->workers[0], &eligible);
+  index->EligibleTasksSorted(instance->worker(1), &eligible);
   std::vector<algo::OnlineScheduler::StreamCommit> commits;
   lrf.OnBatchWithCandidates({1}, {&eligible}, &commits).CheckOK();
   EXPECT_EQ(lrf.last_strategy(), algo::Aam::Strategy::kLrf);

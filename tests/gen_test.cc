@@ -59,15 +59,15 @@ TEST(SyntheticTest, DeterministicForSeed) {
   auto b = GenerateSynthetic(cfg);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  for (std::size_t i = 0; i < a->workers.size(); ++i) {
-    EXPECT_EQ(a->workers[i].location, b->workers[i].location);
-    EXPECT_EQ(a->workers[i].historical_accuracy,
-              b->workers[i].historical_accuracy);
+  for (model::WorkerIndex w = 1; w <= a->last_worker(); ++w) {
+    EXPECT_EQ(a->worker(w).location, b->worker(w).location);
+    EXPECT_EQ(a->worker(w).historical_accuracy,
+              b->worker(w).historical_accuracy);
   }
   cfg.seed = 78;
   auto c = GenerateSynthetic(cfg);
   ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(a->workers[0].location == c->workers[0].location);
+  EXPECT_FALSE(a->worker(1).location == c->worker(1).location);
 }
 
 TEST(SyntheticTest, NormalVsUniformDistributions) {
@@ -181,8 +181,8 @@ TEST(FoursquareTest, DeterministicAndScaleValidation) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->num_workers(), b->num_workers());
-  for (std::size_t i = 0; i < a->workers.size(); ++i) {
-    EXPECT_EQ(a->workers[i].location, b->workers[i].location);
+  for (model::WorkerIndex w = 1; w <= a->last_worker(); ++w) {
+    EXPECT_EQ(a->worker(w).location, b->worker(w).location);
   }
   cfg.scale = 0.0;
   EXPECT_FALSE(GenerateFoursquareLike(cfg).ok());

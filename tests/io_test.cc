@@ -57,13 +57,12 @@ TEST(WorkloadIoTest, InstanceRoundTripsExactly) {
   EXPECT_DOUBLE_EQ(parsed->epsilon, original.epsilon);
   EXPECT_EQ(parsed->capacity, original.capacity);
   EXPECT_DOUBLE_EQ(parsed->acc_min, original.acc_min);
-  for (std::int64_t t = 0; t < original.num_tasks(); ++t) {
-    EXPECT_EQ(parsed->tasks[static_cast<std::size_t>(t)].location,
-              original.tasks[static_cast<std::size_t>(t)].location);
+  for (model::TaskId t = 0; t < original.num_tasks(); ++t) {
+    EXPECT_EQ(parsed->task(t).location, original.task(t).location);
   }
-  for (std::int64_t i = 0; i < original.num_workers(); ++i) {
-    const auto& a = parsed->workers[static_cast<std::size_t>(i)];
-    const auto& b = original.workers[static_cast<std::size_t>(i)];
+  for (model::WorkerIndex w = 1; w <= original.last_worker(); ++w) {
+    const auto& a = parsed->worker(w);
+    const auto& b = original.worker(w);
     EXPECT_EQ(a.location, b.location);
     EXPECT_DOUBLE_EQ(a.historical_accuracy, b.historical_accuracy);
     EXPECT_EQ(a.user_id, b.user_id);

@@ -194,7 +194,9 @@ model::ProblemInstance GridOrderInstance(
   instance.epsilon = 0.2;
   instance.capacity = 2;
   instance.accuracy = std::move(accuracy);
-  instance.tasks = {{0, {40.0, 0.0}}, {1, {0.0, 0.0}}, {2, {42.0, 0.0}}};
+  instance.tasks.push_back({0, {40.0, 0.0}});
+  instance.tasks.push_back({1, {0.0, 0.0}});
+  instance.tasks.push_back({2, {42.0, 0.0}});
   for (int i = 0; i < 30; ++i) {
     model::Worker w;
     w.index = static_cast<model::WorkerIndex>(i + 1);
@@ -223,10 +225,10 @@ TEST(McfLtcEdgeTest, GridCellOrderDoesNotChangeResults) {
   // grid enumeration is cell order {1, 0, 2} — not ascending — while the
   // sorted batch API restores ascending ids.
   std::vector<model::TaskId> raw;
-  grid_index->EligibleTasks(grid_instance.workers[0], &raw);
+  grid_index->EligibleTasks(grid_instance.worker(1), &raw);
   ASSERT_EQ(raw, (std::vector<model::TaskId>{1, 0, 2}));
   std::vector<model::TaskId> sorted;
-  grid_index->EligibleTasksSorted(grid_instance.workers[0], &sorted);
+  grid_index->EligibleTasksSorted(grid_instance.worker(1), &sorted);
   EXPECT_EQ(sorted, (std::vector<model::TaskId>{0, 1, 2}));
 
   // MCF-LTC must be oblivious to the spatial index's internal order: the

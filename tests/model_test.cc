@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/math_util.h"
 #include "common/state_archive.h"
@@ -183,18 +186,18 @@ TEST(ProblemInstanceTest, RejectsBadParameters) {
   bad.accuracy = nullptr;
   EXPECT_FALSE(bad.Validate().ok());
   bad = *instance;
-  bad.tasks.clear();
+  bad.tasks.Reset(0, 0);
   EXPECT_FALSE(bad.Validate().ok());
   bad = *instance;
-  bad.workers[5].index = 99;  // out of sequence
+  bad.worker(6).index = 99;  // out of sequence
   EXPECT_FALSE(bad.Validate().ok());
   bad = *instance;
-  bad.tasks[2].id = 7;  // not dense
+  bad.task(2).id = 7;  // not dense
   EXPECT_FALSE(bad.Validate().ok());
   bad = *instance;
-  bad.workers[0].historical_accuracy = 1.5;
+  bad.worker(1).historical_accuracy = 1.5;
   EXPECT_FALSE(bad.Validate().ok());
-  bad.workers[0].historical_accuracy = std::nan("");
+  bad.worker(1).historical_accuracy = std::nan("");
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -202,8 +205,8 @@ TEST(ProblemInstanceTest, RetiresWorkersFromTheFront) {
   auto instance = SmallInstance();
   ASSERT_TRUE(instance.ok());
   ProblemInstance window = *instance;
-  window.RetireWorkersBefore(51);
-  EXPECT_EQ(window.worker_offset, 50);
+  window.workers.RetireBefore(51);
+  EXPECT_EQ(window.workers.first_id(), 51);
   EXPECT_EQ(window.num_workers(), 150);
   EXPECT_EQ(window.last_worker(), 200);
   EXPECT_FALSE(window.resident(50));
@@ -216,15 +219,16 @@ TEST(ProblemInstanceTest, RetiresWorkersFromTheFront) {
     EXPECT_EQ(window.Acc(120, t), instance->Acc(120, t));
     EXPECT_EQ(window.AccStar(200, t), instance->AccStar(200, t));
   }
-  window.RetireWorkersBefore(10);  // already retired: no-op
-  EXPECT_EQ(window.worker_offset, 50);
-  window.RetireWorkersBefore(201);  // everything
+  window.workers.RetireBefore(10);  // already retired: no-op
+  EXPECT_EQ(window.workers.first_id(), 51);
+  window.workers.RetireBefore(201);  // everything
   EXPECT_EQ(window.num_workers(), 0);
   EXPECT_EQ(window.last_worker(), 200);
 
+  // Indices no longer follow the window's ids.
   ProblemInstance bad = *instance;
-  bad.RetireWorkersBefore(51);
-  bad.worker_offset = 49;  // indices no longer follow the offset
+  bad.workers = IdWindow<Worker, WorkerIndex>(50);
+  for (const Worker& w : instance->workers) bad.workers.push_back(w);
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -233,8 +237,8 @@ TEST(ProblemInstanceTest, RetiresTasksFromTheFront) {
   ASSERT_TRUE(instance.ok());
   ProblemInstance window = *instance;
   const std::int64_t all = instance->num_tasks();
-  window.RetireTasksBefore(3);
-  EXPECT_EQ(window.task_offset, 3);
+  window.tasks.RetireBefore(3);
+  EXPECT_EQ(window.tasks.first_id(), 3);
   EXPECT_EQ(window.num_tasks(), all);  // ids stay stable
   EXPECT_FALSE(window.task_resident(2));
   EXPECT_TRUE(window.task_resident(3));
@@ -245,12 +249,13 @@ TEST(ProblemInstanceTest, RetiresTasksFromTheFront) {
     EXPECT_EQ(window.Acc(120, t), instance->Acc(120, t));
     EXPECT_EQ(window.AccStar(200, t), instance->AccStar(200, t));
   }
-  window.RetireTasksBefore(1);  // already retired: no-op
-  EXPECT_EQ(window.task_offset, 3);
+  window.tasks.RetireBefore(1);  // already retired: no-op
+  EXPECT_EQ(window.tasks.first_id(), 3);
 
+  // Ids no longer follow the window's ids.
   ProblemInstance bad = *instance;
-  bad.RetireTasksBefore(3);
-  bad.task_offset = 2;  // ids no longer follow the offset
+  bad.tasks = IdWindow<Task, TaskId>(2);
+  for (const Task& t : instance->tasks) bad.tasks.push_back(t);
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -425,6 +430,67 @@ TEST(ValidateArrangementTest, AcceptsValidAndCatchesViolations) {
       ValidateArrangement(instance, partial, true).IsFailedPrecondition());
 }
 
+// A streaming pipeline's instance and arrangement hold windows that start
+// above the first ids (tasks from 3, workers from 151 here): the
+// validator's per-task and per-worker scratch follows those windows.
+TEST(ValidateArrangementTest, WindowsStartingAboveTheFirstIds) {
+  auto instance = SmallInstance();
+  ASSERT_TRUE(instance.ok());
+  ProblemInstance window = *instance;
+  window.tasks.RetireBefore(3);
+  window.workers.RetireBefore(151);
+  ASSERT_TRUE(window.Validate().ok());
+  const double delta = window.Delta();
+
+  // Every eligible resident pair, at most K per worker; `pair` keeps a
+  // worker with two of them.
+  Arrangement arr(window.num_tasks(), delta, /*first_task=*/3);
+  std::int64_t added = 0;
+  std::pair<WorkerIndex, std::vector<TaskId>> pair{0, {}};
+  for (WorkerIndex w = 151; w <= window.last_worker(); ++w) {
+    std::vector<TaskId> mine;
+    for (TaskId t = 3; t < window.num_tasks(); ++t) {
+      if (static_cast<std::int32_t>(mine.size()) == window.capacity) break;
+      if (!window.Eligible(w, t)) continue;
+      arr.Add(w, t, window.AccStar(w, t));
+      mine.push_back(t);
+      ++added;
+    }
+    if (mine.size() >= 2 && pair.first == 0) pair = {w, mine};
+  }
+  ASSERT_GT(added, 0);
+  ASSERT_NE(pair.first, 0);
+  EXPECT_TRUE(ValidateArrangement(window, arr, false).ok());
+  EXPECT_EQ(ValidateArrangement(window, arr, true).ok(), arr.AllCompleted());
+
+  // Completion is checked from the first resident task on.
+  const Arrangement empty(window.num_tasks(), delta, /*first_task=*/3);
+  const Status incomplete = ValidateArrangement(window, empty, true);
+  EXPECT_TRUE(incomplete.IsFailedPrecondition());
+  EXPECT_NE(incomplete.ToString().find("task 3 incomplete"),
+            std::string::npos)
+      << incomplete.ToString();
+
+  // Capacity counts through the worker window.
+  ProblemInstance strict = window;
+  strict.capacity = 1;
+  Arrangement over(window.num_tasks(), delta, /*first_task=*/3);
+  for (TaskId t : pair.second) {
+    over.Add(pair.first, t, window.AccStar(pair.first, t));
+  }
+  EXPECT_TRUE(
+      ValidateArrangement(strict, over, false).IsFailedPrecondition());
+
+  // A retired worker or task is out of range.
+  Arrangement retired_worker(window.num_tasks(), delta, /*first_task=*/3);
+  retired_worker.Add(150, pair.second[0], 0.5);
+  EXPECT_TRUE(
+      ValidateArrangement(window, retired_worker, false).IsOutOfRange());
+  Arrangement retired_task(window.num_tasks(), delta, /*first_task=*/0);
+  retired_task.Add(pair.first, 2, 0.5);
+  EXPECT_TRUE(ValidateArrangement(window, retired_task, false).IsOutOfRange());
+}
+
 TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
   auto instance_or = gen::PaperExampleInstance(0.2);
   ASSERT_TRUE(instance_or.ok());
@@ -438,7 +504,7 @@ TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
   arr.Add(2, 0, instance.AccStar(2, 0));
   arr.Add(1, 0, instance.AccStar(1, 0));
   EXPECT_TRUE(ValidateCommitRound(instance, arr, 0).ok());
-  instance.RetireWorkersBefore(3);
+  instance.workers.RetireBefore(3);
   arr.RetireWorkersBefore(3);  // the list drops their three entries
   arr.Add(3, 0, instance.AccStar(3, 0));
   EXPECT_TRUE(ValidateCommitRound(instance, arr, 0).ok());
@@ -456,7 +522,9 @@ TEST(ValidateCommitRoundTest, AcceptsRoundsAndCatchesEachViolation) {
   EXPECT_TRUE(check(instance, 99, 1, 0.5).IsOutOfRange());
   // A task out of the instance's range.
   ProblemInstance fewer = instance;
-  fewer.tasks.pop_back();
+  fewer.tasks = IdWindow<Task, TaskId>();
+  fewer.tasks.push_back(instance.task(0));
+  fewer.tasks.push_back(instance.task(1));
   EXPECT_TRUE(check(fewer, 4, 2, 0.5).IsOutOfRange());
   // A recorded Acc* the model disagrees with.
   EXPECT_TRUE(check(instance, 4, 1, 0.123).IsInternal());
@@ -514,7 +582,7 @@ TEST(EligibilityIndexTest, MatrixModelFallsBackToScan) {
   ASSERT_TRUE(index_or.ok());
   EXPECT_FALSE(index_or->spatial());
   std::vector<TaskId> got;
-  index_or->EligibleTasks(instance_or->workers[0], &got);
+  index_or->EligibleTasks(instance_or->worker(1), &got);
   // All Table-I accuracies exceed 0.66: every task eligible for w1.
   EXPECT_EQ(got, (std::vector<TaskId>{0, 1, 2}));
 }

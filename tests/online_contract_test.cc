@@ -50,7 +50,8 @@ Built BuildSmall(std::uint64_t seed = 4) {
 /// Commits worker `i` (0-based) alone, with every eligible task as its
 /// candidates — one step of DriveOnline's loop.
 Commits CommitOne(OnlineScheduler* scheduler, const Built& b, std::size_t i) {
-  const model::Worker& w = b.instance.workers[i];
+  const model::Worker& w =
+      b.instance.worker(static_cast<model::WorkerIndex>(i + 1));
   std::vector<model::TaskId> eligible;
   b.index->EligibleTasksSorted(w, &eligible);
   Commits commits;
@@ -124,9 +125,10 @@ TEST_P(OnlineContractTest, ArrangementIsAppendOnly) {
       const model::Assignment& a = after[before.size() + k];
       EXPECT_EQ(a.worker, commits[k].worker) << GetParam();
       EXPECT_EQ(a.task, commits[k].task) << GetParam();
-      EXPECT_LE(a.worker, b.instance.workers[i].index) << GetParam();
+      EXPECT_LE(a.worker, static_cast<model::WorkerIndex>(i + 1)) << GetParam();
       if (CommitsOnlyCallWorker(GetParam())) {
-        EXPECT_EQ(a.worker, b.instance.workers[i].index) << GetParam();
+        EXPECT_EQ(a.worker, static_cast<model::WorkerIndex>(i + 1))
+            << GetParam();
       }
     }
     before = after;

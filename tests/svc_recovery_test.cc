@@ -285,7 +285,7 @@ void ExpectRecoveryMatchesUninterrupted(const io::EventLog& log,
         EXPECT_GT(service.value()->recovery().snapshot_events, 0) << tag;
         for (int k = 0; k < shards; ++k) {
           retired +=
-              service.value()->engine().pipeline(k).instance().task_offset;
+              service.value()->engine().pipeline(k).instance().tasks.first_id();
         }
         for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
           service.value()->Ingest(log.events[static_cast<std::size_t>(i)])

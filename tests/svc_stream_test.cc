@@ -509,7 +509,7 @@ std::int64_t ResidentTasks(const ShardedStreamEngine& engine) {
   std::int64_t resident = 0;
   for (int k = 0; k < engine.num_shards(); ++k) {
     const model::ProblemInstance& instance = engine.pipeline(k).instance();
-    resident += instance.num_tasks() - instance.task_offset;
+    resident += static_cast<std::int64_t>(instance.tasks.size());
   }
   return resident;
 }
@@ -573,7 +573,8 @@ TEST(WorkerLifetimeTest, ArrangementListStaysWithinResidentWorkers) {
 std::int64_t TaskExcess(const StreamPipeline& p) {
   const model::ProblemInstance& instance = p.instance();
   model::TaskId keep = static_cast<model::TaskId>(instance.num_tasks());
-  for (model::TaskId t = instance.task_offset; t < instance.num_tasks(); ++t) {
+  const model::TaskId first = instance.tasks.first_id();
+  for (model::TaskId t = first; t < instance.num_tasks(); ++t) {
     if (p.task_open(t)) {
       keep = t;
       break;
@@ -581,10 +582,10 @@ std::int64_t TaskExcess(const StreamPipeline& p) {
   }
   const model::TaskId held = p.scheduler().OldestHeldTask();
   if (held >= 0) keep = std::min(keep, held);
-  const std::int64_t resident = instance.num_tasks() - instance.task_offset;
+  const auto resident = static_cast<std::int64_t>(instance.tasks.size());
   const std::int64_t live = instance.num_tasks() - keep;
   return std::max<std::int64_t>(0, resident - 2 * live) +
-         (keep < instance.task_offset ? 1 : 0);
+         (keep < first ? 1 : 0);
 }
 
 // Closed tasks retire: over a stream of N worker arrivals and one of 4N
@@ -665,10 +666,11 @@ TEST(TaskLifetimeTest, MovesOfRetiredTasksAreAccepted) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const StreamPipeline& p = engine.value()->pipeline(0);
   std::size_t next = 0;
-  while (p.instance().task_offset == 0 && next < log.value().events.size()) {
+  while (p.instance().tasks.first_id() == 0 &&
+         next < log.value().events.size()) {
     ASSERT_TRUE(engine.value()->OnEvent(log.value().events[next++]).ok());
   }
-  ASSERT_GT(p.instance().task_offset, 0) << "no task retired";
+  ASSERT_GT(p.instance().tasks.first_id(), 0) << "no task retired";
   std::string before;
   ASSERT_TRUE(engine.value()->SerializeTo(&before).ok());
 

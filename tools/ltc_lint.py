@@ -53,11 +53,6 @@ Rules (ids appear in findings and in suppression comments):
                        persisted format is read by the one line scanner, and
                        a number by its field parsers (ParseDouble,
                        ParseInt64), so no reader drifts from the one rule.
-  window-index         A direct tasks[...] / workers[...] subscript of a
-                       member in src/svc or a streaming scheduler: a
-                       pipeline's ProblemInstance holds a window of each
-                       (task_offset, worker_offset), so a raw position is
-                       not an id. Reads go through task(t) / worker(w).
 
 Suppressions, each requiring a justification in the trailing text:
   // ltc-lint: allow(rule-id) <why>          — this line and the next
@@ -98,7 +93,6 @@ RULE_IDS = (
     "nodiscard-status",
     "test-only-module",
     "number-parse",
-    "window-index",
 )
 
 # Function names whose bodies feed persisted, byte-compared artifacts
@@ -139,15 +133,6 @@ C_NUMBER_PARSE_RE = re.compile(
 INPUT_STREAM_DECL_RE = re.compile(
     r"\b(?:std::)?(?:i|if|istring|string|f|io)?stream\s*&?\s*"
     r"([A-Za-z_]\w*)")
-
-# Where a ProblemInstance is a window (DESIGN.md §8): the streaming service
-# and the schedulers it drives (the offline ones see whole instances).
-WINDOW_INDEX_SCOPE = (
-    "src/svc/",
-    "src/algo/scheduler.", "src/algo/online_base.", "src/algo/laf.",
-    "src/algo/aam.", "src/algo/random_assign.", "src/algo/mcf_stream.",
-)
-WINDOW_INDEX_RE = re.compile(r"(?:\.|->)\s*(?:tasks|workers)\s*\[")
 
 ALLOW_RE = re.compile(r"ltc-lint:\s*allow\(([a-z0-9-]+)\)")
 ALLOW_FILE_RE = re.compile(r"ltc-lint:\s*allow-file\(([a-z0-9-]+)\)")
@@ -520,7 +505,6 @@ def lint_text(path, text, unordered, status_fns, findings,
     # --- line-scoped rules ---
     in_src = rel_parts[0] == "src"
     rel_norm = os.path.join(*rel_parts)
-    in_window_scope = "/".join(rel_parts).startswith(WINDOW_INDEX_SCOPE)
     streams = set(INPUT_STREAM_DECL_RE.findall(stripped)) | {"cin"}
     stream_read_re = re.compile(
         r"\b(?:%s)\s*>>(?!=)" % "|".join(sorted(streams)))
@@ -547,14 +531,6 @@ def lint_text(path, text, unordered, status_fns, findings,
                 "text or number read outside the line scanner (use "
                 "common::LineScanner, or ParseDouble / ParseInt64 for one "
                 "value)"))
-        if (in_window_scope and WINDOW_INDEX_RE.search(line)
-                and not allowed("window-index", lineno, line_allows,
-                                file_allows)):
-            findings.append(Finding(
-                path, lineno, "window-index",
-                "subscript of a windowed tasks/workers vector (use "
-                "ProblemInstance::task(t) / worker(w); local ids count "
-                "retired entries)"))
         if (in_src and rel_norm not in RAW_MUTEX_ALLOWED
                 and RAW_MUTEX_RE.search(line)
                 and not allowed("raw-std-mutex", lineno, line_allows,
@@ -981,40 +957,6 @@ def selftest():
     expect(not any(x.rule == "number-parse" for x in f),
            "the scanner, shifts, template closers, ParseDouble, tests/ and "
            "an allow pass", failures)
-
-    print("selftest: window-index")
-    for rel, body in (
-            ("src/svc/stream_engine.cc",
-             "  return instance_.tasks[t].location;\n"),
-            ("src/svc/stream_engine.cc",
-             "  return instance_->workers [w - 1].location;\n"),
-            ("src/algo/mcf_stream.cc",
-             "  return instance().tasks[t].location;\n")):
-        pos = dict(base)
-        pos[rel] = "Point At(int t, int w) {\n" + body + "}\n"
-        f = _fixture_findings(pos, failures)
-        expect(any(x.rule == "window-index" and x.line == 2 for x in f),
-               "%s in %s flagged" % (body.strip(), rel), failures)
-    neg = dict(base)
-    neg["src/svc/stream_engine.cc"] = (
-        "// instance_.tasks[t] in a comment is fine\n"
-        "Point At(const std::vector<int>& workers, int t, int i) {\n"
-        "  const int w = workers[i];\n"
-        "  for (Task& task : instance_.tasks) Touch(task);\n"
-        "  Use(instance_.tasks.size(), instance_.worker(w));\n"
-        "  return instance_.task(t).location;\n"
-        "}\n")
-    neg["src/algo/base_off.cc"] = (
-        "Point At(int t) { return instance.tasks[t].location; }\n")
-    neg["tests/svc_test.cc"] = (
-        "Point At(int t) { return p.instance().tasks[t].location; }\n")
-    neg["src/svc/restore.cc"] = (
-        "// ltc-lint: allow(window-index) position within the window\n"
-        "Point At(int i) { return instance_.tasks[i].location; }\n")
-    f = _fixture_findings(neg, failures)
-    expect(not any(x.rule == "window-index" for x in f),
-           "task(t)/worker(w), a parameter's subscript, offline schedulers, "
-           "tests/ and an allow pass", failures)
 
     print("selftest: suppression comments")
     sup = dict(base)
