@@ -18,12 +18,6 @@ void FaultPoints::Arm(const std::string& point, std::int64_t countdown,
   any_armed_.store(true, std::memory_order_release);
 }
 
-void FaultPoints::Disarm(const std::string& point) {
-  MutexLock lock(&mu_);
-  armed_.erase(point);
-  if (armed_.empty()) any_armed_.store(false, std::memory_order_release);
-}
-
 void FaultPoints::Reset() {
   MutexLock lock(&mu_);
   armed_.clear();

@@ -43,8 +43,6 @@ class FaultPoints {
   void Arm(const std::string& point, std::int64_t countdown,
            const std::string& action = "fail") LTC_EXCLUDES(mu_);
 
-  /// Disarms one point (no-op if unarmed).
-  void Disarm(const std::string& point) LTC_EXCLUDES(mu_);
 
   /// Disarms everything. Call between tests.
   void Reset() LTC_EXCLUDES(mu_);

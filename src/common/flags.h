@@ -58,7 +58,6 @@ class Flag : public internal::FlagBase {
         value_(std::move(default_value)) {}
 
   const T& Get() const { return value_; }
-  void Set(T v) { value_ = std::move(v); }
 
   Status Parse(const std::string& text) override;
   bool IsBool() const override;

@@ -60,12 +60,6 @@ class BoundedTopK {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// The *smallest* retained item (the next eviction candidate).
-  const Item& PeekMin() const {
-    assert(!heap_.empty());
-    return heap_[0];
-  }
-
   /// Removes and returns the *smallest* retained item.
   Item PopMin() {
     assert(!heap_.empty());

@@ -30,13 +30,6 @@ inline bool AlmostEqual(double a, double b, double tol = 1e-9) {
   return std::fabs(a - b) <= tol;
 }
 
-/// a >= b - tol: "greater or equal" with tolerance, used for reach-delta
-/// checks so accumulated floating point error never flags a completed task
-/// as incomplete.
-inline bool GreaterEqualTol(double a, double b, double tol = 1e-9) {
-  return a >= b - tol;
-}
-
 /// Ceiling of a / b for positive integers.
 inline long long CeilDiv(long long a, long long b) { return (a + b - 1) / b; }
 

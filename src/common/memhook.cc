@@ -6,8 +6,6 @@ namespace ltc {
 namespace memhook {
 
 namespace {
-std::atomic<std::uint64_t> g_current{0};
-std::atomic<std::uint64_t> g_peak{0};
 std::atomic<bool> g_active{false};
 
 // Per-thread net/peak. Trivially-destructible PODs so the accessors stay
@@ -16,17 +14,6 @@ std::atomic<bool> g_active{false};
 thread_local std::int64_t t_net = 0;
 thread_local std::int64_t t_peak = 0;
 }  // namespace
-
-std::uint64_t CurrentBytes() {
-  return g_current.load(std::memory_order_relaxed);
-}
-
-std::uint64_t PeakBytes() { return g_peak.load(std::memory_order_relaxed); }
-
-void ResetPeak() {
-  g_peak.store(g_current.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-}
 
 std::int64_t ThreadNetBytes() { return t_net; }
 
@@ -39,21 +26,11 @@ bool Active() { return g_active.load(std::memory_order_relaxed); }
 namespace internal {
 
 void RecordAlloc(std::size_t size) {
-  const std::uint64_t now =
-      g_current.fetch_add(size, std::memory_order_relaxed) + size;
-  // Racy max update is fine for metrics purposes.
-  std::uint64_t peak = g_peak.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !g_peak.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
-  }
   t_net += static_cast<std::int64_t>(size);
   if (t_net > t_peak) t_peak = t_net;
 }
 
-void RecordFree(std::size_t size) {
-  g_current.fetch_sub(size, std::memory_order_relaxed);
-  t_net -= static_cast<std::int64_t>(size);
-}
+void RecordFree(std::size_t size) { t_net -= static_cast<std::int64_t>(size); }
 
 void MarkActive() { g_active.store(true, std::memory_order_relaxed); }
 

@@ -1,16 +1,14 @@
 // Byte-exact heap accounting for the memory rows of Fig. 3i-l / Fig. 4i-l.
 //
-// The counters in this header are always available (they just read atomics
-// or thread-locals). They only move when the translation unit
+// The counters in this header are always available (they just read
+// thread-locals). They only move when the translation unit
 // `memhook_impl.cc` — which overrides global operator new/delete — is linked
 // into the binary. Bench executables link it; the core library and most
 // tests do not, so library users pay nothing.
 //
-// Two views are kept (DESIGN.md §7):
-//   * process-wide: relaxed atomics summed over all threads;
-//   * per-thread: thread_local net/peak counters, so concurrent measured
-//     runs (exp::SweepRunner cells) each see only their own allocations
-//     instead of racing over one global high-water mark.
+// The counters are per thread (DESIGN.md §7), so concurrent measured runs
+// (exp::SweepRunner cells) each see only their own allocations instead of
+// racing over one global high-water mark.
 
 #ifndef LTC_COMMON_MEMHOOK_H_
 #define LTC_COMMON_MEMHOOK_H_
@@ -20,15 +18,6 @@
 
 namespace ltc {
 namespace memhook {
-
-/// Bytes currently allocated through global operator new.
-std::uint64_t CurrentBytes();
-
-/// High-water mark of CurrentBytes() since the last ResetPeak().
-std::uint64_t PeakBytes();
-
-/// Resets the peak to the current level (call before a measured run).
-void ResetPeak();
 
 /// Net bytes (allocs minus frees) recorded on the calling thread. May be
 /// negative: a thread that frees memory allocated elsewhere is credited

@@ -109,10 +109,6 @@ class [[nodiscard]] Status {
   /// Aborts the process if not OK. Use in contexts where failure is a bug.
   void CheckOK() const;
 
-  friend bool operator==(const Status& a, const Status& b) {
-    return a.code() == b.code();
-  }
-
  private:
   struct Rep {
     StatusCode code;

@@ -110,8 +110,4 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string DoubleToString(double v, int precision) {
-  return StrFormat("%.*f", precision, v);
-}
-
 }  // namespace ltc

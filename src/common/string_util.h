@@ -34,9 +34,6 @@ std::string HumanBytes(std::uint64_t bytes);
 /// "1.23 s", "45.6 ms", "789 us" — picks a readable unit.
 std::string HumanDuration(double seconds);
 
-/// Fixed-precision double ("%.*f").
-std::string DoubleToString(double v, int precision = 6);
-
 /// Escapes `s` for embedding in a JSON string literal (quotes, backslashes,
 /// newlines) — shared by the exp and svc JSON emitters.
 std::string JsonEscape(const std::string& s);

@@ -1,7 +1,6 @@
 #include "exp/extensions.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "exp/figures.h"
+#include "model/quality.h"
 #include "model/truth_inference.h"
 #include "model/voting.h"
 #include "sim/presets.h"
@@ -168,7 +168,7 @@ StatusOr<std::string> RunErrorRateSuite(const SweepOptions& sweep,
     }
     const double epsilon = cells[c * reps].epsilon;
     table.AddRow({cases[c].label,
-                  StrFormat("%.3f", 2.0 * std::log(1.0 / epsilon)),
+                  StrFormat("%.3f", model::DeltaFromEpsilon(epsilon)),
                   StrFormat("%.5f", error_sum / static_cast<double>(reps)),
                   StrFormat("%.5f", worst), worst < epsilon ? "yes" : "NO"});
   }

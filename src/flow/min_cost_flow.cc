@@ -4,7 +4,7 @@
 #include <functional>
 #include <limits>
 
-#include "common/logging.h"
+#include "common/string_util.h"
 
 namespace ltc {
 namespace flow {
@@ -811,7 +811,7 @@ StatusOr<McmfResult> IncrementalMcmf::Solve() {
   if (options_.drift_check_every > 0 &&
       ++solves_since_drift_check_ >= options_.drift_check_every) {
     solves_since_drift_check_ = 0;
-    RunDriftCheck();
+    LTC_RETURN_IF_ERROR(RunDriftCheck());
   }
   return result;
 }
@@ -858,7 +858,7 @@ std::int64_t IncrementalMcmf::Consumed(NodeId right) const {
   return consumed_[static_cast<std::size_t>(right)];
 }
 
-void IncrementalMcmf::TestOnlyCorruptFlow() {
+bool IncrementalMcmf::TestOnlyCorruptFlow() {
   for (std::size_t a = 0; a < arc_alive_.size(); ++a) {
     if (!arc_alive_[a] || arc_cost_[a] == 0) continue;
     const ArcId b = net_arc_of_[a];
@@ -866,13 +866,12 @@ void IncrementalMcmf::TestOnlyCorruptFlow() {
     const ArcIndex s = net_.ArcSlot(b);
     if (net_.residual(s) <= 0) continue;
     net_.Push(s, 1);  // one unit the bookkeeping knows nothing about
-    return;
+    return true;
   }
-  LTC_CHECK(false) << "TestOnlyCorruptFlow: no corruptible arc (need a live, "
-                      "materialized, non-zero-cost arc with residual)";
+  return false;
 }
 
-void IncrementalMcmf::RunDriftCheck() {
+Status IncrementalMcmf::RunDriftCheck() {
   // Independent from-scratch reference: wrap the live problem in the classic
   // st/ed formulation, remapped to layered order (st, lefts, rights, ed) so
   // the closed-form potential seed applies, and compare the invariant pair
@@ -896,40 +895,41 @@ void IncrementalMcmf::RunDriftCheck() {
   for (NodeId v = 0; v < num_nodes_; ++v) {
     const auto i = static_cast<std::size_t>(v);
     if (kind_[i] == kLeft && supply_[i] > 0) {
-      ref_builder_.AddArc(0, ref_node_of_[i], supply_[i], 0).status().CheckOK();
+      LTC_RETURN_IF_ERROR(
+          ref_builder_.AddArc(0, ref_node_of_[i], supply_[i], 0).status());
     }
   }
   for (std::size_t a = 0; a < arc_alive_.size(); ++a) {
     if (!arc_alive_[a]) continue;
     min_cost = std::min(min_cost, arc_cost_[a]);
-    ref_builder_
-        .AddArc(ref_node_of_[static_cast<std::size_t>(arc_left_[a])],
-                ref_node_of_[static_cast<std::size_t>(arc_right_[a])],
-                arc_cap_[a], arc_cost_[a])
-        .status()
-        .CheckOK();
+    const NodeId left = ref_node_of_[static_cast<std::size_t>(arc_left_[a])];
+    const NodeId right = ref_node_of_[static_cast<std::size_t>(arc_right_[a])];
+    LTC_RETURN_IF_ERROR(
+        ref_builder_.AddArc(left, right, arc_cap_[a], arc_cost_[a]).status());
   }
   for (NodeId v = 0; v < num_nodes_; ++v) {
     const auto i = static_cast<std::size_t>(v);
-    if (kind_[i] == kRight && deficit_[i] + inflow_[i] > 0) {
-      ref_builder_.AddArc(ref_node_of_[i], ed, deficit_[i] + inflow_[i], 0)
-          .status()
-          .CheckOK();
+    const std::int64_t demand = deficit_[i] + inflow_[i];
+    if (kind_[i] == kRight && demand > 0) {
+      LTC_RETURN_IF_ERROR(
+          ref_builder_.AddArc(ref_node_of_[i], ed, demand, 0).status());
     }
   }
   ref_builder_.Build(&ref_net_);
   const LayeredSeed seed{right_begin, min_cost};
-  const auto ref = SspMinCostMaxFlow(&ref_net_, 0, ed, seed, &ref_ws_);
-  LTC_CHECK(ref.ok()) << "drift check reference solve failed: "
-                      << ref.status().ToString();
-  LTC_CHECK(ref->flow == TotalFlow())
-      << "incremental MCF drifted: warm flow " << TotalFlow()
-      << " != from-scratch flow " << ref->flow << " after " << solves_
-      << " solves";
-  LTC_CHECK(ref->cost == TotalCost())
-      << "incremental MCF drifted: warm cost " << TotalCost()
-      << " != from-scratch cost " << ref->cost << " after " << solves_
-      << " solves";
+  LTC_ASSIGN_OR_RETURN(const McmfResult ref,
+                       SspMinCostMaxFlow(&ref_net_, 0, ed, seed, &ref_ws_));
+  const std::int64_t flow = TotalFlow();
+  const std::int64_t cost = TotalCost();
+  if (ref.flow != flow || ref.cost != cost) {
+    return Status::Internal(StrFormat(
+        "incremental MCF drifted: warm flow %lld cost %lld != from-scratch "
+        "flow %lld cost %lld after %lld solves",
+        static_cast<long long>(flow), static_cast<long long>(cost),
+        static_cast<long long>(ref.flow), static_cast<long long>(ref.cost),
+        static_cast<long long>(solves_)));
+  }
+  return Status::OK();
 }
 
 }  // namespace flow

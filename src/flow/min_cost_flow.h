@@ -132,8 +132,9 @@ struct IncrementalMcmfOptions {
   bool warm_start = true;
   /// Every Nth Solve() is cross-checked against an independent from-scratch
   /// SspMinCostMaxFlow over the same live network; a total-cost or
-  /// flow-value mismatch LTC_CHECK-fails (aborts in every build type). 0
-  /// disables the check.
+  /// flow-value mismatch makes that Solve() return Status::Internal
+  /// ("incremental MCF drifted: ..."), in every build type. 0 disables the
+  /// check.
   int drift_check_every = 0;
 };
 
@@ -211,9 +212,10 @@ class IncrementalMcmf {
   bool last_solve_cold() const { return last_solve_cold_; }
 
   /// Corrupts one unit of live flow behind the bookkeeping's back so the
-  /// next drift check fails — the death-test hook for the CHECK-on-
-  /// divergence contract. Requires a solved network with a pushable arc.
-  void TestOnlyCorruptFlow();
+  /// next drift check fails — the test hook for the drift check's
+  /// contract. Returns false, changing nothing, when the network has no
+  /// live, materialized, non-zero-cost arc with residual.
+  bool TestOnlyCorruptFlow();
 
  private:
   enum NodeKind : char { kFree = 0, kLeft = 1, kRight = 2 };
@@ -229,7 +231,9 @@ class IncrementalMcmf {
   /// Converts `arc`'s live flow into frozen consumption.
   void FreezeArcFlow(ArcId arc);
   void DropArc(ArcId arc);
-  void RunDriftCheck();
+  /// Compares TotalFlow()/TotalCost() with a from-scratch solve; Internal
+  /// on a mismatch.
+  Status RunDriftCheck();
 
   IncrementalMcmfOptions options_;
   FlowNetworkBuilder builder_;

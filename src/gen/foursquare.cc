@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "geo/grid_index.h"
+#include "model/quality.h"
 
 namespace ltc {
 namespace gen {
@@ -134,7 +135,7 @@ StatusOr<model::ProblemInstance> GenerateFoursquareLike(
   }
   const double reference_delta =
       cfg.feasibility_safety > 0.0
-          ? 2.0 * std::log(1.0 / cfg.feasibility_reference_epsilon)
+          ? model::DeltaFromEpsilon(cfg.feasibility_reference_epsilon)
           : 0.0;
   const double required_mass = cfg.feasibility_safety * reference_delta;
   std::optional<geo::GridIndex> worker_grid;

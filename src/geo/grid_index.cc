@@ -173,12 +173,6 @@ void GridIndex::QueryRadius(const Point& center, double radius,
                   [out](std::int64_t id) { out->push_back(id); });
 }
 
-std::int64_t GridIndex::CountRadius(const Point& center, double radius) const {
-  std::int64_t count = 0;
-  ForEachInRadius(center, radius, [&count](std::int64_t) { ++count; });
-  return count;
-}
-
 std::int64_t GridIndex::Nearest(const Point& center) const {
   if (count_ == 0) return -1;
   // Expanding ring search over cells.

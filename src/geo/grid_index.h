@@ -88,13 +88,10 @@ class GridIndex {
   void QueryRadius(const Point& center, double radius,
                    std::vector<std::int64_t>* out) const;
 
-  /// Counts points within `radius` of `center` without materialising ids.
-  std::int64_t CountRadius(const Point& center, double radius) const;
-
   /// Invokes fn(id) for every point within `radius` of `center`
   /// (inclusive), in cell order, without materialising an id vector. This
-  /// is the allocation-free primitive under QueryRadius/CountRadius and the
-  /// filtered counting of EligibilityIndex::CountEligible.
+  /// is the allocation-free primitive under QueryRadius and
+  /// EligibilityIndex::ForEachEligible.
   template <typename Fn>
   void ForEachInRadius(const Point& center, double radius, Fn&& fn) const {
     if (count_ == 0 || radius < 0.0) return;

@@ -255,17 +255,12 @@ void RoadGraph::Settle(std::int32_t target, std::int64_t bound,
     // dist[target], no later pop can lower it; and once it exceeds `bound`,
     // every node still unsettled is farther than `bound`.
     const std::int64_t key = ws->frontier.PeekMin().first;
-    if (target >= 0 && key >= ws->dist[static_cast<std::size_t>(target)]) {
+    if (key >= ws->dist[static_cast<std::size_t>(target)]) {
       return;
     }
     if (key > bound) return;
     SettleNext(ws);
   }
-}
-
-void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
-  StartSearch(source, ws);
-  Settle(/*target=*/-1, kUnreachableTicks, ws);
 }
 
 std::int64_t RoadGraph::NodeTicks(std::int32_t u, std::int32_t v,

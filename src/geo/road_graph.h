@@ -71,8 +71,7 @@ class RoadGraph {
   /// distances, the frontier and the nodes touched so far — so repeated
   /// queries from one source share one search that settles only as far as
   /// the farthest target asked for. A new source resets only the touched
-  /// entries. dist[v] is final once v is settled; it holds final values for
-  /// every node only after ShortestPaths.
+  /// entries. dist[v] is final once v is settled.
   ///
   /// A reach row holds the nodes one bounded search from its source
   /// settled, with their exact tick distances, in settling order; its
@@ -216,11 +215,6 @@ class RoadGraph {
   /// Snap(p), answered from the workspace's snap memo when it holds `p`.
   std::int32_t Snap(const Point& p, Workspace* ws) const;
 
-  /// Solves single-source shortest paths from `source` into ws->dist, in
-  /// ticks (kUnreachableTicks where disconnected): the workspace's search
-  /// from `source`, started or resumed, run until the frontier is empty.
-  void ShortestPaths(std::int32_t source, Workspace* ws) const;
-
   /// Shortest-path length u -> v in ticks. Answered from a resident reach
   /// row of u or v that lists the other end; otherwise starts or resumes
   /// the workspace's search from u and stops once no frontier key is below
@@ -259,9 +253,9 @@ class RoadGraph {
   /// node (now settled).
   std::int64_t SettleNext(Workspace* ws) const;
 
-  /// Settles frontier nodes in key order until the frontier is empty, or,
-  /// with `target` >= 0, until no frontier key is below ws->dist[target],
-  /// or until the smallest frontier key exceeds `bound`.
+  /// Settles frontier nodes in key order until the frontier is empty, no
+  /// frontier key is below ws->dist[target], or the smallest frontier key
+  /// exceeds `bound`.
   void Settle(std::int32_t target, std::int64_t bound, Workspace* ws) const;
 
   /// The resident row of `source`, or null.

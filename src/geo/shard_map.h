@@ -60,11 +60,6 @@ class ShardMap {
     *hi = col_shard_[ColumnOf(p.x + radius)];
   }
 
-  /// Stripe s covers x in [StripeMinX(s), StripeMaxX(s)) — inspection and
-  /// test hooks; empty stripes have StripeMinX == StripeMaxX.
-  double StripeMinX(int shard) const;
-  double StripeMaxX(int shard) const;
-
  private:
   std::int64_t ColumnOf(double x) const;
 
@@ -73,8 +68,6 @@ class ShardMap {
   std::int64_t cells_x_ = 1;
   int num_shards_ = 1;
   std::vector<int> col_shard_{0};  // column -> shard
-  std::vector<std::int64_t> shard_begin_{0, 1};  // shard -> first column
-                                                 // (size num_shards + 1)
 };
 
 }  // namespace geo

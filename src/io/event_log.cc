@@ -160,17 +160,6 @@ StatusOr<std::vector<Event>> ParseEventRecords(const std::string& text,
   return events;
 }
 
-StatusOr<Event> ParseEventRecord(const std::string& line) {
-  LTC_ASSIGN_OR_RETURN(
-      const std::vector<Event> events,
-      ParseEventRecords(
-          !line.empty() && line.back() == '\n' ? line : line + '\n', kFormat));
-  if (events.size() != 1) {
-    return Status::InvalidArgument("expected one event record");
-  }
-  return events[0];
-}
-
 StatusOr<EventLog> ParseEventLog(const std::string& text) {
   LineScanner scan(text, kFormat);
   LTC_RETURN_IF_ERROR(scan.Header(kHeader));

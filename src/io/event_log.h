@@ -100,9 +100,6 @@ std::string FormatEventRecord(const Event& e);
 StatusOr<std::vector<Event>> ParseEventRecords(const std::string& text,
                                                const char* format);
 
-/// One record of ParseEventRecords, with or without its '\n'.
-StatusOr<Event> ParseEventRecord(const std::string& line);
-
 /// Parses the v1 text format back into a log (validated).
 StatusOr<EventLog> ParseEventLog(const std::string& text);
 

@@ -68,11 +68,5 @@ void EligibilityIndex::EligibleTasksSorted(const Worker& w,
   if (grid_.has_value()) std::sort(out->begin(), out->end());
 }
 
-std::int64_t EligibilityIndex::CountEligible(const Worker& w) const {
-  std::int64_t count = 0;
-  ForEachEligible(w, [&](TaskId) { ++count; });
-  return count;
-}
-
 }  // namespace model
 }  // namespace ltc

@@ -94,10 +94,6 @@ class EligibilityIndex {
   /// MCF-LTC's batch bookkeeping depends on.
   void EligibleTasksSorted(const Worker& w, std::vector<TaskId>* out) const;
 
-  /// Count of eligible tasks for `w`. Allocation-free: counts through
-  /// ForEachEligible without materialising ids.
-  std::int64_t CountEligible(const Worker& w) const;
-
   /// True when spatial pruning is in effect (vs. full scans).
   bool spatial() const { return grid_.has_value(); }
 

@@ -1,16 +1,12 @@
 #include "model/problem.h"
 
-#include <cmath>
-
 #include "common/string_util.h"
 #include "model/quality.h"
 
 namespace ltc {
 namespace model {
 
-double ProblemInstance::Delta() const {
-  return 2.0 * std::log(1.0 / epsilon);
-}
+double ProblemInstance::Delta() const { return DeltaFromEpsilon(epsilon); }
 
 Status ProblemInstance::Validate() const {
   if (accuracy == nullptr) {

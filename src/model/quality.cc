@@ -2,33 +2,15 @@
 
 #include <cmath>
 
-#include "common/string_util.h"
-
 namespace ltc {
 namespace model {
 
-StatusOr<double> DeltaFromEpsilon(double epsilon) {
-  if (!(epsilon > 0.0) || !(epsilon < 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("epsilon must be in (0, 1), got %g", epsilon));
-  }
+double DeltaFromEpsilon(double epsilon) {
   return 2.0 * std::log(1.0 / epsilon);
 }
 
-double EpsilonFromDelta(double delta) { return std::exp(-delta / 2.0); }
-
 bool ReachedDelta(double accumulated, double delta) {
   return accumulated >= delta - kQualityTol;
-}
-
-LatencyBounds TheoremTwoBounds(std::int64_t num_tasks, double delta,
-                               std::int64_t capacity) {
-  LatencyBounds bounds;
-  const double t = static_cast<double>(num_tasks);
-  const double k = static_cast<double>(capacity);
-  bounds.lower = t * delta / k;
-  bounds.upper = 10.0 * t * delta / k + t / k + 1.0;
-  return bounds;
 }
 
 }  // namespace model

@@ -1,4 +1,4 @@
-// Quality threshold machinery (paper Definitions 4-5 and Theorem 2).
+// Quality threshold machinery (paper Definitions 4-5).
 //
 // A task is completed once its accumulated Acc* reaches
 //     delta = 2 ln(1 / epsilon)
@@ -8,10 +8,6 @@
 #ifndef LTC_MODEL_QUALITY_H_
 #define LTC_MODEL_QUALITY_H_
 
-#include <cstdint>
-
-#include "common/status.h"
-
 namespace ltc {
 namespace model {
 
@@ -19,24 +15,13 @@ namespace model {
 /// so summation order can never flip a completed task back to incomplete.
 inline constexpr double kQualityTol = 1e-9;
 
-/// delta = 2 ln(1/epsilon). Requires 0 < epsilon < 1.
-StatusOr<double> DeltaFromEpsilon(double epsilon);
-
-/// Inverse: the epsilon a given delta guarantees (exp(-delta/2)).
-double EpsilonFromDelta(double delta);
+/// delta = 2 ln(1/epsilon), the one place the formula is written. Requires
+/// 0 < epsilon < 1; ProblemInstance::Validate and the generators' config
+/// checks reject any other epsilon first.
+double DeltaFromEpsilon(double epsilon);
 
 /// True once `accumulated` Acc* meets delta (with kQualityTol slack).
 bool ReachedDelta(double accumulated, double delta);
-
-/// Theorem 2 bounds of the optimal maximum latency, assuming |T| >= K:
-///   lower = |T| * delta / K
-///   upper = 10 |T| delta / K + |T| / K + 1
-struct LatencyBounds {
-  double lower = 0.0;
-  double upper = 0.0;
-};
-LatencyBounds TheoremTwoBounds(std::int64_t num_tasks, double delta,
-                               std::int64_t capacity);
 
 }  // namespace model
 }  // namespace ltc

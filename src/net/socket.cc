@@ -179,18 +179,5 @@ StatusOr<Socket> Accept(const Socket& listener) {
   }
 }
 
-StatusOr<int> LocalPort(const Socket& socket) {
-  sockaddr_in addr;
-  socklen_t len = sizeof(addr);
-  if (::getsockname(socket.fd(), reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return ErrnoStatus("getsockname");
-  }
-  if (addr.sin_family != AF_INET) {
-    return Status::InvalidArgument("LocalPort on a non-TCP socket");
-  }
-  return static_cast<int>(ntohs(addr.sin_port));
-}
-
 }  // namespace net
 }  // namespace ltc

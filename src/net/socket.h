@@ -4,8 +4,7 @@
 //
 //   unix:/path/to.sock   Unix-domain stream socket at that path (the
 //                        listener unlinks a stale path before binding)
-//   tcp:PORT             IPv4 loopback (127.0.0.1) on PORT; PORT 0 binds an
-//                        ephemeral port — read it back with LocalPort()
+//   tcp:PORT             IPv4 loopback (127.0.0.1) on PORT
 //
 // No TLS, no name resolution, no non-loopback TCP: this is the in-machine
 // transport of ltc_serve and its tests/benches, not a general network stack.
@@ -58,10 +57,6 @@ StatusOr<Socket> ConnectTo(const std::string& address);
 
 /// Accepts one connection (blocking).
 StatusOr<Socket> Accept(const Socket& listener);
-
-/// The locally bound TCP port of a listener (ephemeral-port discovery).
-/// Errors on Unix-domain sockets.
-StatusOr<int> LocalPort(const Socket& socket);
 
 }  // namespace net
 }  // namespace ltc

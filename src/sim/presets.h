@@ -1,7 +1,7 @@
 // Programmatic registry of the paper's experimental design: Table IV's
-// synthetic factor grid, Table V's real-dataset settings, and the figure
-// index mapping each evaluation plot to its factor sweep. The bench binaries
-// mirror these presets; tests assert the two never drift apart.
+// synthetic factor grid and Table V's real-dataset settings. The bench
+// binaries mirror these presets; tests assert the two never drift apart
+// (the figure index they compare against is tests/oracles/paper_tables.h).
 
 #ifndef LTC_SIM_PRESETS_H_
 #define LTC_SIM_PRESETS_H_
@@ -32,21 +32,6 @@ std::int64_t TableFourScalabilityWorkers();             // 400K
 /// Table V real-dataset settings (simulated; see DESIGN.md §5).
 gen::FoursquareConfig TableFiveNewYork();
 gen::FoursquareConfig TableFiveTokyo();
-
-/// One evaluation figure of the paper and how to regenerate it.
-struct FigureSpec {
-  /// Paper ids, e.g. "3a/3e/3i" (latency/runtime/memory share a sweep).
-  std::string paper_figures;
-  /// The varied factor ("\|T\|", "K", "mu", "mean", "eps").
-  std::string factor;
-  /// Factor levels rendered as bench_suite prints them.
-  std::vector<std::string> levels;
-  /// The suite that regenerates it: `bench_suite --figure=<suite_label>`.
-  std::string suite_label;
-};
-
-/// The complete per-experiment index (DESIGN.md §4), in paper order.
-std::vector<FigureSpec> PaperFigureIndex();
 
 }  // namespace sim
 }  // namespace ltc

@@ -16,7 +16,7 @@
 #include "exp/figures.h"
 #include "exp/report.h"
 #include "gen/synthetic.h"
-#include "sim/presets.h"
+#include "oracles/paper_tables.h"
 
 namespace ltc {
 namespace exp {

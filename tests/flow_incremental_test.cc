@@ -496,8 +496,7 @@ TEST(FlowIncrementalTest, FailedFeasibilityScanRunsCold) {
   EXPECT_EQ(warm.Excess(l0), 1);
 }
 
-TEST(FlowIncrementalDriftDeathTest, CorruptedFlowFailsTheDriftCheck) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST(FlowIncrementalDriftTest, CorruptedFlowFailsTheDriftCheck) {
   IncrementalMcmfOptions options;
   options.warm_start = true;
   options.drift_check_every = 1;
@@ -506,11 +505,17 @@ TEST(FlowIncrementalDriftDeathTest, CorruptedFlowFailsTheDriftCheck) {
   const NodeId l = incr.AddLeft(1);
   // cap 2 > supply 1 leaves forward residual for the corrupting push.
   ASSERT_TRUE(incr.AddArc(l, r, 2, -100).ok());
+  EXPECT_FALSE(incr.TestOnlyCorruptFlow());  // not materialized before Solve
   ASSERT_TRUE(incr.Solve().ok());  // drift check passes on the honest state
-  incr.TestOnlyCorruptFlow();
+  ASSERT_TRUE(incr.TestOnlyCorruptFlow());
   // Re-solve with no deltas: stays warm (nothing perturbs the duals), so the
   // smuggled flow unit survives to the next drift check and trips it.
-  EXPECT_DEATH((void)incr.Solve(), "drifted");
+  const auto drifted = incr.Solve();
+  ASSERT_FALSE(drifted.ok());
+  EXPECT_TRUE(drifted.status().IsInternal());
+  EXPECT_NE(drifted.status().message().find("incremental MCF drifted"),
+            std::string::npos)
+      << drifted.status();
 }
 
 }  // namespace

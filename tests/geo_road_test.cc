@@ -166,9 +166,8 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
     for (std::int32_t s = 0; s < num_nodes; ++s) {
       const std::vector<double> brute =
           BellmanFord(num_nodes, g.edges, s);
-      graph.ShortestPaths(s, &ws);
       for (std::int32_t v = 0; v < num_nodes; ++v) {
-        const double got = graph.ToUnits(ws.dist[static_cast<std::size_t>(v)]);
+        const double got = graph.NodeDistance(s, v, &ws);
         const double want = brute[static_cast<std::size_t>(v)];
         if (std::isinf(want)) {
           EXPECT_TRUE(std::isinf(got)) << "s=" << s << " v=" << v;
@@ -183,8 +182,9 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
 TEST(RoadGraphTest, LazyNodeTicksAreBitIdentical) {
   // NodeTicks settles only as far as each target needs and resumes the
   // paused search on the next query from the same source; a new source or
-  // graph resets it. Every answer must equal the full solve's bit for bit,
-  // including kUnreachableTicks across components, whatever the query order.
+  // graph resets it. Every answer must equal the integer oracle's bit for
+  // bit, including kUnreachableTicks across components, whatever the query
+  // order.
   Rng rng(23);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<RoadGraph> graphs;
@@ -200,11 +200,10 @@ TEST(RoadGraphTest, LazyNodeTicksAreBitIdentical) {
       auto built = RoadGraph::Build(g.nodes, g.edges);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       graphs.push_back(std::move(built).value());
+      const std::vector<TickEdge> ticks = TickEdges(graphs.back(), g.edges);
       std::vector<std::vector<std::int64_t>> solved;
       for (std::int32_t s = 0; s < num_nodes; ++s) {
-        RoadGraph::Workspace fresh;
-        graphs.back().ShortestPaths(s, &fresh);
-        solved.push_back(fresh.dist);
+        solved.push_back(IntegerDijkstra(num_nodes, ticks, s));
       }
       full.push_back(std::move(solved));
     }
@@ -227,17 +226,22 @@ TEST(RoadGraphTest, LazyNodeTicksAreBitIdentical) {
       EXPECT_EQ(got, want) << "trial " << trial << " graph " << k << " u="
                            << source[k] << " v=" << v;
       if (q % 50 == 49) {
-        // A full solve mid-stream resumes the paused search to exhaustion.
-        graph.ShortestPaths(source[k], &ws);
-        EXPECT_EQ(ws.dist, full[k][static_cast<std::size_t>(source[k])]);
+        // Every target mid-stream resumes the paused search to exhaustion.
+        const std::vector<std::int64_t>& all =
+            full[k][static_cast<std::size_t>(source[k])];
+        for (std::int32_t t = 0; t < n; ++t) {
+          EXPECT_EQ(graph.NodeTicks(source[k], t, &ws),
+                    all[static_cast<std::size_t>(t)]);
+        }
       }
     }
   }
 }
 
 TEST(RoadGraphTest, NodeTicksMatchIntegerOracle) {
-  // Full solves, lazy NodeTicks and NodeDistance against a textbook int64
-  // Dijkstra over the same ticks: equal as integers, and NodeDistance is
+  // Lazy NodeTicks (the path RoadMetric::Distance runs) and NodeDistance
+  // against a textbook int64 Dijkstra over the same ticks, then every
+  // target from the same source: equal as integers, and NodeDistance is
   // exactly ticks * 2^-k. Sparse random graphs (some disconnected) and
   // congested lattices.
   Rng rng(29);
@@ -268,8 +272,10 @@ TEST(RoadGraphTest, NodeTicksMatchIntegerOracle) {
                       : std::ldexp(static_cast<double>(t),
                                    -graph.tick_exponent()));
       }
-      graph.ShortestPaths(s, &ws);
-      EXPECT_EQ(ws.dist, want) << "s=" << s;
+      for (std::int32_t v = 0; v < n; ++v) {
+        EXPECT_EQ(graph.NodeTicks(s, v, &ws), want[static_cast<std::size_t>(v)])
+            << "s=" << s << " v=" << v;
+      }
     }
   }
 }
@@ -967,9 +973,9 @@ TEST(GridRoadGeneratorTest, DeterministicAndConnected) {
 
   // The lattice keeps everything reachable from node 0.
   RoadGraph::Workspace ws;
-  first.value().ShortestPaths(0, &ws);
-  for (const std::int64_t d : ws.dist) {
-    EXPECT_NE(d, RoadGraph::kUnreachableTicks);
+  for (std::int32_t v = 0; v < first.value().num_nodes(); ++v) {
+    EXPECT_NE(first.value().NodeTicks(0, v, &ws),
+              RoadGraph::kUnreachableTicks);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "model/eligibility.h"
 #include "model/quality.h"
 #include "model/voting.h"
+#include "oracles/paper_tables.h"
 #include "sim/engine.h"
 
 namespace ltc {

@@ -410,18 +410,28 @@ TEST(WalTest, OpenForAppendOnMissingFileIsNotFound) {
           .IsNotFound());
 }
 
+// One record, with or without its '\n', through ParseEventRecords: the
+// parser WAL, event files and the wire decoder share.
+StatusOr<Event> ParseOne(std::string record) {
+  if (record.empty() || record.back() != '\n') record += '\n';
+  LTC_ASSIGN_OR_RETURN(const std::vector<Event> events,
+                       ParseEventRecords(record, "ltc-events"));
+  if (events.size() != 1) return Status::InvalidArgument("not one record");
+  return events[0];
+}
+
 TEST(EventRecordCodecTest, ParseIsInverseOfFormat) {
   const io::EventLog log = SmallEventLog();
   for (const Event& e : log.events) {
-    auto parsed = ParseEventRecord(FormatEventRecord(e));
+    auto parsed = ParseOne(FormatEventRecord(e));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(FormatEventRecord(parsed.value()), FormatEventRecord(e));
   }
-  EXPECT_FALSE(ParseEventRecord("t 0 1").ok());       // missing field
-  EXPECT_FALSE(ParseEventRecord("w 0 1 2").ok());     // missing accuracy
-  EXPECT_FALSE(ParseEventRecord("m 0 zero 1 2").ok());  // non-numeric id
-  EXPECT_FALSE(ParseEventRecord("q 0 1 2").ok());     // unknown kind
-  EXPECT_FALSE(ParseEventRecord("").ok());
+  EXPECT_FALSE(ParseOne("t 0 1").ok());       // missing field
+  EXPECT_FALSE(ParseOne("w 0 1 2").ok());     // missing accuracy
+  EXPECT_FALSE(ParseOne("m 0 zero 1 2").ok());  // non-numeric id
+  EXPECT_FALSE(ParseOne("q 0 1 2").ok());     // unknown kind
+  EXPECT_FALSE(ParseOne("").ok());
 }
 
 // FormatEventRecord writes doubles with the snapshot codec's FormatReal;
@@ -469,12 +479,12 @@ TEST(EventRecordCodecTest, FormatMatchesPrintfBytes) {
 // from_chars accepts "nan" and "inf"; the record parser behind both event
 // files and the wire decoder must not. One row per numeric field.
 TEST(EventRecordCodecTest, NonFiniteFieldsAreRejected) {
-  ASSERT_TRUE(ParseEventRecord("t 1 2 3").ok());
-  ASSERT_TRUE(ParseEventRecord("w 1 2 3 0.8").ok());
-  ASSERT_TRUE(ParseEventRecord("m 1 0 2 3").ok());
+  ASSERT_TRUE(ParseOne("t 1 2 3").ok());
+  ASSERT_TRUE(ParseOne("w 1 2 3 0.8").ok());
+  ASSERT_TRUE(ParseOne("m 1 0 2 3").ok());
   // A task id its field cannot hold: 2^32 used to move task 0.
   EXPECT_TRUE(
-      ParseEventRecord("m 1 4294967296 2 3").status().IsInvalidArgument());
+      ParseOne("m 1 4294967296 2 3").status().IsInvalidArgument());
   for (const char* bad : {"nan", "-nan", "inf", "-inf"}) {
     const std::string v = bad;
     for (const std::string& record : {
@@ -482,13 +492,13 @@ TEST(EventRecordCodecTest, NonFiniteFieldsAreRejected) {
              "w " + v + " 2 3 0.8", "w 1 " + v + " 3 0.8",
              "w 1 2 " + v + " 0.8", "w 1 2 3 " + v,
              "m " + v + " 0 2 3", "m 1 0 " + v + " 3", "m 1 0 2 " + v}) {
-      EXPECT_TRUE(ParseEventRecord(record).status().IsInvalidArgument())
+      EXPECT_TRUE(ParseOne(record).status().IsInvalidArgument())
           << record;
     }
   }
   // A worker accuracy outside [0, 1] is out of domain, finite or not.
-  EXPECT_FALSE(ParseEventRecord("w 1 2 3 1.5").ok());
-  EXPECT_FALSE(ParseEventRecord("w 1 2 3 -0.1").ok());
+  EXPECT_FALSE(ParseOne("w 1 2 3 1.5").ok());
+  EXPECT_FALSE(ParseOne("w 1 2 3 -0.1").ok());
 }
 
 // The same records inside a file: ParseEventLog fails instead of handing

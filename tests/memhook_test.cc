@@ -2,10 +2,10 @@
 // tests) links ltc_memhook, so the global operator new/delete overrides are
 // active here.
 //
-// Note: the counters are process-global and gtest itself allocates, so the
-// assertions compare deltas with slack rather than exact equality, and
-// pointers escape through a volatile global so the optimiser cannot elide
-// new/delete pairs (C++14 allocation elision).
+// Note: gtest itself allocates, so the assertions compare deltas with
+// slack rather than exact equality, and pointers escape through a volatile
+// global so the optimiser cannot elide new/delete pairs (C++14 allocation
+// elision). Every counter is the calling thread's.
 
 #include "common/memhook.h"
 
@@ -22,60 +22,28 @@ namespace {
 // Escape hatch that keeps allocations observable.
 volatile void* g_sink = nullptr;
 
-constexpr std::uint64_t kSlack = 64 * 1024;  // gtest bookkeeping noise
+constexpr std::int64_t kSlack = 64 * 1024;  // gtest bookkeeping noise
 
 TEST(MemhookTest, ActiveInThisBinary) { EXPECT_TRUE(memhook::Active()); }
 
-TEST(MemhookTest, CountsLargeAllocation) {
-  memhook::ResetPeak();
-  const std::uint64_t before = memhook::CurrentBytes();
-  {
-    std::vector<char> buf(1 << 20);  // 1 MiB
-    g_sink = buf.data();
-    const std::uint64_t during = memhook::CurrentBytes();
-    EXPECT_GE(during, before + (1 << 20));
-    EXPECT_GE(memhook::PeakBytes(), before + (1 << 20));
-  }
-  // Freed: current returns near the baseline...
-  EXPECT_LT(memhook::CurrentBytes(), before + kSlack);
-  // ...but the peak remembers the high-water mark.
-  EXPECT_GE(memhook::PeakBytes(), before + (1 << 20));
-}
-
-TEST(MemhookTest, ResetPeakDropsToCurrent) {
-  {
-    std::vector<char> buf(1 << 18);
-    g_sink = buf.data();
-  }
-  memhook::ResetPeak();
-  const std::uint64_t reset_peak = memhook::PeakBytes();
-  EXPECT_LE(reset_peak, memhook::CurrentBytes() + kSlack);
-  std::vector<char> buf(1 << 19);
-  g_sink = buf.data();
-  EXPECT_GE(memhook::PeakBytes(), reset_peak + (1 << 19));
-}
-
-TEST(MemhookTest, AllocFreeDeltaBalances) {
-  const std::uint64_t before = memhook::CurrentBytes();
+TEST(MemhookTest, EveryOperatorFormBalances) {
+  const std::int64_t before = memhook::ThreadNetBytes();
   auto* v = new std::vector<char>(1 << 16);
   g_sink = v->data();
-  const std::uint64_t during = memhook::CurrentBytes();
+  std::int64_t during = memhook::ThreadNetBytes();
   EXPECT_GE(during, before + (1 << 16));
   delete v;
-  const std::uint64_t after = memhook::CurrentBytes();
   // Everything allocated between the probes was released.
-  EXPECT_LE(after, during - (1 << 16));
-}
+  EXPECT_LE(memhook::ThreadNetBytes(), during - (1 << 16));
 
-TEST(MemhookTest, NothrowFormsTracked) {
-  const std::uint64_t before = memhook::CurrentBytes();
   void* p = ::operator new(1 << 16, std::nothrow);
   ASSERT_NE(p, nullptr);
   g_sink = p;
-  const std::uint64_t during = memhook::CurrentBytes();
+  during = memhook::ThreadNetBytes();
   EXPECT_GE(during, before + (1 << 16));
   ::operator delete(p, std::nothrow);
-  EXPECT_LE(memhook::CurrentBytes(), during - (1 << 16));
+  EXPECT_LE(memhook::ThreadNetBytes(), during - (1 << 16));
+  EXPECT_LT(memhook::ThreadNetBytes(), before + kSlack);
 }
 
 TEST(MemhookTest, ThreadPeakTracksOwnAllocations) {
@@ -113,16 +81,17 @@ TEST(MemhookTest, ThreadCountersAreIndependentAcrossThreads) {
 }
 
 TEST(MemhookTest, PeakMonotoneUnderChurn) {
-  memhook::ResetPeak();
-  std::uint64_t last_peak = memhook::PeakBytes();
+  memhook::ResetThreadPeak();
+  const std::int64_t baseline = memhook::ThreadNetBytes();
+  std::int64_t last_peak = memhook::ThreadPeakBytes();
   for (int i = 0; i < 10; ++i) {
     std::vector<char> buf(static_cast<std::size_t>(1) << (10 + i));
     g_sink = buf.data();
-    const std::uint64_t peak = memhook::PeakBytes();
+    const std::int64_t peak = memhook::ThreadPeakBytes();
     EXPECT_GE(peak, last_peak);
     last_peak = peak;
   }
-  EXPECT_GE(last_peak, static_cast<std::uint64_t>(1) << 19);
+  EXPECT_GE(last_peak, baseline + (std::int64_t{1} << 19));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "model/problem.h"
 #include "model/quality.h"
 #include "model/voting.h"
+#include "oracles/paper_tables.h"
 
 namespace ltc {
 namespace model {
@@ -123,18 +124,11 @@ TEST(FlatAccuracyTest, IgnoresDistance) {
 // ---- Quality ----
 
 TEST(QualityTest, DeltaFromEpsilon) {
-  auto d = DeltaFromEpsilon(0.2);
-  ASSERT_TRUE(d.ok());
-  EXPECT_NEAR(d.value(), 3.2189, 1e-4);  // paper Example 2
-  EXPECT_NEAR(DeltaFromEpsilon(0.1).value(), 4.6052, 1e-4);
-  EXPECT_FALSE(DeltaFromEpsilon(0.0).ok());
-  EXPECT_FALSE(DeltaFromEpsilon(1.0).ok());
-  EXPECT_FALSE(DeltaFromEpsilon(-0.5).ok());
-}
-
-TEST(QualityTest, EpsilonDeltaRoundTrip) {
+  EXPECT_NEAR(DeltaFromEpsilon(0.2), 3.2189, 1e-4);  // paper Example 2
+  EXPECT_NEAR(DeltaFromEpsilon(0.1), 4.6052, 1e-4);
+  // The Hoeffding guarantee inverts: exp(-delta/2) is epsilon again.
   for (double eps : {0.06, 0.10, 0.14, 0.18, 0.22}) {
-    EXPECT_NEAR(EpsilonFromDelta(DeltaFromEpsilon(eps).value()), eps, 1e-12);
+    EXPECT_NEAR(std::exp(-DeltaFromEpsilon(eps) / 2.0), eps, 1e-12);
   }
 }
 
@@ -177,8 +171,10 @@ TEST(ProblemInstanceTest, RejectsBadParameters) {
   auto instance = SmallInstance();
   ASSERT_TRUE(instance.ok());
   ProblemInstance bad = *instance;
-  bad.epsilon = 0.0;
-  EXPECT_FALSE(bad.Validate().ok());
+  for (const double epsilon : {0.0, 1.0, -0.5}) {  // delta needs (0, 1)
+    bad.epsilon = epsilon;
+    EXPECT_FALSE(bad.Validate().ok()) << epsilon;
+  }
   bad = *instance;
   bad.capacity = 0;
   EXPECT_FALSE(bad.Validate().ok());
@@ -570,8 +566,9 @@ TEST(EligibilityIndexTest, SpatialMatchesBruteForce) {
     }
     ASSERT_EQ(got, expect) << "worker " << w.index;
     ASSERT_EQ(got_sorted, expect) << "worker " << w.index;
-    EXPECT_EQ(index.CountEligible(w),
-              static_cast<std::int64_t>(expect.size()));
+    std::int64_t count = 0;  // the allocation-free path, without ids
+    index.ForEachEligible(w, [&count](TaskId) { ++count; });
+    EXPECT_EQ(count, static_cast<std::int64_t>(expect.size()));
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include <set>
 
+#include "oracles/paper_tables.h"
+
 namespace ltc {
 namespace sim {
 namespace {

@@ -12,6 +12,7 @@
 #include "model/eligibility.h"
 #include "model/quality.h"
 #include "oracles/arrangement_stats.h"
+#include "oracles/paper_tables.h"
 #include "sim/engine.h"
 
 namespace ltc {
@@ -20,11 +21,10 @@ namespace {
 TEST(QualityPropertyTest, DeltaMonotoneDecreasingInEpsilon) {
   double prev = std::numeric_limits<double>::infinity();
   for (double eps = 0.02; eps < 0.9; eps += 0.02) {
-    auto delta = model::DeltaFromEpsilon(eps);
-    ASSERT_TRUE(delta.ok());
-    EXPECT_LT(delta.value(), prev) << "eps=" << eps;
-    EXPECT_GT(delta.value(), 0.0);
-    prev = delta.value();
+    const double delta = model::DeltaFromEpsilon(eps);
+    EXPECT_LT(delta, prev) << "eps=" << eps;
+    EXPECT_GT(delta, 0.0);
+    prev = delta;
   }
 }
 

@@ -18,8 +18,10 @@
 #include "common/crc32.h"
 #include "common/string_util.h"
 #include "gen/stream.h"
+#include "geo/cell_grid.h"
 #include "geo/shard_map.h"
 #include "io/event_log.h"
+#include "model/eligibility.h"
 #include "svc/serve_main.h"
 #include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
@@ -39,6 +41,25 @@ gen::StreamConfig SmallStream(std::uint64_t seed) {
   return cfg;
 }
 
+// The K+1 stripe edges of `map` over a world starting at `min_x` with
+// `columns` cell columns of side `cell_size`: stripe s covers
+// [edges[s], edges[s + 1]), read off ShardOf at the column centres. An empty
+// stripe is the empty range at its left neighbour's end.
+std::vector<double> StripeEdges(const geo::ShardMap& map, double min_x,
+                                double cell_size, std::int64_t columns) {
+  const auto owner = [&](std::int64_t column) {
+    const double x = min_x + (static_cast<double>(column) + 0.5) * cell_size;
+    return map.ShardOf({x, 0.0});
+  };
+  std::vector<double> edges;
+  std::int64_t c = 0;
+  for (int s = 0; s <= map.num_shards(); ++s) {
+    while (c < columns && owner(c) < s) ++c;
+    edges.push_back(min_x + static_cast<double>(c) * cell_size);
+  }
+  return edges;
+}
+
 TEST(ShardMapTest, StripesPartitionTheWorldAlongCellColumns) {
   auto built = geo::ShardMap::Build(geo::Rect{0.0, 0.0, 100.0, 50.0},
                                     /*cell_size=*/10.0, /*shards=*/4);
@@ -47,17 +68,10 @@ TEST(ShardMapTest, StripesPartitionTheWorldAlongCellColumns) {
   EXPECT_EQ(map.num_shards(), 4);
 
   // Stripe edges are multiples of the cell size and tile [0, 110) (11
-  // columns, same formula as GridIndex).
-  EXPECT_DOUBLE_EQ(map.StripeMinX(0), 0.0);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_LE(map.StripeMinX(s), map.StripeMaxX(s));
-    const double width = map.StripeMaxX(s) - map.StripeMinX(s);
-    EXPECT_DOUBLE_EQ(std::fmod(width, 10.0), 0.0);
-    if (s > 0) {
-      EXPECT_DOUBLE_EQ(map.StripeMinX(s), map.StripeMaxX(s - 1));
-    }
-  }
-  EXPECT_DOUBLE_EQ(map.StripeMaxX(3), 110.0);
+  // columns, same formula as GridIndex), in the even split of whole
+  // columns: shard s owns [s*11/4, (s+1)*11/4).
+  const std::vector<double> edges = StripeEdges(map, 0.0, 10.0, 11);
+  EXPECT_EQ(edges, (std::vector<double>{0.0, 20.0, 50.0, 80.0, 110.0}));
 
   // Ownership is consistent with the stripe intervals, and out-of-bounds
   // coordinates clamp into the boundary stripes.
@@ -66,8 +80,8 @@ TEST(ShardMapTest, StripesPartitionTheWorldAlongCellColumns) {
     ASSERT_GE(s, 0);
     ASSERT_LT(s, 4);
     if (x >= 0.0 && x < 110.0) {
-      EXPECT_GE(x, map.StripeMinX(s)) << x;
-      EXPECT_LT(x, map.StripeMaxX(s)) << x;
+      EXPECT_GE(x, edges[static_cast<std::size_t>(s)]) << x;
+      EXPECT_LT(x, edges[static_cast<std::size_t>(s) + 1]) << x;
     }
   }
   EXPECT_EQ(map.ShardOf({-100.0, 0.0}), 0);
@@ -79,7 +93,7 @@ TEST(ShardMapTest, StripesPartitionTheWorldAlongCellColumns) {
   map.ShardRange({5.0, 25.0}, 2.0, &lo, &hi);
   EXPECT_EQ(lo, 0);
   EXPECT_EQ(hi, 0);
-  const double edge = map.StripeMaxX(0);
+  const double edge = edges[1];
   map.ShardRange({edge - 1.0, 25.0}, 5.0, &lo, &hi);
   EXPECT_EQ(lo, 0);
   EXPECT_EQ(hi, 1);
@@ -100,12 +114,16 @@ TEST(ShardMapTest, MoreShardsThanColumnsLeavesTrailingShardsEmpty) {
   // empty stripes that never receive work), and every location — in or out
   // of bounds — maps to an owning shard.
   std::set<int> owners;
+  const std::vector<double> edges = StripeEdges(map, 0.0, 10.0, 2);
   for (double x = -5.0; x <= 15.0; x += 0.5) {
     const int s = map.ShardOf({x, 5.0});
-    EXPECT_GT(map.StripeMaxX(s), map.StripeMinX(s)) << "shard " << s;
+    EXPECT_GT(edges[static_cast<std::size_t>(s) + 1],
+              edges[static_cast<std::size_t>(s)])
+        << "shard " << s;
     owners.insert(s);
   }
   EXPECT_EQ(owners.size(), 2u);
+  EXPECT_EQ(edges, (std::vector<double>{0.0, 0.0, 10.0, 10.0, 20.0}));
 }
 
 // Golden single-shard serve logs. Each digest pins the CRC-32 and length of
@@ -544,7 +562,12 @@ TEST(ShardedEngineTest, HandoffServesTasksAcrossTheStripeEdge) {
 
   auto engine = ShardedStreamEngine::Create(log, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  const double edge = engine.value()->shard_map().StripeMaxX(0);
+  // The engine's stripes are columns of model::StreamingCellSize.
+  const double cell =
+      model::StreamingCellSize(*log.accuracy, log.acc_min, 1000.0, 2);
+  const std::int64_t columns = geo::CellsPerAxis(1000.0, cell).value();
+  const double edge =
+      StripeEdges(engine.value()->shard_map(), 0.0, cell, columns)[1];
   ASSERT_GT(edge, 0.0);
   ASSERT_LT(edge, 1000.0);
 
