@@ -61,8 +61,6 @@ class McfLtc : public OfflineScheduler {
   StatusOr<ScheduleResult> Run(const model::ProblemInstance& instance,
                                const model::EligibilityIndex& index) override;
 
-  const McfLtcOptions& options() const { return options_; }
-
  private:
   McfLtcOptions options_;
 };

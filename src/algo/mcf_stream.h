@@ -86,7 +86,6 @@ class McfStream : public OnlineScheduler {
   /// cold solve.
   Status Serialize(StateArchive& ar) override;
 
-  const McfLtcOptions& options() const { return options_; }
   /// Moves the arrangement out (McfLtc::Run's result, without a copy);
   /// the scheduler needs InitStreaming again before any further call.
   model::Arrangement ReleaseArrangement() {

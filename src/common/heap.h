@@ -58,7 +58,6 @@ class BoundedTopK {
   }
 
   bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
 
   /// Removes and returns the *smallest* retained item.
   Item PopMin() {

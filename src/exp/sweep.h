@@ -147,7 +147,6 @@ class SweepRunner {
   StatusOr<std::vector<SuiteAlgo>> FilterAlgorithms(
       const std::vector<SuiteAlgo>& algorithms) const;
 
-  const SweepOptions& options() const { return options_; }
   /// Worker-thread count after resolving threads == 0.
   int threads() const;
 

@@ -79,8 +79,6 @@ class CellRateEstimator {
 
   /// Arrivals recorded since construction (workers + tasks).
   std::int64_t events() const { return events_; }
-  std::int64_t num_cells() const { return config_.grid.num_cells(); }
-  double horizon() const { return config_.horizon; }
 
   /// Snapshot records: a "fcst <cells> <horizon> <events> <touched>"
   /// header, one "fc <cell> <worker_rate> <last>" record per

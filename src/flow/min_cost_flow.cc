@@ -686,7 +686,6 @@ bool IncrementalMcmf::Augment(McmfResult* result) {
   result->flow += amount;
   result->cost += amount * path_cost;
   ++result->iterations;
-  ++augmentations_;
   return true;
 }
 

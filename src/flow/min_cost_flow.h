@@ -207,7 +207,6 @@ class IncrementalMcmf {
 
   std::int64_t num_solves() const { return solves_; }
   std::int64_t num_cold_solves() const { return cold_solves_; }
-  std::int64_t num_augmentations() const { return augmentations_; }
   /// True when the most recent Solve() ran the from-scratch restart path.
   bool last_solve_cold() const { return last_solve_cold_; }
 
@@ -328,7 +327,6 @@ class IncrementalMcmf {
   bool last_solve_cold_ = false;
   std::int64_t solves_ = 0;
   std::int64_t cold_solves_ = 0;
-  std::int64_t augmentations_ = 0;
   int solves_since_drift_check_ = 0;
 
   // Drift-check scratch (independent of the warm state).

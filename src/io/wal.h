@@ -96,8 +96,6 @@ class EventLogWriter {
   /// ones).
   std::int64_t records_appended() const { return records_appended_; }
 
-  const std::string& path() const { return path_; }
-
  private:
   EventLogWriter(std::string path, int fd, WalOptions options)
       : path_(std::move(path)), fd_(fd), options_(options) {}

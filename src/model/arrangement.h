@@ -76,7 +76,6 @@ class Arrangement {
   /// The oldest task whose S is held (0 unless tasks were retired).
   TaskId first_task() const { return accumulated_.first_id(); }
   std::int64_t completed_tasks() const { return completed_tasks_; }
-  double delta() const { return delta_; }
 
   /// Number of tasks assigned to `worker` so far; 0 for a worker outside
   /// the load window (never assigned, or retired).

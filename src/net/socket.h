@@ -32,7 +32,6 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void Close();
 

@@ -299,7 +299,6 @@ class StreamPipeline {
   // --- Open-batch inspection ---
 
   bool has_open_batch() const { return !batch_.empty(); }
-  double batch_open_time() const { return batch_open_time_; }
   /// The instant the open batch is due to flush: open time + the fixed
   /// deadline, or — adaptive policy — the forecast-positioned instant
   /// (open time + cap at most). Meaningful only while has_open_batch().
@@ -375,7 +374,6 @@ class StreamPipeline {
   const model::Arrangement& arrangement() const {
     return scheduler_->arrangement();
   }
-  bool spatial() const { return grid_.has_value(); }
   std::int64_t batches() const { return batches_; }
   std::int64_t max_batch_size() const { return max_batch_size_; }
   std::int64_t tasks_completed() const { return tasks_completed_; }
