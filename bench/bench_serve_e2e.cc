@@ -68,7 +68,6 @@ svc::StreamOptions CaseOptions(const E2eCase& c) {
   options.algorithm = "LAF";
   options.batch_deadline = FLAG_deadline.Get();
   options.shards = c.shards;
-  options.threads = 1;
   options.validate = false;
   options.world = geo::Rect{0.0, 0.0, 1000.0, 1000.0};
   return options;

@@ -3,7 +3,7 @@
 // over synthetic Poisson arrival streams, per scale point, shard count and
 // online algorithm.
 //
-//   ./build/bench/bench_stream_throughput --reps=3 --threads=4
+//   ./build/bench/bench_stream_throughput --reps=3
 //       --shards=1,4 --json=stream.json
 //
 // The JSON summary uses the bench_compare-compatible shape (figure /
@@ -13,8 +13,7 @@
 //                               CI gates it with a wide tolerance)
 //   mean_assignment_latency,
 //   p95_/p99_assignment_latency — stream-time latency distribution
-//                               (schedule-deterministic: bit-identical for
-//                               any --threads, tightly gated)
+//                               (schedule-deterministic, tightly gated)
 // --shards runs every requested spatial shard count as its own case
 // ("10k@s1", "10k@s4", ...), which is how CI tracks the shard-scaling axis.
 // The checked-in baseline is BENCH_PR5.json; tools/bench_compare.py gates
@@ -44,10 +43,6 @@ namespace {
 
 Flag<std::int64_t> FLAG_reps("reps", 3, "repetitions per point");
 Flag<std::int64_t> FLAG_seed("seed", 1, "base RNG seed");
-Flag<std::int64_t> FLAG_threads(
-    "threads", 1,
-    "candidate-gathering threads (0 = hardware concurrency); latency "
-    "outputs are identical for every value");
 Flag<std::string> FLAG_deadline(
     "deadline", "0.5",
     "batching deadline, or 'adaptive' for the forecast-driven policy "
@@ -114,7 +109,6 @@ StatusOr<CellResult> RunCell(const StreamCase& scale, std::int64_t shards,
     svc::StreamOptions options = batching;
     options.algorithm = algorithm;
     options.seed = cfg.seed;
-    options.threads = static_cast<int>(FLAG_threads.Get());
     options.shards = static_cast<int>(shards);
     // Measure the serving path only: the commit-time constraint checks are
     // bookkeeping inside ReplayEventLog's timed window and would pollute

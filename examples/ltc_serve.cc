@@ -3,7 +3,7 @@
 //   Replay: an ltc-events v1 log (or a synthetic Poisson arrival stream)
 //   through svc::ShardedStreamEngine, emitting a deterministic assignment log.
 //     ./build/examples/ltc_serve --synthetic --tasks=500 --workers=20000
-//         --algo=LAF --deadline=0.5 --threads=4
+//         --algo=LAF --deadline=0.5
 //         --out=assignments.log --metrics_json=metrics.json
 //
 //   Durable replay: the same sources plus --state_dir route every event
@@ -19,7 +19,7 @@
 //     ./build/examples/ltc_serve --listen=unix:/tmp/ltc.sock
 //         --state_dir=/var/ltc/state --algo=LAF --deadline=0.5
 //
-// The assignment log is byte-identical for every --threads value and across
+// The assignment log is pinned per configuration and byte-identical across
 // crash/restart boundaries; metrics (events/sec, latency percentiles,
 // ingest admission counters) go to stdout and --metrics_json.
 

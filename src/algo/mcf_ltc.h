@@ -46,8 +46,9 @@ struct McfLtcOptions {
   /// warm).
   bool warm_start = true;
   /// Every Nth batch solve is cross-checked against an independent
-  /// from-scratch reference solve and CHECK-fails on divergence (see
-  /// IncrementalMcmfOptions::drift_check_every). 0 disables.
+  /// from-scratch reference solve; a divergence fails that batch with an
+  /// Internal status (see IncrementalMcmfOptions::drift_check_every).
+  /// 0 disables.
   int drift_check_every = 0;
 };
 

@@ -19,10 +19,10 @@
 //
 // Determinism: commitments are a pure function of the admitted worker
 // sequence and their candidate sets, so the svc determinism contract
-// (byte-identical logs for any --threads, pinned per --shards) holds
-// unchanged. McfLtc::Run (and sim::RunOnline for "MCF") is this scheduler
-// driven by algo::DriveOnline: a fully materialised task set and the
-// instance's worker order, one worker per call. An EventLogFromInstance
+// (logs pinned per --shards) holds unchanged. McfLtc::Run (and
+// sim::RunOnline for "MCF") is this scheduler driven by
+// algo::DriveOnline: a fully materialised task set and the instance's
+// worker order, one worker per call. An EventLogFromInstance
 // replay at batching deadline 0 admits exactly that sequence, so the served
 // log reproduces the offline run (svc_mcf_stream_test pins this).
 

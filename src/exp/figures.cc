@@ -319,7 +319,8 @@ Suite MakeAblationDmax(bool paper_scale) {
 /// grid at one congestion level ("0.00" = free flow, the Euclidean-like
 /// floor). One graph per case, shared across seeds and algorithm cells —
 /// the road network is infrastructure; RoadMetric's thread-local Dijkstra
-/// workspaces keep the concurrent cells safe (geo/road_graph.h).
+/// workspaces keep the concurrent sweep cells safe (geo/road_graph.h), the
+/// one place this metric is used from several threads.
 Suite MakeRoadSuite(bool paper_scale) {
   Suite suite{"road", "congestion", {}, StandardRoster()};
   for (double congestion : {0.0, 0.5, 1.0}) {

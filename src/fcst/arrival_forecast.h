@@ -5,8 +5,8 @@
 // is quiet. Settling that wager needs a per-cell arrival-*rate* estimate
 // that is (a) maintained online, O(1) per event, because it sits on the
 // admission hot path, and (b) a pure function of the event prefix, because
-// the serve log's determinism contract (byte-identical for any --threads,
-// pinned per configuration) must survive the forecast driving flush times.
+// the serve log's determinism contract (pinned per configuration) must
+// survive the forecast driving flush times.
 //
 // The estimator is a continuous-time EWMA per cell of the same grid
 // geometry the incremental task index uses (geo::CellGrid mirrors

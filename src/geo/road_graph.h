@@ -300,10 +300,11 @@ class RoadGraph {
 /// is the inherited Euclidean distance. The two legs are added first and
 /// d_G is an exact tick count, so Distance(a, b) == Distance(b, a) bit for
 /// bit. The workspace (search, reach rows, snap and gather memos) lives in
-/// thread-local storage keyed by graph id, so concurrent gathers (svc
-/// GatherSlot fan-out) are safe; the distances a gather emits answer the
-/// eligibility re-check and the scheduler's Acc evaluations of the same
-/// pairs, and a row it built answers the other pairs of the same task.
+/// thread-local storage keyed by graph id, so concurrent sweep cells
+/// (exp::SweepRunner) sharing one graph are safe; the distances a gather
+/// emits answer the eligibility re-check and the scheduler's Acc
+/// evaluations of the same pairs, and a row it built answers the other
+/// pairs of the same task.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)

@@ -45,6 +45,9 @@ StatusOr<std::unique_ptr<RecoverableService>> RecoverableService::Open(
   if (options.snapshot_retain < 1) {
     return Status::InvalidArgument("snapshot_retain must be >= 1");
   }
+  if (options.wal.group_commit < 0) {
+    return Status::InvalidArgument("wal.group_commit must be >= 0");
+  }
   LTC_RETURN_IF_ERROR(ValidateStreamOptions(options.stream));
   LTC_RETURN_IF_ERROR(EnsureDir(options.state_dir));
 

@@ -86,6 +86,8 @@ class RecoverableService {
   /// Opens (or recovers) the service. `header` supplies the stream's
   /// instance parameters for a fresh start; on recovery the WAL's own
   /// header is authoritative (it was written from the same configuration).
+  /// A negative snapshot_every or wal.group_commit, snapshot_retain < 1 or
+  /// bad stream options are InvalidArgument before state_dir is touched.
   static StatusOr<std::unique_ptr<RecoverableService>> Open(
       const io::EventLog& header, const Options& options);
 

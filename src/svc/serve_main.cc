@@ -56,8 +56,8 @@ Flag<std::string> FLAG_algo("algo", "LAF",
                             "Random, MCF)");
 Flag<std::int64_t> FLAG_mcf_drift_check_every(
     "mcf_drift_check_every", 0,
-    "--algo=MCF: re-solve from scratch every Nth warm solve and "
-    "CHECK-fail on divergence (0 = off)");
+    "--algo=MCF: re-solve from scratch every Nth warm solve; a "
+    "divergence fails the flush and exits 2 (0 = off)");
 Flag<std::string> FLAG_deadline(
     "deadline", "0",
     "batching deadline in stream time units (0 = admit every worker "
@@ -71,15 +71,10 @@ Flag<double> FLAG_deadline_cap(
 Flag<std::int64_t> FLAG_max_batch("max_batch", 0,
                                   "flush early at this many buffered "
                                   "workers (0 = unbounded)");
-Flag<std::int64_t> FLAG_threads(
-    "threads", 1,
-    "candidate-gathering threads (0 = hardware concurrency); the "
-    "assignment log is byte-identical for every value");
 Flag<std::int64_t> FLAG_shards(
     "shards", 1,
     "spatial shards (grid-aligned stripes; DESIGN.md section 9). The "
-    "assignment log is pinned per shard count and byte-identical across "
-    "--threads");
+    "assignment log is pinned per shard count");
 Flag<std::int64_t> FLAG_seed("seed", 42, "RNG seed (--synthetic and Random)");
 Flag<std::string> FLAG_out("out", "",
                            "write the ltc-serve v1 assignment log here");
@@ -114,13 +109,14 @@ Flag<std::string> FLAG_state_dir(
     "crash-recoverable replay. Required with --listen.");
 Flag<std::int64_t> FLAG_snapshot_every(
     "snapshot_every", 0,
-    "snapshot the engine state every N applied events (0 = only the final "
-    "shutdown snapshot)");
+    "snapshot the engine state every N >= 0 applied events (0 = only the "
+    "final shutdown snapshot)");
 Flag<std::int64_t> FLAG_snapshot_retain("snapshot_retain", 2,
                                         "snapshots kept on disk (>= 1)");
 Flag<std::int64_t> FLAG_wal_group_commit(
     "wal_group_commit", 64,
-    "WAL group-commit window: flush (and fsync) every N appended events");
+    "WAL group-commit window: flush (and fsync) every N >= 0 appended "
+    "events (0 = only at snapshots and shutdown)");
 Flag<bool> FLAG_wal_fsync("wal_fsync", true,
                           "fsync the WAL at each group-commit flush");
 Flag<double> FLAG_world_side(
@@ -381,7 +377,6 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
   if (!flag_values.ok()) return FailConfig(flag_values);
   options.max_batch = FLAG_max_batch.Get();
   options.seed = static_cast<std::uint64_t>(FLAG_seed.Get());
-  options.threads = static_cast<int>(FLAG_threads.Get());
   options.shards = static_cast<int>(FLAG_shards.Get());
   options.validate = FLAG_validate.Get();
   options.mcf_drift_check_every =
@@ -389,11 +384,10 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
   options.route_workers = FLAG_route_workers.Get();
   // These int options come from int64 flags: reject a value that wraps
   // when narrowed (--shards=4294967299 would serve 3 shards).
-  if (options.threads != FLAG_threads.Get() ||
-      options.shards != FLAG_shards.Get() ||
+  if (options.shards != FLAG_shards.Get() ||
       options.mcf_drift_check_every != FLAG_mcf_drift_check_every.Get()) {
     return FailConfig(Status::InvalidArgument(
-        "--threads, --shards and --mcf_drift_check_every must fit an int"));
+        "--shards and --mcf_drift_check_every must fit an int"));
   }
   const Status options_valid = ValidateStreamOptions(options);
   if (!options_valid.ok()) return FailConfig(options_valid);
@@ -427,6 +421,14 @@ int ServeMain(int argc, char** argv, SocketServeFn socket_serve) {
       return FailConfig(Status::InvalidArgument(
           StrFormat("--snapshot_retain must be in [1, %d]",
                     std::numeric_limits<int>::max())));
+    }
+    if (FLAG_snapshot_every.Get() < 0) {
+      return FailConfig(
+          Status::InvalidArgument("--snapshot_every must be >= 0"));
+    }
+    if (FLAG_wal_group_commit.Get() < 0) {
+      return FailConfig(
+          Status::InvalidArgument("--wal_group_commit must be >= 0"));
     }
   }
 

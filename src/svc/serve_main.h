@@ -6,7 +6,7 @@
 // Three modes (DESIGN.md §8, §11):
 //   * Replay: --events/--synthetic → RunService. The assignment-log text is
 //     a pure function of (event log, algorithm, seed, deadline, max_batch,
-//     shards) — byte-identical for every --threads value.
+//     shards).
 //   * Durable replay: the same sources + --state_dir → RunDurableService.
 //     Every event goes through the WAL before the engine; restarting the
 //     binary over the same state dir recovers (snapshot + WAL suffix) and

@@ -1,7 +1,6 @@
 #include "svc/sharded_engine.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <utility>
 
@@ -17,11 +16,6 @@ namespace ltc {
 namespace svc {
 
 namespace {
-
-/// Gather fan-out granularity: slots are cheap (one radius query), so
-/// chunking amortises the pool's per-task overhead without hurting load
-/// balance at service batch sizes.
-constexpr std::size_t kGatherChunk = 16;
 
 bool DueOrder(const double a_time, const int a_shard, const double b_time,
               const int b_shard) {
@@ -56,11 +50,6 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Create(
       geo::ShardMap::Build(options.world, map_cell, options.shards));
   engine->route_flags_.assign(static_cast<std::size_t>(options.shards), 0);
 
-  int threads = options.threads;
-  if (threads == 0) threads = ThreadPool::DefaultThreads();
-  if (threads > 1) {
-    engine->pool_ = std::make_unique<ThreadPool>(threads);
-  }
   engine->pipelines_.reserve(static_cast<std::size_t>(options.shards));
   for (int s = 0; s < options.shards; ++s) {
     LTC_ASSIGN_OR_RETURN(
@@ -378,55 +367,29 @@ Status ShardedStreamEngine::RunRound() {
   // passes below are skipped.
   const bool claims_live = !claims_.empty();
 
-  // Phase 1 — gather, all due shards at once: commits of one shard never
+  // Phase 1 — gather, all due shards first: commits of one shard never
   // touch another shard's open tasks and no event separates the due flush
   // instants, so every slot reads exactly its flush-time state. Workers
   // already claimed by another shard in an earlier round skip the query.
-  std::size_t total_slots = 0;
   for (const DueFlush& f : due) {
     StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
     p.PrepareGather();
-    total_slots += p.batch_size();
-  }
-  const auto gather_span = [this, claims_live](StreamPipeline* p,
-                                               std::size_t begin,
-                                               std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < p.batch_size(); ++i) {
       if (claims_live) {
-        const auto it = claims_.find(p->batch_global_worker(i));
+        const auto it = claims_.find(p.batch_global_worker(i));
         if (it != claims_.end() && it->second.shard != -1) {
-          p->ClearSlot(i);  // lost in an earlier round; resolution counts it
+          p.ClearSlot(i);  // lost in an earlier round; resolution counts it
           continue;
         }
       }
-      p->GatherSlot(i);
-    }
-  };
-  if (pool_ != nullptr && total_slots > 1) {
-    std::vector<std::future<void>> futures;
-    for (const DueFlush& f : due) {
-      StreamPipeline* p = pipelines_[static_cast<std::size_t>(f.shard)].get();
-      const std::size_t n = p->batch_size();
-      for (std::size_t begin = 0; begin < n; begin += kGatherChunk) {
-        const std::size_t end = std::min(n, begin + kGatherChunk);
-        futures.push_back(
-            pool_->Submit([&gather_span, p, begin, end] {
-              gather_span(p, begin, end);
-            }));
-      }
-    }
-    LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "gather"));
-  } else {
-    for (const DueFlush& f : due) {
-      StreamPipeline* p = pipelines_[static_cast<std::size_t>(f.shard)].get();
-      gather_span(p, 0, p->batch_size());
+      p.GatherSlot(i);
     }
   }
 
-  // Phase 2 — claim resolution, sequential in key order: the first shard
-  // offering a non-empty candidate set claims the worker; later offers are
-  // dropped before commit. Deterministic: a pure function of the gathered
-  // slots and the table state left by earlier rounds.
+  // Phase 2 — claim resolution, in key order: the first shard offering a
+  // non-empty candidate set claims the worker; later offers are dropped
+  // before commit. A pure function of the gathered slots and the table
+  // state left by earlier rounds.
   if (claims_live) {
     for (const DueFlush& f : due) {
       StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
@@ -447,33 +410,13 @@ Status ShardedStreamEngine::RunRound() {
     }
   }
 
-  // Phase 3 — commit: each due shard's batch in parallel (a pipeline's
-  // commit touches only shard-local state; the claim table is read-only
-  // now). Statuses land in slot-indexed storage.
+  // Phase 3 — commit, in key order (a pipeline's commit touches only
+  // shard-local state).
   const bool check = CheckCommits();
-  if (pool_ != nullptr && due.size() > 1) {
-    std::vector<Status> statuses(due.size(), Status::OK());
-    std::vector<std::future<void>> futures;
-    futures.reserve(due.size());
-    for (std::size_t k = 0; k < due.size(); ++k) {
-      StreamPipeline* p =
-          pipelines_[static_cast<std::size_t>(due[k].shard)].get();
-      const double flush_time = due[k].time;
-      Status* status = &statuses[k];
-      futures.push_back(pool_->Submit([p, flush_time, check, status] {
-        *status = p->CommitBatch(flush_time, check);
-      }));
-    }
-    LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "commit"));
-    for (const Status& status : statuses) {
-      LTC_RETURN_IF_ERROR(status);
-    }
-  } else {
-    for (const DueFlush& f : due) {
-      LTC_RETURN_IF_ERROR(
-          pipelines_[static_cast<std::size_t>(f.shard)]->CommitBatch(f.time,
-                                                                     check));
-    }
+  for (const DueFlush& f : due) {
+    LTC_RETURN_IF_ERROR(
+        pipelines_[static_cast<std::size_t>(f.shard)]->CommitBatch(f.time,
+                                                                   check));
   }
 
   // Phase 4 — merge, sequential in the same key order: one deterministic

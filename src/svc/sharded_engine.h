@@ -24,11 +24,9 @@
 // Single-shard workers never touch the table.
 //
 // Determinism. Every schedule-dependent output is a pure function of
-// (event log, algorithm, seed, shards): gathers land in per-slot buffers,
-// claim resolution is sequential in key order, per-shard commits touch
-// only shard-local state, and the per-shard assignment records are merged
-// into one log in the same key order. `ltc_serve --shards=K --threads=T`
-// therefore emits a byte-identical log for any T, and a pinned log per K.
+// (event log, algorithm, seed, shards): a round's four phases (gather,
+// claim resolution, commit, merge) run on the engine thread, each in key
+// order, so `ltc_serve --shards=K` emits a pinned log per K.
 
 #ifndef LTC_SVC_SHARDED_ENGINE_H_
 #define LTC_SVC_SHARDED_ENGINE_H_
@@ -40,7 +38,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "geo/shard_map.h"
 #include "io/event_log.h"
 #include "sim/metrics.h"
@@ -57,10 +54,9 @@ namespace svc {
 /// Not movable once created: each pipeline's scheduler holds a pointer into
 /// that pipeline's growing instance, so Create hands out a unique_ptr.
 ///
-/// Engine-thread-only, including the cross-shard claim tables: workers fan
-/// out through the pool only inside phases where the engine thread blocks
-/// on their futures and pipelines touch disjoint state, so there is no
-/// lock and no LTC_GUARDED_BY surface here by design (DESIGN.md §14).
+/// Engine-thread-only, including the cross-shard claim tables: every phase
+/// of a round runs on the calling thread, so there is no lock and no
+/// LTC_GUARDED_BY surface here by design (DESIGN.md §14).
 class ShardedStreamEngine {
  public:
   static StatusOr<std::unique_ptr<ShardedStreamEngine>> Create(
@@ -181,9 +177,9 @@ class ShardedStreamEngine {
   /// Collects every shard whose batch deadline expired at or before `now`
   /// and runs them as one round.
   Status FlushExpired(double now);
-  /// One flush round over due_ (sorted here into key order): parallel
-  /// gather, sequential claim resolution, parallel per-shard commit,
-  /// sequential merge.
+  /// One flush round over due_ (sorted here into key order): gather,
+  /// claim resolution, per-shard commit and merge, each over every due
+  /// shard before the next begins.
   Status RunRound();
   /// Folds `p`'s pending records, committed at `time`, into the merged
   /// logs, the router's open/displaced bookkeeping and the completion
@@ -202,8 +198,7 @@ class ShardedStreamEngine {
   double acc_min_ = model::kDefaultAccMin;
   std::vector<std::unique_ptr<StreamPipeline>> pipelines_;
 
-  // Router state, engine thread only (gather threads read claims_ and the
-  // pipelines' const state while the engine thread is blocked on futures).
+  // Router state.
   std::vector<TaskRoute> task_route_;  // by global task id
   std::vector<char> task_open_;        // by global task id
   std::vector<double> task_arrival_;   // by global task id
@@ -220,10 +215,6 @@ class ShardedStreamEngine {
   StreamMetrics metrics_;
   double last_event_time_ = 0.0;
   bool finished_ = false;
-
-  // Declared last so it is destroyed first (drains before the pipelines and
-  // router state above die); every round also consumes all its futures.
-  std::unique_ptr<ThreadPool> pool_;  // fan-out (threads > 1 only)
 };
 
 /// What ReplayEventLog reports.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <limits>
 #include <utility>
 
@@ -12,22 +11,6 @@
 
 namespace ltc {
 namespace svc {
-
-Status ConsumeFutures(std::vector<std::future<void>>* futures,
-                      const char* what) {
-  Status status = Status::OK();
-  for (auto& f : *futures) {
-    try {
-      f.get();
-    } catch (const std::exception& e) {
-      if (status.ok()) {
-        status = Status::Internal(std::string(what) + " task threw: " +
-                                  e.what());
-      }
-    }
-  }
-  return status;
-}
 
 // --- StreamPipeline -------------------------------------------------------
 
@@ -45,9 +28,6 @@ Status ValidateStreamOptions(const StreamOptions& options) {
   }
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (options.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
   }
   if (options.mcf_drift_check_every < 0) {
     return Status::InvalidArgument("mcf_drift_check_every must be >= 0");

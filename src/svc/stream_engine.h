@@ -24,17 +24,15 @@
 //
 // Determinism contract: every schedule-dependent output — the assignment
 // log, per-assignment latencies, completion counts — is a function of
-// (event log, options.algorithm, options.seed, options.shards) only,
-// bit-identical for any options.threads value. Candidate gathering is a
-// pure read of flush-time state fanned out over a common::ThreadPool into
-// index-addressed slots; commits happen sequentially in arrival order
-// within a pipeline (the PR-3 discipline).
+// (event log, options.algorithm, options.seed, options.shards) only. The
+// engine thread runs every phase: candidate gathering is a pure read of
+// flush-time state into index-addressed slots, and commits happen in
+// arrival order within a pipeline.
 
 #ifndef LTC_SVC_STREAM_ENGINE_H_
 #define LTC_SVC_STREAM_ENGINE_H_
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -97,12 +95,11 @@ struct StreamOptions {
   /// Seed forwarded to seeded algorithms (Random). Never derived from
   /// thread identity.
   std::uint64_t seed = 42;
-  /// Candidate-gathering threads (0 = hardware concurrency). Output is
-  /// bit-identical for every value.
+  /// Read by nothing: the engine runs on one thread. Kept only until the
+  /// next perfbench change, which stops setting it.
   int threads = 1;
   /// Spatial shards (grid-aligned stripes; DESIGN.md §9); 1 serves the
-  /// whole world from one pipeline. The assignment log is pinned per K and
-  /// byte-identical across threads.
+  /// whole world from one pipeline. The assignment log is pinned per K.
   int shards = 1;
   /// World rectangle fixing the incremental grid's geometry for the
   /// engine's lifetime (arrivals outside it clamp into boundary cells,
@@ -117,8 +114,9 @@ struct StreamOptions {
   /// reports whether every commit was checked.
   bool validate = true;
   /// "MCF" only: cross-check every Nth warm batch solve against an
-  /// independent from-scratch solve, CHECK-failing on divergence (see
-  /// flow::IncrementalMcmfOptions::drift_check_every). 0 disables.
+  /// independent from-scratch solve; a divergence fails the flush with an
+  /// Internal status (see flow::IncrementalMcmfOptions::drift_check_every).
+  /// 0 disables.
   int mcf_drift_check_every = 0;
   /// Route-aware workers (DESIGN.md §12): committed assignments grow a
   /// model::WorkerRoute per worker (cheapest insertion under the accuracy
@@ -130,7 +128,7 @@ struct StreamOptions {
 };
 
 /// Rejects out-of-range options: a negative or NaN batch_deadline, a
-/// non-positive adaptive cap, max_batch < 0, shards < 1, threads < 0,
+/// non-positive adaptive cap, max_batch < 0, shards < 1,
 /// mcf_drift_check_every < 0, or an algorithm that is not an online
 /// scheduler. The engine checks this
 /// at Create and Restore; ltc_serve and RecoverableService::Open check it
@@ -202,16 +200,6 @@ struct StreamMetrics {
   bool validated = false;
 };
 
-/// Consumes every future in *futures, converting the first thrown
-/// exception into an Internal status. Every fan-out in the svc layer MUST
-/// drain its futures through this (no early return past a live future): an
-/// abandoned future's task would still run from the pool's
-/// drain-on-destruction and touch engine state that is destroyed before
-/// the pool member. `what` names the fan-out in the error ("gather",
-/// "commit").
-Status ConsumeFutures(std::vector<std::future<void>>* futures,
-                      const char* what);
-
 /// \brief The per-pipeline core: one growing instance, one streaming
 /// scheduler, one incremental open-task index, one micro-batch buffer.
 ///
@@ -232,19 +220,13 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 /// counting: each of these is an IdWindow too.
 ///
 /// ShardedStreamEngine runs one per shard, side by side. The engine owns
-/// event routing, flush scheduling and the thread pool; the pipeline owns
-/// every id-translated, shard-local piece of state. Not movable once
-/// created (the scheduler holds a pointer into the growing instance).
+/// event routing and flush scheduling; the pipeline owns every
+/// id-translated, shard-local piece of state. Not movable once created
+/// (the scheduler holds a pointer into the growing instance).
 ///
-/// Thread-safety contract: all mutating calls are engine-thread-only,
-/// except that (a) GatherSlot calls with distinct slot indices may run
-/// concurrently once the engine stopped mutating, and (b) CommitBatch
-/// calls on *different* pipelines may run concurrently (a pipeline touches
-/// only its own state). This affinity protocol — not a mutex — is the
-/// synchronisation story here, which is why no member carries
-/// LTC_GUARDED_BY: there is no capability to guard with, and a lock would
-/// be pure overhead on the hot path (DESIGN.md §14). The determinism tests
-/// (byte-identical logs for any --threads) are what pin the protocol.
+/// Engine-thread-only: every call, including each flush phase, runs on the
+/// thread that drives the engine, so no member carries LTC_GUARDED_BY
+/// (DESIGN.md §14).
 class StreamPipeline {
  public:
   struct Config {
@@ -278,7 +260,7 @@ class StreamPipeline {
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
 
-  // --- Stream mutations (engine thread only) ---
+  // --- Stream mutations ---
 
   /// Appends the task with global id `global_id` arriving at `time`;
   /// returns its local id.
@@ -314,12 +296,10 @@ class StreamPipeline {
 
   // --- Flush phases ---
 
-  /// Sizes the gather slots for the open batch. Engine thread, before any
-  /// concurrent GatherSlot.
+  /// Sizes the gather slots for the open batch, before any GatherSlot.
   void PrepareGather();
   /// Fills slot `i` with batch worker i's eligible open tasks (local ids,
-  /// ascending). Pure read of pipeline state; concurrent calls with
-  /// distinct `i` are safe.
+  /// ascending). Pure read of pipeline state.
   void GatherSlot(std::size_t i);
   /// Empties slot `i` (handoff: another shard claimed the worker).
   void ClearSlot(std::size_t i) { gather_slots_[i].clear(); }
@@ -331,14 +311,12 @@ class StreamPipeline {
   /// passes options.validate until the first task move), records the
   /// commitments (RecordCommits) and retires the decided workers and the
   /// final tasks.
-  /// Safe to run concurrently with other pipelines' CommitBatch.
   Status CommitBatch(double flush_time, bool check);
 
   /// End of stream (engines call it once, after the final batch flush):
   /// drains the scheduler's internally buffered workers (MCF's final
   /// partial Theorem-2 batch; nothing for the per-worker schedulers),
-  /// committing at `end_time`, checked like CommitBatch. Safe to run
-  /// concurrently with other pipelines' CommitStreamEnd.
+  /// committing at `end_time`, checked like CommitBatch.
   Status CommitStreamEnd(double end_time, bool check);
 
   // --- Per-round outputs (engine merges after CommitBatch, then clears) ---

@@ -56,7 +56,6 @@ StreamOptions BaseOptions(const std::string& algorithm, int shards) {
   options.algorithm = algorithm;
   options.batch_deadline = 0.5;
   options.shards = shards;
-  options.threads = 1;
   options.seed = 7;
   // Durable runs fix the world up front (svc/recoverable.h); moves make
   // post-hoc validation inapplicable anyway (svc/stream_engine.h).
@@ -714,6 +713,20 @@ TEST(DurableServeTest, NonPositiveSnapshotRetainIsRejected) {
   EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
+// A negative group-commit window is not a WAL mode (io::WalOptions); Open
+// refuses it before touching the state dir.
+TEST(DurableServeTest, NegativeWalGroupCommitIsRejected) {
+  const io::EventLog log = MakeLog(5, 50, 67);
+  const std::string dir = FreshDir("group_commit");
+  RecoverableService::Options o =
+      ServiceOptions(dir, BaseOptions("LAF", 1), 10, 8);
+  o.wal.group_commit = -5;
+  const auto service = RecoverableService::Open(log, o);
+  EXPECT_TRUE(service.status().IsInvalidArgument())
+      << service.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 // Runs ServeMain over `mode_flags` plus one flag under test, with a socket
 // transport that only records whether it was reached. Flags are
 // process-global, so every call restates the mode flags.
@@ -778,15 +791,17 @@ TEST(ServeMainTest, OutOfRangeSnapshotRetainIsAConfigError) {
 }
 
 // Out-of-range stream options (ValidateStreamOptions, or an int64 flag
-// that would wrap when narrowed to int) are configuration errors (exit 1)
-// raised before the state dir is opened, in the replay and the socket mode
-// alike. Every call restates each option under test at its default before
-// the flag under test, so each call varies exactly one.
+// that would wrap when narrowed to int) and negative durability knobs are
+// configuration errors (exit 1) raised before the state dir is opened (and
+// before a synthetic stream is generated), in the replay and the socket
+// mode alike. Every call restates each option under test at its default
+// before the flag under test, so each call varies exactly one.
 TEST(ServeMainTest, OutOfRangeStreamOptionsAreConfigErrors) {
   const std::string dir = FreshDir("stream_options");
   std::vector<std::string> defaults = Split(
-      "--algo=LAF --deadline=0 --shards=1 --threads=1 --max_batch=0 "
-      "--mcf_drift_check_every=0 --snapshot_retain=2",
+      "--algo=LAF --deadline=0 --shards=1 --max_batch=0 "
+      "--mcf_drift_check_every=0 --snapshot_retain=2 --snapshot_every=0 "
+      "--wal_group_commit=64",
       ' ');
   defaults.push_back("--state_dir=" + dir);
   std::vector<std::string> replay = Split(
@@ -799,8 +814,8 @@ TEST(ServeMainTest, OutOfRangeStreamOptionsAreConfigErrors) {
   socket.insert(socket.end(), defaults.begin(), defaults.end());
   const std::vector<std::string> bad_flags = Split(
       "--shards=0 --shards=4294967299 --deadline=-1 --deadline=nan "
-      "--threads=-2 --max_batch=-1 --mcf_drift_check_every=-1 "
-      "--algo=MCF-LTC --algo=Nope",
+      "--max_batch=-1 --mcf_drift_check_every=-1 --algo=MCF-LTC "
+      "--algo=Nope --snapshot_every=-1 --wal_group_commit=-5",
       ' ');
   bool served = false;
   for (const std::string& flag : bad_flags) {

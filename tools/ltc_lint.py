@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Determinism & concurrency lint for the ltc tree (DESIGN.md §14).
 
-Every guarantee this repo ships — byte-identical assignment logs for any
---threads/--shards, bit-exact snapshot recovery — depends on code-level
+Every guarantee this repo ships — assignment logs pinned per --shards,
+bit-exact snapshot recovery — depends on code-level
 contracts no compiler checks by default: serialize paths must not iterate
 hash containers, persisted floats must round-trip bit-exactly, nothing in
 the library may consult ambient randomness or the wall clock, and a
