@@ -11,9 +11,8 @@
 // (net/server.h): the finish ack's admitted total equals the events sent —
 // through backpressure retries in the small-queue case — and the child's
 // assignment log is byte-identical to an in-process replay of the same
-// stream under the same options. The checked-in baseline is BENCH_PR7.json;
-// tools/bench_compare.py gates CI's recovery job against its
-// events_per_sec with a wide floor tolerance (wall-clock, machine-bound).
+// stream under the same options. bench/gates.json gates CI's run against
+// the checked-in BENCH_PR7.json.
 
 #include <sys/types.h>
 #include <sys/wait.h>

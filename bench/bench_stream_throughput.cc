@@ -16,8 +16,8 @@
 //                               (schedule-deterministic, tightly gated)
 // --shards runs every requested spatial shard count as its own case
 // ("10k@s1", "10k@s4", ...), which is how CI tracks the shard-scaling axis.
-// The checked-in baseline is BENCH_PR5.json; tools/bench_compare.py gates
-// CI's bench-smoke job against it.
+// bench/gates.json lists the runs CI gates and the BENCH_*.json baselines
+// each is gated against.
 
 #include <cstdio>
 #include <memory>
@@ -142,13 +142,17 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return parsed.IsFailedPrecondition() ? 0 : 1;
   }
+  if (FLAG_reps.Get() <= 0) {
+    std::fprintf(stderr, "--reps must be positive\n");
+    return 1;
+  }
 
   const std::vector<StreamCase> all_cases = {
       {"10k", 250, 10000},
       {"40k", 1000, 40000},
   };
   // "MCF" (the streaming MCF-LTC batch scheduler, PR 6) extends the online
-  // roster; bench_compare gates only cells shared with a baseline, so older
+  // roster; bench_compare gates only the cells a baseline holds, so older
   // baselines without MCF cells still gate cleanly.
   const std::vector<std::string> algorithms = {"Random", "LAF", "AAM", "MCF"};
 
