@@ -1,5 +1,5 @@
 // The one experiment driver: runs any paper figure, ablation, or extension
-// suite — or all of them — through the exp::SweepRunner thread pool.
+// suite — or all of them — through exp::SweepRunner.
 //
 //   ./build/bench/bench_suite --list
 //   ./build/bench/bench_suite --figure=fig4_scalability --threads=8

@@ -2,8 +2,8 @@
 // (DESIGN.md §14).
 //
 // The streaming service's determinism and recovery guarantees lean on a small
-// set of locks (the thread-pool queue, the bounded ingest queue, the fault
-// registry, the ingest-status slot). Each of those invariants used to be
+// set of locks (the bounded ingest queue, the fault registry, the
+// ingest-status slot). Each of those invariants used to be
 // enforced only dynamically — a TSan job has to *schedule* the racy
 // interleaving to see it. These macros move the contract to compile time:
 // a member declared LTC_GUARDED_BY(mu_) that is touched without mu_ held is

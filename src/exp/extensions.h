@@ -1,7 +1,7 @@
 // Custom experiment suites beyond the paper's figure grid: truth-inference
 // method comparison, empirical Hoeffding-bound validation, and gap-to-lower-
 // bound reporting. Each drives SweepRunner::ForEachInstance for its
-// (case, rep) expansion — the thread-pooled, generate-once instance sweep —
+// (case, rep) expansion — the multi-threaded, generate-once instance sweep —
 // and keeps only its measurement logic here.
 
 #ifndef LTC_EXP_EXTENSIONS_H_

@@ -1,13 +1,13 @@
 #include "exp/sweep.h"
 
+#include <algorithm>
 #include <atomic>
-#include <future>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "algo/registry.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace ltc {
@@ -33,8 +33,9 @@ std::vector<SuiteAlgo> StandardRoster() {
 SweepRunner::SweepRunner(const SweepOptions& options) : options_(options) {}
 
 int SweepRunner::threads() const {
-  return options_.threads <= 0 ? ThreadPool::DefaultThreads()
-                               : options_.threads;
+  if (options_.threads > 0) return options_.threads;
+  // hardware_concurrency may report 0 on exotic platforms.
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 StatusOr<std::vector<SuiteCase>> SweepRunner::FilterCases(
@@ -71,51 +72,57 @@ StatusOr<std::vector<SuiteAlgo>> SweepRunner::FilterAlgorithms(
 
 namespace {
 
-/// One (case, rep) pair: instance + index generated exactly once, shared
-/// read-only by that pair's algorithm cells, freed when the last cell done.
+/// One (case, rep) slot's instance and eligibility index. The index points
+/// into the instance, so both live behind stable addresses.
 struct InstanceSlot {
   std::unique_ptr<model::ProblemInstance> instance;
   std::unique_ptr<model::EligibilityIndex> index;
-  Status status;
-  /// Becomes ready when generation finished (ok or not). Cells wait on it;
-  /// FIFO submission order (ThreadPool contract) makes the wait safe.
-  std::shared_future<void> ready;
-  /// Cells left to run on this slot; the payload is freed when it hits 0 so
-  /// a long sweep holds at most ~threads slots' instances alive.
-  std::atomic<std::int64_t> pending{0};
 
-  void Generate(const SuiteCase& suite_case, std::uint64_t seed) {
-    auto generated = suite_case.make(seed);
-    if (!generated.ok()) {
-      status = generated.status();
-      return;
-    }
-    instance =
-        std::make_unique<model::ProblemInstance>(std::move(generated).value());
-    auto built = model::EligibilityIndex::Build(instance.get());
-    if (!built.ok()) {
-      status = built.status();
-      instance.reset();
-      return;
-    }
-    index = std::make_unique<model::EligibilityIndex>(std::move(built).value());
-  }
-
-  /// Marks generation as failed (e.g. it threw) so cells see an error
-  /// Status instead of a half-built payload.
-  void Poison(std::string message) {
-    index.reset();
-    instance.reset();
-    status = Status::Internal(std::move(message));
-  }
-
-  void FinishCell() {
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      index.reset();
-      instance.reset();
-    }
+  Status Generate(const SuiteCase& suite_case, std::uint64_t seed) {
+    LTC_ASSIGN_OR_RETURN(model::ProblemInstance generated,
+                         suite_case.make(seed));
+    instance = std::make_unique<model::ProblemInstance>(std::move(generated));
+    LTC_ASSIGN_OR_RETURN(model::EligibilityIndex built,
+                         model::EligibilityIndex::Build(instance.get()));
+    index = std::make_unique<model::EligibilityIndex>(std::move(built));
+    return Status::OK();
   }
 };
+
+/// Runs `fn`, turning an exception into an Internal status: one that
+/// escaped a std::thread would terminate the process.
+template <typename Fn>
+Status CatchAll(const char* what, const Fn& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string(what) + " threw: " + e.what());
+  } catch (...) {
+    return Status::Internal(std::string(what) + " threw");
+  }
+}
+
+/// Calls body(i) for every i in [0, n) on up to `threads` threads, the
+/// calling one included, each taking the next index from a shared counter;
+/// returns once every thread is joined. `body` must not throw.
+void ParallelFor(std::size_t n, int threads,
+                 const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&next, n, &body] {
+    for (std::size_t i = next++; i < n; i = next++) body(i);
+  };
+  std::vector<std::thread> helpers;
+  const std::size_t width = std::min(n, static_cast<std::size_t>(threads));
+  for (std::size_t t = 1; t < width; ++t) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::exception&) {
+      break;  // no thread to spare: the threads already started do the rest
+    }
+  }
+  drain();
+  for (std::thread& helper : helpers) helper.join();
+}
 
 }  // namespace
 
@@ -135,84 +142,40 @@ StatusOr<SuiteResult> SweepRunner::Run(const Suite& suite) const {
     Status status;
   };
   // cells[(c * num_algos + a) * reps + r]: preallocated, index-addressed —
-  // concurrent cells never touch each other's slot.
+  // concurrent slots never touch each other's cells.
   std::vector<Cell> cells(num_cases * num_algos * reps);
-  std::vector<std::unique_ptr<InstanceSlot>> slots;
-  slots.reserve(num_cases * reps);
-  for (std::size_t i = 0; i < num_cases * reps; ++i) {
-    slots.push_back(std::make_unique<InstanceSlot>());
-    slots.back()->pending.store(static_cast<std::int64_t>(num_algos),
-                                std::memory_order_relaxed);
-  }
 
+  // One task per (case, rep) slot: generate its instance, run the roster on
+  // it in order, free it. At most threads() instances are alive at once.
   Stopwatch watch;
-  ThreadPool pool(threads());
-
-  // Per-slot interleaving: each slot's generation task is submitted
-  // immediately before that slot's cells. FIFO keeps the wait safe (a cell
-  // can only ever block on a generation already in flight) and — unlike
-  // submitting all generations first — bounds resident instances: cells of
-  // slot k are queued ahead of generation k+1, so only ~threads slots'
-  // instances are alive at once, matching the serial harness's footprint
-  // up to the pool width.
-  std::vector<std::future<void>> cell_futures;
-  cell_futures.reserve(cells.size());
-  for (std::size_t c = 0; c < num_cases; ++c) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      InstanceSlot* slot = slots[c * reps + r].get();
-      const SuiteCase* suite_case = &cases[c];
-      const std::uint64_t seed =
-          RepSeed(options_.seed, static_cast<std::int64_t>(r));
-      slot->ready =
-          pool.Submit([slot, suite_case, seed] {
-                try {
-                  slot->Generate(*suite_case, seed);
-                } catch (const std::exception& e) {
-                  slot->Poison(std::string("instance generation threw: ") +
-                               e.what());
-                } catch (...) {
-                  slot->Poison("instance generation threw");
-                }
-              })
-              .share();
-      for (std::size_t a = 0; a < num_algos; ++a) {
-        Cell* cell = &cells[(c * num_algos + a) * reps + r];
-        const SuiteAlgo* algorithm = &algorithms[a];
-        const bool validate = options_.validate;
-        cell_futures.push_back(pool.Submit([slot, cell, algorithm, seed,
-                                            validate] {
-          slot->ready.wait();
-          if (!slot->status.ok()) {
-            cell->status = slot->status;
-          } else {
-            try {
-              sim::EngineOptions engine_options;
-              engine_options.seed = seed;
-              engine_options.validate = validate;
-              auto metrics =
-                  algorithm->run
-                      ? algorithm->run(*slot->instance, *slot->index,
-                                       engine_options)
-                      : sim::RunAlgorithm(algorithm->name, *slot->instance,
-                                          *slot->index, engine_options);
-              if (metrics.ok()) {
-                cell->metrics = std::move(metrics).value();
-              } else {
-                cell->status = metrics.status();
-              }
-            } catch (const std::exception& e) {
-              cell->status =
-                  Status::Internal(std::string("cell threw: ") + e.what());
-            } catch (...) {
-              cell->status = Status::Internal("cell threw");
-            }
-          }
-          slot->FinishCell();
-        }));
+  ParallelFor(num_cases * reps, threads(), [&](std::size_t slot_index) {
+    const std::size_t c = slot_index / reps;
+    const std::size_t r = slot_index % reps;
+    const std::uint64_t seed =
+        RepSeed(options_.seed, static_cast<std::int64_t>(r));
+    InstanceSlot slot;
+    const Status generated = CatchAll(
+        "instance generation", [&] { return slot.Generate(cases[c], seed); });
+    for (std::size_t a = 0; a < num_algos; ++a) {
+      Cell& cell = cells[(c * num_algos + a) * reps + r];
+      if (!generated.ok()) {
+        cell.status = generated;
+        continue;
       }
+      cell.status = CatchAll("cell", [&]() -> Status {
+        sim::EngineOptions engine_options;
+        engine_options.seed = seed;
+        engine_options.validate = options_.validate;
+        const SuiteAlgo& algo = algorithms[a];
+        LTC_ASSIGN_OR_RETURN(
+            cell.metrics,
+            algo.run ? algo.run(*slot.instance, *slot.index, engine_options)
+                     : sim::RunAlgorithm(algo.name, *slot.instance,
+                                         *slot.index, engine_options));
+        return Status::OK();
+      });
     }
-  }
-  for (std::future<void>& future : cell_futures) future.get();
+  });
 
   // Deterministic fold: scan cells in (case, algorithm, rep) order, failing
   // on the first error, aggregating reps in index order.
@@ -262,41 +225,17 @@ Status SweepRunner::ForEachInstance(const std::vector<SuiteCase>& cases_in,
   if (filtered_out != nullptr) *filtered_out = cases;
   const auto reps = static_cast<std::size_t>(options_.reps);
 
-  // Here cells and slots coincide (one fn call per (case, rep)), so each
-  // task generates, runs and frees its own instance — no sharing needed.
   std::vector<Status> statuses(cases.size() * reps);
-  {
-    ThreadPool pool(threads());
-    std::vector<std::future<void>> futures;
-    futures.reserve(statuses.size());
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-      for (std::size_t r = 0; r < reps; ++r) {
-        Status* cell_status = &statuses[c * reps + r];
-        const SuiteCase* suite_case = &cases[c];
-        const std::uint64_t seed =
-            RepSeed(options_.seed, static_cast<std::int64_t>(r));
-        futures.push_back(
-            pool.Submit([cell_status, suite_case, seed, c, r, &fn] {
-              try {
-                InstanceSlot slot;
-                slot.Generate(*suite_case, seed);
-                if (!slot.status.ok()) {
-                  *cell_status = slot.status;
-                  return;
-                }
-                *cell_status = fn(c, static_cast<std::int64_t>(r), seed,
-                                  *slot.instance, *slot.index);
-              } catch (const std::exception& e) {
-                *cell_status =
-                    Status::Internal(std::string("cell threw: ") + e.what());
-              } catch (...) {
-                *cell_status = Status::Internal("cell threw");
-              }
-            }));
-      }
-    }
-    for (std::future<void>& future : futures) future.get();
-  }
+  ParallelFor(statuses.size(), threads(), [&](std::size_t slot_index) {
+    const std::size_t c = slot_index / reps;
+    const auto r = static_cast<std::int64_t>(slot_index % reps);
+    const std::uint64_t seed = RepSeed(options_.seed, r);
+    statuses[slot_index] = CatchAll("cell", [&]() -> Status {
+      InstanceSlot slot;
+      LTC_RETURN_IF_ERROR(slot.Generate(cases[c], seed));
+      return fn(c, r, seed, *slot.instance, *slot.index);
+    });
+  });
   for (std::size_t c = 0; c < cases.size(); ++c) {
     for (std::size_t r = 0; r < reps; ++r) {
       const Status& status = statuses[c * reps + r];

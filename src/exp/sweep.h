@@ -1,12 +1,12 @@
 // The experiment subsystem's core: SweepRunner expands a declarative Suite —
-// cases (x-axis points) × algorithms × repetitions — into independent cells,
-// runs them on a common::ThreadPool, and aggregates per-(case, algorithm)
-// metrics in deterministic order.
+// cases (x-axis points) × algorithms × repetitions — into cells, runs one
+// task per (case, rep) instance slot on up to --threads threads, and
+// aggregates per-(case, algorithm) metrics in deterministic order.
 //
 // Cell model (DESIGN.md §7):
-//   * an *instance slot* is one (case, rep) pair: the problem instance and
-//     its eligibility index are generated exactly once per slot and shared
-//     read-only by every algorithm cell of that slot, across threads;
+//   * an *instance slot* is one (case, rep) pair: one task generates the
+//     problem instance and its eligibility index, runs every algorithm
+//     cell of the slot on them in roster order, and frees them;
 //   * a *cell* is one (case, algorithm, rep) triple: one measured run,
 //     writing its RunMetrics into a preallocated slot addressed by indices.
 //
@@ -114,7 +114,7 @@ struct SuiteResult {
   double wall_seconds = 0.0;
 };
 
-/// \brief Thread-pooled executor for Suites and custom instance sweeps.
+/// \brief Multi-threaded executor for Suites and custom instance sweeps.
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& options);

@@ -13,7 +13,7 @@ namespace {
 ///
 /// With the memhook linked, measurement is thread-scoped: the probe tracks
 /// the calling thread's net-allocation high-water mark, so concurrent runs
-/// on an exp::SweepRunner pool each report their own peak instead of racing
+/// on exp::SweepRunner's threads each report their own peak instead of racing
 /// over one process-wide counter. Construct and read the probe on the same
 /// thread that executes the run.
 struct MemoryProbe {

@@ -155,6 +155,77 @@ TEST(SweepRunnerTest, ThrowingFactoryPoisonsItsCellsAsStatus) {
   EXPECT_NE(result.status().message().find("kaboom"), std::string::npos);
 }
 
+TEST(SweepRunnerTest, ThrowingAlgorithmRunnerIsAnInternalStatus) {
+  Suite suite = TinySuite();
+  suite.algorithms = {SuiteAlgo{
+      "throws", [](const model::ProblemInstance&,
+                   const model::EligibilityIndex&,
+                   const sim::EngineOptions&) -> StatusOr<sim::RunMetrics> {
+        throw std::runtime_error("runner exploded");
+      }}};
+  SweepOptions options;
+  options.reps = 2;
+  options.threads = 2;
+  auto result = SweepRunner(options).Run(suite);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal());
+  EXPECT_NE(result.status().message().find("runner exploded"),
+            std::string::npos);
+}
+
+/// One planned cell failure: the case is told apart by its task count and
+/// the rep by its seed (base seed 1).
+struct CellFailure {
+  std::int64_t tasks;
+  std::int64_t rep;
+  std::string message;
+};
+
+/// A runner that fails the planned cells and completes every other one.
+SuiteAlgo FailingAt(const std::string& name,
+                    const std::vector<CellFailure>& failures) {
+  auto run = [name, failures](const model::ProblemInstance& instance,
+                              const model::EligibilityIndex&,
+                              const sim::EngineOptions& engine_options) {
+    for (const CellFailure& failure : failures) {
+      if (instance.num_tasks() == failure.tasks &&
+          engine_options.seed == RepSeed(1, failure.rep)) {
+        return StatusOr<sim::RunMetrics>(
+            Status::FailedPrecondition(failure.message));
+      }
+    }
+    sim::RunMetrics metrics;
+    metrics.algorithm = name;
+    metrics.completed = true;
+    return StatusOr<sim::RunMetrics>(std::move(metrics));
+  };
+  return SuiteAlgo{name, run};
+}
+
+TEST(SweepRunnerTest, ReportsFirstFailingCellInCaseAlgorithmRepOrder) {
+  // Failing cells, by (case, algorithm, rep): (8, first, 1), (8, second, 0)
+  // and (12, first, 0). Slot order (case, rep) would pick (8, second, 0);
+  // the contract picks (8, first, 1) at any thread count.
+  Suite suite = TinySuite();
+  suite.algorithms = {
+      FailingAt("first", {{8, 1, "first-algorithm failure"},
+                          {12, 0, "later-case failure"}}),
+      FailingAt("second", {{8, 0, "second-algorithm failure"}})};
+  for (int threads : {1, 4}) {
+    SweepOptions options;
+    options.reps = 2;
+    options.threads = threads;
+    auto result = SweepRunner(options).Run(suite);
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find("first-algorithm failure"), std::string::npos)
+        << "threads=" << threads << ": " << message;
+    EXPECT_NE(message.find("case 8, algorithm first, rep 1"),
+              std::string::npos)
+        << "threads=" << threads << ": " << message;
+  }
+}
+
 TEST(SweepRunnerTest, CustomAlgorithmRunnerIsInvoked) {
   Suite suite = TinySuite();
   suite.algorithms = {SuiteAlgo{

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint: keep the docs and the code pointing at each other.
 
-Three checks, all mechanical, all run in CI (see .github/workflows/ci.yml):
+Five checks, all mechanical, all run in CI (see .github/workflows/ci.yml):
 
 1. **Section citations.** Every ``DESIGN.md §N`` / ``DESIGN.md section N``
    citation in sources and docs must name a section heading that actually
@@ -22,6 +22,11 @@ Three checks, all mechanical, all run in CI (see .github/workflows/ci.yml):
    roster must appear in DESIGN.md (the §14 rule table) — a new
    determinism rule cannot land undocumented, and a documented rule
    cannot silently disappear from the lint.
+
+5. **Qualified names.** Every backticked ``layer::Name`` in DESIGN.md or
+   README.md, where ``layer`` is a src/ subdirectory, must name an
+   identifier in the code under src/<layer>/ or tests/oracles/ — a
+   renamed or deleted class cannot linger in the prose.
 
 Usage:
     tools/doc_lint.py [--root REPO_ROOT]
@@ -195,6 +200,60 @@ def check_lint_rules(root):
     ]
 
 
+QUALIFIED_DOCS = ["DESIGN.md", "README.md"]
+CODE_FENCE_RE = re.compile(r"^```.*?^```[^\n]*$", re.M | re.S)
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+QUALIFIED_NAME_RE = re.compile(r"\b([a-z]\w*)::([A-Za-z_]\w*)")
+CPP_COMMENT_RE = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def code_identifiers(top):
+    """Identifiers in the C++ code (comments dropped) under `top`."""
+    names = set()
+    for dirpath, _, files in os.walk(top):
+        for name in files:
+            if name.endswith((".h", ".cc")):
+                code = CPP_COMMENT_RE.sub(
+                    " ", read(os.path.join(dirpath, name)))
+                names.update(IDENTIFIER_RE.findall(code))
+    return names
+
+
+def check_qualified_names(root):
+    """Backticked layer::Name in the docs must resolve under src/<layer>/
+    or tests/oracles/."""
+    src = os.path.join(root, "src")
+    if not os.path.isdir(src):
+        return []
+    layers = {d for d in os.listdir(src) if os.path.isdir(os.path.join(src, d))}
+    oracles = code_identifiers(os.path.join(root, "tests", "oracles"))
+    layer_names = {}
+    errors = []
+    for doc in QUALIFIED_DOCS:
+        path = os.path.join(root, doc)
+        if not os.path.isfile(path):
+            continue
+        # Fenced blocks are blanked line for line, so offsets keep their
+        # line numbers and a fence's backticks pair with nothing.
+        text = CODE_FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"),
+                                 read(path))
+        for span in CODE_SPAN_RE.finditer(text):
+            for layer, name in QUALIFIED_NAME_RE.findall(span.group(1)):
+                if layer not in layers:
+                    continue
+                if layer not in layer_names:
+                    layer_names[layer] = code_identifiers(
+                        os.path.join(src, layer))
+                if name not in layer_names[layer] and name not in oracles:
+                    errors.append(
+                        "%s:%d: `%s::%s` names nothing in src/%s/ or "
+                        "tests/oracles/" % (
+                            doc, text.count("\n", 0, span.start()) + 1,
+                            layer, name, layer))
+    return errors
+
+
 def run_checks(root):
     design_path = os.path.join(root, "DESIGN.md")
     errors = []
@@ -209,6 +268,7 @@ def run_checks(root):
     errors += check_markdown_links(root)
     errors += check_flags(root)
     errors += check_lint_rules(root)
+    errors += check_qualified_names(root)
     return errors
 
 
@@ -322,6 +382,30 @@ def selftest():
         errors = run_checks(root)
         expect(any("RULE_IDS tuple not found" in e for e in errors),
                "missing RULE_IDS roster reported", failures)
+        write_file("tools/ltc_lint.py", 'RULE_IDS = (\n    "fake-rule",\n)\n')
+
+        print("selftest: qualified names resolve")
+        write_file("src/common/random.h",
+                   "// class Random was renamed.\nclass Rng {};\n")
+        write_file("src/net/client.h", "class IngestClient {};\n")
+        write_file("tests/oracles/max_flow.h", "class DinicMaxFlow {};\n")
+        write_file("README.md", read(os.path.join(root, "README.md")) +
+                   "Uses `common::Rng`, `ltc::net::IngestClient::Send()`,\n"
+                   "`common::Rng`/`flow::DinicMaxFlow`, `std::vector` and\n"
+                   "`ext::Anything`.\n\n```cpp\ncommon::Gone x;\n```\n")
+        errors = run_checks(root)
+        expect(not any("names nothing" in e for e in errors),
+               "names in src/<layer>/ and tests/oracles/ pass; std::, "
+               "non-layers and fenced code are out of scope", failures)
+        write_file("DESIGN.md", read(os.path.join(root, "DESIGN.md")) +
+                   "\nSee `common::Random` and\n`net::Client` here.\n")
+        errors = run_checks(root)
+        expect(any(e.startswith("DESIGN.md:") and "`common::Random`" in e
+                   for e in errors),
+               "a name only a comment mentions is reported", failures)
+        expect(any(e.startswith("DESIGN.md:14:") and "`net::Client`" in e
+                   for e in errors),
+               "a missing name is reported with its line", failures)
 
     if failures:
         print("doc_lint selftest: %d FAILED" % len(failures))
@@ -349,7 +433,8 @@ def main():
             print(error)
         print("doc_lint: %d problem(s)" % len(errors))
         return 1
-    print("doc_lint: OK (citations, links, and flag tables all resolve)")
+    print("doc_lint: OK (citations, links, flag tables, lint rules and "
+          "qualified names all resolve)")
     return 0
 
 
